@@ -1,0 +1,254 @@
+/* Compiled probSAT flip loop, bit-identical to satlab.sls._probsat_python.
+ *
+ * Every step mirrors the Python reference: the same Mersenne Twister
+ * stream (continued from random.Random(seed).getstate()), the same
+ * initial assignment draws, occurrence lists in clause-id order, the
+ * same swap-remove falsified registry, the same clause-order scan for a
+ * clause's critical variable, and the same floating-point accumulation
+ * order when sampling a literal.  Build with -ffp-contract=off so no
+ * multiply-add is fused.
+ *
+ * Literals are DIMACS-signed ints; clause c holds lits[off[c] .. off[c+1]).
+ * A literal's occurrence list is indexed by 2*v + (lit < 0).
+ */
+
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+#define MT_N 624
+#define MT_M 397
+
+typedef struct {
+    int n;
+    const int *off, *lits;
+    const double *table;
+    long long table_len;
+    long long flips;
+    int num_falsified;
+    uint32_t mt[MT_N];
+    int mti;
+    unsigned char *assign; /* n + 1 */
+    int *breaks;           /* n + 1 */
+    int *sat, *crit, *falsified, *where; /* m each */
+    int *occ_off;          /* 2n + 3 */
+    int *occ;              /* one entry per literal occurrence */
+} probsat_state;
+
+/* MT19937 as in CPython's _randommodule.c */
+static uint32_t genrand_uint32(probsat_state *s)
+{
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t y;
+    if (s->mti >= MT_N) {
+        uint32_t *mt = s->mt;
+        int kk;
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        s->mti = 0;
+    }
+    y = s->mt[s->mti++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* random.random(): 53-bit double in [0, 1) */
+static double random_double(probsat_state *s)
+{
+    uint32_t a = genrand_uint32(s) >> 5, b = genrand_uint32(s) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* both branch-free: literal signs are random, so a branch mispredicts */
+static int occ_index(int lit)
+{
+    return 2 * abs(lit) + (lit < 0);
+}
+
+static int lit_true(const probsat_state *s, int lit)
+{
+    return s->assign[abs(lit)] ^ (lit < 0);
+}
+
+/* table[b] with Python's negative indexing; -1 where Python raises IndexError */
+static int table_index(const probsat_state *s, long long b)
+{
+    if (b < 0)
+        b += s->table_len;
+    return (b < 0 || b >= s->table_len) ? -1 : (int)b;
+}
+
+void probsat_free(probsat_state *s)
+{
+    if (!s)
+        return;
+    free(s->assign);
+    free(s->breaks);
+    free(s->sat);
+    free(s->occ_off);
+    free(s->occ);
+    free(s);
+}
+
+/* New state: draws the initial assignment, builds occurrence lists and
+ * counters.  `mt` is the 624 state words followed by the index.  NULL
+ * when out of memory. */
+probsat_state *probsat_new(int n, int m, const int *off, const int *lits,
+                           const double *table, long long table_len, const uint32_t *mt)
+{
+    probsat_state *s = calloc(1, sizeof *s);
+    int total = off[m], v, c, i;
+    if (!s)
+        return NULL;
+    s->n = n;
+    s->off = off;
+    s->lits = lits;
+    s->table = table;
+    s->table_len = table_len;
+    memcpy(s->mt, mt, sizeof s->mt);
+    s->mti = (int)mt[MT_N];
+    s->assign = calloc((size_t)n + 1, 1);
+    s->breaks = calloc((size_t)n + 1, sizeof(int));
+    s->sat = calloc(4 * (size_t)m + 1, sizeof(int));
+    s->occ_off = calloc(2 * (size_t)n + 3, sizeof(int));
+    s->occ = malloc(((size_t)total + 1) * sizeof(int));
+    if (!s->assign || !s->breaks || !s->sat || !s->occ_off || !s->occ) {
+        probsat_free(s);
+        return NULL;
+    }
+    s->crit = s->sat + m;
+    s->falsified = s->crit + m;
+    s->where = s->falsified + m;
+
+    for (v = 1; v <= n; v++)
+        s->assign[v] = random_double(s) < 0.5;
+
+    /* counting sort by literal, filled back to front, so each list keeps
+     * clause-id order (a duplicated literal repeats its clause id) */
+    for (i = 0; i < total; i++)
+        s->occ_off[occ_index(lits[i])]++;
+    for (i = 1; i <= 2 * n + 2; i++)
+        s->occ_off[i] += s->occ_off[i - 1];
+    for (c = m - 1; c >= 0; c--)
+        for (i = off[c + 1] - 1; i >= off[c]; i--)
+            s->occ[--s->occ_off[occ_index(lits[i])]] = c;
+
+    for (c = 0; c < m; c++) {
+        int count = 0;
+        for (i = off[c]; i < off[c + 1]; i++)
+            count += lit_true(s, lits[i]);
+        s->sat[c] = count;
+        s->where[c] = -1;
+        if (count == 0) {
+            s->where[c] = s->num_falsified;
+            s->falsified[s->num_falsified++] = c;
+        } else if (count == 1) {
+            for (i = off[c]; !lit_true(s, lits[i]); i++)
+                ;
+            v = abs(lits[i]);
+            s->crit[c] = v;
+            s->breaks[v]++;
+        }
+    }
+    return s;
+}
+
+static void flip(probsat_state *s, int v)
+{
+    int *sat = s->sat, *crit = s->crit, *breaks = s->breaks;
+    int *falsified = s->falsified, *where = s->where;
+    int lt, li, j, i;
+    s->assign[v] = !s->assign[v];
+    lt = s->assign[v] ? v : -v;
+    li = occ_index(lt);
+    for (j = s->occ_off[li]; j < s->occ_off[li + 1]; j++) {
+        int cid = s->occ[j], c = sat[cid];
+        if (c == 0) {
+            int idx = where[cid], last = falsified[s->num_falsified - 1];
+            falsified[idx] = last;
+            where[last] = idx;
+            s->num_falsified--;
+            where[cid] = -1;
+            crit[cid] = v;
+            breaks[v]++;
+            sat[cid] = 1;
+        } else {
+            if (c == 1)
+                breaks[crit[cid]]--;
+            sat[cid] = c + 1;
+        }
+    }
+    li = occ_index(-lt);
+    for (j = s->occ_off[li]; j < s->occ_off[li + 1]; j++) {
+        int cid = s->occ[j], c = sat[cid];
+        if (c == 1) {
+            sat[cid] = 0;
+            breaks[v]--;
+            where[cid] = s->num_falsified;
+            falsified[s->num_falsified++] = cid;
+        } else {
+            sat[cid] = c - 1;
+            if (c == 2)
+                for (i = s->off[cid]; i < s->off[cid + 1]; i++)
+                    if (lit_true(s, s->lits[i])) {
+                        int w = abs(s->lits[i]);
+                        crit[cid] = w;
+                        breaks[w]++;
+                        break;
+                    }
+        }
+    }
+}
+
+/* Flip until `stop` flips in total are done or no clause is falsified.
+ * Returns the total flip count, or -1 where the reference would index
+ * outside the score table (the state is then unusable). */
+long long probsat_flip(probsat_state *s, long long stop)
+{
+    const int *lits = s->lits;
+    const double *table = s->table;
+    while (s->flips < stop && s->num_falsified > 0) {
+        int cid = s->falsified[(long long)(random_double(s) * s->num_falsified)];
+        int lo = s->off[cid], hi = s->off[cid + 1], chosen = lits[hi - 1], i;
+        double total = 0.0, acc = 0.0, r;
+        for (i = lo; i < hi; i++) {
+            int t = table_index(s, s->breaks[abs(lits[i])]);
+            if (t < 0)
+                return -1;
+            total += table[t];
+        }
+        r = random_double(s) * total;
+        for (i = lo; i < hi; i++) {
+            acc += table[table_index(s, s->breaks[abs(lits[i])])];
+            if (r < acc) {
+                chosen = lits[i];
+                break;
+            }
+        }
+        flip(s, abs(chosen));
+        s->flips++;
+    }
+    return s->flips;
+}
+
+int probsat_num_falsified(const probsat_state *s)
+{
+    return s->num_falsified;
+}
+
+/* Copy the assignment (n + 1 bytes, index 0 unused) into `out`. */
+void probsat_assignment(const probsat_state *s, unsigned char *out)
+{
+    memcpy(out, s->assign, (size_t)s->n + 1);
+}

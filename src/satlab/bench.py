@@ -105,7 +105,12 @@ def run_trial(
     budget_flips: int | None = None,
     budget_seconds: float | None = None,
 ) -> TrialRecord:
-    """Execute one trial; solver crashes become unsolved records with a note."""
+    """Execute one trial; solver crashes become unsolved records with a note.
+
+    An `AssertionError` is a failed internal check (an invalid model or a
+    broken invariant), not a crash of one solver: it propagates, so it is
+    never scored as a PAR2 timeout.
+    """
     try:
         if config.algorithm == "sls":
             res = probsat_run(
@@ -134,6 +139,8 @@ def run_trial(
         return TrialRecord(
             instance_id, config.solver_id, seed, result.status == "sat", total_flips, total_seconds
         )
+    except AssertionError:
+        raise
     except Exception as exc:  # crash containment: the suite must go on
         return TrialRecord(instance_id, config.solver_id, seed, False, 0, 0.0, note=repr(exc))
 

@@ -11,6 +11,8 @@ n+1 with index 0 unused, so `assignment[v]` is the value of variable v.
 from __future__ import annotations
 
 import warnings
+from array import array
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, Sequence
 
 Clause = tuple[int, ...]
@@ -57,7 +59,7 @@ class Formula:
     and to pickle into worker processes.
     """
 
-    __slots__ = ("num_vars", "clauses", "tautology_ids", "_occ", "_max_width")
+    __slots__ = ("num_vars", "clauses", "tautology_ids", "_occ", "_max_width", "_csr")
 
     def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]], normalize: bool = True):
         if num_vars < 0:
@@ -82,6 +84,7 @@ class Formula:
         self.tautology_ids = frozenset(taut)
         self._occ = {lit: tuple(ids) for lit, ids in occ.items()}
         self._max_width = max((len(c) for c in self.clauses), default=0)
+        self._csr = None
 
     @property
     def num_clauses(self) -> int:
@@ -96,11 +99,25 @@ class Formula:
         """Ids of clauses containing `lit` (empty if it occurs nowhere)."""
         return self._occ.get(lit, ())
 
+    def csr(self) -> tuple[array, array, int]:
+        """Flat int32 view `(offsets, literals, max_occurrences)`.
+
+        Clause `c` is `literals[offsets[c]:offsets[c + 1]]`;
+        `max_occurrences` is the longest occurrence list.  Built on first
+        call and cached, so constructing a formula never pays for it.
+        """
+        if self._csr is None:
+            offsets = array("i", accumulate(map(len, self.clauses), initial=0))
+            literals = array("i", chain.from_iterable(self.clauses))
+            max_occ = max(map(len, self._occ.values()), default=0)
+            self._csr = (offsets, literals, max_occ)
+        return self._csr
+
     def clause_set(self) -> frozenset[Clause]:
         return frozenset(self.clauses)
 
     def has_empty_clause(self) -> bool:
-        return any(len(c) == 0 for c in self.clauses)
+        return not all(self.clauses)  # the empty tuple is the only false clause
 
     def __iter__(self) -> Iterator[Clause]:
         return iter(self.clauses)

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 from .cdcl import BUDGET, SAT, UNSAT, MiningBudget, cdcl_solve_and_mine
-from .cnf import Assignment, Clause, Formula, eval_formula
+from .cnf import Assignment, Clause, Formula, canonical_clause, eval_formula
 from .sls import RunResult, ScoringFunction, default_scoring, probsat_run
 
 PLAIN_SLS = "plain-sls"
@@ -101,7 +101,7 @@ def augment(formula: Formula, clauses) -> Formula:
     present = set(formula.clauses)
     added: list[Clause] = []
     for clause in clauses:
-        canon = tuple(sorted(set(clause), key=lambda l: (abs(l), l)))
+        canon = canonical_clause(clause)
         if canon not in present:
             present.add(canon)
             added.append(canon)
@@ -145,7 +145,7 @@ def run_hybrid(
             formula, flips, seed_initial, strat.scoring,
             wall_limit=None if deterministic else wall_budget,
         )
-        _note_phase(result, "initial-sls", res, start)
+        _note_phase(result, "initial-sls", res)
         if res.solved:
             _mark_solved(result, "initial-sls", res.model, formula)
         return result
@@ -156,7 +156,7 @@ def run_hybrid(
         formula, burst, seed_initial, strat.scoring,
         wall_limit=None if deterministic else wall_budget,
     )
-    _note_phase(result, "initial-sls", res, start)
+    _note_phase(result, "initial-sls", res)
     if res.solved:
         _mark_solved(result, "initial-sls", res.model, formula)
         return result
@@ -203,13 +203,13 @@ def run_hybrid(
         augmented, flips, seed_final, strat.scoring,
         wall_limit=None if deterministic else remaining,
     )
-    _note_phase(result, "final-sls", res, start)
+    _note_phase(result, "final-sls", res)
     if res.solved:
         _mark_solved(result, "final-sls", res.model, formula)
     return result
 
 
-def _note_phase(result: SolveResult, phase: str, res: RunResult, start: float) -> None:
+def _note_phase(result: SolveResult, phase: str, res: RunResult) -> None:
     result.phase_flips[phase] = res.flips_used
     result.phase_seconds[phase] = res.wall_seconds
 

@@ -13,18 +13,48 @@ Break counts are maintained incrementally.  Per clause we track the
 number of satisfied literals and, when that number is exactly one, the
 "critical" variable holding the clause; falsified clauses live in a
 swap-remove registry with O(1) membership, insertion, and deletion.
+
+`probsat_run` has two paths with one set of semantics:
+
+- The compiled kernel (`_probsat.c`, loaded with ctypes) reads the
+  formula's cached CSR view (`Formula.csr`) and continues the Mersenne
+  Twister stream of `random.Random(seed)`.  It is built on first use with
+  the system C compiler into `$XDG_CACHE_HOME/satlab` (by default
+  `~/.cache/satlab`), under a file name keyed by the source, the flags
+  and the platform.
+- `_probsat_python`, the flip loop over `SlsState`, is the readable
+  reference.  It runs when no compiler or cache directory is usable, and
+  for the few runs the kernel hands back (see `probsat_run`).
+
+For equal arguments the two give bit-identical status, flip count and
+model: the same random draws, the same registry order, the same
+critical-variable scan and the same floating-point sums.  The
+differential tests in `tests/test_sls_kernel.py` hold them to it.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
 import random
+import shutil
+import subprocess
+import sysconfig
+import tempfile
 import time
+import warnings
+from array import array
 from dataclasses import dataclass
+from pathlib import Path
 
 from .cnf import Assignment, Formula, eval_formula
 
 FLIPS_EXHAUSTED = "flips-exhausted"
 SOLVED = "solved"
+
+_POLL_FLIPS = 4096  # flips between wall-clock polls
 
 
 @dataclass(frozen=True)
@@ -134,12 +164,6 @@ class SlsState:
     def break_count(self, v: int) -> int:
         return self.breaks[v]
 
-    def num_falsified(self) -> int:
-        return len(self.falsified)
-
-    def is_satisfying(self) -> bool:
-        return not self.falsified
-
     def flip(self, v: int) -> None:
         """Toggle variable v and update all counters incrementally."""
         assign = self.assign
@@ -230,10 +254,65 @@ def probsat_run(
 ) -> RunResult:
     """Run break-only local search until a model is found or budgets expire.
 
+    The only public entry point.  It runs the compiled kernel, building it
+    into `$XDG_CACHE_HOME/satlab` (default `~/.cache/satlab`) on first use,
+    and falls back to the Python reference `_probsat_python` when no
+    compiler or cache directory is usable.  Both paths return the same
+    status, `flips_used` and model for the same arguments.  Formulas with
+    an empty clause or no variables, and runs in which the reference would
+    index outside its score table (possible only with repeated literals
+    in a clause), go to the reference, which raises the same error.
+
     Returned models are verified against the formula.  With `wall_limit`
     set, the clock is polled every 4096 flips; wall-limited runs are
-    therefore not flip-deterministic, flip-budgeted ones are.
+    therefore not flip-deterministic, flip-budgeted ones are, and a
+    flip-budgeted run is a single kernel call.
     """
+    kernel = _load_kernel()
+    if kernel is None or formula.has_empty_clause() or formula.num_vars == 0:
+        return _probsat_python(formula, max_flips, seed, scoring, wall_limit)
+    start = time.perf_counter()
+    offsets, literals, max_occ = formula.csr()
+    scoring = scoring or default_scoring(formula.max_width if formula.num_clauses else 3)
+    table = array("d", scoring.table(max_occ))
+    mt = array("I", random.Random(seed).getstate()[1])
+    state = kernel.probsat_new(
+        formula.num_vars, formula.num_clauses, offsets.buffer_info()[0],
+        literals.buffer_info()[0], table.buffer_info()[0], len(table), mt.buffer_info()[0],
+    )
+    if not state:
+        raise MemoryError("cannot allocate the probSAT kernel state")
+    model = None
+    try:
+        if wall_limit is None:
+            flips_done = kernel.probsat_flip(state, max_flips)
+        else:
+            flips_done = 0
+            while 0 <= flips_done < max_flips and kernel.probsat_num_falsified(state):
+                if time.perf_counter() - start > wall_limit:
+                    break
+                flips_done = kernel.probsat_flip(state, min(max_flips, flips_done + _POLL_FLIPS))
+        if flips_done >= 0 and not kernel.probsat_num_falsified(state):
+            buf = ctypes.create_string_buffer(formula.num_vars + 1)
+            kernel.probsat_assignment(state, buf)
+            model = list(map(bool, buf.raw))
+    finally:
+        kernel.probsat_free(state)
+    if flips_done < 0:
+        # the reference indexes outside its score table here; let it raise
+        return _probsat_python(formula, max_flips, seed, scoring, wall_limit)
+    return _result(formula, model, flips_done, seed, time.perf_counter() - start)
+
+
+def _probsat_python(
+    formula: Formula,
+    max_flips: int,
+    seed: int,
+    scoring: ScoringFunction | None = None,
+    wall_limit: float | None = None,
+) -> RunResult:
+    """The pure-Python flip loop over `SlsState`: the readable reference
+    the kernel must match, and the fallback when it cannot be built."""
     start = time.perf_counter()
     if formula.has_empty_clause() or formula.num_vars == 0:
         return RunResult(FLIPS_EXHAUSTED, 0, None, seed, time.perf_counter() - start)
@@ -248,7 +327,7 @@ def probsat_run(
     while flips_done < max_flips:
         if not falsified:
             break
-        if wall_limit is not None and flips_done % 4096 == 0:
+        if wall_limit is not None and flips_done % _POLL_FLIPS == 0:
             if time.perf_counter() - start > wall_limit:
                 break
         cid = falsified[int(rng_random() * len(falsified))]
@@ -266,10 +345,71 @@ def probsat_run(
                 break
         flip(abs(chosen))
         flips_done += 1
-    elapsed = time.perf_counter() - start
-    if not falsified:
-        model = list(state.assign)
-        if not eval_formula(formula, model):
-            raise AssertionError("internal error: registry empty but model invalid")
-        return RunResult(SOLVED, flips_done, model, seed, elapsed)
-    return RunResult(FLIPS_EXHAUSTED, flips_done, None, seed, elapsed)
+    model = None if falsified else list(state.assign)
+    return _result(formula, model, flips_done, seed, time.perf_counter() - start)
+
+
+def _result(formula: Formula, model: Assignment | None, flips_done: int, seed: int, elapsed: float) -> RunResult:
+    if model is None:
+        return RunResult(FLIPS_EXHAUSTED, flips_done, None, seed, elapsed)
+    if not eval_formula(formula, model):
+        raise AssertionError("internal error: registry empty but model invalid")
+    return RunResult(SOLVED, flips_done, model, seed, elapsed)
+
+
+_KERNEL_SOURCE = Path(__file__).with_name("_probsat.c")
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _compiler() -> str | None:
+    """Path of the system C compiler, or None when there is none."""
+    for name in ("cc", "gcc", "clang"):
+        path = shutil.which(name)
+        if path:
+            return path
+    return None
+
+
+@functools.cache
+def _load_kernel() -> ctypes.CDLL | None:
+    """The compiled flip kernel, built on first use into the cache named
+    in the module docstring; None when no compiler or cache directory is
+    usable.  The compiler writes a temporary file that is then renamed
+    into place, so concurrent processes never load a partial library.
+    """
+    compiler = _compiler()
+    if compiler is None:
+        return None
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "satlab"
+    try:
+        key = hashlib.sha256(_KERNEL_SOURCE.read_bytes())
+        key.update(" ".join(_KERNEL_FLAGS).encode())
+        key.update(sysconfig.get_platform().encode())
+        path = cache / f"probsat-{key.hexdigest()[:16]}.so"
+        if not path.exists():
+            cache.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=cache, prefix=".probsat-", suffix=".so")
+            os.close(fd)
+            try:
+                subprocess.run([compiler, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
+                               check=True, capture_output=True)
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        lib = ctypes.CDLL(str(path))
+    except (OSError, subprocess.CalledProcessError) as exc:
+        warnings.warn(f"probSAT kernel unavailable, using the Python flip loop: {exc}", RuntimeWarning)
+        return None
+    ptr, i64 = ctypes.c_void_p, ctypes.c_longlong
+    lib.probsat_new.argtypes = [ctypes.c_int, ctypes.c_int, ptr, ptr, ptr, i64, ptr]
+    lib.probsat_new.restype = ptr
+    lib.probsat_flip.argtypes = [ptr, i64]
+    lib.probsat_flip.restype = i64
+    lib.probsat_num_falsified.argtypes = [ptr]
+    lib.probsat_num_falsified.restype = ctypes.c_int
+    lib.probsat_assignment.argtypes = [ptr, ctypes.c_char_p]
+    lib.probsat_assignment.restype = None
+    lib.probsat_free.argtypes = [ptr]
+    lib.probsat_free.restype = None
+    return lib

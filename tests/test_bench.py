@@ -1,5 +1,6 @@
 import pytest
 
+from satlab import pipeline, sls
 from satlab.bench import (
     BenchmarkSummary,
     SolverConfig,
@@ -66,6 +67,16 @@ def test_run_trial_crash_becomes_unsolved_note():
     record = run_trial("i", Formula(2, [(1, 2)]), bad, seed=0, budget_flips=10)
     assert not record.solved
     assert record.note
+
+
+@pytest.mark.parametrize("algorithm", ["sls", "hybrid"])
+def test_run_trial_failed_model_check_propagates(monkeypatch, algorithm):
+    # a model that fails verification is an internal error, never an unsolved trial
+    monkeypatch.setattr(sls, "eval_formula", lambda formula, model: False)
+    monkeypatch.setattr(pipeline, "eval_formula", lambda formula, model: False)
+    config = SolverConfig("s", algorithm=algorithm, initial_flips=10, miner_conflict_limit=5)
+    with pytest.raises(AssertionError, match="internal error"):
+        run_trial("i", Formula(2, [(1, 2)]), config, seed=0, budget_flips=10)
 
 
 def test_run_suite_counts_and_order():

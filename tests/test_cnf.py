@@ -101,6 +101,18 @@ def test_occurrence_index_mirrors_membership():
             assert cid in f.occurrence(lit)
 
 
+def test_csr_view_is_lazy_flat_and_cached():
+    f = Formula(4, [(1, -2), (3,), (-1, 2, 4, -3), (2, 2, -1)], normalize=False)
+    assert f._csr is None
+    offsets, literals, max_occ = f.csr()
+    assert list(offsets) == [0, 2, 3, 7, 10]
+    assert list(literals) == [1, -2, 3, -1, 2, 4, -3, 2, 2, -1]
+    assert offsets.itemsize == literals.itemsize == 4
+    assert max_occ == max(len(f.occurrence(l)) for v in range(1, 5) for l in (v, -v)) == 3
+    assert f.csr() is f.csr()
+    assert Formula(3, []).csr() == (offsets[:1], literals[:0], 0)
+
+
 def test_eval_clause():
     alpha = [False, False, False]  # x1=0, x2=0
     assert eval_clause((1, -2), alpha) is True

@@ -1,0 +1,189 @@
+"""Differential tests: the compiled probSAT kernel against the Python reference.
+
+`probsat_run` runs the kernel whenever it loads; `_probsat_python` is the
+reference loop.  For equal arguments both must return equal status, flip
+count and model, and raise the same error where the reference raises.
+"""
+
+import pickle
+import random
+import warnings
+
+import pytest
+
+from satlab import sls
+from satlab.bench import SolverConfig, run_suite
+from satlab.cnf import Formula
+from satlab.generators import GenSpec, gen_planted, gen_uniform
+from satlab.sls import ScoringFunction, _probsat_python, probsat_run
+
+SCORINGS = (
+    None,  # the width's default
+    ScoringFunction("poly", cb=2.06, epsilon=0.9),
+    ScoringFunction("poly", cb=2.6, epsilon=0.4),
+    ScoringFunction("exp", cb=3.7),
+    ScoringFunction("exp", cb=1.8),
+)
+SEEDS = (0, 4242, -7, 2**64 + 3)
+# (k, n, ratio, flip budget): small enough for the reference, and a mix of
+# solved and budget-bound runs
+SHAPES = ((3, 40, 4.2, 3_000), (5, 24, 20.0, 2_000), (7, 16, 80.0, 300))
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    if sls._compiler() is None:
+        pytest.skip("no C compiler on PATH, so probsat_run can only run the Python reference")
+    lib = sls._load_kernel()
+    assert lib is not None, "a C compiler exists but the probSAT kernel did not build or load"
+    return lib
+
+
+@pytest.fixture
+def fresh_loader():
+    """Forget the loaded kernel before and after the test."""
+    sls._load_kernel.cache_clear()
+    yield
+    sls._load_kernel.cache_clear()
+
+
+def outcome(fn, formula, max_flips, seed, scoring=None, wall_limit=None):
+    try:
+        res = fn(formula, max_flips, seed, scoring, wall_limit)
+    except Exception as exc:
+        return type(exc).__name__
+    return res.status, res.flips_used, res.model
+
+
+def assert_same(formula, max_flips, seed, scoring=None, wall_limit=None):
+    fast = outcome(probsat_run, formula, max_flips, seed, scoring, wall_limit)
+    ref = outcome(_probsat_python, formula, max_flips, seed, scoring, wall_limit)
+    assert fast == ref, f"{formula!r} flips={max_flips} seed={seed} scoring={scoring}"
+    return fast
+
+
+@pytest.mark.parametrize("k,n,ratio,budget", SHAPES)
+def test_kernel_matches_reference_on_generated_formulas(kernel, k, n, ratio, budget):
+    statuses = set()
+    runs = 0
+    for i in range(3):
+        planted, _ = gen_planted(GenSpec(n=n, k=k, ratio=ratio, seed=300 + i))
+        uniform = gen_uniform(GenSpec(n=n, k=k, ratio=ratio, seed=400 + i))
+        for formula in (planted, uniform):
+            for scoring in SCORINGS:
+                for seed in SEEDS:
+                    statuses.add(assert_same(formula, budget, seed, scoring)[0])
+                    runs += 1
+    assert runs >= 100
+    assert statuses == {sls.SOLVED, sls.FLIPS_EXHAUSTED}
+
+
+def test_kernel_matches_reference_on_unnormalized_formulas(kernel):
+    """Tautologies and repeated literals, as `Formula(..., normalize=False)` keeps them."""
+    rng = random.Random(2024)
+    outcomes = set()
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        clauses = [[rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 5))]
+                   for _ in range(rng.randint(1, 12))]
+        formula = Formula(n, clauses, normalize=False)
+        result = assert_same(formula, 300, rng.randint(-2**70, 2**70), rng.choice(SCORINGS))
+        outcomes.add(result if isinstance(result, str) else result[0])
+    # the reference's break counts can leave its score table on repeated
+    # literals; the kernel then hands the run back to it, which raises
+    assert outcomes == {sls.SOLVED, sls.FLIPS_EXHAUSTED, "IndexError"}
+    taut = Formula(3, [(1, -1, 2), (2, 3), (-2, -3), (3, 3, -1)], normalize=False)
+    for seed in SEEDS:
+        assert_same(taut, 50, seed)
+
+
+def test_kernel_matches_reference_on_tiny_formulas_and_budgets(kernel):
+    formulas = [
+        Formula(1, [(1,)]),
+        Formula(1, [(-1,)]),
+        Formula(1, [(1,), (-1,)]),
+        Formula(3, [(1, -2, 3)]),
+        Formula(4, [(-4,)]),
+        Formula(5, []),
+        Formula(2, [(), (1,)]),
+        Formula(0, []),
+    ]
+    for formula in formulas:
+        for max_flips in (0, 1, 2, 25):
+            for seed in SEEDS:
+                assert_same(formula, max_flips, seed)
+
+
+def test_large_wall_limit_equals_flip_budget(kernel):
+    # both runs cross several 4096-flip polls; the hard one spends its budget
+    hard = gen_uniform(GenSpec(n=150, k=3, ratio=5.0, seed=11))
+    easy, _ = gen_planted(GenSpec(n=2000, k=3, ratio=4.2, seed=12))
+    for formula, budget in ((hard, 10_000), (easy, 50_000)):
+        budgeted = outcome(probsat_run, formula, budget, 99)
+        assert budgeted == outcome(probsat_run, formula, budget, 99, wall_limit=1e9)
+        assert budgeted == outcome(_probsat_python, formula, budget, 99, wall_limit=1e9)
+    assert outcome(probsat_run, hard, 10_000, 99)[1] == 10_000
+    assert 4096 < outcome(probsat_run, easy, 50_000, 99)[1] < 50_000
+
+
+def test_wall_limit_stops_the_kernel(kernel):
+    hard = gen_uniform(GenSpec(n=150, k=3, ratio=5.0, seed=11))
+    res = probsat_run(hard, 1 << 62, seed=3, wall_limit=0.05)
+    assert res.status == sls.FLIPS_EXHAUSTED
+    assert res.flips_used % 4096 == 0 and res.flips_used > 0
+
+
+def test_probsat_run_without_kernel_gives_the_same_results(monkeypatch):
+    cases = [(gen_planted(GenSpec(n=50, k=3, ratio=4.2, seed=s))[0], 5_000, s * 13 - 20) for s in range(6)]
+    cases.append((Formula(3, [(1, 1, -2), (2, -1, 1)], normalize=False), 20, 5))
+    expected = [outcome(probsat_run, *case) for case in cases]
+    monkeypatch.setattr(sls, "_load_kernel", lambda: None)
+    assert [outcome(probsat_run, *case) for case in cases] == expected
+
+
+def test_run_suite_workers_match_serial_with_cached_csr(kernel):
+    instances = []
+    for k, n, ratio, _ in SHAPES:
+        formula, _ = gen_planted(GenSpec(n=n, k=k, ratio=ratio, seed=500 + k))
+        formula.csr()  # the workers receive formulas that carry their CSR
+        instances.append((f"k{k}", formula))
+    solvers = [SolverConfig("sls"), SolverConfig("hyb", algorithm="hybrid", initial_flips=50,
+                                                 miner_conflict_limit=30)]
+    serial = run_suite(instances, solvers, seeds=[1, 2], budget_flips=2_000, workers=1)
+    parallel = run_suite(instances, solvers, seeds=[1, 2], budget_flips=2_000, workers=2)
+    assert [r.key() for r in serial] == [r.key() for r in parallel]
+    assert not any(r.note for r in serial + parallel)
+
+
+def test_formula_with_cached_csr_pickles():
+    formula, _ = gen_planted(GenSpec(n=30, k=3, ratio=4.2, seed=1))
+    csr = formula.csr()
+    copy = pickle.loads(pickle.dumps(formula))
+    assert copy.csr() == csr
+    assert copy.clauses == formula.clauses
+
+
+def test_loader_falls_back_without_a_compiler(monkeypatch, fresh_loader):
+    monkeypatch.setattr(sls, "_compiler", lambda: None)
+    assert sls._load_kernel() is None
+
+
+def test_loader_falls_back_when_the_cache_dir_is_unusable(tmp_path, monkeypatch, fresh_loader):
+    if sls._compiler() is None:
+        pytest.skip("no C compiler on PATH, so the loader never reaches the cache directory")
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    with pytest.warns(RuntimeWarning, match="Python flip loop"):
+        assert sls._load_kernel() is None
+
+
+def test_loader_builds_into_a_fresh_cache(tmp_path, monkeypatch, fresh_loader):
+    if sls._compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sls._load_kernel() is not None
+    built = [p.name for p in (tmp_path / "satlab").iterdir()]
+    assert len(built) == 1 and built[0].startswith("probsat-") and built[0].endswith(".so")
