@@ -13,12 +13,11 @@ from .cnf import (
     emit_dimacs,
     eval_clause,
     eval_formula,
-    max_clause_width,
     parse_dimacs,
     resolve,
 )
 from .generators import GenSpec, gen_planted, gen_uniform
-from .sls import RunResult, ScoringFunction, SlsState, default_scoring, init_state, probsat_run
+from .sls import RunResult, ScoringFunction, SlsState, default_scoring, probsat_run
 from .cdcl import (
     CdclSolver,
     LearnedClauseRecord,

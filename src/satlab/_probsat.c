@@ -22,8 +22,7 @@
 typedef struct {
     int n;
     const int *off, *lits;
-    const double *table;
-    long long table_len;
+    const double *table; /* f(0 .. longest occurrence list) */
     long long flips;
     int num_falsified;
     uint32_t mt[MT_N];
@@ -81,14 +80,6 @@ static int lit_true(const probsat_state *s, int lit)
     return s->assign[abs(lit)] ^ (lit < 0);
 }
 
-/* table[b] with Python's negative indexing; -1 where Python raises IndexError */
-static int table_index(const probsat_state *s, long long b)
-{
-    if (b < 0)
-        b += s->table_len;
-    return (b < 0 || b >= s->table_len) ? -1 : (int)b;
-}
-
 void probsat_free(probsat_state *s)
 {
     if (!s)
@@ -105,7 +96,7 @@ void probsat_free(probsat_state *s)
  * counters.  `mt` is the 624 state words followed by the index.  NULL
  * when out of memory. */
 probsat_state *probsat_new(int n, int m, const int *off, const int *lits,
-                           const double *table, long long table_len, const uint32_t *mt)
+                           const double *table, const uint32_t *mt)
 {
     probsat_state *s = calloc(1, sizeof *s);
     int total = off[m], v, c, i;
@@ -115,7 +106,6 @@ probsat_state *probsat_new(int n, int m, const int *off, const int *lits,
     s->off = off;
     s->lits = lits;
     s->table = table;
-    s->table_len = table_len;
     memcpy(s->mt, mt, sizeof s->mt);
     s->mti = (int)mt[MT_N];
     s->assign = calloc((size_t)n + 1, 1);
@@ -135,7 +125,7 @@ probsat_state *probsat_new(int n, int m, const int *off, const int *lits,
         s->assign[v] = random_double(s) < 0.5;
 
     /* counting sort by literal, filled back to front, so each list keeps
-     * clause-id order (a duplicated literal repeats its clause id) */
+     * clause-id order */
     for (i = 0; i < total; i++)
         s->occ_off[occ_index(lits[i])]++;
     for (i = 1; i <= 2 * n + 2; i++)
@@ -211,9 +201,10 @@ static void flip(probsat_state *s, int v)
     }
 }
 
-/* Flip until `stop` flips in total are done or no clause is falsified.
- * Returns the total flip count, or -1 where the reference would index
- * outside the score table (the state is then unusable). */
+/* Flip until `stop` flips in total are done or no clause is falsified;
+ * returns the total flip count.  A break count never exceeds the
+ * occurrence count of the variable's true literal, because no clause
+ * repeats a literal (Formula rejects that), so it indexes inside `table`. */
 long long probsat_flip(probsat_state *s, long long stop)
 {
     const int *lits = s->lits;
@@ -222,15 +213,11 @@ long long probsat_flip(probsat_state *s, long long stop)
         int cid = s->falsified[(long long)(random_double(s) * s->num_falsified)];
         int lo = s->off[cid], hi = s->off[cid + 1], chosen = lits[hi - 1], i;
         double total = 0.0, acc = 0.0, r;
-        for (i = lo; i < hi; i++) {
-            int t = table_index(s, s->breaks[abs(lits[i])]);
-            if (t < 0)
-                return -1;
-            total += table[t];
-        }
+        for (i = lo; i < hi; i++)
+            total += table[s->breaks[abs(lits[i])]];
         r = random_double(s) * total;
         for (i = lo; i < hi; i++) {
-            acc += table[table_index(s, s->breaks[abs(lits[i])])];
+            acc += table[s->breaks[abs(lits[i])]];
             if (r < acc) {
                 chosen = lits[i];
                 break;

@@ -16,13 +16,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .cnf import Formula
-from .pipeline import run_hybrid
+from .pipeline import _HUGE_FLIPS, WALL_BUDGET_DEFAULT, run_hybrid, select_strategy
 from .sls import ScoringFunction, probsat_run
 from .stats import DegenerateInputError, cohens_d, paired_t_test, wilcoxon_signed_rank
 
 FLIP_TIMEOUTS = {3: 1_000_000_000, 5: 500_000_000, 7: 250_000_000}
-
-_HUGE_FLIPS = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,11 @@ def default_flip_timeout(k: int) -> int:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """One named solver configuration for the harness."""
+    """One named solver configuration for the harness.
+
+    Hybrid trials hand `scoring` and the per-track fields to
+    `select_strategy`, where None keeps the track's value.
+    """
 
     solver_id: str
     algorithm: str = "sls"  # sls | hybrid
@@ -123,15 +125,20 @@ def run_trial(
             return TrialRecord(
                 instance_id, config.solver_id, seed, res.solved, res.flips_used, res.wall_seconds
             )
-        result = run_hybrid(
+        strategy = select_strategy(
             formula,
-            wall_budget=budget_seconds if budget_seconds is not None else 5000.0,
-            seed=seed,
+            initial_flips=config.initial_flips,
             miner_seconds=config.miner_seconds,
-            miner_conflict_limit=config.miner_conflict_limit,
             width_limit=config.width_limit,
             count_cap_percent=config.count_cap_percent,
-            initial_flips=config.initial_flips,
+            scoring=config.scoring,
+        )
+        result = run_hybrid(
+            formula,
+            wall_budget=budget_seconds if budget_seconds is not None else WALL_BUDGET_DEFAULT,
+            seed=seed,
+            strategy=strategy,
+            miner_conflict_limit=config.miner_conflict_limit,
             final_flips=budget_flips,
         )
         total_flips = sum(result.phase_flips.values())

@@ -33,6 +33,8 @@ SAT = "sat"
 UNSAT = "unsat"
 BUDGET = "budget-exhausted"
 
+MINER_SECONDS_DEFAULT = 300.0
+
 _TRUE, _UNDEF, _FALSE = 1, 0, -1
 
 _RESCALE_LIMIT = 1e100
@@ -59,7 +61,7 @@ class MiningBudget:
     distinct qualifying clauses exist.
     """
 
-    wall_seconds: float = 300.0
+    wall_seconds: float = MINER_SECONDS_DEFAULT
     conflict_limit: int | None = None
     width_limit: int = 4
     count_cap: int | None = None

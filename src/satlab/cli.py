@@ -18,8 +18,9 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .cdcl import SAT, MiningBudget, cdcl_solve_and_mine, filter_learned
+from .cdcl import MINER_SECONDS_DEFAULT, SAT, MiningBudget, cdcl_solve_and_mine, filter_learned
 from .cnf import (
+    Formula,
     emit_dimacs,
     format_solution,
     parse_clause_lines,
@@ -27,7 +28,7 @@ from .cnf import (
     parse_solution,
 )
 from .generators import GenSpec, default_ratio, gen_planted, gen_uniform
-from .pipeline import run_hybrid, select_strategy
+from .pipeline import WALL_BUDGET_DEFAULT, augment, percent_cap, run_hybrid, select_strategy
 from .quality import compute_backbone, gen_deceptive, gen_general, quality_report
 from .resolution import level1_resolvents, level2_resolvents, sample_pool, ternary_saturate
 from .sls import ScoringFunction, probsat_run
@@ -59,7 +60,7 @@ def _resolve_cap(spec: str | None, m: int) -> int | None:
     if spec == "m/10":
         return m // 10
     if spec.endswith("%"):
-        return int(float(spec[:-1]) * m / 100.0)
+        return percent_cap(float(spec[:-1]), m)
     return int(spec)
 
 
@@ -136,8 +137,6 @@ def _cmd_enrich(args) -> int:
                               early_stop=cap is not None)
         outcome = cdcl_solve_and_mine(formula, budget, seed=args.seed)
         added = outcome.learned
-    from .pipeline import augment
-
     augmented = augment(formula, added)
     count = augmented.num_clauses - formula.num_clauses
     _write(args.output, emit_dimacs(augmented, comments=[f"added {count}"]))
@@ -161,15 +160,13 @@ def _cmd_inject(args) -> int:
         if args.solution:
             solution = parse_solution(_read(args.solution), formula.num_vars)
         else:
-            outcome = cdcl_solve_and_mine(formula, MiningBudget(wall_seconds=300.0), seed=args.seed)
+            outcome = cdcl_solve_and_mine(formula, MiningBudget(), seed=args.seed)
             if outcome.status != SAT:
                 print("c inject failed: no model available", file=sys.stderr)
                 return 1
             solution = outcome.model
         clauses = gen_general(solution, backbone, args.count, args.seed)
     merged = list(formula.clauses) + clauses
-    from .cnf import Formula
-
     out = Formula(formula.num_vars, merged)
     _write(args.output, emit_dimacs(out, comments=[f"injected {len(clauses)} model={args.model}"]))
     return 0
@@ -190,15 +187,19 @@ def _cmd_quality(args) -> int:
 
 def _cmd_solve(args) -> int:
     formula = parse_dimacs(_read(args.file))
+    strategy = select_strategy(
+        formula,
+        initial_flips=args.initial_flips,
+        miner_seconds=args.miner_seconds,
+        width_limit=args.width_limit,
+        count_cap_percent=args.cap_percent,
+    )
     result = run_hybrid(
         formula,
         wall_budget=args.budget,
         seed=args.seed,
-        miner_seconds=args.miner_seconds,
-        width_limit=args.width_limit,
-        count_cap_percent=args.cap_percent,
+        strategy=strategy,
         miner_conflict_limit=args.miner_conflicts,
-        initial_flips=args.initial_flips,
         final_flips=args.final_flips,
     )
     print(f"c result {result.canonical_json()}")
@@ -299,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine", help="extract learned clauses with CDCL")
     p.add_argument("file")
-    p.add_argument("--seconds", type=float, default=300.0)
+    p.add_argument("--seconds", type=float, default=MINER_SECONDS_DEFAULT)
     p.add_argument("--conflicts", type=int, default=None)
     p.add_argument("--width", type=int, default=4)
     p.add_argument("--cap", default=None, help="count cap: int, m/10, or X%%")
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["level1", "level2", "ternary", "cdcl"], required=True)
     p.add_argument("--max-width", type=int, default=4)
     p.add_argument("--cap", default=None, help="count cap: int, m/10, or X%%")
-    p.add_argument("--seconds", type=float, default=300.0)
+    p.add_argument("--seconds", type=float, default=MINER_SECONDS_DEFAULT)
     p.add_argument("--conflicts", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default="-")
@@ -343,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="hybrid pipeline: SLS, mining, SLS")
     p.add_argument("file")
-    p.add_argument("--budget", type=float, default=5000.0)
+    p.add_argument("--budget", type=float, default=WALL_BUDGET_DEFAULT)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--miner-seconds", type=float, default=None)
     p.add_argument("--miner-conflicts", type=int, default=None)

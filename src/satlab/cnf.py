@@ -27,16 +27,6 @@ class DimacsWarning(UserWarning):
     """Raised for recoverable DIMACS oddities (e.g. header count mismatch)."""
 
 
-def neg(lit: int) -> int:
-    """Complement of a literal."""
-    return -lit
-
-
-def variable(lit: int) -> int:
-    """Variable index of a literal."""
-    return abs(lit)
-
-
 def canonical_clause(lits: Iterable[int]) -> Clause:
     """Deduplicate and sort literals by variable index (sign breaks ties).
 
@@ -56,7 +46,9 @@ class Formula:
     """Immutable clause database with a literal occurrence index.
 
     Shared by every solver in the package; safe to share across threads
-    and to pickle into worker processes.
+    and to pickle into worker processes.  With `normalize=False` clauses
+    keep their literal order and tautologies, but a literal repeated
+    within a clause is a ValueError.
     """
 
     __slots__ = ("num_vars", "clauses", "tautology_ids", "_occ", "_max_width", "_csr")
@@ -72,13 +64,14 @@ class Formula:
         occ: dict[int, list[int]] = {}
         taut = []
         for cid, clause in enumerate(self.clauses):
-            seen = set()
             for lit in clause:
                 v = abs(lit)
                 if v < 1 or v > num_vars:
                     raise ValueError(f"literal {lit} out of range 1..{num_vars} in clause {cid}")
                 occ.setdefault(lit, []).append(cid)
-                seen.add(lit)
+            seen = set(clause)
+            if len(seen) != len(clause):
+                raise ValueError(f"clause {cid} repeats a literal: {clause}")
             if any(-l in seen for l in seen):
                 taut.append(cid)
         self.tautology_ids = frozenset(taut)
@@ -241,13 +234,6 @@ def resolve(a: Sequence[int], b: Sequence[int], pivot: int) -> Clause | None:
     if any(-l in merged for l in merged):
         return None
     return canonical_clause(merged)
-
-
-def max_clause_width(formula: Formula) -> int:
-    """Maximum clause length; drives strategy dispatch.  Errors on empty formulas."""
-    if formula.num_clauses == 0:
-        raise ValueError("max_clause_width of a formula with no clauses")
-    return formula.max_width
 
 
 def format_solution(alpha: Assignment, width: int = 20) -> str:

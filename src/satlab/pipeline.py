@@ -13,6 +13,10 @@ selects tuned per-width settings:
 Other widths have no tuned settings and fall back to plain local search
 with exponential scoring.  Percentage caps are computed from the
 original clause count, floor-rounded.
+
+The track's settings are a `Strategy`, and it is the only per-track
+configuration `run_hybrid` reads.  To change a setting, name the field:
+`run_hybrid(f, strategy=select_strategy(f, initial_flips=1000))`.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
-from .cdcl import BUDGET, SAT, UNSAT, MiningBudget, cdcl_solve_and_mine
+from .cdcl import MINER_SECONDS_DEFAULT, SAT, UNSAT, MiningBudget, cdcl_solve_and_mine
 from .cnf import Assignment, Clause, Formula, canonical_clause, eval_formula
 from .sls import RunResult, ScoringFunction, default_scoring, probsat_run
 
@@ -30,7 +34,6 @@ PLAIN_SLS = "plain-sls"
 FALLBACK = "fallback"
 
 VARS_CUTOFF = 9000
-MINER_SECONDS_DEFAULT = 300.0
 WALL_BUDGET_DEFAULT = 5000.0
 
 _HUGE_FLIPS = 1 << 62
@@ -38,6 +41,8 @@ _HUGE_FLIPS = 1 << 62
 
 @dataclass(frozen=True)
 class Strategy:
+    """Per-track settings of `run_hybrid`; built by `select_strategy`."""
+
     track: str
     initial_flips: int
     miner_seconds: float
@@ -80,18 +85,32 @@ class SolveResult:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def select_strategy(formula: Formula) -> Strategy:
-    """Track dispatch on variable count and maximal clause width."""
-    if formula.num_vars > VARS_CUTOFF or formula.num_clauses == 0:
-        return Strategy(PLAIN_SLS, 0, 0.0, 0, None, False, default_scoring(formula.max_width or 3))
+def select_strategy(formula: Formula, **overrides) -> Strategy:
+    """Track dispatch on variable count and maximal clause width.
+
+    Each keyword names a `Strategy` field and replaces the track's value,
+    unless it is None; an unknown name raises TypeError.
+    """
     width = formula.max_width
-    if width == 3:
-        return Strategy("k3", 35_000_000, MINER_SECONDS_DEFAULT, 4, None, False, default_scoring(3))
-    if width == 5:
-        return Strategy("k5", 15_000_000, MINER_SECONDS_DEFAULT, 8, 5.0, True, default_scoring(5))
-    if width == 7:
-        return Strategy("k7", 6_000_000, MINER_SECONDS_DEFAULT, 9, 1.0, True, default_scoring(7))
-    return Strategy(FALLBACK, 0, 0.0, 0, None, False, ScoringFunction("exp", cb=3.0))
+    if formula.num_vars > VARS_CUTOFF or formula.num_clauses == 0:
+        strategy = Strategy(PLAIN_SLS, 0, 0.0, 0, None, False, default_scoring(width or 3))
+    elif width == 3:
+        strategy = Strategy("k3", 35_000_000, MINER_SECONDS_DEFAULT, 4, None, False, default_scoring(3))
+    elif width == 5:
+        strategy = Strategy("k5", 15_000_000, MINER_SECONDS_DEFAULT, 8, 5.0, True, default_scoring(5))
+    elif width == 7:
+        strategy = Strategy("k7", 6_000_000, MINER_SECONDS_DEFAULT, 9, 1.0, True, default_scoring(7))
+    else:
+        strategy = Strategy(FALLBACK, 0, 0.0, 0, None, False, ScoringFunction("exp", cb=3.0))
+    unknown = overrides.keys() - {f.name for f in fields(Strategy)}
+    if unknown:
+        raise TypeError(f"Strategy has no field {sorted(unknown)[0]!r}")
+    return replace(strategy, **{name: value for name, value in overrides.items() if value is not None})
+
+
+def percent_cap(percent: float, num_clauses: int) -> int:
+    """Count cap of `percent` % of `num_clauses`, floor-rounded."""
+    return int(percent * num_clauses / 100.0)
 
 
 def augment(formula: Formula, clauses) -> Formula:
@@ -112,20 +131,19 @@ def run_hybrid(
     formula: Formula,
     wall_budget: float = WALL_BUDGET_DEFAULT,
     seed: int = 0,
-    miner_seconds: float | None = None,
     strategy: Strategy | None = None,
-    width_limit: int | None = None,
-    count_cap_percent: float | None = None,
     miner_conflict_limit: int | None = None,
-    initial_flips: int | None = None,
     final_flips: int | None = None,
 ) -> SolveResult:
     """Execute the full pipeline under a wall-clock budget.
 
-    Phase seeds derive from one master RNG seeded with `seed`, so runs
-    are reproducible end to end.  For deterministic (timing-free) runs
-    pass `miner_conflict_limit` and `final_flips`; wall checks then never
-    bind and the result is a pure function of the arguments.
+    `strategy` defaults to `select_strategy(formula)`; pass
+    `select_strategy(formula, width_limit=6)` and the like to override
+    per-track settings.  Phase seeds derive from one master RNG seeded
+    with `seed`, so runs are reproducible end to end.  For deterministic
+    (timing-free) runs pass `miner_conflict_limit` and `final_flips`; wall
+    checks then never bind and the result is a pure function of the
+    arguments.  On the plain tracks `final_flips` bounds the one SLS phase.
     """
     if wall_budget <= 0:
         raise ValueError("wall_budget must be positive")
@@ -136,47 +154,37 @@ def run_hybrid(
     seed_miner = master.getrandbits(63)
     seed_final = master.getrandbits(63)
     result = SolveResult(status="unknown", model=None, phase_solved=None, track=strat.track, seed=seed)
-
     deterministic = final_flips is not None
+    last_flips = final_flips if deterministic else _HUGE_FLIPS
 
-    if strat.track in (PLAIN_SLS, FALLBACK):
-        flips = final_flips if final_flips is not None else _HUGE_FLIPS
-        res = probsat_run(
-            formula, flips, seed_initial, strat.scoring,
-            wall_limit=None if deterministic else wall_budget,
-        )
-        _note_phase(result, "initial-sls", res)
+    def wall_left() -> float | None:
+        """Seconds left of the wall budget; None when the run is deterministic."""
+        return None if deterministic else wall_budget - (time.perf_counter() - start)
+
+    def sls_phase(phase: str, target: Formula, flips: int, phase_seed: int) -> bool:
+        res = probsat_run(target, flips, phase_seed, strat.scoring, wall_limit=wall_left())
+        _note_phase(result, phase, res)
         if res.solved:
-            _mark_solved(result, "initial-sls", res.model, formula)
-        return result
+            _mark_solved(result, phase, res.model, formula)
+        return res.solved
 
-    # phase 1: flip-capped local search burst
-    burst = initial_flips if initial_flips is not None else strat.initial_flips
-    res = probsat_run(
-        formula, burst, seed_initial, strat.scoring,
-        wall_limit=None if deterministic else wall_budget,
-    )
-    _note_phase(result, "initial-sls", res)
-    if res.solved:
-        _mark_solved(result, "initial-sls", res.model, formula)
+    # phase 1: flip-capped local search burst; the plain tracks stop after it
+    plain = strat.track in (PLAIN_SLS, FALLBACK)
+    burst = last_flips if plain else strat.initial_flips
+    if sls_phase("initial-sls", formula, burst, seed_initial) or plain:
         return result
 
     # phase 2: clause mining
-    elapsed = time.perf_counter() - start
-    remaining = wall_budget - elapsed
-    if remaining <= 0 and not deterministic:
+    left = wall_left()
+    if left is not None and left <= 0:
         return result
-    window = miner_seconds if miner_seconds is not None else strat.miner_seconds
-    if not deterministic:
-        window = min(window, remaining)
-    w_limit = width_limit if width_limit is not None else strat.width_limit
-    cap_pct = count_cap_percent if count_cap_percent is not None else strat.count_cap_percent
-    cap = None if cap_pct is None else int(cap_pct * formula.num_clauses / 100.0)
+    window = strat.miner_seconds if left is None else min(strat.miner_seconds, left)
+    cap_pct = strat.count_cap_percent
     budget = MiningBudget(
         wall_seconds=max(window, 1e-9),
         conflict_limit=miner_conflict_limit,
-        width_limit=w_limit,
-        count_cap=cap,
+        width_limit=strat.width_limit,
+        count_cap=None if cap_pct is None else percent_cap(cap_pct, formula.num_clauses),
         early_stop=strat.early_stop,
     )
     t_miner = time.perf_counter()
@@ -194,18 +202,9 @@ def run_hybrid(
     # phase 3: local search on the augmented formula, fresh random assignment
     augmented = augment(formula, outcome.learned)
     result.clauses_added = augmented.num_clauses - formula.num_clauses
-    elapsed = time.perf_counter() - start
-    remaining = wall_budget - elapsed
-    if remaining <= 0 and not deterministic:
-        return result
-    flips = final_flips if final_flips is not None else _HUGE_FLIPS
-    res = probsat_run(
-        augmented, flips, seed_final, strat.scoring,
-        wall_limit=None if deterministic else remaining,
-    )
-    _note_phase(result, "final-sls", res)
-    if res.solved:
-        _mark_solved(result, "final-sls", res.model, formula)
+    left = wall_left()
+    if left is None or left > 0:
+        sls_phase("final-sls", augmented, last_flips, seed_final)
     return result
 
 

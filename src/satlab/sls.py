@@ -24,7 +24,7 @@ swap-remove registry with O(1) membership, insertion, and deletion.
   and the platform.
 - `_probsat_python`, the flip loop over `SlsState`, is the readable
   reference.  It runs when no compiler or cache directory is usable, and
-  for the few runs the kernel hands back (see `probsat_run`).
+  for formulas with an empty clause or no variables.
 
 For equal arguments the two give bit-identical status, flip count and
 model: the same random draws, the same registry order, the same
@@ -240,11 +240,6 @@ class SlsState:
             raise AssertionError("falsified registry diverged from scratch recomputation")
 
 
-def init_state(formula: Formula, seed: int, scoring: ScoringFunction | None = None) -> SlsState:
-    """Fresh search state with a uniformly random seeded assignment."""
-    return SlsState(formula, seed, scoring)
-
-
 def probsat_run(
     formula: Formula,
     max_flips: int,
@@ -259,9 +254,7 @@ def probsat_run(
     and falls back to the Python reference `_probsat_python` when no
     compiler or cache directory is usable.  Both paths return the same
     status, `flips_used` and model for the same arguments.  Formulas with
-    an empty clause or no variables, and runs in which the reference would
-    index outside its score table (possible only with repeated literals
-    in a clause), go to the reference, which raises the same error.
+    an empty clause or no variables go to the reference.
 
     Returned models are verified against the formula.  With `wall_limit`
     set, the clock is polled every 4096 flips; wall-limited runs are
@@ -278,7 +271,7 @@ def probsat_run(
     mt = array("I", random.Random(seed).getstate()[1])
     state = kernel.probsat_new(
         formula.num_vars, formula.num_clauses, offsets.buffer_info()[0],
-        literals.buffer_info()[0], table.buffer_info()[0], len(table), mt.buffer_info()[0],
+        literals.buffer_info()[0], table.buffer_info()[0], mt.buffer_info()[0],
     )
     if not state:
         raise MemoryError("cannot allocate the probSAT kernel state")
@@ -288,19 +281,16 @@ def probsat_run(
             flips_done = kernel.probsat_flip(state, max_flips)
         else:
             flips_done = 0
-            while 0 <= flips_done < max_flips and kernel.probsat_num_falsified(state):
+            while flips_done < max_flips and kernel.probsat_num_falsified(state):
                 if time.perf_counter() - start > wall_limit:
                     break
                 flips_done = kernel.probsat_flip(state, min(max_flips, flips_done + _POLL_FLIPS))
-        if flips_done >= 0 and not kernel.probsat_num_falsified(state):
+        if not kernel.probsat_num_falsified(state):
             buf = ctypes.create_string_buffer(formula.num_vars + 1)
             kernel.probsat_assignment(state, buf)
             model = list(map(bool, buf.raw))
     finally:
         kernel.probsat_free(state)
-    if flips_done < 0:
-        # the reference indexes outside its score table here; let it raise
-        return _probsat_python(formula, max_flips, seed, scoring, wall_limit)
     return _result(formula, model, flips_done, seed, time.perf_counter() - start)
 
 
@@ -402,7 +392,7 @@ def _load_kernel() -> ctypes.CDLL | None:
         warnings.warn(f"probSAT kernel unavailable, using the Python flip loop: {exc}", RuntimeWarning)
         return None
     ptr, i64 = ctypes.c_void_p, ctypes.c_longlong
-    lib.probsat_new.argtypes = [ctypes.c_int, ctypes.c_int, ptr, ptr, ptr, i64, ptr]
+    lib.probsat_new.argtypes = [ctypes.c_int, ctypes.c_int, ptr, ptr, ptr, ptr]
     lib.probsat_new.restype = ptr
     lib.probsat_flip.argtypes = [ptr, i64]
     lib.probsat_flip.restype = i64

@@ -259,7 +259,7 @@ def test_criterion_10_statistics_match_frozen_references():
 
 def test_criterion_11_end_to_end_determinism():
     f, _ = gen_planted(GenSpec(n=60, k=3, ratio=4.25, seed=87))
-    kwargs = dict(wall_budget=3600, seed=5, initial_flips=2_000,
+    kwargs = dict(wall_budget=3600, seed=5, strategy=select_strategy(f, initial_flips=2_000),
                   miner_conflict_limit=150, final_flips=400_000)
     first = run_hybrid(f, **kwargs).canonical_json()
     second = run_hybrid(f, **kwargs).canonical_json()

@@ -79,6 +79,22 @@ def test_run_trial_failed_model_check_propagates(monkeypatch, algorithm):
         run_trial("i", Formula(2, [(1, 2)]), config, seed=0, budget_flips=10)
 
 
+def test_hybrid_trial_runs_every_sls_phase_with_the_configured_scoring(monkeypatch):
+    scorings = []
+
+    def spy(formula, max_flips, seed, scoring=None, wall_limit=None):
+        scorings.append(scoring)
+        return sls.probsat_run(formula, max_flips, seed, scoring, wall_limit)
+
+    monkeypatch.setattr(pipeline, "probsat_run", spy)
+    f, _ = gen_planted(GenSpec(n=100, k=3, ratio=4.2, seed=8))
+    exp = ScoringFunction("exp", cb=2.5)
+    config = SolverConfig("h", algorithm="hybrid", scoring=exp, initial_flips=1, miner_conflict_limit=5)
+    record = run_trial("i", f, config, seed=1, budget_flips=2_000)
+    assert not record.note
+    assert scorings == [exp, exp]  # the initial burst and the final phase
+
+
 def test_run_suite_counts_and_order():
     instances = [("a", Formula(2, [(1, 2)])), ("b", Formula(2, [(-1, 2)]))]
     solvers = [SolverConfig("s1"), SolverConfig("s2")]

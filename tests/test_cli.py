@@ -4,6 +4,7 @@ import pytest
 
 from satlab.cli import EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT, main
 from satlab.cnf import parse_clause_lines, parse_dimacs, parse_solution
+from satlab.pipeline import run_hybrid, select_strategy
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +174,22 @@ def test_solve_pipeline_sat(tmp_path, capsys):
     payload = json.loads(result_line[len("c result "):])
     assert payload["status"] == "sat"
     assert payload["track"] in ("k3", "k5", "k7", "plain-sls", "fallback")
+
+
+def test_solve_flags_equal_library_call(tmp_path, capsys):
+    cnf = tmp_path / "s.cnf"
+    run_cli(capsys, "gen", "-n", "150", "--planted", "--ratio", "4.26", "--seed", "4", "-o", str(cnf))
+    code, out, _ = run_cli(capsys, "solve", str(cnf), "--seed", "3", "--initial-flips", "100",
+                           "--miner-conflicts", "50", "--final-flips", "2000")
+    result_line = [l for l in out.splitlines() if l.startswith("c result ")][0]
+    f = parse_dimacs(cnf.read_text())
+    expected = run_hybrid(f, seed=3, strategy=select_strategy(f, initial_flips=100),
+                          miner_conflict_limit=50, final_flips=2000)
+    assert result_line[len("c result "):] == expected.canonical_json()
+    # every flag binds: the burst, the miner and the final phase all ran
+    assert expected.phase_flips["initial-sls"] == 100
+    assert expected.phase_conflicts == {"miner": 50}
+    assert expected.phase_solved == "final-sls"
 
 
 def test_solve_pipeline_unsat(tmp_path, capsys):

@@ -14,7 +14,6 @@ from satlab.cnf import (
     eval_formula,
     format_solution,
     is_tautology,
-    max_clause_width,
     parse_dimacs,
     parse_solution,
     resolve,
@@ -102,13 +101,13 @@ def test_occurrence_index_mirrors_membership():
 
 
 def test_csr_view_is_lazy_flat_and_cached():
-    f = Formula(4, [(1, -2), (3,), (-1, 2, 4, -3), (2, 2, -1)], normalize=False)
+    f = Formula(4, [(1, -2), (3,), (-1, 2, 4, -3), (2, 4, -1)], normalize=False)
     assert f._csr is None
     offsets, literals, max_occ = f.csr()
     assert list(offsets) == [0, 2, 3, 7, 10]
-    assert list(literals) == [1, -2, 3, -1, 2, 4, -3, 2, 2, -1]
+    assert list(literals) == [1, -2, 3, -1, 2, 4, -3, 2, 4, -1]
     assert offsets.itemsize == literals.itemsize == 4
-    assert max_occ == max(len(f.occurrence(l)) for v in range(1, 5) for l in (v, -v)) == 3
+    assert max_occ == max(len(f.occurrence(l)) for v in range(1, 5) for l in (v, -v)) == 2
     assert f.csr() is f.csr()
     assert Formula(3, []).csr() == (offsets[:1], literals[:0], 0)
 
@@ -170,16 +169,24 @@ def test_resolve_is_implied():
 
 
 def test_max_clause_width():
-    assert max_clause_width(Formula(5, [(1,), (1, 2, 3, 4, 5)])) == 5
-    assert max_clause_width(gen_uniform(GenSpec(n=20, k=3, ratio=4.0, seed=1))) == 3
-    assert max_clause_width(gen_uniform(GenSpec(n=20, k=7, ratio=2.0, seed=1))) == 7
-    with pytest.raises(ValueError):
-        max_clause_width(Formula(3, []))
+    assert Formula(5, [(1,), (1, 2, 3, 4, 5)]).max_width == 5
+    assert gen_uniform(GenSpec(n=20, k=3, ratio=4.0, seed=1)).max_width == 3
+    assert gen_uniform(GenSpec(n=20, k=7, ratio=2.0, seed=1)).max_width == 7
+    assert Formula(3, []).max_width == 0
 
 
 def test_formula_rejects_out_of_range_literal():
     with pytest.raises(ValueError):
         Formula(2, [(1, 3)])
+
+
+def test_unnormalized_formula_rejects_repeated_literal():
+    # tautologies and literal order survive normalize=False; repeats do not
+    assert Formula(3, [(3, -1, 1)], normalize=False).clauses == ((3, -1, 1),)
+    for clause in ((1, 1), (2, -3, 2), (-1, 2, -1)):
+        with pytest.raises(ValueError, match="repeats a literal"):
+            Formula(3, [(1, 2), clause], normalize=False)
+    assert Formula(3, [(2, -3, 2)]).clauses == ((2, -3),)
 
 
 def test_tautology_helpers():

@@ -64,6 +64,19 @@ def test_dispatch_scoring():
     assert select_strategy(formula_with(20000, 3)).scoring == ScoringFunction("poly", cb=2.06, epsilon=0.9)
 
 
+def test_overrides_replace_named_fields_only():
+    f = formula_with(100, 5)
+    base = select_strategy(f)
+    assert select_strategy(f, width_limit=None, scoring=None) == base
+    exp = ScoringFunction("exp", cb=2.5)
+    strat = select_strategy(f, initial_flips=7, count_cap_percent=2.0, scoring=exp, early_stop=False)
+    assert strat == Strategy("k5", 7, 300.0, 8, 2.0, False, exp)
+    with pytest.raises(TypeError, match="initial_flip"):
+        select_strategy(f, initial_flip=7)
+    with pytest.raises(TypeError):
+        select_strategy(f, cap_percent=None)
+
+
 def test_augment_identity_and_dedup():
     f = Formula(4, [(1, 2), (3, 4)])
     assert augment(f, []).clause_set() == f.clause_set()
@@ -104,7 +117,7 @@ def test_unsat_detected_by_miner():
     # over-constrained 3-SAT, n=10, m=80: almost surely unsat
     f = gen_uniform(GenSpec(n=10, k=3, m=80, seed=5))
     assert not oracles.is_satisfiable(f.num_vars, f.clauses)
-    res = run_hybrid(f, wall_budget=30, seed=2, initial_flips=200)
+    res = run_hybrid(f, wall_budget=30, seed=2, strategy=select_strategy(f, initial_flips=200))
     assert res.status == "unsat"
     assert res.phase_solved == "miner"
 
@@ -113,8 +126,8 @@ def test_final_phase_solves_after_mining():
     # tiny initial burst forces the pipeline through the miner
     f, _ = gen_planted(GenSpec(n=60, k=3, ratio=4.2, seed=31))
     res = run_hybrid(
-        f, wall_budget=60, seed=3,
-        initial_flips=1, miner_conflict_limit=50, final_flips=2_000_000,
+        f, wall_budget=60, seed=3, strategy=select_strategy(f, initial_flips=1),
+        miner_conflict_limit=50, final_flips=2_000_000,
     )
     assert res.status == "sat"
     assert res.phase_solved in ("miner", "final-sls")
@@ -125,15 +138,15 @@ def test_final_phase_solves_after_mining():
 def test_cap_percent_arithmetic():
     f = gen_uniform(GenSpec(n=200, k=5, m=1000, seed=9))
     res = run_hybrid(
-        f, wall_budget=30, seed=4,
-        initial_flips=10, miner_conflict_limit=3000, final_flips=10,
+        f, wall_budget=30, seed=4, strategy=select_strategy(f, initial_flips=10),
+        miner_conflict_limit=3000, final_flips=10,
     )
     assert res.clauses_added <= 50  # 5% of 1000
 
 
 def test_deterministic_result_bytes():
     f, _ = gen_planted(GenSpec(n=50, k=3, ratio=4.2, seed=77))
-    kwargs = dict(wall_budget=600, seed=11, initial_flips=500,
+    kwargs = dict(wall_budget=600, seed=11, strategy=select_strategy(f, initial_flips=500),
                   miner_conflict_limit=100, final_flips=50_000)
     a = run_hybrid(f, **kwargs)
     b = run_hybrid(f, **kwargs)

@@ -11,7 +11,6 @@ from satlab.sls import (
     ScoringFunction,
     SlsState,
     default_scoring,
-    init_state,
     probsat_run,
 )
 
@@ -44,7 +43,7 @@ def test_default_scoring_by_width():
 def test_init_state_registry_consistent():
     f = Formula(1, [(1,)])
     for seed in range(4):
-        state = init_state(f, seed)
+        state = SlsState(f, seed)
         if state.assign[1]:
             assert state.falsified == []
         else:
@@ -53,8 +52,8 @@ def test_init_state_registry_consistent():
 
 def test_init_state_deterministic():
     f = gen_uniform(GenSpec(n=30, k=3, ratio=4.2, seed=2))
-    a = init_state(f, 99)
-    b = init_state(f, 99)
+    a = SlsState(f, 99)
+    b = SlsState(f, 99)
     assert a.assign == b.assign
     assert a.breaks == b.breaks
 
@@ -62,7 +61,7 @@ def test_init_state_deterministic():
 def test_init_state_matches_scratch_oracle():
     for seed in range(10):
         f = gen_uniform(GenSpec(n=40, k=3, ratio=4.2, seed=seed))
-        assert_matches_scratch(init_state(f, seed * 7 + 1))
+        assert_matches_scratch(SlsState(f, seed * 7 + 1))
 
 
 def test_break_count_single_clause():
@@ -76,7 +75,7 @@ def test_break_count_single_clause():
 
 def test_flip_involution():
     f = gen_uniform(GenSpec(n=20, k=3, ratio=4.0, seed=5))
-    state = init_state(f, 3)
+    state = SlsState(f, 3)
     before = (list(state.assign), list(state.breaks), set(state.falsified), list(state.sat_counts))
     state.flip(7)
     state.flip(7)
@@ -97,7 +96,7 @@ def test_incremental_matches_scratch_after_many_flips():
     rng = random.Random(1234)
     for seed in range(5):
         f = gen_uniform(GenSpec(n=50, k=3, ratio=4.2, seed=seed))
-        state = init_state(f, seed)
+        state = SlsState(f, seed)
         for _ in range(10_000):
             state.flip(rng.randrange(1, 51))
         assert_matches_scratch(state)
@@ -141,7 +140,7 @@ def test_flip_distribution_matches_f_ratios_random_states():
     for trial in range(200):
         f = gen_uniform(GenSpec(n=20, k=3, ratio=4.3, seed=trial))
         scoring = ScoringFunction("poly", cb=2.06) if trial % 2 else ScoringFunction("exp", cb=3.7)
-        state = init_state(f, trial, scoring)
+        state = SlsState(f, trial, scoring)
         for _ in range(30):
             state.flip(rng.randrange(1, 21))
         if not state.falsified:
