@@ -9,7 +9,9 @@
  * multiply-add is fused.
  *
  * Literals are DIMACS-signed ints; clause c holds lits[off[c] .. off[c+1]).
- * A literal's occurrence list is indexed by 2*v + (lit < 0).
+ * The occurrence lists are Formula's index, passed in and only read: the
+ * clause ids of literal l are occ[occ_off[i] .. occ_off[i+1]) with
+ * i = 2*|l| + (l < 0), in clause-id order.
  */
 
 #include <stdint.h>
@@ -30,8 +32,7 @@ typedef struct {
     unsigned char *assign; /* n + 1 */
     int *breaks;           /* n + 1 */
     int *sat, *crit, *falsified, *where; /* m each */
-    int *occ_off;          /* 2n + 3 */
-    int *occ;              /* one entry per literal occurrence */
+    const int *occ_off, *occ;
 } probsat_state;
 
 /* MT19937 as in CPython's _randommodule.c */
@@ -87,33 +88,32 @@ void probsat_free(probsat_state *s)
     free(s->assign);
     free(s->breaks);
     free(s->sat);
-    free(s->occ_off);
-    free(s->occ);
     free(s);
 }
 
-/* New state: draws the initial assignment, builds occurrence lists and
- * counters.  `mt` is the 624 state words followed by the index.  NULL
- * when out of memory. */
+/* New state: draws the initial assignment and builds the counters.  `mt`
+ * is the 624 state words followed by the index.  NULL when out of
+ * memory. */
 probsat_state *probsat_new(int n, int m, const int *off, const int *lits,
+                           const int *occ_off, const int *occ,
                            const double *table, const uint32_t *mt)
 {
     probsat_state *s = calloc(1, sizeof *s);
-    int total = off[m], v, c, i;
+    int v, c, i;
     if (!s)
         return NULL;
     s->n = n;
     s->off = off;
     s->lits = lits;
+    s->occ_off = occ_off;
+    s->occ = occ;
     s->table = table;
     memcpy(s->mt, mt, sizeof s->mt);
     s->mti = (int)mt[MT_N];
     s->assign = calloc((size_t)n + 1, 1);
     s->breaks = calloc((size_t)n + 1, sizeof(int));
     s->sat = calloc(4 * (size_t)m + 1, sizeof(int));
-    s->occ_off = calloc(2 * (size_t)n + 3, sizeof(int));
-    s->occ = malloc(((size_t)total + 1) * sizeof(int));
-    if (!s->assign || !s->breaks || !s->sat || !s->occ_off || !s->occ) {
+    if (!s->assign || !s->breaks || !s->sat) {
         probsat_free(s);
         return NULL;
     }
@@ -123,16 +123,6 @@ probsat_state *probsat_new(int n, int m, const int *off, const int *lits,
 
     for (v = 1; v <= n; v++)
         s->assign[v] = random_double(s) < 0.5;
-
-    /* counting sort by literal, filled back to front, so each list keeps
-     * clause-id order */
-    for (i = 0; i < total; i++)
-        s->occ_off[occ_index(lits[i])]++;
-    for (i = 1; i <= 2 * n + 2; i++)
-        s->occ_off[i] += s->occ_off[i - 1];
-    for (c = m - 1; c >= 0; c--)
-        for (i = off[c + 1] - 1; i >= off[c]; i--)
-            s->occ[--s->occ_off[occ_index(lits[i])]] = c;
 
     for (c = 0; c < m; c++) {
         int count = 0;

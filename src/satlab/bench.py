@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .cnf import Formula
 from .pipeline import _HUGE_FLIPS, WALL_BUDGET_DEFAULT, run_hybrid, select_strategy
@@ -80,23 +80,21 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverConfig":
+        """The config of one JSON object: `id` is the solver id and every
+        other key names a field; an unknown key is a ValueError."""
+        kwargs = {key: value for key, value in data.items() if key != "id"}
+        names = {f.name for f in fields(cls)} - {"solver_id"}
+        unknown = [key for key in kwargs if key not in names]
+        if unknown:
+            raise ValueError(f"unknown solver-config key {unknown[0]!r}")
         scoring = data.get("scoring")
         if scoring is not None:
-            scoring = ScoringFunction(
+            kwargs["scoring"] = ScoringFunction(
                 kind=scoring["kind"],
                 cb=scoring["cb"],
                 epsilon=scoring.get("epsilon", 0.9),
             )
-        return cls(
-            solver_id=data["id"],
-            algorithm=data.get("algorithm", "sls"),
-            scoring=scoring,
-            initial_flips=data.get("initial_flips"),
-            miner_seconds=data.get("miner_seconds"),
-            miner_conflict_limit=data.get("miner_conflict_limit"),
-            width_limit=data.get("width_limit"),
-            count_cap_percent=data.get("count_cap_percent"),
-        )
+        return cls(solver_id=data["id"], **kwargs)
 
 
 def run_trial(
@@ -221,7 +219,6 @@ def summarize(records, timeout: float, currency: str = "flips") -> BenchmarkSumm
     per_solver: dict[str, SolverSummary] = {}
     for sid in solvers:
         per_instance = {}
-        solved = 0
         for iid in instances:
             values = [par2(r, timeout, currency) for r in records
                       if r.solver_id == sid and r.instance_id == iid]

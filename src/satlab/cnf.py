@@ -49,9 +49,16 @@ class Formula:
     and to pickle into worker processes.  With `normalize=False` clauses
     keep their literal order and tautologies, but a literal repeated
     within a clause is a ValueError.
+
+    Both SLS engines read its occurrence index, two int32 arrays never
+    mutated after `__init__`: literal `l` occurs in the clauses
+    `occ[occ_offsets[i]:occ_offsets[i + 1]]`, `i = 2 * abs(l) + (l < 0)`,
+    in id order (a tautology under both of its literals).  No list is
+    longer than `max_occurrences`.
     """
 
-    __slots__ = ("num_vars", "clauses", "tautology_ids", "_occ", "_max_width", "_csr")
+    __slots__ = ("num_vars", "clauses", "tautology_ids", "occ_offsets", "occ", "max_occurrences",
+                 "_max_width", "_csr")
 
     def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]], normalize: bool = True):
         if num_vars < 0:
@@ -61,21 +68,23 @@ class Formula:
             self.clauses: tuple[Clause, ...] = tuple(canonical_clause(c) for c in clauses)
         else:
             self.clauses = tuple(tuple(c) for c in clauses)
-        occ: dict[int, list[int]] = {}
+        occ: list[list[int]] = [[] for _ in range(2 * num_vars + 2)]
         taut = []
         for cid, clause in enumerate(self.clauses):
             for lit in clause:
                 v = abs(lit)
                 if v < 1 or v > num_vars:
                     raise ValueError(f"literal {lit} out of range 1..{num_vars} in clause {cid}")
-                occ.setdefault(lit, []).append(cid)
+                occ[2 * v + (lit < 0)].append(cid)
             seen = set(clause)
             if len(seen) != len(clause):
                 raise ValueError(f"clause {cid} repeats a literal: {clause}")
             if any(-l in seen for l in seen):
                 taut.append(cid)
         self.tautology_ids = frozenset(taut)
-        self._occ = {lit: tuple(ids) for lit, ids in occ.items()}
+        self.occ_offsets = array("i", accumulate(map(len, occ), initial=0))
+        self.occ = array("i", [cid for ids in occ for cid in ids])
+        self.max_occurrences = max(map(len, occ))
         self._max_width = max((len(c) for c in self.clauses), default=0)
         self._csr = None
 
@@ -88,22 +97,23 @@ class Formula:
         """Maximum clause length (0 for an empty clause list)."""
         return self._max_width
 
-    def occurrence(self, lit: int) -> tuple[int, ...]:
-        """Ids of clauses containing `lit` (empty if it occurs nowhere)."""
-        return self._occ.get(lit, ())
+    def occurrence(self, lit: int) -> array:
+        """Ids of clauses containing `lit`, in id order (empty if it occurs nowhere)."""
+        if abs(lit) > self.num_vars:
+            return self.occ[:0]
+        i = 2 * abs(lit) + (lit < 0)
+        return self.occ[self.occ_offsets[i] : self.occ_offsets[i + 1]]
 
     def csr(self) -> tuple[array, array, int]:
         """Flat int32 view `(offsets, literals, max_occurrences)`.
 
-        Clause `c` is `literals[offsets[c]:offsets[c + 1]]`;
-        `max_occurrences` is the longest occurrence list.  Built on first
-        call and cached, so constructing a formula never pays for it.
+        Clause `c` is `literals[offsets[c]:offsets[c + 1]]`.  Built on
+        first call and cached, so constructing a formula never pays for it.
         """
         if self._csr is None:
             offsets = array("i", accumulate(map(len, self.clauses), initial=0))
             literals = array("i", chain.from_iterable(self.clauses))
-            max_occ = max(map(len, self._occ.values()), default=0)
-            self._csr = (offsets, literals, max_occ)
+            self._csr = (offsets, literals, self.max_occurrences)
         return self._csr
 
     def clause_set(self) -> frozenset[Clause]:
@@ -156,11 +166,7 @@ def parse_dimacs(text: str | bytes) -> Formula:
             continue
         if header is None:
             raise DimacsError(f"line {lineno}: clause data before header")
-        try:
-            tokens = [int(t) for t in line.split()]
-        except ValueError:
-            raise DimacsError(f"line {lineno}: non-integer token in {line!r}") from None
-        for tok in tokens:
+        for tok in _int_tokens(line, lineno):
             if tok == 0:
                 clauses.append(current)
                 current = []
@@ -180,6 +186,14 @@ def parse_dimacs(text: str | bytes) -> Formula:
             stacklevel=2,
         )
     return Formula(n, clauses)
+
+
+def _int_tokens(line: str, lineno: int) -> list[int]:
+    """The whitespace-separated integers of one input line."""
+    try:
+        return [int(t) for t in line.split()]
+    except ValueError:
+        raise DimacsError(f"line {lineno}: non-integer token in {line!r}") from None
 
 
 def emit_dimacs(formula: Formula, comments: Sequence[str] = ()) -> str:
@@ -255,12 +269,11 @@ def parse_clause_lines(text: str) -> list[Clause]:
     optional `p cnf` header; the lenient reader for mined-clause files."""
     clauses: list[Clause] = []
     current: list[int] = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line[0] in "cp%":
             continue
-        for tok in line.split():
-            lit = int(tok)
+        for lit in _int_tokens(line, lineno):
             if lit == 0:
                 clauses.append(canonical_clause(current))
                 current = []
@@ -278,11 +291,11 @@ def parse_solution(text: str, num_vars: int | None = None) -> Assignment:
     largest index present.
     """
     lits = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line.startswith("v"):
             continue
-        lits.extend(int(tok) for tok in line[1:].split() if int(tok) != 0)
+        lits.extend(lit for lit in _int_tokens(line[1:], lineno) if lit != 0)
     if num_vars is None:
         num_vars = max((abs(l) for l in lits), default=0)
     alpha: Assignment = [False] * (num_vars + 1)

@@ -12,7 +12,8 @@ selects tuned per-width settings:
 
 Other widths have no tuned settings and fall back to plain local search
 with exponential scoring.  Percentage caps are computed from the
-original clause count, floor-rounded.
+original clause count, floor-rounded.  The plain and fallback tracks
+run one SLS phase and read only the strategy's scoring.
 
 The track's settings are a `Strategy`, and it is the only per-track
 configuration `run_hybrid` reads.  To change a setting, name the field:
@@ -28,10 +29,11 @@ from dataclasses import dataclass, field, fields, replace
 
 from .cdcl import MINER_SECONDS_DEFAULT, SAT, UNSAT, MiningBudget, cdcl_solve_and_mine
 from .cnf import Assignment, Clause, Formula, canonical_clause, eval_formula
-from .sls import RunResult, ScoringFunction, default_scoring, probsat_run
+from .sls import RunResult, ScoringFunction, default_scoring, default_scoring_for, probsat_run
 
 PLAIN_SLS = "plain-sls"
 FALLBACK = "fallback"
+_SLS_ONLY = (PLAIN_SLS, FALLBACK)  # tracks that run one SLS phase and read only `scoring`
 
 VARS_CUTOFF = 9000
 WALL_BUDGET_DEFAULT = 5000.0
@@ -89,11 +91,13 @@ def select_strategy(formula: Formula, **overrides) -> Strategy:
     """Track dispatch on variable count and maximal clause width.
 
     Each keyword names a `Strategy` field and replaces the track's value,
-    unless it is None; an unknown name raises TypeError.
+    unless it is None; an unknown name raises TypeError.  The plain and
+    fallback tracks read only `scoring`, so any other override there
+    raises ValueError.
     """
     width = formula.max_width
     if formula.num_vars > VARS_CUTOFF or formula.num_clauses == 0:
-        strategy = Strategy(PLAIN_SLS, 0, 0.0, 0, None, False, default_scoring(width or 3))
+        strategy = Strategy(PLAIN_SLS, 0, 0.0, 0, None, False, default_scoring_for(formula))
     elif width == 3:
         strategy = Strategy("k3", 35_000_000, MINER_SECONDS_DEFAULT, 4, None, False, default_scoring(3))
     elif width == 5:
@@ -105,7 +109,11 @@ def select_strategy(formula: Formula, **overrides) -> Strategy:
     unknown = overrides.keys() - {f.name for f in fields(Strategy)}
     if unknown:
         raise TypeError(f"Strategy has no field {sorted(unknown)[0]!r}")
-    return replace(strategy, **{name: value for name, value in overrides.items() if value is not None})
+    given = {name: value for name, value in overrides.items() if value is not None}
+    ignored = [name for name in given if name not in ("track", "scoring")]
+    if strategy.track in _SLS_ONLY and ignored:
+        raise ValueError(f"the {strategy.track} track runs SLS only and ignores {ignored[0]!r}")
+    return replace(strategy, **given)
 
 
 def percent_cap(percent: float, num_clauses: int) -> int:
@@ -169,7 +177,7 @@ def run_hybrid(
         return res.solved
 
     # phase 1: flip-capped local search burst; the plain tracks stop after it
-    plain = strat.track in (PLAIN_SLS, FALLBACK)
+    plain = strat.track in _SLS_ONLY
     burst = last_flips if plain else strat.initial_flips
     if sls_phase("initial-sls", formula, burst, seed_initial) or plain:
         return result

@@ -17,14 +17,15 @@ swap-remove registry with O(1) membership, insertion, and deletion.
 `probsat_run` has two paths with one set of semantics:
 
 - The compiled kernel (`_probsat.c`, loaded with ctypes) reads the
-  formula's cached CSR view (`Formula.csr`) and continues the Mersenne
-  Twister stream of `random.Random(seed)`.  It is built on first use with
-  the system C compiler into `$XDG_CACHE_HOME/satlab` (by default
-  `~/.cache/satlab`), under a file name keyed by the source, the flags
-  and the platform.
-- `_probsat_python`, the flip loop over `SlsState`, is the readable
-  reference.  It runs when no compiler or cache directory is usable, and
-  for formulas with an empty clause or no variables.
+  formula's cached CSR view (`Formula.csr`) and occurrence arrays, and
+  continues the Mersenne Twister stream of `random.Random(seed)`.  It is
+  built on first use with the system C compiler into
+  `$XDG_CACHE_HOME/satlab` (by default `~/.cache/satlab`), under a file
+  name keyed by the source, the flags and the platform.
+- `_probsat_python`, the flip loop over `SlsState` (which reads the same
+  arrays through `Formula.occurrence`), is the readable reference.  It
+  runs when no compiler or cache directory is usable, and for formulas
+  with an empty clause or no variables.
 
 For equal arguments the two give bit-identical status, flip count and
 model: the same random draws, the same registry order, the same
@@ -94,6 +95,11 @@ def default_scoring(max_width: int) -> ScoringFunction:
     return ScoringFunction("exp", cb=3.0)
 
 
+def default_scoring_for(formula: Formula) -> ScoringFunction:
+    """`default_scoring` of the formula's widest clause, or of width 3 when that is 0."""
+    return default_scoring(formula.max_width or 3)
+
+
 @dataclass
 class RunResult:
     """Outcome of one local-search run.
@@ -128,7 +134,7 @@ class SlsState:
         assignment: Assignment | None = None,
     ):
         self.formula = formula
-        self.scoring = scoring or default_scoring(formula.max_width if formula.num_clauses else 3)
+        self.scoring = scoring or default_scoring_for(formula)
         self.rng = random.Random(seed)
         self.seed = seed
         self.flips = 0
@@ -139,10 +145,7 @@ class SlsState:
             if len(assignment) != n + 1:
                 raise ValueError("assignment length must be n+1 (index 0 unused)")
             self.assign = list(assignment)
-        # occurrence lists keyed by literal, pulled out of the Formula once
-        self._occ = {lit: formula.occurrence(lit) for v in range(1, n + 1) for lit in (v, -v)}
-        max_occ = max((len(ids) for ids in self._occ.values()), default=0)
-        self.f_table = self.scoring.table(max_occ)
+        self.f_table = self.scoring.table(formula.max_occurrences)
         self.breaks = [0] * (n + 1)
         m = formula.num_clauses
         self.sat_counts = [0] * m
@@ -175,7 +178,8 @@ class SlsState:
         breaks = self.breaks
         falsified = self.falsified
         where = self._where
-        for cid in self._occ[lit_true]:
+        occurrence = self.formula.occurrence
+        for cid in occurrence(lit_true):
             c = sat_counts[cid]
             if c == 0:
                 idx = where[cid]
@@ -192,7 +196,7 @@ class SlsState:
                     breaks[crit_var[cid]] -= 1
                 sat_counts[cid] = c + 1
         clauses = self.formula.clauses
-        for cid in self._occ[-lit_true]:
+        for cid in occurrence(-lit_true):
             c = sat_counts[cid]
             if c == 1:
                 sat_counts[cid] = 0
@@ -266,12 +270,12 @@ def probsat_run(
         return _probsat_python(formula, max_flips, seed, scoring, wall_limit)
     start = time.perf_counter()
     offsets, literals, max_occ = formula.csr()
-    scoring = scoring or default_scoring(formula.max_width if formula.num_clauses else 3)
+    scoring = scoring or default_scoring_for(formula)
     table = array("d", scoring.table(max_occ))
     mt = array("I", random.Random(seed).getstate()[1])
     state = kernel.probsat_new(
-        formula.num_vars, formula.num_clauses, offsets.buffer_info()[0],
-        literals.buffer_info()[0], table.buffer_info()[0], mt.buffer_info()[0],
+        formula.num_vars, formula.num_clauses,
+        *(a.buffer_info()[0] for a in (offsets, literals, formula.occ_offsets, formula.occ, table, mt)),
     )
     if not state:
         raise MemoryError("cannot allocate the probSAT kernel state")
@@ -392,7 +396,7 @@ def _load_kernel() -> ctypes.CDLL | None:
         warnings.warn(f"probSAT kernel unavailable, using the Python flip loop: {exc}", RuntimeWarning)
         return None
     ptr, i64 = ctypes.c_void_p, ctypes.c_longlong
-    lib.probsat_new.argtypes = [ctypes.c_int, ctypes.c_int, ptr, ptr, ptr, ptr]
+    lib.probsat_new.argtypes = [ctypes.c_int, ctypes.c_int, ptr, ptr, ptr, ptr, ptr, ptr]
     lib.probsat_new.restype = ptr
     lib.probsat_flip.argtypes = [ptr, i64]
     lib.probsat_flip.restype = i64

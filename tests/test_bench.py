@@ -62,6 +62,18 @@ def test_solver_config_from_dict():
         SolverConfig(solver_id="x", algorithm="quantum")
 
 
+def test_solver_config_from_dict_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="'cap_percent'"):
+        SolverConfig.from_dict({"id": "h", "algorithm": "hybrid", "cap_percent": 5, "width": 3})
+    with pytest.raises(ValueError, match="'solver_id'"):
+        SolverConfig.from_dict({"id": "h", "solver_id": "h"})
+    full = {"id": "h", "algorithm": "hybrid", "scoring": {"kind": "exp", "cb": 2.5},
+            "initial_flips": 10, "miner_seconds": 1.5, "miner_conflict_limit": 20,
+            "width_limit": 4, "count_cap_percent": 2.0}
+    assert SolverConfig.from_dict(full) == SolverConfig(
+        "h", "hybrid", ScoringFunction("exp", cb=2.5), 10, 1.5, 20, 4, 2.0)
+
+
 def test_run_trial_crash_becomes_unsolved_note():
     bad = SolverConfig(solver_id="bad", algorithm="sls", scoring="not-a-scoring")
     record = run_trial("i", Formula(2, [(1, 2)]), bad, seed=0, budget_flips=10)
@@ -74,7 +86,7 @@ def test_run_trial_failed_model_check_propagates(monkeypatch, algorithm):
     # a model that fails verification is an internal error, never an unsolved trial
     monkeypatch.setattr(sls, "eval_formula", lambda formula, model: False)
     monkeypatch.setattr(pipeline, "eval_formula", lambda formula, model: False)
-    config = SolverConfig("s", algorithm=algorithm, initial_flips=10, miner_conflict_limit=5)
+    config = SolverConfig("s", algorithm=algorithm, miner_conflict_limit=5)
     with pytest.raises(AssertionError, match="internal error"):
         run_trial("i", Formula(2, [(1, 2)]), config, seed=0, budget_flips=10)
 

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from satlab.cnf import (
     eval_formula,
     format_solution,
     is_tautology,
+    parse_clause_lines,
     parse_dimacs,
     parse_solution,
     resolve,
@@ -74,6 +76,17 @@ def test_parse_satlib_percent_footer():
     assert f.clauses == ((1, 2),)
 
 
+def test_parse_clause_lines_names_the_line_of_a_bad_token():
+    assert parse_clause_lines("c mined\n1 -2 0\n") == [(1, -2)]
+    with pytest.raises(DimacsError, match="line 3: non-integer token"):
+        parse_clause_lines("c mined\n1 -2 0\n3 x 0\n")
+
+
+def test_parse_solution_names_the_line_of_a_bad_token():
+    with pytest.raises(DimacsError, match="line 2: non-integer token"):
+        parse_solution("v 1 -2\nv 3 y 0\n", 3)
+
+
 def test_emit_basic():
     f = Formula(3, [(1, -2), (2, 3)])
     assert emit_dimacs(f) == "p cnf 3 2\n1 -2 0\n2 3 0\n"
@@ -89,15 +102,19 @@ def test_parse_emit_roundtrip_random_instances():
 
 
 def test_occurrence_index_mirrors_membership():
-    f = gen_uniform(GenSpec(n=25, k=3, ratio=4.0, seed=7))
-    for lit in range(-f.num_vars, f.num_vars + 1):
-        if lit == 0:
-            continue
-        for cid in f.occurrence(lit):
-            assert lit in f.clauses[cid]
-    for cid, clause in enumerate(f.clauses):
-        for lit in clause:
-            assert cid in f.occurrence(lit)
+    # unsorted literals and a tautology (clause 1) survive normalize=False
+    raw = Formula(4, [(3, -1), (2, -2, 4), (-1, 3, 4), (4,)], normalize=False)
+    for f in (gen_uniform(GenSpec(n=25, k=3, ratio=4.0, seed=7)), raw):
+        for lit in range(-f.num_vars, f.num_vars + 1):
+            # exactly the clauses holding lit, in clause-id order; none for 0
+            assert list(f.occurrence(lit)) == [cid for cid, c in enumerate(f.clauses) if lit in c]
+        for lit in (f.num_vars + 1, -f.num_vars - 1, 2**40):
+            assert len(f.occurrence(lit)) == 0
+    # list i = 2|l| + (l < 0): slots 0 and 1 are empty, then 1, -1, 2, -2, ...
+    assert list(raw.occ_offsets) == [0, 0, 0, 0, 2, 3, 4, 6, 6, 9, 9]
+    assert list(raw.occ) == [0, 2, 1, 1, 0, 2, 1, 2, 3]
+    assert raw.occ_offsets.itemsize == raw.occ.itemsize == 4
+    assert raw.max_occurrences == 3
 
 
 def test_csr_view_is_lazy_flat_and_cached():
@@ -107,9 +124,13 @@ def test_csr_view_is_lazy_flat_and_cached():
     assert list(offsets) == [0, 2, 3, 7, 10]
     assert list(literals) == [1, -2, 3, -1, 2, 4, -3, 2, 4, -1]
     assert offsets.itemsize == literals.itemsize == 4
-    assert max_occ == max(len(f.occurrence(l)) for v in range(1, 5) for l in (v, -v)) == 2
+    assert max_occ == f.max_occurrences == max(len(f.occurrence(l)) for l in range(-4, 5)) == 2
     assert f.csr() is f.csr()
     assert Formula(3, []).csr() == (offsets[:1], literals[:0], 0)
+    # a pickled copy carries the cached view and equal occurrence arrays
+    copy = pickle.loads(pickle.dumps(f))
+    assert copy.csr() == f.csr()
+    assert (copy.occ_offsets, copy.occ, copy.max_occurrences) == (f.occ_offsets, f.occ, 2)
 
 
 def test_eval_clause():

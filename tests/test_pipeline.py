@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import oracles
@@ -75,6 +77,20 @@ def test_overrides_replace_named_fields_only():
         select_strategy(f, initial_flip=7)
     with pytest.raises(TypeError):
         select_strategy(f, cap_percent=None)
+
+
+@pytest.mark.parametrize("track", [FALLBACK, PLAIN_SLS])
+def test_sls_only_tracks_reject_overrides_they_ignore(track):
+    f = gen_uniform(GenSpec(n=60, k=4, ratio=9.9, seed=3)) if track == FALLBACK else formula_with(9001, 3)
+    exp = ScoringFunction("exp", cb=2.5)
+    assert select_strategy(f, scoring=exp) == replace(select_strategy(f), scoring=exp)
+    assert select_strategy(f, initial_flips=None, width_limit=None).track == track
+    with pytest.raises(ValueError, match=f"{track}.*'initial_flips'"):
+        select_strategy(f, initial_flips=5, width_limit=3)
+    for name, value in (("miner_seconds", 1.0), ("width_limit", 3), ("count_cap_percent", 5.0),
+                        ("early_stop", True)):
+        with pytest.raises(ValueError, match=f"{track}.*'{name}'"):
+            select_strategy(f, scoring=exp, **{name: value})
 
 
 def test_augment_identity_and_dedup():

@@ -7,6 +7,7 @@ count and model.
 
 import pickle
 import random
+import subprocess
 import warnings
 
 import pytest
@@ -187,3 +188,15 @@ def test_loader_builds_into_a_fresh_cache(tmp_path, monkeypatch, fresh_loader):
         assert sls._load_kernel() is not None
     built = [p.name for p in (tmp_path / "satlab").iterdir()]
     assert len(built) == 1 and built[0].startswith("probsat-") and built[0].endswith(".so")
+
+
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    compiler = sls._compiler()
+    if compiler is None:
+        pytest.skip("no C compiler on PATH")
+    built = subprocess.run(
+        [compiler, *sls._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "probsat.so"), str(sls._KERNEL_SOURCE)],
+        capture_output=True, text=True,
+    )
+    assert built.returncode == 0, built.stderr
