@@ -1,0 +1,739 @@
+/* Compiled CDCL search, bit-identical to satlab.cdcl.CdclSolver.solve
+ * without assumptions, as cdcl_solve_and_mine runs it.
+ *
+ * The layout is MiniSat's (Een & Sorensson, SAT 2003): values and watch
+ * lists indexed by literal, i = 2*|l| + (l < 0) as in Formula's
+ * occurrence index, watch lists compacted in place, and an indexed
+ * binary heap of variables.  Every step repeats the Python reference:
+ *
+ * - input clauses are attached in clause-id order with units enqueued
+ *   at level 0, and a clause keeps its literal order until propagation
+ *   swaps literals exactly where the reference swaps them;
+ * - a decision takes the unassigned variable of highest activity, ties
+ *   to the lowest index, with the phase drawn in Python or saved on
+ *   backjump;
+ * - 1-UIP analysis bumps variables in the order it meets them, stamps
+ *   every clause it visits, and puts a highest-level literal second;
+ * - an activity bump adds var_inc, var_inc is divided by 0.95 per
+ *   conflict, and everything is multiplied by 1e-100 once an activity
+ *   passes 1e100 (build with -ffp-contract=off so no multiply-add is
+ *   fused);
+ * - DB reduction keeps the locked clauses in DB order, then those of
+ *   the first half of the rest, sorted by stamp descending and DB
+ *   position ascending, that have at most 12 literals;
+ * - the early-stop, conflict and wall-clock (every 64 conflicts)
+ *   budgets, DB reduction and Luby restarts (base 64) follow each
+ *   conflict in that order.
+ *
+ * Unlike the reference, the kernel frees the clauses reduction drops and
+ * keeps only the qualifying learned clauses (width <= width_limit),
+ * canonically sorted and with their learn index, not a record of every
+ * learned clause.
+ */
+
+#include <stdlib.h>
+#include <string.h>
+#include <time.h>
+
+enum { BUDGET = 0, SAT = 1, UNSAT = 2, NO_MEMORY = -1 };
+
+#define RESCALE_LIMIT 1e100
+#define ACTIVITY_DECAY 0.95
+#define LUBY_BASE 64
+#define WALL_CHECK_EVERY 64
+#define SURVIVOR_WIDTH 12
+
+typedef struct {
+    long long stamp;
+    int size;
+    unsigned char learned, locked, dead;
+    int lits[];
+} clause;
+
+typedef struct {
+    clause **data;
+    long long size, cap;
+} watch_list;
+
+typedef struct {
+    int n, unsat;
+    signed char *value;   /* per literal: 1 true, -1 false, 0 unassigned */
+    int *level;           /* per variable */
+    clause **reason;      /* per variable */
+    unsigned char *phase; /* per variable, saved on backjump */
+    unsigned char *seen;  /* per variable, clear between analyses */
+    double *activity, var_inc;
+    int *heap, *heap_pos, heap_size; /* heap_pos[v] < 0: v is not in the heap */
+    int *trail, trail_size, qhead;
+    int *trail_lim, levels;
+    int *learnt;
+    watch_list *watches; /* per literal */
+    clause **inputs;
+    long long num_inputs;
+    clause **db; /* learned clauses, in the reference's order */
+    long long db_size, db_cap, reduce_cap;
+    long long conflicts, restart_idx, restart_at; /* one clause is learned per conflict */
+    /* qualifying record r: rec_lits[rec_off[r] .. rec_off[r + 1]), learned
+     * at conflict rec_index[r] + 1 */
+    long long num_records, off_cap, index_cap, lits_cap;
+    long long *rec_off, *rec_index;
+    int *rec_lits;
+    /* the distinct qualifying clauses: record numbers, open addressing */
+    long long *set, set_cap, distinct;
+} cdcl_state;
+
+static int lit_index(int lit)
+{
+    return 2 * abs(lit) + (lit < 0);
+}
+
+static int value(const cdcl_state *s, int lit)
+{
+    return s->value[lit_index(lit)];
+}
+
+static double now(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + (double)ts.tv_nsec * 1e-9;
+}
+
+/* satlab.cdcl.luby */
+static long long luby(long long i)
+{
+    int k = 1;
+    while ((1LL << k) - 1 < i)
+        k++;
+    while ((1LL << k) - 1 != i) {
+        k--;
+        i -= (1LL << k) - 1;
+        k = 1;
+        while ((1LL << k) - 1 < i)
+            k++;
+    }
+    return 1LL << (k - 1);
+}
+
+/* The array `p`, with room for `*cap` items of `item` bytes, grown to hold
+ * `need`; NULL when out of memory, and `p` is then left as it was. */
+static void *grow(void *p, long long *cap, long long need, size_t item)
+{
+    long long c = *cap ? *cap : 4;
+    if (need <= *cap)
+        return p;
+    while (c < need)
+        c *= 2;
+    p = realloc(p, (size_t)c * item);
+    if (p)
+        *cap = c;
+    return p;
+}
+
+static int watch(cdcl_state *s, int lit, clause *c)
+{
+    watch_list *w = &s->watches[lit_index(lit)];
+    clause **data = grow(w->data, &w->cap, w->size + 1, sizeof *data);
+    if (!data)
+        return -1;
+    w->data = data;
+    data[w->size++] = c;
+    return 0;
+}
+
+static clause *new_clause(const int *lits, int size, int learned, long long stamp)
+{
+    clause *c = malloc(sizeof *c + (size_t)size * sizeof(int));
+    if (!c)
+        return NULL;
+    c->stamp = stamp;
+    c->size = size;
+    c->learned = (unsigned char)learned;
+    c->locked = c->dead = 0;
+    memcpy(c->lits, lits, (size_t)size * sizeof(int));
+    return c;
+}
+
+/* -- the variable heap: highest activity first, ties to the lowest index -- */
+
+static int before(const cdcl_state *s, int a, int b)
+{
+    double x = s->activity[a], y = s->activity[b];
+    return x > y || (x == y && a < b);
+}
+
+static void heap_up(cdcl_state *s, int i)
+{
+    int *h = s->heap, v = h[i];
+    while (i > 0 && before(s, v, h[(i - 1) / 2])) {
+        h[i] = h[(i - 1) / 2];
+        s->heap_pos[h[i]] = i;
+        i = (i - 1) / 2;
+    }
+    h[i] = v;
+    s->heap_pos[v] = i;
+}
+
+static void heap_down(cdcl_state *s, int i)
+{
+    int *h = s->heap, v = h[i];
+    for (;;) {
+        int child = 2 * i + 1;
+        if (child >= s->heap_size)
+            break;
+        if (child + 1 < s->heap_size && before(s, h[child + 1], h[child]))
+            child++;
+        if (!before(s, h[child], v))
+            break;
+        h[i] = h[child];
+        s->heap_pos[h[i]] = i;
+        i = child;
+    }
+    h[i] = v;
+    s->heap_pos[v] = i;
+}
+
+static void heap_insert(cdcl_state *s, int v)
+{
+    if (s->heap_pos[v] >= 0)
+        return;
+    s->heap[s->heap_size] = v;
+    heap_up(s, s->heap_size++);
+}
+
+static int heap_pop(cdcl_state *s)
+{
+    int v = s->heap[0];
+    s->heap_pos[v] = -1;
+    if (--s->heap_size > 0) {
+        s->heap[0] = s->heap[s->heap_size];
+        heap_down(s, 0);
+    }
+    return v;
+}
+
+/* The unassigned variable the reference's lazy heap pops; 0 when none is. */
+static int pick_branch_var(cdcl_state *s)
+{
+    while (s->heap_size > 0) {
+        int v = heap_pop(s);
+        if (value(s, v) == 0)
+            return v;
+    }
+    return 0;
+}
+
+/* -- assignment and propagation --------------------------------------------- */
+
+static void enqueue(cdcl_state *s, int lit, clause *reason)
+{
+    int v = abs(lit);
+    s->value[lit_index(lit)] = 1;
+    s->value[lit_index(-lit)] = -1;
+    s->level[v] = s->levels;
+    s->reason[v] = reason;
+    s->trail[s->trail_size++] = lit;
+}
+
+static void backjump(cdcl_state *s, int target)
+{
+    int i, bound;
+    if (s->levels <= target)
+        return;
+    bound = s->trail_lim[target];
+    for (i = s->trail_size - 1; i >= bound; i--) {
+        int lit = s->trail[i], v = abs(lit);
+        s->phase[v] = lit > 0;
+        s->value[lit_index(lit)] = s->value[lit_index(-lit)] = 0;
+        s->reason[v] = NULL;
+        heap_insert(s, v);
+    }
+    s->trail_size = bound;
+    s->levels = target;
+    s->qhead = bound;
+}
+
+/* The conflict clause, or NULL.  Sets *oom (and stops) when a watch list
+ * cannot grow. */
+static clause *propagate(cdcl_state *s, int *oom)
+{
+    while (s->qhead < s->trail_size) {
+        int false_lit = -s->trail[s->qhead++];
+        watch_list *w = &s->watches[lit_index(false_lit)];
+        clause **ws = w->data;
+        long long i = 0, j = 0, total = w->size;
+        while (i < total) {
+            clause *c = ws[i++];
+            int *lits = c->lits, first, fval, k;
+            if (lits[0] == false_lit) {
+                lits[0] = lits[1];
+                lits[1] = false_lit;
+            }
+            first = lits[0];
+            fval = value(s, first);
+            if (fval == 1) {
+                ws[j++] = c;
+                continue;
+            }
+            for (k = 2; k < c->size && value(s, lits[k]) == -1; k++)
+                ;
+            if (k < c->size) {
+                int other = lits[k];
+                lits[k] = lits[1];
+                lits[1] = other;
+                if (watch(s, other, c) < 0) {
+                    *oom = 1;
+                    return NULL;
+                }
+                continue;
+            }
+            ws[j++] = c;
+            if (fval == -1) {
+                while (i < total)
+                    ws[j++] = ws[i++];
+                w->size = j;
+                return c;
+            }
+            enqueue(s, first, c);
+        }
+        w->size = j;
+    }
+    return NULL;
+}
+
+/* -- conflict analysis ------------------------------------------------------- */
+
+static void bump(cdcl_state *s, int v)
+{
+    s->activity[v] += s->var_inc;
+    if (s->activity[v] > RESCALE_LIMIT) {
+        const double inv = 1.0 / RESCALE_LIMIT;
+        int u;
+        for (u = 1; u <= s->n; u++)
+            s->activity[u] *= inv;
+        s->var_inc *= inv;
+        /* scaling can round distinct activities to equal ones */
+        for (u = s->heap_size / 2 - 1; u >= 0; u--)
+            heap_down(s, u);
+    } else if (s->heap_pos[v] >= 0) {
+        heap_up(s, s->heap_pos[v]);
+    }
+}
+
+/* The first-UIP clause into s->learnt, asserting literal first and a
+ * highest-level literal second; returns its size and sets *bj_level. */
+static int analyze(cdcl_state *s, clause *c, int *bj_level)
+{
+    int *learnt = s->learnt, size = 1, n_curr = 0, idx = s->trail_size - 1;
+    int p = 0, i, max_i;
+    for (;;) {
+        c->stamp = s->conflicts;
+        for (i = p ? 1 : 0; i < c->size; i++) {
+            int lit = c->lits[i], v = abs(lit);
+            if (!s->seen[v] && s->level[v] > 0) {
+                s->seen[v] = 1;
+                bump(s, v);
+                if (s->level[v] >= s->levels)
+                    n_curr++;
+                else
+                    learnt[size++] = lit;
+            }
+        }
+        while (!s->seen[abs(s->trail[idx])])
+            idx--;
+        p = s->trail[idx--];
+        s->seen[abs(p)] = 0;
+        if (--n_curr == 0)
+            break;
+        c = s->reason[abs(p)];
+    }
+    learnt[0] = -p;
+    for (i = 1; i < size; i++)
+        s->seen[abs(learnt[i])] = 0;
+    *bj_level = 0;
+    if (size == 1)
+        return size;
+    max_i = 1;
+    for (i = 2; i < size; i++)
+        if (s->level[abs(learnt[i])] > s->level[abs(learnt[max_i])])
+            max_i = i;
+    p = learnt[1];
+    learnt[1] = learnt[max_i];
+    learnt[max_i] = p;
+    *bj_level = s->level[abs(learnt[1])];
+    return size;
+}
+
+/* -- qualifying records --------------------------------------------------------- */
+
+static int record_width(const cdcl_state *s, long long r)
+{
+    return (int)(s->rec_off[r + 1] - s->rec_off[r]);
+}
+
+/* Slot of record r's clause in `set`: the slot of an equal clause, or the
+ * empty slot where it belongs. */
+static long long set_slot(const cdcl_state *s, long long r)
+{
+    const int *lits = s->rec_lits + s->rec_off[r];
+    int width = record_width(s, r), i;
+    unsigned long long h = 1469598103934665603ULL; /* FNV-1a */
+    long long mask = s->set_cap - 1, slot;
+    for (i = 0; i < width; i++)
+        h = (h ^ (unsigned)lits[i]) * 1099511628211ULL;
+    for (slot = (long long)(h & (unsigned long long)mask); s->set[slot] >= 0; slot = (slot + 1) & mask) {
+        long long q = s->set[slot];
+        if (record_width(s, q) == width
+            && !memcmp(s->rec_lits + s->rec_off[q], lits, (size_t)width * sizeof(int)))
+            break;
+    }
+    return slot;
+}
+
+/* Count record r among the distinct qualifying clauses; -1 when out of
+ * memory. */
+static int count_distinct(cdcl_state *s, long long r)
+{
+    long long slot;
+    if (2 * (s->distinct + 1) > s->set_cap) {
+        long long *old = s->set, old_cap = s->set_cap, i;
+        long long cap = old_cap ? 2 * old_cap : 1024;
+        long long *set = malloc((size_t)cap * sizeof *set);
+        if (!set)
+            return -1;
+        for (i = 0; i < cap; i++)
+            set[i] = -1;
+        s->set = set;
+        s->set_cap = cap;
+        for (i = 0; i < old_cap; i++)
+            if (old[i] >= 0)
+                s->set[set_slot(s, old[i])] = old[i];
+        free(old);
+    }
+    slot = set_slot(s, r);
+    if (s->set[slot] < 0) {
+        s->set[slot] = r;
+        s->distinct++;
+    }
+    return 0;
+}
+
+/* Keep the clause just learned, s->learnt[0 .. size), canonically sorted
+ * by variable, when it qualifies; with `distinct` also count it among the
+ * distinct qualifying clauses.  -1 when out of memory. */
+static int record(cdcl_state *s, int size, long long width_limit, int distinct)
+{
+    long long r = s->num_records, at = s->rec_off[r], *off, *index;
+    int *out, i, j;
+    if (size > width_limit)
+        return 0;
+    if ((off = grow(s->rec_off, &s->off_cap, r + 2, sizeof *off)) != NULL)
+        s->rec_off = off;
+    if ((index = grow(s->rec_index, &s->index_cap, r + 1, sizeof *index)) != NULL)
+        s->rec_index = index;
+    if ((out = grow(s->rec_lits, &s->lits_cap, at + size, sizeof *out)) != NULL)
+        s->rec_lits = out;
+    if (!off || !index || !out)
+        return -1;
+    out += at;
+    for (i = 0; i < size; i++) { /* insertion sort by variable; no variable repeats */
+        int lit = s->learnt[i];
+        for (j = i; j > 0 && abs(out[j - 1]) > abs(lit); j--)
+            out[j] = out[j - 1];
+        out[j] = lit;
+    }
+    s->rec_off[r + 1] = at + size;
+    s->rec_index[r] = s->conflicts - 1;
+    s->num_records = r + 1;
+    return distinct ? count_distinct(s, r) : 0;
+}
+
+/* -- the learned clause database ------------------------------------------------- */
+
+typedef struct {
+    clause *c;
+    long long pos;
+} ranked;
+
+static int by_stamp_desc(const void *a, const void *b)
+{
+    const ranked *x = a, *y = b;
+    if (x->c->stamp != y->c->stamp)
+        return x->c->stamp < y->c->stamp ? 1 : -1;
+    return x->pos < y->pos ? -1 : x->pos > y->pos;
+}
+
+static int reduce_db(cdcl_state *s)
+{
+    ranked *drop = malloc((size_t)s->db_size * sizeof *drop);
+    long long i, j, num_drop = 0, kept = 0, half;
+    int k;
+    if (!drop)
+        return -1;
+    for (k = 0; k < s->trail_size; k++) {
+        clause *r = s->reason[abs(s->trail[k])];
+        if (r)
+            r->locked = 1;
+    }
+    for (i = 0; i < s->db_size; i++) {
+        clause *c = s->db[i];
+        if (c->locked) {
+            s->db[kept++] = c;
+        } else {
+            drop[num_drop].c = c;
+            drop[num_drop].pos = num_drop;
+            num_drop++;
+        }
+    }
+    qsort(drop, (size_t)num_drop, sizeof *drop, by_stamp_desc);
+    half = num_drop / 2;
+    for (i = 0; i < num_drop; i++) {
+        clause *c = drop[i].c;
+        if (i < half && c->size <= SURVIVOR_WIDTH)
+            s->db[kept++] = c;
+        else
+            c->dead = 1;
+    }
+    for (k = 0; k < 2 * s->n + 2; k++) {
+        watch_list *w = &s->watches[k];
+        for (i = j = 0; i < w->size; i++)
+            if (!w->data[i]->dead)
+                w->data[j++] = w->data[i];
+        w->size = j;
+    }
+    for (i = 0; i < num_drop; i++)
+        if (drop[i].c->dead)
+            free(drop[i].c);
+    for (k = 0; k < s->trail_size; k++) {
+        clause *r = s->reason[abs(s->trail[k])];
+        if (r)
+            r->locked = 0;
+    }
+    free(drop);
+    s->db_size = kept;
+    s->reduce_cap += s->reduce_cap / 2;
+    return 0;
+}
+
+/* -- the state -------------------------------------------------------------------- */
+
+void cdcl_free(cdcl_state *s)
+{
+    long long i;
+    if (!s)
+        return;
+    if (s->watches)
+        for (i = 0; i < 2 * (long long)s->n + 2; i++)
+            free(s->watches[i].data);
+    for (i = 0; i < s->num_inputs; i++)
+        free(s->inputs[i]);
+    for (i = 0; i < s->db_size; i++)
+        free(s->db[i]);
+    free(s->watches);
+    free(s->inputs);
+    free(s->db);
+    free(s->value);
+    free(s->level);
+    free(s->reason);
+    free(s->phase);
+    free(s->seen);
+    free(s->activity);
+    free(s->heap);
+    free(s->heap_pos);
+    free(s->trail);
+    free(s->trail_lim);
+    free(s->learnt);
+    free(s->rec_off);
+    free(s->rec_index);
+    free(s->rec_lits);
+    free(s->set);
+    free(s);
+}
+
+/* New solver over the CSR formula (clause c is lits[off[c] .. off[c + 1]))
+ * with initial phases phase[1 .. n]; attaches the clauses and propagates
+ * the units, as CdclSolver.__init__ does.  NULL when out of memory. */
+cdcl_state *cdcl_new(int n, int m, const int *off, const int *lits, const unsigned char *phase)
+{
+    cdcl_state *s = calloc(1, sizeof *s);
+    size_t vars = (size_t)n + 1, literals = 2 * (size_t)n + 2;
+    int v, c, oom = 0;
+    if (!s)
+        return NULL;
+    s->n = n;
+    s->value = calloc(literals, 1);
+    s->watches = calloc(literals, sizeof *s->watches);
+    s->level = calloc(vars, sizeof *s->level);
+    s->reason = calloc(vars, sizeof *s->reason);
+    s->phase = malloc(vars);
+    s->seen = calloc(vars, 1);
+    s->activity = calloc(vars, sizeof *s->activity);
+    s->heap = malloc(vars * sizeof *s->heap);
+    s->heap_pos = malloc(vars * sizeof *s->heap_pos);
+    s->trail = malloc(vars * sizeof *s->trail);
+    s->trail_lim = malloc(vars * sizeof *s->trail_lim);
+    s->learnt = malloc(vars * sizeof *s->learnt);
+    s->inputs = malloc(((size_t)m + 1) * sizeof *s->inputs);
+    s->rec_off = calloc(1, sizeof *s->rec_off);
+    s->off_cap = 1;
+    if (!s->value || !s->watches || !s->level || !s->reason || !s->phase || !s->seen
+        || !s->activity || !s->heap || !s->heap_pos || !s->trail || !s->trail_lim
+        || !s->learnt || !s->inputs || !s->rec_off) {
+        cdcl_free(s);
+        return NULL;
+    }
+    memcpy(s->phase, phase, vars);
+    s->var_inc = 1.0;
+    s->heap_pos[0] = -1;
+    for (v = 1; v <= n; v++) {
+        s->heap[v - 1] = v;
+        s->heap_pos[v] = v - 1; /* equal activities: index order is a heap */
+    }
+    s->heap_size = n;
+    s->reduce_cap = m > 2000 ? m : 2000;
+    s->restart_idx = 1;
+    s->restart_at = LUBY_BASE * luby(1);
+    for (c = 0; c < m; c++) {
+        const int *cl = lits + off[c];
+        int size = off[c + 1] - off[c];
+        clause *input;
+        if (size == 0 || (size == 1 && value(s, cl[0]) == -1)) {
+            s->unsat = 1;
+            return s;
+        }
+        if (size == 1) {
+            if (value(s, cl[0]) == 0)
+                enqueue(s, cl[0], NULL);
+            continue;
+        }
+        input = new_clause(cl, size, 0, 0);
+        if (!input) {
+            cdcl_free(s);
+            return NULL;
+        }
+        s->inputs[s->num_inputs++] = input;
+        if (watch(s, cl[0], input) < 0 || watch(s, cl[1], input) < 0) {
+            cdcl_free(s);
+            return NULL;
+        }
+    }
+    if (propagate(s, &oom))
+        s->unsat = 1;
+    if (oom) {
+        cdcl_free(s);
+        return NULL;
+    }
+    return s;
+}
+
+/* Add s->learnt[0 .. size) as CdclSolver._add_learned and _enqueue do;
+ * -1 when out of memory. */
+static int learn(cdcl_state *s, int size)
+{
+    clause *c = NULL, **db;
+    if (size > 1) {
+        if (!(db = grow(s->db, &s->db_cap, s->db_size + 1, sizeof *db)))
+            return -1;
+        s->db = db;
+        c = new_clause(s->learnt, size, 1, s->conflicts);
+        if (!c)
+            return -1;
+        s->db[s->db_size++] = c;
+        if (watch(s, c->lits[0], c) < 0 || watch(s, c->lits[1], c) < 0)
+            return -1;
+    }
+    enqueue(s, s->learnt[0], c);
+    return 0;
+}
+
+/* Search until sat, unsat or a budget, as CdclSolver.solve with no
+ * assumptions: `conflict_limit` and `count_cap` are off when negative, and
+ * `count_cap` stops the search once that many distinct learned clauses of
+ * width <= width_limit exist.  Returns BUDGET, SAT or UNSAT, or NO_MEMORY
+ * (after which the state can only be freed). */
+int cdcl_solve(cdcl_state *s, long long conflict_limit, double wall_seconds,
+               long long width_limit, long long count_cap)
+{
+    double start = now();
+    long long budget = conflict_limit < 0 ? -1 : s->conflicts + conflict_limit;
+    int oom = 0;
+    if (s->unsat)
+        return UNSAT;
+    backjump(s, 0);
+    for (;;) {
+        clause *conflict = propagate(s, &oom);
+        int v;
+        if (oom)
+            return NO_MEMORY;
+        if (conflict) {
+            int size, bj_level;
+            if (s->levels == 0) {
+                s->unsat = 1;
+                return UNSAT;
+            }
+            s->conflicts++;
+            size = analyze(s, conflict, &bj_level);
+            if (record(s, size, width_limit, count_cap >= 0) < 0)
+                return NO_MEMORY;
+            backjump(s, bj_level);
+            if (learn(s, size) < 0)
+                return NO_MEMORY;
+            s->var_inc /= ACTIVITY_DECAY;
+            if ((count_cap >= 0 && s->distinct >= count_cap)
+                || (budget >= 0 && s->conflicts >= budget)
+                || (s->conflicts % WALL_CHECK_EVERY == 0 && now() - start > wall_seconds)) {
+                backjump(s, 0);
+                return BUDGET;
+            }
+            if (s->db_size > s->reduce_cap && reduce_db(s) < 0)
+                return NO_MEMORY;
+            if (s->conflicts >= s->restart_at) {
+                s->restart_idx++;
+                s->restart_at += LUBY_BASE * luby(s->restart_idx);
+                backjump(s, 0);
+            }
+            continue;
+        }
+        v = pick_branch_var(s);
+        if (!v)
+            return SAT;
+        s->trail_lim[s->levels++] = s->trail_size;
+        enqueue(s, s->phase[v] ? v : -v, NULL);
+    }
+}
+
+long long cdcl_conflicts(const cdcl_state *s)
+{
+    return s->conflicts;
+}
+
+long long cdcl_num_records(const cdcl_state *s)
+{
+    return s->num_records;
+}
+
+long long cdcl_num_record_lits(const cdcl_state *s)
+{
+    return s->rec_off[s->num_records];
+}
+
+/* Copy the records out: offsets (num_records + 1), learn indices
+ * (num_records) and literals (cdcl_num_record_lits). */
+void cdcl_records(const cdcl_state *s, long long *off, long long *index, int *lits)
+{
+    long long r = s->num_records;
+    memcpy(off, s->rec_off, (size_t)(r + 1) * sizeof *off);
+    if (r) {
+        memcpy(index, s->rec_index, (size_t)r * sizeof *index);
+        memcpy(lits, s->rec_lits, (size_t)s->rec_off[r] * sizeof *lits);
+    }
+}
+
+/* Copy the assignment (n + 1 bytes, index 0 unused, 1 = true) into `out`. */
+void cdcl_assignment(const cdcl_state *s, unsigned char *out)
+{
+    int v;
+    out[0] = 0;
+    for (v = 1; v <= s->n; v++)
+        out[v] = value(s, v) == 1;
+}

@@ -109,8 +109,18 @@ def run_trial(
 
     An `AssertionError` is a failed internal check (an invalid model or a
     broken invariant), not a crash of one solver: it propagates, so it is
-    never scored as a PAR2 timeout.
+    never scored as a PAR2 timeout.  So does the `ValueError` of a hybrid
+    config that its instance's track rejects, which is a configuration
+    error.
     """
+    strategy = None if config.algorithm == "sls" else select_strategy(
+        formula,
+        initial_flips=config.initial_flips,
+        miner_seconds=config.miner_seconds,
+        width_limit=config.width_limit,
+        count_cap_percent=config.count_cap_percent,
+        scoring=config.scoring,
+    )
     try:
         if config.algorithm == "sls":
             res = probsat_run(
@@ -123,14 +133,6 @@ def run_trial(
             return TrialRecord(
                 instance_id, config.solver_id, seed, res.solved, res.flips_used, res.wall_seconds
             )
-        strategy = select_strategy(
-            formula,
-            initial_flips=config.initial_flips,
-            miner_seconds=config.miner_seconds,
-            width_limit=config.width_limit,
-            count_cap_percent=config.count_cap_percent,
-            scoring=config.scoring,
-        )
         result = run_hybrid(
             formula,
             wall_budget=budget_seconds if budget_seconds is not None else WALL_BUDGET_DEFAULT,

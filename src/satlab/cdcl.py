@@ -9,24 +9,46 @@ no proof logging: the contract here is sound learned clauses under a
 budget, not competition performance.
 
 Budgets come in two currencies: wall seconds for production runs and
-conflict counts for deterministic tests.  Every learned clause is
-recorded; mining exports the width-filtered prefix (or a seeded random
-subset) of the record stream.
+conflict counts for deterministic tests.  `CdclSolver` records every
+learned clause; mining keeps the records of width <= `width_limit` and
+exports their deduplicated prefix (or a seeded random subset).
 
 The solver also accepts assumption literals.  Assumptions are injected
 as forced decisions, so all learned clauses remain logical consequences
 of the formula alone, which lets a caller reuse one solver instance
 across many assumption-driven queries (`compute_backbone` does exactly
 that).
+
+`cdcl_solve_and_mine` has two paths with one set of semantics:
+
+- The compiled kernel (`_cdcl.c`, built and loaded with the probSAT
+  kernel by `satlab.sls._load_kernel`) reads the formula's cached CSR
+  view (`Formula.csr`) and the initial phases drawn here from
+  `random.Random(seed)`.  It keeps only the qualifying learned clauses,
+  not a record of every one, and frees the clauses DB reduction drops.
+- `CdclSolver` is the readable reference.  It runs when no compiler or
+  cache directory is usable, and it is the solver for assumption
+  queries.
+
+For equal arguments the two return equal `MiningOutcome`s: status,
+model, exported clauses, learned count, conflicts and records.  They
+make the same decisions, propagate and analyse in the same order, and
+do the same floating-point activity arithmetic.  A wall-clock budget is
+polled at the same conflicts on both paths, so only a run that a wall
+budget ends can differ.  The differential tests in
+`tests/test_cdcl_kernel.py` hold the two to it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import random
 import time
+from array import array
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
+from . import sls
 from .cnf import Assignment, Clause, Formula, canonical_clause, eval_formula
 
 SAT = "sat"
@@ -41,6 +63,8 @@ _RESCALE_LIMIT = 1e100
 _ACTIVITY_DECAY = 0.95
 _LUBY_BASE = 64
 _WALL_CHECK_EVERY = 64
+_HEAP_SLACK = 4  # the decision heap is rebuilt once it holds this many entries per variable
+_NO_LIMIT = 1 << 62  # a budget the kernel can never reach
 
 
 @dataclass(frozen=True)
@@ -80,6 +104,10 @@ class MiningBudget:
 
 @dataclass
 class MiningOutcome:
+    """Result of `cdcl_solve_and_mine`.  `records` holds the learned
+    clauses of width <= `width_limit`, with their learn indices;
+    `total_learned_seen` counts every learned clause."""
+
     status: str
     model: Assignment | None
     learned: list[Clause]
@@ -231,6 +259,22 @@ class CdclSolver:
 
     # -- decisions ---------------------------------------------------------
 
+    # The heap is lazy: an entry is valid while its variable is unassigned
+    # and its activity current.  Every unassigned variable has a valid
+    # entry, so the first valid pop is the unassigned variable of highest
+    # activity, ties to the lowest index.
+
+    def _rebuild_heap(self) -> None:
+        self._heap = [(-self.activity[u], u) for u in range(1, self.n + 1) if self.assigns[u] == _UNDEF]
+        heapify(self._heap)
+
+    def _push(self, v: int) -> None:
+        """Give v a valid entry; a full heap is rebuilt instead, which drops the stale ones."""
+        if len(self._heap) >= _HEAP_SLACK * self.n:
+            self._rebuild_heap()
+        else:
+            heappush(self._heap, (-self.activity[v], v))
+
     def _bump(self, v: int) -> None:
         self.activity[v] += self.var_inc
         if self.activity[v] > _RESCALE_LIMIT:
@@ -238,22 +282,14 @@ class CdclSolver:
             for u in range(1, self.n + 1):
                 self.activity[u] *= inv
             self.var_inc *= inv
-            self._heap = [(-self.activity[u], u) for u in range(1, self.n + 1) if self.assigns[u] == _UNDEF]
-            heapify(self._heap)
+            self._rebuild_heap()
             return
-        heappush(self._heap, (-self.activity[v], v))
+        self._push(v)
 
     def _pick_branch_var(self) -> int | None:
         heap = self._heap
         activity = self.activity
         assigns = self.assigns
-        while heap:
-            negact, v = heappop(heap)
-            if assigns[v] == _UNDEF and -negact == activity[v]:
-                return v
-        for v in range(1, self.n + 1):
-            if assigns[v] == _UNDEF:
-                heappush(heap, (-activity[v], v))
         while heap:
             negact, v = heappop(heap)
             if assigns[v] == _UNDEF and -negact == activity[v]:
@@ -272,7 +308,7 @@ class CdclSolver:
             self.saved_phase[v] = lit > 0
             self.assigns[v] = _UNDEF
             self.reason[v] = None
-            heappush(self._heap, (-self.activity[v], v))
+            self._push(v)
         del self.trail[bound:]
         del self.trail_lim[target_level:]
         self.qhead = len(self.trail)
@@ -476,27 +512,70 @@ def cdcl_solve_and_mine(formula: Formula, budget: MiningBudget, seed: int = 0) -
 
     The solver may finish first: `sat` outcomes carry a verified model,
     `unsat` means the formula is unsatisfiable.  Otherwise the status is
-    budget-exhausted and the learned clauses are the harvest.
+    budget-exhausted and the learned clauses are the harvest.  The
+    compiled kernel runs the search, and `CdclSolver` does when the
+    kernel cannot be built; both give the same outcome.
     """
-    solver = CdclSolver(formula, seed)
-    status = solver.solve(
-        conflict_limit=budget.conflict_limit,
-        wall_seconds=budget.wall_seconds,
-        width_limit=budget.width_limit,
-        count_cap=budget.count_cap,
-        early_stop=budget.early_stop,
-    )
-    model = None
-    if status == SAT:
-        model = solver.model()
-        if not eval_formula(formula, model):
-            raise AssertionError("internal error: CDCL produced an invalid model")
-    exported = filter_learned(solver.records, budget.width_limit, budget.count_cap)
+    kernel = sls._load_kernel()
+    if kernel is None:
+        solver = CdclSolver(formula, seed)
+        status = solver.solve(
+            conflict_limit=budget.conflict_limit,
+            wall_seconds=budget.wall_seconds,
+            width_limit=budget.width_limit,
+            count_cap=budget.count_cap,
+            early_stop=budget.early_stop,
+        )
+        model = solver.model() if status == SAT else None
+        records = [r for r in solver.records if r.width <= budget.width_limit]
+        total, conflicts = len(solver.records), solver.conflicts
+    else:  # a fresh search learns one clause per conflict
+        status, model, records, conflicts = _mine_with_kernel(kernel, formula, budget, seed)
+        total = conflicts
+    if model is not None and not eval_formula(formula, model):
+        raise AssertionError("internal error: CDCL produced an invalid model")
     return MiningOutcome(
         status=status,
         model=model,
-        learned=exported,
-        total_learned_seen=len(solver.records),
-        conflicts=solver.conflicts,
-        records=solver.records,
+        learned=filter_learned(records, budget.width_limit, budget.count_cap),
+        total_learned_seen=total,
+        conflicts=conflicts,
+        records=records,
     )
+
+
+def _mine_with_kernel(kernel: ctypes.CDLL, formula: Formula, budget: MiningBudget, seed: int):
+    """(status, model, qualifying records, conflicts) of one kernel search
+    from `CdclSolver`'s initial phases for `seed`."""
+    rng = random.Random(seed)
+    phase = bytes([0, *(rng.random() < 0.5 for _ in range(formula.num_vars))])
+    offsets, literals, _ = formula.csr()
+    state = kernel.cdcl_new(formula.num_vars, formula.num_clauses,
+                            offsets.buffer_info()[0], literals.buffer_info()[0], phase)
+    if not state:
+        raise MemoryError("cannot allocate the CDCL kernel state")
+    try:
+        limit = -1 if budget.conflict_limit is None else min(budget.conflict_limit, _NO_LIMIT)
+        cap = budget.count_cap if budget.early_stop and budget.count_cap is not None else -1
+        code = kernel.cdcl_solve(state, limit, budget.wall_seconds,
+                                 min(budget.width_limit, _NO_LIMIT), min(cap, _NO_LIMIT))
+        if code < 0:
+            raise MemoryError("the CDCL kernel ran out of memory")
+        status = (BUDGET, SAT, UNSAT)[code]
+        model = None
+        if status == SAT:
+            buf = ctypes.create_string_buffer(formula.num_vars + 1)
+            kernel.cdcl_assignment(state, buf)
+            model = list(map(bool, buf.raw))
+        count = kernel.cdcl_num_records(state)
+        bounds = array("q", bytes(8 * (count + 1)))
+        indices = array("q", bytes(8 * count))
+        lits = array("i", bytes(4 * kernel.cdcl_num_record_lits(state)))
+        kernel.cdcl_records(state, *(a.buffer_info()[0] for a in (bounds, indices, lits)))
+        records = [
+            LearnedClauseRecord(tuple(lits[bounds[r]:bounds[r + 1]]), bounds[r + 1] - bounds[r], indices[r])
+            for r in range(count)
+        ]
+        return status, model, records, kernel.cdcl_conflicts(state)
+    finally:
+        kernel.cdcl_free(state)

@@ -91,9 +91,10 @@ def select_strategy(formula: Formula, **overrides) -> Strategy:
     """Track dispatch on variable count and maximal clause width.
 
     Each keyword names a `Strategy` field and replaces the track's value,
-    unless it is None; an unknown name raises TypeError.  The plain and
-    fallback tracks read only `scoring`, so any other override there
-    raises ValueError.
+    unless it is None; an unknown name raises TypeError.  The track is
+    the result of the dispatch, not a setting, so overriding it raises
+    ValueError.  The plain and fallback tracks read only `scoring`, so
+    any other override there raises ValueError too.
     """
     width = formula.max_width
     if formula.num_vars > VARS_CUTOFF or formula.num_clauses == 0:
@@ -110,7 +111,10 @@ def select_strategy(formula: Formula, **overrides) -> Strategy:
     if unknown:
         raise TypeError(f"Strategy has no field {sorted(unknown)[0]!r}")
     given = {name: value for name, value in overrides.items() if value is not None}
-    ignored = [name for name in given if name not in ("track", "scoring")]
+    if "track" in given:
+        raise ValueError(f"the track is chosen by dispatch ({strategy.track!r} here) and cannot be "
+                         f"overridden, got track={given['track']!r}")
+    ignored = [name for name in given if name != "scoring"]
     if strategy.track in _SLS_ONLY and ignored:
         raise ValueError(f"the {strategy.track} track runs SLS only and ignores {ignored[0]!r}")
     return replace(strategy, **given)

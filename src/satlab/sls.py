@@ -19,9 +19,10 @@ swap-remove registry with O(1) membership, insertion, and deletion.
 - The compiled kernel (`_probsat.c`, loaded with ctypes) reads the
   formula's cached CSR view (`Formula.csr`) and occurrence arrays, and
   continues the Mersenne Twister stream of `random.Random(seed)`.  It is
-  built on first use with the system C compiler into
+  built on first use with the system C compiler, into one library with
+  the CDCL kernel of `satlab.cdcl` (`_cdcl.c`), in
   `$XDG_CACHE_HOME/satlab` (by default `~/.cache/satlab`), under a file
-  name keyed by the source, the flags and the platform.
+  name keyed by both sources, the flags and the platform.
 - `_probsat_python`, the flip loop over `SlsState` (which reads the same
   arrays through `Formula.occurrence`), is the readable reference.  It
   runs when no compiler or cache directory is usable, and for formulas
@@ -351,7 +352,8 @@ def _result(formula: Formula, model: Assignment | None, flips_done: int, seed: i
     return RunResult(SOLVED, flips_done, model, seed, elapsed)
 
 
-_KERNEL_SOURCE = Path(__file__).with_name("_probsat.c")
+# every compiled kernel of the package: one library, one build, one cache key
+_KERNEL_SOURCES = tuple(Path(__file__).with_name(name) for name in ("_probsat.c", "_cdcl.c"))
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
@@ -366,26 +368,30 @@ def _compiler() -> str | None:
 
 @functools.cache
 def _load_kernel() -> ctypes.CDLL | None:
-    """The compiled flip kernel, built on first use into the cache named
-    in the module docstring; None when no compiler or cache directory is
-    usable.  The compiler writes a temporary file that is then renamed
-    into place, so concurrent processes never load a partial library.
+    """The compiled kernels (the probSAT flip loop here and the CDCL
+    search of `satlab.cdcl`), built on first use into the cache named in
+    the module docstring; None when no compiler or cache directory is
+    usable, and then both modules run their Python reference.  The
+    compiler writes a temporary file that is then renamed into place, so
+    concurrent processes never load a partial library.
     """
     compiler = _compiler()
     if compiler is None:
         return None
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "satlab"
     try:
-        key = hashlib.sha256(_KERNEL_SOURCE.read_bytes())
+        key = hashlib.sha256()
+        for source in _KERNEL_SOURCES:
+            key.update(source.read_bytes())
         key.update(" ".join(_KERNEL_FLAGS).encode())
         key.update(sysconfig.get_platform().encode())
-        path = cache / f"probsat-{key.hexdigest()[:16]}.so"
+        path = cache / f"kernels-{key.hexdigest()[:16]}.so"
         if not path.exists():
             cache.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=cache, prefix=".probsat-", suffix=".so")
+            fd, tmp = tempfile.mkstemp(dir=cache, prefix=".kernels-", suffix=".so")
             os.close(fd)
             try:
-                subprocess.run([compiler, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
+                subprocess.run([compiler, *_KERNEL_FLAGS, "-o", tmp, *map(str, _KERNEL_SOURCES)],
                                check=True, capture_output=True)
                 os.replace(tmp, path)
             except BaseException:
@@ -393,17 +399,25 @@ def _load_kernel() -> ctypes.CDLL | None:
                 raise
         lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.CalledProcessError) as exc:
-        warnings.warn(f"probSAT kernel unavailable, using the Python flip loop: {exc}", RuntimeWarning)
+        warnings.warn(f"compiled kernels unavailable, using the Python flip loop and CdclSolver: {exc}",
+                      RuntimeWarning)
         return None
-    ptr, i64 = ctypes.c_void_p, ctypes.c_longlong
-    lib.probsat_new.argtypes = [ctypes.c_int, ctypes.c_int, ptr, ptr, ptr, ptr, ptr, ptr]
-    lib.probsat_new.restype = ptr
-    lib.probsat_flip.argtypes = [ptr, i64]
-    lib.probsat_flip.restype = i64
-    lib.probsat_num_falsified.argtypes = [ptr]
-    lib.probsat_num_falsified.restype = ctypes.c_int
-    lib.probsat_assignment.argtypes = [ptr, ctypes.c_char_p]
-    lib.probsat_assignment.restype = None
-    lib.probsat_free.argtypes = [ptr]
-    lib.probsat_free.restype = None
+    ptr, i64, i32 = ctypes.c_void_p, ctypes.c_longlong, ctypes.c_int
+    for name, restype, argtypes in (
+        ("probsat_new", ptr, [i32, i32, ptr, ptr, ptr, ptr, ptr, ptr]),
+        ("probsat_flip", i64, [ptr, i64]),
+        ("probsat_num_falsified", i32, [ptr]),
+        ("probsat_assignment", None, [ptr, ctypes.c_char_p]),
+        ("probsat_free", None, [ptr]),
+        ("cdcl_new", ptr, [i32, i32, ptr, ptr, ctypes.c_char_p]),
+        ("cdcl_solve", i32, [ptr, i64, ctypes.c_double, i64, i64]),
+        ("cdcl_conflicts", i64, [ptr]),
+        ("cdcl_num_records", i64, [ptr]),
+        ("cdcl_num_record_lits", i64, [ptr]),
+        ("cdcl_records", None, [ptr, ptr, ptr, ptr]),
+        ("cdcl_assignment", None, [ptr, ctypes.c_char_p]),
+        ("cdcl_free", None, [ptr]),
+    ):
+        fn = getattr(lib, name)
+        fn.restype, fn.argtypes = restype, argtypes
     return lib

@@ -16,7 +16,7 @@ from satlab.bench import (
     trials_to_csv,
 )
 from satlab.cnf import Formula
-from satlab.generators import GenSpec, gen_planted
+from satlab.generators import GenSpec, gen_planted, gen_uniform
 from satlab.sls import ScoringFunction
 
 
@@ -79,6 +79,16 @@ def test_run_trial_crash_becomes_unsolved_note():
     record = run_trial("i", Formula(2, [(1, 2)]), bad, seed=0, budget_flips=10)
     assert not record.solved
     assert record.note
+
+
+def test_run_trial_configuration_error_propagates():
+    # the fallback track (k=4) rejects initial_flips: a misconfiguration, not a PAR2 timeout
+    f = gen_uniform(GenSpec(n=60, k=4, ratio=9.9, seed=3))
+    config = SolverConfig("h", algorithm="hybrid", initial_flips=5)
+    with pytest.raises(ValueError, match="fallback.*'initial_flips'"):
+        run_trial("i", f, config, seed=0, budget_flips=100)
+    with pytest.raises(ValueError, match="fallback"):
+        run_suite([("i", f)], [config], seeds=[0], budget_flips=100)
 
 
 @pytest.mark.parametrize("algorithm", ["sls", "hybrid"])

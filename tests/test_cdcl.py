@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 import oracles
+from satlab import cdcl
 from satlab.cdcl import (
     BUDGET,
     SAT,
@@ -81,11 +83,19 @@ def test_learned_clauses_implied_by_formula():
 def test_learned_records_metadata():
     f = gen_uniform(GenSpec(n=20, k=3, ratio=5.2, seed=7))
     out = cdcl_solve_and_mine(f, MiningBudget(wall_seconds=30, width_limit=4), seed=2)
-    indices = [r.learn_index for r in out.records]
-    assert indices == sorted(indices)
-    for r in out.records:
-        assert r.width == len(r.clause)
-        assert len({abs(l) for l in r.clause}) == r.width  # non-tautological
+    solver = CdclSolver(f, seed=2)
+    solver.solve(wall_seconds=30, width_limit=4)
+    assert len(solver.records) == out.total_learned_seen == out.conflicts
+    for records in (out.records, solver.records):
+        indices = [r.learn_index for r in records]
+        assert indices == sorted(indices)
+        for r in records:
+            assert r.width == len(r.clause)
+            assert len({abs(l) for l in r.clause}) == r.width  # non-tautological
+            assert r.clause == tuple(sorted(r.clause, key=abs))
+    # mining keeps exactly the records of width <= 4, with their learn indices
+    assert out.records == [r for r in solver.records if r.width <= 4]
+    assert [r.learn_index for r in solver.records] == list(range(len(solver.records)))
     for c in out.learned:
         assert len(c) <= 4
 
@@ -185,3 +195,24 @@ def test_planted_instances_solved():
         out = cdcl_solve_and_mine(f, MiningBudget(wall_seconds=60), seed=seed)
         assert out.status == SAT
         assert eval_formula(f, out.model)
+
+
+def test_decision_heap_stays_bounded_and_decisions_unchanged():
+    class Watched(CdclSolver):
+        longest = 0
+
+        def _push(self, v):
+            super()._push(v)
+            self.longest = max(self.longest, len(self._heap))
+
+    f = gen_uniform(GenSpec(n=250, k=3, ratio=4.26, seed=5))
+    solver = Watched(f, seed=11)
+    assert solver.solve(conflict_limit=5000, width_limit=4) == BUDGET
+    assert solver.conflicts == 5000
+    assert solver.var_inc < 1e20  # the 1e100 activity rescale fired (0.95 ** -5000 is about 1e111)
+    # the heap was rebuilt at least once and never held more than 4 entries per variable;
+    # without the bound it ends this run with 46,524
+    assert f.num_vars < solver.longest <= cdcl._HEAP_SLACK * f.num_vars
+    # the digest these records had before the heap was bounded
+    stream = repr([(r.clause, r.learn_index) for r in solver.records]).encode()
+    assert hashlib.sha256(stream).hexdigest()[:16] == "c20597860904277e"

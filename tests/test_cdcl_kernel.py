@@ -1,0 +1,164 @@
+"""Differential tests: the compiled CDCL kernel against `CdclSolver`.
+
+`cdcl_solve_and_mine` runs the kernel whenever it loads, and `CdclSolver`
+when the loader returns None.  For equal arguments both must return an
+equal `MiningOutcome`: status, model, exported clauses, learned count,
+conflicts and records.
+"""
+
+import random
+
+import pytest
+
+from satlab import sls
+from satlab.cdcl import BUDGET, SAT, UNSAT, MiningBudget, cdcl_solve_and_mine
+from satlab.cnf import Formula
+from satlab.generators import GenSpec, gen_planted, gen_uniform
+
+NO_WALL = 1e9
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    if sls._compiler() is None:
+        pytest.skip("no C compiler on PATH, so cdcl_solve_and_mine can only run CdclSolver")
+    lib = sls._load_kernel()
+    assert lib is not None, "a C compiler exists but the kernels did not build or load"
+    return lib
+
+
+def reference(formula, budget, seed):
+    real = sls._load_kernel
+    sls._load_kernel = lambda: None
+    try:
+        return cdcl_solve_and_mine(formula, budget, seed)
+    finally:
+        sls._load_kernel = real
+
+
+def assert_same(formula, budget, seed):
+    fast = cdcl_solve_and_mine(formula, budget, seed)
+    ref = reference(formula, budget, seed)
+    assert fast == ref, f"{formula!r} {budget} seed={seed}"
+    assert all(r.width <= budget.width_limit for r in fast.records)
+    return fast
+
+
+# (k, n, ratio): near the threshold, so runs end sat, unsat or on their budget
+SHAPES = ((3, 60, 4.26), (3, 150, 4.26), (5, 40, 21.1), (7, 25, 88.0))
+
+
+@pytest.mark.parametrize("k,n,ratio", SHAPES)
+def test_kernel_matches_reference_on_generated_formulas(kernel, k, n, ratio):
+    statuses = set()
+    for i in range(2):
+        planted, _ = gen_planted(GenSpec(n=n, k=k, ratio=ratio, seed=300 + i))
+        uniform = gen_uniform(GenSpec(n=n, k=k, ratio=ratio, seed=400 + i))
+        for formula in (planted, uniform):
+            # solver seeds away from the instance seeds: gen_planted draws the
+            # same first n booleans as the solver's initial phases
+            for seed in (7, -12):
+                for limit in (0, 1, 150, 2_500):
+                    out = assert_same(formula, MiningBudget(NO_WALL, limit, width_limit=k + 1), seed)
+                    statuses.add(out.status)
+                    if out.status == BUDGET:
+                        assert out.conflicts == max(limit, 1)
+    assert BUDGET in statuses and SAT in statuses
+
+
+def test_kernel_matches_reference_over_db_reductions_and_the_activity_rescale(kernel):
+    """6,000 conflicts: the learned DB is reduced (past 2,000 clauses) and
+    the activities are rescaled (past 1e100, after about 4,490 conflicts)."""
+    k3 = gen_uniform(GenSpec(n=250, k=3, ratio=4.26, seed=5))
+    k5 = gen_uniform(GenSpec(n=60, k=5, ratio=21.1, seed=8))
+    for formula, width, seed in ((k3, 4, 11), (k5, 30, 3)):
+        out = assert_same(formula, MiningBudget(NO_WALL, 6_000, width_limit=width), seed)
+        assert (out.status, out.conflicts, out.total_learned_seen) == (BUDGET, 6_000, 6_000)
+        assert out.records
+    # width 30 keeps every clause of the k=5 run; one of them is learned twice
+    assert len(out.records) == 6_000 and len(out.learned) == 5_999
+
+
+def test_kernel_matches_reference_on_early_stop_and_width_limits(kernel):
+    k5 = gen_uniform(GenSpec(n=120, k=5, ratio=21.1, seed=9))
+    conflicts = []
+    for cap in (0, 5, 40, 10**30):
+        out = assert_same(k5, MiningBudget(NO_WALL, 2_000, width_limit=8, count_cap=cap, early_stop=True), 4)
+        assert len(out.learned) == min(cap, len(out.learned))
+        conflicts.append(out.conflicts)
+    assert conflicts[0] == 1 and conflicts[1] < conflicts[2] < conflicts[3] == 2_000
+    k3 = gen_uniform(GenSpec(n=200, k=3, ratio=4.26, seed=10))
+    for width in (1, 4, 30):
+        for early_stop in (True, False):
+            budget = MiningBudget(NO_WALL, 3_000, width_limit=width, count_cap=7, early_stop=early_stop)
+            out = assert_same(k3, budget, 2)
+            assert len(out.learned) <= 7
+    # no cap without early stop, and early stop without a cap, run to the limit
+    for budget in (MiningBudget(NO_WALL, 500, width_limit=6, count_cap=3),
+                   MiningBudget(NO_WALL, 500, width_limit=6, early_stop=True)):
+        assert assert_same(k3, budget, 2).conflicts == 500
+
+
+def test_kernel_matches_reference_on_edge_formulas(kernel):
+    formulas = [
+        Formula(0, []),
+        Formula(3, []),
+        Formula(0, [()]),
+        Formula(2, [(), (1,)]),
+        Formula(2, [(1,), ()]),
+        Formula(1, [(1,)]),
+        Formula(1, [(1,), (-1,)]),
+        Formula(2, [(1, 2), (-1,), (-2,)]),
+        Formula(3, [(-1, 2), (-2, 3), (1,)]),
+        Formula(3, [(1, 2), (-1, 3), (-2,)]),
+        Formula(2, [(1, 2), (1, -2), (-1, 2), (-1, -2)]),
+        Formula(3, [(1, -1, 2), (2, 3), (-2, -3), (3, -1)], normalize=False),
+        Formula(4, [(-4,), (4, 1, 2), (-1, -2), (3, -1, 2)], normalize=False),
+    ]
+    statuses = set()
+    for formula in formulas:
+        for seed in (0, 5, -3, 2**70):
+            for limit in (0, 1, None):
+                statuses.add(assert_same(formula, MiningBudget(NO_WALL, limit), seed).status)
+    assert statuses == {SAT, UNSAT, BUDGET}
+    assert cdcl_solve_and_mine(Formula(2, [(1,), (-1, 2), (-2,)]), MiningBudget(), 0).status == UNSAT
+    # budgets beyond 64 bits mean no limit, as in the reference
+    huge = MiningBudget(NO_WALL, 2**70, width_limit=2**70, count_cap=2**70, early_stop=True)
+    out = assert_same(gen_uniform(GenSpec(n=30, k=3, ratio=4.26, seed=1)), huge, 3)
+    assert out.status in (SAT, UNSAT) and out.conflicts > 0 and len(out.records) == out.conflicts
+
+
+def test_kernel_matches_reference_on_small_random_formulas(kernel):
+    """Unsorted clauses and tautologies, as `Formula(..., normalize=False)`
+    keeps them, with units and conflicts at level 0."""
+    rng = random.Random(2024)
+    statuses = set()
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        clauses = [list(dict.fromkeys(rng.choice((1, -1)) * rng.randint(1, n)
+                                      for _ in range(rng.randint(1, 4))))
+                   for _ in range(rng.randint(1, 5 * n))]
+        formula = Formula(n, clauses, normalize=rng.random() < 0.5)
+        budget = MiningBudget(NO_WALL, rng.choice((None, 0, 3, 40)), width_limit=rng.randint(1, 5),
+                              count_cap=rng.choice((None, 0, 2)), early_stop=rng.random() < 0.5)
+        statuses.add(assert_same(formula, budget, rng.randint(-2**40, 2**40)).status)
+    assert statuses == {SAT, UNSAT, BUDGET}
+
+
+def test_wall_limit_stops_the_kernel(kernel):
+    hard = gen_uniform(GenSpec(n=400, k=3, ratio=4.26, seed=21))
+    out = cdcl_solve_and_mine(hard, MiningBudget(wall_seconds=0.05), seed=1)
+    assert out.status == BUDGET
+    assert out.conflicts > 0 and out.conflicts % 64 == 0  # the clock is polled every 64 conflicts
+    assert out.total_learned_seen == out.conflicts
+
+
+def test_mining_without_kernel_gives_the_same_results(monkeypatch):
+    cases = [(gen_uniform(GenSpec(n=80, k=3, ratio=4.26, seed=s)), MiningBudget(NO_WALL, 300), s + 50)
+             for s in range(4)]
+    cases.append((gen_uniform(GenSpec(n=50, k=5, ratio=21.1, seed=2)),
+                  MiningBudget(NO_WALL, 1_000, width_limit=8, count_cap=10, early_stop=True), 3))
+    cases.append((Formula(2, [(1, 2), (-1,), (-2,)]), MiningBudget(), 0))
+    expected = [cdcl_solve_and_mine(*case) for case in cases]
+    monkeypatch.setattr(sls, "_load_kernel", lambda: None)
+    assert [cdcl_solve_and_mine(*case) for case in cases] == expected

@@ -93,6 +93,17 @@ def test_sls_only_tracks_reject_overrides_they_ignore(track):
             select_strategy(f, scoring=exp, **{name: value})
 
 
+def test_track_is_not_an_override():
+    f = gen_uniform(GenSpec(n=60, k=4, ratio=9.9, seed=3))
+    with pytest.raises(ValueError, match="'fallback'.*track='k3'"):
+        select_strategy(f, track="k3")
+    k3 = formula_with(100, 3)
+    for track in (FALLBACK, "k3"):
+        with pytest.raises(ValueError, match="'k3'.*track="):
+            select_strategy(k3, track=track)
+    assert select_strategy(k3, track=None) == select_strategy(k3)
+
+
 def test_augment_identity_and_dedup():
     f = Formula(4, [(1, 2), (3, 4)])
     assert augment(f, []).clause_set() == f.clause_set()

@@ -187,16 +187,19 @@ def test_loader_builds_into_a_fresh_cache(tmp_path, monkeypatch, fresh_loader):
         warnings.simplefilter("error")
         assert sls._load_kernel() is not None
     built = [p.name for p in (tmp_path / "satlab").iterdir()]
-    assert len(built) == 1 and built[0].startswith("probsat-") and built[0].endswith(".so")
+    assert len(built) == 1 and built[0].startswith("kernels-") and built[0].endswith(".so")
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
     compiler = sls._compiler()
     if compiler is None:
         pytest.skip("no C compiler on PATH")
-    built = subprocess.run(
-        [compiler, *sls._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
-         "-o", str(tmp_path / "probsat.so"), str(sls._KERNEL_SOURCE)],
-        capture_output=True, text=True,
-    )
-    assert built.returncode == 0, built.stderr
+    assert [p.name for p in sls._KERNEL_SOURCES] == ["_probsat.c", "_cdcl.c"]
+    # each source alone, then both into one library as the loader builds them
+    for sources in (*([p] for p in sls._KERNEL_SOURCES), sls._KERNEL_SOURCES):
+        built = subprocess.run(
+            [compiler, *sls._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
+             "-o", str(tmp_path / "kernels.so"), *map(str, sources)],
+            capture_output=True, text=True,
+        )
+        assert built.returncode == 0, built.stderr
