@@ -192,6 +192,7 @@ class SolverSummary:
     solved_count: int
     score: float
     per_instance_par2: dict[str, float] = field(default_factory=dict)
+    crashed: int = 0  # trials whose solver raised: unsolved, with a `note`
 
 
 @dataclass
@@ -215,7 +216,8 @@ class BenchmarkSummary:
 
 def summarize(records, timeout: float, currency: str = "flips") -> BenchmarkSummary:
     """Aggregate trials: per-instance mean PAR2, per-solver score (the sum
-    of instance means), and pairwise paired statistics on those means."""
+    of instance means) with solved and crashed counts, and pairwise
+    paired statistics on those means."""
     solvers = sorted({r.solver_id for r in records})
     instances = sorted({r.instance_id for r in records})
     per_solver: dict[str, SolverSummary] = {}
@@ -227,8 +229,9 @@ def summarize(records, timeout: float, currency: str = "flips") -> BenchmarkSumm
             if values:
                 per_instance[iid] = sum(values) / len(values)
         solved = sum(1 for r in records if r.solver_id == sid and r.solved)
+        crashed = sum(1 for r in records if r.solver_id == sid and r.note)
         score = sum(per_instance.values())
-        per_solver[sid] = SolverSummary(sid, solved, score, per_instance)
+        per_solver[sid] = SolverSummary(sid, solved, score, per_instance, crashed)
     pairwise = []
     for i, sa in enumerate(solvers):
         for sb in solvers[i + 1 :]:
@@ -286,10 +289,11 @@ def trials_from_csv(text: str) -> list[TrialRecord]:
 def summary_to_csv(summary: BenchmarkSummary) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["solver_id", "solved", "score", "timeout", "currency"])
+    writer.writerow(["solver_id", "solved", "score", "timeout", "currency", "crashed"])
     for sid in sorted(summary.per_solver):
         s = summary.per_solver[sid]
-        writer.writerow([sid, s.solved_count, f"{s.score:.6f}", summary.timeout, summary.currency])
+        writer.writerow([sid, s.solved_count, f"{s.score:.6f}", summary.timeout, summary.currency,
+                         s.crashed])
     writer.writerow([])
     writer.writerow(["solver_a", "solver_b", "t", "t_p", "wilcoxon_w", "wilcoxon_p", "cohens_d"])
     fmt = lambda x: "" if x is None else f"{x:.9g}"

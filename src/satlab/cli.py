@@ -246,7 +246,7 @@ def _cmd_bench(args) -> int:
         )
     for sid in sorted(summary.per_solver):
         s = summary.per_solver[sid]
-        print(f"{sid}: solved {s.solved_count} score {s.score:.2f}")
+        print(f"{sid}: solved {s.solved_count} crashed {s.crashed} score {s.score:.2f}")
     return 0
 
 

@@ -233,7 +233,8 @@ def resolve(a: Sequence[int], b: Sequence[int], pivot: int) -> Clause | None:
     `pivot` must occur positively in exactly one clause and negatively in
     the other; otherwise ValueError.  The resolvent is the deduplicated
     union of the remaining literals in canonical order; the empty clause
-    is returned as `()`.
+    is returned as `()`.  This is the readable reference for the
+    width-bounded mask engine of `satlab.resolution`.
     """
     if pivot in a and -pivot in b:
         pos, negc = a, b

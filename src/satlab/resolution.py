@@ -3,8 +3,19 @@
 A level-1 resolvent comes from two clauses of the base formula; a
 level-2 resolvent has at least one level-1 parent.  Pools are width
 filtered, deduplicated, tautology-free, and never contain clauses of
-the base formula, so adding any subset of a pool preserves the solution
-set exactly.  Tautological input clauses are excluded from enumeration.
+the base formula (compared as literal sets, so a base clause in any
+literal order counts), so adding any subset of a pool preserves the
+solution set exactly.  Tautological input clauses are excluded from
+enumeration.
+
+All three enumerations share one width-bounded engine.  A clause is held
+as a pair `(pos, neg)` of ints with bit `v` set for literal `v` or `-v`.
+Resolving on `v` gives `p = pa | pb` and `n = na | nb`, both holding the
+pivot bit: the resolvent is a tautology iff `p & n` holds any other bit,
+and its width is `(p | n).bit_count() - 1`.  A survivor of both checks
+drops the pivot bit; canonical tuples are built only for survivors.
+`cnf.resolve` is the readable reference: `bounded_resolve` puts one pair
+through the engine, and a differential test holds the two equal.
 """
 
 from __future__ import annotations
@@ -13,9 +24,11 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .cnf import Clause, Formula, resolve
+from .cnf import Clause, Formula
 
 PAIR_BUDGET_DEFAULT = 10_000_000
+
+Masks = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -28,28 +41,106 @@ class ResolventPool:
         return len(self.clauses)
 
 
-def _level1_stream(formula: Formula):
-    """All non-tautological resolvents of base-clause pairs, any width."""
-    clauses = formula.clauses
+def _masks(clause) -> Masks:
+    pos = neg = 0
+    for lit in clause:
+        if lit > 0:
+            pos |= 1 << lit
+        else:
+            neg |= 1 << -lit
+    return pos, neg
+
+
+def _clause(masks: Masks) -> Clause:
+    """Canonical tuple of a non-tautological mask pair."""
+    pos, neg = masks
+    rest = pos | neg
+    lits = []
+    while rest:  # highest variable first, reversed below
+        v = rest.bit_length() - 1
+        lits.append(v if pos >> v & 1 else -v)
+        rest ^= 1 << v
+    lits.reverse()
+    return tuple(lits)
+
+
+def _resolvents(a: Masks, partners: list[Masks], bit: int, max_width: int) -> list[Masks]:
+    """Non-tautological resolvents of width <= max_width of `a` with each
+    partner on the pivot `bit`, in partner order."""
+    pa, na = a
+    limit = max_width + 1  # the pivot is counted once in `p | n`
+    return [(p ^ bit, n ^ bit) for pb, nb in partners
+            if (p := pa | pb) & (n := na | nb) == bit and (p | n).bit_count() <= limit]
+
+
+def bounded_resolve(a: Clause, b: Clause, pivot: int, max_width: int) -> Clause | None:
+    """`cnf.resolve(a, b, pivot)` if it is no wider than `max_width`, else None.
+
+    Same contract as `cnf.resolve` (None for a tautology, ValueError for
+    a pivot that does not clash), computed by the engine the pools use.
+    """
+    (pa, na), (pb, nb), bit = _masks(a), _masks(b), 1 << abs(pivot)
+    if not (pa & nb | pb & na) & bit:
+        raise ValueError(f"pivot {pivot} does not clash between clauses {a!r} and {b!r}")
+    if (pa & na | pb & nb) & bit:
+        raise ValueError(f"pivot {pivot} occurs in both polarities within one clause")
+    found = _resolvents((pa, na), [(pb, nb)], bit, max_width)
+    return _clause(found[0]) if found else None
+
+
+def _base_masks(formula: Formula) -> list[Masks]:
+    """Masks of the non-tautological clauses, in id order."""
     taut = formula.tautology_ids
-    for v in range(1, formula.num_vars + 1):
-        for i in formula.occurrence(v):
-            if i in taut:
-                continue
-            a = clauses[i]
-            for j in formula.occurrence(-v):
-                if j in taut:
-                    continue
-                r = resolve(a, clauses[j], v)
-                if r is not None:
-                    yield r
+    return [_masks(c) for i, c in enumerate(formula.clauses) if i not in taut]
+
+
+class _Occurrences:
+    """Per-variable clause lists: `pos[v]` holds the clauses containing
+    `v`, `neg[v]` those containing `-v`, each in insertion order."""
+
+    def __init__(self, num_vars: int, clauses):
+        self.pos: list[list[Masks]] = [[] for _ in range(num_vars + 1)]
+        self.neg: list[list[Masks]] = [[] for _ in range(num_vars + 1)]
+        for c in clauses:
+            self.add(c)
+
+    def add(self, c: Masks) -> None:
+        for rest, lists in zip(c, (self.pos, self.neg)):
+            while rest:
+                low = rest & -rest
+                lists[low.bit_length() - 1].append(c)
+                rest ^= low
+
+    def pivots(self, c: Masks):
+        """(pivot bit of v, clauses clashing with c on v) for each variable
+        v of c, in canonical literal order."""
+        p = c[0]
+        rest = p | c[1]
+        while rest:
+            low = rest & -rest
+            yield low, (self.neg if p & low else self.pos)[low.bit_length() - 1]
+            rest ^= low
+
+
+def _level1(num_vars: int, originals: list[Masks], max_width: int) -> set[Masks]:
+    """Non-tautological resolvents of base-clause pairs no wider than max_width."""
+    occ = _Occurrences(num_vars, originals)
+    out: set[Masks] = set()
+    for v, (pos, neg) in enumerate(zip(occ.pos, occ.neg)):
+        if neg:
+            for a in pos:
+                out.update(_resolvents(a, neg, 1 << v, max_width))
+    return out
+
+
+def _pool(level: int, found: set[Masks], max_width: int) -> ResolventPool:
+    return ResolventPool(level, frozenset(map(_clause, found)), max_width)
 
 
 def level1_resolvents(formula: Formula, max_width: int) -> ResolventPool:
     """Resolvents of pairs of original clauses, width-capped."""
-    base = formula.clause_set()
-    pool = {r for r in _level1_stream(formula) if len(r) <= max_width and r not in base}
-    return ResolventPool(1, frozenset(pool), max_width)
+    originals = _base_masks(formula)
+    return _pool(1, _level1(formula.num_vars, originals, max_width) - set(originals), max_width)
 
 
 def level2_resolvents(
@@ -59,65 +150,49 @@ def level2_resolvents(
     or level-1), width-capped, excluding base clauses and level-1 resolvents.
 
     Enumeration is capped at `pair_budget` resolution attempts, walked in
-    a deterministic order, so results are reproducible even when truncated.
+    a deterministic order, so results are reproducible even when truncated:
+    each level-1 resolvent in canonical tuple order, each of its literals
+    in turn, each clashing clause (originals in id order, then level-1
+    resolvents in order).
     """
-    base = formula.clause_set()
-    level1_all = sorted({r for r in _level1_stream(formula)} - base)
-    taut = formula.tautology_ids
-    originals = [formula.clauses[i] for i in range(formula.num_clauses) if i not in taut]
-    # occurrence map over originals and level-1 resolvents together
-    occ: dict[int, list[Clause]] = {}
-    for clause in originals + level1_all:
-        for lit in clause:
-            occ.setdefault(lit, []).append(clause)
-    exclude = base | set(level1_all)
-    pool: set[Clause] = set()
-    attempts = 0
-    for a in level1_all:
-        for lit in a:
-            partners = occ.get(-lit)
-            if not partners:
-                continue
-            for b in partners:
-                attempts += 1
-                if attempts > pair_budget:
-                    return ResolventPool(2, frozenset(pool), max_width)
-                r = resolve(a, b, abs(lit))
-                if r is not None and len(r) <= max_width and r not in exclude:
-                    pool.add(r)
-    return ResolventPool(2, frozenset(pool), max_width)
+    if pair_budget < 0:
+        raise ValueError("pair_budget must be >= 0")
+    originals = _base_masks(formula)
+    exclude = set(originals)
+    level1 = sorted(_level1(formula.num_vars, originals, formula.num_vars) - exclude, key=_clause)
+    exclude.update(level1)
+    occ = _Occurrences(formula.num_vars, originals + level1)
+    found: set[Masks] = set()
+    remaining = pair_budget
+    for a in level1:
+        for bit, partners in occ.pivots(a):
+            if len(partners) > remaining:
+                found.update(_resolvents(a, partners[:remaining], bit, max_width))
+                return _pool(2, found - exclude, max_width)
+            remaining -= len(partners)
+            found.update(_resolvents(a, partners, bit, max_width))
+    return _pool(2, found - exclude, max_width)
 
 
 def ternary_saturate(formula: Formula) -> set[Clause]:
     """Close clauses of width <= 3 under resolution, keeping resolvents of
     width <= 3, until fixpoint; returns the derived clauses only."""
-    base = formula.clause_set()
-    taut = formula.tautology_ids
-    known: set[Clause] = {
-        formula.clauses[i]
-        for i in range(formula.num_clauses)
-        if i not in taut and len(formula.clauses[i]) <= 3
-    }
-    occ: dict[int, list[Clause]] = {}
-    for clause in known:
-        for lit in clause:
-            occ.setdefault(lit, []).append(clause)
-    queue = deque(sorted(known))
-    derived: set[Clause] = set()
+    known = {c for c in _base_masks(formula) if (c[0] | c[1]).bit_count() <= 3}
+    queue = deque(known)
+    occ = _Occurrences(formula.num_vars, queue)
+    derived: set[Masks] = set()
     while queue:
         a = queue.popleft()
-        for lit in a:
-            # snapshot: clauses added later pair with `a` on their own turn
-            for b in list(occ.get(-lit, ())):
-                r = resolve(a, b, abs(lit))
-                if r is None or len(r) > 3 or r in known:
-                    continue
-                known.add(r)
-                derived.add(r)
-                for l2 in r:
-                    occ.setdefault(l2, []).append(r)
-                queue.append(r)
-    return derived - base
+        # every pair meets when its later-dequeued clause is dequeued, so
+        # the closure, and the result, do not depend on the queue order
+        for bit, partners in occ.pivots(a):
+            for r in _resolvents(a, partners, bit, 3):
+                if r not in known:
+                    known.add(r)
+                    derived.add(r)
+                    occ.add(r)
+                    queue.append(r)
+    return set(map(_clause, derived))
 
 
 def sample_pool(pool: ResolventPool, cap: int, seed: int) -> list[Clause]:

@@ -81,6 +81,20 @@ def test_run_trial_crash_becomes_unsolved_note():
     assert record.note
 
 
+def test_summarize_counts_crashed_trials_per_solver():
+    # a suite whose "bad" solver raises on every trial: crashed, not merely unsolved
+    bad = SolverConfig(solver_id="bad", algorithm="sls", scoring="not-a-scoring")
+    records = run_suite([("i", Formula(2, [(1, 2)]))], [bad, SolverConfig("good")], seeds=[0],
+                        budget_flips=10)
+    summary = summarize(records, timeout=10)
+    assert (summary.per_solver["bad"].crashed, summary.per_solver["bad"].solved_count) == (1, 0)
+    assert summary.per_solver["good"].crashed == 0
+    rows = summary_to_csv(summary).splitlines()
+    assert rows[0] == "solver_id,solved,score,timeout,currency,crashed"
+    assert rows[1].startswith("bad,0,") and rows[1].endswith(",1")
+    assert rows[2].startswith("good,1,") and rows[2].endswith(",0")
+
+
 def test_run_trial_configuration_error_propagates():
     # the fallback track (k=4) rejects initial_flips: a misconfiguration, not a PAR2 timeout
     f = gen_uniform(GenSpec(n=60, k=4, ratio=9.9, seed=3))

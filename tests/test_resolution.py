@@ -1,10 +1,15 @@
+import hashlib
+import random
+from collections import Counter
+
 import pytest
 
 import oracles
-from satlab.cnf import Formula
-from satlab.generators import GenSpec, gen_uniform
+from satlab.cnf import Formula, resolve
+from satlab.generators import GenSpec, gen_planted, gen_uniform
 from satlab.resolution import (
     ResolventPool,
+    bounded_resolve,
     level1_resolvents,
     level2_resolvents,
     sample_pool,
@@ -137,3 +142,144 @@ def test_adding_samples_preserves_solutions():
             assert set(oracles.solution_masks(f.num_vars, merged).tolist()) == sols
         merged = list(f.clauses) + sorted(ternary_saturate(f))
         assert set(oracles.solution_masks(f.num_vars, merged).tolist()) == sols
+
+
+def test_level2_rejects_negative_pair_budget():
+    with pytest.raises(ValueError, match="pair_budget"):
+        level2_resolvents(Formula(3, [(1, 2), (-1, 3), (-3, 2)]), 4, pair_budget=-1)
+
+
+def test_pools_exclude_base_clauses_in_any_literal_order():
+    # (-3, 1) x (3, 2) resolves to (1, 2), which is the base clause (2, 1)
+    f = Formula(3, [(2, 1), (-3, 1), (3, 2)], normalize=False)
+    assert level1_resolvents(f, 4).clauses == frozenset()
+    assert level2_resolvents(f, 4).clauses == frozenset()
+    assert ternary_saturate(f) == set()
+
+
+def test_pools_depend_on_literal_sets_only():
+    f = gen_uniform(GenSpec(n=16, k=3, ratio=4.2, seed=200))
+    g = Formula(f.num_vars, [c[::-1] for c in f.clauses], normalize=False)
+    assert level1_resolvents(g, 4).clauses == level1_resolvents(f, 4).clauses
+    for budget in (500, 5_000, None):
+        kw = {} if budget is None else {"pair_budget": budget}
+        assert level2_resolvents(g, 4, **kw).clauses == level2_resolvents(f, 4, **kw).clauses
+    f = gen_uniform(GenSpec(n=9, k=3, ratio=2.5, seed=300))
+    g = Formula(f.num_vars, [c[::-1] for c in f.clauses], normalize=False)
+    assert ternary_saturate(g) == ternary_saturate(f)
+
+
+def _random_side(rng, pivot_lit, others):
+    """A clause of width 1-5 holding `pivot_lit`, literals in random order."""
+    width = rng.randint(0, min(4, len(others)))
+    lits = [v if rng.random() < 0.5 else -v for v in rng.sample(others, width)] + [pivot_lit]
+    rng.shuffle(lits)
+    return tuple(lits)
+
+
+def test_bounded_resolve_matches_cnf_resolve():
+    rng = random.Random(17)
+    kinds = Counter()
+    for _ in range(4000):
+        n = rng.randint(1, 10)
+        pivot = rng.randint(1, n)
+        others = [v for v in range(1, n + 1) if v != pivot]
+        a, b = _random_side(rng, pivot, others), _random_side(rng, -pivot, others)
+        ref = resolve(a, b, pivot)
+        if ref is None:
+            kinds["tautology"] += 1
+            widths = [rng.randint(0, 10)]
+        else:
+            kinds["empty" if ref == () else "clause"] += 1
+            widths = [len(ref), len(ref) - 1, rng.randint(0, 10)]  # at, one under, any
+        for w in widths:
+            expect = ref if ref is not None and len(ref) <= w else None
+            assert bounded_resolve(a, b, pivot, w) == expect, (a, b, pivot, w)
+            assert bounded_resolve(b, a, pivot, w) == expect, (b, a, pivot, w)
+    assert min(kinds["tautology"], kinds["empty"], kinds["clause"]) >= 50, kinds
+    for a, b, pivot in [((1, 2), (1, 3), 1), ((1, 2), (-1, 3), 2), ((1, -1, 2), (-1, 3), 1)]:
+        with pytest.raises(ValueError):
+            resolve(a, b, pivot)
+        with pytest.raises(ValueError):
+            bounded_resolve(a, b, pivot, 4)
+
+
+def _digest(clauses) -> str:
+    return hashlib.sha256(repr(sorted(clauses)).encode()).hexdigest()[:16]
+
+
+def _mixed_order() -> Formula:
+    """normalize=False: canonical 3-clauses, then 5-clauses in reversed literal order."""
+    three = gen_uniform(GenSpec(n=14, k=3, ratio=2.5, seed=11)).clauses
+    five = gen_uniform(GenSpec(n=14, k=5, ratio=1.5, seed=12)).clauses
+    return Formula(14, list(three) + [c[::-1] for c in five], normalize=False)
+
+
+def _with_tautologies() -> Formula:
+    """Tautological clauses among 3-clauses, a unit, binaries and a 4-clause."""
+    f = gen_uniform(GenSpec(n=12, k=3, ratio=3.0, seed=13))
+    extra = [(1, -1, 5), (2,), (-2, 7), (3, -3), (4, 6, -8, 9), (-4, -6, 4), (-5, 10)]
+    return Formula(12, list(f.clauses) + extra)
+
+
+PIN_CASES = {
+    "planted0": lambda: gen_planted(GenSpec(n=20, k=3, ratio=4.26, seed=0, bias=0.618))[0],
+    "planted1": lambda: gen_planted(GenSpec(n=20, k=3, ratio=4.26, seed=1, bias=0.618))[0],
+    "uniform": lambda: gen_uniform(GenSpec(n=20, k=3, ratio=4.2, seed=5)),
+    "mixed_order": _mixed_order,
+    "tautologies": _with_tautologies,
+    "n7": lambda: gen_planted(GenSpec(n=7, k=3, ratio=4.2, seed=2))[0],
+    "n10": lambda: gen_uniform(GenSpec(n=10, k=3, ratio=3.2, seed=21)),
+}
+
+# Digests of the sorted pools (`_digest`), computed with the enumeration
+# built on `cnf.resolve` that the mask engine replaced.  Level-2 pins map
+# pair_budget -> digest (None: the default budget, which never binds
+# here).  Each case's last three budgets straddle the end of one partner
+# list, and each of those three attempts adds a pool clause, so an
+# off-by-one in the budget cut changes a digest.
+LEVEL1_PINS = {
+    "planted0": "21d7bd49aae0e732",
+    "planted1": "eec22205efa0b2f6",
+    "uniform": "e060bce6110b1058",
+    "mixed_order": "ac0c9ba380b73ff1",
+    "tautologies": "7488deabb26336c3",
+}
+EMPTY = "4f53cda18c2baa0c"
+LEVEL2_PINS = {
+    "planted0": {0: EMPTY, 1: "4d036a410fd8ea16", 10_000: "5507f7044fa30022",
+                 None: "a88a21e6b91faf82", 8656: "fa4f039ac9564808",
+                 8657: "44c490f7dda1fcb5", 8658: "049351eb8327d900"},
+    "planted1": {0: EMPTY, 1: EMPTY, 10_000: "bcdafeaebc197ccb",
+                 None: "97ec6bef5076bc30", 641: "1c130d33fb70738d",
+                 642: "f427d4b6724bb865", 643: "cc2d77432e1dd8f5"},
+    "uniform": {0: EMPTY, 1: "72b782072bdba414", 10_000: "b38cf01163e4dd3b",
+                None: "31a5da8c9ac4b71b", 41: "a018055e3b04a999",
+                42: "b5bd79781dc9dc97", 43: "8811af49a2f0f28f"},
+    "mixed_order": {0: EMPTY, 1: EMPTY, 10_000: "ae9903f02f4d5381",
+                    None: "45f14150244e96bd", 22404: "49b65393e89cdd36",
+                    22405: "a1b4924ac672f166", 22406: "7066f59d8f63f331"},
+    "tautologies": {0: EMPTY, 1: "5e78517aeef8b411", 10_000: "14cc132213273034",
+                    None: "dbd002d39823f2e5", 389: "e572eb932bb4ac32",
+                    390: "2046d7b3a72a4899", 391: "4aa5c489825a08b7"},
+}
+TERNARY_PINS = {
+    "n7": "7c1f81ba17ae0611",
+    "n10": "7a80cc4a9168be45",
+    "mixed_order": "3416315f533dfc06",
+    "tautologies": "ae81b0532cca485b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEVEL2_PINS))
+def test_pools_match_pinned_digests(case):
+    f = PIN_CASES[case]()
+    assert _digest(level1_resolvents(f, 4).clauses) == LEVEL1_PINS[case]
+    for budget, pin in LEVEL2_PINS[case].items():
+        kw = {} if budget is None else {"pair_budget": budget}
+        assert _digest(level2_resolvents(f, 4, **kw).clauses) == pin, budget
+
+
+@pytest.mark.parametrize("case", sorted(TERNARY_PINS))
+def test_ternary_matches_pinned_digests(case):
+    assert _digest(ternary_saturate(PIN_CASES[case]())) == TERNARY_PINS[case]
