@@ -32,6 +32,8 @@ class TrialRecord:
     flips: int
     seconds: float
     note: str = ""
+    phase_solved: str = ""  # hybrid trials: the `SolveResult` phase that solved it
+    clauses_added: int = 0  # hybrid trials: clauses `augment` appended before the final phase
 
     def key(self) -> tuple:
         """Timing-free projection used for determinism comparisons."""
@@ -144,7 +146,8 @@ def run_trial(
         total_flips = sum(result.phase_flips.values())
         total_seconds = sum(result.phase_seconds.values())
         return TrialRecord(
-            instance_id, config.solver_id, seed, result.status == "sat", total_flips, total_seconds
+            instance_id, config.solver_id, seed, result.status == "sat", total_flips, total_seconds,
+            phase_solved=result.phase_solved or "", clauses_added=result.clauses_added,
         )
     except AssertionError:
         raise
@@ -257,7 +260,8 @@ def summarize(records, timeout: float, currency: str = "flips") -> BenchmarkSumm
     return BenchmarkSummary(timeout, currency, per_solver, pairwise)
 
 
-TRIALS_HEADER = ["instance_id", "solver_id", "seed", "solved", "flips", "seconds", "note"]
+TRIALS_HEADER = ["instance_id", "solver_id", "seed", "solved", "flips", "seconds", "note",
+                 "phase_solved", "clauses_added"]
 
 
 def trials_to_csv(records) -> str:
@@ -266,11 +270,13 @@ def trials_to_csv(records) -> str:
     writer.writerow(TRIALS_HEADER)
     for r in records:
         writer.writerow([r.instance_id, r.solver_id, r.seed, int(r.solved), r.flips,
-                         f"{r.seconds:.6f}", r.note])
+                         f"{r.seconds:.6f}", r.note, r.phase_solved, r.clauses_added])
     return buf.getvalue()
 
 
 def trials_from_csv(text: str) -> list[TrialRecord]:
+    """Records of `trials_to_csv` text; columns missing from older files
+    take the field defaults."""
     reader = csv.DictReader(io.StringIO(text))
     out = []
     for row in reader:
@@ -282,6 +288,8 @@ def trials_from_csv(text: str) -> list[TrialRecord]:
             flips=int(row["flips"]),
             seconds=float(row["seconds"]),
             note=row.get("note", ""),
+            phase_solved=row.get("phase_solved", ""),
+            clauses_added=int(row.get("clauses_added", 0)),
         ))
     return out
 

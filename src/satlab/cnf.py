@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from array import array
+from collections import defaultdict
 from itertools import accumulate, chain
 from typing import Iterable, Iterator, Sequence
 
@@ -51,10 +52,15 @@ class Formula:
     within a clause is a ValueError.
 
     Both SLS engines read its occurrence index, two int32 arrays never
-    mutated after `__init__`: literal `l` occurs in the clauses
+    mutated after construction: literal `l` occurs in the clauses
     `occ[occ_offsets[i]:occ_offsets[i + 1]]`, `i = 2 * abs(l) + (l < 0)`,
     in id order (a tautology under both of its literals).  No list is
     longer than `max_occurrences`.
+
+    `extended(clauses)` appends clauses without rebuilding: it checks only
+    the new ones, and its result has every attribute (clauses, tautology
+    ids, occurrence arrays, `max_occurrences`, `max_width` and `csr()`)
+    equal to that of `Formula(n, old + new, normalize=False)`.
     """
 
     __slots__ = ("num_vars", "clauses", "tautology_ids", "occ_offsets", "occ", "max_occurrences",
@@ -69,24 +75,55 @@ class Formula:
         else:
             self.clauses = tuple(tuple(c) for c in clauses)
         occ: list[list[int]] = [[] for _ in range(2 * num_vars + 2)]
-        taut = []
-        for cid, clause in enumerate(self.clauses):
-            for lit in clause:
-                v = abs(lit)
-                if v < 1 or v > num_vars:
-                    raise ValueError(f"literal {lit} out of range 1..{num_vars} in clause {cid}")
-                occ[2 * v + (lit < 0)].append(cid)
-            seen = set(clause)
-            if len(seen) != len(clause):
-                raise ValueError(f"clause {cid} repeats a literal: {clause}")
-            if any(-l in seen for l in seen):
-                taut.append(cid)
-        self.tautology_ids = frozenset(taut)
+        self.tautology_ids = frozenset(_index_clauses(self.clauses, 0, num_vars, occ))
         self.occ_offsets = array("i", accumulate(map(len, occ), initial=0))
         self.occ = array("i", [cid for ids in occ for cid in ids])
         self.max_occurrences = max(map(len, occ))
         self._max_width = max((len(c) for c in self.clauses), default=0)
         self._csr = None
+
+    def extended(self, clauses: Iterable[Sequence[int]]) -> Formula:
+        """This formula with `clauses` appended in their literal order.
+
+        Only the new clauses are checked, with `__init__`'s errors; this
+        formula is never modified.  Each literal's occurrence list is its
+        old slice followed by its new ids, which are larger, so id order
+        holds.  A cached CSR view is extended, not dropped.
+        """
+        new = tuple(tuple(c) for c in clauses)
+        if not new:
+            return self
+        added: defaultdict[int, list[int]] = defaultdict(list)  # occurrence slot -> new ids
+        taut = _index_clauses(new, len(self.clauses), self.num_vars, added)
+        old_offsets, old_occ = self.occ_offsets, self.occ
+        offsets, occ = array("i"), array("i")
+        max_occ, shift, start = self.max_occurrences, 0, 0
+        for i in sorted(added):
+            ids = added[i]
+            offsets.extend(map(shift.__add__, old_offsets[start : i + 1]))
+            occ += old_occ[old_offsets[start] : old_offsets[i + 1]]
+            occ.extend(ids)
+            max_occ = max(max_occ, old_offsets[i + 1] - old_offsets[i] + len(ids))
+            shift += len(ids)
+            start = i + 1
+        offsets.extend(map(shift.__add__, old_offsets[start:]))
+        occ += old_occ[old_offsets[start] :]
+
+        out = Formula.__new__(Formula)
+        out.num_vars = self.num_vars
+        out.clauses = self.clauses + new
+        out.tautology_ids = self.tautology_ids.union(taut)
+        out.occ_offsets, out.occ, out.max_occurrences = offsets, occ, max_occ
+        out._max_width = max(self._max_width, max(map(len, new)))
+        out._csr = None
+        if self._csr is not None:
+            csr_offsets, literals, _ = self._csr
+            out._csr = (
+                csr_offsets + array("i", accumulate(map(len, new), initial=csr_offsets[-1]))[1:],
+                literals + array("i", chain.from_iterable(new)),
+                max_occ,
+            )
+        return out
 
     @property
     def num_clauses(self) -> int:
@@ -127,6 +164,26 @@ class Formula:
 
     def __repr__(self) -> str:
         return f"Formula(n={self.num_vars}, m={self.num_clauses})"
+
+
+def _index_clauses(clauses: Sequence[Clause], first_id: int, num_vars: int, occ) -> list[int]:
+    """Check each clause (ids from `first_id`) and append its id to
+    `occ[2 * abs(l) + (l < 0)]` for each literal `l`; return the ids of
+    the tautologies.  A literal out of range 1..num_vars or repeated
+    within a clause is a ValueError."""
+    taut = []
+    for cid, clause in enumerate(clauses, start=first_id):
+        for lit in clause:
+            v = abs(lit)
+            if v < 1 or v > num_vars:
+                raise ValueError(f"literal {lit} out of range 1..{num_vars} in clause {cid}")
+            occ[2 * v + (lit < 0)].append(cid)
+        seen = set(clause)
+        if len(seen) != len(clause):
+            raise ValueError(f"clause {cid} repeats a literal: {clause}")
+        if any(-l in seen for l in seen):
+            taut.append(cid)
+    return taut
 
 
 def parse_dimacs(text: str | bytes) -> Formula:

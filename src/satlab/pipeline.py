@@ -126,17 +126,30 @@ def percent_cap(percent: float, num_clauses: int) -> int:
 
 
 def augment(formula: Formula, clauses) -> Formula:
-    """New formula with the given clauses appended; exact duplicates of
-    existing clauses (and among the additions) are dropped.  The input
-    formula is not modified."""
-    present = set(formula.clauses)
+    """`formula.extended` with the given clauses in canonical form; a clause
+    with the literal set of an existing clause (or of an earlier addition)
+    is dropped.  The input formula is not modified.
+
+    An existing clause is looked up among the clauses of its least
+    frequent literal, so the cost follows the additions, not the formula.
+    """
+    seen: set[Clause] = set()
     added: list[Clause] = []
     for clause in clauses:
         canon = canonical_clause(clause)
-        if canon not in present:
-            present.add(canon)
-            added.append(canon)
-    return Formula(formula.num_vars, list(formula.clauses) + added, normalize=False)
+        if canon in seen:
+            continue
+        seen.add(canon)
+        if canon:
+            lits = set(canon)
+            rarest = min(map(formula.occurrence, canon), key=len)
+            if any(len(formula.clauses[cid]) == len(canon) and lits.issuperset(formula.clauses[cid])
+                   for cid in rarest):
+                continue
+        elif formula.has_empty_clause():
+            continue
+        added.append(canon)
+    return formula.extended(added)
 
 
 def run_hybrid(

@@ -192,6 +192,22 @@ def test_summary_matches_recomputation_from_csv():
         assert summary.per_solver[sid].score == pytest.approx(summary2.per_solver[sid].score)
 
 
+def test_trials_csv_round_trips_phase_solved_and_clauses_added():
+    f, _ = gen_planted(GenSpec(n=100, k=3, ratio=4.2, seed=8))
+    hybrid = SolverConfig("h", algorithm="hybrid", initial_flips=1, miner_conflict_limit=50)
+    records = run_suite([("i", f)], [hybrid, SolverConfig("p")], seeds=[1], budget_flips=5_000)
+    assert [(r.phase_solved, r.clauses_added) for r in records] == [("final-sls", 6), ("", 0)]
+    text = trials_to_csv(records)
+    assert text.splitlines()[0].endswith(",note,phase_solved,clauses_added")
+    back = trials_from_csv(text)
+    assert [(r.key(), r.note, r.phase_solved, r.clauses_added) for r in back] == \
+        [(r.key(), r.note, r.phase_solved, r.clauses_added) for r in records]
+    # a file written before the two columns existed reads with their defaults
+    old = "\n".join(",".join(line.split(",")[:7]) for line in text.splitlines()) + "\n"
+    assert [(r.key(), r.phase_solved, r.clauses_added) for r in trials_from_csv(old)] == \
+        [(r.key(), "", 0) for r in records]
+
+
 def test_summary_csv_and_cactus_output():
     records = [
         rec("i0", "s0", 0, True, 100, 2.0),

@@ -30,3 +30,26 @@ def test_tracer_binds_every_target_and_restores_them():
     finally:
         tracer.uninstall()
     assert [owner.__dict__[attr] for owner, attr in targets] == originals
+
+
+def test_run_hybrid_appends_mined_clauses_through_the_module_global_augment(monkeypatch):
+    # the tracer times `pipeline.augment_s` and counts `pipeline.clauses_added` by
+    # rebinding `satlab.pipeline.augment`; a direct call to `Formula.extended`
+    # or a local alias would leave both at 0
+    from satlab import pipeline
+    from satlab.generators import GenSpec, gen_planted
+
+    calls = []
+    original = pipeline.augment
+
+    def counting(formula, clauses):
+        out = original(formula, clauses)
+        calls.append(out.num_clauses - formula.num_clauses)
+        return out
+
+    monkeypatch.setattr(pipeline, "augment", counting)
+    f, _ = gen_planted(GenSpec(n=100, k=3, ratio=4.2, seed=8))
+    result = pipeline.run_hybrid(f, seed=1, strategy=pipeline.select_strategy(f, initial_flips=1),
+                                 miner_conflict_limit=50, final_flips=5_000)
+    assert "final-sls" in result.phase_flips  # phase 3 ran
+    assert calls == [result.clauses_added] and result.clauses_added > 0

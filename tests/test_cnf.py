@@ -20,7 +20,9 @@ from satlab.cnf import (
     parse_solution,
     resolve,
 )
+from satlab.cdcl import MiningBudget, cdcl_solve_and_mine
 from satlab.generators import GenSpec, gen_uniform
+from satlab.sls import probsat_run
 
 
 def test_parse_basic():
@@ -208,6 +210,82 @@ def test_unnormalized_formula_rejects_repeated_literal():
         with pytest.raises(ValueError, match="repeats a literal"):
             Formula(3, [(1, 2), clause], normalize=False)
     assert Formula(3, [(2, -3, 2)]).clauses == ((2, -3),)
+
+
+def formula_attrs(f):
+    return (f.num_vars, f.clauses, f.tautology_ids, f.occ_offsets, f.occ, f.max_occurrences,
+            f.max_width, f.csr())
+
+
+EXTENSIONS = {
+    # name: (num_vars, parent clauses, added clauses); parents keep their literal order
+    "no-additions": (4, [(1, -2), (2, 3, 4)], []),
+    "tautologies": (4, [(1, -2), (2, -2, 3)], [(1, -1), (3, 2, -3), (4,)]),
+    "wider-than-parent": (6, [(1, 2), (-3, 4)], [(1, 2, 3, 4, 5, 6), (-6,)]),
+    "literals-first-in-additions": (5, [(1, 2), (2, -1)], [(-5, 4), (3, -4, 5), (5,)]),
+    "unnormalized-parent": (4, [(3, -1), (2, -2, 4), (-1, 3, 4), (4,)], [(4, 3), (-4, -1), (1, -3)]),
+    "empty-parent": (3, [], [(2, 1), (-3,)]),
+    "empty-clauses": (3, [(1, 2), ()], [(), (-1,)]),
+}
+
+
+@pytest.mark.parametrize("cached_csr", [False, True])
+@pytest.mark.parametrize("name", sorted(EXTENSIONS))
+def test_extended_equals_a_rebuild(name, cached_csr):
+    n, old, new = EXTENSIONS[name]
+    parent = Formula(n, old, normalize=False)
+    if cached_csr:
+        parent.csr()
+    extended = parent.extended(new)
+    # a cached view is extended, and none is built for a parent without one
+    assert (extended._csr is not None) == cached_csr
+    assert formula_attrs(extended) == formula_attrs(Formula(n, old + new, normalize=False))
+    assert formula_attrs(parent) == formula_attrs(Formula(n, old, normalize=False))
+    # the extended formula survives the pickling that run_suite workers rely on
+    assert formula_attrs(pickle.loads(pickle.dumps(extended))) == formula_attrs(extended)
+
+
+def test_extended_equals_a_rebuild_on_random_formulas():
+    rng = random.Random(5)
+    for trial in range(200):
+        n = rng.randint(1, 9)
+
+        def clause():
+            lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), rng.randint(0, min(n, 5)))]
+            return lits + [-lits[0]] if lits and rng.random() < 0.2 else lits
+
+        old = [clause() for _ in range(rng.randint(0, 12))]
+        new = [clause() for _ in range(rng.randint(0, 8))]
+        parent = Formula(n, old, normalize=False)
+        if trial % 2:
+            parent.csr()
+        assert formula_attrs(parent.extended(new)) == formula_attrs(Formula(n, old + new, normalize=False))
+
+
+def test_extended_rejects_bad_clauses_and_leaves_the_parent_unchanged():
+    parent = Formula(3, [(1, -2), (2, 3)])
+    parent.csr()
+    before = formula_attrs(parent)
+    for bad, match in (((1, 4), "literal 4 out of range 1..3 in clause 3"), ((0,), "literal 0 out of range"),
+                       ((-4, 2), "literal -4 out of range"), ((2, 3, 2), "clause 3 repeats a literal")):
+        with pytest.raises(ValueError, match=match):
+            parent.extended([(1, 2), bad])
+        assert formula_attrs(parent) == before
+
+
+def test_engines_agree_on_extended_and_rebuilt_formulas():
+    base = gen_uniform(GenSpec(n=40, k=3, ratio=4.3, seed=11))
+    extra = [tuple(reversed(c)) for c in gen_uniform(GenSpec(n=40, k=4, ratio=0.5, seed=12)).clauses]
+    base.csr()  # extended from the parent's cached CSR, as after the miner in run_hybrid
+    extended = base.extended(extra)
+    rebuilt = Formula(40, base.clauses + tuple(extra), normalize=False)
+    for seed in range(4):
+        a, b = probsat_run(extended, 3_000, seed), probsat_run(rebuilt, 3_000, seed)
+        assert (a.status, a.flips_used, a.model) == (b.status, b.flips_used, b.model)
+        budget = MiningBudget(wall_seconds=60, conflict_limit=40, width_limit=5)
+        a, b = cdcl_solve_and_mine(extended, budget, seed), cdcl_solve_and_mine(rebuilt, budget, seed)
+        assert (a.status, a.model, a.learned, a.total_learned_seen, a.conflicts) == \
+            (b.status, b.model, b.learned, b.total_learned_seen, b.conflicts)
 
 
 def test_tautology_helpers():

@@ -114,6 +114,17 @@ def test_augment_identity_and_dedup():
     assert f.num_clauses == 2  # original untouched
 
 
+def test_augment_drops_clauses_with_the_literal_set_of_an_existing_one():
+    f = Formula(3, [(2, 1), (3, -1)], normalize=False)
+    assert augment(f, [(1, 2), (-1, 3)]).clauses == f.clauses
+    g = augment(f, [(3, 1), (-1, 3, 2), (2, 3, -1)])
+    assert g.clauses == f.clauses + ((1, 3), (-1, 2, 3))
+    # a subset or superset of a clause is not a duplicate; the empty clause is looked up too
+    assert augment(f, [(1,), (1, 2, 3)]).clauses == f.clauses + ((1,), (1, 2, 3))
+    assert augment(f, [()]).clauses == f.clauses + ((),)
+    assert augment(Formula(3, [(1,), ()]), [(), ()]).num_clauses == 2
+
+
 def test_augment_out_of_range():
     f = Formula(2, [(1, 2)])
     with pytest.raises(ValueError):
