@@ -1,0 +1,281 @@
+/* Compiled DIMACS scan and Formula index build, equal to the Python
+ * reference in satlab.cnf (the DIMACS reader of parse_dimacs, and
+ * canonical_clause plus _index_clauses in Formula.__init__).
+ *
+ * Clauses are flat: clause c holds lits[off[c] .. off[c+1]), DIMACS-signed
+ * ints.  The occurrence index is Formula's: the ids of the clauses holding
+ * literal l are occ[occ_off[i] .. occ_off[i+1]) with i = 2*|l| + (l < 0),
+ * in clause-id order.
+ */
+
+#include <limits.h>
+#include <stdlib.h>
+#include <string.h>
+
+enum { OK = 0, OUT_OF_RANGE = 1, REPEATED = 2, NO_MEMORY = 3 };
+enum { DEFER = 1 };
+
+#define INSERTION_SORT_MAX 16
+
+/* canonical order (|l|, l): -v sorts just before v */
+static long long lit_key(int lit)
+{
+    long long l = lit;
+    return l < 0 ? -2 * l : 2 * l + 1;
+}
+
+static int by_key(const void *a, const void *b)
+{
+    long long ka = lit_key(*(const int *)a), kb = lit_key(*(const int *)b);
+    return (ka > kb) - (ka < kb);
+}
+
+static void sort_lits(int *a, int w)
+{
+    if (w > INSERTION_SORT_MAX) {
+        qsort(a, (size_t)w, sizeof *a, by_key);
+        return;
+    }
+    for (int i = 1; i < w; i++) {
+        int x = a[i], j = i;
+        long long kx = lit_key(x);
+        for (; j > 0 && lit_key(a[j - 1]) > kx; j--)
+            a[j] = a[j - 1];
+        a[j] = x;
+    }
+}
+
+/* Index of the first literal of a[0 .. w) outside 1..n in absolute value, or -1. */
+static int first_out_of_range(const int *a, int w, int n)
+{
+    for (int i = 0; i < w; i++)
+        if (a[i] == 0 || a[i] < -n || a[i] > n)
+            return i;
+    return -1;
+}
+
+/* Canonicalise (when normalize: sort by (|l|, l) and drop repeats, in
+ * place, rewriting off) and check the m clauses; then fill the occurrence
+ * index by counting sort.  occ_off holds 2n + 3 zeros and occ room for
+ * off[m] ids.  On error, info[0] is the clause id and info[1] the literal
+ * (OUT_OF_RANGE), checked in the order _index_clauses checks them.  On
+ * success, taut[0 .. info[2]) are the tautology ids, info[3] is the
+ * longest occurrence list and info[4] the widest clause.
+ */
+int formula_index(int n, long long m, int *off, int *lits, int normalize,
+                  int *occ_off, int *occ, int *taut, long long *info)
+{
+    int *scratch = NULL;
+    int w = 0, max_width = 0;
+    long long ntaut = 0;
+    if (!normalize) {
+        for (long long c = 0; c < m; c++)
+            if (off[c + 1] - off[c] > max_width)
+                max_width = off[c + 1] - off[c];
+        if (max_width && !(scratch = malloc((size_t)max_width * sizeof *scratch)))
+            return NO_MEMORY;
+    }
+    for (long long c = 0; c < m; c++) {
+        int start = off[c], end = off[c + 1], width = end - start, *sorted, bad;
+        if (normalize) {
+            /* compact into lits[w ..): w <= start, and each literal is
+             * read before its slot is written */
+            sort_lits(lits + start, width);
+            int kept = 0;
+            for (int i = start; i < end; i++)
+                if (kept == 0 || lits[i] != lits[w + kept - 1])
+                    lits[w + kept++] = lits[i];
+            off[c] = w;
+            width = kept;
+            sorted = lits + w;
+            w += kept;
+            bad = first_out_of_range(sorted, width, n);
+        } else {
+            sorted = lits + start;
+            bad = first_out_of_range(sorted, width, n);
+            if (bad < 0 && width > 1) {
+                memcpy(scratch, sorted, (size_t)width * sizeof *scratch);
+                sort_lits(scratch, width);
+                sorted = scratch;
+                for (int i = 1; i < width; i++)
+                    if (sorted[i] == sorted[i - 1]) {
+                        free(scratch);
+                        info[0] = c;
+                        return REPEATED;
+                    }
+            }
+        }
+        if (bad >= 0) {
+            free(scratch);
+            info[0] = c;
+            info[1] = sorted[bad];
+            return OUT_OF_RANGE;
+        }
+        for (int i = 1; i < width; i++)
+            if (sorted[i] == -sorted[i - 1]) {
+                taut[ntaut++] = (int)c;
+                break;
+            }
+        if (width > max_width)
+            max_width = width;
+    }
+    free(scratch);
+    if (normalize)
+        off[m] = w;
+
+    /* counting sort: the count of list i goes to occ_off[i + 2], so that
+     * after the prefix sums occ_off[i + 1] is where list i starts, and
+     * filling advances it to where list i + 1 starts.  The last list's
+     * count is never needed (it ends at off[m]). */
+    int lists = 2 * n + 2, total = off[m], max_occ = 0;
+    for (int i = 0; i < total; i++) {
+        int l = lits[i], slot = 2 * abs(l) + (l < 0);
+        if (slot + 2 <= lists)
+            occ_off[slot + 2]++;
+    }
+    for (int i = 2; i <= lists; i++)
+        occ_off[i] += occ_off[i - 1];
+    for (long long c = 0; c < m; c++)
+        for (int i = off[c]; i < off[c + 1]; i++) {
+            int l = lits[i];
+            occ[occ_off[2 * abs(l) + (l < 0) + 1]++] = (int)c;
+        }
+    for (int i = 0; i < lists; i++)
+        if (occ_off[i + 1] - occ_off[i] > max_occ)
+            max_occ = occ_off[i + 1] - occ_off[i];
+    info[2] = ntaut;
+    info[3] = max_occ;
+    info[4] = max_width;
+    return OK;
+}
+
+static int blank(char ch)
+{
+    return ch == ' ' || ch == '\t';
+}
+
+static int digit(char ch)
+{
+    return ch >= '0' && ch <= '9';
+}
+
+/* An unsigned count of at most 18 digits at *p, then a blank or the end. */
+static int read_count(const char **p, const char *end, long long *out)
+{
+    const char *a = *p;
+    long long v = 0;
+    int digits = 0;
+    for (; a < end && digit(*a); a++, digits++)
+        v = 10 * v + (*a - '0');
+    if (digits == 0 || digits > 18 || (a < end && !blank(*a)))
+        return DEFER;
+    while (a < end && blank(*a))
+        a++;
+    *p = a;
+    *out = v;
+    return OK;
+}
+
+/* `p cnf N M`, tokens separated by blanks; N within the int32 index. */
+static int read_header(const char *a, const char *end, long long *n, long long *declared)
+{
+    if (end - a < 2 || a[0] != 'p' || !blank(a[1]))
+        return DEFER;
+    for (a++; a < end && blank(*a); a++)
+        ;
+    if (end - a < 4 || memcmp(a, "cnf", 3) != 0 || !blank(a[3]))
+        return DEFER;
+    for (a += 3; a < end && blank(*a); a++)
+        ;
+    if (read_count(&a, end, n) || read_count(&a, end, declared) || a != end)
+        return DEFER;
+    return 2 * *n + 3 > INT_MAX ? DEFER : OK;
+}
+
+/* Scan ASCII DIMACS in a strict subset of what parse_dimacs reads: lines
+ * end in '\n' and hold only tabs and printable ASCII; `c` comment lines,
+ * one `p cnf N M` header, clause lines of [+-]?digits tokens separated
+ * by blanks, and a `%` line that ends the clauses (dropping an open one).
+ * Anything else, including every input the reference rejects or warns
+ * about other than a clause-count mismatch, returns DEFER, and the
+ * Python reader takes the whole input.
+ *
+ * With off NULL the scan only counts: info gets N, M, the clauses parsed
+ * and the literals read (those of a dropped open clause included).  A
+ * second call with off (clauses + 1 ints) and lits (that many literals)
+ * fills them.
+ */
+int dimacs_scan(const char *text, long long len, long long *info, int *off, int *lits)
+{
+    const char *p = text, *end = text + len;
+    long long n = -1, declared = 0, m = 0, nlits = 0, closed = 0;
+    int fill = off != NULL, ended = 0;
+    if (fill)
+        off[0] = 0;
+    while (p < end && !ended) {
+        const char *a = p, *b = memchr(p, '\n', (size_t)(end - p));
+        if (b == NULL)
+            b = end;
+        p = b < end ? b + 1 : end;
+        for (const char *q = a; q < b; q++)
+            if (*q != '\t' && (*q < 0x20 || *q > 0x7e))
+                return DEFER;
+        while (a < b && blank(*a))
+            a++;
+        while (b > a && blank(b[-1]))
+            b--;
+        if (a == b || *a == 'c')
+            continue;
+        if (*a == '%') {
+            if (n < 0)
+                return DEFER;
+            ended = 1;
+            continue;
+        }
+        if (*a == 'p') {
+            if (n >= 0 || read_header(a, b, &n, &declared))
+                return DEFER;
+            continue;
+        }
+        if (n < 0)
+            return DEFER;
+        while (a < b) {
+            int negative = *a == '-';
+            long long v = 0;
+            if (*a == '-' || *a == '+')
+                a++;
+            if (a == b || !digit(*a))
+                return DEFER;
+            for (; a < b && digit(*a); a++)
+                if ((v = 10 * v + (*a - '0')) > n)
+                    return DEFER;
+            if (a < b && !blank(*a))
+                return DEFER;
+            while (a < b && blank(*a))
+                a++;
+            if (v == 0) {
+                closed = nlits;
+                if (fill)
+                    off[m + 1] = (int)nlits;
+                m++;
+            } else {
+                if (nlits == INT_MAX)
+                    return DEFER; /* offsets are int32 */
+                if (fill)
+                    lits[nlits] = (int)(negative ? -v : v);
+                nlits++;
+            }
+        }
+    }
+    /* the reference decodes the whole input before reading it */
+    for (; p < end; p++)
+        if ((unsigned char)*p > 0x7f)
+            return DEFER;
+    if (n < 0 || (closed != nlits && !ended))
+        return DEFER;
+    info[0] = n;
+    info[1] = declared;
+    info[2] = m;
+    info[3] = nlits;
+    return OK;
+}

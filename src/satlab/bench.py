@@ -34,6 +34,7 @@ class TrialRecord:
     note: str = ""
     phase_solved: str = ""  # hybrid trials: the `SolveResult` phase that solved it
     clauses_added: int = 0  # hybrid trials: clauses `augment` appended before the final phase
+    miner_conflicts: int = 0  # hybrid trials: conflicts the miner ran (0 when it did not run)
 
     def key(self) -> tuple:
         """Timing-free projection used for determinism comparisons."""
@@ -148,6 +149,7 @@ def run_trial(
         return TrialRecord(
             instance_id, config.solver_id, seed, result.status == "sat", total_flips, total_seconds,
             phase_solved=result.phase_solved or "", clauses_added=result.clauses_added,
+            miner_conflicts=result.phase_conflicts.get("miner", 0),
         )
     except AssertionError:
         raise
@@ -261,7 +263,7 @@ def summarize(records, timeout: float, currency: str = "flips") -> BenchmarkSumm
 
 
 TRIALS_HEADER = ["instance_id", "solver_id", "seed", "solved", "flips", "seconds", "note",
-                 "phase_solved", "clauses_added"]
+                 "phase_solved", "clauses_added", "miner_conflicts"]
 
 
 def trials_to_csv(records) -> str:
@@ -270,7 +272,7 @@ def trials_to_csv(records) -> str:
     writer.writerow(TRIALS_HEADER)
     for r in records:
         writer.writerow([r.instance_id, r.solver_id, r.seed, int(r.solved), r.flips,
-                         f"{r.seconds:.6f}", r.note, r.phase_solved, r.clauses_added])
+                         f"{r.seconds:.6f}", r.note, r.phase_solved, r.clauses_added, r.miner_conflicts])
     return buf.getvalue()
 
 
@@ -290,6 +292,7 @@ def trials_from_csv(text: str) -> list[TrialRecord]:
             note=row.get("note", ""),
             phase_solved=row.get("phase_solved", ""),
             clauses_added=int(row.get("clauses_added", 0)),
+            miner_conflicts=int(row.get("miner_conflicts", 0)),
         ))
     return out
 

@@ -6,6 +6,23 @@ literal is a signed integer, `v` for the positive literal of variable v
 tuples of literals sorted by variable index, which makes deduplication
 and set operations exact.  Assignments are lists of booleans of length
 n+1 with index 0 unused, so `assignment[v]` is the value of variable v.
+
+Building a `Formula` and reading DIMACS each have two paths with one set
+of results:
+
+- `_cnf.c`, built into the one compiled library of `satlab.sls`
+  (`sls._load_kernel`), canonicalises and checks flat int32 clauses and
+  fills the occurrence index (`formula_index`), and scans DIMACS text in
+  a strict subset: ASCII lines of `[+-]?digits` tokens, `c` comments, one
+  `p cnf N M` header and a `%` end line (`dimacs_scan`).  Any other
+  input it hands back to the Python reader whole.
+- `canonical_clause` with `_index_clauses`, and `_read_dimacs`, are the
+  readable reference.  They run when the library is unavailable, when
+  clauses do not fit int32 arrays, and for every input outside the
+  scanner's subset, so every error message and warning is theirs.
+
+The differential tests in `tests/test_cnf.py` hold the two paths to
+equal attributes, errors and warnings.
 """
 
 from __future__ import annotations
@@ -18,6 +35,10 @@ from typing import Iterable, Iterator, Sequence
 
 Clause = tuple[int, ...]
 Assignment = list[bool]
+
+_INT32_MAX = 2**31 - 1
+# `formula_index` status codes
+_OUT_OF_RANGE, _REPEATED = 1, 2
 
 
 class DimacsError(ValueError):
@@ -55,7 +76,13 @@ class Formula:
     mutated after construction: literal `l` occurs in the clauses
     `occ[occ_offsets[i]:occ_offsets[i + 1]]`, `i = 2 * abs(l) + (l < 0)`,
     in id order (a tautology under both of its literals).  No list is
-    longer than `max_occurrences`.
+    longer than `max_occurrences`.  `2 * num_vars + 3` must fit int32.
+
+    The compiled `formula_index` builds it from the clauses flattened into
+    int32 arrays, and the clause tuples from slices of those arrays.  The
+    reference (`canonical_clause`, then `_index_clauses`) builds it when
+    the library is unavailable or the clauses do not flatten, and then
+    raises for what int32 cannot hold.  The CSR view stays lazy on both.
 
     `extended(clauses)` appends clauses without rebuilding: it checks only
     the new ones, and its result has every attribute (clauses, tautology
@@ -69,6 +96,20 @@ class Formula:
     def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]], normalize: bool = True):
         if num_vars < 0:
             raise ValueError(f"negative variable count: {num_vars}")
+        if 2 * num_vars + 3 > _INT32_MAX:
+            raise ValueError(f"variable count {num_vars} exceeds the int32 occurrence index")
+        kernel = _kernel() if isinstance(num_vars, int) else None
+        if kernel is not None:
+            clauses = clauses if isinstance(clauses, (list, tuple)) else list(clauses)
+            try:
+                offsets = array("i", accumulate(map(len, clauses), initial=0))
+                lits = array("i", chain.from_iterable(clauses))
+            except (OverflowError, TypeError):
+                pass  # the reference raises, or holds what int32 cannot
+            else:
+                if len(lits) == offsets[-1]:  # else some clause's len disagrees with its literals
+                    self._index_native(kernel, num_vars, offsets, lits, normalize)
+                    return
         self.num_vars = num_vars
         if normalize:
             self.clauses: tuple[Clause, ...] = tuple(canonical_clause(c) for c in clauses)
@@ -80,6 +121,33 @@ class Formula:
         self.occ = array("i", [cid for ids in occ for cid in ids])
         self.max_occurrences = max(map(len, occ))
         self._max_width = max((len(c) for c in self.clauses), default=0)
+        self._csr = None
+
+    def _index_native(self, kernel, num_vars: int, offsets: array, lits: array, normalize: bool) -> None:
+        """Set every attribute from flat int32 clauses with `formula_index`,
+        raising `_index_clauses`'s errors.  It canonicalises `offsets` and
+        `lits` in place when `normalize`; `lits` may run past `offsets[-1]`.
+        """
+        m = len(offsets) - 1
+        occ_offsets = array("i", [0]) * (2 * num_vars + 3)
+        occ = array("i", [0]) * offsets[-1]
+        taut = array("i", [0]) * m
+        info = array("q", [0]) * 5
+        status = kernel.formula_index(num_vars, m, _address(offsets), _address(lits), normalize,
+                                      *map(_address, (occ_offsets, occ, taut, info)))
+        if status == _OUT_OF_RANGE:
+            raise ValueError(f"literal {info[1]} out of range 1..{num_vars} in clause {info[0]}")
+        if status == _REPEATED:
+            cid = info[0]
+            raise ValueError(f"clause {cid} repeats a literal: {tuple(lits[offsets[cid]:offsets[cid + 1]])}")
+        if status:
+            raise MemoryError("formula_index could not allocate its scratch buffer")
+        del occ[offsets[-1]:]  # repeats dropped by normalize
+        self.num_vars = num_vars
+        self.clauses = tuple(map(tuple, map(lits.__getitem__, map(slice, offsets, offsets[1:]))))
+        self.tautology_ids = frozenset(taut[: info[2]])
+        self.occ_offsets, self.occ, self.max_occurrences = occ_offsets, occ, info[3]
+        self._max_width = info[4]
         self._csr = None
 
     def extended(self, clauses: Iterable[Sequence[int]]) -> Formula:
@@ -193,10 +261,39 @@ def parse_dimacs(text: str | bytes) -> Formula:
     tautological clauses are retained and flagged in `Formula.tautology_ids`.
     A clause-count mismatch against the header is a `DimacsWarning`, not an
     error, and the actual count is used.  A `%` line ends the clause section
-    (SATLIB convention).
+    (SATLIB convention).  Bytes must be ASCII.  The compiled scanner reads
+    the common subset of this format, building the formula without
+    `Formula.__init__`; `_read_dimacs` reads the rest and is the reference.
     """
+    kernel = _kernel()
+    scanned = None if kernel is None else _scan_dimacs(kernel, text)
+    if scanned is None:
+        num_vars, declared_m, clauses = _read_dimacs(text)
+        num_clauses = len(clauses)
+    else:
+        num_vars, declared_m, offsets, lits = scanned
+        num_clauses = len(offsets) - 1
+    if num_clauses != declared_m:
+        warnings.warn(
+            f"header declares {declared_m} clauses but {num_clauses} parsed; using actual count",
+            DimacsWarning,
+            stacklevel=2,
+        )
+    if scanned is None:
+        return Formula(num_vars, clauses)
+    formula = Formula.__new__(Formula)
+    formula._index_native(kernel, num_vars, offsets, lits, True)
+    return formula
+
+
+def _read_dimacs(text: str | bytes) -> tuple[int, int, list[list[int]]]:
+    """The reference DIMACS reader: (n, declared m, clauses) or a DimacsError."""
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            lineno = len((text[: exc.start].decode("ascii") + "x").splitlines())
+            raise DimacsError(f"line {lineno}: non-ASCII byte {text[exc.start]:#04x}") from None
     header = None
     clauses: list[list[int]] = []
     current: list[int] = []
@@ -220,6 +317,8 @@ def parse_dimacs(text: str | bytes) -> Formula:
                 raise DimacsError(f"line {lineno}: malformed header {line!r}") from None
             if header[0] < 0 or header[1] < 0:
                 raise DimacsError(f"line {lineno}: negative counts in header")
+            if 2 * header[0] + 3 > _INT32_MAX:
+                raise DimacsError(f"line {lineno}: {header[0]} variables exceed the int32 occurrence index")
             continue
         if header is None:
             raise DimacsError(f"line {lineno}: clause data before header")
@@ -235,14 +334,36 @@ def parse_dimacs(text: str | bytes) -> Formula:
         raise DimacsError("missing `p cnf` header")
     if current and not ended:
         raise DimacsError("last clause not terminated by 0")
-    n, declared_m = header
-    if len(clauses) != declared_m:
-        warnings.warn(
-            f"header declares {declared_m} clauses but {len(clauses)} parsed; using actual count",
-            DimacsWarning,
-            stacklevel=2,
-        )
-    return Formula(n, clauses)
+    return header[0], header[1], clauses
+
+
+def _scan_dimacs(kernel, text) -> tuple[int, int, array, array] | None:
+    """(n, declared m, clause offsets, literals) from `dimacs_scan`, or
+    None when `text` lies outside the subset it reads."""
+    if isinstance(text, str):
+        if not text.isascii():
+            return None
+        text = text.encode("ascii")
+    elif not isinstance(text, bytes):
+        return None
+    info = array("q", [0]) * 4
+    if kernel.dimacs_scan(text, len(text), _address(info), None, None):
+        return None
+    offsets = array("i", [0]) * (info[2] + 1)
+    lits = array("i", [0]) * info[3]
+    kernel.dimacs_scan(text, len(text), *map(_address, (info, offsets, lits)))
+    return info[0], info[1], offsets, lits
+
+
+def _kernel():
+    """The compiled library of `satlab.sls`, which holds `_cnf.c`, or None."""
+    from . import sls  # imported here: sls imports this module
+
+    return sls._load_kernel()
+
+
+def _address(buf: array) -> int:
+    return buf.buffer_info()[0]
 
 
 def _int_tokens(line: str, lineno: int) -> list[int]:

@@ -20,9 +20,10 @@ swap-remove registry with O(1) membership, insertion, and deletion.
   formula's cached CSR view (`Formula.csr`) and occurrence arrays, and
   continues the Mersenne Twister stream of `random.Random(seed)`.  It is
   built on first use with the system C compiler, into one library with
-  the CDCL kernel of `satlab.cdcl` (`_cdcl.c`), in
+  the CDCL kernel of `satlab.cdcl` (`_cdcl.c`) and the DIMACS scan and
+  `Formula` index build of `satlab.cnf` (`_cnf.c`), in
   `$XDG_CACHE_HOME/satlab` (by default `~/.cache/satlab`), under a file
-  name keyed by both sources, the flags and the platform.
+  name keyed by the three sources, the flags and the platform.
 - `_probsat_python`, the flip loop over `SlsState` (which reads the same
   arrays through `Formula.occurrence`), is the readable reference.  It
   runs when no compiler or cache directory is usable, and for formulas
@@ -353,7 +354,7 @@ def _result(formula: Formula, model: Assignment | None, flips_done: int, seed: i
 
 
 # every compiled kernel of the package: one library, one build, one cache key
-_KERNEL_SOURCES = tuple(Path(__file__).with_name(name) for name in ("_probsat.c", "_cdcl.c"))
+_KERNEL_SOURCES = tuple(Path(__file__).with_name(name) for name in ("_probsat.c", "_cdcl.c", "_cnf.c"))
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
@@ -368,10 +369,11 @@ def _compiler() -> str | None:
 
 @functools.cache
 def _load_kernel() -> ctypes.CDLL | None:
-    """The compiled kernels (the probSAT flip loop here and the CDCL
-    search of `satlab.cdcl`), built on first use into the cache named in
-    the module docstring; None when no compiler or cache directory is
-    usable, and then both modules run their Python reference.  The
+    """The compiled kernels (the probSAT flip loop here, the CDCL search
+    of `satlab.cdcl`, and the DIMACS scan and `Formula` index build of
+    `satlab.cnf`), built on first use into the cache named in the module
+    docstring; None when no compiler or cache directory is usable, and
+    then all three modules run their Python reference.  The
     compiler writes a temporary file that is then renamed into place, so
     concurrent processes never load a partial library.
     """
@@ -399,8 +401,8 @@ def _load_kernel() -> ctypes.CDLL | None:
                 raise
         lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.CalledProcessError) as exc:
-        warnings.warn(f"compiled kernels unavailable, using the Python flip loop and CdclSolver: {exc}",
-                      RuntimeWarning)
+        warnings.warn("compiled kernels unavailable, using the Python flip loop, CdclSolver and the Python"
+                      f" DIMACS reader and Formula build: {exc}", RuntimeWarning)
         return None
     ptr, i64, i32 = ctypes.c_void_p, ctypes.c_longlong, ctypes.c_int
     for name, restype, argtypes in (
@@ -417,6 +419,8 @@ def _load_kernel() -> ctypes.CDLL | None:
         ("cdcl_records", None, [ptr, ptr, ptr, ptr]),
         ("cdcl_assignment", None, [ptr, ctypes.c_char_p]),
         ("cdcl_free", None, [ptr]),
+        ("formula_index", i32, [i32, i64, ptr, ptr, i32, ptr, ptr, ptr, ptr]),
+        ("dimacs_scan", i32, [ctypes.c_char_p, i64, ptr, ptr, ptr]),
     ):
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes

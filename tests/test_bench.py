@@ -198,7 +198,7 @@ def test_trials_csv_round_trips_phase_solved_and_clauses_added():
     records = run_suite([("i", f)], [hybrid, SolverConfig("p")], seeds=[1], budget_flips=5_000)
     assert [(r.phase_solved, r.clauses_added) for r in records] == [("final-sls", 6), ("", 0)]
     text = trials_to_csv(records)
-    assert text.splitlines()[0].endswith(",note,phase_solved,clauses_added")
+    assert text.splitlines()[0].endswith(",note,phase_solved,clauses_added,miner_conflicts")
     back = trials_from_csv(text)
     assert [(r.key(), r.note, r.phase_solved, r.clauses_added) for r in back] == \
         [(r.key(), r.note, r.phase_solved, r.clauses_added) for r in records]
@@ -206,6 +206,33 @@ def test_trials_csv_round_trips_phase_solved_and_clauses_added():
     old = "\n".join(",".join(line.split(",")[:7]) for line in text.splitlines()) + "\n"
     assert [(r.key(), r.phase_solved, r.clauses_added) for r in trials_from_csv(old)] == \
         [(r.key(), "", 0) for r in records]
+
+
+def test_trials_csv_carries_the_miner_conflicts_of_hybrid_trials():
+    large, _ = gen_planted(GenSpec(n=100, k=3, ratio=4.2, seed=8))
+    small, _ = gen_planted(GenSpec(n=30, k=3, ratio=4.2, seed=8))
+    hybrid = SolverConfig("h", algorithm="hybrid", initial_flips=1, miner_conflict_limit=50)
+    records = run_suite([("large", large), ("small", small)], [hybrid, SolverConfig("p")], seeds=[1, 2],
+                        budget_flips=5_000)
+    for r in records:
+        formula = large if r.instance_id == "large" else small
+        if r.solver_id == "p":
+            assert r.miner_conflicts == 0
+            continue
+        result = pipeline.run_hybrid(formula, wall_budget=pipeline.WALL_BUDGET_DEFAULT, seed=r.seed,
+                                     strategy=pipeline.select_strategy(formula, initial_flips=1),
+                                     miner_conflict_limit=50, final_flips=5_000)
+        assert r.miner_conflicts == result.phase_conflicts["miner"] > 0
+    # both trials that the miner solves and trials it hands to the final phase
+    assert {r.phase_solved for r in records if r.solver_id == "h"} == {"miner", "final-sls"}
+    assert TrialRecord("i", "h", 0, True, 1, 0.0).key() == \
+        TrialRecord("i", "h", 0, True, 1, 0.0, miner_conflicts=7).key()
+    text = trials_to_csv(records)
+    assert [r.miner_conflicts for r in trials_from_csv(text)] == [r.miner_conflicts for r in records]
+    # a file written before the column existed reads with the default
+    old = "\n".join(",".join(line.split(",")[:9]) for line in text.splitlines()) + "\n"
+    assert [(r.key(), r.clauses_added, r.miner_conflicts) for r in trials_from_csv(old)] == \
+        [(r.key(), r.clauses_added, 0) for r in records]
 
 
 def test_summary_csv_and_cactus_output():

@@ -1,9 +1,11 @@
 import pickle
 import random
+import warnings
 
 import pytest
 
 import oracles
+from satlab import cnf, sls
 from satlab.cnf import (
     DimacsError,
     DimacsWarning,
@@ -245,6 +247,13 @@ def test_extended_equals_a_rebuild(name, cached_csr):
     assert formula_attrs(pickle.loads(pickle.dumps(extended))) == formula_attrs(extended)
 
 
+@pytest.mark.parametrize("cached_csr", [False, True])
+@pytest.mark.parametrize("name", sorted(EXTENSIONS))
+def test_extended_equals_a_rebuild_on_the_python_build(name, cached_csr, monkeypatch):
+    monkeypatch.setattr(sls, "_load_kernel", lambda: None)
+    test_extended_equals_a_rebuild(name, cached_csr)
+
+
 def test_extended_equals_a_rebuild_on_random_formulas():
     rng = random.Random(5)
     for trial in range(200):
@@ -307,3 +316,226 @@ def test_eval_formula():
     f = Formula(2, [(1,), (-2,)])
     assert eval_formula(f, [False, True, False])
     assert not eval_formula(f, [False, True, True])
+
+
+# Native against reference: `Formula` and `parse_dimacs` run `_cnf.c` when
+# the compiled library loads, and their Python reference when
+# `sls._load_kernel` returns None.
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    if sls._compiler() is None:
+        pytest.skip("no C compiler on PATH, so only the Python reference runs")
+    lib = sls._load_kernel()
+    assert lib is not None, "a C compiler exists but the compiled library did not build or load"
+    return lib
+
+
+def outcome(make):
+    """`make()`'s formula attributes (also after a pickle round trip), or
+    its exception's type and message; and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            f = make()
+        except Exception as exc:
+            result = (type(exc), str(exc))
+        else:
+            result = (formula_attrs(f), formula_attrs(pickle.loads(pickle.dumps(f))))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def native_and_reference(monkeypatch, make):
+    native = outcome(make)
+    with monkeypatch.context() as patched:
+        patched.setattr(sls, "_load_kernel", lambda: None)
+        reference = outcome(make)
+    return native, reference
+
+
+def random_clause(rng, n):
+    width = rng.choice((0, 1, 2, 3, 3, 4, 5, 7, 17, 25))  # wider than 16 sorts with qsort
+    lits = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(width)]
+    if rng.random() < 0.8:
+        lits = list(dict.fromkeys(lits))  # no repeats, so normalize=False accepts it
+    if lits and rng.random() < 0.15:
+        lits.append(-lits[0])  # a tautology
+    if rng.random() < 0.02:
+        lits.insert(rng.randint(0, len(lits)), rng.choice((0, n + 1, -n - 1)))  # out of range
+    return lits if rng.random() < 0.5 else tuple(lits)
+
+
+def test_native_build_equals_the_reference_on_random_formulas(kernel, monkeypatch):
+    rng = random.Random(8)
+    seen = {"built": 0, "rejected": 0, "tautologies": 0, "empty": 0, "unsorted": 0}
+    for _ in range(2_000):
+        n = rng.randint(1, 30)
+        clauses = [random_clause(rng, n) for _ in range(rng.randint(0, 14))]
+        for normalize in (True, False):
+            native, reference = native_and_reference(monkeypatch, lambda: Formula(n, clauses, normalize))
+            assert native == reference, (n, clauses, normalize)
+            if isinstance(native[0][0], type):
+                seen["rejected"] += 1
+                continue
+            seen["built"] += 1
+            formula = Formula(n, clauses, normalize)
+            seen["tautologies"] += bool(formula.tautology_ids)
+            seen["empty"] += formula.has_empty_clause()
+            seen["unsorted"] += any(list(c) != sorted(c, key=lambda l: (abs(l), l)) for c in formula.clauses)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_native_build_raises_the_reference_errors(kernel, monkeypatch):
+    bad = [
+        [(1, 4)], [(0,)], [(2, 0, -5)], [(3, -5, 4)], [(1, 2), (2**31,)], [(-(2**31),)],
+        [(-(2**31) - 1, 1)], [(2**40, 0)], [(1, -4), (1, 1)], [(1, 1), (1, -4)], [(3, -1, 3, 9)],
+        [(1.0, 2)], [("1",)], [None],
+    ]
+    repeats = [[(2, -3, 2)], [(1,), (3, -1, -3, 3)]]  # rejected with normalize=False only
+    for clauses, normalize in [(c, norm) for c in bad for norm in (True, False)] + [(c, False) for c in repeats]:
+        native, reference = native_and_reference(monkeypatch, lambda: Formula(3, clauses, normalize))
+        assert native == reference, (clauses, normalize)
+        assert isinstance(native[0][0], type) and issubclass(native[0][0], (ValueError, TypeError))
+    with pytest.raises(ValueError, match=r"literal -2147483648 out of range 1\.\.3 in clause 0"):
+        Formula(3, [(-(2**31), 1)])
+    with pytest.raises(ValueError, match=r"clause 1 repeats a literal: \(2, -3, 2\)"):
+        Formula(3, [(1,), (2, -3, 2)], normalize=False)
+
+
+def test_native_build_reads_generators_and_odd_clause_objects(kernel, monkeypatch):
+    class Misreported:
+        """A clause whose length disagrees with its literals."""
+
+        def __len__(self):
+            return 5
+
+        def __iter__(self):
+            return iter((2, -1))
+
+    clauses = [(3, -1, 2), [2, 2, -1], (), [1, -1], range(1, 4), {3: 0, -2: 0}]
+    for normalize in (True, False):
+        rows = clauses if normalize else [c for c in clauses if c != [2, 2, -1]]
+        for make in (
+            lambda: Formula(3, (c for c in rows), normalize),  # consumed once
+            lambda: Formula(3, (iter(c) for c in rows), normalize),
+            lambda: Formula(3, tuple(rows) + (Misreported(),), normalize),
+        ):
+            native, reference = native_and_reference(monkeypatch, make)
+            assert native == reference
+            assert not isinstance(native[0][0], type)
+    assert Formula(3, (c for c in clauses)).clauses == ((-1, 2, 3), (-1, 2), (), (-1, 1), (1, 2, 3), (-2, 3))
+
+
+def test_huge_variable_count_raises_before_allocating(monkeypatch):
+    # 2 * n + 3 must fit int32; nothing of that size is ever allocated here
+    for n in (2**30 - 1, 99_999_999_999):
+        for kernel_loader in (sls._load_kernel, lambda: None):
+            with monkeypatch.context() as patched:
+                patched.setattr(sls, "_load_kernel", kernel_loader)
+                with pytest.raises(ValueError, match=f"variable count {n} exceeds the int32 occurrence index"):
+                    Formula(n, [(1,)])
+                with pytest.raises(DimacsError, match=f"line 2: {n} variables exceed the int32 occurrence index"):
+                    parse_dimacs(f"c big\np cnf {n} 0\n")
+
+
+def test_non_ascii_bytes_raise_a_dimacs_error_naming_the_line():
+    with pytest.raises(DimacsError, match="line 2: non-ASCII byte 0xff"):
+        parse_dimacs(b"p cnf 1 1\n\xff 0\n")
+    with pytest.raises(DimacsError, match="line 5: non-ASCII byte 0xc3"):
+        parse_dimacs("c x\r\np cnf 2 1\r\n1 2 0\n%\n\u00e9\n".encode())
+    # str input holds characters, not bytes: a comment may hold any of them
+    assert parse_dimacs("c caf\u00e9\np cnf 1 1\n1 0\n").clauses == ((1,),)
+
+
+DIMACS_BASE = "c generated\np cnf 12 5\n1 -2 3 0\n-1 4 0\n5 -3 2 0\n-4 0\n12 -11 10 9 0\n"
+DIMACS_CASES = {
+    "base": DIMACS_BASE,
+    "crlf": DIMACS_BASE.replace("\n", "\r\n"),
+    "tabs": DIMACS_BASE.replace(" ", "\t"),
+    "plus-sign": DIMACS_BASE.replace("3 0", "+3 0"),
+    "underscore": DIMACS_BASE.replace("12 -11", "1_2 -11"),
+    "unicode-digit": DIMACS_BASE.replace("5 -3", "\u0665 -3"),
+    "percent-with-open-clause": "p cnf 3 1\n1 2 0\n-1 3\n%\n0\n",
+    "percent-then-garbage": "p cnf 3 1\n1 2 0\n%\nx y z\n",
+    "header-mismatch": "p cnf 3 5\n1 0\n2 -3 0\n",
+    "percent-before-header": "%\np cnf 3 1\n1 0\n",
+    "negative-zero": "p cnf 3 2\n1 -0 -2 +0\n",
+    "leading-zeros": "p cnf 003 02\n001 -02 0 03 0\n",
+    "no-final-newline": "p cnf 2 1\n1 -2 0",
+    "indented": "  c note\n\tp cnf 2 1 \n  1\t-2   0  \n\n",
+    "comment-between": "p cnf 2 2\n1 0\nc mid\n-2\n2 0\n",
+    "empty-clause": "p cnf 2 2\n0\n1 0\n",
+    "tautology-and-repeat": "p cnf 2 2\n1 -1 2 0\n2 2 1 0\n",
+    "duplicate-header": "p cnf 2 1\np cnf 2 1\n1 0\n",
+    "clause-before-header": "1 0\np cnf 1 1\n",
+    "missing-header": "c only\n",
+    "empty": "",
+    "unterminated": "p cnf 2 1\n1 2\n",
+    "out-of-range": "p cnf 2 1\n1 -3 0\n",
+    "non-integer": "p cnf 2 1\n1 x 0\n",
+    "sign-only": "p cnf 2 1\n1 - 0\n",
+    "malformed-header": "p cnf 2\n1 0\n",
+    "header-word": "p dnf 2 1\n1 0\n",
+    "glued-header": "pcnf 2 1\n1 0\n",
+    "negative-header": "p cnf -2 1\n1 0\n",
+    "form-feed": "p cnf 2 1\n1\x0c2 0\n",
+    "vertical-tab-in-comment": "c a\x0bp cnf 2 1\np cnf 2 1\n1 0\n",
+    "record-separator": "p cnf 2 1\n1 \x1e2 0\n",
+    "nul": "p cnf 2 1\n1 2\x00 0\n",
+    "delete": "c \x7f\np cnf 2 1\n1 2 0\n",
+    "bare-cr": "p cnf 2 2\r1 0\r-2 0\r",
+}
+
+
+def mutate(rng, text):
+    alphabet = " \t\n\r0129-+_%cpx\x0c\x0b\x1c\x00\x7f\u00e9\u0663"
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        op = rng.randrange(4)
+        if op == 0:
+            text = text[:i] + rng.choice(alphabet) + text[i:]
+        elif op == 1:
+            text = text[:i] + text[i + 1 :]
+        else:
+            lines = text.split("\n")
+            j, k = rng.randrange(len(lines)), rng.randrange(len(lines))
+            if op == 2:
+                lines.insert(k, lines[j])
+            else:
+                lines[j], lines[k] = lines[k], lines[j]
+            text = "\n".join(lines)
+    return text
+
+
+def test_parse_dimacs_native_equals_the_reference(kernel, monkeypatch):
+    rng = random.Random(13)
+    texts = list(DIMACS_CASES.values())
+    for seed in range(4):
+        texts.append(emit_dimacs(gen_uniform(GenSpec(n=15, k=3, ratio=4.0, seed=seed)), ["uniform"]))
+    texts += [mutate(rng, rng.choice(texts)) for _ in range(2_500)]
+    scanned = deferred = 0
+    for text in texts:
+        for data in (text, text.encode()):
+            native, reference = native_and_reference(monkeypatch, lambda: parse_dimacs(data))
+            assert native == reference, repr(data)
+            if cnf._scan_dimacs(kernel, data) is None:
+                deferred += 1
+            else:
+                scanned += 1
+    assert scanned >= 500 and deferred >= 500, (scanned, deferred)
+
+
+def test_parse_dimacs_pinned_cases():
+    # the mutations the differential test starts from, pinned on the default path
+    assert parse_dimacs(DIMACS_CASES["crlf"]).clauses == parse_dimacs(DIMACS_BASE).clauses
+    assert parse_dimacs(DIMACS_CASES["plus-sign"]).clauses == parse_dimacs(DIMACS_BASE).clauses
+    assert parse_dimacs(DIMACS_CASES["underscore"]).clauses == parse_dimacs(DIMACS_BASE).clauses
+    assert parse_dimacs(DIMACS_CASES["unicode-digit"]).clauses == parse_dimacs(DIMACS_BASE).clauses
+    assert parse_dimacs(DIMACS_CASES["percent-with-open-clause"]).clauses == ((1, 2),)
+    assert parse_dimacs(DIMACS_CASES["negative-zero"]).clauses == ((1,), (-2,))
+    assert parse_dimacs(DIMACS_CASES["leading-zeros"]).clauses == ((1, -2), (3,))
+    with pytest.warns(DimacsWarning, match="header declares 5 clauses but 2 parsed"):
+        parse_dimacs(DIMACS_CASES["header-mismatch"])
+    with pytest.raises(DimacsError, match="missing `p cnf` header"):
+        parse_dimacs(DIMACS_CASES["percent-before-header"])

@@ -194,8 +194,8 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     compiler = sls._compiler()
     if compiler is None:
         pytest.skip("no C compiler on PATH")
-    assert [p.name for p in sls._KERNEL_SOURCES] == ["_probsat.c", "_cdcl.c"]
-    # each source alone, then both into one library as the loader builds them
+    assert [p.name for p in sls._KERNEL_SOURCES] == ["_probsat.c", "_cdcl.c", "_cnf.c"]
+    # each source alone, then all three into one library as the loader builds them
     for sources in (*([p] for p in sls._KERNEL_SOURCES), sls._KERNEL_SOURCES):
         built = subprocess.run(
             [compiler, *sls._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
