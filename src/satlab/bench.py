@@ -13,10 +13,12 @@ from __future__ import annotations
 import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import get_type_hints
 
 from .cnf import Formula
-from .pipeline import _HUGE_FLIPS, WALL_BUDGET_DEFAULT, run_hybrid, select_strategy
+from .pipeline import (_HUGE_FLIPS, OVERRIDABLE, WALL_BUDGET_DEFAULT, reject_ignored_by_sls, run_hybrid,
+                       select_strategy)
 from .sls import ScoringFunction, probsat_run
 from .stats import DegenerateInputError, cohens_d, paired_t_test, wilcoxon_signed_rank
 
@@ -25,6 +27,8 @@ FLIP_TIMEOUTS = {3: 1_000_000_000, 5: 500_000_000, 7: 250_000_000}
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial's outcome; `trials.csv` has a column per field, in this order."""
+
     instance_id: str
     solver_id: str
     seed: int
@@ -60,36 +64,49 @@ def default_flip_timeout(k: int) -> int:
         raise ValueError(f"no default flip timeout for k={k}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SolverConfig:
     """One named solver configuration for the harness.
 
-    Hybrid trials hand `scoring` and the per-track fields to
-    `select_strategy`, where None keeps the track's value.
+    Every keyword but `algorithm` and `miner_conflict_limit` names a
+    `Strategy` setting (`pipeline.OVERRIDABLE`) and goes into `overrides`,
+    which hybrid trials pass unchanged to `select_strategy`; None keeps
+    the track's value and is not stored.  An unknown name is a ValueError,
+    and so is any setting but `scoring` on an "sls" config.
     """
 
     solver_id: str
-    algorithm: str = "sls"  # sls | hybrid
-    scoring: ScoringFunction | None = None
-    initial_flips: int | None = None
-    miner_seconds: float | None = None
-    miner_conflict_limit: int | None = None
-    width_limit: int | None = None
-    count_cap_percent: float | None = None
+    algorithm: str  # sls | hybrid
+    miner_conflict_limit: int | None
+    overrides: dict = field(hash=False)
 
-    def __post_init__(self):
-        if self.algorithm not in ("sls", "hybrid"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+    def __init__(self, solver_id: str, algorithm: str = "sls", miner_conflict_limit: int | None = None,
+                 **overrides):
+        if algorithm not in ("sls", "hybrid"):
+            raise ValueError(f"unknown algorithm {algorithm!r}")
+        unknown = [name for name in overrides if name not in OVERRIDABLE]
+        if unknown:
+            raise ValueError(f"unknown solver-config key {unknown[0]!r}")
+        given = {name: value for name, value in overrides.items() if value is not None}
+        if algorithm == "sls":
+            limit = [] if miner_conflict_limit is None else ["miner_conflict_limit"]
+            reject_ignored_by_sls("the sls algorithm", [*given, *limit])
+        self.__dict__.update(solver_id=solver_id, algorithm=algorithm,  # frozen: set once, here
+                             miner_conflict_limit=miner_conflict_limit, overrides=given)
+
+    def __getattr__(self, name: str):
+        """A setting read by name: its override, or None for the track's value."""
+        if name in OVERRIDABLE:
+            return self.overrides.get(name)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverConfig":
         """The config of one JSON object: `id` is the solver id and every
-        other key names a field; an unknown key is a ValueError."""
+        other key a constructor keyword; an unknown key is a ValueError."""
         kwargs = {key: value for key, value in data.items() if key != "id"}
-        names = {f.name for f in fields(cls)} - {"solver_id"}
-        unknown = [key for key in kwargs if key not in names]
-        if unknown:
-            raise ValueError(f"unknown solver-config key {unknown[0]!r}")
+        if "solver_id" in kwargs:
+            raise ValueError("unknown solver-config key 'solver_id'")
         scoring = data.get("scoring")
         if scoring is not None:
             kwargs["scoring"] = ScoringFunction(
@@ -97,7 +114,7 @@ class SolverConfig:
                 cb=scoring["cb"],
                 epsilon=scoring.get("epsilon", 0.9),
             )
-        return cls(solver_id=data["id"], **kwargs)
+        return cls(data["id"], **kwargs)
 
 
 def run_trial(
@@ -110,20 +127,14 @@ def run_trial(
 ) -> TrialRecord:
     """Execute one trial; solver crashes become unsolved records with a note.
 
+    A hybrid trial runs `select_strategy(formula, **config.overrides)`.
     An `AssertionError` is a failed internal check (an invalid model or a
     broken invariant), not a crash of one solver: it propagates, so it is
     never scored as a PAR2 timeout.  So does the `ValueError` of a hybrid
     config that its instance's track rejects, which is a configuration
     error.
     """
-    strategy = None if config.algorithm == "sls" else select_strategy(
-        formula,
-        initial_flips=config.initial_flips,
-        miner_seconds=config.miner_seconds,
-        width_limit=config.width_limit,
-        count_cap_percent=config.count_cap_percent,
-        scoring=config.scoring,
-    )
+    strategy = None if config.algorithm == "sls" else select_strategy(formula, **config.overrides)
     try:
         if config.algorithm == "sls":
             res = probsat_run(
@@ -262,39 +273,27 @@ def summarize(records, timeout: float, currency: str = "flips") -> BenchmarkSumm
     return BenchmarkSummary(timeout, currency, per_solver, pairwise)
 
 
-TRIALS_HEADER = ["instance_id", "solver_id", "seed", "solved", "flips", "seconds", "note",
-                 "phase_solved", "clauses_added", "miner_conflicts"]
+# trials.csv cells: bools as 0/1, floats to six places, the rest with str;
+# each cell is read back with its field's type
+_COLUMNS = tuple(get_type_hints(TrialRecord).items())
+_FORMAT = {bool: int, float: "{:.6f}".format}
+_PARSE = {bool: lambda cell: bool(int(cell))}
 
 
 def trials_to_csv(records) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(TRIALS_HEADER)
+    writer.writerow([name for name, _ in _COLUMNS])
     for r in records:
-        writer.writerow([r.instance_id, r.solver_id, r.seed, int(r.solved), r.flips,
-                         f"{r.seconds:.6f}", r.note, r.phase_solved, r.clauses_added, r.miner_conflicts])
+        writer.writerow([_FORMAT.get(kind, str)(getattr(r, name)) for name, kind in _COLUMNS])
     return buf.getvalue()
 
 
 def trials_from_csv(text: str) -> list[TrialRecord]:
     """Records of `trials_to_csv` text; columns missing from older files
     take the field defaults."""
-    reader = csv.DictReader(io.StringIO(text))
-    out = []
-    for row in reader:
-        out.append(TrialRecord(
-            instance_id=row["instance_id"],
-            solver_id=row["solver_id"],
-            seed=int(row["seed"]),
-            solved=bool(int(row["solved"])),
-            flips=int(row["flips"]),
-            seconds=float(row["seconds"]),
-            note=row.get("note", ""),
-            phase_solved=row.get("phase_solved", ""),
-            clauses_added=int(row.get("clauses_added", 0)),
-            miner_conflicts=int(row.get("miner_conflicts", 0)),
-        ))
-    return out
+    return [TrialRecord(**{name: _PARSE.get(kind, kind)(row[name]) for name, kind in _COLUMNS if name in row})
+            for row in csv.DictReader(io.StringIO(text))]
 
 
 def summary_to_csv(summary: BenchmarkSummary) -> str:

@@ -28,7 +28,7 @@ from .cnf import (
     parse_solution,
 )
 from .generators import GenSpec, default_ratio, gen_planted, gen_uniform
-from .pipeline import WALL_BUDGET_DEFAULT, augment, percent_cap, run_hybrid, select_strategy
+from .pipeline import OVERRIDABLE, WALL_BUDGET_DEFAULT, augment, percent_cap, run_hybrid, select_strategy
 from .quality import compute_backbone, gen_deceptive, gen_general, quality_report
 from .resolution import level1_resolvents, level2_resolvents, sample_pool, ternary_saturate
 from .sls import ScoringFunction, probsat_run
@@ -43,6 +43,17 @@ def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     return Path(path).read_text()
+
+
+def _read_dimacs(path: str) -> Formula:
+    """The formula of a DIMACS file (`-` is stdin).  Bytes that are not
+    UTF-8 go to `parse_dimacs` as they are, whose error names the line."""
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    try:
+        data = data.decode("utf-8")
+    except UnicodeDecodeError:
+        pass
+    return parse_dimacs(data)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -88,7 +99,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve_sls(args) -> int:
-    formula = parse_dimacs(_read(args.file))
+    formula = _read_dimacs(args.file)
     res = probsat_run(formula, args.max_flips, args.seed, _scoring_from_args(args),
                       wall_limit=args.wall_seconds)
     print(f"c stats flips={res.flips_used} seconds={res.wall_seconds:.6f} seed={res.seed}")
@@ -101,7 +112,7 @@ def _cmd_solve_sls(args) -> int:
 
 
 def _cmd_mine(args) -> int:
-    formula = parse_dimacs(_read(args.file))
+    formula = _read_dimacs(args.file)
     cap = _resolve_cap(args.cap, formula.num_clauses)
     budget = MiningBudget(
         wall_seconds=args.seconds,
@@ -120,7 +131,7 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_enrich(args) -> int:
-    formula = parse_dimacs(_read(args.file))
+    formula = _read_dimacs(args.file)
     cap = _resolve_cap(args.cap, formula.num_clauses)
     if args.mode == "level1":
         pool = level1_resolvents(formula, args.max_width)
@@ -144,7 +155,7 @@ def _cmd_enrich(args) -> int:
 
 
 def _cmd_backbone(args) -> int:
-    formula = parse_dimacs(_read(args.file))
+    formula = _read_dimacs(args.file)
     backbone = compute_backbone(formula, seed=args.seed, conflict_limit=args.conflict_limit)
     print(f"c backbone size {len(backbone)}")
     print("b " + " ".join(str(l) for l in sorted(backbone, key=abs)) + " 0")
@@ -152,7 +163,7 @@ def _cmd_backbone(args) -> int:
 
 
 def _cmd_inject(args) -> int:
-    formula = parse_dimacs(_read(args.file))
+    formula = _read_dimacs(args.file)
     backbone = compute_backbone(formula, seed=args.seed)
     if args.model == "deceptive":
         clauses = gen_deceptive(backbone, args.count, args.seed)
@@ -186,19 +197,13 @@ def _cmd_quality(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    formula = parse_dimacs(_read(args.file))
-    strategy = select_strategy(
-        formula,
-        initial_flips=args.initial_flips,
-        miner_seconds=args.miner_seconds,
-        width_limit=args.width_limit,
-        count_cap_percent=args.cap_percent,
-    )
+    formula = _read_dimacs(args.file)
+    overrides = {name: value for name, value in vars(args).items() if name in OVERRIDABLE}
     result = run_hybrid(
         formula,
         wall_budget=args.budget,
         seed=args.seed,
-        strategy=strategy,
+        strategy=select_strategy(formula, **overrides),
         miner_conflict_limit=args.miner_conflicts,
         final_flips=args.final_flips,
     )
@@ -219,7 +224,7 @@ def _cmd_bench(args) -> int:
     if not paths:
         print("no instances matched", file=sys.stderr)
         return 1
-    instances = [(Path(p).name, parse_dimacs(Path(p).read_text())) for p in paths]
+    instances = [(Path(p).name, _read_dimacs(p)) for p in paths]
     config_data = json.loads(_read(args.solver_config))
     if isinstance(config_data, dict):
         config_data = [config_data]
@@ -346,11 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--budget", type=float, default=WALL_BUDGET_DEFAULT)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--miner-seconds", type=float, default=None)
+    # the `Strategy` settings, each stored under its field name (`pipeline.OVERRIDABLE`)
+    p.add_argument("--miner-seconds", type=float, default=None, dest="miner_seconds")
     p.add_argument("--miner-conflicts", type=int, default=None)
-    p.add_argument("--width-limit", type=int, default=None)
-    p.add_argument("--cap-percent", type=float, default=None)
-    p.add_argument("--initial-flips", type=int, default=None)
+    p.add_argument("--width-limit", type=int, default=None, dest="width_limit")
+    p.add_argument("--cap-percent", type=float, default=None, dest="count_cap_percent")
+    p.add_argument("--initial-flips", type=int, default=None, dest="initial_flips")
     p.add_argument("--final-flips", type=int, default=None)
     p.set_defaults(func=_cmd_solve)
 

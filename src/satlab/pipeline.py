@@ -16,7 +16,9 @@ original clause count, floor-rounded.  The plain and fallback tracks
 run one SLS phase and read only the strategy's scoring.
 
 The track's settings are a `Strategy`, and it is the only per-track
-configuration `run_hybrid` reads.  To change a setting, name the field:
+configuration `run_hybrid` reads.  Its fields but `track` are the one
+list of overridable settings (`OVERRIDABLE`), which `SolverConfig` and
+the `satlab solve` flags also use.  To change a setting, name the field:
 `run_hybrid(f, strategy=select_strategy(f, initial_flips=1000))`.
 """
 
@@ -52,6 +54,18 @@ class Strategy:
     count_cap_percent: float | None
     early_stop: bool
     scoring: ScoringFunction
+
+
+# the settings a caller may override: every `Strategy` field but the dispatched track
+OVERRIDABLE = tuple(f.name for f in fields(Strategy) if f.name != "track")
+
+
+def reject_ignored_by_sls(runner: str, settings) -> None:
+    """An SLS-only run reads only `scoring`: the first other name in
+    `settings` is a ValueError that names it."""
+    ignored = [name for name in settings if name != "scoring"]
+    if ignored:
+        raise ValueError(f"{runner} runs SLS only and ignores {ignored[0]!r}")
 
 
 @dataclass
@@ -90,9 +104,9 @@ class SolveResult:
 def select_strategy(formula: Formula, **overrides) -> Strategy:
     """Track dispatch on variable count and maximal clause width.
 
-    Each keyword names a `Strategy` field and replaces the track's value,
-    unless it is None; an unknown name raises TypeError.  The track is
-    the result of the dispatch, not a setting, so overriding it raises
+    Each keyword names one of `OVERRIDABLE` and replaces the track's
+    value, unless it is None; an unknown name raises TypeError.  The track
+    is the result of the dispatch, not a setting, so overriding it raises
     ValueError.  The plain and fallback tracks read only `scoring`, so
     any other override there raises ValueError too.
     """
@@ -107,16 +121,15 @@ def select_strategy(formula: Formula, **overrides) -> Strategy:
         strategy = Strategy("k7", 6_000_000, MINER_SECONDS_DEFAULT, 9, 1.0, True, default_scoring(7))
     else:
         strategy = Strategy(FALLBACK, 0, 0.0, 0, None, False, ScoringFunction("exp", cb=3.0))
-    unknown = overrides.keys() - {f.name for f in fields(Strategy)}
+    unknown = overrides.keys() - {"track", *OVERRIDABLE}
     if unknown:
         raise TypeError(f"Strategy has no field {sorted(unknown)[0]!r}")
     given = {name: value for name, value in overrides.items() if value is not None}
     if "track" in given:
         raise ValueError(f"the track is chosen by dispatch ({strategy.track!r} here) and cannot be "
                          f"overridden, got track={given['track']!r}")
-    ignored = [name for name in given if name != "scoring"]
-    if strategy.track in _SLS_ONLY and ignored:
-        raise ValueError(f"the {strategy.track} track runs SLS only and ignores {ignored[0]!r}")
+    if strategy.track in _SLS_ONLY:
+        reject_ignored_by_sls(f"the {strategy.track} track", given)
     return replace(strategy, **given)
 
 

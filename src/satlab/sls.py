@@ -310,7 +310,7 @@ def _probsat_python(
     """The pure-Python flip loop over `SlsState`: the readable reference
     the kernel must match, and the fallback when it cannot be built."""
     start = time.perf_counter()
-    if formula.has_empty_clause() or formula.num_vars == 0:
+    if formula.has_empty_clause():
         return RunResult(FLIPS_EXHAUSTED, 0, None, seed, time.perf_counter() - start)
     state = SlsState(formula, seed, scoring)
     rng_random = state.rng.random

@@ -1,6 +1,9 @@
+import pickle
+from dataclasses import replace
+
 import pytest
 
-from satlab import pipeline, sls
+from satlab import bench, pipeline, sls
 from satlab.bench import (
     BenchmarkSummary,
     SolverConfig,
@@ -71,7 +74,68 @@ def test_solver_config_from_dict_rejects_unknown_keys():
             "initial_flips": 10, "miner_seconds": 1.5, "miner_conflict_limit": 20,
             "width_limit": 4, "count_cap_percent": 2.0}
     assert SolverConfig.from_dict(full) == SolverConfig(
-        "h", "hybrid", ScoringFunction("exp", cb=2.5), 10, 1.5, 20, 4, 2.0)
+        "h", algorithm="hybrid", scoring=ScoringFunction("exp", cb=2.5), initial_flips=10,
+        miner_seconds=1.5, miner_conflict_limit=20, width_limit=4, count_cap_percent=2.0)
+
+
+# one value per `Strategy` setting, each unlike every track's own
+SETTING_VALUES = {"initial_flips": 7, "miner_seconds": 1.5, "width_limit": 3, "count_cap_percent": 2.0,
+                  "early_stop": True, "scoring": ScoringFunction("exp", cb=2.5)}
+
+
+@pytest.mark.parametrize("name", pipeline.OVERRIDABLE)
+def test_each_setting_reaches_select_strategy_from_keywords_and_json(monkeypatch, name):
+    value = SETTING_VALUES[name]
+    json_value = {"kind": value.kind, "cb": value.cb} if name == "scoring" else value
+    resolved = []
+
+    def spy(formula, **overrides):
+        resolved.append((overrides, pipeline.select_strategy(formula, **overrides)))
+        return resolved[-1][1]
+
+    monkeypatch.setattr(bench, "select_strategy", spy)
+    f = Formula(3, [(1, 2, 3)])  # the k3 track; the initial burst solves it
+    base = pipeline.select_strategy(f)
+    for config in (SolverConfig("h", algorithm="hybrid", **{name: value}),
+                   SolverConfig.from_dict({"id": "h", "algorithm": "hybrid", name: json_value})):
+        assert config.overrides == {name: value}
+        assert run_trial("i", f, config, seed=0, budget_flips=10).solved
+        overrides, strategy = resolved.pop()
+        assert overrides == {name: value}
+        assert getattr(strategy, name) == value != getattr(base, name)
+        assert strategy == replace(base, **{name: value})
+
+
+def test_solver_config_keywords_none_and_unknown_names():
+    config = SolverConfig("hybrid", algorithm="hybrid", initial_flips=100, miner_conflict_limit=150)
+    assert (config.solver_id, config.algorithm, config.miner_conflict_limit, config.overrides) == \
+        ("hybrid", "hybrid", 150, {"initial_flips": 100})
+    assert pickle.loads(pickle.dumps(config)) == config
+    assert hash(config) == hash(SolverConfig("hybrid", algorithm="hybrid", initial_flips=100,
+                                             miner_conflict_limit=150))
+    # None keeps the track's setting, as in `select_strategy`
+    assert SolverConfig("h", algorithm="hybrid", width_limit=None) == SolverConfig("h", algorithm="hybrid")
+    assert SolverConfig("h", algorithm="hybrid", early_stop=True) != SolverConfig("h", algorithm="hybrid")
+    for name in ("track", "overrides", "cap_percent"):
+        with pytest.raises(ValueError, match=f"unknown solver-config key '{name}'"):
+            SolverConfig("h", algorithm="hybrid", **{name: 1})
+
+
+@pytest.mark.parametrize("name", ["miner_conflict_limit", *(n for n in pipeline.OVERRIDABLE if n != "scoring")])
+def test_sls_config_rejects_settings_it_would_ignore(name):
+    value = 3 if name == "miner_conflict_limit" else SETTING_VALUES[name]
+    with pytest.raises(ValueError, match=f"sls.*'{name}'"):
+        SolverConfig("s", algorithm="sls", **{name: value})
+    with pytest.raises(ValueError, match=f"sls.*'{name}'"):
+        SolverConfig.from_dict({"id": "s", name: value})
+
+
+def test_sls_config_names_the_first_ignored_setting():
+    exp = ScoringFunction("exp", cb=2.5)
+    assert SolverConfig("s", scoring=exp).overrides == {"scoring": exp}
+    # the hybrid-only settings of an sls config used to vanish without a note
+    with pytest.raises(ValueError, match="the sls algorithm runs SLS only and ignores 'initial_flips'"):
+        SolverConfig("s", algorithm="sls", initial_flips=5, width_limit=1, miner_conflict_limit=3)
 
 
 def test_run_trial_crash_becomes_unsolved_note():
@@ -110,7 +174,7 @@ def test_run_trial_failed_model_check_propagates(monkeypatch, algorithm):
     # a model that fails verification is an internal error, never an unsolved trial
     monkeypatch.setattr(sls, "eval_formula", lambda formula, model: False)
     monkeypatch.setattr(pipeline, "eval_formula", lambda formula, model: False)
-    config = SolverConfig("s", algorithm=algorithm, miner_conflict_limit=5)
+    config = SolverConfig("s", algorithm=algorithm, miner_conflict_limit=5 if algorithm == "hybrid" else None)
     with pytest.raises(AssertionError, match="internal error"):
         run_trial("i", Formula(2, [(1, 2)]), config, seed=0, budget_flips=10)
 
@@ -233,6 +297,23 @@ def test_trials_csv_carries_the_miner_conflicts_of_hybrid_trials():
     old = "\n".join(",".join(line.split(",")[:9]) for line in text.splitlines()) + "\n"
     assert [(r.key(), r.clauses_added, r.miner_conflicts) for r in trials_from_csv(old)] == \
         [(r.key(), r.clauses_added, 0) for r in records]
+
+
+def test_trials_csv_bytes_follow_the_record_fields():
+    records = [
+        TrialRecord("i0", "p", 1, True, 12, 0.1234567),
+        TrialRecord("i1", "h", 3, False, 0, 0.0, note="ValueError('a, \"b\"')"),
+        TrialRecord("i1", "h", 5, True, 900, 2.5, phase_solved="final-sls", clauses_added=6,
+                    miner_conflicts=150),
+    ]
+    text = trials_to_csv(records)
+    assert text == (
+        "instance_id,solver_id,seed,solved,flips,seconds,note,phase_solved,clauses_added,miner_conflicts\r\n"
+        "i0,p,1,1,12,0.123457,,,0,0\r\n"
+        "i1,h,3,0,0,0.000000,\"ValueError('a, \"\"b\"\"')\",,0,0\r\n"
+        "i1,h,5,1,900,2.500000,,final-sls,6,150\r\n"
+    )
+    assert trials_from_csv(text) == [replace(records[0], seconds=0.123457), *records[1:]]
 
 
 def test_summary_csv_and_cactus_output():

@@ -1,21 +1,29 @@
 """The benchmark's span tracer (`satbench/spans.py`) rebinds satlab's
 public functions by name from outside the package.  A rename or a call
 that stops going through a module global makes `satbench/run.py` fail
-with a KeyError, so this checks every hook binds and unbinds."""
+with a KeyError, so this checks every hook binds and unbinds.  The
+workloads (`satbench/workloads.py`) build their solver configs with
+keywords, and this checks that those settings reach the pipeline."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import satlab
 
-SPANS = Path(__file__).resolve().parents[1] / "satbench" / "spans.py"
+SATBENCH = Path(__file__).resolve().parents[1] / "satbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"satbench_{name}", SATBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while it runs
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_spans():
-    spec = importlib.util.spec_from_file_location("satbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("spans")
 
 
 def test_tracer_binds_every_target_and_restores_them():
@@ -53,3 +61,32 @@ def test_run_hybrid_appends_mined_clauses_through_the_module_global_augment(monk
                                  miner_conflict_limit=50, final_flips=5_000)
     assert "final-sls" in result.phase_flips  # phase 3 ran
     assert calls == [result.clauses_added] and result.clauses_added > 0
+
+
+def test_hybrid_mine_config_reaches_the_pipeline(monkeypatch):
+    # `satbench/workloads.py` builds its hybrid config with keywords; a constructor
+    # that drops or rejects them would otherwise show only in a failed benchmark run
+    from satlab import bench
+    from satlab.generators import GenSpec, gen_planted
+
+    config = load("workloads").HybridMine.config
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    original = bench.run_hybrid
+    monkeypatch.setattr(bench, "run_hybrid", spy)
+    f, _ = gen_planted(GenSpec(n=150, k=3, ratio=4.26, seed=4))
+    for seed in range(3):
+        record = bench.run_trial("i", f, config, seed=seed, budget_flips=800)
+        assert not record.note
+        result = results.pop()
+        initial, conflicts = result.phase_flips["initial-sls"], result.phase_conflicts.get("miner", 0)
+        # each budget binds unless its phase, or an earlier one, solves the instance
+        assert initial == 100 or (result.phase_solved == "initial-sls" and initial < 100)
+        if result.phase_solved != "initial-sls":
+            assert conflicts == 150 or (result.phase_solved == "miner" and conflicts < 150)
+        assert record.miner_conflicts == conflicts
+    assert result.phase_solved != "initial-sls"  # the miner ran at least once

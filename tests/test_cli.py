@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from satlab import cli
 from satlab.cli import EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT, main
-from satlab.cnf import parse_clause_lines, parse_dimacs, parse_solution
+from satlab.cnf import DimacsError, parse_clause_lines, parse_dimacs, parse_solution
 from satlab.pipeline import run_hybrid, select_strategy
 
 
@@ -190,6 +191,64 @@ def test_solve_flags_equal_library_call(tmp_path, capsys):
     assert expected.phase_flips["initial-sls"] == 100
     assert expected.phase_conflicts == {"miner": 50}
     assert expected.phase_solved == "final-sls"
+
+
+@pytest.mark.parametrize("flag, value, name, setting", [
+    ("--miner-seconds", "1.5", "miner_seconds", 1.5),
+    ("--width-limit", "3", "width_limit", 3),
+    ("--cap-percent", "5", "count_cap_percent", 5.0),
+])
+def test_solve_strategy_flags_equal_library_call(tmp_path, capsys, monkeypatch, flag, value, name, setting):
+    cnf = tmp_path / "s.cnf"
+    run_cli(capsys, "gen", "-n", "150", "--planted", "--ratio", "4.26", "--seed", "4", "-o", str(cnf))
+    resolved = []
+
+    def spy(formula, **overrides):
+        resolved.append(select_strategy(formula, **overrides))
+        return resolved[-1]
+
+    monkeypatch.setattr(cli, "select_strategy", spy)
+    code, out, _ = run_cli(capsys, "solve", str(cnf), "--seed", "3", "--initial-flips", "100",
+                           "--miner-conflicts", "50", "--final-flips", "2000", flag, value)
+    f = parse_dimacs(cnf.read_text())
+    strategy = select_strategy(f, initial_flips=100, **{name: setting})
+    assert resolved == [strategy] and strategy != select_strategy(f, initial_flips=100)
+    expected = run_hybrid(f, seed=3, strategy=strategy, miner_conflict_limit=50, final_flips=2000)
+    result_line = [l for l in out.splitlines() if l.startswith("c result ")][0]
+    assert result_line[len("c result "):] == expected.canonical_json()
+
+
+# every command that reads a DIMACS file, with its required arguments besides the file;
+# each parses the file before it does any work
+DIMACS_COMMANDS = {
+    "solve-sls": [],
+    "mine": [],
+    "enrich": ["--mode", "level1"],
+    "backbone": [],
+    "inject": ["--model", "deceptive", "--count", "1"],
+    "solve": [],
+    "bench": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DIMACS_COMMANDS))
+def test_non_utf8_dimacs_is_a_dimacs_error_naming_the_line(tmp_path, command):
+    cnf = tmp_path / "bad.cnf"
+    cnf.write_bytes(b"p cnf 1 1\n\xff 0\n")
+    config = tmp_path / "solvers.json"
+    config.write_text(json.dumps({"id": "probsat"}))
+    argv = (["bench", "--instances", str(cnf), "--solver-config", str(config)] if command == "bench"
+            else [command, str(cnf), *DIMACS_COMMANDS[command]])
+    with pytest.raises(DimacsError, match="line 2: non-ASCII byte 0xff"):
+        main(argv)
+
+
+def test_utf8_comment_still_solves(tmp_path, capsys):
+    cnf = tmp_path / "utf8.cnf"
+    cnf.write_bytes("c r\u00e9solution\np cnf 2 2\n1 0\n-1 2 0\n".encode())
+    for argv in (["solve-sls", str(cnf), "--max-flips", "100"], ["solve", str(cnf), "--final-flips", "100"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_SAT and "s SATISFIABLE" in out
 
 
 def test_solve_pipeline_unsat(tmp_path, capsys):
