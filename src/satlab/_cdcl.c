@@ -35,7 +35,7 @@
 #include <string.h>
 #include <time.h>
 
-enum { BUDGET = 0, SAT = 1, UNSAT = 2, NO_MEMORY = -1 };
+enum { BUDGET = 0, SAT = 1, UNSAT = 2, OUT_OF_MEMORY = -1 };
 
 #define RESCALE_LIMIT 1e100
 #define ACTIVITY_DECAY 0.95
@@ -649,7 +649,7 @@ static int learn(cdcl_state *s, int size)
 /* Search until sat, unsat or a budget, as CdclSolver.solve with no
  * assumptions: `conflict_limit` and `count_cap` are off when negative, and
  * `count_cap` stops the search once that many distinct learned clauses of
- * width <= width_limit exist.  Returns BUDGET, SAT or UNSAT, or NO_MEMORY
+ * width <= width_limit exist.  Returns BUDGET, SAT or UNSAT, or OUT_OF_MEMORY
  * (after which the state can only be freed). */
 int cdcl_solve(cdcl_state *s, long long conflict_limit, double wall_seconds,
                long long width_limit, long long count_cap)
@@ -664,7 +664,7 @@ int cdcl_solve(cdcl_state *s, long long conflict_limit, double wall_seconds,
         clause *conflict = propagate(s, &oom);
         int v;
         if (oom)
-            return NO_MEMORY;
+            return OUT_OF_MEMORY;
         if (conflict) {
             int size, bj_level;
             if (s->levels == 0) {
@@ -674,10 +674,10 @@ int cdcl_solve(cdcl_state *s, long long conflict_limit, double wall_seconds,
             s->conflicts++;
             size = analyze(s, conflict, &bj_level);
             if (record(s, size, width_limit, count_cap >= 0) < 0)
-                return NO_MEMORY;
+                return OUT_OF_MEMORY;
             backjump(s, bj_level);
             if (learn(s, size) < 0)
-                return NO_MEMORY;
+                return OUT_OF_MEMORY;
             s->var_inc /= ACTIVITY_DECAY;
             if ((count_cap >= 0 && s->distinct >= count_cap)
                 || (budget >= 0 && s->conflicts >= budget)
@@ -686,7 +686,7 @@ int cdcl_solve(cdcl_state *s, long long conflict_limit, double wall_seconds,
                 return BUDGET;
             }
             if (s->db_size > s->reduce_cap && reduce_db(s) < 0)
-                return NO_MEMORY;
+                return OUT_OF_MEMORY;
             if (s->conflicts >= s->restart_at) {
                 s->restart_idx++;
                 s->restart_at += LUBY_BASE * luby(s->restart_idx);

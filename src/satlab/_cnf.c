@@ -12,7 +12,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum { OK = 0, OUT_OF_RANGE = 1, REPEATED = 2, NO_MEMORY = 3 };
+enum { OK = 0, OUT_OF_RANGE = 1 };
 enum { DEFER = 1 };
 
 #define INSERTION_SORT_MAX 16
@@ -54,74 +54,45 @@ static int first_out_of_range(const int *a, int w, int n)
     return -1;
 }
 
-/* Canonicalise (when normalize: sort by (|l|, l) and drop repeats, in
- * place, rewriting off) and check the m clauses; then fill the occurrence
- * index by counting sort.  occ_off holds 2n + 3 zeros and occ room for
- * off[m] ids.  On error, info[0] is the clause id and info[1] the literal
+/* Canonicalise the m clauses in place (sort by (|l|, l) and drop
+ * repeats, rewriting off) and check them; then fill the occurrence index
+ * by counting sort.  occ_off holds 2n + 3 zeros and occ room for off[m]
+ * ids.  On error, info[0] is the clause id and info[1] the literal
  * (OUT_OF_RANGE), checked in the order _index_clauses checks them.  On
  * success, taut[0 .. info[2]) are the tautology ids, info[3] is the
  * longest occurrence list and info[4] the widest clause.
  */
-int formula_index(int n, long long m, int *off, int *lits, int normalize,
+int formula_index(int n, long long m, int *off, int *lits,
                   int *occ_off, int *occ, int *taut, long long *info)
 {
-    int *scratch = NULL;
     int w = 0, max_width = 0;
     long long ntaut = 0;
-    if (!normalize) {
-        for (long long c = 0; c < m; c++)
-            if (off[c + 1] - off[c] > max_width)
-                max_width = off[c + 1] - off[c];
-        if (max_width && !(scratch = malloc((size_t)max_width * sizeof *scratch)))
-            return NO_MEMORY;
-    }
     for (long long c = 0; c < m; c++) {
-        int start = off[c], end = off[c + 1], width = end - start, *sorted, bad;
-        if (normalize) {
-            /* compact into lits[w ..): w <= start, and each literal is
-             * read before its slot is written */
-            sort_lits(lits + start, width);
-            int kept = 0;
-            for (int i = start; i < end; i++)
-                if (kept == 0 || lits[i] != lits[w + kept - 1])
-                    lits[w + kept++] = lits[i];
-            off[c] = w;
-            width = kept;
-            sorted = lits + w;
-            w += kept;
-            bad = first_out_of_range(sorted, width, n);
-        } else {
-            sorted = lits + start;
-            bad = first_out_of_range(sorted, width, n);
-            if (bad < 0 && width > 1) {
-                memcpy(scratch, sorted, (size_t)width * sizeof *scratch);
-                sort_lits(scratch, width);
-                sorted = scratch;
-                for (int i = 1; i < width; i++)
-                    if (sorted[i] == sorted[i - 1]) {
-                        free(scratch);
-                        info[0] = c;
-                        return REPEATED;
-                    }
-            }
-        }
+        int start = off[c], end = off[c + 1], width = 0;
+        /* compact into lits[w ..): w <= start, and each literal is read
+         * before its slot is written */
+        sort_lits(lits + start, end - start);
+        for (int i = start; i < end; i++)
+            if (width == 0 || lits[i] != lits[w + width - 1])
+                lits[w + width++] = lits[i];
+        int *clause = lits + w;
+        int bad = first_out_of_range(clause, width, n);
+        off[c] = w;
+        w += width;
         if (bad >= 0) {
-            free(scratch);
             info[0] = c;
-            info[1] = sorted[bad];
+            info[1] = clause[bad];
             return OUT_OF_RANGE;
         }
         for (int i = 1; i < width; i++)
-            if (sorted[i] == -sorted[i - 1]) {
+            if (clause[i] == -clause[i - 1]) {
                 taut[ntaut++] = (int)c;
                 break;
             }
         if (width > max_width)
             max_width = width;
     }
-    free(scratch);
-    if (normalize)
-        off[m] = w;
+    off[m] = w;
 
     /* counting sort: the count of list i goes to occ_off[i + 2], so that
      * after the prefix sums occ_off[i + 1] is where list i starts, and

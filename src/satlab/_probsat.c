@@ -194,7 +194,8 @@ static void flip(probsat_state *s, int v)
 /* Flip until `stop` flips in total are done or no clause is falsified;
  * returns the total flip count.  A break count never exceeds the
  * occurrence count of the variable's true literal, because no clause
- * repeats a literal (Formula rejects that), so it indexes inside `table`. */
+ * holds a literal twice (Formula drops repeats), so it indexes inside
+ * `table`. */
 long long probsat_flip(probsat_state *s, long long stop)
 {
     const int *lits = s->lits;

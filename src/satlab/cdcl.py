@@ -22,10 +22,11 @@ that).
 `cdcl_solve_and_mine` has two paths with one set of semantics:
 
 - The compiled kernel (`_cdcl.c`, built and loaded with the probSAT
-  kernel by `satlab.sls._load_kernel`) reads the formula's cached CSR
-  view (`Formula.csr`) and the initial phases drawn here from
-  `random.Random(seed)`.  It keeps only the qualifying learned clauses,
-  not a record of every one, and frees the clauses DB reduction drops.
+  kernel by `satlab.sls._load_kernel`) reads the formula's flat clause
+  arrays (`Formula.offsets` and `literals`) and the initial phases
+  drawn here from `random.Random(seed)`.  It keeps only the qualifying
+  learned clauses, not a record of every one, and frees the clauses DB
+  reduction drops.
 - `CdclSolver` is the readable reference.  It runs when no compiler or
   cache directory is usable, and it is the solver for assumption
   queries.
@@ -549,9 +550,8 @@ def _mine_with_kernel(kernel: ctypes.CDLL, formula: Formula, budget: MiningBudge
     from `CdclSolver`'s initial phases for `seed`."""
     rng = random.Random(seed)
     phase = bytes([0, *(rng.random() < 0.5 for _ in range(formula.num_vars))])
-    offsets, literals, _ = formula.csr()
     state = kernel.cdcl_new(formula.num_vars, formula.num_clauses,
-                            offsets.buffer_info()[0], literals.buffer_info()[0], phase)
+                            formula.offsets.buffer_info()[0], formula.literals.buffer_info()[0], phase)
     if not state:
         raise MemoryError("cannot allocate the CDCL kernel state")
     try:

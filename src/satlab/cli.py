@@ -20,7 +20,6 @@ from pathlib import Path
 from . import bench as bench_mod
 from .cdcl import MINER_SECONDS_DEFAULT, SAT, MiningBudget, cdcl_solve_and_mine, filter_learned
 from .cnf import (
-    Formula,
     emit_dimacs,
     format_solution,
     parse_clause_lines,
@@ -39,21 +38,15 @@ EXIT_UNSAT = 20
 EXIT_UNKNOWN = 0
 
 
-def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
-
-
-def _read_dimacs(path: str) -> Formula:
-    """The formula of a DIMACS file (`-` is stdin).  Bytes that are not
-    UTF-8 go to `parse_dimacs` as they are, whose error names the line."""
+def _read(path: str) -> str | bytes:
+    """The text of a file (`-` is stdin).  Bytes that are not UTF-8 are
+    returned as they are, so the `cnf` parsers name the line of the first
+    non-ASCII byte."""
     data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     try:
-        data = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError:
-        pass
-    return parse_dimacs(data)
+        return data
 
 
 def _write(path: str | None, text: str) -> None:
@@ -99,7 +92,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve_sls(args) -> int:
-    formula = _read_dimacs(args.file)
+    formula = parse_dimacs(_read(args.file))
     res = probsat_run(formula, args.max_flips, args.seed, _scoring_from_args(args),
                       wall_limit=args.wall_seconds)
     print(f"c stats flips={res.flips_used} seconds={res.wall_seconds:.6f} seed={res.seed}")
@@ -112,7 +105,7 @@ def _cmd_solve_sls(args) -> int:
 
 
 def _cmd_mine(args) -> int:
-    formula = _read_dimacs(args.file)
+    formula = parse_dimacs(_read(args.file))
     cap = _resolve_cap(args.cap, formula.num_clauses)
     budget = MiningBudget(
         wall_seconds=args.seconds,
@@ -131,7 +124,7 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_enrich(args) -> int:
-    formula = _read_dimacs(args.file)
+    formula = parse_dimacs(_read(args.file))
     cap = _resolve_cap(args.cap, formula.num_clauses)
     if args.mode == "level1":
         pool = level1_resolvents(formula, args.max_width)
@@ -155,7 +148,7 @@ def _cmd_enrich(args) -> int:
 
 
 def _cmd_backbone(args) -> int:
-    formula = _read_dimacs(args.file)
+    formula = parse_dimacs(_read(args.file))
     backbone = compute_backbone(formula, seed=args.seed, conflict_limit=args.conflict_limit)
     print(f"c backbone size {len(backbone)}")
     print("b " + " ".join(str(l) for l in sorted(backbone, key=abs)) + " 0")
@@ -163,7 +156,7 @@ def _cmd_backbone(args) -> int:
 
 
 def _cmd_inject(args) -> int:
-    formula = _read_dimacs(args.file)
+    formula = parse_dimacs(_read(args.file))
     backbone = compute_backbone(formula, seed=args.seed)
     if args.model == "deceptive":
         clauses = gen_deceptive(backbone, args.count, args.seed)
@@ -177,8 +170,7 @@ def _cmd_inject(args) -> int:
                 return 1
             solution = outcome.model
         clauses = gen_general(solution, backbone, args.count, args.seed)
-    merged = list(formula.clauses) + clauses
-    out = Formula(formula.num_vars, merged)
+    out = formula.extended(clauses)
     _write(args.output, emit_dimacs(out, comments=[f"injected {len(clauses)} model={args.model}"]))
     return 0
 
@@ -197,7 +189,7 @@ def _cmd_quality(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    formula = _read_dimacs(args.file)
+    formula = parse_dimacs(_read(args.file))
     overrides = {name: value for name, value in vars(args).items() if name in OVERRIDABLE}
     result = run_hybrid(
         formula,
@@ -224,8 +216,11 @@ def _cmd_bench(args) -> int:
     if not paths:
         print("no instances matched", file=sys.stderr)
         return 1
-    instances = [(Path(p).name, _read_dimacs(p)) for p in paths]
-    config_data = json.loads(_read(args.solver_config))
+    instances = [(Path(p).name, parse_dimacs(_read(p))) for p in paths]
+    try:
+        config_data = json.loads(_read(args.solver_config))
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+        raise ValueError(f"solver config {args.solver_config}: {exc}") from None
     if isinstance(config_data, dict):
         config_data = [config_data]
     solvers = [bench_mod.SolverConfig.from_dict(d) for d in config_data]

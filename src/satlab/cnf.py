@@ -31,14 +31,12 @@ import warnings
 from array import array
 from collections import defaultdict
 from itertools import accumulate, chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Clause = tuple[int, ...]
 Assignment = list[bool]
 
 _INT32_MAX = 2**31 - 1
-# `formula_index` status codes
-_OUT_OF_RANGE, _REPEATED = 1, 2
 
 
 class DimacsError(ValueError):
@@ -52,48 +50,44 @@ class DimacsWarning(UserWarning):
 def canonical_clause(lits: Iterable[int]) -> Clause:
     """Deduplicate and sort literals by variable index (sign breaks ties).
 
-    Tautological clauses are preserved as-is (both polarities kept); it is
-    the caller's job to check `is_tautology` where tautologies matter.
+    Tautological clauses are preserved as-is (both polarities kept);
+    `Formula.tautology_ids` flags them.
     """
     return tuple(sorted(set(lits), key=lambda l: (abs(l), l)))
 
 
-def is_tautology(clause: Iterable[int]) -> bool:
-    """True iff the clause contains a complementary literal pair."""
-    seen = set(clause)
-    return any(-l in seen for l in seen)
-
-
 class Formula:
-    """Immutable clause database with a literal occurrence index.
+    """Immutable clause database in canonical form with flat clause and
+    occurrence arrays.
 
     Shared by every solver in the package; safe to share across threads
-    and to pickle into worker processes.  With `normalize=False` clauses
-    keep their literal order and tautologies, but a literal repeated
-    within a clause is a ValueError.
+    and to pickle into worker processes.  Every clause is canonical
+    (`canonical_clause`: repeats dropped, sorted by variable, tautologies
+    kept and listed in `tautology_ids`).
 
-    Both SLS engines read its occurrence index, two int32 arrays never
-    mutated after construction: literal `l` occurs in the clauses
-    `occ[occ_offsets[i]:occ_offsets[i + 1]]`, `i = 2 * abs(l) + (l < 0)`,
-    in id order (a tautology under both of its literals).  No list is
-    longer than `max_occurrences`.  `2 * num_vars + 3` must fit int32.
+    Four int32 arrays, built with the clauses and never mutated, are what
+    the compiled engines read.  Clause `c` is
+    `literals[offsets[c]:offsets[c + 1]]`.  Literal `l` occurs in the
+    clauses `occ[occ_offsets[i]:occ_offsets[i + 1]]`, `i = 2 * abs(l) +
+    (l < 0)`, in id order (a tautology under both of its literals).  No
+    occurrence list is longer than `max_occurrences`.  `2 * num_vars + 3`
+    must fit int32.
 
-    The compiled `formula_index` builds it from the clauses flattened into
-    int32 arrays, and the clause tuples from slices of those arrays.  The
-    reference (`canonical_clause`, then `_index_clauses`) builds it when
-    the library is unavailable or the clauses do not flatten, and then
-    raises for what int32 cannot hold.  The CSR view stays lazy on both.
+    The compiled `formula_index` canonicalises the clauses flattened into
+    int32 arrays in place and indexes them; the clause tuples are slices
+    of its arrays.  The reference (`canonical_clause`, then
+    `_index_clauses`) runs when the library is unavailable or the clauses
+    do not flatten, and then raises for what int32 cannot hold.
 
     `extended(clauses)` appends clauses without rebuilding: it checks only
-    the new ones, and its result has every attribute (clauses, tautology
-    ids, occurrence arrays, `max_occurrences`, `max_width` and `csr()`)
-    equal to that of `Formula(n, old + new, normalize=False)`.
+    the new ones, and its result has every attribute equal to that of
+    `Formula(n, old + new)`.
     """
 
-    __slots__ = ("num_vars", "clauses", "tautology_ids", "occ_offsets", "occ", "max_occurrences",
-                 "_max_width", "_csr")
+    __slots__ = ("num_vars", "clauses", "tautology_ids", "offsets", "literals", "occ_offsets", "occ",
+                 "max_occurrences", "max_width")
 
-    def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]], normalize: bool = True):
+    def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]]):
         if num_vars < 0:
             raise ValueError(f"negative variable count: {num_vars}")
         if 2 * num_vars + 3 > _INT32_MAX:
@@ -108,57 +102,49 @@ class Formula:
                 pass  # the reference raises, or holds what int32 cannot
             else:
                 if len(lits) == offsets[-1]:  # else some clause's len disagrees with its literals
-                    self._index_native(kernel, num_vars, offsets, lits, normalize)
+                    self._index_native(kernel, num_vars, offsets, lits)
                     return
         self.num_vars = num_vars
-        if normalize:
-            self.clauses: tuple[Clause, ...] = tuple(canonical_clause(c) for c in clauses)
-        else:
-            self.clauses = tuple(tuple(c) for c in clauses)
+        self.clauses: tuple[Clause, ...] = tuple(canonical_clause(c) for c in clauses)
         occ: list[list[int]] = [[] for _ in range(2 * num_vars + 2)]
         self.tautology_ids = frozenset(_index_clauses(self.clauses, 0, num_vars, occ))
+        self.offsets = array("i", accumulate(map(len, self.clauses), initial=0))
+        self.literals = array("i", chain.from_iterable(self.clauses))
         self.occ_offsets = array("i", accumulate(map(len, occ), initial=0))
         self.occ = array("i", [cid for ids in occ for cid in ids])
         self.max_occurrences = max(map(len, occ))
-        self._max_width = max((len(c) for c in self.clauses), default=0)
-        self._csr = None
+        self.max_width = max(map(len, self.clauses), default=0)
 
-    def _index_native(self, kernel, num_vars: int, offsets: array, lits: array, normalize: bool) -> None:
+    def _index_native(self, kernel, num_vars: int, offsets: array, lits: array) -> None:
         """Set every attribute from flat int32 clauses with `formula_index`,
         raising `_index_clauses`'s errors.  It canonicalises `offsets` and
-        `lits` in place when `normalize`; `lits` may run past `offsets[-1]`.
+        `lits` in place and keeps them; `lits` may run past `offsets[-1]`.
         """
         m = len(offsets) - 1
         occ_offsets = array("i", [0]) * (2 * num_vars + 3)
         occ = array("i", [0]) * offsets[-1]
         taut = array("i", [0]) * m
         info = array("q", [0]) * 5
-        status = kernel.formula_index(num_vars, m, _address(offsets), _address(lits), normalize,
-                                      *map(_address, (occ_offsets, occ, taut, info)))
-        if status == _OUT_OF_RANGE:
+        if kernel.formula_index(num_vars, m, _address(offsets), _address(lits),
+                                *map(_address, (occ_offsets, occ, taut, info))):
             raise ValueError(f"literal {info[1]} out of range 1..{num_vars} in clause {info[0]}")
-        if status == _REPEATED:
-            cid = info[0]
-            raise ValueError(f"clause {cid} repeats a literal: {tuple(lits[offsets[cid]:offsets[cid + 1]])}")
-        if status:
-            raise MemoryError("formula_index could not allocate its scratch buffer")
-        del occ[offsets[-1]:]  # repeats dropped by normalize
+        del lits[offsets[-1]:], occ[offsets[-1]:]  # the dropped repeats
         self.num_vars = num_vars
         self.clauses = tuple(map(tuple, map(lits.__getitem__, map(slice, offsets, offsets[1:]))))
         self.tautology_ids = frozenset(taut[: info[2]])
+        self.offsets, self.literals = offsets, lits
         self.occ_offsets, self.occ, self.max_occurrences = occ_offsets, occ, info[3]
-        self._max_width = info[4]
-        self._csr = None
+        self.max_width = info[4]
 
-    def extended(self, clauses: Iterable[Sequence[int]]) -> Formula:
-        """This formula with `clauses` appended in their literal order.
+    def extended(self, clauses: Iterable[Iterable[int]]) -> Formula:
+        """This formula with `clauses` appended in canonical form.
 
         Only the new clauses are checked, with `__init__`'s errors; this
         formula is never modified.  Each literal's occurrence list is its
         old slice followed by its new ids, which are larger, so id order
-        holds.  A cached CSR view is extended, not dropped.
+        holds.
         """
-        new = tuple(tuple(c) for c in clauses)
+        new = tuple(map(canonical_clause, clauses))
         if not new:
             return self
         added: defaultdict[int, list[int]] = defaultdict(list)  # occurrence slot -> new ids
@@ -181,26 +167,15 @@ class Formula:
         out.num_vars = self.num_vars
         out.clauses = self.clauses + new
         out.tautology_ids = self.tautology_ids.union(taut)
+        out.offsets = self.offsets + array("i", accumulate(map(len, new), initial=self.offsets[-1]))[1:]
+        out.literals = self.literals + array("i", chain.from_iterable(new))
         out.occ_offsets, out.occ, out.max_occurrences = offsets, occ, max_occ
-        out._max_width = max(self._max_width, max(map(len, new)))
-        out._csr = None
-        if self._csr is not None:
-            csr_offsets, literals, _ = self._csr
-            out._csr = (
-                csr_offsets + array("i", accumulate(map(len, new), initial=csr_offsets[-1]))[1:],
-                literals + array("i", chain.from_iterable(new)),
-                max_occ,
-            )
+        out.max_width = max(self.max_width, max(map(len, new)))
         return out
 
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
-
-    @property
-    def max_width(self) -> int:
-        """Maximum clause length (0 for an empty clause list)."""
-        return self._max_width
 
     def occurrence(self, lit: int) -> array:
         """Ids of clauses containing `lit`, in id order (empty if it occurs nowhere)."""
@@ -209,36 +184,17 @@ class Formula:
         i = 2 * abs(lit) + (lit < 0)
         return self.occ[self.occ_offsets[i] : self.occ_offsets[i + 1]]
 
-    def csr(self) -> tuple[array, array, int]:
-        """Flat int32 view `(offsets, literals, max_occurrences)`.
-
-        Clause `c` is `literals[offsets[c]:offsets[c + 1]]`.  Built on
-        first call and cached, so constructing a formula never pays for it.
-        """
-        if self._csr is None:
-            offsets = array("i", accumulate(map(len, self.clauses), initial=0))
-            literals = array("i", chain.from_iterable(self.clauses))
-            self._csr = (offsets, literals, self.max_occurrences)
-        return self._csr
-
-    def clause_set(self) -> frozenset[Clause]:
-        return frozenset(self.clauses)
-
     def has_empty_clause(self) -> bool:
         return not all(self.clauses)  # the empty tuple is the only false clause
-
-    def __iter__(self) -> Iterator[Clause]:
-        return iter(self.clauses)
 
     def __repr__(self) -> str:
         return f"Formula(n={self.num_vars}, m={self.num_clauses})"
 
 
 def _index_clauses(clauses: Sequence[Clause], first_id: int, num_vars: int, occ) -> list[int]:
-    """Check each clause (ids from `first_id`) and append its id to
-    `occ[2 * abs(l) + (l < 0)]` for each literal `l`; return the ids of
-    the tautologies.  A literal out of range 1..num_vars or repeated
-    within a clause is a ValueError."""
+    """Check each canonical clause (ids from `first_id`) and append its id
+    to `occ[2 * abs(l) + (l < 0)]` for each literal `l`; return the ids of
+    the tautologies.  A literal out of range 1..num_vars is a ValueError."""
     taut = []
     for cid, clause in enumerate(clauses, start=first_id):
         for lit in clause:
@@ -246,10 +202,7 @@ def _index_clauses(clauses: Sequence[Clause], first_id: int, num_vars: int, occ)
             if v < 1 or v > num_vars:
                 raise ValueError(f"literal {lit} out of range 1..{num_vars} in clause {cid}")
             occ[2 * v + (lit < 0)].append(cid)
-        seen = set(clause)
-        if len(seen) != len(clause):
-            raise ValueError(f"clause {cid} repeats a literal: {clause}")
-        if any(-l in seen for l in seen):
+        if any(a == -b for a, b in zip(clause, clause[1:])):  # canonical: -v sorts just before v
             taut.append(cid)
     return taut
 
@@ -257,7 +210,7 @@ def _index_clauses(clauses: Sequence[Clause], first_id: int, num_vars: int, occ)
 def parse_dimacs(text: str | bytes) -> Formula:
     """Parse DIMACS CNF: `c` comments, one `p cnf n m` header, 0-terminated clauses.
 
-    Clauses are normalized (duplicate literals dropped, sorted by variable);
+    Clauses are canonical (duplicate literals dropped, sorted by variable);
     tautological clauses are retained and flagged in `Formula.tautology_ids`.
     A clause-count mismatch against the header is a `DimacsWarning`, not an
     error, and the actual count is used.  A `%` line ends the clause section
@@ -282,18 +235,13 @@ def parse_dimacs(text: str | bytes) -> Formula:
     if scanned is None:
         return Formula(num_vars, clauses)
     formula = Formula.__new__(Formula)
-    formula._index_native(kernel, num_vars, offsets, lits, True)
+    formula._index_native(kernel, num_vars, offsets, lits)
     return formula
 
 
 def _read_dimacs(text: str | bytes) -> tuple[int, int, list[list[int]]]:
     """The reference DIMACS reader: (n, declared m, clauses) or a DimacsError."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("ascii")
-        except UnicodeDecodeError as exc:
-            lineno = len((text[: exc.start].decode("ascii") + "x").splitlines())
-            raise DimacsError(f"line {lineno}: non-ASCII byte {text[exc.start]:#04x}") from None
+    text = _ascii(text)
     header = None
     clauses: list[list[int]] = []
     current: list[int] = []
@@ -364,6 +312,18 @@ def _kernel():
 
 def _address(buf: array) -> int:
     return buf.buffer_info()[0]
+
+
+def _ascii(text: str | bytes) -> str:
+    """`text`, with bytes decoded as ASCII; a non-ASCII byte is a
+    DimacsError naming its line."""
+    if isinstance(text, str):
+        return text
+    try:
+        return text.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = len((text[: exc.start].decode("ascii") + "x").splitlines())
+        raise DimacsError(f"line {lineno}: non-ASCII byte {text[exc.start]:#04x}") from None
 
 
 def _int_tokens(line: str, lineno: int) -> list[int]:
@@ -443,12 +403,13 @@ def format_solution(alpha: Assignment, width: int = 20) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_clause_lines(text: str) -> list[Clause]:
+def parse_clause_lines(text: str | bytes) -> list[Clause]:
     """Parse 0-terminated clause lines, tolerating `c` comments and an
-    optional `p cnf` header; the lenient reader for mined-clause files."""
+    optional `p cnf` header; the lenient reader for mined-clause files.
+    Bytes must be ASCII."""
     clauses: list[Clause] = []
     current: list[int] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_ascii(text).splitlines(), start=1):
         line = line.strip()
         if not line or line[0] in "cp%":
             continue
@@ -463,14 +424,14 @@ def parse_clause_lines(text: str) -> list[Clause]:
     return clauses
 
 
-def parse_solution(text: str, num_vars: int | None = None) -> Assignment:
+def parse_solution(text: str | bytes, num_vars: int | None = None) -> Assignment:
     """Parse `v <lit> ... 0` lines into a complete assignment.
 
     With `num_vars` omitted, the variable count is inferred from the
-    largest index present.
+    largest index present.  Bytes must be ASCII.
     """
     lits = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_ascii(text).splitlines(), start=1):
         line = line.strip()
         if not line.startswith("v"):
             continue

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 
 from .cdcl import MINER_SECONDS_DEFAULT, SAT, UNSAT, MiningBudget, cdcl_solve_and_mine
-from .cnf import Assignment, Clause, Formula, canonical_clause, eval_formula
+from .cnf import Assignment, Formula, eval_formula
 from .sls import RunResult, ScoringFunction, default_scoring, default_scoring_for, probsat_run
 
 PLAIN_SLS = "plain-sls"
@@ -139,29 +139,28 @@ def percent_cap(percent: float, num_clauses: int) -> int:
 
 
 def augment(formula: Formula, clauses) -> Formula:
-    """`formula.extended` with the given clauses in canonical form; a clause
-    with the literal set of an existing clause (or of an earlier addition)
-    is dropped.  The input formula is not modified.
+    """`formula.extended` with the given clauses; a clause with the literal
+    set of an existing clause (or of an earlier addition) is dropped.  The
+    input formula is not modified.
 
     An existing clause is looked up among the clauses of its least
     frequent literal, so the cost follows the additions, not the formula.
     """
-    seen: set[Clause] = set()
-    added: list[Clause] = []
+    seen: set[frozenset[int]] = set()
+    added: list[frozenset[int]] = []
     for clause in clauses:
-        canon = canonical_clause(clause)
-        if canon in seen:
+        lits = frozenset(clause)
+        if lits in seen:
             continue
-        seen.add(canon)
-        if canon:
-            lits = set(canon)
-            rarest = min(map(formula.occurrence, canon), key=len)
-            if any(len(formula.clauses[cid]) == len(canon) and lits.issuperset(formula.clauses[cid])
+        seen.add(lits)
+        if lits:
+            rarest = min(map(formula.occurrence, lits), key=len)
+            if any(len(formula.clauses[cid]) == len(lits) and lits.issuperset(formula.clauses[cid])
                    for cid in rarest):
                 continue
         elif formula.has_empty_clause():
             continue
-        added.append(canon)
+        added.append(lits)
     return formula.extended(added)
 
 

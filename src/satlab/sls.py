@@ -17,13 +17,14 @@ swap-remove registry with O(1) membership, insertion, and deletion.
 `probsat_run` has two paths with one set of semantics:
 
 - The compiled kernel (`_probsat.c`, loaded with ctypes) reads the
-  formula's cached CSR view (`Formula.csr`) and occurrence arrays, and
-  continues the Mersenne Twister stream of `random.Random(seed)`.  It is
-  built on first use with the system C compiler, into one library with
-  the CDCL kernel of `satlab.cdcl` (`_cdcl.c`) and the DIMACS scan and
-  `Formula` index build of `satlab.cnf` (`_cnf.c`), in
-  `$XDG_CACHE_HOME/satlab` (by default `~/.cache/satlab`), under a file
-  name keyed by the three sources, the flags and the platform.
+  formula's flat clause and occurrence arrays (`Formula.offsets`,
+  `literals`, `occ_offsets` and `occ`), and continues the Mersenne
+  Twister stream of `random.Random(seed)`.  It is built on first use
+  with the system C compiler, into one library with the CDCL kernel of
+  `satlab.cdcl` (`_cdcl.c`) and the DIMACS scan and `Formula` index
+  build of `satlab.cnf` (`_cnf.c`), in `$XDG_CACHE_HOME/satlab` (by
+  default `~/.cache/satlab`), under a file name keyed by the three
+  sources, the flags and the platform.
 - `_probsat_python`, the flip loop over `SlsState` (which reads the same
   arrays through `Formula.occurrence`), is the readable reference.  It
   runs when no compiler or cache directory is usable, and for formulas
@@ -271,13 +272,13 @@ def probsat_run(
     if kernel is None or formula.has_empty_clause() or formula.num_vars == 0:
         return _probsat_python(formula, max_flips, seed, scoring, wall_limit)
     start = time.perf_counter()
-    offsets, literals, max_occ = formula.csr()
     scoring = scoring or default_scoring_for(formula)
-    table = array("d", scoring.table(max_occ))
+    table = array("d", scoring.table(formula.max_occurrences))
     mt = array("I", random.Random(seed).getstate()[1])
     state = kernel.probsat_new(
         formula.num_vars, formula.num_clauses,
-        *(a.buffer_info()[0] for a in (offsets, literals, formula.occ_offsets, formula.occ, table, mt)),
+        *(a.buffer_info()[0] for a in (formula.offsets, formula.literals, formula.occ_offsets, formula.occ,
+                                       table, mt)),
     )
     if not state:
         raise MemoryError("cannot allocate the probSAT kernel state")
@@ -358,6 +359,27 @@ _KERNEL_SOURCES = tuple(Path(__file__).with_name(name) for name in ("_probsat.c"
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
+_ptr, _i64, _i32 = ctypes.c_void_p, ctypes.c_longlong, ctypes.c_int
+# (name, restype, argtypes) of every function the library exports
+_KERNEL_FUNCTIONS = (
+    ("probsat_new", _ptr, [_i32, _i32, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr]),
+    ("probsat_flip", _i64, [_ptr, _i64]),
+    ("probsat_num_falsified", _i32, [_ptr]),
+    ("probsat_assignment", None, [_ptr, ctypes.c_char_p]),
+    ("probsat_free", None, [_ptr]),
+    ("cdcl_new", _ptr, [_i32, _i32, _ptr, _ptr, ctypes.c_char_p]),
+    ("cdcl_solve", _i32, [_ptr, _i64, ctypes.c_double, _i64, _i64]),
+    ("cdcl_conflicts", _i64, [_ptr]),
+    ("cdcl_num_records", _i64, [_ptr]),
+    ("cdcl_num_record_lits", _i64, [_ptr]),
+    ("cdcl_records", None, [_ptr, _ptr, _ptr, _ptr]),
+    ("cdcl_assignment", None, [_ptr, ctypes.c_char_p]),
+    ("cdcl_free", None, [_ptr]),
+    ("formula_index", _i32, [_i32, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr]),
+    ("dimacs_scan", _i32, [ctypes.c_char_p, _i64, _ptr, _ptr, _ptr]),
+)
+
+
 def _compiler() -> str | None:
     """Path of the system C compiler, or None when there is none."""
     for name in ("cc", "gcc", "clang"):
@@ -404,24 +426,7 @@ def _load_kernel() -> ctypes.CDLL | None:
         warnings.warn("compiled kernels unavailable, using the Python flip loop, CdclSolver and the Python"
                       f" DIMACS reader and Formula build: {exc}", RuntimeWarning)
         return None
-    ptr, i64, i32 = ctypes.c_void_p, ctypes.c_longlong, ctypes.c_int
-    for name, restype, argtypes in (
-        ("probsat_new", ptr, [i32, i32, ptr, ptr, ptr, ptr, ptr, ptr]),
-        ("probsat_flip", i64, [ptr, i64]),
-        ("probsat_num_falsified", i32, [ptr]),
-        ("probsat_assignment", None, [ptr, ctypes.c_char_p]),
-        ("probsat_free", None, [ptr]),
-        ("cdcl_new", ptr, [i32, i32, ptr, ptr, ctypes.c_char_p]),
-        ("cdcl_solve", i32, [ptr, i64, ctypes.c_double, i64, i64]),
-        ("cdcl_conflicts", i64, [ptr]),
-        ("cdcl_num_records", i64, [ptr]),
-        ("cdcl_num_record_lits", i64, [ptr]),
-        ("cdcl_records", None, [ptr, ptr, ptr, ptr]),
-        ("cdcl_assignment", None, [ptr, ctypes.c_char_p]),
-        ("cdcl_free", None, [ptr]),
-        ("formula_index", i32, [i32, i64, ptr, ptr, i32, ptr, ptr, ptr, ptr]),
-        ("dimacs_scan", i32, [ctypes.c_char_p, i64, ptr, ptr, ptr]),
-    ):
+    for name, restype, argtypes in _KERNEL_FUNCTIONS:
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes
     return lib

@@ -112,8 +112,8 @@ def test_kernel_matches_reference_on_edge_formulas(kernel):
         Formula(3, [(-1, 2), (-2, 3), (1,)]),
         Formula(3, [(1, 2), (-1, 3), (-2,)]),
         Formula(2, [(1, 2), (1, -2), (-1, 2), (-1, -2)]),
-        Formula(3, [(1, -1, 2), (2, 3), (-2, -3), (3, -1)], normalize=False),
-        Formula(4, [(-4,), (4, 1, 2), (-1, -2), (3, -1, 2)], normalize=False),
+        Formula(3, [(1, -1, 2), (2, 3), (-2, -3), (3, -1)]),
+        Formula(4, [(-4,), (4, 1, 2), (-1, -2), (3, -1, 2)]),
     ]
     statuses = set()
     for formula in formulas:
@@ -129,16 +129,15 @@ def test_kernel_matches_reference_on_edge_formulas(kernel):
 
 
 def test_kernel_matches_reference_on_small_random_formulas(kernel):
-    """Unsorted clauses and tautologies, as `Formula(..., normalize=False)`
-    keeps them, with units and conflicts at level 0."""
+    """Clauses drawn unsorted and with repeats, which `Formula` canonicalises,
+    and tautologies, with units and conflicts at level 0."""
     rng = random.Random(2024)
     statuses = set()
     for _ in range(300):
         n = rng.randint(1, 9)
-        clauses = [list(dict.fromkeys(rng.choice((1, -1)) * rng.randint(1, n)
-                                      for _ in range(rng.randint(1, 4))))
+        clauses = [[rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 4))]
                    for _ in range(rng.randint(1, 5 * n))]
-        formula = Formula(n, clauses, normalize=rng.random() < 0.5)
+        formula = Formula(n, clauses)
         budget = MiningBudget(NO_WALL, rng.choice((None, 0, 3, 40)), width_limit=rng.randint(1, 5),
                               count_cap=rng.choice((None, 0, 2)), early_stop=rng.random() < 0.5)
         statuses.add(assert_same(formula, budget, rng.randint(-2**40, 2**40)).status)

@@ -4,8 +4,9 @@ import pytest
 
 from satlab import cli
 from satlab.cli import EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT, main
-from satlab.cnf import DimacsError, parse_clause_lines, parse_dimacs, parse_solution
+from satlab.cnf import DimacsError, Formula, emit_dimacs, parse_clause_lines, parse_dimacs, parse_solution
 from satlab.pipeline import run_hybrid, select_strategy
+from satlab.quality import compute_backbone, gen_deceptive, gen_general
 
 
 def run_cli(capsys, *argv):
@@ -94,7 +95,7 @@ def test_enrich_level1(tmp_path, capsys):
     enriched = parse_dimacs(out.read_text())
     assert enriched.num_clauses <= base.num_clauses + base.num_clauses // 10
     assert "c added" in out.read_text()
-    assert base.clause_set() <= enriched.clause_set()
+    assert frozenset(base.clauses) <= frozenset(enriched.clauses)
 
 
 def test_enrich_cdcl_percent_cap(tmp_path, capsys):
@@ -251,9 +252,68 @@ def test_utf8_comment_still_solves(tmp_path, capsys):
         assert code == EXIT_SAT and "s SATISFIABLE" in out
 
 
+def planted_files(tmp_path, capsys, seed):
+    cnf, sol = tmp_path / "i.cnf", tmp_path / "i.sol"
+    run_cli(capsys, "gen", "-n", "20", "--planted", "--seed", str(seed), "-o", str(cnf),
+            "--solution-out", str(sol))
+    return cnf, sol
+
+
+def test_quality_reads_non_utf8_files_as_a_dimacs_error(tmp_path, capsys):
+    good_clauses, good_sol = tmp_path / "cl.txt", tmp_path / "s.sol"
+    good_clauses.write_bytes("c r\u00e9sum\u00e9\n1 2 3 0\n".encode())  # a UTF-8 comment still parses
+    good_sol.write_bytes("c \u00e9\nv 1 2 3 0\n".encode())
+    code, out, _ = run_cli(capsys, "quality", str(good_clauses), str(good_sol))
+    assert code == 0 and out.splitlines()[1] == "0,3,3,1.000000"
+    bad_clauses, bad_sol = tmp_path / "bad.txt", tmp_path / "bad.sol"
+    bad_clauses.write_bytes(b"1 2 \xff 0\n")
+    bad_sol.write_bytes(b"v 1 2 3 0\nv \xff\n")
+    with pytest.raises(DimacsError, match="line 1: non-ASCII byte 0xff"):
+        main(["quality", str(bad_clauses), str(good_sol)])
+    with pytest.raises(DimacsError, match="line 2: non-ASCII byte 0xff"):
+        main(["quality", str(good_clauses), str(bad_sol)])
+
+
+def test_inject_reads_a_non_utf8_solution_as_a_dimacs_error(tmp_path, capsys):
+    cnf, _ = planted_files(tmp_path, capsys, 2)
+    bad_sol = tmp_path / "bad.sol"
+    bad_sol.write_bytes(b"v 1 \xff 0\n")
+    with pytest.raises(DimacsError, match="line 1: non-ASCII byte 0xff"):
+        main(["inject", str(cnf), "--model", "general", "--count", "3", "--solution", str(bad_sol)])
+
+
+def test_bench_names_a_solver_config_that_is_not_utf8(tmp_path, capsys):
+    cnf, _ = planted_files(tmp_path, capsys, 2)
+    config = tmp_path / "solvers.json"
+    config.write_bytes(b'{"id": "\xff"}')
+    with pytest.raises(ValueError, match=f"solver config {config}: .*utf-8"):
+        main(["bench", "--instances", str(cnf), "--solver-config", str(config)])
+    config.write_text("{")
+    with pytest.raises(ValueError, match=f"solver config {config}: Expecting property name"):
+        main(["bench", "--instances", str(cnf), "--solver-config", str(config)])
+
+
+@pytest.mark.parametrize("model", ["deceptive", "general"])
+def test_inject_output_equals_a_rebuilt_formula(tmp_path, capsys, model):
+    cnf, sol = planted_files(tmp_path, capsys, 1)
+    out = tmp_path / "inj.cnf"
+    extra = ["--solution", str(sol)] if model == "general" else []
+    code, _, _ = run_cli(capsys, "inject", str(cnf), "--model", model, "--count", "12", "--seed", "4",
+                         "-o", str(out), *extra)
+    assert code == 0
+    formula = parse_dimacs(cnf.read_text())
+    backbone = compute_backbone(formula, seed=4)
+    if model == "deceptive":
+        clauses = gen_deceptive(backbone, 12, 4)
+    else:
+        clauses = gen_general(parse_solution(sol.read_text(), 20), backbone, 12, 4)
+    assert clauses
+    rebuilt = Formula(formula.num_vars, list(formula.clauses) + clauses)
+    assert out.read_bytes() == emit_dimacs(rebuilt, [f"injected {len(clauses)} model={model}"]).encode()
+
+
 def test_solve_pipeline_unsat(tmp_path, capsys):
     # over-constrained 3-SAT on the width-3 track so the miner can refute it
-    from satlab.cnf import emit_dimacs
     from satlab.generators import GenSpec, gen_uniform
 
     cnf = tmp_path / "u.cnf"

@@ -1,6 +1,7 @@
 import pickle
 import random
 import warnings
+from itertools import accumulate
 
 import pytest
 
@@ -16,7 +17,6 @@ from satlab.cnf import (
     eval_clause,
     eval_formula,
     format_solution,
-    is_tautology,
     parse_clause_lines,
     parse_dimacs,
     parse_solution,
@@ -102,12 +102,12 @@ def test_parse_emit_roundtrip_random_instances():
         f = gen_uniform(GenSpec(n=30, k=3, ratio=4.2, seed=seed))
         g = parse_dimacs(emit_dimacs(f))
         assert g.num_vars == f.num_vars
-        assert g.clause_set() == f.clause_set()
+        assert frozenset(g.clauses) == frozenset(f.clauses)
 
 
 def test_occurrence_index_mirrors_membership():
-    # unsorted literals and a tautology (clause 1) survive normalize=False
-    raw = Formula(4, [(3, -1), (2, -2, 4), (-1, 3, 4), (4,)], normalize=False)
+    # unsorted literals are put in canonical order; the tautology (clause 1) stays
+    raw = Formula(4, [(3, -1), (2, -2, 4), (-1, 3, 4), (4,)])
     for f in (gen_uniform(GenSpec(n=25, k=3, ratio=4.0, seed=7)), raw):
         for lit in range(-f.num_vars, f.num_vars + 1):
             # exactly the clauses holding lit, in clause-id order; none for 0
@@ -121,20 +121,47 @@ def test_occurrence_index_mirrors_membership():
     assert raw.max_occurrences == 3
 
 
-def test_csr_view_is_lazy_flat_and_cached():
-    f = Formula(4, [(1, -2), (3,), (-1, 2, 4, -3), (2, 4, -1)], normalize=False)
-    assert f._csr is None
-    offsets, literals, max_occ = f.csr()
-    assert list(offsets) == [0, 2, 3, 7, 10]
-    assert list(literals) == [1, -2, 3, -1, 2, 4, -3, 2, 4, -1]
-    assert offsets.itemsize == literals.itemsize == 4
-    assert max_occ == f.max_occurrences == max(len(f.occurrence(l)) for l in range(-4, 5)) == 2
-    assert f.csr() is f.csr()
-    assert Formula(3, []).csr() == (offsets[:1], literals[:0], 0)
-    # a pickled copy carries the cached view and equal occurrence arrays
+def test_flat_clause_arrays_hold_the_canonical_clauses():
+    f = Formula(4, [(1, -2), (3,), (-1, 2, 4, -3), (2, 4, -1, 2)])
+    assert f.clauses == ((1, -2), (3,), (-1, 2, -3, 4), (-1, 2, 4))
+    assert list(f.offsets) == [0, 2, 3, 7, 10]
+    assert list(f.literals) == [1, -2, 3, -1, 2, -3, 4, -1, 2, 4]
+    assert f.offsets.itemsize == f.literals.itemsize == 4
+    assert f.max_occurrences == max(len(f.occurrence(l)) for l in range(-4, 5)) == 2
+    empty = Formula(3, [])
+    assert (list(empty.offsets), list(empty.literals), empty.max_occurrences) == ([0], [], 0)
+    # a pickled copy carries equal flat and occurrence arrays
     copy = pickle.loads(pickle.dumps(f))
-    assert copy.csr() == f.csr()
+    assert (copy.offsets, copy.literals) == (f.offsets, f.literals)
     assert (copy.occ_offsets, copy.occ, copy.max_occurrences) == (f.occ_offsets, f.occ, 2)
+
+
+def assert_canonical_with_flat_arrays(f):
+    """The construction contract: canonical clauses, and flat arrays that
+    hold exactly them."""
+    assert all(c == canonical_clause(c) for c in f.clauses), f.clauses
+    assert list(f.offsets) == list(accumulate(map(len, f.clauses), initial=0))
+    assert list(f.literals) == [lit for c in f.clauses for lit in c]
+    assert f.offsets.typecode == f.literals.typecode == "i"
+    assert f.max_width == max(map(len, f.clauses), default=0)
+
+
+def test_every_construction_path_holds_canonical_clauses_and_their_flat_arrays(kernel, monkeypatch):
+    raw = [(3, -1, 3), (2, -2, 4), (), (4, 1, -1, 4, 2), (2,), (1, 2, 3, 4, -1, -2, -3, -4)]
+    text = f"p cnf 4 {len(raw)}\n" + "".join(" ".join(map(str, c)) + " 0\n" for c in raw)
+    assert cnf._scan_dimacs(kernel, text) is not None, "the scanner reads this text"
+    expected = tuple(map(canonical_clause, raw))
+    assert expected[0] == (-1, 3) and expected[3] == (-1, 1, 2, 4)
+    for loader in (sls._load_kernel, lambda: None):  # native, then the reference
+        with monkeypatch.context() as patched:
+            patched.setattr(sls, "_load_kernel", loader)
+            parsed = parse_dimacs(text)
+            built = Formula(4, raw)
+            extended = Formula(4, raw[:2]).extended(raw[2:])
+            for f in (built, parsed, extended, pickle.loads(pickle.dumps(built))):
+                assert f.clauses == expected
+                assert_canonical_with_flat_arrays(f)
+    assert Formula(3, [(2, -3, 2)]).clauses == ((2, -3),)
 
 
 def test_eval_clause():
@@ -205,22 +232,13 @@ def test_formula_rejects_out_of_range_literal():
         Formula(2, [(1, 3)])
 
 
-def test_unnormalized_formula_rejects_repeated_literal():
-    # tautologies and literal order survive normalize=False; repeats do not
-    assert Formula(3, [(3, -1, 1)], normalize=False).clauses == ((3, -1, 1),)
-    for clause in ((1, 1), (2, -3, 2), (-1, 2, -1)):
-        with pytest.raises(ValueError, match="repeats a literal"):
-            Formula(3, [(1, 2), clause], normalize=False)
-    assert Formula(3, [(2, -3, 2)]).clauses == ((2, -3),)
-
-
 def formula_attrs(f):
-    return (f.num_vars, f.clauses, f.tautology_ids, f.occ_offsets, f.occ, f.max_occurrences,
-            f.max_width, f.csr())
+    return (f.num_vars, f.clauses, f.tautology_ids, f.offsets, f.literals, f.occ_offsets, f.occ,
+            f.max_occurrences, f.max_width)
 
 
 EXTENSIONS = {
-    # name: (num_vars, parent clauses, added clauses); parents keep their literal order
+    # name: (num_vars, parent clauses, added clauses), in any literal order
     "no-additions": (4, [(1, -2), (2, 3, 4)], []),
     "tautologies": (4, [(1, -2), (2, -2, 3)], [(1, -1), (3, 2, -3), (4,)]),
     "wider-than-parent": (6, [(1, 2), (-3, 4)], [(1, 2, 3, 4, 5, 6), (-6,)]),
@@ -228,30 +246,30 @@ EXTENSIONS = {
     "unnormalized-parent": (4, [(3, -1), (2, -2, 4), (-1, 3, 4), (4,)], [(4, 3), (-4, -1), (1, -3)]),
     "empty-parent": (3, [], [(2, 1), (-3,)]),
     "empty-clauses": (3, [(1, 2), ()], [(), (-1,)]),
+    "repeats": (3, [(1, 2, 1)], [(2, 3, 2), (-1, -1), (3, -3, 3)]),
 }
 
 
-@pytest.mark.parametrize("cached_csr", [False, True])
+@pytest.mark.parametrize("reversed_additions", [False, True])
 @pytest.mark.parametrize("name", sorted(EXTENSIONS))
-def test_extended_equals_a_rebuild(name, cached_csr):
+def test_extended_equals_a_rebuild(name, reversed_additions):
     n, old, new = EXTENSIONS[name]
-    parent = Formula(n, old, normalize=False)
-    if cached_csr:
-        parent.csr()
+    if reversed_additions:  # extended puts added clauses in canonical order, as __init__ does
+        new = [c[::-1] for c in new]
+    parent = Formula(n, old)
     extended = parent.extended(new)
-    # a cached view is extended, and none is built for a parent without one
-    assert (extended._csr is not None) == cached_csr
-    assert formula_attrs(extended) == formula_attrs(Formula(n, old + new, normalize=False))
-    assert formula_attrs(parent) == formula_attrs(Formula(n, old, normalize=False))
+    assert formula_attrs(extended) == formula_attrs(Formula(n, old + new))
+    assert formula_attrs(parent) == formula_attrs(Formula(n, old))
+    assert_canonical_with_flat_arrays(extended)
     # the extended formula survives the pickling that run_suite workers rely on
     assert formula_attrs(pickle.loads(pickle.dumps(extended))) == formula_attrs(extended)
 
 
-@pytest.mark.parametrize("cached_csr", [False, True])
+@pytest.mark.parametrize("reversed_additions", [False, True])
 @pytest.mark.parametrize("name", sorted(EXTENSIONS))
-def test_extended_equals_a_rebuild_on_the_python_build(name, cached_csr, monkeypatch):
+def test_extended_equals_a_rebuild_on_the_python_build(name, reversed_additions, monkeypatch):
     monkeypatch.setattr(sls, "_load_kernel", lambda: None)
-    test_extended_equals_a_rebuild(name, cached_csr)
+    test_extended_equals_a_rebuild(name, reversed_additions)
 
 
 def test_extended_equals_a_rebuild_on_random_formulas():
@@ -261,33 +279,31 @@ def test_extended_equals_a_rebuild_on_random_formulas():
 
         def clause():
             lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), rng.randint(0, min(n, 5)))]
-            return lits + [-lits[0]] if lits and rng.random() < 0.2 else lits
+            if lits and rng.random() < 0.2:
+                lits.append(-lits[0] if rng.random() < 0.5 else lits[0])  # a tautology or a repeat
+            return lits
 
         old = [clause() for _ in range(rng.randint(0, 12))]
         new = [clause() for _ in range(rng.randint(0, 8))]
-        parent = Formula(n, old, normalize=False)
-        if trial % 2:
-            parent.csr()
-        assert formula_attrs(parent.extended(new)) == formula_attrs(Formula(n, old + new, normalize=False))
+        assert formula_attrs(Formula(n, old).extended(new)) == formula_attrs(Formula(n, old + new))
 
 
 def test_extended_rejects_bad_clauses_and_leaves_the_parent_unchanged():
     parent = Formula(3, [(1, -2), (2, 3)])
-    parent.csr()
     before = formula_attrs(parent)
     for bad, match in (((1, 4), "literal 4 out of range 1..3 in clause 3"), ((0,), "literal 0 out of range"),
-                       ((-4, 2), "literal -4 out of range"), ((2, 3, 2), "clause 3 repeats a literal")):
+                       ((-4, 2), "literal -4 out of range")):
         with pytest.raises(ValueError, match=match):
             parent.extended([(1, 2), bad])
         assert formula_attrs(parent) == before
+    assert parent.extended([(2, 3, 2)]).clauses[2:] == ((2, 3),)  # a repeat is dropped, not an error
 
 
 def test_engines_agree_on_extended_and_rebuilt_formulas():
     base = gen_uniform(GenSpec(n=40, k=3, ratio=4.3, seed=11))
     extra = [tuple(reversed(c)) for c in gen_uniform(GenSpec(n=40, k=4, ratio=0.5, seed=12)).clauses]
-    base.csr()  # extended from the parent's cached CSR, as after the miner in run_hybrid
     extended = base.extended(extra)
-    rebuilt = Formula(40, base.clauses + tuple(extra), normalize=False)
+    rebuilt = Formula(40, base.clauses + tuple(extra))
     for seed in range(4):
         a, b = probsat_run(extended, 3_000, seed), probsat_run(rebuilt, 3_000, seed)
         assert (a.status, a.flips_used, a.model) == (b.status, b.flips_used, b.model)
@@ -298,9 +314,9 @@ def test_engines_agree_on_extended_and_rebuilt_formulas():
 
 
 def test_tautology_helpers():
-    assert is_tautology((1, -1, 2))
-    assert not is_tautology((1, 2))
     assert canonical_clause((3, 1, -2, 1)) == (1, -2, 3)
+    assert canonical_clause((2, 1, -1)) == (-1, 1, 2)  # both polarities kept
+    assert Formula(3, [(1, 2), (2, 1, -1), (3, -3, 3)]).tautology_ids == {1, 2}
 
 
 def test_solution_format_roundtrip():
@@ -357,8 +373,6 @@ def native_and_reference(monkeypatch, make):
 def random_clause(rng, n):
     width = rng.choice((0, 1, 2, 3, 3, 4, 5, 7, 17, 25))  # wider than 16 sorts with qsort
     lits = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(width)]
-    if rng.random() < 0.8:
-        lits = list(dict.fromkeys(lits))  # no repeats, so normalize=False accepts it
     if lits and rng.random() < 0.15:
         lits.append(-lits[0])  # a tautology
     if rng.random() < 0.02:
@@ -368,21 +382,22 @@ def random_clause(rng, n):
 
 def test_native_build_equals_the_reference_on_random_formulas(kernel, monkeypatch):
     rng = random.Random(8)
-    seen = {"built": 0, "rejected": 0, "tautologies": 0, "empty": 0, "unsorted": 0}
+    seen = {"built": 0, "rejected": 0, "tautologies": 0, "empty": 0, "unsorted": 0, "repeats": 0}
     for _ in range(2_000):
         n = rng.randint(1, 30)
         clauses = [random_clause(rng, n) for _ in range(rng.randint(0, 14))]
-        for normalize in (True, False):
-            native, reference = native_and_reference(monkeypatch, lambda: Formula(n, clauses, normalize))
-            assert native == reference, (n, clauses, normalize)
-            if isinstance(native[0][0], type):
-                seen["rejected"] += 1
-                continue
-            seen["built"] += 1
-            formula = Formula(n, clauses, normalize)
-            seen["tautologies"] += bool(formula.tautology_ids)
-            seen["empty"] += formula.has_empty_clause()
-            seen["unsorted"] += any(list(c) != sorted(c, key=lambda l: (abs(l), l)) for c in formula.clauses)
+        native, reference = native_and_reference(monkeypatch, lambda: Formula(n, clauses))
+        assert native == reference, (n, clauses)
+        if isinstance(native[0][0], type):
+            seen["rejected"] += 1
+            continue
+        seen["built"] += 1
+        formula = Formula(n, clauses)
+        seen["tautologies"] += bool(formula.tautology_ids)
+        seen["empty"] += formula.has_empty_clause()
+        # what the build was fed, not what it made
+        seen["unsorted"] += any(list(c) != sorted(c, key=lambda l: (abs(l), l)) for c in clauses)
+        seen["repeats"] += any(len(set(c)) != len(c) for c in clauses)
     assert min(seen.values()) >= 100, seen
 
 
@@ -392,15 +407,12 @@ def test_native_build_raises_the_reference_errors(kernel, monkeypatch):
         [(-(2**31) - 1, 1)], [(2**40, 0)], [(1, -4), (1, 1)], [(1, 1), (1, -4)], [(3, -1, 3, 9)],
         [(1.0, 2)], [("1",)], [None],
     ]
-    repeats = [[(2, -3, 2)], [(1,), (3, -1, -3, 3)]]  # rejected with normalize=False only
-    for clauses, normalize in [(c, norm) for c in bad for norm in (True, False)] + [(c, False) for c in repeats]:
-        native, reference = native_and_reference(monkeypatch, lambda: Formula(3, clauses, normalize))
-        assert native == reference, (clauses, normalize)
+    for clauses in bad:
+        native, reference = native_and_reference(monkeypatch, lambda: Formula(3, clauses))
+        assert native == reference, clauses
         assert isinstance(native[0][0], type) and issubclass(native[0][0], (ValueError, TypeError))
     with pytest.raises(ValueError, match=r"literal -2147483648 out of range 1\.\.3 in clause 0"):
         Formula(3, [(-(2**31), 1)])
-    with pytest.raises(ValueError, match=r"clause 1 repeats a literal: \(2, -3, 2\)"):
-        Formula(3, [(1,), (2, -3, 2)], normalize=False)
 
 
 def test_native_build_reads_generators_and_odd_clause_objects(kernel, monkeypatch):
@@ -414,16 +426,14 @@ def test_native_build_reads_generators_and_odd_clause_objects(kernel, monkeypatc
             return iter((2, -1))
 
     clauses = [(3, -1, 2), [2, 2, -1], (), [1, -1], range(1, 4), {3: 0, -2: 0}]
-    for normalize in (True, False):
-        rows = clauses if normalize else [c for c in clauses if c != [2, 2, -1]]
-        for make in (
-            lambda: Formula(3, (c for c in rows), normalize),  # consumed once
-            lambda: Formula(3, (iter(c) for c in rows), normalize),
-            lambda: Formula(3, tuple(rows) + (Misreported(),), normalize),
-        ):
-            native, reference = native_and_reference(monkeypatch, make)
-            assert native == reference
-            assert not isinstance(native[0][0], type)
+    for make in (
+        lambda: Formula(3, (c for c in clauses)),  # consumed once
+        lambda: Formula(3, (iter(c) for c in clauses)),
+        lambda: Formula(3, tuple(clauses) + (Misreported(),)),
+    ):
+        native, reference = native_and_reference(monkeypatch, make)
+        assert native == reference
+        assert not isinstance(native[0][0], type)
     assert Formula(3, (c for c in clauses)).clauses == ((-1, 2, 3), (-1, 2), (), (-1, 1), (1, 2, 3), (-2, 3))
 
 

@@ -106,16 +106,16 @@ def test_track_is_not_an_override():
 
 def test_augment_identity_and_dedup():
     f = Formula(4, [(1, 2), (3, 4)])
-    assert augment(f, []).clause_set() == f.clause_set()
-    assert augment(f, [(2, 1)]).clause_set() == f.clause_set()
+    assert frozenset(augment(f, []).clauses) == frozenset(f.clauses)
+    assert frozenset(augment(f, [(2, 1)]).clauses) == frozenset(f.clauses)
     g = augment(f, [(1, 3), (1, 3)])
     assert g.num_clauses == 3
-    assert g.clause_set() == f.clause_set() | {(1, 3)}
+    assert frozenset(g.clauses) == frozenset(f.clauses) | {(1, 3)}
     assert f.num_clauses == 2  # original untouched
 
 
 def test_augment_drops_clauses_with_the_literal_set_of_an_existing_one():
-    f = Formula(3, [(2, 1), (3, -1)], normalize=False)
+    f = Formula(3, [(2, 1), (3, -1)])
     assert augment(f, [(1, 2), (-1, 3)]).clauses == f.clauses
     g = augment(f, [(3, 1), (-1, 3, 2), (2, 3, -1)])
     assert g.clauses == f.clauses + ((1, 3), (-1, 2, 3))

@@ -35,7 +35,7 @@ def test_level1_excludes_tautologies_and_base():
     assert (2,) in pool.clauses
     assert (1, 3) in pool.clauses
     assert (-1, 3) in pool.clauses
-    assert all(c not in f.clause_set() for c in pool.clauses)
+    assert pool.clauses.isdisjoint(f.clauses)
 
 
 def test_level1_width_filter():
@@ -63,7 +63,7 @@ def test_level2_chain():
     l2 = level2_resolvents(f, 4)
     assert (2, 4) in l2.clauses
     assert l2.clauses.isdisjoint(l1.clauses)
-    assert l2.clauses.isdisjoint(f.clause_set())
+    assert l2.clauses.isdisjoint(f.clauses)
 
 
 def test_level2_empty_when_no_level1():
@@ -150,8 +150,8 @@ def test_level2_rejects_negative_pair_budget():
 
 
 def test_pools_exclude_base_clauses_in_any_literal_order():
-    # (-3, 1) x (3, 2) resolves to (1, 2), which is the base clause (2, 1)
-    f = Formula(3, [(2, 1), (-3, 1), (3, 2)], normalize=False)
+    # (-3, 1) x (3, 2) resolves to (1, 2), which is the base clause given as (2, 1)
+    f = Formula(3, [(2, 1), (-3, 1), (3, 2)])
     assert level1_resolvents(f, 4).clauses == frozenset()
     assert level2_resolvents(f, 4).clauses == frozenset()
     assert ternary_saturate(f) == set()
@@ -159,13 +159,13 @@ def test_pools_exclude_base_clauses_in_any_literal_order():
 
 def test_pools_depend_on_literal_sets_only():
     f = gen_uniform(GenSpec(n=16, k=3, ratio=4.2, seed=200))
-    g = Formula(f.num_vars, [c[::-1] for c in f.clauses], normalize=False)
+    g = Formula(f.num_vars, [c[::-1] for c in f.clauses])  # canonicalised to f's clauses
     assert level1_resolvents(g, 4).clauses == level1_resolvents(f, 4).clauses
     for budget in (500, 5_000, None):
         kw = {} if budget is None else {"pair_budget": budget}
         assert level2_resolvents(g, 4, **kw).clauses == level2_resolvents(f, 4, **kw).clauses
     f = gen_uniform(GenSpec(n=9, k=3, ratio=2.5, seed=300))
-    g = Formula(f.num_vars, [c[::-1] for c in f.clauses], normalize=False)
+    g = Formula(f.num_vars, [c[::-1] for c in f.clauses])
     assert ternary_saturate(g) == ternary_saturate(f)
 
 
@@ -209,10 +209,10 @@ def _digest(clauses) -> str:
 
 
 def _mixed_order() -> Formula:
-    """normalize=False: canonical 3-clauses, then 5-clauses in reversed literal order."""
+    """3-clauses, then 5-clauses given in reversed literal order."""
     three = gen_uniform(GenSpec(n=14, k=3, ratio=2.5, seed=11)).clauses
     five = gen_uniform(GenSpec(n=14, k=5, ratio=1.5, seed=12)).clauses
-    return Formula(14, list(three) + [c[::-1] for c in five], normalize=False)
+    return Formula(14, list(three) + [c[::-1] for c in five])
 
 
 def _with_tautologies() -> Formula:

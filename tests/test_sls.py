@@ -103,7 +103,7 @@ def test_incremental_matches_scratch_after_many_flips():
 
 
 def test_flips_with_tautological_clause():
-    f = Formula(3, [(1, -1, 2), (2, 3), (-2, -3)], normalize=False)
+    f = Formula(3, [(1, -1, 2), (2, 3), (-2, -3)])
     state = SlsState(f, 0, assignment=[False, False, False, False])
     for v in (1, 2, 3, 2, 1, 3, 2):
         state.flip(v)

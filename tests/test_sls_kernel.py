@@ -7,6 +7,7 @@ count and model.
 
 import pickle
 import random
+import re
 import subprocess
 import warnings
 
@@ -80,20 +81,19 @@ def test_kernel_matches_reference_on_generated_formulas(kernel, k, n, ratio, bud
 
 
 def test_kernel_matches_reference_on_unnormalized_formulas(kernel):
-    """Tautologies and unsorted clauses, as `Formula(..., normalize=False)` keeps them."""
+    """Tautologies, and clauses drawn unsorted and with repeats, which
+    `Formula` canonicalises."""
     rng = random.Random(2024)
     outcomes = set()
     for _ in range(150):
         n = rng.randint(1, 6)
-        # dict.fromkeys drops repeated literals and keeps the drawn order
-        clauses = [list(dict.fromkeys(rng.choice((1, -1)) * rng.randint(1, n)
-                                      for _ in range(rng.randint(1, 5))))
+        clauses = [[rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 5))]
                    for _ in range(rng.randint(1, 12))]
-        formula = Formula(n, clauses, normalize=False)
+        formula = Formula(n, clauses)
         result = assert_same(formula, 300, rng.randint(-2**70, 2**70), rng.choice(SCORINGS))
         outcomes.add(result if isinstance(result, str) else result[0])
     assert outcomes == {sls.SOLVED, sls.FLIPS_EXHAUSTED}
-    taut = Formula(3, [(1, -1, 2), (2, 3), (-2, -3), (3, -1)], normalize=False)
+    taut = Formula(3, [(1, -1, 2), (2, 3), (-2, -3), (3, -1)])
     for seed in SEEDS:
         assert_same(taut, 50, seed)
 
@@ -136,7 +136,7 @@ def test_wall_limit_stops_the_kernel(kernel):
 
 def test_probsat_run_without_kernel_gives_the_same_results(monkeypatch):
     cases = [(gen_planted(GenSpec(n=50, k=3, ratio=4.2, seed=s))[0], 5_000, s * 13 - 20) for s in range(6)]
-    cases.append((Formula(3, [(-2, 1), (2, -1, 1)], normalize=False), 20, 5))
+    cases.append((Formula(3, [(-2, 1), (2, -1, 1)]), 20, 5))
     expected = [outcome(probsat_run, *case) for case in cases]
     monkeypatch.setattr(sls, "_load_kernel", lambda: None)
     assert [outcome(probsat_run, *case) for case in cases] == expected
@@ -146,8 +146,7 @@ def test_run_suite_workers_match_serial_with_cached_csr(kernel):
     instances = []
     for k, n, ratio, _ in SHAPES:
         formula, _ = gen_planted(GenSpec(n=n, k=k, ratio=ratio, seed=500 + k))
-        formula.csr()  # the workers receive formulas that carry their CSR
-        instances.append((f"k{k}", formula))
+        instances.append((f"k{k}", formula))  # the workers receive formulas with their flat (CSR) arrays
     solvers = [SolverConfig("sls"), SolverConfig("hyb", algorithm="hybrid", initial_flips=50,
                                                  miner_conflict_limit=30)]
     serial = run_suite(instances, solvers, seeds=[1, 2], budget_flips=2_000, workers=1)
@@ -157,10 +156,11 @@ def test_run_suite_workers_match_serial_with_cached_csr(kernel):
 
 
 def test_formula_with_cached_csr_pickles():
+    # the flat (CSR) clause arrays a formula is built with travel with it
     formula, _ = gen_planted(GenSpec(n=30, k=3, ratio=4.2, seed=1))
-    csr = formula.csr()
     copy = pickle.loads(pickle.dumps(formula))
-    assert copy.csr() == csr
+    assert (copy.offsets, copy.literals, copy.max_occurrences) == \
+        (formula.offsets, formula.literals, formula.max_occurrences)
     assert copy.clauses == formula.clauses
 
 
@@ -203,3 +203,16 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
             capture_output=True, text=True,
         )
         assert built.returncode == 0, built.stderr
+
+
+def test_ctypes_table_matches_the_c_parameter_lists():
+    # every exported (non-static) definition in the three sources, read from the text, so no compiler is needed
+    definition = re.compile(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\(([^)]*)\)\s*\{", re.MULTILINE)
+    defined = {}
+    for source in sls._KERNEL_SOURCES:
+        for name, params in definition.findall(source.read_text()):
+            assert name not in defined, f"{name} is defined twice"
+            defined[name] = 0 if params.strip() in ("", "void") else params.count(",") + 1
+    table = {name: len(argtypes) for name, _, argtypes in sls._KERNEL_FUNCTIONS}
+    assert len(table) == len(sls._KERNEL_FUNCTIONS) == 15
+    assert defined == table
