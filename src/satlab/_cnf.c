@@ -1,6 +1,7 @@
-/* Compiled DIMACS scan and Formula index build, equal to the Python
- * reference in satlab.cnf (the DIMACS reader of parse_dimacs, and
- * canonical_clause plus _index_clauses in Formula.__init__).
+/* Compiled DIMACS scan and emit and Formula index build, equal to the
+ * Python reference in satlab.cnf (the DIMACS reader of parse_dimacs, the
+ * clause lines of emit_dimacs, and canonical_clause plus _index_clauses
+ * in Formula.__init__).
  *
  * Clauses are flat: clause c holds lits[off[c] .. off[c+1]), DIMACS-signed
  * ints.  The occurrence index is Formula's: the ids of the clauses holding
@@ -249,4 +250,40 @@ int dimacs_scan(const char *text, long long len, long long *info, int *off, int 
     info[2] = m;
     info[3] = nlits;
     return OK;
+}
+
+/* The decimal digits of v, with a leading '-' when negative, at p; returns
+ * the end. */
+static char *write_int(char *p, int v)
+{
+    char digits[10];
+    unsigned u = v < 0 ? 0U - (unsigned)v : (unsigned)v;
+    int count = 0;
+    if (v < 0)
+        *p++ = '-';
+    do
+        digits[count++] = (char)('0' + u % 10);
+    while ((u /= 10) != 0);
+    while (count > 0)
+        *p++ = digits[--count];
+    return p;
+}
+
+/* The clause lines of emit_dimacs, `l1 l2 ... 0\n` for each of the m
+ * clauses (` 0\n` for an empty one), written to out; returns the bytes
+ * written.  out has room for 12 bytes per literal and 3 per clause.
+ */
+long long dimacs_emit(long long m, const int *off, const int *lits, char *out)
+{
+    char *p = out;
+    for (long long c = 0; c < m; c++) {
+        for (int i = off[c]; i < off[c + 1]; i++) {
+            if (i > off[c])
+                *p++ = ' ';
+            p = write_int(p, lits[i]);
+        }
+        memcpy(p, " 0\n", 3);
+        p += 3;
+    }
+    return p - out;
 }

@@ -1,7 +1,7 @@
 /* Compiled probSAT flip loop, bit-identical to satlab.sls._probsat_python.
  *
  * Every step mirrors the Python reference: the same Mersenne Twister
- * stream (continued from random.Random(seed).getstate()), the same
+ * stream (_mt.h, continued from random.Random(seed).getstate()), the same
  * initial assignment draws, occurrence lists in clause-id order, the
  * same swap-remove falsified registry, the same clause-order scan for a
  * clause's critical variable, and the same floating-point accumulation
@@ -14,61 +14,23 @@
  * i = 2*|l| + (l < 0), in clause-id order.
  */
 
-#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-#define MT_N 624
-#define MT_M 397
+#include "_mt.h"
 
 typedef struct {
+    mt_state rng;
     int n;
     const int *off, *lits;
     const double *table; /* f(0 .. longest occurrence list) */
     long long flips;
     int num_falsified;
-    uint32_t mt[MT_N];
-    int mti;
     unsigned char *assign; /* n + 1 */
     int *breaks;           /* n + 1 */
     int *sat, *crit, *falsified, *where; /* m each */
     const int *occ_off, *occ;
 } probsat_state;
-
-/* MT19937 as in CPython's _randommodule.c */
-static uint32_t genrand_uint32(probsat_state *s)
-{
-    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
-    uint32_t y;
-    if (s->mti >= MT_N) {
-        uint32_t *mt = s->mt;
-        int kk;
-        for (kk = 0; kk < MT_N - MT_M; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        for (; kk < MT_N - 1; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
-        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
-        s->mti = 0;
-    }
-    y = s->mt[s->mti++];
-    y ^= (y >> 11);
-    y ^= (y << 7) & 0x9d2c5680U;
-    y ^= (y << 15) & 0xefc60000U;
-    y ^= (y >> 18);
-    return y;
-}
-
-/* random.random(): 53-bit double in [0, 1) */
-static double random_double(probsat_state *s)
-{
-    uint32_t a = genrand_uint32(s) >> 5, b = genrand_uint32(s) >> 6;
-    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
-}
 
 /* both branch-free: literal signs are random, so a branch mispredicts */
 static int occ_index(int lit)
@@ -108,8 +70,7 @@ probsat_state *probsat_new(int n, int m, const int *off, const int *lits,
     s->occ_off = occ_off;
     s->occ = occ;
     s->table = table;
-    memcpy(s->mt, mt, sizeof s->mt);
-    s->mti = (int)mt[MT_N];
+    mt_load(&s->rng, mt);
     s->assign = calloc((size_t)n + 1, 1);
     s->breaks = calloc((size_t)n + 1, sizeof(int));
     s->sat = calloc(4 * (size_t)m + 1, sizeof(int));
@@ -122,7 +83,7 @@ probsat_state *probsat_new(int n, int m, const int *off, const int *lits,
     s->where = s->falsified + m;
 
     for (v = 1; v <= n; v++)
-        s->assign[v] = random_double(s) < 0.5;
+        s->assign[v] = random_double(&s->rng) < 0.5;
 
     for (c = 0; c < m; c++) {
         int count = 0;
@@ -201,12 +162,12 @@ long long probsat_flip(probsat_state *s, long long stop)
     const int *lits = s->lits;
     const double *table = s->table;
     while (s->flips < stop && s->num_falsified > 0) {
-        int cid = s->falsified[(long long)(random_double(s) * s->num_falsified)];
+        int cid = s->falsified[(long long)(random_double(&s->rng) * s->num_falsified)];
         int lo = s->off[cid], hi = s->off[cid + 1], chosen = lits[hi - 1], i;
         double total = 0.0, acc = 0.0, r;
         for (i = lo; i < hi; i++)
             total += table[s->breaks[abs(lits[i])]];
-        r = random_double(s) * total;
+        r = random_double(&s->rng) * total;
         for (i = lo; i < hi; i++) {
             acc += table[s->breaks[abs(lits[i])]];
             if (r < acc) {

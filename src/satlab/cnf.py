@@ -7,26 +7,29 @@ tuples of literals sorted by variable index, which makes deduplication
 and set operations exact.  Assignments are lists of booleans of length
 n+1 with index 0 unused, so `assignment[v]` is the value of variable v.
 
-Building a `Formula` and reading DIMACS each have two paths with one set
-of results:
+Building a `Formula`, reading DIMACS and writing it each have two paths
+with one set of results:
 
 - `_cnf.c`, built into the one compiled library of `satlab.sls`
   (`sls._load_kernel`), canonicalises and checks flat int32 clauses and
-  fills the occurrence index (`formula_index`), and scans DIMACS text in
-  a strict subset: ASCII lines of `[+-]?digits` tokens, `c` comments, one
-  `p cnf N M` header and a `%` end line (`dimacs_scan`).  Any other
-  input it hands back to the Python reader whole.
-- `canonical_clause` with `_index_clauses`, and `_read_dimacs`, are the
-  readable reference.  They run when the library is unavailable, when
-  clauses do not fit int32 arrays, and for every input outside the
-  scanner's subset, so every error message and warning is theirs.
+  fills the occurrence index (`formula_index`), scans DIMACS text in a
+  strict subset: ASCII lines of `[+-]?digits` tokens, `c` comments, one
+  `p cnf N M` header and a `%` end line (`dimacs_scan`), and writes the
+  clause lines of `emit_dimacs` (`dimacs_emit`).  Any input outside the
+  scanner's subset it hands back to the Python reader whole.
+- `canonical_clause` with `_index_clauses`, `_read_dimacs` and
+  `_emit_clauses_python` are the readable reference.  They run when the
+  library is unavailable, when clauses do not fit int32 arrays, and for
+  every input outside the scanner's subset, so every error message and
+  warning is theirs.
 
 The differential tests in `tests/test_cnf.py` hold the two paths to
-equal attributes, errors and warnings.
+equal attributes, errors, warnings and text.
 """
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from array import array
 from collections import defaultdict
@@ -335,12 +338,28 @@ def _int_tokens(line: str, lineno: int) -> list[int]:
 
 
 def emit_dimacs(formula: Formula, comments: Sequence[str] = ()) -> str:
-    """Serialize to DIMACS CNF.  Inverse of `parse_dimacs` up to clause-set equality."""
-    lines = [f"c {c}" for c in comments]
-    lines.append(f"p cnf {formula.num_vars} {formula.num_clauses}")
-    for clause in formula.clauses:
-        lines.append(" ".join(str(l) for l in clause) + " 0")
-    return "\n".join(lines) + "\n"
+    """Serialize to DIMACS CNF.  Inverse of `parse_dimacs` up to clause-set equality.
+
+    Each line of each comment becomes its own `c` line, and the `p cnf`
+    header follows.  The clause lines, `l1 l2 ... 0`, come from
+    `dimacs_emit` in `_cnf.c`, which reads `formula.offsets` and
+    `formula.literals`; `_emit_clauses_python` is the reference and runs
+    when the library is unavailable.  Both give the same text.
+    """
+    head = "".join(f"c {line}\n" for c in comments for line in str(c).splitlines() or [""])
+    head += f"p cnf {formula.num_vars} {formula.num_clauses}\n"
+    kernel = _kernel()
+    if kernel is None:
+        return head + _emit_clauses_python(formula)
+    # at most 12 bytes per int32 literal with its blank, and " 0\n" per clause
+    out = ctypes.create_string_buffer(12 * len(formula.literals) + 3 * formula.num_clauses)
+    written = kernel.dimacs_emit(formula.num_clauses, _address(formula.offsets), _address(formula.literals), out)
+    return head + str(memoryview(out)[:written], "ascii")  # decoded in place, not copied to bytes first
+
+
+def _emit_clauses_python(formula: Formula) -> str:
+    """The reference clause lines of `emit_dimacs`."""
+    return "".join(" ".join(map(str, clause)) + " 0\n" for clause in formula.clauses)
 
 
 def eval_clause(clause: Sequence[int], alpha: Assignment) -> bool:

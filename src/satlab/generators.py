@@ -2,14 +2,33 @@
 
 All generators are pure functions of a `GenSpec`; the seeded Mersenne
 Twister (`random.Random`) makes them bit-reproducible across platforms.
+
+`gen_uniform` and `gen_planted` have two paths with one set of results:
+
+- `gen_clauses` in `_gen.c`, built into the one compiled library of
+  `satlab.sls` (`sls._load_kernel`), continues the Mersenne Twister
+  state of `random.Random(spec.seed)` and repeats the reference's draws
+  one by one, including both branches of CPython's `random.sample`.  It
+  writes flat int32 clause arrays, which `formula_index` canonicalises
+  and indexes, so no clause list is built and `Formula.__init__` never
+  runs.
+- `_gen_uniform_python` and `_gen_planted_python` are the readable
+  reference.  They run when the library is unavailable, and when `n` or
+  `m * k` does not fit int32.
+
+For equal specs the two give equal clauses, flat arrays and hidden
+assignments; the differential tests in `tests/test_generators.py` hold
+them to it.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from array import array
 from dataclasses import dataclass
 
-from .cnf import Assignment, Formula
+from .cnf import _INT32_MAX, Assignment, Formula, _address, _kernel
 
 # Clause-to-variable ratios near the satisfiability threshold, used when a
 # spec gives neither ratio nor m.
@@ -44,10 +63,17 @@ class GenSpec:
             raise ValueError(f"clause width k={self.k} exceeds n={self.n}")
         if (self.ratio is None) == (self.m is None):
             raise ValueError("exactly one of ratio / m must be given")
-        if self.planted is not None and len(self.planted) != self.n + 1:
-            raise ValueError("planted assignment length must be n+1 (index 0 unused)")
+        if self.planted is not None:
+            if len(self.planted) != self.n + 1:
+                raise ValueError("planted assignment length must be n+1 (index 0 unused)")
+            if not all(h == True or h == False for h in self.planted[1:]):  # 0 and 1 pass too
+                raise ValueError("planted assignment values must be booleans")
         if not 0.0 < self.bias <= 1.0:
             raise ValueError(f"bias must lie in (0, 1], got {self.bias}")
+        if self.ratio is not None and not math.isfinite(self.ratio * self.n):
+            raise ValueError(f"ratio * n must be finite, got ratio {self.ratio}")
+        if self.num_clauses < 0:
+            raise ValueError(f"clause count must not be negative, got {self.num_clauses}")
 
     @property
     def num_clauses(self) -> int:
@@ -68,13 +94,8 @@ def gen_uniform(spec: GenSpec) -> Formula:
     permitted, as in the uniform model."""
     if spec.planted is not None:
         raise ValueError("uniform generation takes no planted assignment")
-    rng = random.Random(spec.seed)
-    variables = range(1, spec.n + 1)
-    clauses = []
-    for _ in range(spec.num_clauses):
-        vs = rng.sample(variables, spec.k)
-        clauses.append([v if rng.random() < 0.5 else -v for v in vs])
-    return Formula(spec.n, clauses)
+    formula = _gen_native(spec, None)
+    return _gen_uniform_python(spec) if formula is None else formula
 
 
 def gen_planted(spec: GenSpec) -> tuple[Formula, Assignment]:
@@ -88,6 +109,51 @@ def gen_planted(spec: GenSpec) -> tuple[Formula, Assignment]:
     where c counts agreeing literals, which concentrates mass on barely
     satisfying clauses and hides the solution from local search.
     """
+    planted = spec.planted
+    if planted is None:
+        hidden = array("B", [0]) * (spec.n + 1)  # drawn by the kernel
+    else:
+        hidden = array("B", map(bool, planted))
+    formula = _gen_native(spec, hidden)
+    if formula is None:
+        return _gen_planted_python(spec)
+    return formula, list(map(bool, hidden)) if planted is None else list(planted)
+
+
+def _gen_native(spec: GenSpec, hidden: array | None) -> Formula | None:
+    """The formula `gen_clauses` generates, or None when the reference
+    must run.  `hidden` (0/1 bytes, index 0 unused) is None for uniform
+    polarities; without `spec.planted` the kernel draws it first."""
+    kernel = _kernel()
+    n, k, m = spec.n, spec.k, spec.num_clauses
+    if kernel is None or 2 * n + 3 > _INT32_MAX or m * k > _INT32_MAX:
+        return None
+    pool = n <= 21 + (4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 0)  # random.sample's branch
+    offsets = array("i", [0]) * (m + 1)
+    lits = array("i", [0]) * (m * k)
+    state = array("I", random.Random(spec.seed).getstate()[1])
+    draw = hidden is not None and spec.planted is None
+    if kernel.gen_clauses(n, k, m, pool, spec.bias, None if hidden is None else _address(hidden), draw,
+                          *map(_address, (state, offsets, lits))):
+        raise MemoryError("cannot allocate the generator's sampling pool")
+    formula = Formula.__new__(Formula)
+    formula._index_native(kernel, n, offsets, lits)
+    return formula
+
+
+def _gen_uniform_python(spec: GenSpec) -> Formula:
+    """The reference of `gen_uniform`."""
+    rng = random.Random(spec.seed)
+    variables = range(1, spec.n + 1)
+    clauses = []
+    for _ in range(spec.num_clauses):
+        vs = rng.sample(variables, spec.k)
+        clauses.append([v if rng.random() < 0.5 else -v for v in vs])
+    return Formula(spec.n, clauses)
+
+
+def _gen_planted_python(spec: GenSpec) -> tuple[Formula, Assignment]:
+    """The reference of `gen_planted`."""
     rng = random.Random(spec.seed)
     if spec.planted is not None:
         hidden = list(spec.planted)

@@ -19,12 +19,14 @@ swap-remove registry with O(1) membership, insertion, and deletion.
 - The compiled kernel (`_probsat.c`, loaded with ctypes) reads the
   formula's flat clause and occurrence arrays (`Formula.offsets`,
   `literals`, `occ_offsets` and `occ`), and continues the Mersenne
-  Twister stream of `random.Random(seed)`.  It is built on first use
-  with the system C compiler, into one library with the CDCL kernel of
-  `satlab.cdcl` (`_cdcl.c`) and the DIMACS scan and `Formula` index
-  build of `satlab.cnf` (`_cnf.c`), in `$XDG_CACHE_HOME/satlab` (by
-  default `~/.cache/satlab`), under a file name keyed by the three
-  sources, the flags and the platform.
+  Twister stream of `random.Random(seed)` (`_mt.h`).  It is built on
+  first use with the system C compiler, into one library with the CDCL
+  kernel of `satlab.cdcl` (`_cdcl.c`), the DIMACS scan and emit and
+  `Formula` index build of `satlab.cnf` (`_cnf.c`) and the instance
+  generator of `satlab.generators` (`_gen.c`), in
+  `$XDG_CACHE_HOME/satlab` (by default `~/.cache/satlab`), under a file
+  name keyed by the four sources, the Mersenne Twister header they
+  share, the flags and the platform.
 - `_probsat_python`, the flip loop over `SlsState` (which reads the same
   arrays through `Formula.occurrence`), is the readable reference.  It
   runs when no compiler or cache directory is usable, and for formulas
@@ -355,8 +357,11 @@ def _result(formula: Formula, model: Assignment | None, flips_done: int, seed: i
 
 
 # every compiled kernel of the package: one library, one build, one cache key
-_KERNEL_SOURCES = tuple(Path(__file__).with_name(name) for name in ("_probsat.c", "_cdcl.c", "_cnf.c"))
+# (the key reads the shared header too; the compiler is given the .c files)
+_KERNEL_SOURCES = tuple(Path(__file__).with_name(name)
+                        for name in ("_probsat.c", "_cdcl.c", "_cnf.c", "_gen.c", "_mt.h"))
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_KERNEL_LIBS = ("-lm",)  # after the sources, so that pow resolves under --as-needed
 
 
 _ptr, _i64, _i32 = ctypes.c_void_p, ctypes.c_longlong, ctypes.c_int
@@ -377,7 +382,14 @@ _KERNEL_FUNCTIONS = (
     ("cdcl_free", None, [_ptr]),
     ("formula_index", _i32, [_i32, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr]),
     ("dimacs_scan", _i32, [ctypes.c_char_p, _i64, _ptr, _ptr, _ptr]),
+    ("dimacs_emit", _i64, [_i64, _ptr, _ptr, ctypes.c_char_p]),
+    ("gen_clauses", _i32, [_i32, _i32, _i64, _i32, ctypes.c_double, _ptr, _i32, _ptr, _ptr, _ptr]),
 )
+
+
+def _c_files(sources) -> list[str]:
+    """The paths of the C files among `sources`, which the compiler builds."""
+    return [str(source) for source in sources if source.suffix == ".c"]
 
 
 def _compiler() -> str | None:
@@ -392,12 +404,13 @@ def _compiler() -> str | None:
 @functools.cache
 def _load_kernel() -> ctypes.CDLL | None:
     """The compiled kernels (the probSAT flip loop here, the CDCL search
-    of `satlab.cdcl`, and the DIMACS scan and `Formula` index build of
-    `satlab.cnf`), built on first use into the cache named in the module
-    docstring; None when no compiler or cache directory is usable, and
-    then all three modules run their Python reference.  The
-    compiler writes a temporary file that is then renamed into place, so
-    concurrent processes never load a partial library.
+    of `satlab.cdcl`, the DIMACS scan and emit and `Formula` index build
+    of `satlab.cnf`, and the instance generator of `satlab.generators`),
+    built on first use into the cache named in the module docstring; None
+    when no compiler or cache directory is usable, and then all four
+    modules run their Python reference.  The compiler writes a temporary
+    file that is then renamed into place, so concurrent processes never
+    load a partial library.
     """
     compiler = _compiler()
     if compiler is None:
@@ -407,7 +420,7 @@ def _load_kernel() -> ctypes.CDLL | None:
         key = hashlib.sha256()
         for source in _KERNEL_SOURCES:
             key.update(source.read_bytes())
-        key.update(" ".join(_KERNEL_FLAGS).encode())
+        key.update(" ".join(_KERNEL_FLAGS + _KERNEL_LIBS).encode())
         key.update(sysconfig.get_platform().encode())
         path = cache / f"kernels-{key.hexdigest()[:16]}.so"
         if not path.exists():
@@ -415,7 +428,7 @@ def _load_kernel() -> ctypes.CDLL | None:
             fd, tmp = tempfile.mkstemp(dir=cache, prefix=".kernels-", suffix=".so")
             os.close(fd)
             try:
-                subprocess.run([compiler, *_KERNEL_FLAGS, "-o", tmp, *map(str, _KERNEL_SOURCES)],
+                subprocess.run([compiler, *_KERNEL_FLAGS, "-o", tmp, *_c_files(_KERNEL_SOURCES), *_KERNEL_LIBS],
                                check=True, capture_output=True)
                 os.replace(tmp, path)
             except BaseException:
@@ -424,7 +437,7 @@ def _load_kernel() -> ctypes.CDLL | None:
         lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.CalledProcessError) as exc:
         warnings.warn("compiled kernels unavailable, using the Python flip loop, CdclSolver and the Python"
-                      f" DIMACS reader and Formula build: {exc}", RuntimeWarning)
+                      f" DIMACS reader and writer, Formula build and generators: {exc}", RuntimeWarning)
         return None
     for name, restype, argtypes in _KERNEL_FUNCTIONS:
         fn = getattr(lib, name)

@@ -97,6 +97,17 @@ def test_emit_basic():
     assert emit_dimacs(Formula(1, [])) == "p cnf 1 0\n"
 
 
+def test_emit_writes_each_comment_line_as_its_own_comment():
+    f = Formula(3, [(1, -2), (2, 3)])
+    comments = ["two\n1 2 0", "p cnf 9 9", "", "crlf\r\nend\n", 7]
+    text = emit_dimacs(f, comments)
+    assert text == "c two\nc 1 2 0\nc p cnf 9 9\nc \nc crlf\nc end\nc 7\np cnf 3 2\n1 -2 0\n2 3 0\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = parse_dimacs(text)
+    assert (g.num_vars, g.clauses) == (f.num_vars, f.clauses)
+
+
 def test_parse_emit_roundtrip_random_instances():
     for seed in range(25):
         f = gen_uniform(GenSpec(n=30, k=3, ratio=4.2, seed=seed))
@@ -534,6 +545,25 @@ def test_parse_dimacs_native_equals_the_reference(kernel, monkeypatch):
             else:
                 scanned += 1
     assert scanned >= 500 and deferred >= 500, (scanned, deferred)
+
+
+def test_emit_dimacs_native_equals_the_reference(kernel, monkeypatch):
+    formulas = [
+        Formula(0, []),
+        Formula(3, []),
+        Formula(3, [()]),
+        Formula(4, [(1, -1), (), (2, -3, 3, 4), (-4,)]),  # tautologies and an empty clause
+        Formula(10**6, [(1, -(10**6)), (-1, 99_999, -999_999)]),  # literals as wide as n
+    ]
+    formulas += [gen_uniform(GenSpec(n=40, k=k, m=30, seed=k)) for k in range(2, 10)]
+    formulas.append(Formula(5, []).extended([(5, -4), (1,)]))
+    native = [emit_dimacs(f, ["x"]) for f in formulas]
+    with monkeypatch.context() as patched:
+        patched.setattr(sls, "_load_kernel", lambda: None)
+        reference = [emit_dimacs(f, ["x"]) for f in formulas]
+    assert native == reference
+    assert native[2] == "c x\np cnf 3 1\n 0\n"
+    assert native[4] == "c x\np cnf 1000000 2\n1 -1000000 0\n-1 99999 -999999 0\n"
 
 
 def test_parse_dimacs_pinned_cases():

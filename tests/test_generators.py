@@ -1,7 +1,11 @@
+import math
+import random
+
 import pytest
 
 import oracles
-from satlab.cnf import eval_clause
+from satlab import generators, sls
+from satlab.cnf import Formula, eval_clause
 from satlab.generators import GenSpec, default_ratio, gen_planted, gen_uniform
 
 
@@ -79,3 +83,112 @@ def test_default_ratios():
     assert default_ratio(7) == 87.79
     with pytest.raises(ValueError):
         default_ratio(4)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"ratio": -1.0}, {"m": -5}, {"ratio": math.inf}, {"ratio": math.nan}, {"ratio": 1e308},
+], ids=["negative-ratio", "negative-m", "infinite-ratio", "nan-ratio", "overflowing-ratio"])
+def test_genspec_rejects_a_negative_or_non_finite_clause_count(kwargs):
+    with pytest.raises(ValueError, match=r"ratio \* n must be finite|clause count must not be negative"):
+        GenSpec(n=10, k=3, seed=1, **kwargs)
+
+
+def test_genspec_rejects_a_planted_value_that_is_not_a_boolean():
+    # a 2 agrees with neither polarity, so a clause over such variables is never accepted
+    with pytest.raises(ValueError, match="planted assignment values must be booleans"):
+        GenSpec(n=4, k=3, m=5, seed=1, planted=[False, True, 2, False, True])
+    GenSpec(n=4, k=3, m=5, seed=1, planted=[None, True, 0, 1.0, False])  # index 0 is unused
+
+
+# Native against reference: `gen_uniform` and `gen_planted` run `gen_clauses`
+# (`_gen.c`) when the compiled library loads, and `_gen_uniform_python` and
+# `_gen_planted_python` when `sls._load_kernel` returns None.
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    if sls._compiler() is None:
+        pytest.skip("no C compiler on PATH, so only the Python reference runs")
+    lib = sls._load_kernel()
+    assert lib is not None, "a C compiler exists but the compiled library did not build or load"
+    return lib
+
+
+def formula_attrs(f):
+    return (f.num_vars, f.clauses, f.tautology_ids, f.offsets, f.literals, f.occ_offsets, f.occ,
+            f.max_occurrences, f.max_width)
+
+
+def generated(spec):
+    """Both generators' outputs for `spec`: formula attributes and hidden list."""
+    formula, hidden = gen_planted(spec)
+    out = [formula_attrs(formula), hidden, [type(h) for h in hidden]]
+    if spec.planted is None:
+        out.append(formula_attrs(gen_uniform(spec)))
+    return out
+
+
+def assert_native_equals_reference(monkeypatch, specs):
+    native = [generated(spec) for spec in specs]
+    with monkeypatch.context() as patched:
+        patched.setattr(sls, "_load_kernel", lambda: None)
+        reference = [generated(spec) for spec in specs]
+    for spec, a, b in zip(specs, native, reference):
+        assert a == b, spec
+
+
+def sample_set_size(k):
+    """The size up to which CPython's `random.sample` swaps in a pool."""
+    return 21 + (4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 0)
+
+
+def test_native_generation_equals_the_reference_at_both_sample_branches(kernel, monkeypatch):
+    edges = [(3, 21), (3, 22), (7, 85), (7, 86)]
+    assert [n <= sample_set_size(k) for k, n in edges] == [True, False, True, False]
+    specs = [GenSpec(n=n, k=k, m=3 * n, seed=seed) for k, n in edges for seed in (0, 1)]
+    assert_native_equals_reference(monkeypatch, specs)
+
+
+def test_native_generation_equals_the_reference_for_widths_seeds_and_biases(kernel, monkeypatch):
+    rng = random.Random(3)
+    specs = [GenSpec(n=k, k=k, m=20, seed=k) for k in range(2, 10)]  # n == k: every clause holds every variable
+    specs += [GenSpec(n=30, k=k, m=0, seed=1) for k in (2, 5)]
+    for k in range(2, 10):
+        for seed in (-3, 2**70 + 5, rng.randrange(2**32)):
+            for bias in (1.0, 0.618, 0.5):
+                n = rng.choice((k + 1, 21, 22, 40, 85, 86, 150))
+                specs.append(GenSpec(n=max(n, k), k=k, m=60, seed=seed, bias=bias))
+    assert_native_equals_reference(monkeypatch, specs)
+
+
+def test_native_generation_keeps_a_given_planted_assignment(kernel, monkeypatch):
+    ints = [0] + [1, 0, 0, 1, 1] * 4
+    mixed = [None] + [True, 0, False, 1.0] * 5
+    specs = [GenSpec(n=20, k=3, m=80, seed=7, planted=ints, bias=bias) for bias in (1.0, 0.5)]
+    specs.append(GenSpec(n=20, k=3, m=80, seed=7, planted=mixed))
+    assert_native_equals_reference(monkeypatch, specs)
+    formula, hidden = gen_planted(specs[0])
+    assert hidden == ints and hidden is not ints and all(type(h) is int for h in hidden)
+    assert all(any((l > 0) == bool(ints[abs(l)]) for l in clause) for clause in formula.clauses)
+
+
+def test_native_generation_builds_no_clause_lists(kernel, monkeypatch):
+    built = []
+    init = Formula.__init__
+    monkeypatch.setattr(Formula, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    spec = GenSpec(n=40, k=3, ratio=4.2, seed=2)
+    gen_planted(spec), gen_uniform(spec)
+    assert built == []
+    monkeypatch.setattr(sls, "_load_kernel", lambda: None)
+    gen_planted(spec), gen_uniform(spec)
+    assert len(built) == 2  # the reference builds through Formula.__init__
+
+
+def test_generation_falls_back_to_the_reference_beyond_int32(kernel, monkeypatch):
+    # m * k past int32: the kernel is never called, and the reference runs
+    # (stopped here before it generates 2**31 clause lists)
+    monkeypatch.setattr(generators, "_gen_planted_python", lambda spec: "reference")
+    monkeypatch.setattr(generators, "_gen_uniform_python", lambda spec: "reference")
+    monkeypatch.setattr(kernel, "gen_clauses", None)
+    huge = GenSpec(n=10, k=3, m=2**31 // 3 + 1, seed=0)
+    assert gen_planted(huge) == gen_uniform(huge) == "reference"

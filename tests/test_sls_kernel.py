@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -194,19 +195,21 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     compiler = sls._compiler()
     if compiler is None:
         pytest.skip("no C compiler on PATH")
-    assert [p.name for p in sls._KERNEL_SOURCES] == ["_probsat.c", "_cdcl.c", "_cnf.c"]
-    # each source alone, then all three into one library as the loader builds them
-    for sources in (*([p] for p in sls._KERNEL_SOURCES), sls._KERNEL_SOURCES):
+    assert [p.name for p in sls._KERNEL_SOURCES] == ["_probsat.c", "_cdcl.c", "_cnf.c", "_gen.c", "_mt.h"]
+    c_files = sls._c_files(sls._KERNEL_SOURCES)
+    assert len(c_files) == 4
+    # each C file alone (two of them include the header), then all four into one library as the loader builds them
+    for sources in (*([c] for c in c_files), c_files):
         built = subprocess.run(
             [compiler, *sls._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
-             "-o", str(tmp_path / "kernels.so"), *map(str, sources)],
+             "-o", str(tmp_path / "kernels.so"), *sources, *sls._KERNEL_LIBS],
             capture_output=True, text=True,
         )
         assert built.returncode == 0, built.stderr
 
 
 def test_ctypes_table_matches_the_c_parameter_lists():
-    # every exported (non-static) definition in the three sources, read from the text, so no compiler is needed
+    # every exported (non-static) definition in the sources and the header, read from the text, so no compiler is needed
     definition = re.compile(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\(([^)]*)\)\s*\{", re.MULTILINE)
     defined = {}
     for source in sls._KERNEL_SOURCES:
@@ -214,5 +217,12 @@ def test_ctypes_table_matches_the_c_parameter_lists():
             assert name not in defined, f"{name} is defined twice"
             defined[name] = 0 if params.strip() in ("", "void") else params.count(",") + 1
     table = {name: len(argtypes) for name, _, argtypes in sls._KERNEL_FUNCTIONS}
-    assert len(table) == len(sls._KERNEL_FUNCTIONS) == 15
+    assert len(table) == len(sls._KERNEL_FUNCTIONS) == 17
     assert defined == table
+
+
+def test_package_data_ships_every_kernel_source():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    shipped = pyproject["tool"]["setuptools"]["package-data"]["satlab"]
+    assert sorted(shipped) == sorted(p.name for p in sls._KERNEL_SOURCES)
