@@ -1,11 +1,12 @@
 """Benchmark harness: trial execution, PAR2 scoring, summaries, CSV output.
 
-A trial is one (instance, solver, seed) run under a flip or wall-clock
-budget.  The per-trial CSV is the source of truth; summaries (solved
-counts, PAR2 scores, pairwise statistics) are derived artifacts and can
-always be recomputed from it.  Trials are independent and may run in a
-process pool; records are merged in sorted order so results do not
-depend on scheduling.
+A trial is one (instance, solver, seed) `run_hybrid` call under a flip
+budget, a wall-clock budget or both; an "sls" solver runs the one-phase
+plain strategy.  The per-trial CSV is the source of truth; summaries
+(solved counts, PAR2 scores, pairwise statistics) are derived artifacts
+and can always be recomputed from it.  Trials are independent and may
+run in a process pool; records are merged in sorted order so results do
+not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass, field
 from typing import get_type_hints
 
 from .cnf import Formula
-from .pipeline import (_HUGE_FLIPS, OVERRIDABLE, WALL_BUDGET_DEFAULT, reject_ignored_by_sls, run_hybrid,
+from .pipeline import (OVERRIDABLE, check_budgets, plain_strategy, reject_ignored_by_sls, run_hybrid,
                        select_strategy)
-from .sls import ScoringFunction, probsat_run
+from .sls import ScoringFunction, probsat_run  # probsat_run: unused, but satbench/spans.py rebinds it by name
 from .stats import DegenerateInputError, cohens_d, paired_t_test, wilcoxon_signed_rank
 
 FLIP_TIMEOUTS = {3: 1_000_000_000, 5: 500_000_000, 7: 250_000_000}
@@ -36,9 +37,9 @@ class TrialRecord:
     flips: int
     seconds: float
     note: str = ""
-    phase_solved: str = ""  # hybrid trials: the `SolveResult` phase that solved it
-    clauses_added: int = 0  # hybrid trials: clauses `augment` appended before the final phase
-    miner_conflicts: int = 0  # hybrid trials: conflicts the miner ran (0 when it did not run)
+    phase_solved: str = ""  # the `SolveResult` phase that solved it ("" when none did)
+    clauses_added: int = 0  # clauses `augment` appended before the final phase
+    miner_conflicts: int = 0  # conflicts the miner ran (0 when it did not run)
 
     def key(self) -> tuple:
         """Timing-free projection used for determinism comparisons."""
@@ -127,45 +128,30 @@ def run_trial(
 ) -> TrialRecord:
     """Execute one trial; solver crashes become unsolved records with a note.
 
-    A hybrid trial runs `select_strategy(formula, **config.overrides)`.
-    An `AssertionError` is a failed internal check (an invalid model or a
-    broken invariant), not a crash of one solver: it propagates, so it is
-    never scored as a PAR2 timeout.  So does the `ValueError` of a hybrid
-    config that its instance's track rejects, which is a configuration
-    error.
+    Every trial is one `run_hybrid` call under the trial's budgets, and its
+    `SolveResult` becomes the record: an "sls" config runs `plain_strategy`
+    with its scoring, a "hybrid" config `select_strategy(formula,
+    **config.overrides)`.  An `AssertionError` is a failed internal check
+    (an invalid model or a broken invariant), not a crash of one solver:
+    it propagates, so it is never scored as a PAR2 timeout.  So does the
+    `ValueError` of a missing budget or of a hybrid config that its
+    instance's track rejects, which are configuration errors.
     """
-    strategy = None if config.algorithm == "sls" else select_strategy(formula, **config.overrides)
+    check_budgets(budget_seconds, budget_flips)
+    strategy = (plain_strategy(formula, config.scoring) if config.algorithm == "sls"
+                else select_strategy(formula, **config.overrides))
     try:
-        if config.algorithm == "sls":
-            res = probsat_run(
-                formula,
-                budget_flips if budget_flips is not None else _HUGE_FLIPS,
-                seed,
-                config.scoring,
-                wall_limit=budget_seconds,
-            )
-            return TrialRecord(
-                instance_id, config.solver_id, seed, res.solved, res.flips_used, res.wall_seconds
-            )
-        result = run_hybrid(
-            formula,
-            wall_budget=budget_seconds if budget_seconds is not None else WALL_BUDGET_DEFAULT,
-            seed=seed,
-            strategy=strategy,
-            miner_conflict_limit=config.miner_conflict_limit,
-            final_flips=budget_flips,
-        )
-        total_flips = sum(result.phase_flips.values())
-        total_seconds = sum(result.phase_seconds.values())
-        return TrialRecord(
-            instance_id, config.solver_id, seed, result.status == "sat", total_flips, total_seconds,
-            phase_solved=result.phase_solved or "", clauses_added=result.clauses_added,
-            miner_conflicts=result.phase_conflicts.get("miner", 0),
-        )
+        result = run_hybrid(formula, wall_budget=budget_seconds, seed=seed, strategy=strategy,
+                            miner_conflict_limit=config.miner_conflict_limit, final_flips=budget_flips)
     except AssertionError:
         raise
     except Exception as exc:  # crash containment: the suite must go on
         return TrialRecord(instance_id, config.solver_id, seed, False, 0, 0.0, note=repr(exc))
+    return TrialRecord(
+        instance_id, config.solver_id, seed, result.status == "sat", sum(result.phase_flips.values()),
+        sum(result.phase_seconds.values()), phase_solved=result.phase_solved or "",
+        clauses_added=result.clauses_added, miner_conflicts=result.phase_conflicts.get("miner", 0),
+    )
 
 
 def _run_trial_packed(args) -> TrialRecord:
@@ -183,10 +169,11 @@ def run_suite(
     """All (instance, solver, seed) trials, optionally in a process pool.
 
     Records come back sorted by (instance, solver, seed) regardless of
-    worker count or scheduling.
+    worker count or scheduling.  A suite with no budget is a ValueError.
     """
     if not instances or not solvers:
         raise ValueError("need at least one instance and one solver configuration")
+    check_budgets(budget_seconds, budget_flips)
     tasks = [
         (iid, formula, config, seed, budget_flips, budget_seconds)
         for iid, formula in instances

@@ -13,7 +13,10 @@ selects tuned per-width settings:
 Other widths have no tuned settings and fall back to plain local search
 with exponential scoring.  Percentage caps are computed from the
 original clause count, floor-rounded.  The plain and fallback tracks
-run one SLS phase and read only the strategy's scoring.
+run one SLS phase, seeded with the run's seed, and read only the
+strategy's scoring; the other tracks seed their phases from one master
+RNG.  The clock is checked if and only if a wall budget is given, and
+the last SLS phase is flip-bounded if and only if `final_flips` is.
 
 The track's settings are a `Strategy`, and it is the only per-track
 configuration `run_hybrid` reads.  Its fields but `track` are the one
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .cdcl import MINER_SECONDS_DEFAULT, SAT, UNSAT, MiningBudget, cdcl_solve_and_mine
 from .cnf import Assignment, Formula, eval_formula
-from .sls import RunResult, ScoringFunction, default_scoring, default_scoring_for, probsat_run
+from .sls import ScoringFunction, default_scoring, default_scoring_for, probsat_run
 
 PLAIN_SLS = "plain-sls"
 FALLBACK = "fallback"
@@ -101,6 +104,11 @@ class SolveResult:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def plain_strategy(formula: Formula, scoring: ScoringFunction | None = None) -> Strategy:
+    """The one-phase plain-SLS strategy; `scoring` None takes the formula's default."""
+    return Strategy(PLAIN_SLS, 0, 0.0, 0, None, False, default_scoring_for(formula) if scoring is None else scoring)
+
+
 def select_strategy(formula: Formula, **overrides) -> Strategy:
     """Track dispatch on variable count and maximal clause width.
 
@@ -112,15 +120,15 @@ def select_strategy(formula: Formula, **overrides) -> Strategy:
     """
     width = formula.max_width
     if formula.num_vars > VARS_CUTOFF or formula.num_clauses == 0:
-        strategy = Strategy(PLAIN_SLS, 0, 0.0, 0, None, False, default_scoring_for(formula))
+        strategy = plain_strategy(formula)
     elif width == 3:
         strategy = Strategy("k3", 35_000_000, MINER_SECONDS_DEFAULT, 4, None, False, default_scoring(3))
     elif width == 5:
         strategy = Strategy("k5", 15_000_000, MINER_SECONDS_DEFAULT, 8, 5.0, True, default_scoring(5))
     elif width == 7:
         strategy = Strategy("k7", 6_000_000, MINER_SECONDS_DEFAULT, 9, 1.0, True, default_scoring(7))
-    else:
-        strategy = Strategy(FALLBACK, 0, 0.0, 0, None, False, ScoringFunction("exp", cb=3.0))
+    else:  # no tuned settings: plain SLS, whose default scoring here is exp with cb=3.0
+        strategy = replace(plain_strategy(formula), track=FALLBACK)
     unknown = overrides.keys() - {"track", *OVERRIDABLE}
     if unknown:
         raise TypeError(f"Strategy has no field {sorted(unknown)[0]!r}")
@@ -164,51 +172,60 @@ def augment(formula: Formula, clauses) -> Formula:
     return formula.extended(added)
 
 
+def check_budgets(wall_budget: float | None, final_flips: int | None) -> None:
+    """ValueError unless a positive wall budget, a flip budget or both bound a run."""
+    if (wall_budget is None and final_flips is None) or (wall_budget is not None and wall_budget <= 0):
+        raise ValueError("a run needs a positive wall-clock budget, a flip budget or both")
+
+
 def run_hybrid(
     formula: Formula,
-    wall_budget: float = WALL_BUDGET_DEFAULT,
+    wall_budget: float | None = WALL_BUDGET_DEFAULT,
     seed: int = 0,
     strategy: Strategy | None = None,
     miner_conflict_limit: int | None = None,
     final_flips: int | None = None,
 ) -> SolveResult:
-    """Execute the full pipeline under a wall-clock budget.
+    """Execute the pipeline under a wall-clock budget, a flip budget or both.
 
     `strategy` defaults to `select_strategy(formula)`; pass
     `select_strategy(formula, width_limit=6)` and the like to override
-    per-track settings.  Phase seeds derive from one master RNG seeded
-    with `seed`, so runs are reproducible end to end.  For deterministic
-    (timing-free) runs pass `miner_conflict_limit` and `final_flips`; wall
-    checks then never bind and the result is a pure function of the
-    arguments.  On the plain tracks `final_flips` bounds the one SLS phase.
+    per-track settings.  A one-phase strategy seeds its SLS phase with
+    `seed` itself; the other tracks derive their phase seeds from one
+    master RNG seeded with `seed`.  The clock is checked if and only if
+    `wall_budget` is not None, and the last SLS phase runs at most
+    `final_flips` flips if and only if that is not None.  With
+    `wall_budget=None`, `final_flips` and `miner_conflict_limit` the
+    result is timing-free, a pure function of the arguments.
     """
-    if wall_budget <= 0:
-        raise ValueError("wall_budget must be positive")
+    check_budgets(wall_budget, final_flips)
     start = time.perf_counter()
     strat = strategy or select_strategy(formula)
-    master = random.Random(seed)
-    seed_initial = master.getrandbits(63)
-    seed_miner = master.getrandbits(63)
-    seed_final = master.getrandbits(63)
     result = SolveResult(status="unknown", model=None, phase_solved=None, track=strat.track, seed=seed)
-    deterministic = final_flips is not None
-    last_flips = final_flips if deterministic else _HUGE_FLIPS
+    last_flips = _HUGE_FLIPS if final_flips is None else final_flips
 
     def wall_left() -> float | None:
-        """Seconds left of the wall budget; None when the run is deterministic."""
-        return None if deterministic else wall_budget - (time.perf_counter() - start)
+        """Seconds left of the wall budget; None when there is none."""
+        return None if wall_budget is None else wall_budget - (time.perf_counter() - start)
 
     def sls_phase(phase: str, target: Formula, flips: int, phase_seed: int) -> bool:
         res = probsat_run(target, flips, phase_seed, strat.scoring, wall_limit=wall_left())
-        _note_phase(result, phase, res)
+        result.phase_flips[phase] = res.flips_used
+        result.phase_seconds[phase] = res.wall_seconds
         if res.solved:
             _mark_solved(result, phase, res.model, formula)
         return res.solved
 
-    # phase 1: flip-capped local search burst; the plain tracks stop after it
-    plain = strat.track in _SLS_ONLY
-    burst = last_flips if plain else strat.initial_flips
-    if sls_phase("initial-sls", formula, burst, seed_initial) or plain:
+    if strat.track in _SLS_ONLY:  # one SLS phase, seeded with `seed` itself
+        sls_phase("initial-sls", formula, last_flips, seed)
+        return result
+
+    # phase 1: flip-capped local search burst
+    master = random.Random(seed)
+    seed_initial = master.getrandbits(63)
+    seed_miner = master.getrandbits(63)
+    seed_final = master.getrandbits(63)
+    if sls_phase("initial-sls", formula, strat.initial_flips, seed_initial):
         return result
 
     # phase 2: clause mining
@@ -243,11 +260,6 @@ def run_hybrid(
     if left is None or left > 0:
         sls_phase("final-sls", augmented, last_flips, seed_final)
     return result
-
-
-def _note_phase(result: SolveResult, phase: str, res: RunResult) -> None:
-    result.phase_flips[phase] = res.flips_used
-    result.phase_seconds[phase] = res.wall_seconds
 
 
 def _mark_solved(result: SolveResult, phase: str, model: Assignment, formula: Formula) -> None:

@@ -195,6 +195,45 @@ def test_hybrid_trial_runs_every_sls_phase_with_the_configured_scoring(monkeypat
     assert scorings == [exp, exp]  # the initial burst and the final phase
 
 
+def test_sls_trial_makes_the_probsat_run_call_of_its_seed():
+    f, _ = gen_planted(GenSpec(n=100, k=3, ratio=4.2, seed=8))
+    outcomes = set()
+    for config in (SolverConfig("p"), SolverConfig("p", scoring=ScoringFunction("exp", cb=2.5))):
+        for seed in (0, -3, 2**64 + 1):
+            for budget in (50, 100_000):
+                record = run_trial("i", f, config, seed, budget_flips=budget)
+                expected = sls.probsat_run(f, budget, seed, config.scoring)
+                assert (record.solved, record.flips) == (expected.solved, expected.flips_used)
+                outcomes.add(record.solved)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("config", [
+    SolverConfig("p"),
+    SolverConfig("h", algorithm="hybrid", initial_flips=3_000_000, miner_seconds=0.1),
+])
+def test_a_wall_budget_binds_alongside_a_flip_budget(config):
+    # almost surely unsatisfiable, so only a budget ends the trial; a hybrid trial
+    # used to read no clock whenever it also had a flip budget
+    f = gen_uniform(GenSpec(n=200, k=3, ratio=6.0, seed=5))
+    record = run_trial("i", f, config, seed=0, budget_flips=3_000_000, budget_seconds=0.3)
+    assert not record.note and not record.solved
+    assert record.flips < 3_000_000
+
+
+def test_a_suite_without_a_budget_is_an_error_before_any_trial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench, "run_hybrid", lambda *args, **kwargs: calls.append(args))
+    instances = [("i", Formula(2, [(1, 2), (-1, 2)]))]
+    with pytest.raises(ValueError, match="wall-clock budget, a flip budget or both"):
+        run_suite(instances, [SolverConfig("p"), SolverConfig("h", algorithm="hybrid")], seeds=[0])
+    with pytest.raises(ValueError, match="positive wall-clock budget"):
+        run_suite(instances, [SolverConfig("p")], seeds=[0], budget_flips=10, budget_seconds=0.0)
+    with pytest.raises(ValueError, match="wall-clock budget, a flip budget or both"):
+        run_trial("i", instances[0][1], SolverConfig("p"), seed=0)
+    assert calls == []
+
+
 def test_run_suite_counts_and_order():
     instances = [("a", Formula(2, [(1, 2)])), ("b", Formula(2, [(-1, 2)]))]
     solvers = [SolverConfig("s1"), SolverConfig("s2")]
@@ -260,7 +299,7 @@ def test_trials_csv_round_trips_phase_solved_and_clauses_added():
     f, _ = gen_planted(GenSpec(n=100, k=3, ratio=4.2, seed=8))
     hybrid = SolverConfig("h", algorithm="hybrid", initial_flips=1, miner_conflict_limit=50)
     records = run_suite([("i", f)], [hybrid, SolverConfig("p")], seeds=[1], budget_flips=5_000)
-    assert [(r.phase_solved, r.clauses_added) for r in records] == [("final-sls", 6), ("", 0)]
+    assert [(r.phase_solved, r.clauses_added) for r in records] == [("final-sls", 6), ("initial-sls", 0)]
     text = trials_to_csv(records)
     assert text.splitlines()[0].endswith(",note,phase_solved,clauses_added,miner_conflicts")
     back = trials_from_csv(text)

@@ -90,3 +90,12 @@ def test_hybrid_mine_config_reaches_the_pipeline(monkeypatch):
             assert conflicts == 150 or (result.phase_solved == "miner" and conflicts < 150)
         assert record.miner_conflicts == conflicts
     assert result.phase_solved != "initial-sls"  # the miner ran at least once
+
+
+def test_sls_par2_trial_keys_are_pinned():
+    # every SLS-only trial makes the call `probsat_run(formula, budget, seed, scoring)`;
+    # a change that moves the outcome of any such trial moves this digest of one round
+    workload = load("workloads").WORKLOADS["sls-par2"]
+    instances, _, _ = workload.setup(0, lambda: 0.0)
+    out = workload.run(instances, 0, lambda: 0.0)
+    assert load("checks").digest(out.payload) == "d61b1f47687903b4"

@@ -349,6 +349,30 @@ def test_bench_outputs(tmp_path, capsys):
     assert "probsat: solved" in out
 
 
+def test_bench_without_a_budget_is_an_error(tmp_path, capsys):
+    # it used to run every trial unbounded and then crash in `summarize` on a None timeout
+    cnf = tmp_path / "x.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
+    config = tmp_path / "solvers.json"
+    config.write_text(json.dumps({"id": "probsat"}))
+    out_dir = tmp_path / "out"
+    with pytest.raises(ValueError, match="wall-clock budget, a flip budget or both"):
+        main(["bench", "--instances", str(cnf), "--solver-config", str(config), "--out-dir", str(out_dir)])
+    assert not out_dir.exists()
+
+
+def test_solve_on_the_fallback_track_prints_the_model_of_solve_sls(tmp_path, capsys):
+    cnf = tmp_path / "k4.cnf"
+    run_cli(capsys, "gen", "-n", "60", "-k", "4", "--planted", "--ratio", "9.0", "--seed", "3", "-o", str(cnf))
+    code, out, _ = run_cli(capsys, "solve", str(cnf), "--final-flips", "100000", "--seed", "5")
+    assert code == EXIT_SAT
+    assert json.loads(out.splitlines()[0][len("c result "):])["track"] == "fallback"
+    code_sls, out_sls, _ = run_cli(capsys, "solve-sls", str(cnf), "--max-flips", "100000", "--seed", "5")
+    assert code_sls == EXIT_SAT
+    model = [line for line in out.splitlines() if line.startswith("v ")]
+    assert model and model == [line for line in out_sls.splitlines() if line.startswith("v ")]
+
+
 def test_stats_command(tmp_path, capsys):
     csv_file = tmp_path / "d.csv"
     csv_file.write_text("a,b\n1.1,1.0\n2.0,2.1\n3.2,3.0\n4.1,4.0\n5.3,5.0\n")

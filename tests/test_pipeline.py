@@ -14,7 +14,7 @@ from satlab.pipeline import (
     run_hybrid,
     select_strategy,
 )
-from satlab.sls import ScoringFunction
+from satlab.sls import ScoringFunction, probsat_run
 
 
 def formula_with(n, width):
@@ -197,6 +197,28 @@ def test_canonical_json_excludes_timings():
     assert "seconds" not in res.canonical_json()
 
 
+ONE_PHASE_FORMULAS = {
+    FALLBACK: GenSpec(n=60, k=4, ratio=9.0, seed=3),
+    PLAIN_SLS: GenSpec(n=9001, k=3, ratio=3.0, seed=3),
+}
+
+
+@pytest.mark.parametrize("track", sorted(ONE_PHASE_FORMULAS))
+@pytest.mark.parametrize("seed", [0, -7, 2**64 + 5])
+def test_one_phase_tracks_make_the_probsat_run_call_of_their_seed(track, seed):
+    f, _ = gen_planted(ONE_PHASE_FORMULAS[track])
+    strategy = select_strategy(f)
+    assert strategy.track == track
+    for flips in (20, 200_000):
+        expected = probsat_run(f, flips, seed, strategy.scoring)
+        assert expected.solved == (flips > 20)
+        for wall_budget in (None, 60.0):  # a wall budget that does not bind changes nothing
+            res = run_hybrid(f, wall_budget=wall_budget, seed=seed, final_flips=flips)
+            assert (res.status, res.phase_solved, res.phase_flips, res.model, res.seed) == (
+                "sat" if expected.solved else "unknown", "initial-sls" if expected.solved else None,
+                {"initial-sls": expected.flips_used}, expected.model, seed)
+
+
 def test_plain_track_runs_single_phase():
     f = Formula(9500, [(1, 2, 3)])
     res = run_hybrid(f, wall_budget=5, seed=0, final_flips=1000)
@@ -209,3 +231,5 @@ def test_plain_track_runs_single_phase():
 def test_budget_validation():
     with pytest.raises(ValueError):
         run_hybrid(Formula(1, [(1,)]), wall_budget=0)
+    with pytest.raises(ValueError, match="wall-clock budget, a flip budget or both"):
+        run_hybrid(Formula(1, [(1,)]), wall_budget=None)
