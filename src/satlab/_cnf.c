@@ -61,12 +61,13 @@ static int first_out_of_range(const int *a, int w, int n)
  * ids.  On error, info[0] is the clause id and info[1] the literal
  * (OUT_OF_RANGE), checked in the order _index_clauses checks them.  On
  * success, taut[0 .. info[2]) are the tautology ids, info[3] is the
- * longest occurrence list and info[4] the widest clause.
+ * longest occurrence list, info[4] the widest clause and info[5] 1 when
+ * some clause is empty, else 0.
  */
 int formula_index(int n, long long m, int *off, int *lits,
                   int *occ_off, int *occ, int *taut, long long *info)
 {
-    int w = 0, max_width = 0;
+    int w = 0, max_width = 0, empty = 0;
     long long ntaut = 0;
     for (long long c = 0; c < m; c++) {
         int start = off[c], end = off[c + 1], width = 0;
@@ -92,6 +93,7 @@ int formula_index(int n, long long m, int *off, int *lits,
             }
         if (width > max_width)
             max_width = width;
+        empty |= width == 0;
     }
     off[m] = w;
 
@@ -118,6 +120,7 @@ int formula_index(int n, long long m, int *off, int *lits,
     info[2] = ntaut;
     info[3] = max_occ;
     info[4] = max_width;
+    info[5] = empty;
     return OK;
 }
 

@@ -3,10 +3,16 @@
  * Every step mirrors the Python reference: the same Mersenne Twister
  * stream (_mt.h, continued from random.Random(seed).getstate()), the same
  * initial assignment draws, occurrence lists in clause-id order, the
- * same swap-remove falsified registry, the same clause-order scan for a
- * clause's critical variable, and the same floating-point accumulation
- * order when sampling a literal.  Build with -ffp-contract=off so no
- * multiply-add is fused.
+ * same swap-remove falsified registry, the same critical variables and
+ * the same floating-point accumulation order when sampling a literal.
+ * Build with -ffp-contract=off so no multiply-add is fused.
+ *
+ * Where the reference rescans a clause for its critical variable, the
+ * kernel keeps, per clause, the XOR of the variables of its true
+ * literals next to their count.  Whenever the count is 1, the XOR is the
+ * variable of the one true literal, which is what the scan finds; a
+ * tautology's x and -x toggle it together.  So the kernel reads the XOR
+ * exactly where the reference reads its scan's result.
  *
  * Literals are DIMACS-signed ints; clause c holds lits[off[c] .. off[c+1]).
  * The occurrence lists are Formula's index, passed in and only read: the
@@ -28,7 +34,8 @@ typedef struct {
     int num_falsified;
     unsigned char *assign; /* n + 1 */
     int *breaks;           /* n + 1 */
-    int *sat, *crit, *falsified, *where; /* m each */
+    int *cl;               /* 2m: per clause, its true-literal count and their variables' XOR */
+    int *falsified, *where; /* m each; where[c] is read only while c is falsified */
     const int *occ_off, *occ;
 } probsat_state;
 
@@ -49,7 +56,7 @@ void probsat_free(probsat_state *s)
         return;
     free(s->assign);
     free(s->breaks);
-    free(s->sat);
+    free(s->cl);
     free(s);
 }
 
@@ -73,82 +80,69 @@ probsat_state *probsat_new(int n, int m, const int *off, const int *lits,
     mt_load(&s->rng, mt);
     s->assign = calloc((size_t)n + 1, 1);
     s->breaks = calloc((size_t)n + 1, sizeof(int));
-    s->sat = calloc(4 * (size_t)m + 1, sizeof(int));
-    if (!s->assign || !s->breaks || !s->sat) {
+    s->cl = malloc((4 * (size_t)m + 1) * sizeof(int));
+    if (!s->assign || !s->breaks || !s->cl) {
         probsat_free(s);
         return NULL;
     }
-    s->crit = s->sat + m;
-    s->falsified = s->crit + m;
+    s->falsified = s->cl + 2 * (size_t)m;
     s->where = s->falsified + m;
 
     for (v = 1; v <= n; v++)
         s->assign[v] = random_double(&s->rng) < 0.5;
 
     for (c = 0; c < m; c++) {
-        int count = 0;
-        for (i = off[c]; i < off[c + 1]; i++)
-            count += lit_true(s, lits[i]);
-        s->sat[c] = count;
-        s->where[c] = -1;
+        int count = 0, x = 0;
+        for (i = off[c]; i < off[c + 1]; i++) { /* no branch: a literal is true at random */
+            int t = lit_true(s, lits[i]);
+            count += t;
+            x ^= abs(lits[i]) & -t;
+        }
+        s->cl[2 * c] = count;
+        s->cl[2 * c + 1] = x;
         if (count == 0) {
             s->where[c] = s->num_falsified;
             s->falsified[s->num_falsified++] = c;
-        } else if (count == 1) {
-            for (i = off[c]; !lit_true(s, lits[i]); i++)
-                ;
-            v = abs(lits[i]);
-            s->crit[c] = v;
-            s->breaks[v]++;
-        }
+        } else if (count == 1)
+            s->breaks[x]++;
     }
     return s;
 }
 
+/* Toggle v.  A clause that gains a true literal and had one loses its
+ * critical variable; one that drops from two true literals to one gets
+ * the survivor, its XOR, as critical variable. */
 static void flip(probsat_state *s, int v)
 {
-    int *sat = s->sat, *crit = s->crit, *breaks = s->breaks;
+    int *cl = s->cl, *breaks = s->breaks;
     int *falsified = s->falsified, *where = s->where;
-    int lt, li, j, i;
+    int lt, li, j;
     s->assign[v] = !s->assign[v];
     lt = s->assign[v] ? v : -v;
     li = occ_index(lt);
     for (j = s->occ_off[li]; j < s->occ_off[li + 1]; j++) {
-        int cid = s->occ[j], c = sat[cid];
+        int cid = s->occ[j], *p = cl + 2 * cid, c = p[0];
         if (c == 0) {
-            int idx = where[cid], last = falsified[s->num_falsified - 1];
+            int idx = where[cid], last = falsified[--s->num_falsified];
             falsified[idx] = last;
             where[last] = idx;
-            s->num_falsified--;
-            where[cid] = -1;
-            crit[cid] = v;
             breaks[v]++;
-            sat[cid] = 1;
-        } else {
-            if (c == 1)
-                breaks[crit[cid]]--;
-            sat[cid] = c + 1;
-        }
+        } else if (c == 1)
+            breaks[p[1]]--;
+        p[0] = c + 1;
+        p[1] ^= v;
     }
     li = occ_index(-lt);
     for (j = s->occ_off[li]; j < s->occ_off[li + 1]; j++) {
-        int cid = s->occ[j], c = sat[cid];
+        int cid = s->occ[j], *p = cl + 2 * cid, c = p[0];
+        p[0] = c - 1;
+        p[1] ^= v;
         if (c == 1) {
-            sat[cid] = 0;
             breaks[v]--;
             where[cid] = s->num_falsified;
             falsified[s->num_falsified++] = cid;
-        } else {
-            sat[cid] = c - 1;
-            if (c == 2)
-                for (i = s->off[cid]; i < s->off[cid + 1]; i++)
-                    if (lit_true(s, s->lits[i])) {
-                        int w = abs(s->lits[i]);
-                        crit[cid] = w;
-                        breaks[w]++;
-                        break;
-                    }
-        }
+        } else if (c == 2)
+            breaks[p[1]]++;
     }
 }
 

@@ -84,11 +84,12 @@ class Formula:
 
     `extended(clauses)` appends clauses without rebuilding: it checks only
     the new ones, and its result has every attribute equal to that of
-    `Formula(n, old + new)`.
+    `Formula(n, old + new)`.  Every build path records whether some clause
+    is empty, which `has_empty_clause` reports.
     """
 
     __slots__ = ("num_vars", "clauses", "tautology_ids", "offsets", "literals", "occ_offsets", "occ",
-                 "max_occurrences", "max_width")
+                 "max_occurrences", "max_width", "_empty_clause")
 
     def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]]):
         if num_vars < 0:
@@ -117,6 +118,7 @@ class Formula:
         self.occ = array("i", [cid for ids in occ for cid in ids])
         self.max_occurrences = max(map(len, occ))
         self.max_width = max(map(len, self.clauses), default=0)
+        self._empty_clause = not all(self.clauses)  # the empty tuple is the only false clause
 
     def _index_native(self, kernel, num_vars: int, offsets: array, lits: array) -> None:
         """Set every attribute from flat int32 clauses with `formula_index`,
@@ -127,7 +129,7 @@ class Formula:
         occ_offsets = array("i", [0]) * (2 * num_vars + 3)
         occ = array("i", [0]) * offsets[-1]
         taut = array("i", [0]) * m
-        info = array("q", [0]) * 5
+        info = array("q", [0]) * 6
         if kernel.formula_index(num_vars, m, _address(offsets), _address(lits),
                                 *map(_address, (occ_offsets, occ, taut, info))):
             raise ValueError(f"literal {info[1]} out of range 1..{num_vars} in clause {info[0]}")
@@ -138,6 +140,7 @@ class Formula:
         self.offsets, self.literals = offsets, lits
         self.occ_offsets, self.occ, self.max_occurrences = occ_offsets, occ, info[3]
         self.max_width = info[4]
+        self._empty_clause = bool(info[5])
 
     def extended(self, clauses: Iterable[Iterable[int]]) -> Formula:
         """This formula with `clauses` appended in canonical form.
@@ -174,6 +177,7 @@ class Formula:
         out.literals = self.literals + array("i", chain.from_iterable(new))
         out.occ_offsets, out.occ, out.max_occurrences = offsets, occ, max_occ
         out.max_width = max(self.max_width, max(map(len, new)))
+        out._empty_clause = self._empty_clause or not all(new)
         return out
 
     @property
@@ -188,7 +192,9 @@ class Formula:
         return self.occ[self.occ_offsets[i] : self.occ_offsets[i + 1]]
 
     def has_empty_clause(self) -> bool:
-        return not all(self.clauses)  # the empty tuple is the only false clause
+        """Whether some clause is empty; recorded when the formula is built,
+        so no clause is read here."""
+        return self._empty_clause
 
     def __repr__(self) -> str:
         return f"Formula(n={self.num_vars}, m={self.num_clauses})"

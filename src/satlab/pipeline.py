@@ -212,8 +212,8 @@ def run_hybrid(
         res = probsat_run(target, flips, phase_seed, strat.scoring, wall_limit=wall_left())
         result.phase_flips[phase] = res.flips_used
         result.phase_seconds[phase] = res.wall_seconds
-        if res.solved:
-            _mark_solved(result, phase, res.model, formula)
+        if res.solved:  # probsat_run checked the model against `target`; an augmented one needs `formula` too
+            _mark_solved(result, phase, res.model, None if target is formula else formula)
         return res.solved
 
     if strat.track in _SLS_ONLY:  # one SLS phase, seeded with `seed` itself
@@ -262,8 +262,11 @@ def run_hybrid(
     return result
 
 
-def _mark_solved(result: SolveResult, phase: str, model: Assignment, formula: Formula) -> None:
-    if not eval_formula(formula, model):
+def _mark_solved(result: SolveResult, phase: str, model: Assignment, formula: Formula | None) -> None:
+    """Record `phase`'s model; unless `formula` is None (the model is
+    already checked against it), a model that falsifies it is an
+    AssertionError."""
+    if formula is not None and not eval_formula(formula, model):
         raise AssertionError("internal error: phase model does not satisfy the original formula")
     result.status = "sat"
     result.model = model

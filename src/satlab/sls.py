@@ -34,8 +34,13 @@ swap-remove registry with O(1) membership, insertion, and deletion.
 
 For equal arguments the two give bit-identical status, flip count and
 model: the same random draws, the same registry order, the same
-critical-variable scan and the same floating-point sums.  The
-differential tests in `tests/test_sls_kernel.py` hold them to it.
+critical variables and the same floating-point sums.  Where the
+reference rescans a clause for its critical variable, the kernel reads
+the XOR of the variables of the clause's true literals, which it keeps
+next to their count; whenever it is read, the count is 1 and the XOR is
+the one variable the scan finds.  The differential tests in
+`tests/test_sls_kernel.py` hold the two to equal results, and, for
+budget-bound runs, to equal assignments after the last flip.
 """
 
 from __future__ import annotations

@@ -179,6 +179,31 @@ def test_run_trial_failed_model_check_propagates(monkeypatch, algorithm):
         run_trial("i", Formula(2, [(1, 2)]), config, seed=0, budget_flips=10)
 
 
+def test_a_solved_sls_trial_checks_its_model_once(monkeypatch):
+    calls = []
+
+    def spy(formula, model, check=sls.eval_formula):
+        calls.append(formula)
+        return check(formula, model)
+
+    monkeypatch.setattr(sls, "eval_formula", spy)
+    monkeypatch.setattr(pipeline, "eval_formula", spy)
+    f, _ = gen_planted(GenSpec(n=100, k=3, ratio=4.2, seed=8))
+    records = run_suite([("i", f)], [SolverConfig("p")], seeds=range(8), budget_flips=300)
+    solved = sum(r.solved for r in records)
+    assert 0 < solved < len(records)
+    assert calls == [f] * solved
+
+
+def test_an_sls_trial_with_an_invalid_model_is_an_assertion_error(monkeypatch):
+    # probsat_run's check is the only one an sls trial makes, and its failure is never an unsolved record
+    monkeypatch.setattr(sls, "eval_formula", lambda formula, model: False)
+    with pytest.raises(AssertionError, match="internal error"):
+        run_trial("i", Formula(2, [(1, 2)]), SolverConfig("p"), seed=0, budget_flips=10)
+    with pytest.raises(AssertionError, match="internal error"):
+        run_suite([("i", Formula(2, [(1, 2)]))], [SolverConfig("p")], seeds=[0], budget_flips=10)
+
+
 def test_hybrid_trial_runs_every_sls_phase_with_the_configured_scoring(monkeypatch):
     scorings = []
 

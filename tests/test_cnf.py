@@ -23,7 +23,7 @@ from satlab.cnf import (
     resolve,
 )
 from satlab.cdcl import MiningBudget, cdcl_solve_and_mine
-from satlab.generators import GenSpec, gen_uniform
+from satlab.generators import GenSpec, gen_planted, gen_uniform
 from satlab.sls import probsat_run
 
 
@@ -173,6 +173,57 @@ def test_every_construction_path_holds_canonical_clauses_and_their_flat_arrays(k
                 assert f.clauses == expected
                 assert_canonical_with_flat_arrays(f)
     assert Formula(3, [(2, -3, 2)]).clauses == ((2, -3),)
+
+
+def empty_clause_flags(n, clauses, additions):
+    """`has_empty_clause()` of each way to build a formula of `clauses`
+    (and of it extended by each of `additions`) on the current path."""
+    text = f"p cnf {n} {len(clauses)}\n" + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
+    built = Formula(n, clauses)
+    flags = [built.has_empty_clause(), parse_dimacs(text).has_empty_clause(),
+             pickle.loads(pickle.dumps(built)).has_empty_clause()]
+    flags += [built.extended(added).has_empty_clause() for added in additions]
+    return flags
+
+
+@pytest.mark.parametrize("loader", ["native", "reference"])
+def test_has_empty_clause_is_the_same_on_every_build_path(kernel, monkeypatch, loader):
+    if loader == "reference":
+        monkeypatch.setattr(sls, "_load_kernel", lambda: None)
+    additions = ([(1,)], [()], [(2, -2), ()], [(-1, 2)])
+    for n, clauses in ((3, [(1, 2), ()]), (2, [()]), (3, [(1, -1), (2,)]), (2, []), (2, [(1, 2, 1)]),
+                       (3, [(3,), (), (1, -2), ()])):
+        empty = () in clauses
+        assert empty_clause_flags(n, clauses, additions) == [empty] * 3 + [empty, True, True, empty]
+    # a bare `0` line is an empty clause, for the scanner and the reference reader alike
+    for text in ("p cnf 2 2\n1 2 0\n0\n", "p cnf 2 2\n0\n-1 0\n", "p cnf 2 1\n1 -2 0\n"):
+        assert parse_dimacs(text).has_empty_clause() == ("\n0\n" in text)
+        assert parse_dimacs(text.encode()).has_empty_clause() == ("\n0\n" in text)
+    assert Formula(2, []).extended([()]).extended([(1,)]).has_empty_clause()
+    assert (Formula(0, []).has_empty_clause(), Formula(0, [()]).has_empty_clause()) == (False, True)
+    for seed in range(3):
+        spec = GenSpec(n=30, k=3, ratio=4.2, seed=seed)
+        assert not gen_planted(spec)[0].has_empty_clause()
+        assert not gen_uniform(spec).has_empty_clause()
+
+
+def test_has_empty_clause_agrees_with_the_clauses_on_random_formulas(kernel, monkeypatch):
+    rng = random.Random(21)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        clauses = [[rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.choice((0, 1, 2, 3, 3, 4)))]
+                   for _ in range(rng.randint(0, 8))]
+        added = [[rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.choice((0, 2, 3)))]
+                 for _ in range(rng.randint(0, 3))]
+        native = Formula(n, clauses)
+        with monkeypatch.context() as patched:
+            patched.setattr(sls, "_load_kernel", lambda: None)
+            reference = Formula(n, clauses)
+        for f in (native, reference, native.extended(added), reference.extended(added)):
+            assert f.has_empty_clause() == (() in f.clauses), (n, clauses, added)
+            seen.add(f.has_empty_clause())
+    assert seen == {True, False}
 
 
 def test_eval_clause():

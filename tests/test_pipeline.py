@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 import oracles
+from satlab import pipeline, sls
 from satlab.cnf import Formula
 from satlab.generators import GenSpec, gen_planted, gen_uniform
 from satlab.pipeline import (
@@ -233,3 +234,56 @@ def test_budget_validation():
         run_hybrid(Formula(1, [(1,)]), wall_budget=0)
     with pytest.raises(ValueError, match="wall-clock budget, a flip budget or both"):
         run_hybrid(Formula(1, [(1,)]), wall_budget=None)
+
+
+def model_checks(monkeypatch, verdict=None):
+    """Record each `eval_formula` call of `probsat_run` and `run_hybrid` as
+    (module, formula); `verdict` maps a module name to a forced result."""
+    calls = []
+    for module in (sls, pipeline):
+        def spy(formula, model, name=module.__name__, check=module.eval_formula):
+            calls.append((name, formula))
+            return (verdict or {}).get(name, check(formula, model))
+        monkeypatch.setattr(module, "eval_formula", spy)
+    return calls
+
+
+@pytest.mark.parametrize("track", sorted(ONE_PHASE_FORMULAS) + ["k3"])
+def test_a_phase_solved_on_the_formula_itself_checks_its_model_once(monkeypatch, track):
+    spec = ONE_PHASE_FORMULAS.get(track, GenSpec(n=60, k=3, ratio=4.2, seed=31))
+    f, _ = gen_planted(spec)
+    strategy = select_strategy(f, initial_flips=200_000 if track == "k3" else None)
+    assert strategy.track == track
+    calls = model_checks(monkeypatch)
+    res = run_hybrid(f, wall_budget=None, seed=1, strategy=strategy, final_flips=200_000)
+    assert res.phase_solved == "initial-sls"
+    assert calls == [("satlab.sls", f)]  # probsat_run's own check, against the formula
+
+
+def test_final_and_miner_phases_still_check_the_original_formula(monkeypatch):
+    f, _ = gen_planted(GenSpec(n=60, k=3, ratio=4.2, seed=31))
+    strategy = select_strategy(f, initial_flips=1)
+    calls = model_checks(monkeypatch)
+    res = run_hybrid(f, wall_budget=None, seed=3, strategy=strategy, miner_conflict_limit=5, final_flips=200_000)
+    assert (res.phase_solved, res.clauses_added) == ("final-sls", 4)
+    (first, augmented), (second, checked) = calls[-2:]  # probsat_run checks the augmented formula, then run_hybrid f
+    assert (first, second) == ("satlab.sls", "satlab.pipeline")
+    assert augmented.num_clauses == f.num_clauses + 4 and checked is f
+    calls.clear()
+    res = run_hybrid(f, wall_budget=None, seed=3, strategy=strategy, miner_conflict_limit=50, final_flips=200_000)
+    assert res.phase_solved == "miner"
+    assert calls[-1] == ("satlab.pipeline", f)
+
+
+def test_an_invalid_model_is_an_assertion_error_on_every_phase(monkeypatch):
+    one_phase, _ = gen_planted(ONE_PHASE_FORMULAS[FALLBACK])
+    with monkeypatch.context() as patched:
+        model_checks(patched, {"satlab.sls": False})  # the one check a one-phase run makes
+        with pytest.raises(AssertionError, match="registry empty but model invalid"):
+            run_hybrid(one_phase, wall_budget=None, seed=1, final_flips=200_000)
+    f, _ = gen_planted(GenSpec(n=60, k=3, ratio=4.2, seed=31))
+    with monkeypatch.context() as patched:
+        model_checks(patched, {"satlab.pipeline": False})  # the final phase's check against f
+        with pytest.raises(AssertionError, match="does not satisfy the original formula"):
+            run_hybrid(f, wall_budget=None, seed=3, strategy=select_strategy(f, initial_flips=1),
+                       miner_conflict_limit=5, final_flips=200_000)

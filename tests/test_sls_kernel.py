@@ -2,9 +2,11 @@
 
 `probsat_run` runs the kernel whenever it loads; `_probsat_python` is the
 reference loop.  For equal arguments both must return equal status, flip
-count and model.
+count and model, and leave equal assignments in their states after a
+budget-bound run.
 """
 
+import ctypes
 import pickle
 import random
 import re
@@ -114,6 +116,124 @@ def test_kernel_matches_reference_on_tiny_formulas_and_budgets(kernel):
         for max_flips in (0, 1, 2, 25):
             for seed in SEEDS:
                 assert_same(formula, max_flips, seed)
+
+
+class KernelSpy:
+    """The loaded library, recording what each `probsat_run` leaves in its
+    kernel state just before freeing it: the assignment and the number of
+    falsified clauses."""
+
+    def __init__(self, lib):
+        self._lib, self.left = lib, []
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+    def probsat_new(self, n, *args):
+        self._n = n
+        return self._lib.probsat_new(n, *args)
+
+    def probsat_free(self, state):
+        buf = ctypes.create_string_buffer(self._n + 1)
+        self._lib.probsat_assignment(state, buf)
+        self.left.append((list(map(bool, buf.raw)), self._lib.probsat_num_falsified(state)))
+        self._lib.probsat_free(state)
+
+
+def states_after(monkeypatch, kernel, formula, flips, seed, scoring=None):
+    """(status, flips used, assignment, falsified count) after `flips` flips,
+    of the kernel and of the reference.  A budget-bound run returns no
+    model, so the assignments are read from the kernel's state and from
+    the reference's `SlsState`."""
+    spy, made = KernelSpy(kernel), []
+
+    class RecordingState(sls.SlsState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(sls, "_load_kernel", lambda: spy)
+        patched.setattr(sls, "SlsState", RecordingState)
+        fast = probsat_run(formula, flips, seed, scoring)
+        ref = _probsat_python(formula, flips, seed, scoring)
+    (assign, falsified), = spy.left
+    state, = made
+    return ((fast.status, fast.flips_used, assign, falsified),
+            (ref.status, ref.flips_used, state.assign, len(state.falsified)))
+
+
+def tautology_dense(n, m, seed):
+    """m random clauses of widths 2-6 over n variables, about half of them
+    tautologies (a literal and its negation), and unsatisfiable 3-clauses
+    besides, so that runs spend their budget."""
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(m):
+        lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), rng.randint(2, 6))]
+        if rng.random() < 0.5:
+            lits.append(-lits[rng.randrange(len(lits))])
+        clauses.append(lits)
+    return Formula(n, clauses + list(gen_uniform(GenSpec(n=n, k=3, ratio=10.0, seed=seed)).clauses))
+
+
+def wide_clauses(seed):
+    """Every sign pattern over variables 1..9 (unsatisfiable, and each
+    assignment leaves nine clauses with one true literal) and random
+    clauses of widths 10-12 over 14 variables."""
+    rng = random.Random(seed)
+    full = [[v if bits >> (v - 1) & 1 else -v for v in range(1, 10)] for bits in range(512)]
+    wide = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 15), rng.randint(10, 12))]
+            for _ in range(600)]
+    return Formula(14, full + wide)
+
+
+# (name, formula, flips): the sls-par2 shapes, and the clause kinds where a
+# clause's count of true literals often drops from 2 to 1
+BUDGET_BOUND = {
+    "k3-n5000": (lambda: gen_planted(GenSpec(n=5000, k=3, ratio=4.2, seed=2))[0], 1_000),
+    "k5-n500": (lambda: gen_planted(GenSpec(n=500, k=5, ratio=20.0, seed=2))[0], 1_200),
+    "k7-n150": (lambda: gen_planted(GenSpec(n=150, k=7, ratio=85.0, seed=2))[0], 600),
+    "tautologies": (lambda: tautology_dense(30, 300, 7), 3_000),
+    "widths-9-12": (lambda: wide_clauses(9), 1_500),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_BOUND))
+def test_kernel_state_after_a_budget_bound_run_equals_the_reference(kernel, monkeypatch, name):
+    make, flips = BUDGET_BOUND[name]
+    formula = make()
+    for seed in (1, 2**64 + 3):
+        fast, ref = states_after(monkeypatch, kernel, formula, flips, seed)
+        assert fast[:2] == (sls.FLIPS_EXHAUSTED, flips)
+        assert fast == ref, f"{name} seed={seed}"
+    if name == "tautologies":
+        assert len(formula.tautology_ids) > 100
+        fast, ref = states_after(monkeypatch, kernel, formula, flips, 5, ScoringFunction("exp", cb=1.8))
+        assert fast == ref
+
+
+class UnscannableClauses:
+    """Stands in for `Formula.clauses`: keeps its length, cannot be iterated or indexed."""
+
+    def __init__(self, clauses):
+        self._len = len(clauses)
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        raise AssertionError("formula.clauses was iterated")
+
+
+def test_a_budget_bound_kernel_run_reads_no_clause_tuple(kernel):
+    # the kernel reads the flat arrays; the run's per-call work must not grow with a scan of the tuples
+    formula, _ = gen_planted(GenSpec(n=2000, k=3, ratio=4.2, seed=4))
+    expected = [outcome(probsat_run, formula, flips, 9) for flips in (0, 500)]
+    formula.clauses = UnscannableClauses(formula.clauses)
+    assert formula.num_clauses == 8400
+    assert [outcome(probsat_run, formula, flips, 9) for flips in (0, 500)] == expected
+    assert expected[1][:2] == (sls.FLIPS_EXHAUSTED, 500)
 
 
 def test_large_wall_limit_equals_flip_budget(kernel):
