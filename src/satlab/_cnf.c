@@ -1,7 +1,7 @@
-/* Compiled DIMACS scan and emit and Formula index build, equal to the
- * Python reference in satlab.cnf (the DIMACS reader of parse_dimacs, the
- * clause lines of emit_dimacs, and canonical_clause plus _index_clauses
- * in Formula.__init__).
+/* Compiled DIMACS scan and emit, Formula index build and model check,
+ * equal to the Python reference in satlab.cnf (the DIMACS reader of
+ * parse_dimacs, the clause lines of emit_dimacs, canonical_clause plus
+ * _index_clauses in Formula.__init__, and _eval_formula_python).
  *
  * Clauses are flat: clause c holds lits[off[c] .. off[c+1]), DIMACS-signed
  * ints.  The occurrence index is Formula's: the ids of the clauses holding
@@ -175,18 +175,18 @@ static int read_header(const char *a, const char *end, long long *n, long long *
  * about other than a clause-count mismatch, returns DEFER, and the
  * Python reader takes the whole input.
  *
- * With off NULL the scan only counts: info gets N, M, the clauses parsed
- * and the literals read (those of a dropped open clause included).  A
- * second call with off (clauses + 1 ints) and lits (that many literals)
- * fills them.
+ * One pass fills off and lits: off needs room for the clauses parsed
+ * plus one, lits for the literals read (those of a dropped open clause
+ * included); every token takes at least 2 bytes but the last, so
+ * (len + 1) / 2 + 1 and (len + 1) / 2 ints are enough.  On success info
+ * gets N, M, the clauses parsed and the literals read.
  */
 int dimacs_scan(const char *text, long long len, long long *info, int *off, int *lits)
 {
     const char *p = text, *end = text + len;
     long long n = -1, declared = 0, m = 0, nlits = 0, closed = 0;
-    int fill = off != NULL, ended = 0;
-    if (fill)
-        off[0] = 0;
+    int ended = 0;
+    off[0] = 0;
     while (p < end && !ended) {
         const char *a = p, *b = memchr(p, '\n', (size_t)(end - p));
         if (b == NULL)
@@ -230,15 +230,11 @@ int dimacs_scan(const char *text, long long len, long long *info, int *off, int 
                 a++;
             if (v == 0) {
                 closed = nlits;
-                if (fill)
-                    off[m + 1] = (int)nlits;
-                m++;
+                off[++m] = (int)nlits;
             } else {
                 if (nlits == INT_MAX)
                     return DEFER; /* offsets are int32 */
-                if (fill)
-                    lits[nlits] = (int)(negative ? -v : v);
-                nlits++;
+                lits[nlits++] = (int)(negative ? -v : v);
             }
         }
     }
@@ -289,4 +285,18 @@ long long dimacs_emit(long long m, const int *off, const int *lits, char *out)
         p += 3;
     }
     return p - out;
+}
+
+/* 1 when each of the m clauses off/lits has a true literal under values
+ * (index v for variable v, nonzero meaning true), else 0. */
+int formula_satisfied(long long m, const int *off, const int *lits, const unsigned char *values)
+{
+    for (long long c = 0; c < m; c++) {
+        int sat = 0; /* without an early exit: a literal's sign is a coin flip to a branch predictor */
+        for (int i = off[c]; i < off[c + 1]; i++)
+            sat |= (values[abs(lits[i])] != 0) ^ (lits[i] < 0);
+        if (!sat)
+            return 0;
+    }
+    return 1;
 }

@@ -2,29 +2,34 @@
 
 Literals follow the DIMACS convention used throughout this package: a
 literal is a signed integer, `v` for the positive literal of variable v
-(1-based) and `-v` for its negation.  Clauses are stored canonically as
-tuples of literals sorted by variable index, which makes deduplication
-and set operations exact.  Assignments are lists of booleans of length
-n+1 with index 0 unused, so `assignment[v]` is the value of variable v.
+(1-based) and `-v` for its negation.  Clauses are canonical: literals
+sorted by variable index, repeats dropped, which makes deduplication and
+set operations exact.  A `Formula` is four flat int32 arrays, the clauses
+and their occurrence index; its tuple of clause tuples is a view derived
+from them on first read, for the Python reference paths.  Assignments
+are lists of booleans of length n+1 with index 0 unused, so
+`assignment[v]` is the value of variable v.
 
-Building a `Formula`, reading DIMACS and writing it each have two paths
-with one set of results:
+Building a `Formula`, reading DIMACS, writing it and checking a model
+each have two paths with one set of results:
 
 - `_cnf.c`, built into the one compiled library of `satlab.sls`
   (`sls._load_kernel`), canonicalises and checks flat int32 clauses and
   fills the occurrence index (`formula_index`), scans DIMACS text in a
   strict subset: ASCII lines of `[+-]?digits` tokens, `c` comments, one
-  `p cnf N M` header and a `%` end line (`dimacs_scan`), and writes the
-  clause lines of `emit_dimacs` (`dimacs_emit`).  Any input outside the
+  `p cnf N M` header and a `%` end line (`dimacs_scan`), writes the
+  clause lines of `emit_dimacs` (`dimacs_emit`), and checks a model
+  against the flat clauses (`formula_satisfied`).  Any input outside the
   scanner's subset it hands back to the Python reader whole.
-- `canonical_clause` with `_index_clauses`, `_read_dimacs` and
-  `_emit_clauses_python` are the readable reference.  They run when the
-  library is unavailable, when clauses do not fit int32 arrays, and for
-  every input outside the scanner's subset, so every error message and
-  warning is theirs.
+- `canonical_clause` with `_index_clauses`, `_read_dimacs`,
+  `_emit_clauses_python` and `_eval_formula_python` are the readable
+  reference.  They run when the library is unavailable, when clauses do
+  not fit int32 arrays, for every input outside the scanner's subset,
+  and for assignments that are not a list of at least n+1 byte values,
+  so every error message and warning is theirs.
 
 The differential tests in `tests/test_cnf.py` hold the two paths to
-equal attributes, errors, warnings and text.
+equal attributes, errors, warnings, text and model checks.
 """
 
 from __future__ import annotations
@@ -60,27 +65,33 @@ def canonical_clause(lits: Iterable[int]) -> Clause:
 
 
 class Formula:
-    """Immutable clause database in canonical form with flat clause and
-    occurrence arrays.
+    """Immutable clause database: canonical clauses in flat int32 arrays,
+    with their occurrence index.
 
     Shared by every solver in the package; safe to share across threads
     and to pickle into worker processes.  Every clause is canonical
     (`canonical_clause`: repeats dropped, sorted by variable, tautologies
     kept and listed in `tautology_ids`).
 
-    Four int32 arrays, built with the clauses and never mutated, are what
-    the compiled engines read.  Clause `c` is
+    Four int32 arrays, built once and never mutated, are the formula, and
+    what the compiled engines read.  Clause `c` is
     `literals[offsets[c]:offsets[c + 1]]`.  Literal `l` occurs in the
     clauses `occ[occ_offsets[i]:occ_offsets[i + 1]]`, `i = 2 * abs(l) +
     (l < 0)`, in id order (a tautology under both of its literals).  No
     occurrence list is longer than `max_occurrences`.  `2 * num_vars + 3`
     must fit int32.
 
+    `clauses`, the tuple of clause tuples that the Python reference paths
+    read, is a view built from `offsets` and `literals` on first read and
+    kept.  Only the reference build holds it from the start.  Two threads
+    that read it first at once both build it; the tuples are equal, so
+    either may stay.
+
     The compiled `formula_index` canonicalises the clauses flattened into
-    int32 arrays in place and indexes them; the clause tuples are slices
-    of its arrays.  The reference (`canonical_clause`, then
-    `_index_clauses`) runs when the library is unavailable or the clauses
-    do not flatten, and then raises for what int32 cannot hold.
+    int32 arrays in place and indexes them.  The reference
+    (`canonical_clause`, then `_index_clauses`) runs when the library is
+    unavailable or the clauses do not flatten, and then raises for what
+    int32 cannot hold.
 
     `extended(clauses)` appends clauses without rebuilding: it checks only
     the new ones, and its result has every attribute equal to that of
@@ -88,7 +99,7 @@ class Formula:
     is empty, which `has_empty_clause` reports.
     """
 
-    __slots__ = ("num_vars", "clauses", "tautology_ids", "offsets", "literals", "occ_offsets", "occ",
+    __slots__ = ("num_vars", "_clauses", "tautology_ids", "offsets", "literals", "occ_offsets", "occ",
                  "max_occurrences", "max_width", "_empty_clause")
 
     def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]]):
@@ -109,16 +120,16 @@ class Formula:
                     self._index_native(kernel, num_vars, offsets, lits)
                     return
         self.num_vars = num_vars
-        self.clauses: tuple[Clause, ...] = tuple(canonical_clause(c) for c in clauses)
+        self._clauses = canonical = tuple(canonical_clause(c) for c in clauses)
         occ: list[list[int]] = [[] for _ in range(2 * num_vars + 2)]
-        self.tautology_ids = frozenset(_index_clauses(self.clauses, 0, num_vars, occ))
-        self.offsets = array("i", accumulate(map(len, self.clauses), initial=0))
-        self.literals = array("i", chain.from_iterable(self.clauses))
+        self.tautology_ids = frozenset(_index_clauses(canonical, 0, num_vars, occ))
+        self.offsets = array("i", accumulate(map(len, canonical), initial=0))
+        self.literals = array("i", chain.from_iterable(canonical))
         self.occ_offsets = array("i", accumulate(map(len, occ), initial=0))
         self.occ = array("i", [cid for ids in occ for cid in ids])
         self.max_occurrences = max(map(len, occ))
-        self.max_width = max(map(len, self.clauses), default=0)
-        self._empty_clause = not all(self.clauses)  # the empty tuple is the only false clause
+        self.max_width = max(map(len, canonical), default=0)
+        self._empty_clause = not all(canonical)  # the empty tuple is the only false clause
 
     def _index_native(self, kernel, num_vars: int, offsets: array, lits: array) -> None:
         """Set every attribute from flat int32 clauses with `formula_index`,
@@ -135,7 +146,7 @@ class Formula:
             raise ValueError(f"literal {info[1]} out of range 1..{num_vars} in clause {info[0]}")
         del lits[offsets[-1]:], occ[offsets[-1]:]  # the dropped repeats
         self.num_vars = num_vars
-        self.clauses = tuple(map(tuple, map(lits.__getitem__, map(slice, offsets, offsets[1:]))))
+        self._clauses = None
         self.tautology_ids = frozenset(taut[: info[2]])
         self.offsets, self.literals = offsets, lits
         self.occ_offsets, self.occ, self.max_occurrences = occ_offsets, occ, info[3]
@@ -154,7 +165,7 @@ class Formula:
         if not new:
             return self
         added: defaultdict[int, list[int]] = defaultdict(list)  # occurrence slot -> new ids
-        taut = _index_clauses(new, len(self.clauses), self.num_vars, added)
+        taut = _index_clauses(new, self.num_clauses, self.num_vars, added)
         old_offsets, old_occ = self.occ_offsets, self.occ
         offsets, occ = array("i"), array("i")
         max_occ, shift, start = self.max_occurrences, 0, 0
@@ -171,7 +182,7 @@ class Formula:
 
         out = Formula.__new__(Formula)
         out.num_vars = self.num_vars
-        out.clauses = self.clauses + new
+        out._clauses = None
         out.tautology_ids = self.tautology_ids.union(taut)
         out.offsets = self.offsets + array("i", accumulate(map(len, new), initial=self.offsets[-1]))[1:]
         out.literals = self.literals + array("i", chain.from_iterable(new))
@@ -181,8 +192,19 @@ class Formula:
         return out
 
     @property
+    def clauses(self) -> tuple[Clause, ...]:
+        """The canonical clauses as tuples, built from `offsets` and
+        `literals` on first read."""
+        clauses = self._clauses
+        if clauses is None:
+            offsets = self.offsets
+            clauses = tuple(map(tuple, map(self.literals.__getitem__, map(slice, offsets, offsets[1:]))))
+            self._clauses = clauses
+        return clauses
+
+    @property
     def num_clauses(self) -> int:
-        return len(self.clauses)
+        return len(self.offsets) - 1
 
     def occurrence(self, lit: int) -> array:
         """Ids of clauses containing `lit`, in id order (empty if it occurs nowhere)."""
@@ -303,12 +325,14 @@ def _scan_dimacs(kernel, text) -> tuple[int, int, array, array] | None:
         text = text.encode("ascii")
     elif not isinstance(text, bytes):
         return None
+    # every token takes at least 2 bytes (the last one may end the text)
+    room = (len(text) + 1) // 2
     info = array("q", [0]) * 4
-    if kernel.dimacs_scan(text, len(text), _address(info), None, None):
+    offsets = array("i", [0]) * (room + 1)
+    lits = array("i", [0]) * room
+    if kernel.dimacs_scan(text, len(text), *map(_address, (info, offsets, lits))):
         return None
-    offsets = array("i", [0]) * (info[2] + 1)
-    lits = array("i", [0]) * info[3]
-    kernel.dimacs_scan(text, len(text), *map(_address, (info, offsets, lits)))
+    del offsets[info[2] + 1:], lits[info[3]:]
     return info[0], info[1], offsets, lits
 
 
@@ -377,7 +401,27 @@ def eval_clause(clause: Sequence[int], alpha: Assignment) -> bool:
 
 
 def eval_formula(formula: Formula, alpha: Assignment) -> bool:
-    """True iff every clause is satisfied under `alpha`."""
+    """True iff every clause is satisfied under `alpha`.
+
+    `formula_satisfied` in `_cnf.c` checks the flat clauses against the
+    bytes of `alpha` when the library is loaded and `alpha` is a list of
+    at least n+1 byte values; `_eval_formula_python` is the reference and
+    runs otherwise, with its errors.
+    """
+    kernel = _kernel()
+    if kernel is not None and isinstance(alpha, list) and len(alpha) > formula.num_vars:
+        try:
+            values = bytes(alpha)
+        except (TypeError, ValueError):
+            pass  # not byte values: the reference reads their truth
+        else:
+            return bool(kernel.formula_satisfied(formula.num_clauses, _address(formula.offsets),
+                                                 _address(formula.literals), values))
+    return _eval_formula_python(formula, alpha)
+
+
+def _eval_formula_python(formula: Formula, alpha: Assignment) -> bool:
+    """The reference model check of `eval_formula`, over `formula.clauses`."""
     return all(eval_clause(c, alpha) for c in formula.clauses)
 
 

@@ -10,8 +10,8 @@ Twister (`random.Random`) makes them bit-reproducible across platforms.
   state of `random.Random(spec.seed)` and repeats the reference's draws
   one by one, including both branches of CPython's `random.sample`.  It
   writes flat int32 clause arrays, which `formula_index` canonicalises
-  and indexes, so no clause list is built and `Formula.__init__` never
-  runs.
+  and indexes, so no clause list or tuple is built and
+  `Formula.__init__` never runs.
 - `_gen_uniform_python` and `_gen_planted_python` are the readable
   reference.  They run when the library is unavailable, and when `n` or
   `m * k` does not fit int32.

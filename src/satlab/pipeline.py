@@ -154,6 +154,7 @@ def augment(formula: Formula, clauses) -> Formula:
     An existing clause is looked up among the clauses of its least
     frequent literal, so the cost follows the additions, not the formula.
     """
+    offsets, literals = formula.offsets, formula.literals
     seen: set[frozenset[int]] = set()
     added: list[frozenset[int]] = []
     for clause in clauses:
@@ -163,8 +164,8 @@ def augment(formula: Formula, clauses) -> Formula:
         seen.add(lits)
         if lits:
             rarest = min(map(formula.occurrence, lits), key=len)
-            if any(len(formula.clauses[cid]) == len(lits) and lits.issuperset(formula.clauses[cid])
-                   for cid in rarest):
+            if any(offsets[cid + 1] - offsets[cid] == len(lits)
+                   and lits.issuperset(literals[offsets[cid]:offsets[cid + 1]]) for cid in rarest):
                 continue
         elif formula.has_empty_clause():
             continue

@@ -21,9 +21,9 @@ swap-remove registry with O(1) membership, insertion, and deletion.
   `literals`, `occ_offsets` and `occ`), and continues the Mersenne
   Twister stream of `random.Random(seed)` (`_mt.h`).  It is built on
   first use with the system C compiler, into one library with the CDCL
-  kernel of `satlab.cdcl` (`_cdcl.c`), the DIMACS scan and emit and
-  `Formula` index build of `satlab.cnf` (`_cnf.c`) and the instance
-  generator of `satlab.generators` (`_gen.c`), in
+  kernel of `satlab.cdcl` (`_cdcl.c`), the DIMACS scan and emit,
+  `Formula` index build and model check of `satlab.cnf` (`_cnf.c`) and
+  the instance generator of `satlab.generators` (`_gen.c`), in
   `$XDG_CACHE_HOME/satlab` (by default `~/.cache/satlab`), under a file
   name keyed by the four sources, the Mersenne Twister header they
   share, the flags and the platform.
@@ -270,10 +270,13 @@ def probsat_run(
     status, `flips_used` and model for the same arguments.  Formulas with
     an empty clause or no variables go to the reference.
 
-    Returned models are verified against the formula.  With `wall_limit`
-    set, the clock is polled every 4096 flips; wall-limited runs are
-    therefore not flip-deterministic, flip-budgeted ones are, and a
-    flip-budgeted run is a single kernel call.
+    Returned models are verified against the formula by `eval_formula`,
+    after the clock stops: with the library loaded, its
+    `formula_satisfied` reads the flat clause arrays, so a kernel run
+    builds no clause tuple.  With `wall_limit` set, the clock is polled
+    every 4096 flips; wall-limited runs are therefore not
+    flip-deterministic, flip-budgeted ones are, and a flip-budgeted run is
+    a single kernel call.
     """
     kernel = _load_kernel()
     if kernel is None or formula.has_empty_clause() or formula.num_vars == 0:
@@ -388,6 +391,7 @@ _KERNEL_FUNCTIONS = (
     ("formula_index", _i32, [_i32, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr]),
     ("dimacs_scan", _i32, [ctypes.c_char_p, _i64, _ptr, _ptr, _ptr]),
     ("dimacs_emit", _i64, [_i64, _ptr, _ptr, ctypes.c_char_p]),
+    ("formula_satisfied", _i32, [_i64, _ptr, _ptr, ctypes.c_char_p]),
     ("gen_clauses", _i32, [_i32, _i32, _i64, _i32, ctypes.c_double, _ptr, _i32, _ptr, _ptr, _ptr]),
 )
 
@@ -409,9 +413,9 @@ def _compiler() -> str | None:
 @functools.cache
 def _load_kernel() -> ctypes.CDLL | None:
     """The compiled kernels (the probSAT flip loop here, the CDCL search
-    of `satlab.cdcl`, the DIMACS scan and emit and `Formula` index build
-    of `satlab.cnf`, and the instance generator of `satlab.generators`),
-    built on first use into the cache named in the module docstring; None
+    of `satlab.cdcl`, the DIMACS scan and emit, `Formula` index build and
+    model check of `satlab.cnf`, and the instance generator of
+    `satlab.generators`), built on first use into the cache named in the module docstring; None
     when no compiler or cache directory is usable, and then all four
     modules run their Python reference.  The compiler writes a temporary
     file that is then renamed into place, so concurrent processes never

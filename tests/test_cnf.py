@@ -499,6 +499,118 @@ def test_native_build_reads_generators_and_odd_clause_objects(kernel, monkeypatc
     assert Formula(3, (c for c in clauses)).clauses == ((-1, 2, 3), (-1, 2), (), (-1, 1), (1, 2, 3), (-2, 3))
 
 
+def clause_views(f):
+    """`f.clauses` and `num_clauses` of `f`, of a pickled copy made before
+    the first read, and of one made after it."""
+    before = pickle.loads(pickle.dumps(f))
+    views = [(f.clauses, f.num_clauses)]
+    after = pickle.loads(pickle.dumps(f))
+    return views + [(copy.clauses, copy.num_clauses) for copy in (before, after)]
+
+
+def test_the_clause_view_equals_the_reference_on_every_build_path(kernel, monkeypatch):
+    # tautologies, repeated literals and empty clauses
+    raw = [(3, -1, 3), (2, -2, 4), (), (4, 1, -1, 4, 2), (2,), (), (1, 2, 3, 4, -1, -2, -3, -4), (4, 4)]
+    lines = "".join(" ".join(map(str, c)) + " 0\n" for c in raw)
+    text = f"c view\np cnf 4 {len(raw)}\n{lines}3 -2\n%\n"  # the open clause `3 -2` is dropped
+    cases = {  # name: (n, build, the raw clauses of its reference build)
+        "init": (4, lambda: Formula(4, raw), raw),
+        "parse-str": (4, lambda: parse_dimacs(text), raw),
+        "parse-bytes": (4, lambda: parse_dimacs(text.encode()), raw),
+        "extended": (4, lambda: Formula(4, raw[:3]).extended(raw[3:]), raw),
+        "extended-by-an-empty-clause": (4, lambda: Formula(4, raw[:2]).extended([()]), raw[:2] + [()]),
+        "extended-by-nothing": (4, lambda: Formula(4, raw).extended([]), raw),
+        "no-variables": (0, lambda: Formula(0, []), []),
+    }
+    with monkeypatch.context() as patched:
+        patched.setattr(sls, "_load_kernel", lambda: None)
+        for k in (2, 3, 5):
+            spec = GenSpec(n=40, k=k, ratio=4.2, seed=k)
+            cases[f"uniform-k{k}"] = (40, lambda spec=spec: gen_uniform(spec), gen_uniform(spec).clauses)
+            cases[f"planted-k{k}"] = (40, lambda spec=spec: gen_planted(spec)[0], gen_planted(spec)[0].clauses)
+    for name, (n, build, clauses) in cases.items():
+        with monkeypatch.context() as patched:
+            patched.setattr(sls, "_load_kernel", lambda: None)
+            expected = Formula(n, clauses).clauses
+            reference_views = clause_views(build())  # the reference build holds its tuples from the start
+        assert reference_views == [(expected, len(expected))] * 3, name
+        f = build()
+        assert f._clauses is None, name  # the native build leaves them to the first read
+        assert clause_views(f) == reference_views, name
+        assert_canonical_with_flat_arrays(f)
+    assert Formula(0, []).clauses == () and len(cases) == 13
+
+
+def test_formula_satisfied_equals_the_reference_check(kernel, monkeypatch):
+    reference_runs = []
+    reference = cnf._eval_formula_python
+    monkeypatch.setattr(cnf, "_eval_formula_python", lambda f, alpha: reference_runs.append(1) or reference(f, alpha))
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(1_500):
+        n = rng.randint(0, 14)
+        hidden = [False] + [rng.random() < 0.5 for _ in range(n)]
+        clauses = []
+        for _ in range(rng.randint(0, 10)):
+            lits = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 12))] if n else []
+            if lits and rng.random() < 0.1:
+                lits.append(-lits[0])  # a tautology
+            if lits and rng.random() < 0.6:  # true under `hidden`
+                v = abs(lits[0])
+                lits[0] = v if hidden[v] else -v
+            clauses.append(lits)
+        if rng.random() < 0.05:
+            clauses.append([])
+        f = Formula(n, clauses)
+        assert f.max_width <= 12
+        for alpha in (hidden, [rng.random() < 0.5 for _ in range(n + 1)],
+                      [rng.choice((0, 1, 2, 255)) for _ in range(n + 1 + rng.randint(0, 3))]):
+            fast = eval_formula(f, alpha)
+            assert fast == reference(f, alpha), (n, clauses, alpha)
+            assert fast == bool(kernel.formula_satisfied(f.num_clauses, f.offsets.buffer_info()[0],
+                                                         f.literals.buffer_info()[0], bytes(alpha)))
+            seen.add((fast, () in f.clauses, bool(f.tautology_ids), n == 0))
+    assert reference_runs == []
+    assert {(True, False, False, False), (False, False, False, False), (True, False, True, False),
+            (False, True, False, False), (True, False, False, True), (False, True, False, True)} <= seen
+
+
+def test_eval_formula_runs_the_reference_on_short_or_non_byte_assignments(kernel, monkeypatch):
+    calls = []
+    reference = cnf._eval_formula_python
+    monkeypatch.setattr(cnf, "_eval_formula_python", lambda f, alpha: calls.append(1) or reference(f, alpha))
+
+    def outcome(fn, f, alpha):
+        try:
+            return fn(f, alpha)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    f = Formula(3, [(1, -2), (3,), (-1, 2, 3)])
+    cases = {
+        # alpha: the reference's result
+        (False, True, False, True): True,
+        (False, True, False): (IndexError, "list index out of range"),  # shorter than n + 1
+        (True, False, False): (IndexError, "list index out of range"),
+        (False, False, True): False,  # a clause is false before variable 3 is read
+        (False, 256, 0, -1): True,  # not bytes: ValueError in bytes(), truthy in the reference
+        (False, None, None, 0.5): True,  # TypeError in bytes()
+        (None, 0.0, None, None): False,
+        (False, "x", "", True): True,
+    }
+    for alpha, expected in cases.items():
+        calls.clear()
+        assert outcome(eval_formula, f, list(alpha)) == outcome(reference, f, list(alpha)) == expected, alpha
+        assert len(calls) == (alpha != (False, True, False, True)), alpha
+    # only a list's bytes are its values: a tuple or a mapping goes to the reference
+    for alpha in ((False, True, False, True), {0: False, 1: True, 2: False, 3: True}):
+        calls.clear()
+        assert eval_formula(f, alpha) and calls == [1]
+    calls.clear()
+    assert eval_formula(Formula(0, []), []) and not eval_formula(Formula(0, [()]), [])
+    assert calls == [1, 1]
+
+
 def test_huge_variable_count_raises_before_allocating(monkeypatch):
     # 2 * n + 3 must fit int32; nothing of that size is ever allocated here
     for n in (2**30 - 1, 99_999_999_999):

@@ -18,8 +18,9 @@ import pytest
 
 from satlab import sls
 from satlab.bench import SolverConfig, run_suite
-from satlab.cnf import Formula
+from satlab.cnf import Formula, emit_dimacs, parse_dimacs
 from satlab.generators import GenSpec, gen_planted, gen_uniform
+from satlab.pipeline import plain_strategy, run_hybrid, select_strategy
 from satlab.sls import ScoringFunction, _probsat_python, probsat_run
 
 SCORINGS = (
@@ -213,27 +214,31 @@ def test_kernel_state_after_a_budget_bound_run_equals_the_reference(kernel, monk
         assert fast == ref
 
 
-class UnscannableClauses:
-    """Stands in for `Formula.clauses`: keeps its length, cannot be iterated or indexed."""
+def test_the_kernel_track_builds_no_clause_tuple(kernel, monkeypatch):
+    # gen -> emit -> parse -> run_hybrid reads only the flat arrays: any read of a clause-tuple view fails the run
+    def no_tuples(formula):
+        raise AssertionError("a clause-tuple view was built")
 
-    def __init__(self, clauses):
-        self._len = len(clauses)
-
-    def __len__(self):
-        return self._len
-
-    def __iter__(self):
-        raise AssertionError("formula.clauses was iterated")
-
-
-def test_a_budget_bound_kernel_run_reads_no_clause_tuple(kernel):
-    # the kernel reads the flat arrays; the run's per-call work must not grow with a scan of the tuples
-    formula, _ = gen_planted(GenSpec(n=2000, k=3, ratio=4.2, seed=4))
-    expected = [outcome(probsat_run, formula, flips, 9) for flips in (0, 500)]
-    formula.clauses = UnscannableClauses(formula.clauses)
-    assert formula.num_clauses == 8400
-    assert [outcome(probsat_run, formula, flips, 9) for flips in (0, 500)] == expected
-    assert expected[1][:2] == (sls.FLIPS_EXHAUSTED, 500)
+    monkeypatch.setattr(Formula, "clauses", property(no_tuples))
+    generated, _ = gen_planted(GenSpec(n=300, k=3, ratio=4.2, seed=2))
+    formula = parse_dimacs(emit_dimacs(generated))
+    assert formula.num_clauses == generated.num_clauses == 1260
+    three_phase = select_strategy(formula, initial_flips=10)
+    # (strategy, miner conflicts, final flips) -> (phase solved, clauses added)
+    cases = {
+        (plain_strategy(formula), None, 50_000): ("initial-sls", 0),
+        (plain_strategy(formula), None, 10): (None, 0),
+        (select_strategy(formula, initial_flips=50_000), 40, 10): ("initial-sls", 0),
+        (three_phase, 100_000, 10): ("miner", 0),
+        (three_phase, 40, 100_000): ("final-sls", 3),
+        (three_phase, 40, 10): (None, 3),
+    }
+    for (strategy, conflicts, flips), expected in cases.items():
+        result = run_hybrid(formula, wall_budget=None, seed=3, strategy=strategy,
+                            miner_conflict_limit=conflicts, final_flips=flips)
+        assert (result.phase_solved, result.clauses_added) == expected
+        assert result.status == ("unknown" if expected[0] is None else "sat")
+    assert generated._clauses is None and formula._clauses is None
 
 
 def test_large_wall_limit_equals_flip_budget(kernel):
@@ -337,7 +342,7 @@ def test_ctypes_table_matches_the_c_parameter_lists():
             assert name not in defined, f"{name} is defined twice"
             defined[name] = 0 if params.strip() in ("", "void") else params.count(",") + 1
     table = {name: len(argtypes) for name, _, argtypes in sls._KERNEL_FUNCTIONS}
-    assert len(table) == len(sls._KERNEL_FUNCTIONS) == 17
+    assert len(table) == len(sls._KERNEL_FUNCTIONS) == 18
     assert defined == table
 
 
