@@ -67,22 +67,22 @@ def default_flip_timeout(k: int) -> int:
 
 @dataclass(frozen=True, init=False)
 class SolverConfig:
-    """One named solver configuration for the harness.
+    """One named solver configuration for the harness: an id, an
+    algorithm and the `Strategy` settings it overrides.
 
-    Every keyword but `algorithm` and `miner_conflict_limit` names a
-    `Strategy` setting (`pipeline.OVERRIDABLE`) and goes into `overrides`,
-    which hybrid trials pass unchanged to `select_strategy`; None keeps
-    the track's value and is not stored.  An unknown name is a ValueError,
-    and so is any setting but `scoring` on an "sls" config.
+    Every keyword but `algorithm` names a setting of `pipeline.OVERRIDABLE`,
+    the miner's conflict limit among them, and goes into `overrides`;
+    None keeps the track's value and is not stored.  A "hybrid" trial
+    passes `overrides` unchanged to `select_strategy`, and an "sls" trial
+    runs `plain_strategy` with its `scoring`.  An unknown name is a
+    ValueError, and so is any setting but `scoring` on an "sls" config.
     """
 
     solver_id: str
     algorithm: str  # sls | hybrid
-    miner_conflict_limit: int | None
     overrides: dict = field(hash=False)
 
-    def __init__(self, solver_id: str, algorithm: str = "sls", miner_conflict_limit: int | None = None,
-                 **overrides):
+    def __init__(self, solver_id: str, algorithm: str = "sls", **overrides):
         if algorithm not in ("sls", "hybrid"):
             raise ValueError(f"unknown algorithm {algorithm!r}")
         unknown = [name for name in overrides if name not in OVERRIDABLE]
@@ -90,31 +90,26 @@ class SolverConfig:
             raise ValueError(f"unknown solver-config key {unknown[0]!r}")
         given = {name: value for name, value in overrides.items() if value is not None}
         if algorithm == "sls":
-            limit = [] if miner_conflict_limit is None else ["miner_conflict_limit"]
-            reject_ignored_by_sls("the sls algorithm", [*given, *limit])
-        self.__dict__.update(solver_id=solver_id, algorithm=algorithm,  # frozen: set once, here
-                             miner_conflict_limit=miner_conflict_limit, overrides=given)
-
-    def __getattr__(self, name: str):
-        """A setting read by name: its override, or None for the track's value."""
-        if name in OVERRIDABLE:
-            return self.overrides.get(name)
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+            reject_ignored_by_sls("the sls algorithm", given)
+        self.__dict__.update(solver_id=solver_id, algorithm=algorithm, overrides=given)  # frozen: set once, here
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverConfig":
         """The config of one JSON object: `id` is the solver id and every
-        other key a constructor keyword; an unknown key is a ValueError."""
+        other key a constructor keyword; `scoring` is an object with `kind`,
+        `cb` and optionally `epsilon`.  A missing or unknown key is a
+        ValueError that names it."""
+        if "id" not in data:
+            raise ValueError("solver config has no 'id' key")
         kwargs = {key: value for key, value in data.items() if key != "id"}
         if "solver_id" in kwargs:
             raise ValueError("unknown solver-config key 'solver_id'")
-        scoring = data.get("scoring")
+        scoring = kwargs.get("scoring")
         if scoring is not None:
-            kwargs["scoring"] = ScoringFunction(
-                kind=scoring["kind"],
-                cb=scoring["cb"],
-                epsilon=scoring.get("epsilon", 0.9),
-            )
+            try:  # the TypeError of a missing or unknown key names it
+                kwargs["scoring"] = ScoringFunction(**scoring)
+            except TypeError as exc:
+                raise ValueError(f"solver-config key 'scoring': {exc}") from None
         return cls(data["id"], **kwargs)
 
 
@@ -135,14 +130,15 @@ def run_trial(
     (an invalid model or a broken invariant), not a crash of one solver:
     it propagates, so it is never scored as a PAR2 timeout.  So does the
     `ValueError` of a missing budget or of a hybrid config that its
-    instance's track rejects, which are configuration errors.
+    instance's track rejects (an ignored or out-of-range setting), which
+    are configuration errors: they stop the trial before any work.
     """
     check_budgets(budget_seconds, budget_flips)
-    strategy = (plain_strategy(formula, config.scoring) if config.algorithm == "sls"
+    strategy = (plain_strategy(formula, config.overrides.get("scoring")) if config.algorithm == "sls"
                 else select_strategy(formula, **config.overrides))
     try:
         result = run_hybrid(formula, wall_budget=budget_seconds, seed=seed, strategy=strategy,
-                            miner_conflict_limit=config.miner_conflict_limit, final_flips=budget_flips)
+                            final_flips=budget_flips)
     except AssertionError:
         raise
     except Exception as exc:  # crash containment: the suite must go on

@@ -196,7 +196,6 @@ def _cmd_solve(args) -> int:
         wall_budget=args.budget,
         seed=args.seed,
         strategy=select_strategy(formula, **overrides),
-        miner_conflict_limit=args.miner_conflicts,
         final_flips=args.final_flips,
     )
     print(f"c result {result.canonical_json()}")
@@ -348,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     # the `Strategy` settings, each stored under its field name (`pipeline.OVERRIDABLE`)
     p.add_argument("--miner-seconds", type=float, default=None, dest="miner_seconds")
-    p.add_argument("--miner-conflicts", type=int, default=None)
+    p.add_argument("--miner-conflicts", type=int, default=None, dest="miner_conflict_limit")
     p.add_argument("--width-limit", type=int, default=None, dest="width_limit")
     p.add_argument("--cap-percent", type=float, default=None, dest="count_cap_percent")
     p.add_argument("--initial-flips", type=int, default=None, dest="initial_flips")

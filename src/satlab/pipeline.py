@@ -16,12 +16,16 @@ original clause count, floor-rounded.  The plain and fallback tracks
 run one SLS phase, seeded with the run's seed, and read only the
 strategy's scoring; the other tracks seed their phases from one master
 RNG.  The clock is checked if and only if a wall budget is given, and
-the last SLS phase is flip-bounded if and only if `final_flips` is.
+the last SLS phase is flip-bounded if and only if `final_flips` is.  A
+run with `wall_budget=None`, `final_flips` set and a strategy whose
+`miner_conflict_limit` is set is timing-free: a pure function of its
+arguments.
 
-The track's settings are a `Strategy`, and it is the only per-track
-configuration `run_hybrid` reads.  Its fields but `track` are the one
-list of overridable settings (`OVERRIDABLE`), which `SolverConfig` and
-the `satlab solve` flags also use.  To change a setting, name the field:
+The track's settings, the miner's conflict limit among them, are a
+`Strategy`, and it is the only configuration `run_hybrid` reads besides
+its seed and budgets.  Its fields but `track` are the one list of
+overridable settings (`OVERRIDABLE`), which `SolverConfig` and the
+`satlab solve` flags also use.  To change a setting, name the field:
 `run_hybrid(f, strategy=select_strategy(f, initial_flips=1000))`.
 """
 
@@ -48,7 +52,12 @@ _HUGE_FLIPS = 1 << 62
 
 @dataclass(frozen=True)
 class Strategy:
-    """Per-track settings of `run_hybrid`; built by `select_strategy`."""
+    """Per-track settings of `run_hybrid`; built by `select_strategy`.
+
+    A three-phase strategy with a setting out of range, or not a number,
+    is a ValueError that names it, so a bad setting fails before any
+    trial runs.
+    """
 
     track: str
     initial_flips: int
@@ -57,6 +66,25 @@ class Strategy:
     count_cap_percent: float | None
     early_stop: bool
     scoring: ScoringFunction
+    miner_conflict_limit: int | None = None  # None: the miner window alone bounds the miner
+
+    def __post_init__(self):
+        if self.track in _SLS_ONLY:
+            return
+        for name, rule, test in (
+            ("initial_flips", ">= 0", lambda v: v >= 0),
+            ("miner_seconds", "> 0", lambda v: v > 0),
+            ("width_limit", ">= 1", lambda v: v >= 1),
+            ("count_cap_percent", ">= 0", lambda v: v is None or v >= 0),
+            ("miner_conflict_limit", ">= 0", lambda v: v is None or v >= 0),
+        ):
+            value = getattr(self, name)
+            try:
+                in_range = test(value)
+            except TypeError:  # not a number: a string from a JSON config, say
+                in_range = False
+            if not in_range:
+                raise ValueError(f"{name} must be a number {rule} on the {self.track} track, got {value!r}")
 
 
 # the settings a caller may override: every `Strategy` field but the dispatched track
@@ -116,7 +144,8 @@ def select_strategy(formula: Formula, **overrides) -> Strategy:
     value, unless it is None; an unknown name raises TypeError.  The track
     is the result of the dispatch, not a setting, so overriding it raises
     ValueError.  The plain and fallback tracks read only `scoring`, so
-    any other override there raises ValueError too.
+    any other override there raises ValueError too; on the other tracks,
+    so does a setting out of range (see `Strategy`).
     """
     width = formula.max_width
     if formula.num_vars > VARS_CUTOFF or formula.num_clauses == 0:
@@ -184,7 +213,6 @@ def run_hybrid(
     wall_budget: float | None = WALL_BUDGET_DEFAULT,
     seed: int = 0,
     strategy: Strategy | None = None,
-    miner_conflict_limit: int | None = None,
     final_flips: int | None = None,
 ) -> SolveResult:
     """Execute the pipeline under a wall-clock budget, a flip budget or both.
@@ -196,8 +224,9 @@ def run_hybrid(
     master RNG seeded with `seed`.  The clock is checked if and only if
     `wall_budget` is not None, and the last SLS phase runs at most
     `final_flips` flips if and only if that is not None.  With
-    `wall_budget=None`, `final_flips` and `miner_conflict_limit` the
-    result is timing-free, a pure function of the arguments.
+    `wall_budget=None`, `final_flips` set and a strategy whose
+    `miner_conflict_limit` is set, the result is timing-free, a pure
+    function of the arguments.
     """
     check_budgets(wall_budget, final_flips)
     start = time.perf_counter()
@@ -236,8 +265,8 @@ def run_hybrid(
     window = strat.miner_seconds if left is None else min(strat.miner_seconds, left)
     cap_pct = strat.count_cap_percent
     budget = MiningBudget(
-        wall_seconds=max(window, 1e-9),
-        conflict_limit=miner_conflict_limit,
+        wall_seconds=window,  # > 0: a strategy's window is, and an exhausted budget returned above
+        conflict_limit=strat.miner_conflict_limit,
         width_limit=strat.width_limit,
         count_cap=None if cap_pct is None else percent_cap(cap_pct, formula.num_clauses),
         early_stop=strat.early_stop,

@@ -259,8 +259,8 @@ def test_criterion_10_statistics_match_frozen_references():
 
 def test_criterion_11_end_to_end_determinism():
     f, _ = gen_planted(GenSpec(n=60, k=3, ratio=4.25, seed=87))
-    kwargs = dict(wall_budget=3600, seed=5, strategy=select_strategy(f, initial_flips=2_000),
-                  miner_conflict_limit=150, final_flips=400_000)
+    strategy = select_strategy(f, initial_flips=2_000, miner_conflict_limit=150)
+    kwargs = dict(wall_budget=3600, seed=5, strategy=strategy, final_flips=400_000)
     first = run_hybrid(f, **kwargs).canonical_json()
     second = run_hybrid(f, **kwargs).canonical_json()
     assert first == second

@@ -1,5 +1,5 @@
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -58,7 +58,7 @@ def test_solver_config_from_dict():
         {"id": "probsat", "scoring": {"kind": "poly", "cb": 2.06, "epsilon": 0.9}}
     )
     assert cfg.solver_id == "probsat"
-    assert cfg.scoring == ScoringFunction("poly", cb=2.06, epsilon=0.9)
+    assert cfg.overrides == {"scoring": ScoringFunction("poly", cb=2.06, epsilon=0.9)}
     hybrid = SolverConfig.from_dict({"id": "h", "algorithm": "hybrid", "miner_conflict_limit": 100})
     assert hybrid.algorithm == "hybrid"
     with pytest.raises(ValueError):
@@ -80,7 +80,7 @@ def test_solver_config_from_dict_rejects_unknown_keys():
 
 # one value per `Strategy` setting, each unlike every track's own
 SETTING_VALUES = {"initial_flips": 7, "miner_seconds": 1.5, "width_limit": 3, "count_cap_percent": 2.0,
-                  "early_stop": True, "scoring": ScoringFunction("exp", cb=2.5)}
+                  "early_stop": True, "scoring": ScoringFunction("exp", cb=2.5), "miner_conflict_limit": 5}
 
 
 @pytest.mark.parametrize("name", pipeline.OVERRIDABLE)
@@ -108,8 +108,9 @@ def test_each_setting_reaches_select_strategy_from_keywords_and_json(monkeypatch
 
 def test_solver_config_keywords_none_and_unknown_names():
     config = SolverConfig("hybrid", algorithm="hybrid", initial_flips=100, miner_conflict_limit=150)
-    assert (config.solver_id, config.algorithm, config.miner_conflict_limit, config.overrides) == \
-        ("hybrid", "hybrid", 150, {"initial_flips": 100})
+    assert (config.solver_id, config.algorithm, config.overrides) == \
+        ("hybrid", "hybrid", {"initial_flips": 100, "miner_conflict_limit": 150})
+    assert [f.name for f in fields(SolverConfig)] == ["solver_id", "algorithm", "overrides"]
     assert pickle.loads(pickle.dumps(config)) == config
     assert hash(config) == hash(SolverConfig("hybrid", algorithm="hybrid", initial_flips=100,
                                              miner_conflict_limit=150))
@@ -121,9 +122,9 @@ def test_solver_config_keywords_none_and_unknown_names():
             SolverConfig("h", algorithm="hybrid", **{name: 1})
 
 
-@pytest.mark.parametrize("name", ["miner_conflict_limit", *(n for n in pipeline.OVERRIDABLE if n != "scoring")])
+@pytest.mark.parametrize("name", [n for n in pipeline.OVERRIDABLE if n != "scoring"])
 def test_sls_config_rejects_settings_it_would_ignore(name):
-    value = 3 if name == "miner_conflict_limit" else SETTING_VALUES[name]
+    value = SETTING_VALUES[name]
     with pytest.raises(ValueError, match=f"sls.*'{name}'"):
         SolverConfig("s", algorithm="sls", **{name: value})
     with pytest.raises(ValueError, match=f"sls.*'{name}'"):
@@ -167,6 +168,37 @@ def test_run_trial_configuration_error_propagates():
         run_trial("i", f, config, seed=0, budget_flips=100)
     with pytest.raises(ValueError, match="fallback"):
         run_suite([("i", f)], [config], seeds=[0], budget_flips=100)
+    # a one-phase track runs no miner: its conflict limit used to be ignored without a note
+    limited = SolverConfig("h", algorithm="hybrid", miner_conflict_limit=5)
+    for track, formula in (("fallback", f), ("plain-sls", Formula(9001, [(1, 2, 3)]))):
+        with pytest.raises(ValueError, match=f"{track} track runs SLS only and ignores 'miner_conflict_limit'"):
+            run_trial("i", formula, limited, seed=0, budget_flips=100)
+
+
+@pytest.mark.parametrize("name, value", [("initial_flips", -5), ("miner_seconds", 0.0), ("miner_seconds", -3.0),
+                                         ("width_limit", 0), ("count_cap_percent", -1.0),
+                                         ("miner_conflict_limit", -1), ("initial_flips", "100")])
+def test_run_trial_stops_on_a_setting_out_of_range_before_any_work(monkeypatch, name, value):
+    # each used to become a crash note per trial that reached the miner, or to run clamped
+    calls = []
+    monkeypatch.setattr(bench, "run_hybrid", lambda *args, **kwargs: calls.append(args))
+    f, _ = gen_planted(GenSpec(n=150, k=3, ratio=4.2, seed=8))
+    config = SolverConfig("h", algorithm="hybrid", **{"initial_flips": 1, "miner_conflict_limit": 50, name: value})
+    with pytest.raises(ValueError, match=f"{name} must be .* on the k3 track"):
+        run_trial("i", f, config, seed=0, budget_flips=5_000)
+    assert calls == []
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"algorithm": "hybrid"}, "'id'"),
+    ({"id": "s", "scoring": {"kind": "exp"}}, "'cb'"),
+    ({"id": "s", "scoring": "exp"}, "'scoring'"),
+    ({"id": "s", "scoring": {"kind": "exp", "cb": 2.5, "eps": 1}}, "'eps'"),
+], ids=["no-id", "scoring-without-cb", "scoring-not-an-object", "unknown-scoring-key"])
+def test_solver_config_from_dict_names_a_malformed_key(data, key):
+    # these raised a bare KeyError or TypeError, or dropped the key without a note
+    with pytest.raises(ValueError, match=key):
+        SolverConfig.from_dict(data)
 
 
 @pytest.mark.parametrize("algorithm", ["sls", "hybrid"])
@@ -174,7 +206,7 @@ def test_run_trial_failed_model_check_propagates(monkeypatch, algorithm):
     # a model that fails verification is an internal error, never an unsolved trial
     monkeypatch.setattr(sls, "eval_formula", lambda formula, model: False)
     monkeypatch.setattr(pipeline, "eval_formula", lambda formula, model: False)
-    config = SolverConfig("s", algorithm=algorithm, miner_conflict_limit=5 if algorithm == "hybrid" else None)
+    config = SolverConfig("s", algorithm=algorithm)
     with pytest.raises(AssertionError, match="internal error"):
         run_trial("i", Formula(2, [(1, 2)]), config, seed=0, budget_flips=10)
 
@@ -227,7 +259,7 @@ def test_sls_trial_makes_the_probsat_run_call_of_its_seed():
         for seed in (0, -3, 2**64 + 1):
             for budget in (50, 100_000):
                 record = run_trial("i", f, config, seed, budget_flips=budget)
-                expected = sls.probsat_run(f, budget, seed, config.scoring)
+                expected = sls.probsat_run(f, budget, seed, config.overrides.get("scoring"))
                 assert (record.solved, record.flips) == (expected.solved, expected.flips_used)
                 outcomes.add(record.solved)
     assert outcomes == {True, False}
@@ -348,8 +380,9 @@ def test_trials_csv_carries_the_miner_conflicts_of_hybrid_trials():
             assert r.miner_conflicts == 0
             continue
         result = pipeline.run_hybrid(formula, wall_budget=pipeline.WALL_BUDGET_DEFAULT, seed=r.seed,
-                                     strategy=pipeline.select_strategy(formula, initial_flips=1),
-                                     miner_conflict_limit=50, final_flips=5_000)
+                                     strategy=pipeline.select_strategy(formula, initial_flips=1,
+                                                                       miner_conflict_limit=50),
+                                     final_flips=5_000)
         assert r.miner_conflicts == result.phase_conflicts["miner"] > 0
     # both trials that the miner solves and trials it hands to the final phase
     assert {r.phase_solved for r in records if r.solver_id == "h"} == {"miner", "final-sls"}

@@ -57,8 +57,8 @@ def test_run_hybrid_appends_mined_clauses_through_the_module_global_augment(monk
 
     monkeypatch.setattr(pipeline, "augment", counting)
     f, _ = gen_planted(GenSpec(n=100, k=3, ratio=4.2, seed=8))
-    result = pipeline.run_hybrid(f, seed=1, strategy=pipeline.select_strategy(f, initial_flips=1),
-                                 miner_conflict_limit=50, final_flips=5_000)
+    strategy = pipeline.select_strategy(f, initial_flips=1, miner_conflict_limit=50)
+    result = pipeline.run_hybrid(f, seed=1, strategy=strategy, final_flips=5_000)
     assert "final-sls" in result.phase_flips  # phase 3 ran
     assert calls == [result.clauses_added] and result.clauses_added > 0
 

@@ -1,11 +1,14 @@
+import inspect
 import json
+from dataclasses import fields
 
 import pytest
 
 from satlab import cli
+from satlab.bench import SolverConfig
 from satlab.cli import EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT, main
 from satlab.cnf import DimacsError, Formula, emit_dimacs, parse_clause_lines, parse_dimacs, parse_solution
-from satlab.pipeline import run_hybrid, select_strategy
+from satlab.pipeline import OVERRIDABLE, run_hybrid, select_strategy
 from satlab.quality import compute_backbone, gen_deceptive, gen_general
 
 
@@ -185,8 +188,8 @@ def test_solve_flags_equal_library_call(tmp_path, capsys):
                            "--miner-conflicts", "50", "--final-flips", "2000")
     result_line = [l for l in out.splitlines() if l.startswith("c result ")][0]
     f = parse_dimacs(cnf.read_text())
-    expected = run_hybrid(f, seed=3, strategy=select_strategy(f, initial_flips=100),
-                          miner_conflict_limit=50, final_flips=2000)
+    expected = run_hybrid(f, seed=3, strategy=select_strategy(f, initial_flips=100, miner_conflict_limit=50),
+                          final_flips=2000)
     assert result_line[len("c result "):] == expected.canonical_json()
     # every flag binds: the burst, the miner and the final phase all ran
     assert expected.phase_flips["initial-sls"] == 100
@@ -198,6 +201,7 @@ def test_solve_flags_equal_library_call(tmp_path, capsys):
     ("--miner-seconds", "1.5", "miner_seconds", 1.5),
     ("--width-limit", "3", "width_limit", 3),
     ("--cap-percent", "5", "count_cap_percent", 5.0),
+    ("--miner-conflicts", "20", "miner_conflict_limit", 20),  # the last of two values binds
 ])
 def test_solve_strategy_flags_equal_library_call(tmp_path, capsys, monkeypatch, flag, value, name, setting):
     cnf = tmp_path / "s.cnf"
@@ -212,11 +216,21 @@ def test_solve_strategy_flags_equal_library_call(tmp_path, capsys, monkeypatch, 
     code, out, _ = run_cli(capsys, "solve", str(cnf), "--seed", "3", "--initial-flips", "100",
                            "--miner-conflicts", "50", "--final-flips", "2000", flag, value)
     f = parse_dimacs(cnf.read_text())
-    strategy = select_strategy(f, initial_flips=100, **{name: setting})
-    assert resolved == [strategy] and strategy != select_strategy(f, initial_flips=100)
-    expected = run_hybrid(f, seed=3, strategy=strategy, miner_conflict_limit=50, final_flips=2000)
+    base = {"initial_flips": 100, "miner_conflict_limit": 50}
+    strategy = select_strategy(f, **{**base, name: setting})
+    assert resolved == [strategy] and strategy != select_strategy(f, **base)
+    expected = run_hybrid(f, seed=3, strategy=strategy, final_flips=2000)
     result_line = [l for l in out.splitlines() if l.startswith("c result ")][0]
     assert result_line[len("c result "):] == expected.canonical_json()
+
+
+def test_every_setting_travels_in_the_one_list():
+    # the miner's conflict limit was a `run_hybrid` keyword, a `SolverConfig` field and a
+    # `solve` argument of its own; no setting may travel outside `OVERRIDABLE` again
+    assert not set(OVERRIDABLE) & set(inspect.signature(run_hybrid).parameters)
+    assert not set(OVERRIDABLE) & {f.name for f in fields(SolverConfig)}
+    dests = set(vars(cli.build_parser().parse_args(["solve", "x.cnf"])))
+    assert dests - set(OVERRIDABLE) == {"file", "budget", "seed", "final_flips", "func", "command"}
 
 
 # every command that reads a DIMACS file, with its required arguments besides the file;

@@ -89,7 +89,7 @@ def test_sls_only_tracks_reject_overrides_they_ignore(track):
     with pytest.raises(ValueError, match=f"{track}.*'initial_flips'"):
         select_strategy(f, initial_flips=5, width_limit=3)
     for name, value in (("miner_seconds", 1.0), ("width_limit", 3), ("count_cap_percent", 5.0),
-                        ("early_stop", True)):
+                        ("early_stop", True), ("miner_conflict_limit", 5)):
         with pytest.raises(ValueError, match=f"{track}.*'{name}'"):
             select_strategy(f, scoring=exp, **{name: value})
 
@@ -103,6 +103,26 @@ def test_track_is_not_an_override():
         with pytest.raises(ValueError, match="'k3'.*track="):
             select_strategy(k3, track=track)
     assert select_strategy(k3, track=None) == select_strategy(k3)
+
+
+# settings out of range on a three-phase track: each used to reach the miner as a
+# per-trial crash note, or to be clamped without a note
+OUT_OF_RANGE = [("initial_flips", -5), ("miner_seconds", 0.0), ("miner_seconds", -3.0),
+                ("miner_seconds", float("nan")), ("width_limit", 0), ("count_cap_percent", -1.0),
+                ("miner_conflict_limit", -1), ("initial_flips", "100"), ("miner_conflict_limit", "50")]
+
+
+@pytest.mark.parametrize("name, value", OUT_OF_RANGE)
+def test_select_strategy_rejects_a_setting_out_of_range(name, value):
+    for width in (3, 5, 7):
+        with pytest.raises(ValueError, match=f"{name} must be .* on the k{width} track"):
+            select_strategy(formula_with(150, width), **{name: value})
+
+
+def test_settings_at_the_edge_of_their_range_are_accepted():
+    edge = dict(initial_flips=0, miner_seconds=1e-6, width_limit=1, count_cap_percent=0.0, miner_conflict_limit=0)
+    strategy = select_strategy(formula_with(150, 3), **edge)
+    assert [getattr(strategy, name) for name in edge] == list(edge.values())
 
 
 def test_augment_identity_and_dedup():
@@ -165,8 +185,8 @@ def test_final_phase_solves_after_mining():
     # tiny initial burst forces the pipeline through the miner
     f, _ = gen_planted(GenSpec(n=60, k=3, ratio=4.2, seed=31))
     res = run_hybrid(
-        f, wall_budget=60, seed=3, strategy=select_strategy(f, initial_flips=1),
-        miner_conflict_limit=50, final_flips=2_000_000,
+        f, wall_budget=60, seed=3, strategy=select_strategy(f, initial_flips=1, miner_conflict_limit=50),
+        final_flips=2_000_000,
     )
     assert res.status == "sat"
     assert res.phase_solved in ("miner", "final-sls")
@@ -177,16 +197,16 @@ def test_final_phase_solves_after_mining():
 def test_cap_percent_arithmetic():
     f = gen_uniform(GenSpec(n=200, k=5, m=1000, seed=9))
     res = run_hybrid(
-        f, wall_budget=30, seed=4, strategy=select_strategy(f, initial_flips=10),
-        miner_conflict_limit=3000, final_flips=10,
+        f, wall_budget=30, seed=4, strategy=select_strategy(f, initial_flips=10, miner_conflict_limit=3000),
+        final_flips=10,
     )
     assert res.clauses_added <= 50  # 5% of 1000
 
 
 def test_deterministic_result_bytes():
     f, _ = gen_planted(GenSpec(n=50, k=3, ratio=4.2, seed=77))
-    kwargs = dict(wall_budget=600, seed=11, strategy=select_strategy(f, initial_flips=500),
-                  miner_conflict_limit=100, final_flips=50_000)
+    strategy = select_strategy(f, initial_flips=500, miner_conflict_limit=100)
+    kwargs = dict(wall_budget=600, seed=11, strategy=strategy, final_flips=50_000)
     a = run_hybrid(f, **kwargs)
     b = run_hybrid(f, **kwargs)
     assert a.canonical_json() == b.canonical_json()
@@ -262,15 +282,16 @@ def test_a_phase_solved_on_the_formula_itself_checks_its_model_once(monkeypatch,
 
 def test_final_and_miner_phases_still_check_the_original_formula(monkeypatch):
     f, _ = gen_planted(GenSpec(n=60, k=3, ratio=4.2, seed=31))
-    strategy = select_strategy(f, initial_flips=1)
+    strategy = select_strategy(f, initial_flips=1, miner_conflict_limit=5)
     calls = model_checks(monkeypatch)
-    res = run_hybrid(f, wall_budget=None, seed=3, strategy=strategy, miner_conflict_limit=5, final_flips=200_000)
+    res = run_hybrid(f, wall_budget=None, seed=3, strategy=strategy, final_flips=200_000)
     assert (res.phase_solved, res.clauses_added) == ("final-sls", 4)
     (first, augmented), (second, checked) = calls[-2:]  # probsat_run checks the augmented formula, then run_hybrid f
     assert (first, second) == ("satlab.sls", "satlab.pipeline")
     assert augmented.num_clauses == f.num_clauses + 4 and checked is f
     calls.clear()
-    res = run_hybrid(f, wall_budget=None, seed=3, strategy=strategy, miner_conflict_limit=50, final_flips=200_000)
+    res = run_hybrid(f, wall_budget=None, seed=3, strategy=replace(strategy, miner_conflict_limit=50),
+                     final_flips=200_000)
     assert res.phase_solved == "miner"
     assert calls[-1] == ("satlab.pipeline", f)
 
@@ -285,5 +306,5 @@ def test_an_invalid_model_is_an_assertion_error_on_every_phase(monkeypatch):
     with monkeypatch.context() as patched:
         model_checks(patched, {"satlab.pipeline": False})  # the final phase's check against f
         with pytest.raises(AssertionError, match="does not satisfy the original formula"):
-            run_hybrid(f, wall_budget=None, seed=3, strategy=select_strategy(f, initial_flips=1),
-                       miner_conflict_limit=5, final_flips=200_000)
+            run_hybrid(f, wall_budget=None, seed=3,
+                       strategy=select_strategy(f, initial_flips=1, miner_conflict_limit=5), final_flips=200_000)

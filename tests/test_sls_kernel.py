@@ -223,19 +223,21 @@ def test_the_kernel_track_builds_no_clause_tuple(kernel, monkeypatch):
     generated, _ = gen_planted(GenSpec(n=300, k=3, ratio=4.2, seed=2))
     formula = parse_dimacs(emit_dimacs(generated))
     assert formula.num_clauses == generated.num_clauses == 1260
-    three_phase = select_strategy(formula, initial_flips=10)
-    # (strategy, miner conflicts, final flips) -> (phase solved, clauses added)
+
+    def three_phase(initial_flips, conflicts):
+        return select_strategy(formula, initial_flips=initial_flips, miner_conflict_limit=conflicts)
+
+    # (strategy, final flips) -> (phase solved, clauses added)
     cases = {
-        (plain_strategy(formula), None, 50_000): ("initial-sls", 0),
-        (plain_strategy(formula), None, 10): (None, 0),
-        (select_strategy(formula, initial_flips=50_000), 40, 10): ("initial-sls", 0),
-        (three_phase, 100_000, 10): ("miner", 0),
-        (three_phase, 40, 100_000): ("final-sls", 3),
-        (three_phase, 40, 10): (None, 3),
+        (plain_strategy(formula), 50_000): ("initial-sls", 0),
+        (plain_strategy(formula), 10): (None, 0),
+        (three_phase(50_000, 40), 10): ("initial-sls", 0),
+        (three_phase(10, 100_000), 10): ("miner", 0),
+        (three_phase(10, 40), 100_000): ("final-sls", 3),
+        (three_phase(10, 40), 10): (None, 3),
     }
-    for (strategy, conflicts, flips), expected in cases.items():
-        result = run_hybrid(formula, wall_budget=None, seed=3, strategy=strategy,
-                            miner_conflict_limit=conflicts, final_flips=flips)
+    for (strategy, flips), expected in cases.items():
+        result = run_hybrid(formula, wall_budget=None, seed=3, strategy=strategy, final_flips=flips)
         assert (result.phase_solved, result.clauses_added) == expected
         assert result.status == ("unknown" if expected[0] is None else "sat")
     assert generated._clauses is None and formula._clauses is None
