@@ -1,5 +1,5 @@
 /* Compiled CDCL search, bit-identical to satlab.cdcl.CdclSolver.solve
- * without assumptions, as cdcl_solve_and_mine runs it.
+ * on a fresh solver, as satlab.cdcl._search runs it.
  *
  * The layout is MiniSat's (Een & Sorensson, SAT 2003): values and watch
  * lists indexed by literal, i = 2*|l| + (l < 0) as in Formula's
@@ -646,8 +646,8 @@ static int learn(cdcl_state *s, int size)
     return 0;
 }
 
-/* Search until sat, unsat or a budget, as CdclSolver.solve with no
- * assumptions: `conflict_limit` and `count_cap` are off when negative, and
+/* Search until sat, unsat or a budget, as CdclSolver.solve does:
+ * `conflict_limit` and `count_cap` are off when negative, and
  * `count_cap` stops the search once that many distinct learned clauses of
  * width <= width_limit exist.  Returns BUDGET, SAT or UNSAT, or OUT_OF_MEMORY
  * (after which the state can only be freed). */

@@ -98,7 +98,9 @@ class SolverConfig:
         """The config of one JSON object: `id` is the solver id and every
         other key a constructor keyword; `scoring` is an object with `kind`,
         `cb` and optionally `epsilon`.  A missing or unknown key is a
-        ValueError that names it."""
+        ValueError that names it, and so is data that is not an object."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a solver config must be a JSON object, got {data!r}")
         if "id" not in data:
             raise ValueError("solver config has no 'id' key")
         kwargs = {key: value for key, value in data.items() if key != "id"}

@@ -13,13 +13,10 @@ conflict counts for deterministic tests.  `CdclSolver` records every
 learned clause; mining keeps the records of width <= `width_limit` and
 exports their deduplicated prefix (or a seeded random subset).
 
-The solver also accepts assumption literals.  Assumptions are injected
-as forced decisions, so all learned clauses remain logical consequences
-of the formula alone, which lets a caller reuse one solver instance
-across many assumption-driven queries (`compute_backbone` does exactly
-that).
-
-`cdcl_solve_and_mine` has two paths with one set of semantics:
+Every search is a fresh solve of one formula, and `_search` is the
+one path to it: `cdcl_solve_and_mine` and the backbone queries of
+`quality.compute_backbone` both go through it.  It has two engines with
+one set of semantics:
 
 - The compiled kernel (`_cdcl.c`, built and loaded with the probSAT
   kernel by `satlab.sls._load_kernel`) reads the formula's flat clause
@@ -28,8 +25,7 @@ that).
   learned clauses, not a record of every one, and frees the clauses DB
   reduction drops.
 - `CdclSolver` is the readable reference.  It runs when no compiler or
-  cache directory is usable, and it is the solver for assumption
-  queries.
+  cache directory is usable.
 
 For equal arguments the two return equal `MiningOutcome`s: status,
 model, exported clauses, learned count, conflicts and records.  They
@@ -43,6 +39,7 @@ budget ends can differ.  The differential tests in
 from __future__ import annotations
 
 import ctypes
+import operator
 import random
 import time
 from array import array
@@ -95,12 +92,16 @@ class MiningBudget:
     def __post_init__(self):
         if self.wall_seconds <= 0:
             raise ValueError("wall_seconds must be positive")
-        if self.width_limit < 1:
-            raise ValueError("width_limit must be >= 1")
-        if self.count_cap is not None and self.count_cap < 0:
-            raise ValueError("count_cap must be >= 0 when present")
-        if self.conflict_limit is not None and self.conflict_limit < 0:
-            raise ValueError("conflict_limit must be >= 0 when present")
+        for name, low, optional in (("conflict_limit", 0, True), ("width_limit", 1, False), ("count_cap", 0, True)):
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            try:
+                in_range = operator.index(value) >= low
+            except TypeError:  # not an integer: 2.5, or a JSON 1e3
+                in_range = False
+            if not in_range:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass
@@ -141,11 +142,8 @@ class _WatchedClause:
 
 
 class CdclSolver:
-    """Incremental CDCL over one immutable formula.
-
-    Repeated `solve` calls keep the learned-clause database, so a
-    sequence of assumption queries gets progressively cheaper.
-    """
+    """CDCL over one immutable formula: the readable reference that
+    `_cdcl.c` mirrors, and the fallback when the kernel cannot be built."""
 
     def __init__(self, formula: Formula, seed: int = 0):
         self.formula = formula
@@ -394,26 +392,18 @@ class CdclSolver:
 
     def solve(
         self,
-        assumptions: tuple[int, ...] = (),
         conflict_limit: int | None = None,
         wall_seconds: float | None = None,
         width_limit: int | None = None,
         count_cap: int | None = None,
         early_stop: bool = False,
     ) -> str:
-        """Search until sat/unsat/budget; returns a status string.
-
-        With assumptions, `unsat` means unsatisfiable under the given
-        assumptions (the formula itself may be satisfiable).
-        """
+        """Search until sat/unsat/budget; returns a status string."""
         if self._unsat:
             return UNSAT
         start = time.perf_counter()
         conflict_budget = None if conflict_limit is None else self.conflicts + conflict_limit
         self._backjump(0)
-        for a in assumptions:
-            if abs(a) > self.n:
-                raise ValueError(f"assumption literal {a} out of range")
         while True:
             conflict = self._propagate()
             if conflict is not None:
@@ -447,16 +437,6 @@ class CdclSolver:
                     self._restart_idx += 1
                     self._restart_at += _LUBY_BASE * luby(self._restart_idx)
                     self._backjump(0)
-                continue
-            level = len(self.trail_lim)
-            if level < len(assumptions):
-                a = assumptions[level]
-                val = self._value(a)
-                if val == _FALSE:
-                    return UNSAT
-                self.trail_lim.append(len(self.trail))
-                if val == _UNDEF:
-                    self._enqueue(a, None)
                 continue
             v = self._pick_branch_var()
             if v is None:
@@ -513,36 +493,39 @@ def cdcl_solve_and_mine(formula: Formula, budget: MiningBudget, seed: int = 0) -
 
     The solver may finish first: `sat` outcomes carry a verified model,
     `unsat` means the formula is unsatisfiable.  Otherwise the status is
-    budget-exhausted and the learned clauses are the harvest.  The
-    compiled kernel runs the search, and `CdclSolver` does when the
-    kernel cannot be built; both give the same outcome.
+    budget-exhausted and the learned clauses are the harvest.
     """
-    kernel = sls._load_kernel()
-    if kernel is None:
-        solver = CdclSolver(formula, seed)
-        status = solver.solve(
-            conflict_limit=budget.conflict_limit,
-            wall_seconds=budget.wall_seconds,
-            width_limit=budget.width_limit,
-            count_cap=budget.count_cap,
-            early_stop=budget.early_stop,
-        )
-        model = solver.model() if status == SAT else None
-        records = [r for r in solver.records if r.width <= budget.width_limit]
-        total, conflicts = len(solver.records), solver.conflicts
-    else:  # a fresh search learns one clause per conflict
-        status, model, records, conflicts = _mine_with_kernel(kernel, formula, budget, seed)
-        total = conflicts
-    if model is not None and not eval_formula(formula, model):
-        raise AssertionError("internal error: CDCL produced an invalid model")
+    status, model, records, conflicts = _search(formula, budget, seed)
     return MiningOutcome(
         status=status,
         model=model,
         learned=filter_learned(records, budget.width_limit, budget.count_cap),
-        total_learned_seen=total,
+        total_learned_seen=conflicts,  # a fresh search learns one clause per conflict
         conflicts=conflicts,
         records=records,
     )
+
+
+def _search(formula: Formula, budget: MiningBudget, seed: int):
+    """(status, model, qualifying records, conflicts) of one fresh search.
+
+    The compiled kernel runs it, and `CdclSolver` does when the kernel
+    cannot be built; both give the same result.  A model is checked
+    against `formula`, and a wrong one is an AssertionError.
+    """
+    kernel = sls._load_kernel()
+    if kernel is None:
+        solver = CdclSolver(formula, seed)
+        status = solver.solve(conflict_limit=budget.conflict_limit, wall_seconds=budget.wall_seconds,
+                              width_limit=budget.width_limit, count_cap=budget.count_cap, early_stop=budget.early_stop)
+        model = solver.model() if status == SAT else None
+        records = [r for r in solver.records if r.width <= budget.width_limit]
+        conflicts = solver.conflicts
+    else:
+        status, model, records, conflicts = _mine_with_kernel(kernel, formula, budget, seed)
+    if model is not None and not eval_formula(formula, model):
+        raise AssertionError("internal error: CDCL produced an invalid model")
+    return status, model, records, conflicts
 
 
 def _mine_with_kernel(kernel: ctypes.CDLL, formula: Formula, budget: MiningBudget, seed: int):

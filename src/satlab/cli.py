@@ -222,6 +222,8 @@ def _cmd_bench(args) -> int:
         raise ValueError(f"solver config {args.solver_config}: {exc}") from None
     if isinstance(config_data, dict):
         config_data = [config_data]
+    elif not isinstance(config_data, list):
+        raise ValueError(f"solver config {args.solver_config}: the top level must be an object or a list of objects")
     solvers = [bench_mod.SolverConfig.from_dict(d) for d in config_data]
     seeds = list(range(args.runs))
     records = bench_mod.run_suite(

@@ -32,6 +32,7 @@ overridable settings (`OVERRIDABLE`), which `SolverConfig` and the
 from __future__ import annotations
 
 import json
+import operator
 import random
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -54,9 +55,10 @@ _HUGE_FLIPS = 1 << 62
 class Strategy:
     """Per-track settings of `run_hybrid`; built by `select_strategy`.
 
-    A three-phase strategy with a setting out of range, or not a number,
-    is a ValueError that names it, so a bad setting fails before any
-    trial runs.
+    A three-phase strategy with a setting out of range, not a number, or
+    a count (flips, width, conflicts) that is not an integer, is a
+    ValueError that names it, so a bad setting fails before any trial
+    runs.
     """
 
     track: str
@@ -72,19 +74,19 @@ class Strategy:
         if self.track in _SLS_ONLY:
             return
         for name, rule, test in (
-            ("initial_flips", ">= 0", lambda v: v >= 0),
-            ("miner_seconds", "> 0", lambda v: v > 0),
-            ("width_limit", ">= 1", lambda v: v >= 1),
-            ("count_cap_percent", ">= 0", lambda v: v is None or v >= 0),
-            ("miner_conflict_limit", ">= 0", lambda v: v is None or v >= 0),
+            ("initial_flips", "an integer >= 0", lambda v: operator.index(v) >= 0),
+            ("miner_seconds", "a number > 0", lambda v: v > 0),
+            ("width_limit", "an integer >= 1", lambda v: operator.index(v) >= 1),
+            ("count_cap_percent", "a number >= 0", lambda v: v is None or v >= 0),
+            ("miner_conflict_limit", "an integer >= 0", lambda v: v is None or operator.index(v) >= 0),
         ):
             value = getattr(self, name)
             try:
                 in_range = test(value)
-            except TypeError:  # not a number: a string from a JSON config, say
+            except TypeError:  # a string from a JSON config, say, or a count that is a float
                 in_range = False
             if not in_range:
-                raise ValueError(f"{name} must be a number {rule} on the {self.track} track, got {value!r}")
+                raise ValueError(f"{name} must be {rule} on the {self.track} track, got {value!r}")
 
 
 # the settings a caller may override: every `Strategy` field but the dispatched track

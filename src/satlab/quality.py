@@ -1,10 +1,15 @@
 """Backbone computation, synthetic clause models, and clause quality.
 
-The backbone of a satisfiable formula is the set of literals true in
-every satisfying assignment.  It is computed exactly with one CDCL
-solver instance and one assumption query per candidate literal: only
-literals agreeing with a reference model can be backbone, and every
-satisfying assignment found along the way prunes further candidates.
+The backbone of a satisfiable formula F is the set of literals true in
+every satisfying assignment.  It is computed exactly by a series of
+fresh CDCL solves (Janota, Lynce & Marques-Silva, "Algorithms for
+computing backbones of propositional formulae", AI Commun. 2015).  Only
+the literals of a first model are candidates.  A candidate l is in the
+backbone exactly when F and B and not-l is unsatisfiable, where B holds
+the backbone literals confirmed so far, added to F as unit clauses.
+Every model a query finds prunes the candidates it falsifies.  Each
+query runs on the miner's search path (`cdcl._search`), so on the
+compiled kernel when it can be built, and each model is checked.
 
 Two synthetic clause models measure how clause quality steers local
 search.  Both build 3-clauses around a backbone literal:
@@ -19,10 +24,12 @@ literals the solution satisfies.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
-from .cdcl import SAT, UNSAT, CdclSolver
+from . import cdcl
+from .cdcl import SAT, UNSAT, MiningBudget
 from .cnf import Assignment, Clause, Formula, canonical_clause, count_satisfied_literals
 
 Backbone = frozenset[int]
@@ -46,31 +53,30 @@ def compute_backbone(
     conflict_limit: int | None = None,
     wall_seconds: float | None = None,
 ) -> Backbone:
-    """Exact backbone via iterated assumption queries.
+    """Exact backbone via one fresh solve per candidate literal.
 
-    `conflict_limit` and `wall_seconds` bound each individual solver
-    call; exhausting either raises `BackboneBudgetError`.
+    `conflict_limit` and `wall_seconds` bound each individual solve;
+    exhausting either raises `BackboneBudgetError`.
     """
-    solver = CdclSolver(formula, seed)
-    status = solver.solve(conflict_limit=conflict_limit, wall_seconds=wall_seconds)
+    budget = MiningBudget(wall_seconds=math.inf if wall_seconds is None else wall_seconds,
+                          conflict_limit=conflict_limit, width_limit=1)
+    status, model, _, _ = cdcl._search(formula, budget, seed)
     if status == UNSAT:
         raise FormulaUnsatisfiableError("formula has no satisfying assignment")
     if status != SAT:
         raise BackboneBudgetError("budget exhausted before a first model was found", set())
-    model = solver.model()
-    candidates = {v if model[v] else -v for v in range(1, formula.num_vars + 1)}
+    first = [v if model[v] else -v for v in range(1, formula.num_vars + 1)]
+    candidates = set(first)
     backbone: set[int] = set()
-    for v in range(1, formula.num_vars + 1):
-        lit = v if model[v] else -v
+    base = formula  # the formula and the confirmed backbone literals as units
+    for lit in first:
         if lit not in candidates:
             continue
-        status = solver.solve(
-            assumptions=(-lit,), conflict_limit=conflict_limit, wall_seconds=wall_seconds
-        )
+        status, other, _, _ = cdcl._search(base.extended([(-lit,)]), budget, seed)
         if status == UNSAT:
             backbone.add(lit)
+            base = base.extended([(lit,)])
         elif status == SAT:
-            other = solver.model()
             candidates &= {u if other[u] else -u for u in range(1, formula.num_vars + 1)}
         else:
             raise BackboneBudgetError(f"budget exhausted while testing literal {lit}", backbone)

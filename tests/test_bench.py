@@ -1,3 +1,4 @@
+import json
 import pickle
 from dataclasses import fields, replace
 
@@ -177,7 +178,9 @@ def test_run_trial_configuration_error_propagates():
 
 @pytest.mark.parametrize("name, value", [("initial_flips", -5), ("miner_seconds", 0.0), ("miner_seconds", -3.0),
                                          ("width_limit", 0), ("count_cap_percent", -1.0),
-                                         ("miner_conflict_limit", -1), ("initial_flips", "100")])
+                                         ("miner_conflict_limit", -1), ("initial_flips", "100"),
+                                         ("initial_flips", 1.5), ("miner_conflict_limit", 2.5),
+                                         ("width_limit", 3.5), ("miner_conflict_limit", json.loads("1e3"))])
 def test_run_trial_stops_on_a_setting_out_of_range_before_any_work(monkeypatch, name, value):
     # each used to become a crash note per trial that reached the miner, or to run clamped
     calls = []
@@ -194,9 +197,11 @@ def test_run_trial_stops_on_a_setting_out_of_range_before_any_work(monkeypatch, 
     ({"id": "s", "scoring": {"kind": "exp"}}, "'cb'"),
     ({"id": "s", "scoring": "exp"}, "'scoring'"),
     ({"id": "s", "scoring": {"kind": "exp", "cb": 2.5, "eps": 1}}, "'eps'"),
-], ids=["no-id", "scoring-without-cb", "scoring-not-an-object", "unknown-scoring-key"])
+    (5, "must be a JSON object"),
+    (["id"], "must be a JSON object"),
+], ids=["no-id", "scoring-without-cb", "scoring-not-an-object", "unknown-scoring-key", "a-number", "a-list"])
 def test_solver_config_from_dict_names_a_malformed_key(data, key):
-    # these raised a bare KeyError or TypeError, or dropped the key without a note
+    # these raised a bare KeyError, TypeError or AttributeError, or dropped the key without a note
     with pytest.raises(ValueError, match=key):
         SolverConfig.from_dict(data)
 

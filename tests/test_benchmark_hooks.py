@@ -99,3 +99,27 @@ def test_sls_par2_trial_keys_are_pinned():
     instances, _, _ = workload.setup(0, lambda: 0.0)
     out = workload.run(instances, 0, lambda: 0.0)
     assert load("checks").digest(out.payload) == "d61b1f47687903b4"
+
+
+def test_backbone_queries_are_not_captured_as_miner_calls():
+    # the tracer captures every `cdcl_solve_and_mine` call as `cdcl.mine` and checks it
+    # as a benchmark instance; a backbone query through that name is F and not-l, so
+    # each unsat query would count as an unsat verdict on a planted instance
+    from satlab import quality
+    from satlab.generators import GenSpec, gen_planted
+
+    f, hidden = gen_planted(GenSpec(n=20, k=3, ratio=4.26, seed=3, bias=0.618))
+    expected = quality.compute_backbone(f, seed=1)
+    tracer = load_spans().Tracer(pick=lambda: 0.0)
+    tracer.install(satlab)
+    try:
+        tracer.recording = True
+        backbone = quality.compute_backbone(f, seed=1)
+    finally:
+        tracer.uninstall()
+    calls = tracer.take_calls()
+    assert "cdcl.mine" not in calls
+    checker = load("checks").Checker()
+    checker.calls(calls, lambda formula: hidden if formula is f else None)
+    assert checker.failures == []
+    assert backbone == expected and expected  # a planted n=20 formula has a backbone

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -163,30 +164,10 @@ def test_budget_validation():
         MiningBudget(width_limit=0)
     with pytest.raises(ValueError):
         MiningBudget(count_cap=-1)
-
-
-def test_assumption_queries_reuse_solver():
-    f = Formula(3, [(1, 2), (-1, 2), (3, -2)])
-    solver = CdclSolver(f, seed=0)
-    # x2 is forced in every solution: 1,2 and -1,2 resolve to (2)
-    assert solver.solve(assumptions=(-2,)) == UNSAT
-    assert solver.solve(assumptions=(2,)) == SAT
-    assert solver.solve(assumptions=(2, 3)) == SAT
-    assert solver.solve(assumptions=(2, -3)) == UNSAT
-    assert solver.solve() == SAT
-
-
-def test_assumption_learned_clauses_remain_implied():
-    rng = random.Random(5)
-    for trial in range(10):
-        f = gen_uniform(GenSpec(n=10, k=3, m=42, seed=trial + 50))
-        solver = CdclSolver(f, seed=trial)
-        implied = oracles.implied_checker(f.num_vars, f.clauses)
-        for _ in range(6):
-            lit = rng.choice([-1, 1]) * rng.randrange(1, 11)
-            solver.solve(assumptions=(lit,), conflict_limit=200)
-        for record in solver.records:
-            assert implied(record.clause)
+    # a count that is not an integer used to crash inside the kernel call
+    for name, value in (("conflict_limit", 2.5), ("width_limit", 3.5), ("count_cap", json.loads("1e3"))):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            MiningBudget(**{name: value})
 
 
 def test_planted_instances_solved():

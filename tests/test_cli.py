@@ -307,6 +307,17 @@ def test_bench_names_a_solver_config_that_is_not_utf8(tmp_path, capsys):
         main(["bench", "--instances", str(cnf), "--solver-config", str(config)])
 
 
+def test_bench_rejects_a_solver_config_that_is_not_an_object(tmp_path, capsys):
+    cnf, _ = planted_files(tmp_path, capsys, 2)
+    config = tmp_path / "solvers.json"
+    config.write_text("5")
+    with pytest.raises(ValueError, match=f"solver config {config}: the top level must be an object or a list"):
+        main(["bench", "--instances", str(cnf), "--solver-config", str(config)])
+    config.write_text('[["id"]]')
+    with pytest.raises(ValueError, match="a solver config must be a JSON object"):
+        main(["bench", "--instances", str(cnf), "--solver-config", str(config)])
+
+
 @pytest.mark.parametrize("model", ["deceptive", "general"])
 def test_inject_output_equals_a_rebuilt_formula(tmp_path, capsys, model):
     cnf, sol = planted_files(tmp_path, capsys, 1)

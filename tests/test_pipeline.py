@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import pytest
@@ -109,7 +110,10 @@ def test_track_is_not_an_override():
 # per-trial crash note, or to be clamped without a note
 OUT_OF_RANGE = [("initial_flips", -5), ("miner_seconds", 0.0), ("miner_seconds", -3.0),
                 ("miner_seconds", float("nan")), ("width_limit", 0), ("count_cap_percent", -1.0),
-                ("miner_conflict_limit", -1), ("initial_flips", "100"), ("miner_conflict_limit", "50")]
+                ("miner_conflict_limit", -1), ("initial_flips", "100"), ("miner_conflict_limit", "50"),
+                # a count that is not an integer used to crash every trial inside the kernel call
+                ("initial_flips", 1.5), ("miner_conflict_limit", 2.5), ("width_limit", 3.5),
+                ("initial_flips", json.loads("1e3"))]
 
 
 @pytest.mark.parametrize("name, value", OUT_OF_RANGE)

@@ -1,6 +1,7 @@
 import pytest
 
 import oracles
+from satlab import cdcl, sls
 from satlab.cnf import Formula, count_satisfied_literals, eval_clause
 from satlab.generators import GenSpec, gen_planted, gen_uniform
 from satlab.quality import (
@@ -13,23 +14,44 @@ from satlab.quality import (
 )
 
 
-def test_backbone_unit():
-    assert compute_backbone(Formula(1, [(1,)])) == {1}
+def both_engines(monkeypatch):
+    """Run a loop body with the compiled kernel as the search engine (when
+    it builds), then with `CdclSolver`."""
+    yield "kernel"
+    monkeypatch.setattr(sls, "_load_kernel", lambda: None)
+    yield "reference"
 
 
-def test_backbone_free_variable():
-    assert compute_backbone(Formula(2, [(1, 2)])) == frozenset()
+def test_backbone_unit(monkeypatch):
+    for _ in both_engines(monkeypatch):
+        assert compute_backbone(Formula(1, [(1,)])) == {1}
 
 
-def test_backbone_mixed():
+def test_backbone_free_variable(monkeypatch):
+    for _ in both_engines(monkeypatch):
+        assert compute_backbone(Formula(2, [(1, 2)])) == frozenset()
+
+
+def test_backbone_mixed(monkeypatch):
     # x1 forced true, x2 forced false, x3 free
     f = Formula(3, [(1,), (-2,), (1, 3), (1, -3)])
-    assert compute_backbone(f) == {1, -2}
+    for _ in both_engines(monkeypatch):
+        assert compute_backbone(f) == {1, -2}
 
 
-def test_backbone_unsat_raises():
-    with pytest.raises(FormulaUnsatisfiableError):
-        compute_backbone(Formula(1, [(1,), (-1,)]))
+def test_backbone_unsat_raises(monkeypatch):
+    for _ in both_engines(monkeypatch):
+        with pytest.raises(FormulaUnsatisfiableError):
+            compute_backbone(Formula(1, [(1,), (-1,)]))
+
+
+def test_backbone_checks_every_model(monkeypatch):
+    # a model the solver gets wrong is an internal error, never a pruned candidate
+    monkeypatch.setattr(cdcl, "eval_formula", lambda formula, model: False)
+    f, _ = gen_planted(GenSpec(n=15, k=3, ratio=4.0, seed=0))
+    for _ in both_engines(monkeypatch):
+        with pytest.raises(AssertionError, match="invalid model"):
+            compute_backbone(f)
 
 
 def test_backbone_budget_error_carries_partial():
@@ -43,22 +65,24 @@ def test_backbone_budget_error_carries_partial():
         pass
 
 
-def test_backbone_matches_enumeration_on_planted():
-    for seed in range(8):
-        f, _ = gen_planted(GenSpec(n=15, k=3, ratio=4.0, seed=seed))
-        expected = oracles.brute_backbone(f.num_vars, f.clauses)
-        assert compute_backbone(f, seed=seed) == expected
+def test_backbone_matches_enumeration_on_planted(monkeypatch):
+    for _ in both_engines(monkeypatch):
+        for seed in range(8):
+            f, _hidden = gen_planted(GenSpec(n=15, k=3, ratio=4.0, seed=seed))
+            expected = oracles.brute_backbone(f.num_vars, f.clauses)
+            assert compute_backbone(f, seed=seed) == expected
 
 
-def test_backbone_matches_enumeration_on_uniform_sat():
-    checked = 0
-    for seed in range(12):
-        f = gen_uniform(GenSpec(n=12, k=3, ratio=4.0, seed=seed + 40))
-        if not oracles.is_satisfiable(f.num_vars, f.clauses):
-            continue
-        assert compute_backbone(f, seed=seed) == oracles.brute_backbone(f.num_vars, f.clauses)
-        checked += 1
-    assert checked >= 5
+def test_backbone_matches_enumeration_on_uniform_sat(monkeypatch):
+    for _ in both_engines(monkeypatch):
+        checked = 0
+        for seed in range(12):
+            f = gen_uniform(GenSpec(n=12, k=3, ratio=4.0, seed=seed + 40))
+            if not oracles.is_satisfiable(f.num_vars, f.clauses):
+                continue
+            assert compute_backbone(f, seed=seed) == oracles.brute_backbone(f.num_vars, f.clauses)
+            checked += 1
+        assert checked >= 5
 
 
 def test_deceptive_structure():
