@@ -511,7 +511,8 @@ def _search(formula: Formula, budget: MiningBudget, seed: int):
 
     The compiled kernel runs it, and `CdclSolver` does when the kernel
     cannot be built; both give the same result.  A model is checked
-    against `formula`, and a wrong one is an AssertionError.
+    against `formula` as the engine gives it, and a wrong one is an
+    AssertionError; it is returned as a list of bools.
     """
     kernel = sls._load_kernel()
     if kernel is None:
@@ -525,12 +526,12 @@ def _search(formula: Formula, budget: MiningBudget, seed: int):
         status, model, records, conflicts = _mine_with_kernel(kernel, formula, budget, seed)
     if model is not None and not eval_formula(formula, model):
         raise AssertionError("internal error: CDCL produced an invalid model")
-    return status, model, records, conflicts
+    return status, None if model is None else list(map(bool, model)), records, conflicts
 
 
 def _mine_with_kernel(kernel: ctypes.CDLL, formula: Formula, budget: MiningBudget, seed: int):
     """(status, model, qualifying records, conflicts) of one kernel search
-    from `CdclSolver`'s initial phases for `seed`."""
+    from `CdclSolver`'s initial phases for `seed`; the model is bytes."""
     rng = random.Random(seed)
     phase = bytes([0, *(rng.random() < 0.5 for _ in range(formula.num_vars))])
     state = kernel.cdcl_new(formula.num_vars, formula.num_clauses,
@@ -549,7 +550,7 @@ def _mine_with_kernel(kernel: ctypes.CDLL, formula: Formula, budget: MiningBudge
         if status == SAT:
             buf = ctypes.create_string_buffer(formula.num_vars + 1)
             kernel.cdcl_assignment(state, buf)
-            model = list(map(bool, buf.raw))
+            model = buf.raw
         count = kernel.cdcl_num_records(state)
         bounds = array("q", bytes(8 * (count + 1)))
         indices = array("q", bytes(8 * count))

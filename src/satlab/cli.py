@@ -14,6 +14,7 @@ import argparse
 import csv
 import glob
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -57,10 +58,13 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _resolve_cap(spec: str | None, m: int) -> int | None:
-    """Cap expressions: absolute count, `m/10`, or a percentage like `5%`."""
+    """Cap expressions: absolute count, `m/10`, or a percentage like `5%`;
+    any other expression, a negative one included, is a ValueError."""
     if spec is None:
         return None
     spec = spec.strip()
+    if not re.fullmatch(r"\d+|m/10|(\d+\.?\d*|\.\d+)%", spec):
+        raise ValueError(f"--cap {spec!r}: expected a count, m/10 or X% that is not negative")
     if spec == "m/10":
         return m // 10
     if spec.endswith("%"):

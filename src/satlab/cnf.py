@@ -15,7 +15,8 @@ each have two paths with one set of results:
 
 - `_cnf.c`, built into the one compiled library of `satlab.sls`
   (`sls._load_kernel`), canonicalises and checks flat int32 clauses and
-  fills the occurrence index (`formula_index`), scans DIMACS text in a
+  fills the occurrence index (`formula_index`; `Formula.extended`
+  re-indexes the whole formula with it), scans DIMACS text in a
   strict subset: ASCII lines of `[+-]?digits` tokens, `c` comments, one
   `p cnf N M` header and a `%` end line (`dimacs_scan`), writes the
   clause lines of `emit_dimacs` (`dimacs_emit`), and checks a model
@@ -25,8 +26,8 @@ each have two paths with one set of results:
   `_emit_clauses_python` and `_eval_formula_python` are the readable
   reference.  They run when the library is unavailable, when clauses do
   not fit int32 arrays, for every input outside the scanner's subset,
-  and for assignments that are not a list of at least n+1 byte values,
-  so every error message and warning is theirs.
+  and for assignments that are not bytes or a list of at least n+1 byte
+  values, so every error message and warning is theirs.
 
 The differential tests in `tests/test_cnf.py` hold the two paths to
 equal attributes, errors, warnings, text and model checks.
@@ -37,7 +38,6 @@ from __future__ import annotations
 import ctypes
 import warnings
 from array import array
-from collections import defaultdict
 from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
@@ -93,10 +93,10 @@ class Formula:
     unavailable or the clauses do not flatten, and then raises for what
     int32 cannot hold.
 
-    `extended(clauses)` appends clauses without rebuilding: it checks only
-    the new ones, and its result has every attribute equal to that of
-    `Formula(n, old + new)`.  Every build path records whether some clause
-    is empty, which `has_empty_clause` reports.
+    `extended(clauses)` appends clauses and re-indexes the whole formula
+    on the same two paths, checking every clause, so its result has every
+    attribute equal to that of `Formula(n, old + new)`.  Every build path
+    records whether some clause is empty, which `has_empty_clause` reports.
     """
 
     __slots__ = ("num_vars", "_clauses", "tautology_ids", "offsets", "literals", "occ_offsets", "occ",
@@ -110,19 +110,14 @@ class Formula:
         kernel = _kernel() if isinstance(num_vars, int) else None
         if kernel is not None:
             clauses = clauses if isinstance(clauses, (list, tuple)) else list(clauses)
-            try:
-                offsets = array("i", accumulate(map(len, clauses), initial=0))
-                lits = array("i", chain.from_iterable(clauses))
-            except (OverflowError, TypeError):
-                pass  # the reference raises, or holds what int32 cannot
-            else:
-                if len(lits) == offsets[-1]:  # else some clause's len disagrees with its literals
-                    self._index_native(kernel, num_vars, offsets, lits)
-                    return
+            flat = _flatten(clauses, 0)
+            if flat is not None:
+                self._index_native(kernel, num_vars, *flat)
+                return
         self.num_vars = num_vars
         self._clauses = canonical = tuple(canonical_clause(c) for c in clauses)
-        occ: list[list[int]] = [[] for _ in range(2 * num_vars + 2)]
-        self.tautology_ids = frozenset(_index_clauses(canonical, 0, num_vars, occ))
+        occ, taut = _index_clauses(canonical, num_vars)
+        self.tautology_ids = frozenset(taut)
         self.offsets = array("i", accumulate(map(len, canonical), initial=0))
         self.literals = array("i", chain.from_iterable(canonical))
         self.occ_offsets = array("i", accumulate(map(len, occ), initial=0))
@@ -154,41 +149,20 @@ class Formula:
         self._empty_clause = bool(info[5])
 
     def extended(self, clauses: Iterable[Iterable[int]]) -> Formula:
-        """This formula with `clauses` appended in canonical form.
-
-        Only the new clauses are checked, with `__init__`'s errors; this
-        formula is never modified.  Each literal's occurrence list is its
-        old slice followed by its new ids, which are larger, so id order
-        holds.
-        """
-        new = tuple(map(canonical_clause, clauses))
+        """This formula with `clauses` appended in canonical form, every
+        clause checked and the whole re-indexed; this formula is never
+        modified.  `formula_index` indexes copies of its flat arrays with the
+        new clauses after them; without the library, or when the new clauses
+        do not flatten, the reference `Formula(n, old + new)` runs."""
+        new = clauses if isinstance(clauses, (list, tuple)) else list(clauses)
         if not new:
             return self
-        added: defaultdict[int, list[int]] = defaultdict(list)  # occurrence slot -> new ids
-        taut = _index_clauses(new, self.num_clauses, self.num_vars, added)
-        old_offsets, old_occ = self.occ_offsets, self.occ
-        offsets, occ = array("i"), array("i")
-        max_occ, shift, start = self.max_occurrences, 0, 0
-        for i in sorted(added):
-            ids = added[i]
-            offsets.extend(map(shift.__add__, old_offsets[start : i + 1]))
-            occ += old_occ[old_offsets[start] : old_offsets[i + 1]]
-            occ.extend(ids)
-            max_occ = max(max_occ, old_offsets[i + 1] - old_offsets[i] + len(ids))
-            shift += len(ids)
-            start = i + 1
-        offsets.extend(map(shift.__add__, old_offsets[start:]))
-        occ += old_occ[old_offsets[start] :]
-
-        out = Formula.__new__(Formula)
-        out.num_vars = self.num_vars
-        out._clauses = None
-        out.tautology_ids = self.tautology_ids.union(taut)
-        out.offsets = self.offsets + array("i", accumulate(map(len, new), initial=self.offsets[-1]))[1:]
-        out.literals = self.literals + array("i", chain.from_iterable(new))
-        out.occ_offsets, out.occ, out.max_occurrences = offsets, occ, max_occ
-        out.max_width = max(self.max_width, max(map(len, new)))
-        out._empty_clause = self._empty_clause or not all(new)
+        kernel = _kernel()
+        flat = None if kernel is None else _flatten(new, self.offsets[-1])
+        if flat is None:
+            return Formula(self.num_vars, self.clauses + tuple(new))
+        out = Formula.__new__(Formula)  # not __init__: the new clauses are flat already
+        out._index_native(kernel, self.num_vars, self.offsets + flat[0][1:], self.literals + flat[1])
         return out
 
     @property
@@ -222,12 +196,25 @@ class Formula:
         return f"Formula(n={self.num_vars}, m={self.num_clauses})"
 
 
-def _index_clauses(clauses: Sequence[Clause], first_id: int, num_vars: int, occ) -> list[int]:
-    """Check each canonical clause (ids from `first_id`) and append its id
-    to `occ[2 * abs(l) + (l < 0)]` for each literal `l`; return the ids of
-    the tautologies.  A literal out of range 1..num_vars is a ValueError."""
+def _flatten(clauses: Sequence[Sequence[int]], start: int) -> tuple[array, array] | None:
+    """(offsets from `start`, literals) of `clauses` as int32 arrays, or
+    None when they do not flatten: a value int32 cannot hold, a literal
+    that is not an int, or a clause whose len disagrees with its literals."""
+    try:
+        offsets = array("i", accumulate(map(len, clauses), initial=start))
+        lits = array("i", chain.from_iterable(clauses))
+    except (OverflowError, TypeError):
+        return None
+    return (offsets, lits) if len(lits) == offsets[-1] - start else None
+
+
+def _index_clauses(clauses: Sequence[Clause], num_vars: int) -> tuple[list[list[int]], list[int]]:
+    """Check each canonical clause and list its id under each literal `l`
+    at `occ[2 * abs(l) + (l < 0)]`; return `occ` and the ids of the
+    tautologies.  A literal out of range 1..num_vars is a ValueError."""
+    occ: list[list[int]] = [[] for _ in range(2 * num_vars + 2)]
     taut = []
-    for cid, clause in enumerate(clauses, start=first_id):
+    for cid, clause in enumerate(clauses):
         for lit in clause:
             v = abs(lit)
             if v < 1 or v > num_vars:
@@ -235,7 +222,7 @@ def _index_clauses(clauses: Sequence[Clause], first_id: int, num_vars: int, occ)
             occ[2 * v + (lit < 0)].append(cid)
         if any(a == -b for a, b in zip(clause, clause[1:])):  # canonical: -v sorts just before v
             taut.append(cid)
-    return taut
+    return occ, taut
 
 
 def parse_dimacs(text: str | bytes) -> Formula:
@@ -400,18 +387,19 @@ def eval_clause(clause: Sequence[int], alpha: Assignment) -> bool:
     return False
 
 
-def eval_formula(formula: Formula, alpha: Assignment) -> bool:
+def eval_formula(formula: Formula, alpha: Assignment | bytes) -> bool:
     """True iff every clause is satisfied under `alpha`.
 
     `formula_satisfied` in `_cnf.c` checks the flat clauses against the
-    bytes of `alpha` when the library is loaded and `alpha` is a list of
-    at least n+1 byte values; `_eval_formula_python` is the reference and
-    runs otherwise, with its errors.
+    bytes of `alpha` when the library is loaded and `alpha` is bytes or a
+    list of at least n+1 byte values; the compiled engines' models are
+    bytes and are checked as they are.  `_eval_formula_python` is the
+    reference and runs otherwise, with its errors.
     """
     kernel = _kernel()
-    if kernel is not None and isinstance(alpha, list) and len(alpha) > formula.num_vars:
+    if kernel is not None and isinstance(alpha, (bytes, list)) and len(alpha) > formula.num_vars:
         try:
-            values = bytes(alpha)
+            values = bytes(alpha)  # a bytes object is returned as it is, not copied
         except (TypeError, ValueError):
             pass  # not byte values: the reference reads their truth
         else:

@@ -183,7 +183,8 @@ def augment(formula: Formula, clauses) -> Formula:
     input formula is not modified.
 
     An existing clause is looked up among the clauses of its least
-    frequent literal, so the cost follows the additions, not the formula.
+    frequent literal, so the lookup's cost follows the additions, not the
+    formula; `extended`'s re-index, in C when the library loads, does not.
     """
     offsets, literals = formula.offsets, formula.literals
     seen: set[frozenset[int]] = set()

@@ -305,7 +305,7 @@ def probsat_run(
         if not kernel.probsat_num_falsified(state):
             buf = ctypes.create_string_buffer(formula.num_vars + 1)
             kernel.probsat_assignment(state, buf)
-            model = list(map(bool, buf.raw))
+            model = buf.raw
     finally:
         kernel.probsat_free(state)
     return _result(formula, model, flips_done, seed, time.perf_counter() - start)
@@ -352,16 +352,17 @@ def _probsat_python(
                 break
         flip(abs(chosen))
         flips_done += 1
-    model = None if falsified else list(state.assign)
+    model = None if falsified else state.assign
     return _result(formula, model, flips_done, seed, time.perf_counter() - start)
 
 
-def _result(formula: Formula, model: Assignment | None, flips_done: int, seed: int, elapsed: float) -> RunResult:
+def _result(formula: Formula, model: Assignment | bytes | None, flips_done: int, seed: int,
+            elapsed: float) -> RunResult:
     if model is None:
         return RunResult(FLIPS_EXHAUSTED, flips_done, None, seed, elapsed)
     if not eval_formula(formula, model):
         raise AssertionError("internal error: registry empty but model invalid")
-    return RunResult(SOLVED, flips_done, model, seed, elapsed)
+    return RunResult(SOLVED, flips_done, list(map(bool, model)), seed, elapsed)
 
 
 # every compiled kernel of the package: one library, one build, one cache key

@@ -114,6 +114,21 @@ def test_enrich_cdcl_percent_cap(tmp_path, capsys):
     assert enriched.num_clauses - base.num_clauses <= int(0.05 * base.num_clauses)
 
 
+def test_enrich_rejects_a_malformed_or_negative_cap(tmp_path, capsys):
+    cnf = tmp_path / "t7.cnf"
+    run_cli(capsys, "gen", "-n", "7", "--ratio", "4.2", "--seed", "3", "-o", str(cnf))
+    out = tmp_path / "enriched.cnf"
+    base = parse_dimacs(cnf.read_text())
+    for cap in ("-2", "-1%", "foo", "", "2.5", "1e3", "m/5", "x%", "nan%", "inf%", "-inf%"):
+        with pytest.raises(ValueError, match=f"--cap '{cap}': expected a count, m/10 or X%"):
+            main(["enrich", str(cnf), "--mode", "ternary", f"--cap={cap}", "-o", str(out)])
+        assert not out.exists()
+    # ternary enrichment derives far more clauses than any of these caps, so each cap is met
+    for cap, count in (("2", 2), (" 3 ", 3), ("0", 0), ("m/10", base.num_clauses // 10), ("50%", 14)):
+        assert run_cli(capsys, "enrich", str(cnf), "--mode", "ternary", f"--cap={cap}", "-o", str(out))[0] == 0
+        assert parse_dimacs(out.read_text()).num_clauses - base.num_clauses == count, cap
+
+
 def test_backbone_output(tmp_path, capsys):
     cnf = tmp_path / "b.cnf"
     cnf.write_text("p cnf 3 3\n1 0\n-2 0\n1 3 0\n")

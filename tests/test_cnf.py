@@ -334,31 +334,45 @@ def test_extended_equals_a_rebuild_on_the_python_build(name, reversed_additions,
     test_extended_equals_a_rebuild(name, reversed_additions)
 
 
-def test_extended_equals_a_rebuild_on_random_formulas():
-    rng = random.Random(5)
-    for trial in range(200):
-        n = rng.randint(1, 9)
+def test_extended_equals_a_rebuild_on_random_formulas(monkeypatch):
+    for loader in (sls._load_kernel, lambda: None):  # native, then the reference
+        monkeypatch.setattr(sls, "_load_kernel", loader)
+        rng = random.Random(5)
+        for trial in range(200):
+            n = rng.randint(1, 9)
 
-        def clause():
-            lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), rng.randint(0, min(n, 5)))]
-            if lits and rng.random() < 0.2:
-                lits.append(-lits[0] if rng.random() < 0.5 else lits[0])  # a tautology or a repeat
-            return lits
+            def clause():
+                lits = [v if rng.random() < 0.5 else -v
+                        for v in rng.sample(range(1, n + 1), rng.randint(0, min(n, 5)))]
+                if lits and rng.random() < 0.2:
+                    lits.append(-lits[0] if rng.random() < 0.5 else lits[0])  # a tautology or a repeat
+                return lits
 
-        old = [clause() for _ in range(rng.randint(0, 12))]
-        new = [clause() for _ in range(rng.randint(0, 8))]
-        assert formula_attrs(Formula(n, old).extended(new)) == formula_attrs(Formula(n, old + new))
+            old = [clause() for _ in range(rng.randint(0, 12))]
+            new = [clause() for _ in range(rng.randint(0, 8))]
+            parent = Formula(n, old)
+            before = formula_attrs(parent)
+            assert formula_attrs(parent.extended(new)) == formula_attrs(Formula(n, old + new))
+            assert formula_attrs(parent) == before
 
 
-def test_extended_rejects_bad_clauses_and_leaves_the_parent_unchanged():
-    parent = Formula(3, [(1, -2), (2, 3)])
-    before = formula_attrs(parent)
-    for bad, match in (((1, 4), "literal 4 out of range 1..3 in clause 3"), ((0,), "literal 0 out of range"),
-                       ((-4, 2), "literal -4 out of range")):
-        with pytest.raises(ValueError, match=match):
-            parent.extended([(1, 2), bad])
-        assert formula_attrs(parent) == before
-    assert parent.extended([(2, 3, 2)]).clauses[2:] == ((2, 3),)  # a repeat is dropped, not an error
+def test_extended_rejects_bad_clauses_and_leaves_the_parent_unchanged(monkeypatch):
+    for loader in (sls._load_kernel, lambda: None):  # native, then the reference
+        monkeypatch.setattr(sls, "_load_kernel", loader)
+        parent = Formula(3, [(1, -2), (2, 3)])
+        before = formula_attrs(parent)
+        for bad, match in (((1, 4), "literal 4 out of range 1..3 in clause 3"), ((0,), "literal 0 out of range"),
+                           ((-4, 2), "literal -4 out of range")):
+            with pytest.raises(ValueError, match=match):
+                parent.extended([(1, 2), bad])
+            assert formula_attrs(parent) == before
+        # neither flattens into int32 arrays, so the reference build raises
+        for bad, match in (((2**40, 1), "literal 1099511627776 out of range 1..3 in clause 2$"),
+                           ((1, 4.0), "literal 4.0 out of range 1..3 in clause 2$")):
+            with pytest.raises(ValueError, match=match):
+                parent.extended([bad, (1, 2)])
+            assert formula_attrs(parent) == before
+        assert parent.extended([(2, 3, 2)]).clauses[2:] == ((2, 3),)  # a repeat is dropped, not an error
 
 
 def test_engines_agree_on_extended_and_rebuilt_formulas():
@@ -567,6 +581,8 @@ def test_formula_satisfied_equals_the_reference_check(kernel, monkeypatch):
                       [rng.choice((0, 1, 2, 255)) for _ in range(n + 1 + rng.randint(0, 3))]):
             fast = eval_formula(f, alpha)
             assert fast == reference(f, alpha), (n, clauses, alpha)
+            # the compiled engines' models are bytes, checked as they are
+            assert eval_formula(f, bytes(alpha)) == reference(f, bytes(alpha)) == fast
             assert fast == bool(kernel.formula_satisfied(f.num_clauses, f.offsets.buffer_info()[0],
                                                          f.literals.buffer_info()[0], bytes(alpha)))
             seen.add((fast, () in f.clauses, bool(f.tautology_ids), n == 0))
@@ -609,6 +625,8 @@ def test_eval_formula_runs_the_reference_on_short_or_non_byte_assignments(kernel
     calls.clear()
     assert eval_formula(Formula(0, []), []) and not eval_formula(Formula(0, [()]), [])
     assert calls == [1, 1]
+    calls.clear()  # bytes shorter than n + 1 go to the reference too
+    assert outcome(eval_formula, f, b"\x00\x01\x00") == (IndexError, "index out of range") and calls == [1]
 
 
 def test_huge_variable_count_raises_before_allocating(monkeypatch):
