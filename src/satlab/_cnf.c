@@ -60,15 +60,13 @@ static int first_out_of_range(const int *a, int w, int n)
  * by counting sort.  occ_off holds 2n + 3 zeros and occ room for off[m]
  * ids.  On error, info[0] is the clause id and info[1] the literal
  * (OUT_OF_RANGE), checked in the order _index_clauses checks them.  On
- * success, taut[0 .. info[2]) are the tautology ids, info[3] is the
- * longest occurrence list, info[4] the widest clause and info[5] 1 when
- * some clause is empty, else 0.
+ * success, info[2] is the longest occurrence list, info[3] the widest
+ * clause and info[4] 1 when some clause is empty, else 0.  A tautology is
+ * indexed as any clause, under both of its literals.
  */
-int formula_index(int n, long long m, int *off, int *lits,
-                  int *occ_off, int *occ, int *taut, long long *info)
+int formula_index(int n, long long m, int *off, int *lits, int *occ_off, int *occ, long long *info)
 {
     int w = 0, max_width = 0, empty = 0;
-    long long ntaut = 0;
     for (long long c = 0; c < m; c++) {
         int start = off[c], end = off[c + 1], width = 0;
         /* compact into lits[w ..): w <= start, and each literal is read
@@ -86,11 +84,6 @@ int formula_index(int n, long long m, int *off, int *lits,
             info[1] = clause[bad];
             return OUT_OF_RANGE;
         }
-        for (int i = 1; i < width; i++)
-            if (clause[i] == -clause[i - 1]) {
-                taut[ntaut++] = (int)c;
-                break;
-            }
         if (width > max_width)
             max_width = width;
         empty |= width == 0;
@@ -117,10 +110,9 @@ int formula_index(int n, long long m, int *off, int *lits,
     for (int i = 0; i < lists; i++)
         if (occ_off[i + 1] - occ_off[i] > max_occ)
             max_occ = occ_off[i + 1] - occ_off[i];
-    info[2] = ntaut;
-    info[3] = max_occ;
-    info[4] = max_width;
-    info[5] = empty;
+    info[2] = max_occ;
+    info[3] = max_width;
+    info[4] = empty;
     return OK;
 }
 

@@ -58,20 +58,20 @@ static void sample(mt_state *s, int n, int k, int *pool, int *vars)
 /* m clauses of k distinct variables out of 1..n, from the MT state
  * `state`.  use_pool selects random.sample's branch: n is at most its set
  * size for k.  With hidden NULL, polarities are uniform (gen_uniform).
- * Otherwise every clause agrees with hidden[1 .. n] (0 or 1) in at least
- * one literal, and a vector with c agreeing literals is kept with
- * probability bias**c (gen_planted); with draw_hidden set, hidden is
- * drawn first.  Returns OUT_OF_MEMORY when the pool cannot be allocated.
+ * Otherwise hidden[1 .. n] (0 or 1) is drawn first, every clause agrees
+ * with it in at least one literal, and a vector with c agreeing literals
+ * is kept with probability bias**c (gen_planted).  Returns OUT_OF_MEMORY
+ * when the pool cannot be allocated.
  */
 int gen_clauses(int n, int k, long long m, int use_pool, double bias, unsigned char *hidden,
-                int draw_hidden, const uint32_t *state, int *off, int *lits)
+                const uint32_t *state, int *off, int *lits)
 {
     mt_state s;
     int *pool = NULL;
     mt_load(&s, state);
     if (use_pool && !(pool = malloc((size_t)n * sizeof *pool)))
         return OUT_OF_MEMORY;
-    if (draw_hidden)
+    if (hidden)
         for (int v = 1; v <= n; v++)
             hidden[v] = random_double(&s) < 0.5;
     off[0] = 0;

@@ -50,7 +50,7 @@ def par2(record: TrialRecord, timeout: float, currency: str = "flips") -> float:
     """Measured cost if solved, twice the timeout otherwise."""
     if currency not in ("flips", "seconds"):
         raise ValueError(f"unknown PAR2 currency {currency!r}")
-    if timeout <= 0:
+    if not timeout > 0:  # NaN fails too
         raise ValueError("timeout must be positive")
     if not record.solved:
         return 2.0 * timeout

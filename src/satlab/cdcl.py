@@ -90,7 +90,7 @@ class MiningBudget:
     early_stop: bool = False
 
     def __post_init__(self):
-        if self.wall_seconds <= 0:
+        if not self.wall_seconds > 0:  # NaN fails too
             raise ValueError("wall_seconds must be positive")
         for name, low, optional in (("conflict_limit", 0, True), ("width_limit", 1, False), ("count_cap", 0, True)):
             value = getattr(self, name)

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .cdcl import MINER_SECONDS_DEFAULT, SAT, MiningBudget, cdcl_solve_and_mine, filter_learned
+from .cdcl import MINER_SECONDS_DEFAULT, MiningBudget, cdcl_solve_and_mine, filter_learned
 from .cnf import (
     emit_dimacs,
     format_solution,
@@ -168,11 +168,7 @@ def _cmd_inject(args) -> int:
         if args.solution:
             solution = parse_solution(_read(args.solution), formula.num_vars)
         else:
-            outcome = cdcl_solve_and_mine(formula, MiningBudget(), seed=args.seed)
-            if outcome.status != SAT:
-                print("c inject failed: no model available", file=sys.stderr)
-                return 1
-            solution = outcome.model
+            solution = [False] * (formula.num_vars + 1)  # gen_general reads only its length
         clauses = gen_general(solution, backbone, args.count, args.seed)
     out = formula.extended(clauses)
     _write(args.output, emit_dimacs(out, comments=[f"injected {len(clauses)} model={args.model}"]))

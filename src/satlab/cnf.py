@@ -4,11 +4,12 @@ Literals follow the DIMACS convention used throughout this package: a
 literal is a signed integer, `v` for the positive literal of variable v
 (1-based) and `-v` for its negation.  Clauses are canonical: literals
 sorted by variable index, repeats dropped, which makes deduplication and
-set operations exact.  A `Formula` is four flat int32 arrays, the clauses
-and their occurrence index; its tuple of clause tuples is a view derived
-from them on first read, for the Python reference paths.  Assignments
-are lists of booleans of length n+1 with index 0 unused, so
-`assignment[v]` is the value of variable v.
+set operations exact.  A tautology stays an ordinary clause, satisfied
+by every assignment; only resolvent enumeration skips it.  A `Formula`
+is four flat int32 arrays, the clauses and their occurrence index; its
+tuple of clause tuples is a view derived from them on first read, for
+the Python reference paths.  Assignments are lists of booleans of length
+n+1 with index 0 unused, so `assignment[v]` is the value of variable v.
 
 Building a `Formula`, reading DIMACS, writing it and checking a model
 each have two paths with one set of results:
@@ -58,8 +59,7 @@ class DimacsWarning(UserWarning):
 def canonical_clause(lits: Iterable[int]) -> Clause:
     """Deduplicate and sort literals by variable index (sign breaks ties).
 
-    Tautological clauses are preserved as-is (both polarities kept);
-    `Formula.tautology_ids` flags them.
+    Tautological clauses are preserved as-is (both polarities kept).
     """
     return tuple(sorted(set(lits), key=lambda l: (abs(l), l)))
 
@@ -71,7 +71,7 @@ class Formula:
     Shared by every solver in the package; safe to share across threads
     and to pickle into worker processes.  Every clause is canonical
     (`canonical_clause`: repeats dropped, sorted by variable, tautologies
-    kept and listed in `tautology_ids`).
+    kept as ordinary clauses).
 
     Four int32 arrays, built once and never mutated, are the formula, and
     what the compiled engines read.  Clause `c` is
@@ -99,8 +99,8 @@ class Formula:
     records whether some clause is empty, which `has_empty_clause` reports.
     """
 
-    __slots__ = ("num_vars", "_clauses", "tautology_ids", "offsets", "literals", "occ_offsets", "occ",
-                 "max_occurrences", "max_width", "_empty_clause")
+    __slots__ = ("num_vars", "_clauses", "offsets", "literals", "occ_offsets", "occ", "max_occurrences",
+                 "max_width", "_empty_clause")
 
     def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]]):
         if num_vars < 0:
@@ -116,8 +116,7 @@ class Formula:
                 return
         self.num_vars = num_vars
         self._clauses = canonical = tuple(canonical_clause(c) for c in clauses)
-        occ, taut = _index_clauses(canonical, num_vars)
-        self.tautology_ids = frozenset(taut)
+        occ = _index_clauses(canonical, num_vars)
         self.offsets = array("i", accumulate(map(len, canonical), initial=0))
         self.literals = array("i", chain.from_iterable(canonical))
         self.occ_offsets = array("i", accumulate(map(len, occ), initial=0))
@@ -134,19 +133,16 @@ class Formula:
         m = len(offsets) - 1
         occ_offsets = array("i", [0]) * (2 * num_vars + 3)
         occ = array("i", [0]) * offsets[-1]
-        taut = array("i", [0]) * m
-        info = array("q", [0]) * 6
-        if kernel.formula_index(num_vars, m, _address(offsets), _address(lits),
-                                *map(_address, (occ_offsets, occ, taut, info))):
+        info = array("q", [0]) * 5
+        if kernel.formula_index(num_vars, m, *map(_address, (offsets, lits, occ_offsets, occ, info))):
             raise ValueError(f"literal {info[1]} out of range 1..{num_vars} in clause {info[0]}")
         del lits[offsets[-1]:], occ[offsets[-1]:]  # the dropped repeats
         self.num_vars = num_vars
         self._clauses = None
-        self.tautology_ids = frozenset(taut[: info[2]])
         self.offsets, self.literals = offsets, lits
-        self.occ_offsets, self.occ, self.max_occurrences = occ_offsets, occ, info[3]
-        self.max_width = info[4]
-        self._empty_clause = bool(info[5])
+        self.occ_offsets, self.occ, self.max_occurrences = occ_offsets, occ, info[2]
+        self.max_width = info[3]
+        self._empty_clause = bool(info[4])
 
     def extended(self, clauses: Iterable[Iterable[int]]) -> Formula:
         """This formula with `clauses` appended in canonical form, every
@@ -208,28 +204,25 @@ def _flatten(clauses: Sequence[Sequence[int]], start: int) -> tuple[array, array
     return (offsets, lits) if len(lits) == offsets[-1] - start else None
 
 
-def _index_clauses(clauses: Sequence[Clause], num_vars: int) -> tuple[list[list[int]], list[int]]:
+def _index_clauses(clauses: Sequence[Clause], num_vars: int) -> list[list[int]]:
     """Check each canonical clause and list its id under each literal `l`
-    at `occ[2 * abs(l) + (l < 0)]`; return `occ` and the ids of the
-    tautologies.  A literal out of range 1..num_vars is a ValueError."""
+    at `occ[2 * abs(l) + (l < 0)]`; return `occ`.  A literal out of range
+    1..num_vars is a ValueError."""
     occ: list[list[int]] = [[] for _ in range(2 * num_vars + 2)]
-    taut = []
     for cid, clause in enumerate(clauses):
         for lit in clause:
             v = abs(lit)
             if v < 1 or v > num_vars:
                 raise ValueError(f"literal {lit} out of range 1..{num_vars} in clause {cid}")
             occ[2 * v + (lit < 0)].append(cid)
-        if any(a == -b for a, b in zip(clause, clause[1:])):  # canonical: -v sorts just before v
-            taut.append(cid)
-    return occ, taut
+    return occ
 
 
 def parse_dimacs(text: str | bytes) -> Formula:
     """Parse DIMACS CNF: `c` comments, one `p cnf n m` header, 0-terminated clauses.
 
     Clauses are canonical (duplicate literals dropped, sorted by variable);
-    tautological clauses are retained and flagged in `Formula.tautology_ids`.
+    tautological clauses are retained as ordinary clauses.
     A clause-count mismatch against the header is a `DimacsWarning`, not an
     error, and the actual count is used.  A `%` line ends the clause section
     (SATLIB convention).  Bytes must be ASCII.  The compiled scanner reads

@@ -39,13 +39,12 @@ THRESHOLD_RATIOS = {3: 4.267, 5: 21.117, 7: 87.79}
 class GenSpec:
     """Parameters for one generated instance.
 
-    Exactly one of `ratio` / `m` must be given.  `planted`, when present,
-    is a complete assignment (index 0 unused) that every generated clause
-    must satisfy.  `bias` shapes the planted polarity distribution: a
-    polarity vector with c solution-agreeing literals is accepted with
-    probability bias**c, so bias=1 keeps every satisfying vector (the
-    plain rejection model) while bias<1 hides the solution deceptively
-    (fewer agreeing literals, much harder for local search).
+    Exactly one of `ratio` / `m` must be given.  `bias` shapes the planted
+    polarity distribution of `gen_planted`, whose hidden assignment is
+    drawn from `seed`: a polarity vector with c solution-agreeing literals
+    is accepted with probability bias**c, so bias=1 keeps every satisfying
+    vector (the plain rejection model) while bias<1 hides the solution
+    deceptively (fewer agreeing literals, much harder for local search).
     """
 
     n: int
@@ -53,7 +52,6 @@ class GenSpec:
     seed: int
     ratio: float | None = None
     m: int | None = None
-    planted: Assignment | None = None
     bias: float = 1.0
 
     def __post_init__(self):
@@ -63,11 +61,6 @@ class GenSpec:
             raise ValueError(f"clause width k={self.k} exceeds n={self.n}")
         if (self.ratio is None) == (self.m is None):
             raise ValueError("exactly one of ratio / m must be given")
-        if self.planted is not None:
-            if len(self.planted) != self.n + 1:
-                raise ValueError("planted assignment length must be n+1 (index 0 unused)")
-            if not all(h == True or h == False for h in self.planted[1:]):  # 0 and 1 pass too
-                raise ValueError("planted assignment values must be booleans")
         if not 0.0 < self.bias <= 1.0:
             raise ValueError(f"bias must lie in (0, 1], got {self.bias}")
         if self.ratio is not None and not math.isfinite(self.ratio * self.n):
@@ -92,8 +85,6 @@ def gen_uniform(spec: GenSpec) -> Formula:
     """Uniform random k-SAT: per clause, k distinct variables drawn without
     replacement and independent uniform polarities.  Duplicate clauses are
     permitted, as in the uniform model."""
-    if spec.planted is not None:
-        raise ValueError("uniform generation takes no planted assignment")
     formula = _gen_native(spec, None)
     return _gen_uniform_python(spec) if formula is None else formula
 
@@ -101,29 +92,26 @@ def gen_uniform(spec: GenSpec) -> Formula:
 def gen_planted(spec: GenSpec) -> tuple[Formula, Assignment]:
     """Hidden-solution k-SAT: every clause satisfies the planted assignment.
 
-    The hidden assignment is `spec.planted` or drawn uniformly from the
-    seed.  Each clause keeps its variable set and redraws the polarity
+    The hidden assignment is drawn uniformly from the seed, before any
+    clause.  Each clause keeps its variable set and redraws the polarity
     vector until at least one literal agrees with the hidden assignment
     (rejection sampling; for k=3 and bias=1 the expected number of draws
     is 8/7).  With bias<1 vectors are additionally thinned by bias**c
     where c counts agreeing literals, which concentrates mass on barely
     satisfying clauses and hides the solution from local search.
     """
-    planted = spec.planted
-    if planted is None:
-        hidden = array("B", [0]) * (spec.n + 1)  # drawn by the kernel
-    else:
-        hidden = array("B", map(bool, planted))
+    hidden = array("B", [0]) * (spec.n + 1)  # drawn by the kernel
     formula = _gen_native(spec, hidden)
     if formula is None:
         return _gen_planted_python(spec)
-    return formula, list(map(bool, hidden)) if planted is None else list(planted)
+    return formula, list(map(bool, hidden))
 
 
 def _gen_native(spec: GenSpec, hidden: array | None) -> Formula | None:
     """The formula `gen_clauses` generates, or None when the reference
-    must run.  `hidden` (0/1 bytes, index 0 unused) is None for uniform
-    polarities; without `spec.planted` the kernel draws it first."""
+    must run.  `hidden` is None for uniform polarities; otherwise the
+    kernel draws the hidden assignment into it (0/1 bytes, index 0
+    unused) before any clause."""
     kernel = _kernel()
     n, k, m = spec.n, spec.k, spec.num_clauses
     if kernel is None or 2 * n + 3 > _INT32_MAX or m * k > _INT32_MAX:
@@ -132,8 +120,7 @@ def _gen_native(spec: GenSpec, hidden: array | None) -> Formula | None:
     offsets = array("i", [0]) * (m + 1)
     lits = array("i", [0]) * (m * k)
     state = array("I", random.Random(spec.seed).getstate()[1])
-    draw = hidden is not None and spec.planted is None
-    if kernel.gen_clauses(n, k, m, pool, spec.bias, None if hidden is None else _address(hidden), draw,
+    if kernel.gen_clauses(n, k, m, pool, spec.bias, None if hidden is None else _address(hidden),
                           *map(_address, (state, offsets, lits))):
         raise MemoryError("cannot allocate the generator's sampling pool")
     formula = Formula.__new__(Formula)
@@ -155,10 +142,7 @@ def _gen_uniform_python(spec: GenSpec) -> Formula:
 def _gen_planted_python(spec: GenSpec) -> tuple[Formula, Assignment]:
     """The reference of `gen_planted`."""
     rng = random.Random(spec.seed)
-    if spec.planted is not None:
-        hidden = list(spec.planted)
-    else:
-        hidden = [False] + [rng.random() < 0.5 for _ in range(spec.n)]
+    hidden = [False] + [rng.random() < 0.5 for _ in range(spec.n)]
     variables = range(1, spec.n + 1)
     bias = spec.bias
     clauses = []

@@ -207,7 +207,7 @@ def augment(formula: Formula, clauses) -> Formula:
 
 def check_budgets(wall_budget: float | None, final_flips: int | None) -> None:
     """ValueError unless a positive wall budget, a flip budget or both bound a run."""
-    if (wall_budget is None and final_flips is None) or (wall_budget is not None and wall_budget <= 0):
+    if (wall_budget is None and final_flips is None) or (wall_budget is not None and not wall_budget > 0):
         raise ValueError("a run needs a positive wall-clock budget, a flip budget or both")
 
 

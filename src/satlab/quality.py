@@ -47,19 +47,13 @@ class BackboneBudgetError(RuntimeError):
         self.confirmed = frozenset(confirmed)
 
 
-def compute_backbone(
-    formula: Formula,
-    seed: int = 0,
-    conflict_limit: int | None = None,
-    wall_seconds: float | None = None,
-) -> Backbone:
+def compute_backbone(formula: Formula, seed: int = 0, conflict_limit: int | None = None) -> Backbone:
     """Exact backbone via one fresh solve per candidate literal.
 
-    `conflict_limit` and `wall_seconds` bound each individual solve;
-    exhausting either raises `BackboneBudgetError`.
+    `conflict_limit` bounds each individual solve, which no clock bounds;
+    exhausting it raises `BackboneBudgetError`.
     """
-    budget = MiningBudget(wall_seconds=math.inf if wall_seconds is None else wall_seconds,
-                          conflict_limit=conflict_limit, width_limit=1)
+    budget = MiningBudget(wall_seconds=math.inf, conflict_limit=conflict_limit, width_limit=1)
     status, model, _, _ = cdcl._search(formula, budget, seed)
     if status == UNSAT:
         raise FormulaUnsatisfiableError("formula has no satisfying assignment")
@@ -144,7 +138,8 @@ def gen_deceptive(backbone: Backbone, t: int, seed: int) -> list[Clause]:
 
 def gen_general(solution: Assignment, backbone: Backbone, t: int, seed: int) -> list[Clause]:
     """t clauses, each one backbone literal plus two uniformly random
-    literals over distinct remaining variables."""
+    literals over distinct remaining variables.  Only `len(solution)`,
+    the variable count plus one, is read."""
     bb = sorted(backbone, key=abs)
     if not bb:
         raise ValueError("general model needs a non-empty backbone")

@@ -5,8 +5,8 @@ level-2 resolvent has at least one level-1 parent.  Pools are width
 filtered, deduplicated, tautology-free, and never contain clauses of
 the base formula (compared as literal sets, so a base clause in any
 literal order counts), so adding any subset of a pool preserves the
-solution set exactly.  Tautological input clauses are excluded from
-enumeration.
+solution set exactly.  Tautological input clauses, which `Formula`
+keeps as ordinary clauses, are excluded from enumeration.
 
 All three enumerations share one width-bounded engine.  A clause is held
 as a pair `(pos, neg)` of ints with bit `v` set for literal `v` or `-v`.
@@ -33,9 +33,7 @@ Masks = tuple[int, int]
 
 @dataclass(frozen=True)
 class ResolventPool:
-    level: int
     clauses: frozenset[Clause]
-    max_width: int
 
     def __len__(self) -> int:
         return len(self.clauses)
@@ -89,9 +87,9 @@ def bounded_resolve(a: Clause, b: Clause, pivot: int, max_width: int) -> Clause 
 
 
 def _base_masks(formula: Formula) -> list[Masks]:
-    """Masks of the non-tautological clauses, in id order."""
-    taut = formula.tautology_ids
-    return [_masks(c) for i, c in enumerate(formula.clauses) if i not in taut]
+    """Masks of the non-tautological clauses, in id order: a clause is a
+    tautology exactly when some bit is set in both of its masks."""
+    return [(pos, neg) for pos, neg in map(_masks, formula.clauses) if not pos & neg]
 
 
 class _Occurrences:
@@ -133,14 +131,14 @@ def _level1(num_vars: int, originals: list[Masks], max_width: int) -> set[Masks]
     return out
 
 
-def _pool(level: int, found: set[Masks], max_width: int) -> ResolventPool:
-    return ResolventPool(level, frozenset(map(_clause, found)), max_width)
+def _pool(found: set[Masks]) -> ResolventPool:
+    return ResolventPool(frozenset(map(_clause, found)))
 
 
 def level1_resolvents(formula: Formula, max_width: int) -> ResolventPool:
     """Resolvents of pairs of original clauses, width-capped."""
     originals = _base_masks(formula)
-    return _pool(1, _level1(formula.num_vars, originals, max_width) - set(originals), max_width)
+    return _pool(_level1(formula.num_vars, originals, max_width) - set(originals))
 
 
 def level2_resolvents(
@@ -168,10 +166,10 @@ def level2_resolvents(
         for bit, partners in occ.pivots(a):
             if len(partners) > remaining:
                 found.update(_resolvents(a, partners[:remaining], bit, max_width))
-                return _pool(2, found - exclude, max_width)
+                return _pool(found - exclude)
             remaining -= len(partners)
             found.update(_resolvents(a, partners, bit, max_width))
-    return _pool(2, found - exclude, max_width)
+    return _pool(found - exclude)
 
 
 def ternary_saturate(formula: Formula) -> set[Clause]:

@@ -79,9 +79,9 @@ class ScoringFunction:
     def __post_init__(self):
         if self.kind not in ("poly", "exp"):
             raise ValueError(f"unknown scoring kind {self.kind!r}")
-        if self.cb <= 1.0:
+        if not self.cb > 1.0:  # NaN fails too
             raise ValueError(f"cb must exceed 1, got {self.cb}")
-        if self.kind == "poly" and self.epsilon <= 0.0:
+        if self.kind == "poly" and not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
     def value(self, break_count: int) -> float:
@@ -389,11 +389,11 @@ _KERNEL_FUNCTIONS = (
     ("cdcl_records", None, [_ptr, _ptr, _ptr, _ptr]),
     ("cdcl_assignment", None, [_ptr, ctypes.c_char_p]),
     ("cdcl_free", None, [_ptr]),
-    ("formula_index", _i32, [_i32, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr]),
+    ("formula_index", _i32, [_i32, _i64, _ptr, _ptr, _ptr, _ptr, _ptr]),
     ("dimacs_scan", _i32, [ctypes.c_char_p, _i64, _ptr, _ptr, _ptr]),
     ("dimacs_emit", _i64, [_i64, _ptr, _ptr, ctypes.c_char_p]),
     ("formula_satisfied", _i32, [_i64, _ptr, _ptr, ctypes.c_char_p]),
-    ("gen_clauses", _i32, [_i32, _i32, _i64, _i32, ctypes.c_double, _ptr, _i32, _ptr, _ptr, _ptr]),
+    ("gen_clauses", _i32, [_i32, _i32, _i64, _i32, ctypes.c_double, _ptr, _ptr, _ptr, _ptr]),
 )
 
 

@@ -42,6 +42,8 @@ def test_par2_unsolved_is_twice_timeout():
 def test_par2_validation():
     with pytest.raises(ValueError):
         par2(rec(), timeout=0)
+    with pytest.raises(ValueError, match="timeout must be positive"):
+        par2(rec(solved=False), timeout=float("nan"), currency="seconds")  # `bench --timeout nan`
     with pytest.raises(ValueError):
         par2(rec(), timeout=10, currency="parsecs")
 

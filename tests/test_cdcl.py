@@ -160,6 +160,9 @@ def test_filter_learned_dedup():
 def test_budget_validation():
     with pytest.raises(ValueError):
         MiningBudget(wall_seconds=0)
+    with pytest.raises(ValueError, match="wall_seconds must be positive"):
+        MiningBudget(wall_seconds=json.loads("NaN"))  # NaN fails every comparison
+    MiningBudget(wall_seconds=json.loads("Infinity"))  # no clock bound, as the backbone's solves run
     with pytest.raises(ValueError):
         MiningBudget(width_limit=0)
     with pytest.raises(ValueError):

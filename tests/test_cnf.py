@@ -53,7 +53,8 @@ def test_parse_comments_and_multiline_clauses():
 def test_parse_tautology_retained_and_flagged():
     f = parse_dimacs("p cnf 2 2\n1 -1 2 0\n1 2 0\n")
     assert f.num_clauses == 2
-    assert f.tautology_ids == {0}
+    assert f.clauses == ((-1, 1, 2), (1, 2))
+    assert list(f.occurrence(1)) == [0, 1] and list(f.occurrence(-1)) == [0]  # indexed under both literals
 
 
 def test_parse_count_mismatch_warns():
@@ -294,9 +295,13 @@ def test_formula_rejects_out_of_range_literal():
         Formula(2, [(1, 3)])
 
 
+def is_tautology(clause):
+    return any(-lit in clause for lit in clause)
+
+
 def formula_attrs(f):
-    return (f.num_vars, f.clauses, f.tautology_ids, f.offsets, f.literals, f.occ_offsets, f.occ,
-            f.max_occurrences, f.max_width)
+    return (f.num_vars, f.clauses, f.offsets, f.literals, f.occ_offsets, f.occ, f.max_occurrences,
+            f.max_width)
 
 
 EXTENSIONS = {
@@ -392,7 +397,7 @@ def test_engines_agree_on_extended_and_rebuilt_formulas():
 def test_tautology_helpers():
     assert canonical_clause((3, 1, -2, 1)) == (1, -2, 3)
     assert canonical_clause((2, 1, -1)) == (-1, 1, 2)  # both polarities kept
-    assert Formula(3, [(1, 2), (2, 1, -1), (3, -3, 3)]).tautology_ids == {1, 2}
+    assert Formula(3, [(1, 2), (2, 1, -1), (3, -3, 3)]).clauses == ((1, 2), (-1, 1, 2), (-3, 3))
 
 
 def test_solution_format_roundtrip():
@@ -469,7 +474,7 @@ def test_native_build_equals_the_reference_on_random_formulas(kernel, monkeypatc
             continue
         seen["built"] += 1
         formula = Formula(n, clauses)
-        seen["tautologies"] += bool(formula.tautology_ids)
+        seen["tautologies"] += any(map(is_tautology, formula.clauses))
         seen["empty"] += formula.has_empty_clause()
         # what the build was fed, not what it made
         seen["unsorted"] += any(list(c) != sorted(c, key=lambda l: (abs(l), l)) for c in clauses)
@@ -585,7 +590,7 @@ def test_formula_satisfied_equals_the_reference_check(kernel, monkeypatch):
             assert eval_formula(f, bytes(alpha)) == reference(f, bytes(alpha)) == fast
             assert fast == bool(kernel.formula_satisfied(f.num_clauses, f.offsets.buffer_info()[0],
                                                          f.literals.buffer_info()[0], bytes(alpha)))
-            seen.add((fast, () in f.clauses, bool(f.tautology_ids), n == 0))
+            seen.add((fast, () in f.clauses, any(map(is_tautology, f.clauses)), n == 0))
     assert reference_runs == []
     assert {(True, False, False, False), (False, False, False, False), (True, False, True, False),
             (False, True, False, False), (True, False, False, True), (False, True, False, True)} <= seen

@@ -58,14 +58,6 @@ def test_planted_seed_determinism():
     assert a_h == b_h
 
 
-def test_planted_respects_given_assignment():
-    hidden = [False] + [True] * 20
-    f, h = gen_planted(GenSpec(n=20, k=3, ratio=4.0, seed=1, planted=hidden))
-    assert h == hidden
-    for clause in f.clauses:
-        assert any(l > 0 for l in clause)  # all-true assignment needs a positive literal
-
-
 def test_genspec_validation():
     with pytest.raises(ValueError):
         GenSpec(n=2, k=3, ratio=4.0, seed=0)  # k > n
@@ -93,13 +85,6 @@ def test_genspec_rejects_a_negative_or_non_finite_clause_count(kwargs):
         GenSpec(n=10, k=3, seed=1, **kwargs)
 
 
-def test_genspec_rejects_a_planted_value_that_is_not_a_boolean():
-    # a 2 agrees with neither polarity, so a clause over such variables is never accepted
-    with pytest.raises(ValueError, match="planted assignment values must be booleans"):
-        GenSpec(n=4, k=3, m=5, seed=1, planted=[False, True, 2, False, True])
-    GenSpec(n=4, k=3, m=5, seed=1, planted=[None, True, 0, 1.0, False])  # index 0 is unused
-
-
 # Native against reference: `gen_uniform` and `gen_planted` run `gen_clauses`
 # (`_gen.c`) when the compiled library loads, and `_gen_uniform_python` and
 # `_gen_planted_python` when `sls._load_kernel` returns None.
@@ -115,17 +100,14 @@ def kernel():
 
 
 def formula_attrs(f):
-    return (f.num_vars, f.clauses, f.tautology_ids, f.offsets, f.literals, f.occ_offsets, f.occ,
-            f.max_occurrences, f.max_width)
+    return (f.num_vars, f.clauses, f.offsets, f.literals, f.occ_offsets, f.occ, f.max_occurrences,
+            f.max_width)
 
 
 def generated(spec):
     """Both generators' outputs for `spec`: formula attributes and hidden list."""
     formula, hidden = gen_planted(spec)
-    out = [formula_attrs(formula), hidden, [type(h) for h in hidden]]
-    if spec.planted is None:
-        out.append(formula_attrs(gen_uniform(spec)))
-    return out
+    return [formula_attrs(formula), hidden, [type(h) for h in hidden], formula_attrs(gen_uniform(spec))]
 
 
 def assert_native_equals_reference(monkeypatch, specs):
@@ -159,17 +141,6 @@ def test_native_generation_equals_the_reference_for_widths_seeds_and_biases(kern
                 n = rng.choice((k + 1, 21, 22, 40, 85, 86, 150))
                 specs.append(GenSpec(n=max(n, k), k=k, m=60, seed=seed, bias=bias))
     assert_native_equals_reference(monkeypatch, specs)
-
-
-def test_native_generation_keeps_a_given_planted_assignment(kernel, monkeypatch):
-    ints = [0] + [1, 0, 0, 1, 1] * 4
-    mixed = [None] + [True, 0, False, 1.0] * 5
-    specs = [GenSpec(n=20, k=3, m=80, seed=7, planted=ints, bias=bias) for bias in (1.0, 0.5)]
-    specs.append(GenSpec(n=20, k=3, m=80, seed=7, planted=mixed))
-    assert_native_equals_reference(monkeypatch, specs)
-    formula, hidden = gen_planted(specs[0])
-    assert hidden == ints and hidden is not ints and all(type(h) is int for h in hidden)
-    assert all(any((l > 0) == bool(ints[abs(l)]) for l in clause) for clause in formula.clauses)
 
 
 def test_native_generation_builds_no_clause_lists(kernel, monkeypatch):

@@ -258,6 +258,10 @@ def test_budget_validation():
         run_hybrid(Formula(1, [(1,)]), wall_budget=0)
     with pytest.raises(ValueError, match="wall-clock budget, a flip budget or both"):
         run_hybrid(Formula(1, [(1,)]), wall_budget=None)
+    # NaN fails every comparison: a NaN wall budget would never run out
+    for flips in (None, 100):
+        with pytest.raises(ValueError, match="positive wall-clock budget"):
+            run_hybrid(Formula(1, [(1,)]), wall_budget=json.loads("NaN"), final_flips=flips)
 
 
 def model_checks(monkeypatch, verdict=None):

@@ -120,10 +120,10 @@ def test_ternary_ignores_wide_clauses():
 
 
 def test_sample_pool():
-    pool = ResolventPool(1, frozenset({(1, 2), (2, 3), (3, 4)}), 4)
+    pool = ResolventPool(frozenset({(1, 2), (2, 3), (3, 4)}))
     assert sorted(sample_pool(pool, 10, seed=0)) == [(1, 2), (2, 3), (3, 4)]
     assert sample_pool(pool, 0, seed=0) == []
-    big = ResolventPool(1, frozenset((i, i + 1) for i in range(1, 100)), 4)
+    big = ResolventPool(frozenset((i, i + 1) for i in range(1, 100)))
     a = sample_pool(big, 10, seed=42)
     b = sample_pool(big, 10, seed=42)
     assert a == b

@@ -31,6 +31,12 @@ def test_scoring_validation():
         ScoringFunction("poly", cb=2.0, epsilon=0.0)
     with pytest.raises(ValueError):
         ScoringFunction("huh", cb=2.0)
+    # NaN fails every comparison, so it passed the `<=` checks
+    for kind in ("poly", "exp"):
+        with pytest.raises(ValueError, match="cb must exceed 1"):
+            ScoringFunction(kind, cb=float("nan"))
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        ScoringFunction("poly", cb=2.0, epsilon=float("nan"))
 
 
 def test_default_scoring_by_width():
