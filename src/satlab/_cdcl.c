@@ -21,14 +21,13 @@
  * - DB reduction keeps the locked clauses in DB order, then those of
  *   the first half of the rest, sorted by stamp descending and DB
  *   position ascending, that have at most 12 literals;
+ * - a learned clause of width <= width_limit is recorded, canonically
+ *   sorted and with its learn index;
  * - the early-stop, conflict and wall-clock (every 64 conflicts)
  *   budgets, DB reduction and Luby restarts (base 64) follow each
  *   conflict in that order.
  *
- * Unlike the reference, the kernel frees the clauses reduction drops and
- * keeps only the qualifying learned clauses (width <= width_limit),
- * canonically sorted and with their learn index, not a record of every
- * learned clause.
+ * Unlike the reference, the kernel frees the clauses reduction drops.
  */
 
 #include <stdlib.h>
@@ -46,7 +45,7 @@ enum { BUDGET = 0, SAT = 1, UNSAT = 2, OUT_OF_MEMORY = -1 };
 typedef struct {
     long long stamp;
     int size;
-    unsigned char learned, locked, dead;
+    unsigned char locked, dead;
     int lits[];
 } clause;
 
@@ -141,14 +140,13 @@ static int watch(cdcl_state *s, int lit, clause *c)
     return 0;
 }
 
-static clause *new_clause(const int *lits, int size, int learned, long long stamp)
+static clause *new_clause(const int *lits, int size, long long stamp)
 {
     clause *c = malloc(sizeof *c + (size_t)size * sizeof(int));
     if (!c)
         return NULL;
     c->stamp = stamp;
     c->size = size;
-    c->learned = (unsigned char)learned;
     c->locked = c->dead = 0;
     memcpy(c->lits, lits, (size_t)size * sizeof(int));
     return c;
@@ -606,7 +604,7 @@ cdcl_state *cdcl_new(int n, int m, const int *off, const int *lits, const unsign
                 enqueue(s, cl[0], NULL);
             continue;
         }
-        input = new_clause(cl, size, 0, 0);
+        input = new_clause(cl, size, 0);
         if (!input) {
             cdcl_free(s);
             return NULL;
@@ -635,7 +633,7 @@ static int learn(cdcl_state *s, int size)
         if (!(db = grow(s->db, &s->db_cap, s->db_size + 1, sizeof *db)))
             return -1;
         s->db = db;
-        c = new_clause(s->learnt, size, 1, s->conflicts);
+        c = new_clause(s->learnt, size, s->conflicts);
         if (!c)
             return -1;
         s->db[s->db_size++] = c;

@@ -8,10 +8,11 @@ recently used half survive).  No clause minimization, no preprocessing,
 no proof logging: the contract here is sound learned clauses under a
 budget, not competition performance.
 
-Budgets come in two currencies: wall seconds for production runs and
-conflict counts for deterministic tests.  `CdclSolver` records every
-learned clause; mining keeps the records of width <= `width_limit` and
-exports their deduplicated prefix (or a seeded random subset).
+A `MiningBudget` describes a mining run: its stop conditions, in two
+currencies (wall seconds for production runs and conflict counts for
+deterministic tests), and which learned clauses qualify (width <=
+`width_limit`).  A search records only the qualifying clauses, and
+mining exports their deduplicated prefix (or a seeded random subset).
 
 Every search is a fresh solve of one formula, and `_search` is the
 one path to it: `cdcl_solve_and_mine` and the backbone queries of
@@ -21,8 +22,7 @@ one set of semantics:
 - The compiled kernel (`_cdcl.c`, built and loaded with the probSAT
   kernel by `satlab.sls._load_kernel`) reads the formula's flat clause
   arrays (`Formula.offsets` and `literals`) and the initial phases
-  drawn here from `random.Random(seed)`.  It keeps only the qualifying
-  learned clauses, not a record of every one, and frees the clauses DB
+  drawn here from `random.Random(seed)`, and frees the clauses DB
   reduction drops.
 - `CdclSolver` is the readable reference.  It runs when no compiler or
   cache directory is usable.
@@ -39,11 +39,12 @@ budget ends can differ.  The differential tests in
 from __future__ import annotations
 
 import ctypes
+import functools
 import operator
 import random
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush
 
 from . import sls
@@ -67,20 +68,23 @@ _NO_LIMIT = 1 << 62  # a budget the kernel can never reach
 
 @dataclass(frozen=True)
 class LearnedClauseRecord:
-    """One clause produced by conflict analysis, in learn order."""
+    """One qualifying learned clause (width <= the budget's `width_limit`),
+    canonically sorted, with the index of the conflict that learned it:
+    a search learns one clause per conflict, the first at index 0."""
 
     clause: Clause
-    width: int
     learn_index: int
 
 
 @dataclass(frozen=True)
 class MiningBudget:
-    """Stop conditions for a mining run.
+    """A mining run, as `CdclSolver.solve` and the kernel both read it.
 
-    `width_limit` and `count_cap` define which learned clauses qualify
-    for export; with `early_stop` the run ends as soon as `count_cap`
-    distinct qualifying clauses exist.
+    A learned clause of width <= `width_limit` qualifies: it is recorded,
+    and `count_cap` caps the distinct ones exported.  The run stops at the
+    first of: `count_cap` distinct qualifying clauses (only with
+    `early_stop`), `conflict_limit` conflicts, and `wall_seconds` (the
+    clock is read every 64 conflicts).
     """
 
     wall_seconds: float = MINER_SECONDS_DEFAULT
@@ -106,9 +110,9 @@ class MiningBudget:
 
 @dataclass
 class MiningOutcome:
-    """Result of `cdcl_solve_and_mine`.  `records` holds the learned
-    clauses of width <= `width_limit`, with their learn indices;
-    `total_learned_seen` counts every learned clause."""
+    """Result of `cdcl_solve_and_mine`: `records` are the search's qualifying
+    learned clauses, `learned` their deduplicated export capped at `count_cap`,
+    and `total_learned_seen` counts every learned clause, one per conflict."""
 
     status: str
     model: Assignment | None
@@ -132,12 +136,20 @@ def luby(i: int) -> int:
     return 1 << (k - 1)
 
 
-class _WatchedClause:
-    __slots__ = ("lits", "learned", "stamp")
+@functools.lru_cache(maxsize=1)
+def _initial_phases(n: int, seed: int) -> bytes:
+    """Initial saved phases of variables 1..n for `seed` (byte 0 unused):
+    the first n draws of `random.Random(seed)`, true below 0.5.  The last
+    result is kept, as every query of a backbone repeats one (n, seed)."""
+    rng = random.Random(seed)
+    return bytes([0, *(rng.random() < 0.5 for _ in range(n))])
 
-    def __init__(self, lits: list[int], learned: bool, stamp: int = 0):
+
+class _WatchedClause:
+    __slots__ = ("lits", "stamp")
+
+    def __init__(self, lits: list[int], stamp: int = 0):
         self.lits = lits
-        self.learned = learned
         self.stamp = stamp
 
 
@@ -146,14 +158,12 @@ class CdclSolver:
     `_cdcl.c` mirrors, and the fallback when the kernel cannot be built."""
 
     def __init__(self, formula: Formula, seed: int = 0):
-        self.formula = formula
         n = formula.num_vars
         self.n = n
-        rng = random.Random(seed)
         self.assigns = [_UNDEF] * (n + 1)
         self.level = [0] * (n + 1)
         self.reason: list[_WatchedClause | None] = [None] * (n + 1)
-        self.saved_phase = [False] + [rng.random() < 0.5 for _ in range(n)]
+        self.saved_phase = list(map(bool, _initial_phases(n, seed)))
         self.activity = [0.0] * (n + 1)
         self.var_inc = 1.0
         self.trail: list[int] = []
@@ -199,7 +209,7 @@ class CdclSolver:
             if val == _UNDEF:
                 self._enqueue(lits[0], None)
             return True
-        clause = _WatchedClause(lits, learned=False)
+        clause = _WatchedClause(lits)
         self.watches[self._code(lits[0])].append(clause)
         self.watches[self._code(lits[1])].append(clause)
         return True
@@ -365,7 +375,7 @@ class CdclSolver:
     def _add_learned(self, lits: list[int]) -> _WatchedClause | None:
         if len(lits) == 1:
             return None
-        clause = _WatchedClause(lits, learned=True, stamp=self.conflicts)
+        clause = _WatchedClause(lits, stamp=self.conflicts)
         self.watches[self._code(lits[0])].append(clause)
         self.watches[self._code(lits[1])].append(clause)
         self.learned_db.append(clause)
@@ -384,25 +394,22 @@ class CdclSolver:
         survivors = [c for c in drop[:half] if len(c.lits) <= 12]
         dead = set(map(id, drop)) - set(map(id, survivors))
         for code in range(len(self.watches)):
-            self.watches[code] = [c for c in self.watches[code] if not (c.learned and id(c) in dead)]
+            self.watches[code] = [c for c in self.watches[code] if id(c) not in dead]
         self.learned_db = keep + survivors
         self._reduce_cap += self._reduce_cap // 2
 
     # -- main search -------------------------------------------------------------
 
-    def solve(
-        self,
-        conflict_limit: int | None = None,
-        wall_seconds: float | None = None,
-        width_limit: int | None = None,
-        count_cap: int | None = None,
-        early_stop: bool = False,
-    ) -> str:
-        """Search until sat/unsat/budget; returns a status string."""
+    def solve(self, budget: MiningBudget | None = None, **fields) -> str:
+        """Search until sat, unsat or the end of `budget`; returns a status string.
+        Keywords replace the budget's fields: `solve(conflict_limit=3000)` runs
+        under `MiningBudget(conflict_limit=3000)`."""
+        budget = replace(budget or MiningBudget(), **fields)
         if self._unsat:
             return UNSAT
         start = time.perf_counter()
-        conflict_budget = None if conflict_limit is None else self.conflicts + conflict_limit
+        cap = budget.count_cap if budget.early_stop else None
+        limit = None if budget.conflict_limit is None else self.conflicts + budget.conflict_limit
         self._backjump(0)
         while True:
             conflict = self._propagate()
@@ -412,25 +419,21 @@ class CdclSolver:
                     return UNSAT
                 self.conflicts += 1
                 learnt, bj_level = self._analyze(conflict)
-                self._record(learnt, width_limit)
+                if len(learnt) <= budget.width_limit:
+                    clause = canonical_clause(learnt)
+                    self.records.append(LearnedClauseRecord(clause, self.conflicts - 1))
+                    self._qualifying.add(clause)
                 self._backjump(bj_level)
                 added = self._add_learned(learnt)
                 self._enqueue(learnt[0], added)
                 self.var_inc /= _ACTIVITY_DECAY
                 if (
-                    early_stop
-                    and count_cap is not None
-                    and len(self._qualifying) >= count_cap
+                    (cap is not None and len(self._qualifying) >= cap)
+                    or (limit is not None and self.conflicts >= limit)
+                    or (self.conflicts % _WALL_CHECK_EVERY == 0 and time.perf_counter() - start > budget.wall_seconds)
                 ):
                     self._backjump(0)
                     return BUDGET
-                if conflict_budget is not None and self.conflicts >= conflict_budget:
-                    self._backjump(0)
-                    return BUDGET
-                if wall_seconds is not None and self.conflicts % _WALL_CHECK_EVERY == 0:
-                    if time.perf_counter() - start > wall_seconds:
-                        self._backjump(0)
-                        return BUDGET
                 if len(self.learned_db) > self._reduce_cap:
                     self._reduce_db()
                 if self.conflicts >= self._restart_at:
@@ -444,12 +447,6 @@ class CdclSolver:
             self.trail_lim.append(len(self.trail))
             self._enqueue(v if self.saved_phase[v] else -v, None)
 
-    def _record(self, lits: list[int], width_limit: int | None) -> None:
-        clause = canonical_clause(lits)
-        self.records.append(LearnedClauseRecord(clause, len(clause), len(self.records)))
-        if width_limit is not None and len(clause) <= width_limit:
-            self._qualifying.add(clause)
-
     def model(self) -> Assignment:
         model = [False] * (self.n + 1)
         for v in range(1, self.n + 1):
@@ -461,22 +458,22 @@ class CdclSolver:
 
 def filter_learned(
     records: list[LearnedClauseRecord],
-    width_limit: int,
     count_cap: int | None = None,
     mode: str = "chronological",
-    seed: int | None = None,
+    seed: int = 0,
 ) -> list[Clause]:
-    """Width filter, dedup (first occurrence wins), then cap.
+    """The records' clauses, deduplicated (first occurrence wins), then capped.
 
+    The records are a search's, so every one already qualifies.
     Chronological mode keeps the first `count_cap` clauses in learn
-    order; random mode draws a uniform seeded subset.
+    order; random mode draws a uniform subset seeded with `seed`.
     """
     if mode not in ("chronological", "random"):
         raise ValueError(f"unknown filter mode {mode!r}")
     seen: set[Clause] = set()
     qualifying: list[Clause] = []
     for rec in records:
-        if rec.width <= width_limit and rec.clause not in seen:
+        if rec.clause not in seen:
             seen.add(rec.clause)
             qualifying.append(rec.clause)
     if count_cap is None or len(qualifying) <= count_cap:
@@ -499,7 +496,7 @@ def cdcl_solve_and_mine(formula: Formula, budget: MiningBudget, seed: int = 0) -
     return MiningOutcome(
         status=status,
         model=model,
-        learned=filter_learned(records, budget.width_limit, budget.count_cap),
+        learned=filter_learned(records, budget.count_cap),
         total_learned_seen=conflicts,  # a fresh search learns one clause per conflict
         conflicts=conflicts,
         records=records,
@@ -517,11 +514,9 @@ def _search(formula: Formula, budget: MiningBudget, seed: int):
     kernel = sls._load_kernel()
     if kernel is None:
         solver = CdclSolver(formula, seed)
-        status = solver.solve(conflict_limit=budget.conflict_limit, wall_seconds=budget.wall_seconds,
-                              width_limit=budget.width_limit, count_cap=budget.count_cap, early_stop=budget.early_stop)
+        status = solver.solve(budget)
         model = solver.model() if status == SAT else None
-        records = [r for r in solver.records if r.width <= budget.width_limit]
-        conflicts = solver.conflicts
+        records, conflicts = solver.records, solver.conflicts
     else:
         status, model, records, conflicts = _mine_with_kernel(kernel, formula, budget, seed)
     if model is not None and not eval_formula(formula, model):
@@ -532,10 +527,8 @@ def _search(formula: Formula, budget: MiningBudget, seed: int):
 def _mine_with_kernel(kernel: ctypes.CDLL, formula: Formula, budget: MiningBudget, seed: int):
     """(status, model, qualifying records, conflicts) of one kernel search
     from `CdclSolver`'s initial phases for `seed`; the model is bytes."""
-    rng = random.Random(seed)
-    phase = bytes([0, *(rng.random() < 0.5 for _ in range(formula.num_vars))])
-    state = kernel.cdcl_new(formula.num_vars, formula.num_clauses,
-                            formula.offsets.buffer_info()[0], formula.literals.buffer_info()[0], phase)
+    state = kernel.cdcl_new(formula.num_vars, formula.num_clauses, formula.offsets.buffer_info()[0],
+                            formula.literals.buffer_info()[0], _initial_phases(formula.num_vars, seed))
     if not state:
         raise MemoryError("cannot allocate the CDCL kernel state")
     try:
@@ -557,8 +550,7 @@ def _mine_with_kernel(kernel: ctypes.CDLL, formula: Formula, budget: MiningBudge
         lits = array("i", bytes(4 * kernel.cdcl_num_record_lits(state)))
         kernel.cdcl_records(state, *(a.buffer_info()[0] for a in (bounds, indices, lits)))
         records = [
-            LearnedClauseRecord(tuple(lits[bounds[r]:bounds[r + 1]]), bounds[r + 1] - bounds[r], indices[r])
-            for r in range(count)
+            LearnedClauseRecord(tuple(lits[bounds[r]:bounds[r + 1]]), indices[r]) for r in range(count)
         ]
         return status, model, records, kernel.cdcl_conflicts(state)
     finally:

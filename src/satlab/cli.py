@@ -119,7 +119,7 @@ def _cmd_mine(args) -> int:
         early_stop=args.early_stop,
     )
     outcome = cdcl_solve_and_mine(formula, budget, seed=args.seed)
-    exported = filter_learned(outcome.records, args.width, cap, args.mode, seed=args.seed)
+    exported = filter_learned(outcome.records, cap, args.mode, seed=args.seed)
     lines = [f"c learned {outcome.total_learned_seen} exported {len(exported)}"]
     lines += [" ".join(str(l) for l in clause) + " 0" for clause in exported]
     _write(args.output, "\n".join(lines) + "\n")

@@ -206,9 +206,16 @@ def augment(formula: Formula, clauses) -> Formula:
 
 
 def check_budgets(wall_budget: float | None, final_flips: int | None) -> None:
-    """ValueError unless a positive wall budget, a flip budget or both bound a run."""
+    """ValueError unless a positive wall budget, a flip budget or both bound
+    a run, and a flip budget given is an integer >= 0."""
     if (wall_budget is None and final_flips is None) or (wall_budget is not None and not wall_budget > 0):
         raise ValueError("a run needs a positive wall-clock budget, a flip budget or both")
+    try:
+        flips_ok = final_flips is None or operator.index(final_flips) >= 0
+    except TypeError:  # 1.5, or a JSON 1e3
+        flips_ok = False
+    if not flips_ok:
+        raise ValueError(f"the flip budget must be an integer >= 0, got {final_flips!r}")
 
 
 def run_hybrid(
@@ -278,8 +285,8 @@ def run_hybrid(
     outcome = cdcl_solve_and_mine(formula, budget, seed=seed_miner)
     result.phase_seconds["miner"] = time.perf_counter() - t_miner
     result.phase_conflicts["miner"] = outcome.conflicts
-    if outcome.status == SAT:
-        _mark_solved(result, "miner", outcome.model, formula)
+    if outcome.status == SAT:  # the miner checked its model against `formula`
+        _mark_solved(result, "miner", outcome.model, None)
         return result
     if outcome.status == UNSAT:
         result.status = "unsat"

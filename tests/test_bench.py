@@ -295,6 +295,10 @@ def test_a_suite_without_a_budget_is_an_error_before_any_trial(monkeypatch):
         run_suite(instances, [SolverConfig("p")], seeds=[0], budget_flips=10, budget_seconds=0.0)
     with pytest.raises(ValueError, match="wall-clock budget, a flip budget or both"):
         run_trial("i", instances[0][1], SolverConfig("p"), seed=0)
+    # a float flip budget used to crash every trial, and a negative one to run 0 flips
+    for flips in (1.5, -5):
+        with pytest.raises(ValueError, match="flip budget must be an integer >= 0"):
+            run_suite(instances, [SolverConfig("p")], seeds=[0], budget_flips=flips)
     assert calls == []
 
 

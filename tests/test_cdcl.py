@@ -85,17 +85,16 @@ def test_learned_records_metadata():
     f = gen_uniform(GenSpec(n=20, k=3, ratio=5.2, seed=7))
     out = cdcl_solve_and_mine(f, MiningBudget(wall_seconds=30, width_limit=4), seed=2)
     solver = CdclSolver(f, seed=2)
-    solver.solve(wall_seconds=30, width_limit=4)
+    solver.solve(MiningBudget(wall_seconds=30, width_limit=f.num_vars))  # every learned clause qualifies
     assert len(solver.records) == out.total_learned_seen == out.conflicts
     for records in (out.records, solver.records):
         indices = [r.learn_index for r in records]
         assert indices == sorted(indices)
         for r in records:
-            assert r.width == len(r.clause)
-            assert len({abs(l) for l in r.clause}) == r.width  # non-tautological
+            assert len({abs(l) for l in r.clause}) == len(r.clause)  # non-tautological
             assert r.clause == tuple(sorted(r.clause, key=abs))
     # mining keeps exactly the records of width <= 4, with their learn indices
-    assert out.records == [r for r in solver.records if r.width <= 4]
+    assert out.records == [r for r in solver.records if len(r.clause) <= 4]
     assert [r.learn_index for r in solver.records] == list(range(len(solver.records)))
     for c in out.learned:
         assert len(c) <= 4
@@ -133,28 +132,33 @@ def test_width_filter_and_cap_postconditions():
 
 
 def test_filter_learned_modes():
+    # a search's records of width <= 4: the width-5 clause learned at index 2 was not recorded
     records = [
-        LearnedClauseRecord((1, 2), 2, 0),
-        LearnedClauseRecord((1, 2, 3, 4), 4, 1),
-        LearnedClauseRecord((1, 2, 3, 4, 5), 5, 2),
-        LearnedClauseRecord((2, 3, 4, 5), 4, 3),
+        LearnedClauseRecord((1, 2), 0),
+        LearnedClauseRecord((1, 2, 3, 4), 1),
+        LearnedClauseRecord((2, 3, 4, 5), 3),
     ]
-    assert filter_learned(records, 4) == [(1, 2), (1, 2, 3, 4), (2, 3, 4, 5)]
-    assert filter_learned(records, 4, 2, "chronological") == [(1, 2), (1, 2, 3, 4)]
-    fixed = filter_learned(records, 4, 2, "random", seed=42)
-    assert fixed == filter_learned(records, 4, 2, "random", seed=42)
+    assert filter_learned(records) == [(1, 2), (1, 2, 3, 4), (2, 3, 4, 5)]
+    assert filter_learned(records, 2, "chronological") == [(1, 2), (1, 2, 3, 4)]
+    fixed = filter_learned(records, 2, "random", seed=42)
+    assert fixed == filter_learned(records, 2, "random", seed=42)
     assert len(fixed) == 2
     with pytest.raises(ValueError):
-        filter_learned(records, 4, 2, "nonsense")
+        filter_learned(records, 2, "nonsense")
+    # without a seed, random mode used to seed from the operating system, so equal calls differed
+    many = [LearnedClauseRecord((i, i + 1), i) for i in range(1, 51)]
+    picked = filter_learned(many, 10, "random")
+    assert len(picked) == 10 and picked == filter_learned(many, 10, "random")
+    assert picked == filter_learned(many, 10, "random", seed=0)
 
 
 def test_filter_learned_dedup():
     records = [
-        LearnedClauseRecord((1, 2), 2, 0),
-        LearnedClauseRecord((1, 2), 2, 1),
-        LearnedClauseRecord((3, 4), 2, 2),
+        LearnedClauseRecord((1, 2), 0),
+        LearnedClauseRecord((1, 2), 1),
+        LearnedClauseRecord((3, 4), 2),
     ]
-    assert filter_learned(records, 4) == [(1, 2), (3, 4)]
+    assert filter_learned(records) == [(1, 2), (3, 4)]
 
 
 def test_budget_validation():
@@ -191,7 +195,7 @@ def test_decision_heap_stays_bounded_and_decisions_unchanged():
 
     f = gen_uniform(GenSpec(n=250, k=3, ratio=4.26, seed=5))
     solver = Watched(f, seed=11)
-    assert solver.solve(conflict_limit=5000, width_limit=4) == BUDGET
+    assert solver.solve(MiningBudget(conflict_limit=5000, width_limit=f.num_vars)) == BUDGET
     assert solver.conflicts == 5000
     assert solver.var_inc < 1e20  # the 1e100 activity rescale fired (0.95 ** -5000 is about 1e111)
     # the heap was rebuilt at least once and never held more than 4 entries per variable;

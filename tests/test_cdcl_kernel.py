@@ -11,7 +11,7 @@ import random
 import pytest
 
 from satlab import sls
-from satlab.cdcl import BUDGET, SAT, UNSAT, MiningBudget, cdcl_solve_and_mine
+from satlab.cdcl import BUDGET, SAT, UNSAT, CdclSolver, MiningBudget, cdcl_solve_and_mine
 from satlab.cnf import Formula
 from satlab.generators import GenSpec, gen_planted, gen_uniform
 
@@ -40,7 +40,7 @@ def assert_same(formula, budget, seed):
     fast = cdcl_solve_and_mine(formula, budget, seed)
     ref = reference(formula, budget, seed)
     assert fast == ref, f"{formula!r} {budget} seed={seed}"
-    assert all(r.width <= budget.width_limit for r in fast.records)
+    assert all(len(r.clause) <= budget.width_limit for r in fast.records)
     return fast
 
 
@@ -64,6 +64,28 @@ def test_kernel_matches_reference_on_generated_formulas(kernel, k, n, ratio):
                     if out.status == BUDGET:
                         assert out.conflicts == max(limit, 1)
     assert BUDGET in statuses and SAT in statuses
+
+
+# (k, n, ratio, instance seed): runs that end unsat, and one on its conflict limit,
+# each learning some clauses shorter than its input clauses
+CONTRACT_CASES = ((3, 60, 4.26, 0), (5, 30, 21.1, 2), (5, 40, 25.0, 0))
+
+
+@pytest.mark.parametrize("k,n,ratio,instance", CONTRACT_CASES)
+def test_cdcl_solver_records_what_the_kernel_records(kernel, k, n, ratio, instance):
+    """`CdclSolver.solve(budget)` itself, not only `_search`, keeps exactly
+    the kernel's records: under a width limit below the clause widths, and
+    one that every learned clause meets."""
+    formula = gen_uniform(GenSpec(n=n, k=k, ratio=ratio, seed=instance))
+    for width in (k - 1, formula.num_vars):
+        budget = MiningBudget(NO_WALL, 3_000, width_limit=width)
+        solver = CdclSolver(formula, 6)
+        status = solver.solve(budget)
+        fast = cdcl_solve_and_mine(formula, budget, 6)
+        assert (status, solver.conflicts) == (fast.status, fast.conflicts)
+        assert solver.records == fast.records and solver.records
+        assert max(len(r.clause) for r in solver.records) <= width
+    assert len(solver.records) == solver.conflicts  # the last limit keeps every learned clause
 
 
 def test_kernel_matches_reference_over_db_reductions_and_the_activity_rescale(kernel):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 import oracles
-from satlab import pipeline, sls
+from satlab import cdcl, pipeline, sls
 from satlab.cnf import Formula
 from satlab.generators import GenSpec, gen_planted, gen_uniform
 from satlab.pipeline import (
@@ -262,13 +262,19 @@ def test_budget_validation():
     for flips in (None, 100):
         with pytest.raises(ValueError, match="positive wall-clock budget"):
             run_hybrid(Formula(1, [(1,)]), wall_budget=json.loads("NaN"), final_flips=flips)
+    # a float flip budget used to crash in the kernel call, and a negative one to run 0 flips
+    for flips in (1.5, -5, json.loads("1e3")):
+        for wall_budget in (None, 60.0):
+            with pytest.raises(ValueError, match="flip budget must be an integer >= 0"):
+                run_hybrid(Formula(1, [(1,)]), wall_budget=wall_budget, final_flips=flips)
 
 
 def model_checks(monkeypatch, verdict=None):
-    """Record each `eval_formula` call of `probsat_run` and `run_hybrid` as
-    (module, formula); `verdict` maps a module name to a forced result."""
+    """Record each `eval_formula` call of `probsat_run`, the miner and
+    `run_hybrid` as (module, formula); `verdict` maps a module name to a
+    forced result."""
     calls = []
-    for module in (sls, pipeline):
+    for module in (sls, cdcl, pipeline):
         def spy(formula, model, name=module.__name__, check=module.eval_formula):
             calls.append((name, formula))
             return (verdict or {}).get(name, check(formula, model))
@@ -301,7 +307,7 @@ def test_final_and_miner_phases_still_check_the_original_formula(monkeypatch):
     res = run_hybrid(f, wall_budget=None, seed=3, strategy=replace(strategy, miner_conflict_limit=50),
                      final_flips=200_000)
     assert res.phase_solved == "miner"
-    assert calls[-1] == ("satlab.pipeline", f)
+    assert calls == [("satlab.cdcl", f)]  # the miner's own check, against the formula
 
 
 def test_an_invalid_model_is_an_assertion_error_on_every_phase(monkeypatch):
@@ -316,3 +322,8 @@ def test_an_invalid_model_is_an_assertion_error_on_every_phase(monkeypatch):
         with pytest.raises(AssertionError, match="does not satisfy the original formula"):
             run_hybrid(f, wall_budget=None, seed=3,
                        strategy=select_strategy(f, initial_flips=1, miner_conflict_limit=5), final_flips=200_000)
+    with monkeypatch.context() as patched:
+        model_checks(patched, {"satlab.cdcl": False})  # the miner phase's one check
+        with pytest.raises(AssertionError, match="invalid model"):
+            run_hybrid(f, wall_budget=None, seed=3,
+                       strategy=select_strategy(f, initial_flips=1, miner_conflict_limit=50), final_flips=200_000)
