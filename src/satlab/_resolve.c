@@ -1,0 +1,518 @@
+/* Compiled resolvent enumeration: the level-1 and level-2 pools and the
+ * ternary closure of satlab.resolution, equal clause for clause to its
+ * (pos, neg) mask engine, which stays the readable reference.
+ *
+ * Clauses are read as Formula stores them: canonical, literals sorted by
+ * variable and none repeated, so a tautology is a clause with two
+ * adjacent literals on one variable and is skipped.  A resolvent is the
+ * merge of its parents without the pivot, given up at a clash on another
+ * variable (a tautology) or at the first literal past the width bound.
+ * Nothing is held in fixed-width masks, so widths and variables are
+ * unbounded.
+ *
+ * Each pool is one clause set.  The clauses a pool excludes go in first
+ * (the base clauses; for level 2 also the level-1 resolvents), so a
+ * resolvent equal to one of them is found present, and the pool is every
+ * clause added after them.  The empty resolvent is a clause like any
+ * other.  Level 2 walks the reference's order:
+ *
+ * - the level-1 resolvents at any width, in tuple order (signed
+ *   lexicographic, a prefix first);
+ * - for each, its pivots by ascending variable;
+ * - for each pivot, the clashing clauses: the non-tautological base
+ *   clauses in id order, a repeated clause as often as it occurs, then
+ *   the level-1 resolvents in tuple order;
+ *
+ * and stops once pair_budget attempts are spent, inside a partner list
+ * where the reference's partners[:remaining] cuts it.
+ *
+ * A constructor returns a pool handle, or NULL when out of memory; the
+ * pool is read with pool_num_lits and pool_copy and released with
+ * pool_free.
+ */
+
+#include <limits.h>
+#include <stdlib.h>
+#include <string.h>
+
+typedef struct {
+    long long count;
+    long long *off; /* clause c is lits[off[c] .. off[c + 1]) */
+    int *lits;
+    unsigned long long *hash;   /* per clause */
+    long long *slot, slot_cap;  /* clause ids by hash, open addressing, -1 empty */
+    long long off_cap, lits_cap, hash_cap;
+} clause_set;
+
+typedef struct {
+    long long *ids, size, cap;
+} id_list;
+
+typedef struct {
+    clause_set set;
+    long long first; /* the pool is clauses first .. set.count - 1 */
+    int max_width;
+} pool;
+
+/* data with room for `need` items of `size` bytes: data itself, a larger
+ * block with *cap updated, or NULL (data untouched) when out of memory */
+static void *grow(void *data, long long *cap, long long need, size_t size)
+{
+    long long c = *cap ? *cap : 64;
+    void *out;
+    if (need <= *cap)
+        return data;
+    while (c < need)
+        c *= 2;
+    if ((out = realloc(data, (size_t)c * size)) != NULL)
+        *cap = c;
+    return out;
+}
+
+static int width_of(const clause_set *s, long long c)
+{
+    return (int)(s->off[c + 1] - s->off[c]);
+}
+
+static const int *lits_of(const clause_set *s, long long c)
+{
+    return s->lits + s->off[c];
+}
+
+/* 0 when the canonical clause has no variable twice, 1 when a tautology */
+static int tautology(const int *lits, int width)
+{
+    int i;
+    for (i = 1; i < width; i++)
+        if (abs(lits[i - 1]) == abs(lits[i]))
+            return 1;
+    return 0;
+}
+
+static unsigned long long hash_of(const int *lits, int width)
+{
+    unsigned long long h = 0x9e3779b97f4a7c15ULL ^ (unsigned long long)width;
+    int i;
+    for (i = 0; i < width; i++) {
+        h = (h ^ (unsigned)lits[i]) * 0xff51afd7ed558ccdULL;
+        h ^= h >> 32;
+    }
+    return h;
+}
+
+/* Append a clause, equal or not to one already held; -1 when out of memory. */
+static int push(clause_set *s, const int *lits, int width, unsigned long long h)
+{
+    long long c = s->count, at = s->off[c];
+    long long *off = grow(s->off, &s->off_cap, c + 2, sizeof *off);
+    unsigned long long *hash;
+    int *out;
+    if (!off)
+        return -1;
+    s->off = off;
+    if (!(hash = grow(s->hash, &s->hash_cap, c + 1, sizeof *hash)))
+        return -1;
+    s->hash = hash;
+    if (!(out = grow(s->lits, &s->lits_cap, at + width, sizeof *out)))
+        return -1;
+    s->lits = out;
+    if (width)
+        memcpy(out + at, lits, (size_t)width * sizeof *out);
+    s->off[c + 1] = at + width;
+    s->hash[c] = h;
+    s->count = c + 1;
+    return 0;
+}
+
+/* The slot of the clause equal to `lits`, or the empty slot where it belongs. */
+static long long find(const clause_set *s, const int *lits, int width, unsigned long long h)
+{
+    long long mask = s->slot_cap - 1, i, c;
+    for (i = (long long)(h & (unsigned long long)mask); (c = s->slot[i]) >= 0; i = (i + 1) & mask)
+        if (s->hash[c] == h && width_of(s, c) == width
+            && (!width || !memcmp(lits_of(s, c), lits, (size_t)width * sizeof *lits)))
+            break;
+    return i;
+}
+
+/* Double the table (every clause held is in it); -1 when out of memory. */
+static int rehash(clause_set *s)
+{
+    long long cap = s->slot_cap ? 2 * s->slot_cap : 1024, i;
+    long long *slot = malloc((size_t)cap * sizeof *slot);
+    if (!slot)
+        return -1;
+    for (i = 0; i < cap; i++)
+        slot[i] = -1;
+    free(s->slot);
+    s->slot = slot;
+    s->slot_cap = cap;
+    for (i = 0; i < s->count; i++)
+        s->slot[find(s, lits_of(s, i), width_of(s, i), s->hash[i])] = i;
+    return 0;
+}
+
+/* Add a clause (never one of the set's own) unless an equal one is held:
+ * 1 when added, 0 when held, -1 when out of memory. */
+static int add(clause_set *s, const int *lits, int width)
+{
+    unsigned long long h = hash_of(lits, width);
+    long long i;
+    if (2 * (s->count + 1) > s->slot_cap && rehash(s) < 0)
+        return -1;
+    i = find(s, lits, width, h);
+    if (s->slot[i] >= 0)
+        return 0;
+    if (push(s, lits, width, h) < 0)
+        return -1;
+    s->slot[i] = s->count - 1;
+    return 1;
+}
+
+static int init_set(clause_set *s)
+{
+    memset(s, 0, sizeof *s);
+    s->off = grow(NULL, &s->off_cap, 2, sizeof *s->off);
+    s->lits = grow(NULL, &s->lits_cap, 1, sizeof *s->lits);
+    if (!s->off || !s->lits)
+        return -1;
+    s->off[0] = 0;
+    return 0;
+}
+
+static void free_set(clause_set *s)
+{
+    free(s->off);
+    free(s->lits);
+    free(s->hash);
+    free(s->slot);
+}
+
+/* The non-tautological formula clauses of width <= max_width, in id
+ * order: added to the set (once each) or, with dedup 0, appended. */
+static int add_base(clause_set *s, int m, const int *off, const int *lits, int max_width, int dedup)
+{
+    int c;
+    for (c = 0; c < m; c++) {
+        const int *clause = lits + off[c];
+        int width = off[c + 1] - off[c];
+        if (width > max_width || tautology(clause, width))
+            continue;
+        if ((dedup ? add(s, clause, width) : push(s, clause, width, 0)) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* -- occurrence lists: per literal l, at 2 * |l| + (l < 0) as in Formula ---------- */
+
+static int index_clause(id_list *occ, const clause_set *s, long long c)
+{
+    const int *lits = lits_of(s, c);
+    int i, width = width_of(s, c);
+    for (i = 0; i < width; i++) {
+        id_list *list = &occ[2 * abs(lits[i]) + (lits[i] < 0)];
+        long long *ids = grow(list->ids, &list->cap, list->size + 1, sizeof *ids);
+        if (!ids)
+            return -1;
+        list->ids = ids;
+        ids[list->size++] = c;
+    }
+    return 0;
+}
+
+static void free_index(id_list *occ, int n)
+{
+    int i;
+    if (!occ)
+        return;
+    for (i = 0; i < 2 * n + 2; i++)
+        free(occ[i].ids);
+    free(occ);
+}
+
+/* Occurrence lists of the set's clauses 0 .. count - 1, each in id order;
+ * NULL when out of memory. */
+static id_list *index_clauses(const clause_set *s, int n)
+{
+    id_list *occ = calloc((size_t)2 * n + 2, sizeof *occ);
+    long long c;
+    for (c = 0; occ && c < s->count; c++)
+        if (index_clause(occ, s, c) < 0) {
+            free_index(occ, n);
+            return NULL;
+        }
+    return occ;
+}
+
+/* The index of the lists of clauses that clash with literal `lit`. */
+static int clashing(int lit)
+{
+    return 2 * abs(lit) + (lit > 0);
+}
+
+/* Set mark[|l|] = l for each literal l of a clause, or with on 0 clear it. */
+static void mark_clause(int *mark, const int *lits, int width, int on)
+{
+    int i;
+    for (i = 0; i < width; i++)
+        mark[abs(lits[i])] = on ? lits[i] : 0;
+}
+
+/* The resolvent on variable v of clause a, which is marked, and clause b,
+ * into `out`: its width, or -1 when it is a tautology or wider than
+ * max_width.  Most pairs fail, so b is checked against the marks first and
+ * only a resolvent that survives is merged. */
+static int resolve(const int *mark, const int *a, int la, const int *b, int lb, int v, int max_width, int *out)
+{
+    int i = 0, j, w = la - 1;
+    for (j = 0; j < lb; j++) {
+        int var = abs(b[j]);
+        if (!mark[var]) {
+            if (++w > max_width)
+                return -1;
+        } else if (mark[var] != b[j] && var != v)
+            return -1;
+    }
+    if (w > max_width)
+        return -1;
+    for (w = 0, j = 0;;) {
+        while (j < lb && mark[abs(b[j])]) /* the pivot, or a literal of a */
+            j++;
+        if (i < la && abs(a[i]) == v)
+            i++;
+        if (i == la && j == lb)
+            return w;
+        if (j == lb || (i < la && abs(a[i]) < abs(b[j])))
+            out[w++] = a[i++];
+        else
+            out[w++] = b[j++];
+    }
+}
+
+/* Add to the set every resolvent of width <= max_width of two of its
+ * clauses 0 .. count - 1; -1 when out of memory.  mark is zero, n + 1
+ * entries, and is left zero. */
+static int add_level1(clause_set *s, int n, int max_width, int *mark, int *buf)
+{
+    id_list *occ = index_clauses(s, n);
+    int v;
+    if (!occ)
+        return -1;
+    for (v = 1; v <= n; v++) {
+        const id_list *pos = &occ[2 * v], *neg = &occ[2 * v + 1];
+        long long i, j;
+        for (i = 0; i < pos->size; i++) {
+            long long a = pos->ids[i];
+            mark_clause(mark, lits_of(s, a), width_of(s, a), 1);
+            for (j = 0; j < neg->size; j++) {
+                long long b = neg->ids[j]; /* the set may move its literals on add */
+                int w = resolve(mark, lits_of(s, a), width_of(s, a), lits_of(s, b), width_of(s, b), v, max_width,
+                                buf);
+                if (w >= 0 && add(s, buf, w) < 0) {
+                    free_index(occ, n);
+                    return -1;
+                }
+            }
+            mark_clause(mark, lits_of(s, a), width_of(s, a), 0);
+        }
+    }
+    free_index(occ, n);
+    return 0;
+}
+
+static pool *new_pool(int max_width)
+{
+    pool *p = malloc(sizeof *p);
+    if (!p)
+        return NULL;
+    if (init_set(&p->set) < 0) {
+        free_set(&p->set);
+        free(p);
+        return NULL;
+    }
+    p->first = 0;
+    p->max_width = max_width;
+    return p;
+}
+
+void pool_free(pool *p)
+{
+    if (p) {
+        free_set(&p->set);
+        free(p);
+    }
+}
+
+/* Non-tautological resolvents of width <= max_width of two base clauses
+ * that are not base clauses; max_width <= n. */
+pool *level1_pool(int n, int m, const int *off, const int *lits, int max_width)
+{
+    pool *p = new_pool(max_width);
+    int *mark = calloc((size_t)n + 1, sizeof *mark), *buf = malloc(((size_t)max_width + 1) * sizeof *buf);
+    if (!p || !mark || !buf || add_base(&p->set, m, off, lits, INT_MAX, 1) < 0)
+        goto fail;
+    p->first = p->set.count;
+    if (add_level1(&p->set, n, max_width, mark, buf) < 0)
+        goto fail;
+    free(mark);
+    free(buf);
+    return p;
+fail:
+    free(mark);
+    free(buf);
+    pool_free(p);
+    return NULL;
+}
+
+typedef struct {
+    const int *lits;
+    int width;
+} sort_key;
+
+/* Python's tuple order on canonical clauses */
+static int tuple_order(const void *x, const void *y)
+{
+    const sort_key *a = x, *b = y;
+    int i, w = a->width < b->width ? a->width : b->width;
+    for (i = 0; i < w; i++)
+        if (a->lits[i] != b->lits[i])
+            return a->lits[i] < b->lits[i] ? -1 : 1;
+    return (a->width > b->width) - (a->width < b->width);
+}
+
+/* Non-tautological resolvents of width <= max_width with a level-1 parent
+ * that are neither base clauses nor level-1 resolvents, in the walk order
+ * of the header, within pair_budget attempts; max_width <= n. */
+pool *level2_pool(int n, int m, const int *off, const int *lits, int max_width, long long pair_budget)
+{
+    pool *p = new_pool(max_width), *result = NULL;
+    clause_set walk; /* the base clauses with repeats, then the level-1 resolvents in tuple order */
+    sort_key *keys = NULL;
+    id_list *occ = NULL;
+    int *mark = calloc((size_t)n + 1, sizeof *mark), *buf = malloc(((size_t)n + 1) * sizeof *buf);
+    long long nb, level1, a, i, remaining = pair_budget;
+    if (init_set(&walk) < 0 || !p || !mark || !buf || add_base(&p->set, m, off, lits, INT_MAX, 1) < 0)
+        goto fail;
+    nb = p->set.count;
+    if (add_level1(&p->set, n, n, mark, buf) < 0)
+        goto fail;
+    p->first = p->set.count;
+    level1 = p->first - nb;
+    if (!(keys = malloc((size_t)(level1 + 1) * sizeof *keys)))
+        goto fail;
+    for (i = 0; i < level1; i++) {
+        keys[i].lits = lits_of(&p->set, nb + i);
+        keys[i].width = width_of(&p->set, nb + i);
+    }
+    qsort(keys, (size_t)level1, sizeof *keys, tuple_order);
+    if (add_base(&walk, m, off, lits, INT_MAX, 0) < 0)
+        goto fail;
+    nb = walk.count;
+    for (i = 0; i < level1; i++)
+        if (push(&walk, keys[i].lits, keys[i].width, 0) < 0)
+            goto fail;
+    if (!(occ = index_clauses(&walk, n)))
+        goto fail;
+    for (a = nb; a < walk.count; a++) {
+        const int *clause = lits_of(&walk, a);
+        int width = width_of(&walk, a), k;
+        mark_clause(mark, clause, width, 1);
+        for (k = 0; k < width; k++) {
+            const id_list *partners = &occ[clashing(clause[k])];
+            long long take = partners->size < remaining ? partners->size : remaining, j;
+            for (j = 0; j < take; j++) {
+                long long b = partners->ids[j];
+                int w = resolve(mark, clause, width, lits_of(&walk, b), width_of(&walk, b), abs(clause[k]),
+                                max_width, buf);
+                if (w >= 0 && add(&p->set, buf, w) < 0)
+                    goto fail;
+            }
+            if (partners->size > remaining)
+                goto done;
+            remaining -= partners->size;
+        }
+        mark_clause(mark, clause, width, 0);
+    }
+done:
+    result = p;
+    p = NULL;
+fail:
+    free(mark);
+    free(keys);
+    free_index(occ, n);
+    free_set(&walk);
+    free(buf);
+    pool_free(p);
+    return result;
+}
+
+/* The closure of the non-tautological base clauses of width <= 3 under
+ * resolution with resolvents of width <= 3, less those base clauses.
+ * Clauses are taken in the order they were added, which puts every new
+ * one in the queue; each pair meets when the later of the two is taken. */
+pool *ternary_pool(int n, int m, const int *off, const int *lits)
+{
+    pool *p = new_pool(3);
+    id_list *occ = NULL;
+    int *mark = calloc((size_t)n + 1, sizeof *mark), buf[3];
+    long long q;
+    if (!p || !mark || add_base(&p->set, m, off, lits, 3, 1) < 0 || !(occ = index_clauses(&p->set, n)))
+        goto fail;
+    p->first = p->set.count;
+    for (q = 0; q < p->set.count; q++) { /* the set may move its literals on add */
+        int k, width = width_of(&p->set, q);
+        mark_clause(mark, lits_of(&p->set, q), width, 1);
+        for (k = 0; k < width; k++) {
+            int lit = lits_of(&p->set, q)[k];
+            const id_list *partners = &occ[clashing(lit)]; /* no resolvent on |lit| joins it */
+            long long j;
+            for (j = 0; j < partners->size; j++) {
+                long long b = partners->ids[j];
+                int w = resolve(mark, lits_of(&p->set, q), width, lits_of(&p->set, b), width_of(&p->set, b),
+                                abs(lit), 3, buf), added;
+                if (w < 0)
+                    continue;
+                added = add(&p->set, buf, w);
+                if (added < 0 || (added && index_clause(occ, &p->set, p->set.count - 1) < 0))
+                    goto fail;
+            }
+        }
+        mark_clause(mark, lits_of(&p->set, q), width, 0);
+    }
+    free(mark);
+    free_index(occ, n);
+    return p;
+fail:
+    free(mark);
+    free_index(occ, n);
+    pool_free(p);
+    return NULL;
+}
+
+long long pool_num_lits(const pool *p)
+{
+    return p->set.off[p->set.count] - p->set.off[p->first];
+}
+
+/* Copy the pool out grouped by width, widths ascending, clauses in the
+ * order found: counts[w], for w = 0 .. the pool's width bound, clauses of
+ * width w, and their pool_num_lits literals in lits. */
+void pool_copy(const pool *p, long long *counts, int *lits)
+{
+    const clause_set *s = &p->set;
+    long long c;
+    int w, widest = 0;
+    memset(counts, 0, ((size_t)p->max_width + 1) * sizeof *counts);
+    for (c = p->first; c < s->count; c++) {
+        counts[w = width_of(s, c)]++;
+        if (w > widest)
+            widest = w;
+    }
+    for (w = 1; w <= widest; w++)
+        for (c = p->first; counts[w] && c < s->count; c++)
+            if (width_of(s, c) == w) {
+                memcpy(lits, lits_of(s, c), (size_t)w * sizeof *lits);
+                lits += w;
+            }
+}

@@ -161,7 +161,7 @@ def _cmd_backbone(args) -> int:
 
 def _cmd_inject(args) -> int:
     formula = parse_dimacs(_read(args.file))
-    backbone = compute_backbone(formula, seed=args.seed)
+    backbone = compute_backbone(formula, seed=args.seed, conflict_limit=args.conflict_limit)
     if args.model == "deceptive":
         clauses = gen_deceptive(backbone, args.count, args.seed)
     else:
@@ -334,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--solution", default=None, help="solution file for the general model")
+    p.add_argument("--conflict-limit", type=int, default=None)
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=_cmd_inject)
 

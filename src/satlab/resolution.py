@@ -8,25 +8,45 @@ literal order counts), so adding any subset of a pool preserves the
 solution set exactly.  Tautological input clauses, which `Formula`
 keeps as ordinary clauses, are excluded from enumeration.
 
-All three enumerations share one width-bounded engine.  A clause is held
-as a pair `(pos, neg)` of ints with bit `v` set for literal `v` or `-v`.
-Resolving on `v` gives `p = pa | pb` and `n = na | nb`, both holding the
-pivot bit: the resolvent is a tautology iff `p & n` holds any other bit,
-and its width is `(p | n).bit_count() - 1`.  A survivor of both checks
-drops the pivot bit; canonical tuples are built only for survivors.
-`cnf.resolve` is the readable reference: `bounded_resolve` puts one pair
-through the engine, and a differential test holds the two equal.
+Each enumeration has two engines with one set of results:
+
+- `_resolve.c`, built into the one compiled library of `satlab.sls`
+  (`sls._load_kernel`), enumerates from `Formula.offsets` and `literals`
+  with canonical literal runs of any width and a hash set of clauses,
+  and hands each pool back through a handle; Python only builds the
+  clause tuples.  Allocation failure is a MemoryError.
+- The `(pos, neg)` mask engine below is the readable reference, and
+  runs when the library is unavailable.  A clause is held as a pair of
+  ints with bit `v` set for literal `v` or `-v`.  Resolving on `v` gives
+  `p = pa | pb` and `n = na | nb`, both holding the pivot bit: the
+  resolvent is a tautology iff `p & n` holds any other bit, and its
+  width is `(p | n).bit_count() - 1`.  A survivor of both checks drops
+  the pivot bit; canonical tuples are built only for survivors.
+  `cnf.resolve` is the readable reference of one step: `bounded_resolve`
+  puts one pair through the mask engine, and a differential test holds
+  the two equal.
+
+The two engines give equal pools for equal arguments, level 2 under
+every pair budget (it walks one documented order, and the budget cuts
+that walk at the same attempt); `tests/test_resolution.py` holds them
+equal.  Every count argument must be an integer >= 0, checked before
+either engine runs.
 """
 
 from __future__ import annotations
 
+import operator
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
+from . import sls
 from .cnf import Clause, Formula
 
 PAIR_BUDGET_DEFAULT = 10_000_000
+_INT64_MAX = 2**63 - 1  # a larger pair budget is never spent
 
 Masks = tuple[int, int]
 
@@ -75,7 +95,8 @@ def bounded_resolve(a: Clause, b: Clause, pivot: int, max_width: int) -> Clause 
     """`cnf.resolve(a, b, pivot)` if it is no wider than `max_width`, else None.
 
     Same contract as `cnf.resolve` (None for a tautology, ValueError for
-    a pivot that does not clash), computed by the engine the pools use.
+    a pivot that does not clash), computed by the mask engine that the
+    pools' reference runs.
     """
     (pa, na), (pb, nb), bit = _masks(a), _masks(b), 1 << abs(pivot)
     if not (pa & nb | pb & na) & bit:
@@ -135,8 +156,48 @@ def _pool(found: set[Masks]) -> ResolventPool:
     return ResolventPool(frozenset(map(_clause, found)))
 
 
+def _check_count(name: str, value) -> None:
+    """ValueError naming `name` unless `value` is an integer >= 0."""
+    try:
+        ok = operator.index(value) >= 0
+    except TypeError:  # 4.5, or a JSON 1e3
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+
+
+def _native_clauses(kernel, pool, max_width: int) -> list[Clause]:
+    """The clauses of a `_resolve.c` pool built under `max_width`, which
+    this frees; a NULL pool means the kernel ran out of memory."""
+    if not pool:
+        raise MemoryError("the resolution kernel ran out of memory")
+    try:
+        counts = array("q", bytes(8 * (max_width + 1)))
+        lits = array("i", bytes(4 * kernel.pool_num_lits(pool)))
+        kernel.pool_copy(pool, counts.buffer_info()[0], lits.buffer_info()[0])
+    finally:
+        kernel.pool_free(pool)
+    clauses: list[Clause] = [()] * counts[0]
+    flat = iter(lits)
+    for width, count in enumerate(counts):
+        if width and count:  # `count` clauses of `width` literals, back to back
+            clauses.extend(zip(*[islice(flat, width * count)] * width))
+    return clauses
+
+
+def _flat(formula: Formula):
+    """The kernel's formula arguments: n, m and the flat clause arrays."""
+    return (formula.num_vars, formula.num_clauses,
+            formula.offsets.buffer_info()[0], formula.literals.buffer_info()[0])
+
+
 def level1_resolvents(formula: Formula, max_width: int) -> ResolventPool:
     """Resolvents of pairs of original clauses, width-capped."""
+    _check_count("max_width", max_width)
+    kernel = sls._load_kernel()
+    if kernel is not None:
+        width = min(max_width, formula.num_vars)  # no wider resolvent exists
+        return ResolventPool(frozenset(_native_clauses(kernel, kernel.level1_pool(*_flat(formula), width), width)))
     originals = _base_masks(formula)
     return _pool(_level1(formula.num_vars, originals, max_width) - set(originals))
 
@@ -149,12 +210,18 @@ def level2_resolvents(
 
     Enumeration is capped at `pair_budget` resolution attempts, walked in
     a deterministic order, so results are reproducible even when truncated:
-    each level-1 resolvent in canonical tuple order, each of its literals
-    in turn, each clashing clause (originals in id order, then level-1
+    each level-1 resolvent (at any width) in canonical tuple order, each of
+    its literals in turn, each clashing clause (non-tautological originals
+    in id order, a repeated one as often as it occurs, then level-1
     resolvents in order).
     """
-    if pair_budget < 0:
-        raise ValueError("pair_budget must be >= 0")
+    _check_count("max_width", max_width)
+    _check_count("pair_budget", pair_budget)
+    kernel = sls._load_kernel()
+    if kernel is not None:
+        width = min(max_width, formula.num_vars)
+        pool = kernel.level2_pool(*_flat(formula), width, min(pair_budget, _INT64_MAX))
+        return ResolventPool(frozenset(_native_clauses(kernel, pool, width)))
     originals = _base_masks(formula)
     exclude = set(originals)
     level1 = sorted(_level1(formula.num_vars, originals, formula.num_vars) - exclude, key=_clause)
@@ -175,6 +242,9 @@ def level2_resolvents(
 def ternary_saturate(formula: Formula) -> set[Clause]:
     """Close clauses of width <= 3 under resolution, keeping resolvents of
     width <= 3, until fixpoint; returns the derived clauses only."""
+    kernel = sls._load_kernel()
+    if kernel is not None:
+        return set(_native_clauses(kernel, kernel.ternary_pool(*_flat(formula)), 3))
     known = {c for c in _base_masks(formula) if (c[0] | c[1]).bit_count() <= 3}
     queue = deque(known)
     occ = _Occurrences(formula.num_vars, queue)
@@ -199,8 +269,7 @@ def sample_pool(pool: ResolventPool, cap: int, seed: int) -> list[Clause]:
     The pool is sorted canonically before sampling so the result does not
     depend on set iteration order; the sample itself is returned sorted.
     """
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
+    _check_count("cap", cap)
     ordered = sorted(pool.clauses)
     k = min(cap, len(ordered))
     return sorted(random.Random(seed).sample(ordered, k))

@@ -22,11 +22,12 @@ swap-remove registry with O(1) membership, insertion, and deletion.
   Twister stream of `random.Random(seed)` (`_mt.h`).  It is built on
   first use with the system C compiler, into one library with the CDCL
   kernel of `satlab.cdcl` (`_cdcl.c`), the DIMACS scan and emit,
-  `Formula` index build and model check of `satlab.cnf` (`_cnf.c`) and
-  the instance generator of `satlab.generators` (`_gen.c`), in
+  `Formula` index build and model check of `satlab.cnf` (`_cnf.c`), the
+  instance generator of `satlab.generators` (`_gen.c`) and the resolvent
+  enumeration of `satlab.resolution` (`_resolve.c`), in
   `$XDG_CACHE_HOME/satlab` (by default `~/.cache/satlab`), under a file
-  name keyed by the four sources, the Mersenne Twister header they
-  share, the flags and the platform.
+  name keyed by the five sources, the Mersenne Twister header two of
+  them share, the flags and the platform.
 - `_probsat_python`, the flip loop over `SlsState` (which reads the same
   arrays through `Formula.occurrence`), is the readable reference.  It
   runs when no compiler or cache directory is usable, and for formulas
@@ -368,7 +369,7 @@ def _result(formula: Formula, model: Assignment | bytes | None, flips_done: int,
 # every compiled kernel of the package: one library, one build, one cache key
 # (the key reads the shared header too; the compiler is given the .c files)
 _KERNEL_SOURCES = tuple(Path(__file__).with_name(name)
-                        for name in ("_probsat.c", "_cdcl.c", "_cnf.c", "_gen.c", "_mt.h"))
+                        for name in ("_probsat.c", "_cdcl.c", "_cnf.c", "_gen.c", "_resolve.c", "_mt.h"))
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _KERNEL_LIBS = ("-lm",)  # after the sources, so that pow resolves under --as-needed
 
@@ -394,6 +395,12 @@ _KERNEL_FUNCTIONS = (
     ("dimacs_emit", _i64, [_i64, _ptr, _ptr, ctypes.c_char_p]),
     ("formula_satisfied", _i32, [_i64, _ptr, _ptr, ctypes.c_char_p]),
     ("gen_clauses", _i32, [_i32, _i32, _i64, _i32, ctypes.c_double, _ptr, _ptr, _ptr, _ptr]),
+    ("level1_pool", _ptr, [_i32, _i32, _ptr, _ptr, _i32]),
+    ("level2_pool", _ptr, [_i32, _i32, _ptr, _ptr, _i32, _i64]),
+    ("ternary_pool", _ptr, [_i32, _i32, _ptr, _ptr]),
+    ("pool_num_lits", _i64, [_ptr]),
+    ("pool_copy", None, [_ptr, _ptr, _ptr]),
+    ("pool_free", None, [_ptr]),
 )
 
 
@@ -415,12 +422,13 @@ def _compiler() -> str | None:
 def _load_kernel() -> ctypes.CDLL | None:
     """The compiled kernels (the probSAT flip loop here, the CDCL search
     of `satlab.cdcl`, the DIMACS scan and emit, `Formula` index build and
-    model check of `satlab.cnf`, and the instance generator of
-    `satlab.generators`), built on first use into the cache named in the module docstring; None
-    when no compiler or cache directory is usable, and then all four
-    modules run their Python reference.  The compiler writes a temporary
-    file that is then renamed into place, so concurrent processes never
-    load a partial library.
+    model check of `satlab.cnf`, the instance generator of
+    `satlab.generators`, and the resolvent enumeration of
+    `satlab.resolution`), built on first use into the cache named in the
+    module docstring; None when no compiler or cache directory is usable,
+    and then all five modules run their Python reference.  The compiler
+    writes a temporary file that is then renamed into place, so
+    concurrent processes never load a partial library.
     """
     compiler = _compiler()
     if compiler is None:
@@ -447,7 +455,8 @@ def _load_kernel() -> ctypes.CDLL | None:
         lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.CalledProcessError) as exc:
         warnings.warn("compiled kernels unavailable, using the Python flip loop, CdclSolver and the Python"
-                      f" DIMACS reader and writer, Formula build and generators: {exc}", RuntimeWarning)
+                      f" DIMACS reader and writer, Formula build, generators and resolution: {exc}",
+                      RuntimeWarning)
         return None
     for name, restype, argtypes in _KERNEL_FUNCTIONS:
         fn = getattr(lib, name)

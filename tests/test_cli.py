@@ -1,5 +1,6 @@
 import inspect
 import json
+import time
 from dataclasses import fields
 
 import pytest
@@ -9,7 +10,7 @@ from satlab.bench import SolverConfig
 from satlab.cli import EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT, main
 from satlab.cnf import DimacsError, Formula, emit_dimacs, parse_clause_lines, parse_dimacs, parse_solution
 from satlab.pipeline import OVERRIDABLE, run_hybrid, select_strategy
-from satlab.quality import compute_backbone, gen_deceptive, gen_general
+from satlab.quality import BackboneBudgetError, compute_backbone, gen_deceptive, gen_general
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +167,16 @@ def test_inject_general_with_solution_file(tmp_path, capsys):
     base = parse_dimacs(cnf.read_text())
     enriched = parse_dimacs(out.read_text())
     assert enriched.num_clauses >= base.num_clauses
+
+
+def test_inject_conflict_limit_bounds_the_backbone(tmp_path, capsys):
+    # without a limit the backbone of this uniform formula runs past 20 s
+    cnf = tmp_path / "u.cnf"
+    run_cli(capsys, "gen", "-n", "400", "--ratio", "4.26", "--seed", "5", "-o", str(cnf))
+    start = time.perf_counter()
+    with pytest.raises(BackboneBudgetError):
+        main(["inject", str(cnf), "--model", "general", "--count", "5", "--conflict-limit", "1"])
+    assert time.perf_counter() - start < 10
 
 
 def test_quality_csv(tmp_path, capsys):

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import oracles
+from satlab import resolution, sls
 from satlab.cnf import Formula, resolve
 from satlab.generators import GenSpec, gen_planted, gen_uniform
 from satlab.resolution import (
@@ -271,8 +272,17 @@ TERNARY_PINS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(LEVEL2_PINS))
-def test_pools_match_pinned_digests(case):
+def on_both_engines(cases):
+    """Each case on the default engine (`_resolve.c` when the library
+    builds) under the case's own id, then on the mask reference."""
+    return ([pytest.param(case, False, id=case) for case in cases]
+            + [pytest.param(case, True, id=f"{case}-reference") for case in cases])
+
+
+@pytest.mark.parametrize(("case", "reference"), on_both_engines(sorted(LEVEL2_PINS)))
+def test_pools_match_pinned_digests(case, reference, monkeypatch):
+    if reference:
+        monkeypatch.setattr(sls, "_load_kernel", lambda: None)
     f = PIN_CASES[case]()
     assert _digest(level1_resolvents(f, 4).clauses) == LEVEL1_PINS[case]
     for budget, pin in LEVEL2_PINS[case].items():
@@ -280,6 +290,132 @@ def test_pools_match_pinned_digests(case):
         assert _digest(level2_resolvents(f, 4, **kw).clauses) == pin, budget
 
 
-@pytest.mark.parametrize("case", sorted(TERNARY_PINS))
-def test_ternary_matches_pinned_digests(case):
+@pytest.mark.parametrize(("case", "reference"), on_both_engines(sorted(TERNARY_PINS)))
+def test_ternary_matches_pinned_digests(case, reference, monkeypatch):
+    if reference:
+        monkeypatch.setattr(sls, "_load_kernel", lambda: None)
     assert _digest(ternary_saturate(PIN_CASES[case]())) == TERNARY_PINS[case]
+
+
+def _random_formula(rng, n: int) -> Formula:
+    """Clauses of widths 1-5 with tautologies and repeats, given in random
+    literal order; each time in two, an empty clause (which no pool then
+    holds) and a clashing unit pair (whose resolvent is empty)."""
+    clauses = [()] if rng.random() < 0.5 else []
+    if rng.random() < 0.5:
+        unit = rng.randint(1, n)
+        clauses += [(unit,), (-unit,)]
+    for _ in range(rng.randint(20, 45)):
+        width = min(n, rng.choice((1, 2, 2, 3, 3, 3, 4, 5)))
+        clause = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), width)]
+        if rng.random() < 0.08:
+            clause.append(-clause[0])
+        rng.shuffle(clause)
+        clauses.append(tuple(clause))
+        if rng.random() < 0.15:
+            clauses.append(tuple(clause))
+    rng.shuffle(clauses)
+    return Formula(n, clauses)
+
+
+def _partner_list_ends(formula: Formula) -> list[int]:
+    """The pair budgets at which the reference's level-2 walk finishes a
+    partner list, in walk order."""
+    originals = resolution._base_masks(formula)
+    level1 = sorted(resolution._level1(formula.num_vars, originals, formula.num_vars) - set(originals),
+                    key=resolution._clause)
+    occ = resolution._Occurrences(formula.num_vars, originals + level1)
+    ends, spent = [], 0
+    for a in level1:
+        for _, partners in occ.pivots(a):
+            if partners:
+                spent += len(partners)
+                ends.append(spent)
+    return ends
+
+
+def _on_reference(fn):
+    real = sls._load_kernel
+    sls._load_kernel = lambda: None
+    try:
+        return fn()
+    finally:
+        sls._load_kernel = real
+
+
+def test_kernel_pools_equal_the_reference_on_random_formulas():
+    if sls._load_kernel() is None:
+        pytest.skip("compiled kernels unavailable")
+    rng = random.Random(2005)
+    seen = Counter()
+    for trial in range(40):
+        f = _random_formula(rng, rng.choice((4, 9, 30, 70, 100)))
+        for width in (0, 1, 2, 4, 8, f.num_vars + 3):
+            pool = level1_resolvents(f, width).clauses
+            assert pool == _on_reference(lambda: level1_resolvents(f, width).clauses), (trial, width)
+            seen["empty level-1"] += () in pool
+        ends = _partner_list_ends(f)
+        budgets = {0, 1, resolution.PAIR_BUDGET_DEFAULT}
+        for end in rng.sample(ends, min(4, len(ends))):
+            budgets.update((end - 1, end, end + 1))
+        for budget in sorted(budgets):
+            pool = level2_resolvents(f, 4, budget).clauses
+            assert pool == _on_reference(lambda: level2_resolvents(f, 4, budget).clauses), (trial, budget)
+            seen["level-2"] += bool(pool)
+        derived = ternary_saturate(f)
+        assert derived == _on_reference(lambda: ternary_saturate(f)), trial
+        seen["empty ternary"] += () in derived
+        seen["n > 64"] += f.num_vars > 64 and bool(derived)
+        seen["empty clause"] += f.has_empty_clause()
+    assert min(seen.values()) >= 3, seen
+
+
+@pytest.mark.parametrize("reference", [False, True], ids=["default", "reference"])
+def test_empty_resolvent_is_in_every_pool(reference, monkeypatch):
+    if reference:
+        monkeypatch.setattr(sls, "_load_kernel", lambda: None)
+    assert () in level1_resolvents(Formula(70, [(70,), (-70,)]), 0).clauses
+    # (1, 70) with (-70,) gives (1,), which resolves with (-1,) to ()
+    assert () in ternary_saturate(Formula(70, [(1, 70), (-70,), (-1,)]))
+    # level 1 gives (1,) and (-1,), which resolve to ()
+    assert () in level2_resolvents(Formula(3, [(1, 2), (-2,), (-1, 3), (-3,)]), 0).clauses
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda f: level1_resolvents(f, 4.5), "max_width"),
+    (lambda f: level1_resolvents(f, -1), "max_width"),
+    (lambda f: level1_resolvents(f, "4"), "max_width"),
+    (lambda f: level2_resolvents(f, 4.5), "max_width"),
+    (lambda f: level2_resolvents(f, -1), "max_width"),
+    (lambda f: level2_resolvents(f, 4, pair_budget=1.5), "pair_budget"),
+    (lambda f: level2_resolvents(f, 4, pair_budget=None), "pair_budget"),
+    (lambda f: sample_pool(ResolventPool(frozenset(f.clauses)), 1.5, seed=0), "cap"),
+    (lambda f: sample_pool(ResolventPool(frozenset(f.clauses)), -1, seed=0), "cap"),
+])
+def test_count_arguments_are_checked_before_either_engine(call, name, monkeypatch):
+    def no_engine():
+        raise AssertionError("an engine ran")
+
+    f = Formula(3, [(1, 2), (-1, 3), (-3, 2)])
+    monkeypatch.setattr(sls, "_load_kernel", no_engine)
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
+        call(f)
+
+
+class _OutOfMemory:
+    """A kernel whose every pool constructor returns NULL."""
+
+    def __getattr__(self, name):
+        return lambda *args: None
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: level1_resolvents(f, 4),
+    lambda f: level2_resolvents(f, 4),
+    lambda f: ternary_saturate(f),
+])
+def test_a_kernel_allocation_failure_is_a_memory_error(call, monkeypatch):
+    f = Formula(3, [(1, 2), (-1, 3), (-3, 2)])
+    monkeypatch.setattr(sls, "_load_kernel", _OutOfMemory)
+    with pytest.raises(MemoryError, match="resolution kernel"):
+        call(f)

@@ -322,10 +322,10 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     compiler = sls._compiler()
     if compiler is None:
         pytest.skip("no C compiler on PATH")
-    assert [p.name for p in sls._KERNEL_SOURCES] == ["_probsat.c", "_cdcl.c", "_cnf.c", "_gen.c", "_mt.h"]
+    assert [p.name for p in sls._KERNEL_SOURCES] == ["_probsat.c", "_cdcl.c", "_cnf.c", "_gen.c", "_resolve.c", "_mt.h"]
     c_files = sls._c_files(sls._KERNEL_SOURCES)
-    assert len(c_files) == 4
-    # each C file alone (two of them include the header), then all four into one library as the loader builds them
+    assert len(c_files) == 5
+    # each C file alone (two of them include the header), then all five into one library as the loader builds them
     for sources in (*([c] for c in c_files), c_files):
         built = subprocess.run(
             [compiler, *sls._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
@@ -344,7 +344,7 @@ def test_ctypes_table_matches_the_c_parameter_lists():
             assert name not in defined, f"{name} is defined twice"
             defined[name] = 0 if params.strip() in ("", "void") else params.count(",") + 1
     table = {name: len(argtypes) for name, _, argtypes in sls._KERNEL_FUNCTIONS}
-    assert len(table) == len(sls._KERNEL_FUNCTIONS) == 18
+    assert len(table) == len(sls._KERNEL_FUNCTIONS) == 24
     assert defined == table
 
 
