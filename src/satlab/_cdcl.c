@@ -2,9 +2,9 @@
  * on a fresh solver, as satlab.cdcl._search runs it.
  *
  * The layout is MiniSat's (Een & Sorensson, SAT 2003): values and watch
- * lists indexed by literal, i = 2*|l| + (l < 0) as in Formula's
- * occurrence index, watch lists compacted in place, and an indexed
- * binary heap of variables.  Every step repeats the Python reference:
+ * lists indexed by literal at lit_index(l), as Formula's occurrence
+ * index, watch lists compacted in place, and an indexed binary heap of
+ * variables.  Every step repeats the Python reference:
  *
  * - input clauses are attached in clause-id order with units enqueued
  *   at level 0, and a clause keeps its literal order until propagation
@@ -22,17 +22,23 @@
  *   the first half of the rest, sorted by stamp descending and DB
  *   position ascending, that have at most 12 literals;
  * - a learned clause of width <= width_limit is recorded, canonically
- *   sorted and with its learn index;
+ *   sorted and with its learn index, and counted among the distinct
+ *   qualifying clauses of the solver's life, on every search as the
+ *   reference's set does;
  * - the early-stop, conflict and wall-clock (every 64 conflicts)
  *   budgets, DB reduction and Luby restarts (base 64) follow each
  *   conflict in that order.
  *
  * Unlike the reference, the kernel frees the clauses reduction drops.
+ * The records and the distinct clauses are two clause sets of
+ * _clauses.h, which also gives the literal index and the growth rule.
  */
 
 #include <stdlib.h>
 #include <string.h>
 #include <time.h>
+
+#include "_clauses.h"
 
 enum { BUDGET = 0, SAT = 1, UNSAT = 2, OUT_OF_MEMORY = -1 };
 
@@ -72,19 +78,11 @@ typedef struct {
     clause **db; /* learned clauses, in the reference's order */
     long long db_size, db_cap, reduce_cap;
     long long conflicts, restart_idx, restart_at; /* one clause is learned per conflict */
-    /* qualifying record r: rec_lits[rec_off[r] .. rec_off[r + 1]), learned
-     * at conflict rec_index[r] + 1 */
-    long long num_records, off_cap, index_cap, lits_cap;
-    long long *rec_off, *rec_index;
-    int *rec_lits;
-    /* the distinct qualifying clauses: record numbers, open addressing */
-    long long *set, set_cap, distinct;
+    /* qualifying record r: clause r of records, learned at conflict
+     * rec_index[r] + 1; distinct holds each of their clauses once */
+    clause_set records, distinct;
+    long long *rec_index, index_cap;
 } cdcl_state;
-
-static int lit_index(int lit)
-{
-    return 2 * abs(lit) + (lit < 0);
-}
 
 static int value(const cdcl_state *s, int lit)
 {
@@ -112,21 +110,6 @@ static long long luby(long long i)
             k++;
     }
     return 1LL << (k - 1);
-}
-
-/* The array `p`, with room for `*cap` items of `item` bytes, grown to hold
- * `need`; NULL when out of memory, and `p` is then left as it was. */
-static void *grow(void *p, long long *cap, long long need, size_t item)
-{
-    long long c = *cap ? *cap : 4;
-    if (need <= *cap)
-        return p;
-    while (c < need)
-        c *= 2;
-    p = realloc(p, (size_t)c * item);
-    if (p)
-        *cap = c;
-    return p;
 }
 
 static int watch(cdcl_state *s, int lit, clause *c)
@@ -364,86 +347,25 @@ static int analyze(cdcl_state *s, clause *c, int *bj_level)
 
 /* -- qualifying records --------------------------------------------------------- */
 
-static int record_width(const cdcl_state *s, long long r)
+/* Keep the clause just learned, s->learnt[0 .. size), canonically sorted,
+ * when it qualifies, and count it among the distinct qualifying clauses;
+ * -1 when out of memory. */
+static int record(cdcl_state *s, int size, long long width_limit)
 {
-    return (int)(s->rec_off[r + 1] - s->rec_off[r]);
-}
-
-/* Slot of record r's clause in `set`: the slot of an equal clause, or the
- * empty slot where it belongs. */
-static long long set_slot(const cdcl_state *s, long long r)
-{
-    const int *lits = s->rec_lits + s->rec_off[r];
-    int width = record_width(s, r), i;
-    unsigned long long h = 1469598103934665603ULL; /* FNV-1a */
-    long long mask = s->set_cap - 1, slot;
-    for (i = 0; i < width; i++)
-        h = (h ^ (unsigned)lits[i]) * 1099511628211ULL;
-    for (slot = (long long)(h & (unsigned long long)mask); s->set[slot] >= 0; slot = (slot + 1) & mask) {
-        long long q = s->set[slot];
-        if (record_width(s, q) == width
-            && !memcmp(s->rec_lits + s->rec_off[q], lits, (size_t)width * sizeof(int)))
-            break;
-    }
-    return slot;
-}
-
-/* Count record r among the distinct qualifying clauses; -1 when out of
- * memory. */
-static int count_distinct(cdcl_state *s, long long r)
-{
-    long long slot;
-    if (2 * (s->distinct + 1) > s->set_cap) {
-        long long *old = s->set, old_cap = s->set_cap, i;
-        long long cap = old_cap ? 2 * old_cap : 1024;
-        long long *set = malloc((size_t)cap * sizeof *set);
-        if (!set)
-            return -1;
-        for (i = 0; i < cap; i++)
-            set[i] = -1;
-        s->set = set;
-        s->set_cap = cap;
-        for (i = 0; i < old_cap; i++)
-            if (old[i] >= 0)
-                s->set[set_slot(s, old[i])] = old[i];
-        free(old);
-    }
-    slot = set_slot(s, r);
-    if (s->set[slot] < 0) {
-        s->set[slot] = r;
-        s->distinct++;
-    }
-    return 0;
-}
-
-/* Keep the clause just learned, s->learnt[0 .. size), canonically sorted
- * by variable, when it qualifies; with `distinct` also count it among the
- * distinct qualifying clauses.  -1 when out of memory. */
-static int record(cdcl_state *s, int size, long long width_limit, int distinct)
-{
-    long long r = s->num_records, at = s->rec_off[r], *off, *index;
-    int *out, i, j;
+    clause_set *r = &s->records;
+    long long *index;
+    int *lits;
     if (size > width_limit)
         return 0;
-    if ((off = grow(s->rec_off, &s->off_cap, r + 2, sizeof *off)) != NULL)
-        s->rec_off = off;
-    if ((index = grow(s->rec_index, &s->index_cap, r + 1, sizeof *index)) != NULL)
-        s->rec_index = index;
-    if ((out = grow(s->rec_lits, &s->lits_cap, at + size, sizeof *out)) != NULL)
-        s->rec_lits = out;
-    if (!off || !index || !out)
+    if (!(index = grow(s->rec_index, &s->index_cap, r->count + 1, sizeof *index)))
         return -1;
-    out += at;
-    for (i = 0; i < size; i++) { /* insertion sort by variable; no variable repeats */
-        int lit = s->learnt[i];
-        for (j = i; j > 0 && abs(out[j - 1]) > abs(lit); j--)
-            out[j] = out[j - 1];
-        out[j] = lit;
-    }
-    s->rec_off[r + 1] = at + size;
-    s->rec_index[r] = s->conflicts - 1;
-    s->num_records = r + 1;
-    return distinct ? count_distinct(s, r) : 0;
+    s->rec_index = index;
+    if (push(r, s->learnt, size, 0) < 0)
+        return -1;
+    index[r->count - 1] = s->conflicts - 1;
+    lits = r->lits + r->off[r->count - 1];
+    sort_lits(lits, size);
+    return add(&s->distinct, lits, size) < 0 ? -1 : 0;
 }
 
 /* -- the learned clause database ------------------------------------------------- */
@@ -541,10 +463,9 @@ void cdcl_free(cdcl_state *s)
     free(s->trail);
     free(s->trail_lim);
     free(s->learnt);
-    free(s->rec_off);
+    free_set(&s->records);
+    free_set(&s->distinct);
     free(s->rec_index);
-    free(s->rec_lits);
-    free(s->set);
     free(s);
 }
 
@@ -572,11 +493,10 @@ cdcl_state *cdcl_new(int n, int m, const int *off, const int *lits, const unsign
     s->trail_lim = malloc(vars * sizeof *s->trail_lim);
     s->learnt = malloc(vars * sizeof *s->learnt);
     s->inputs = malloc(((size_t)m + 1) * sizeof *s->inputs);
-    s->rec_off = calloc(1, sizeof *s->rec_off);
-    s->off_cap = 1;
-    if (!s->value || !s->watches || !s->level || !s->reason || !s->phase || !s->seen
+    if (init_set(&s->records) < 0 || init_set(&s->distinct) < 0
+        || !s->value || !s->watches || !s->level || !s->reason || !s->phase || !s->seen
         || !s->activity || !s->heap || !s->heap_pos || !s->trail || !s->trail_lim
-        || !s->learnt || !s->inputs || !s->rec_off) {
+        || !s->learnt || !s->inputs) {
         cdcl_free(s);
         return NULL;
     }
@@ -671,13 +591,13 @@ int cdcl_solve(cdcl_state *s, long long conflict_limit, double wall_seconds,
             }
             s->conflicts++;
             size = analyze(s, conflict, &bj_level);
-            if (record(s, size, width_limit, count_cap >= 0) < 0)
+            if (record(s, size, width_limit) < 0)
                 return OUT_OF_MEMORY;
             backjump(s, bj_level);
             if (learn(s, size) < 0)
                 return OUT_OF_MEMORY;
             s->var_inc /= ACTIVITY_DECAY;
-            if ((count_cap >= 0 && s->distinct >= count_cap)
+            if ((count_cap >= 0 && s->distinct.count >= count_cap)
                 || (budget >= 0 && s->conflicts >= budget)
                 || (s->conflicts % WALL_CHECK_EVERY == 0 && now() - start > wall_seconds)) {
                 backjump(s, 0);
@@ -707,23 +627,23 @@ long long cdcl_conflicts(const cdcl_state *s)
 
 long long cdcl_num_records(const cdcl_state *s)
 {
-    return s->num_records;
+    return s->records.count;
 }
 
 long long cdcl_num_record_lits(const cdcl_state *s)
 {
-    return s->rec_off[s->num_records];
+    return s->records.off[s->records.count];
 }
 
 /* Copy the records out: offsets (num_records + 1), learn indices
  * (num_records) and literals (cdcl_num_record_lits). */
 void cdcl_records(const cdcl_state *s, long long *off, long long *index, int *lits)
 {
-    long long r = s->num_records;
-    memcpy(off, s->rec_off, (size_t)(r + 1) * sizeof *off);
-    if (r) {
-        memcpy(index, s->rec_index, (size_t)r * sizeof *index);
-        memcpy(lits, s->rec_lits, (size_t)s->rec_off[r] * sizeof *lits);
+    const clause_set *r = &s->records;
+    memcpy(off, r->off, (size_t)(r->count + 1) * sizeof *off);
+    if (r->count) {
+        memcpy(index, s->rec_index, (size_t)r->count * sizeof *index);
+        memcpy(lits, r->lits, (size_t)r->off[r->count] * sizeof *lits);
     }
 }
 

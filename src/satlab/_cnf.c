@@ -5,46 +5,19 @@
  *
  * Clauses are flat: clause c holds lits[off[c] .. off[c+1]), DIMACS-signed
  * ints.  The occurrence index is Formula's: the ids of the clauses holding
- * literal l are occ[occ_off[i] .. occ_off[i+1]) with i = 2*|l| + (l < 0),
- * in clause-id order.
+ * literal l are occ[occ_off[i] .. occ_off[i+1]) with i = lit_index(l) =
+ * 2*|l| + (l < 0), in clause-id order; it and the canonical sort are
+ * _clauses.h's.
  */
 
 #include <limits.h>
 #include <stdlib.h>
 #include <string.h>
 
+#include "_clauses.h"
+
 enum { OK = 0, OUT_OF_RANGE = 1 };
 enum { DEFER = 1 };
-
-#define INSERTION_SORT_MAX 16
-
-/* canonical order (|l|, l): -v sorts just before v */
-static long long lit_key(int lit)
-{
-    long long l = lit;
-    return l < 0 ? -2 * l : 2 * l + 1;
-}
-
-static int by_key(const void *a, const void *b)
-{
-    long long ka = lit_key(*(const int *)a), kb = lit_key(*(const int *)b);
-    return (ka > kb) - (ka < kb);
-}
-
-static void sort_lits(int *a, int w)
-{
-    if (w > INSERTION_SORT_MAX) {
-        qsort(a, (size_t)w, sizeof *a, by_key);
-        return;
-    }
-    for (int i = 1; i < w; i++) {
-        int x = a[i], j = i;
-        long long kx = lit_key(x);
-        for (; j > 0 && lit_key(a[j - 1]) > kx; j--)
-            a[j] = a[j - 1];
-        a[j] = x;
-    }
-}
 
 /* Index of the first literal of a[0 .. w) outside 1..n in absolute value, or -1. */
 static int first_out_of_range(const int *a, int w, int n)
@@ -96,17 +69,15 @@ int formula_index(int n, long long m, int *off, int *lits, int *occ_off, int *oc
      * count is never needed (it ends at off[m]). */
     int lists = 2 * n + 2, total = off[m], max_occ = 0;
     for (int i = 0; i < total; i++) {
-        int l = lits[i], slot = 2 * abs(l) + (l < 0);
+        int slot = lit_index(lits[i]);
         if (slot + 2 <= lists)
             occ_off[slot + 2]++;
     }
     for (int i = 2; i <= lists; i++)
         occ_off[i] += occ_off[i - 1];
     for (long long c = 0; c < m; c++)
-        for (int i = off[c]; i < off[c + 1]; i++) {
-            int l = lits[i];
-            occ[occ_off[2 * abs(l) + (l < 0) + 1]++] = (int)c;
-        }
+        for (int i = off[c]; i < off[c + 1]; i++)
+            occ[occ_off[lit_index(lits[i]) + 1]++] = (int)c;
     for (int i = 0; i < lists; i++)
         if (occ_off[i + 1] - occ_off[i] > max_occ)
             max_occ = occ_off[i + 1] - occ_off[i];

@@ -17,12 +17,13 @@
  * Literals are DIMACS-signed ints; clause c holds lits[off[c] .. off[c+1]).
  * The occurrence lists are Formula's index, passed in and only read: the
  * clause ids of literal l are occ[occ_off[i] .. occ_off[i+1]) with
- * i = 2*|l| + (l < 0), in clause-id order.
+ * i = lit_index(l) (_clauses.h), in clause-id order.
  */
 
 #include <stdlib.h>
 #include <string.h>
 
+#include "_clauses.h"
 #include "_mt.h"
 
 typedef struct {
@@ -39,12 +40,7 @@ typedef struct {
     const int *occ_off, *occ;
 } probsat_state;
 
-/* both branch-free: literal signs are random, so a branch mispredicts */
-static int occ_index(int lit)
-{
-    return 2 * abs(lit) + (lit < 0);
-}
-
+/* branch-free: literal signs are random, so a branch mispredicts */
 static int lit_true(const probsat_state *s, int lit)
 {
     return s->assign[abs(lit)] ^ (lit < 0);
@@ -119,7 +115,7 @@ static void flip(probsat_state *s, int v)
     int lt, li, j;
     s->assign[v] = !s->assign[v];
     lt = s->assign[v] ? v : -v;
-    li = occ_index(lt);
+    li = lit_index(lt);
     for (j = s->occ_off[li]; j < s->occ_off[li + 1]; j++) {
         int cid = s->occ[j], *p = cl + 2 * cid, c = p[0];
         if (c == 0) {
@@ -132,7 +128,7 @@ static void flip(probsat_state *s, int v)
         p[0] = c + 1;
         p[1] ^= v;
     }
-    li = occ_index(-lt);
+    li = lit_index(-lt);
     for (j = s->occ_off[li]; j < s->occ_off[li + 1]; j++) {
         int cid = s->occ[j], *p = cl + 2 * cid, c = p[0];
         p[0] = c - 1;

@@ -10,10 +10,11 @@
  * Nothing is held in fixed-width masks, so widths and variables are
  * unbounded.
  *
- * Each pool is one clause set.  The clauses a pool excludes go in first
- * (the base clauses; for level 2 also the level-1 resolvents), so a
- * resolvent equal to one of them is found present, and the pool is every
- * clause added after them.  The empty resolvent is a clause like any
+ * Each pool is one clause set of _clauses.h, which also gives the
+ * literal index of the occurrence lists.  The clauses a pool excludes go
+ * in first (the base clauses; for level 2 also the level-1 resolvents),
+ * so a resolvent equal to one of them is found present, and the pool is
+ * every clause added after them.  The empty resolvent is a clause like any
  * other.  Level 2 walks the reference's order:
  *
  * - the level-1 resolvents at any width, in tuple order (signed
@@ -35,14 +36,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-typedef struct {
-    long long count;
-    long long *off; /* clause c is lits[off[c] .. off[c + 1]) */
-    int *lits;
-    unsigned long long *hash;   /* per clause */
-    long long *slot, slot_cap;  /* clause ids by hash, open addressing, -1 empty */
-    long long off_cap, lits_cap, hash_cap;
-} clause_set;
+#include "_clauses.h"
 
 typedef struct {
     long long *ids, size, cap;
@@ -54,31 +48,6 @@ typedef struct {
     int max_width;
 } pool;
 
-/* data with room for `need` items of `size` bytes: data itself, a larger
- * block with *cap updated, or NULL (data untouched) when out of memory */
-static void *grow(void *data, long long *cap, long long need, size_t size)
-{
-    long long c = *cap ? *cap : 64;
-    void *out;
-    if (need <= *cap)
-        return data;
-    while (c < need)
-        c *= 2;
-    if ((out = realloc(data, (size_t)c * size)) != NULL)
-        *cap = c;
-    return out;
-}
-
-static int width_of(const clause_set *s, long long c)
-{
-    return (int)(s->off[c + 1] - s->off[c]);
-}
-
-static const int *lits_of(const clause_set *s, long long c)
-{
-    return s->lits + s->off[c];
-}
-
 /* 0 when the canonical clause has no variable twice, 1 when a tautology */
 static int tautology(const int *lits, int width)
 {
@@ -87,105 +56,6 @@ static int tautology(const int *lits, int width)
         if (abs(lits[i - 1]) == abs(lits[i]))
             return 1;
     return 0;
-}
-
-static unsigned long long hash_of(const int *lits, int width)
-{
-    unsigned long long h = 0x9e3779b97f4a7c15ULL ^ (unsigned long long)width;
-    int i;
-    for (i = 0; i < width; i++) {
-        h = (h ^ (unsigned)lits[i]) * 0xff51afd7ed558ccdULL;
-        h ^= h >> 32;
-    }
-    return h;
-}
-
-/* Append a clause, equal or not to one already held; -1 when out of memory. */
-static int push(clause_set *s, const int *lits, int width, unsigned long long h)
-{
-    long long c = s->count, at = s->off[c];
-    long long *off = grow(s->off, &s->off_cap, c + 2, sizeof *off);
-    unsigned long long *hash;
-    int *out;
-    if (!off)
-        return -1;
-    s->off = off;
-    if (!(hash = grow(s->hash, &s->hash_cap, c + 1, sizeof *hash)))
-        return -1;
-    s->hash = hash;
-    if (!(out = grow(s->lits, &s->lits_cap, at + width, sizeof *out)))
-        return -1;
-    s->lits = out;
-    if (width)
-        memcpy(out + at, lits, (size_t)width * sizeof *out);
-    s->off[c + 1] = at + width;
-    s->hash[c] = h;
-    s->count = c + 1;
-    return 0;
-}
-
-/* The slot of the clause equal to `lits`, or the empty slot where it belongs. */
-static long long find(const clause_set *s, const int *lits, int width, unsigned long long h)
-{
-    long long mask = s->slot_cap - 1, i, c;
-    for (i = (long long)(h & (unsigned long long)mask); (c = s->slot[i]) >= 0; i = (i + 1) & mask)
-        if (s->hash[c] == h && width_of(s, c) == width
-            && (!width || !memcmp(lits_of(s, c), lits, (size_t)width * sizeof *lits)))
-            break;
-    return i;
-}
-
-/* Double the table (every clause held is in it); -1 when out of memory. */
-static int rehash(clause_set *s)
-{
-    long long cap = s->slot_cap ? 2 * s->slot_cap : 1024, i;
-    long long *slot = malloc((size_t)cap * sizeof *slot);
-    if (!slot)
-        return -1;
-    for (i = 0; i < cap; i++)
-        slot[i] = -1;
-    free(s->slot);
-    s->slot = slot;
-    s->slot_cap = cap;
-    for (i = 0; i < s->count; i++)
-        s->slot[find(s, lits_of(s, i), width_of(s, i), s->hash[i])] = i;
-    return 0;
-}
-
-/* Add a clause (never one of the set's own) unless an equal one is held:
- * 1 when added, 0 when held, -1 when out of memory. */
-static int add(clause_set *s, const int *lits, int width)
-{
-    unsigned long long h = hash_of(lits, width);
-    long long i;
-    if (2 * (s->count + 1) > s->slot_cap && rehash(s) < 0)
-        return -1;
-    i = find(s, lits, width, h);
-    if (s->slot[i] >= 0)
-        return 0;
-    if (push(s, lits, width, h) < 0)
-        return -1;
-    s->slot[i] = s->count - 1;
-    return 1;
-}
-
-static int init_set(clause_set *s)
-{
-    memset(s, 0, sizeof *s);
-    s->off = grow(NULL, &s->off_cap, 2, sizeof *s->off);
-    s->lits = grow(NULL, &s->lits_cap, 1, sizeof *s->lits);
-    if (!s->off || !s->lits)
-        return -1;
-    s->off[0] = 0;
-    return 0;
-}
-
-static void free_set(clause_set *s)
-{
-    free(s->off);
-    free(s->lits);
-    free(s->hash);
-    free(s->slot);
 }
 
 /* The non-tautological formula clauses of width <= max_width, in id
@@ -204,14 +74,14 @@ static int add_base(clause_set *s, int m, const int *off, const int *lits, int m
     return 0;
 }
 
-/* -- occurrence lists: per literal l, at 2 * |l| + (l < 0) as in Formula ---------- */
+/* -- occurrence lists: per literal l, at lit_index(l) as in Formula -------------- */
 
 static int index_clause(id_list *occ, const clause_set *s, long long c)
 {
     const int *lits = lits_of(s, c);
     int i, width = width_of(s, c);
     for (i = 0; i < width; i++) {
-        id_list *list = &occ[2 * abs(lits[i]) + (lits[i] < 0)];
+        id_list *list = &occ[lit_index(lits[i])];
         long long *ids = grow(list->ids, &list->cap, list->size + 1, sizeof *ids);
         if (!ids)
             return -1;
@@ -243,12 +113,6 @@ static id_list *index_clauses(const clause_set *s, int n)
             return NULL;
         }
     return occ;
-}
-
-/* The index of the lists of clauses that clash with literal `lit`. */
-static int clashing(int lit)
-{
-    return 2 * abs(lit) + (lit > 0);
 }
 
 /* Set mark[|l|] = l for each literal l of a clause, or with on 0 clear it. */
@@ -300,7 +164,7 @@ static int add_level1(clause_set *s, int n, int max_width, int *mark, int *buf)
     if (!occ)
         return -1;
     for (v = 1; v <= n; v++) {
-        const id_list *pos = &occ[2 * v], *neg = &occ[2 * v + 1];
+        const id_list *pos = &occ[lit_index(v)], *neg = &occ[lit_index(-v)];
         long long i, j;
         for (i = 0; i < pos->size; i++) {
             long long a = pos->ids[i];
@@ -419,7 +283,7 @@ pool *level2_pool(int n, int m, const int *off, const int *lits, int max_width, 
         int width = width_of(&walk, a), k;
         mark_clause(mark, clause, width, 1);
         for (k = 0; k < width; k++) {
-            const id_list *partners = &occ[clashing(clause[k])];
+            const id_list *partners = &occ[lit_index(-clause[k])];
             long long take = partners->size < remaining ? partners->size : remaining, j;
             for (j = 0; j < take; j++) {
                 long long b = partners->ids[j];
@@ -465,7 +329,7 @@ pool *ternary_pool(int n, int m, const int *off, const int *lits)
         mark_clause(mark, lits_of(&p->set, q), width, 1);
         for (k = 0; k < width; k++) {
             int lit = lits_of(&p->set, q)[k];
-            const id_list *partners = &occ[clashing(lit)]; /* no resolvent on |lit| joins it */
+            const id_list *partners = &occ[lit_index(-lit)]; /* no resolvent on |lit| joins it */
             long long j;
             for (j = 0; j < partners->size; j++) {
                 long long b = partners->ids[j];

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import operator
 import random
 import time
 from array import array
@@ -48,7 +47,7 @@ from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush
 
 from . import sls
-from .cnf import Assignment, Clause, Formula, canonical_clause, eval_formula
+from .cnf import Assignment, Clause, Formula, canonical_clause, eval_formula, is_int_at_least
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -98,13 +97,7 @@ class MiningBudget:
             raise ValueError("wall_seconds must be positive")
         for name, low, optional in (("conflict_limit", 0, True), ("width_limit", 1, False), ("count_cap", 0, True)):
             value = getattr(self, name)
-            if value is None and optional:
-                continue
-            try:
-                in_range = operator.index(value) >= low
-            except TypeError:  # not an integer: 2.5, or a JSON 1e3
-                in_range = False
-            if not in_range:
+            if not ((value is None and optional) or is_int_at_least(value, low)):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 

@@ -37,6 +37,7 @@ equal attributes, errors, warnings, text and model checks.
 from __future__ import annotations
 
 import ctypes
+import operator
 import warnings
 from array import array
 from itertools import accumulate, chain
@@ -46,6 +47,14 @@ Clause = tuple[int, ...]
 Assignment = list[bool]
 
 _INT32_MAX = 2**31 - 1
+
+
+def is_int_at_least(value, low: int) -> bool:
+    """True when `value` is an integer (not 2.5, a JSON 1e3 or a string) >= `low`."""
+    try:
+        return operator.index(value) >= low
+    except TypeError:
+        return False
 
 
 class DimacsError(ValueError):

@@ -32,13 +32,12 @@ overridable settings (`OVERRIDABLE`), which `SolverConfig` and the
 from __future__ import annotations
 
 import json
-import operator
 import random
 import time
 from dataclasses import dataclass, field, fields, replace
 
 from .cdcl import MINER_SECONDS_DEFAULT, SAT, UNSAT, MiningBudget, cdcl_solve_and_mine
-from .cnf import Assignment, Formula, eval_formula
+from .cnf import Assignment, Formula, eval_formula, is_int_at_least
 from .sls import ScoringFunction, default_scoring, default_scoring_for, probsat_run
 
 PLAIN_SLS = "plain-sls"
@@ -74,16 +73,16 @@ class Strategy:
         if self.track in _SLS_ONLY:
             return
         for name, rule, test in (
-            ("initial_flips", "an integer >= 0", lambda v: operator.index(v) >= 0),
+            ("initial_flips", "an integer >= 0", lambda v: is_int_at_least(v, 0)),
             ("miner_seconds", "a number > 0", lambda v: v > 0),
-            ("width_limit", "an integer >= 1", lambda v: operator.index(v) >= 1),
+            ("width_limit", "an integer >= 1", lambda v: is_int_at_least(v, 1)),
             ("count_cap_percent", "a number >= 0", lambda v: v is None or v >= 0),
-            ("miner_conflict_limit", "an integer >= 0", lambda v: v is None or operator.index(v) >= 0),
+            ("miner_conflict_limit", "an integer >= 0", lambda v: v is None or is_int_at_least(v, 0)),
         ):
             value = getattr(self, name)
             try:
                 in_range = test(value)
-            except TypeError:  # a string from a JSON config, say, or a count that is a float
+            except TypeError:  # a number row given a string from a JSON config, say
                 in_range = False
             if not in_range:
                 raise ValueError(f"{name} must be {rule} on the {self.track} track, got {value!r}")
@@ -210,11 +209,7 @@ def check_budgets(wall_budget: float | None, final_flips: int | None) -> None:
     a run, and a flip budget given is an integer >= 0."""
     if (wall_budget is None and final_flips is None) or (wall_budget is not None and not wall_budget > 0):
         raise ValueError("a run needs a positive wall-clock budget, a flip budget or both")
-    try:
-        flips_ok = final_flips is None or operator.index(final_flips) >= 0
-    except TypeError:  # 1.5, or a JSON 1e3
-        flips_ok = False
-    if not flips_ok:
+    if not (final_flips is None or is_int_at_least(final_flips, 0)):
         raise ValueError(f"the flip budget must be an integer >= 0, got {final_flips!r}")
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from . import cdcl
 from .cdcl import SAT, UNSAT, MiningBudget
-from .cnf import Assignment, Clause, Formula, canonical_clause, count_satisfied_literals
+from .cnf import Assignment, Clause, Formula, canonical_clause
 
 Backbone = frozenset[int]
 
@@ -92,11 +92,15 @@ class QualityReport:
 
 def quality_report(clauses, solution: Assignment) -> QualityReport:
     rows = []
+    top = len(solution)
     for cid, clause in enumerate(clauses):
+        correct = 0
         for lit in clause:
-            if abs(lit) >= len(solution):
-                raise ValueError(f"solution does not cover variable {abs(lit)}")
-        correct = count_satisfied_literals(clause, solution)
+            v = abs(lit)
+            if v >= top:
+                raise ValueError(f"solution does not cover variable {v}")
+            if solution[v] if lit > 0 else not solution[v]:
+                correct += 1
         width = len(clause)
         rows.append((cid, correct, width, correct / width if width else 0.0))
     if not rows:

@@ -35,7 +35,6 @@ either engine runs.
 
 from __future__ import annotations
 
-import operator
 import random
 from array import array
 from collections import deque
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from . import sls
-from .cnf import Clause, Formula
+from .cnf import Clause, Formula, is_int_at_least
 
 PAIR_BUDGET_DEFAULT = 10_000_000
 _INT64_MAX = 2**63 - 1  # a larger pair budget is never spent
@@ -158,11 +157,7 @@ def _pool(found: set[Masks]) -> ResolventPool:
 
 def _check_count(name: str, value) -> None:
     """ValueError naming `name` unless `value` is an integer >= 0."""
-    try:
-        ok = operator.index(value) >= 0
-    except TypeError:  # 4.5, or a JSON 1e3
-        ok = False
-    if not ok:
+    if not is_int_at_least(value, 0):
         raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 

@@ -26,8 +26,9 @@ swap-remove registry with O(1) membership, insertion, and deletion.
   instance generator of `satlab.generators` (`_gen.c`) and the resolvent
   enumeration of `satlab.resolution` (`_resolve.c`), in
   `$XDG_CACHE_HOME/satlab` (by default `~/.cache/satlab`), under a file
-  name keyed by the five sources, the Mersenne Twister header two of
-  them share, the flags and the platform.
+  name keyed by the five sources, the two headers they share (the
+  Mersenne Twister, `_mt.h`, and the clause store, `_clauses.h`), the
+  flags and the platform.
 - `_probsat_python`, the flip loop over `SlsState` (which reads the same
   arrays through `Formula.occurrence`), is the readable reference.  It
   runs when no compiler or cache directory is usable, and for formulas
@@ -367,9 +368,10 @@ def _result(formula: Formula, model: Assignment | bytes | None, flips_done: int,
 
 
 # every compiled kernel of the package: one library, one build, one cache key
-# (the key reads the shared header too; the compiler is given the .c files)
+# (the key reads the shared headers too; the compiler is given the .c files)
 _KERNEL_SOURCES = tuple(Path(__file__).with_name(name)
-                        for name in ("_probsat.c", "_cdcl.c", "_cnf.c", "_gen.c", "_resolve.c", "_mt.h"))
+                        for name in ("_probsat.c", "_cdcl.c", "_cnf.c", "_gen.c", "_resolve.c", "_mt.h",
+                                     "_clauses.h"))
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _KERNEL_LIBS = ("-lm",)  # after the sources, so that pow resolves under --as-needed
 
@@ -424,11 +426,12 @@ def _load_kernel() -> ctypes.CDLL | None:
     of `satlab.cdcl`, the DIMACS scan and emit, `Formula` index build and
     model check of `satlab.cnf`, the instance generator of
     `satlab.generators`, and the resolvent enumeration of
-    `satlab.resolution`), built on first use into the cache named in the
-    module docstring; None when no compiler or cache directory is usable,
-    and then all five modules run their Python reference.  The compiler
-    writes a temporary file that is then renamed into place, so
-    concurrent processes never load a partial library.
+    `satlab.resolution`), built on first use from the five C files and the
+    two headers they share (`_mt.h` and `_clauses.h`) into the cache
+    named in the module docstring; None when no compiler or cache
+    directory is usable, and then all five modules run their Python
+    reference.  The compiler writes a temporary file that is then renamed
+    into place, so concurrent processes never load a partial library.
     """
     compiler = _compiler()
     if compiler is None:

@@ -119,6 +119,13 @@ def test_kernel_matches_reference_on_early_stop_and_width_limits(kernel):
     for budget in (MiningBudget(NO_WALL, 500, width_limit=6, count_cap=3),
                    MiningBudget(NO_WALL, 500, width_limit=6, early_stop=True)):
         assert assert_same(k3, budget, 2).conflicts == 500
+    # the cap counts distinct clauses, not records: a clause learned again at
+    # conflict 2,006 leaves 2,005 distinct, so the 2,006th comes one conflict later
+    k5 = gen_uniform(GenSpec(n=60, k=5, ratio=21.1, seed=1))
+    out = assert_same(k5, MiningBudget(NO_WALL, 3_000, width_limit=60, count_cap=2_006, early_stop=True), 1)
+    assert (out.conflicts, len(out.records), len(out.learned)) == (2_007, 2_007, 2_006)
+    clauses = [r.clause for r in out.records]
+    assert len(set(clauses[:2_005])) == 2_005 and clauses[2_005] in clauses[:2_005]
 
 
 def test_kernel_matches_reference_on_edge_formulas(kernel):

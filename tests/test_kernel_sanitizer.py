@@ -1,0 +1,169 @@
+"""The kernel library under AddressSanitizer and UndefinedBehaviorSanitizer.
+
+A small C driver calls the CDCL and resolution entry points on fixed
+flat formula arrays, far enough that the clause sets grow and rehash and
+the learned DB is reduced, and frees everything.  Built with the five C
+files under `-fsanitize=address,undefined -fno-sanitize-recover=all`, it
+must exit 0 with nothing on stderr (LeakSanitizer reports a leak there),
+and print what the library loaded by `satlab.sls` gives for the same
+calls.
+"""
+
+import os
+import subprocess
+from collections import Counter
+
+import pytest
+
+from satlab import sls
+from satlab.cdcl import BUDGET, MiningBudget, _initial_phases, cdcl_solve_and_mine
+from satlab.cnf import Formula
+from satlab.generators import GenSpec, gen_uniform
+from satlab.resolution import level1_resolvents, level2_resolvents, ternary_saturate
+
+SANITIZE = ("-O1", "-g", "-fno-omit-frame-pointer", "-ffp-contract=off",
+            "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+ENV = {**os.environ, "ASAN_OPTIONS": "detect_leaks=1", "UBSAN_OPTIONS": "print_stacktrace=1"}
+
+# cap 2,500 distinct clauses: past the first DB reduction (2,000 learned
+# clauses) and past 512 distinct ones, where the set's table doubles
+CDCL_SEED, CDCL_BUDGET = 1, MiningBudget(1e9, 4_000, width_limit=60, count_cap=2_500, early_stop=True)
+LEVEL1_WIDTH, LEVEL2_WIDTH, PAIR_BUDGET = 3, 4, 3_000
+
+DRIVER = r"""
+#include <stdio.h>
+#include <stdlib.h>
+
+void *cdcl_new(int n, int m, const int *off, const int *lits, const unsigned char *phase);
+int cdcl_solve(void *s, long long conflict_limit, double wall_seconds, long long width_limit, long long count_cap);
+long long cdcl_conflicts(const void *s);
+long long cdcl_num_records(const void *s);
+long long cdcl_num_record_lits(const void *s);
+void cdcl_records(const void *s, long long *off, long long *index, int *lits);
+void cdcl_free(void *s);
+void *level1_pool(int n, int m, const int *off, const int *lits, int max_width);
+void *level2_pool(int n, int m, const int *off, const int *lits, int max_width, long long pair_budget);
+void *ternary_pool(int n, int m, const int *off, const int *lits);
+long long pool_num_lits(const void *p);
+void pool_copy(const void *p, long long *counts, int *lits);
+void pool_free(void *p);
+
+static const int cdcl_off[] = {@CDCL_OFF@}, cdcl_lits[] = {@CDCL_LITS@};
+static const unsigned char phase[] = {@PHASE@};
+static const int res_off[] = {@RES_OFF@}, res_lits[] = {@RES_LITS@};
+
+/* Print the pool's clause counts by width, then free it; 1 when NULL. */
+static int print_pool(void *p, int max_width)
+{
+    long long *counts = malloc((size_t)(max_width + 1) * sizeof *counts);
+    int *lits, w;
+    if (!p || !counts)
+        return 1;
+    lits = malloc((size_t)(pool_num_lits(p) + 1) * sizeof *lits);
+    if (!lits)
+        return 1;
+    pool_copy(p, counts, lits);
+    for (w = 0; w <= max_width; w++)
+        printf("%s%lld", w ? " " : "", counts[w]);
+    printf("\n");
+    free(lits);
+    free(counts);
+    pool_free(p);
+    return 0;
+}
+
+int main(void)
+{
+    void *s = cdcl_new(@CDCL_N@, @CDCL_M@, cdcl_off, cdcl_lits, phase);
+    long long r, *off, *index;
+    int *lits, code;
+    if (!s)
+        return 1;
+    code = cdcl_solve(s, @LIMIT@, 1e9, @WIDTH@, @CAP@);
+    r = cdcl_num_records(s);
+    off = malloc((size_t)(r + 1) * sizeof *off);
+    index = malloc((size_t)(r + 1) * sizeof *index);
+    lits = malloc((size_t)(cdcl_num_record_lits(s) + 1) * sizeof *lits);
+    if (!off || !index || !lits)
+        return 1;
+    cdcl_records(s, off, index, lits);
+    printf("%d %lld %lld %lld\n", code, cdcl_conflicts(s), r, off[r]);
+    free(off);
+    free(index);
+    free(lits);
+    cdcl_free(s);
+    if (print_pool(level1_pool(@RES_N@, @RES_M@, res_off, res_lits, @L1@), @L1@)
+        || print_pool(level2_pool(@RES_N@, @RES_M@, res_off, res_lits, @L2@, @PAIRS@), @L2@)
+        || print_pool(ternary_pool(@RES_N@, @RES_M@, res_off, res_lits), 3))
+        return 1;
+    return 0;
+}
+"""
+
+
+def _builds_and_runs(compiler, tmp_path) -> bool:
+    """True when the sanitizers link and run here: a trivial program built
+    with them exits 0 quietly."""
+    probe = tmp_path / "probe.c"
+    probe.write_text("int main(void) { return 0; }\n")
+    built = subprocess.run([compiler, *SANITIZE, "-o", str(tmp_path / "probe"), str(probe)], capture_output=True)
+    if built.returncode:
+        return False
+    ran = subprocess.run([str(tmp_path / "probe")], capture_output=True, env=ENV)
+    return ran.returncode == 0 and not ran.stderr
+
+
+def _ints(values) -> str:
+    return ", ".join(map(str, values))
+
+
+def _width_counts(clauses, max_width) -> str:
+    counts = Counter(map(len, clauses))
+    return " ".join(str(counts[w]) for w in range(max_width + 1))
+
+
+def test_kernels_run_clean_under_the_sanitizers(tmp_path):
+    compiler = sls._compiler()
+    if compiler is None:
+        pytest.skip("no C compiler on PATH")
+    if not _builds_and_runs(compiler, tmp_path):
+        pytest.skip("no AddressSanitizer/UndefinedBehaviorSanitizer runtime for this compiler")
+    k5 = gen_uniform(GenSpec(n=60, k=5, ratio=21.1, seed=1))
+    k3 = gen_uniform(GenSpec(n=20, k=3, ratio=4.26, seed=3))
+    # a tautology and a repeated clause, which the pools skip and merge
+    res = Formula(k3.num_vars, [*k3.clauses, (1, -1, 2), k3.clauses[0]])
+    fields = {
+        "CDCL_N": k5.num_vars, "CDCL_M": k5.num_clauses,
+        "CDCL_OFF": _ints(k5.offsets), "CDCL_LITS": _ints(k5.literals),
+        "PHASE": _ints(_initial_phases(k5.num_vars, CDCL_SEED)),
+        "LIMIT": CDCL_BUDGET.conflict_limit, "WIDTH": CDCL_BUDGET.width_limit, "CAP": CDCL_BUDGET.count_cap,
+        "RES_N": res.num_vars, "RES_M": res.num_clauses,
+        "RES_OFF": _ints(res.offsets), "RES_LITS": _ints(res.literals),
+        "L1": LEVEL1_WIDTH, "L2": LEVEL2_WIDTH, "PAIRS": PAIR_BUDGET,
+    }
+    source = DRIVER
+    for name, value in fields.items():
+        source = source.replace(f"@{name}@", str(value))
+    driver = tmp_path / "driver.c"
+    driver.write_text(source)
+    binary = tmp_path / "driver"
+    built = subprocess.run([compiler, *SANITIZE, "-o", str(binary), str(driver),
+                            *sls._c_files(sls._KERNEL_SOURCES), *sls._KERNEL_LIBS],
+                           capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
+    ran = subprocess.run([str(binary)], capture_output=True, text=True, env=ENV, timeout=300)
+    assert ran.returncode == 0 and ran.stderr == "", ran.stderr
+
+    mined = cdcl_solve_and_mine(k5, CDCL_BUDGET, CDCL_SEED)
+    assert mined.status == BUDGET and 2_000 < mined.conflicts < CDCL_BUDGET.conflict_limit
+    assert len(mined.learned) == CDCL_BUDGET.count_cap
+    unbounded = level2_resolvents(res, LEVEL2_WIDTH, 10**9)
+    level2 = level2_resolvents(res, LEVEL2_WIDTH, PAIR_BUDGET)
+    assert len(level2) < len(unbounded)  # the pair budget binds
+    expected = [
+        f"0 {mined.conflicts} {len(mined.records)} {sum(len(r.clause) for r in mined.records)}",
+        _width_counts(level1_resolvents(res, LEVEL1_WIDTH).clauses, LEVEL1_WIDTH),
+        _width_counts(level2.clauses, LEVEL2_WIDTH),
+        _width_counts(ternary_saturate(res), 3),
+    ]
+    assert ran.stdout.splitlines() == expected
