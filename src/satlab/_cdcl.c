@@ -30,8 +30,9 @@
  *   conflict in that order.
  *
  * Unlike the reference, the kernel frees the clauses reduction drops.
- * The records and the distinct clauses are two clause sets of
- * _clauses.h, which also gives the literal index and the growth rule.
+ * The records are one clause set of _clauses.h, which holds each record
+ * and counts the distinct ones; the header also gives the literal index
+ * and the growth rule.
  */
 
 #include <stdlib.h>
@@ -71,7 +72,7 @@ typedef struct {
     int *heap, *heap_pos, heap_size; /* heap_pos[v] < 0: v is not in the heap */
     int *trail, trail_size, qhead;
     int *trail_lim, levels;
-    int *learnt;
+    int *learnt, *canon; /* the clause just learned, as learned and canonically sorted */
     watch_list *watches; /* per literal */
     clause **inputs;
     long long num_inputs;
@@ -79,8 +80,8 @@ typedef struct {
     long long db_size, db_cap, reduce_cap;
     long long conflicts, restart_idx, restart_at; /* one clause is learned per conflict */
     /* qualifying record r: clause r of records, learned at conflict
-     * rec_index[r] + 1; distinct holds each of their clauses once */
-    clause_set records, distinct;
+     * rec_index[r] + 1; records.distinct counts their literal sets */
+    clause_set records;
     long long *rec_index, index_cap;
 } cdcl_state;
 
@@ -354,18 +355,17 @@ static int record(cdcl_state *s, int size, long long width_limit)
 {
     clause_set *r = &s->records;
     long long *index;
-    int *lits;
     if (size > width_limit)
         return 0;
     if (!(index = grow(s->rec_index, &s->index_cap, r->count + 1, sizeof *index)))
         return -1;
     s->rec_index = index;
-    if (push(r, s->learnt, size, 0) < 0)
+    memcpy(s->canon, s->learnt, (size_t)size * sizeof *s->canon);
+    sort_lits(s->canon, size);
+    if (tally(r, s->canon, size) < 0)
         return -1;
     index[r->count - 1] = s->conflicts - 1;
-    lits = r->lits + r->off[r->count - 1];
-    sort_lits(lits, size);
-    return add(&s->distinct, lits, size) < 0 ? -1 : 0;
+    return 0;
 }
 
 /* -- the learned clause database ------------------------------------------------- */
@@ -463,8 +463,8 @@ void cdcl_free(cdcl_state *s)
     free(s->trail);
     free(s->trail_lim);
     free(s->learnt);
+    free(s->canon);
     free_set(&s->records);
-    free_set(&s->distinct);
     free(s->rec_index);
     free(s);
 }
@@ -492,11 +492,12 @@ cdcl_state *cdcl_new(int n, int m, const int *off, const int *lits, const unsign
     s->trail = malloc(vars * sizeof *s->trail);
     s->trail_lim = malloc(vars * sizeof *s->trail_lim);
     s->learnt = malloc(vars * sizeof *s->learnt);
+    s->canon = malloc(vars * sizeof *s->canon);
     s->inputs = malloc(((size_t)m + 1) * sizeof *s->inputs);
-    if (init_set(&s->records) < 0 || init_set(&s->distinct) < 0
+    if (init_set(&s->records) < 0
         || !s->value || !s->watches || !s->level || !s->reason || !s->phase || !s->seen
         || !s->activity || !s->heap || !s->heap_pos || !s->trail || !s->trail_lim
-        || !s->learnt || !s->inputs) {
+        || !s->learnt || !s->canon || !s->inputs) {
         cdcl_free(s);
         return NULL;
     }
@@ -597,7 +598,7 @@ int cdcl_solve(cdcl_state *s, long long conflict_limit, double wall_seconds,
             if (learn(s, size) < 0)
                 return OUT_OF_MEMORY;
             s->var_inc /= ACTIVITY_DECAY;
-            if ((count_cap >= 0 && s->distinct.count >= count_cap)
+            if ((count_cap >= 0 && s->records.distinct >= count_cap)
                 || (budget >= 0 && s->conflicts >= budget)
                 || (s->conflicts % WALL_CHECK_EVERY == 0 && now() - start > wall_seconds)) {
                 backjump(s, 0);

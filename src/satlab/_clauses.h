@@ -9,9 +9,11 @@
  * - grow doubles an array's capacity until it holds what is asked.
  * - A clause_set holds clauses flat, clause c at lits[off[c] ..
  *   off[c + 1]), in the order added.  push appends a clause, equal or not
- *   to one held; add appends it only when no equal clause was added, and
- *   finds equal clauses by hash and literals in an open-addressing table.
- *   A set is filled with one of the two: push leaves the table alone.
+ *   to one held, and leaves the table alone.  add appends it only when no
+ *   equal clause was added; tally always appends it.  Both find equal
+ *   clauses by hash and literals in an open-addressing table that indexes
+ *   the first of each, and count those in `distinct`.  A set is filled
+ *   with push alone or with add and tally.
  */
 
 #ifndef SATLAB_CLAUSES_H
@@ -73,7 +75,7 @@ static inline void *grow(void *data, long long *cap, long long need, size_t size
 }
 
 typedef struct {
-    long long count;
+    long long count, distinct; /* clauses held, and those of them indexed: the first of each */
     long long *off; /* clause c is lits[off[c] .. off[c + 1]) */
     int *lits;
     unsigned long long *hash;   /* per clause */
@@ -136,10 +138,10 @@ static inline long long find(const clause_set *s, const int *lits, int width, un
     return i;
 }
 
-/* Double the table (every clause held is in it); -1 when out of memory. */
+/* Double the table (the first of each clause held is in it); -1 when out of memory. */
 static inline int rehash(clause_set *s)
 {
-    long long cap = s->slot_cap ? 2 * s->slot_cap : 1024, i;
+    long long cap = s->slot_cap ? 2 * s->slot_cap : 1024, i, j;
     long long *slot = malloc((size_t)cap * sizeof *slot);
     if (!slot)
         return -1;
@@ -149,25 +151,42 @@ static inline int rehash(clause_set *s)
     s->slot = slot;
     s->slot_cap = cap;
     for (i = 0; i < s->count; i++)
-        s->slot[find(s, lits_of(s, i), width_of(s, i), s->hash[i])] = i;
+        if (s->slot[j = find(s, lits_of(s, i), width_of(s, i), s->hash[i])] < 0)
+            s->slot[j] = i;
     return 0;
 }
 
-/* Add a clause (never one of the set's own) unless an equal one is held:
- * 1 when added, 0 when held, -1 when out of memory. */
-static inline int add(clause_set *s, const int *lits, int width)
+/* Append a clause (never one of the set's own) when `always` is set or no
+ * equal one is held, and index it when none is: 1 when indexed, 0 when an
+ * equal one was held, -1 when out of memory. */
+static inline int insert(clause_set *s, const int *lits, int width, int always)
 {
     unsigned long long h = hash_of(lits, width);
     long long i;
-    if (2 * (s->count + 1) > s->slot_cap && rehash(s) < 0)
+    if (2 * (s->distinct + 1) > s->slot_cap && rehash(s) < 0)
         return -1;
     i = find(s, lits, width, h);
     if (s->slot[i] >= 0)
-        return 0;
+        return always && push(s, lits, width, h) < 0 ? -1 : 0;
     if (push(s, lits, width, h) < 0)
         return -1;
     s->slot[i] = s->count - 1;
+    s->distinct++;
     return 1;
+}
+
+/* Add a clause unless an equal one is held: 1 when added, 0 when held,
+ * -1 when out of memory. */
+static inline int add(clause_set *s, const int *lits, int width)
+{
+    return insert(s, lits, width, 0);
+}
+
+/* Append a clause, equal or not to one held: 1 when it is the first of its
+ * literals, 0 when an equal one was held, -1 when out of memory. */
+static inline int tally(clause_set *s, const int *lits, int width)
+{
+    return insert(s, lits, width, 1);
 }
 
 /* An empty set; -1 when out of memory, and the set can then only be freed. */

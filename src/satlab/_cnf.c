@@ -1,13 +1,14 @@
 /* Compiled DIMACS scan and emit, Formula index build and model check,
  * equal to the Python reference in satlab.cnf (the DIMACS reader of
  * parse_dimacs, the clause lines of emit_dimacs, canonical_clause plus
- * _index_clauses in Formula.__init__, and _eval_formula_python).
+ * _index_clauses in Formula.__init__, and _eval_formula_python), and the
+ * duplicate check of satlab.pipeline.augment (_augment_python).
  *
  * Clauses are flat: clause c holds lits[off[c] .. off[c+1]), DIMACS-signed
  * ints.  The occurrence index is Formula's: the ids of the clauses holding
  * literal l are occ[occ_off[i] .. occ_off[i+1]) with i = lit_index(l) =
- * 2*|l| + (l < 0), in clause-id order; it and the canonical sort are
- * _clauses.h's.
+ * 2*|l| + (l < 0), in clause-id order; it, the canonical sort and the
+ * clause set are _clauses.h's.
  */
 
 #include <limits.h>
@@ -28,6 +29,18 @@ static int first_out_of_range(const int *a, int w, int n)
     return -1;
 }
 
+/* Canonicalise clause lits[start .. end) into lits[w ..) (w <= start):
+ * sort by (|l|, l) and drop repeats; returns its width. */
+static int canonicalise(int *lits, int start, int end, int w)
+{
+    int width = 0;
+    sort_lits(lits + start, end - start);
+    for (int i = start; i < end; i++)
+        if (width == 0 || lits[i] != lits[w + width - 1])
+            lits[w + width++] = lits[i];
+    return width;
+}
+
 /* Canonicalise the m clauses in place (sort by (|l|, l) and drop
  * repeats, rewriting off) and check them; then fill the occurrence index
  * by counting sort.  occ_off holds 2n + 3 zeros and occ room for off[m]
@@ -41,13 +54,9 @@ int formula_index(int n, long long m, int *off, int *lits, int *occ_off, int *oc
 {
     int w = 0, max_width = 0, empty = 0;
     for (long long c = 0; c < m; c++) {
-        int start = off[c], end = off[c + 1], width = 0;
-        /* compact into lits[w ..): w <= start, and each literal is read
+        /* compact into lits[w ..): w <= off[c], and each literal is read
          * before its slot is written */
-        sort_lits(lits + start, end - start);
-        for (int i = start; i < end; i++)
-            if (width == 0 || lits[i] != lits[w + width - 1])
-                lits[w + width++] = lits[i];
+        int width = canonicalise(lits, off[c], off[c + 1], w);
         int *clause = lits + w;
         int bad = first_out_of_range(clause, width, n);
         off[c] = w;
@@ -85,6 +94,62 @@ int formula_index(int n, long long m, int *off, int *lits, int *occ_off, int *oc
     info[3] = max_width;
     info[4] = empty;
     return OK;
+}
+
+/* 1 when the formula (f_off, f_lits and its occurrence index) holds the
+ * canonical clause a[0 .. w), w >= 1 and every literal in 1..n in absolute
+ * value: it is looked for among the clauses of its rarest literal. */
+static int formula_holds(const int *f_off, const int *f_lits, const int *occ_off, const int *occ,
+                         const int *a, int w)
+{
+    int rarest = lit_index(a[0]);
+    for (int i = 1; i < w; i++)
+        if (occ_off[lit_index(a[i]) + 1] - occ_off[lit_index(a[i])] < occ_off[rarest + 1] - occ_off[rarest])
+            rarest = lit_index(a[i]);
+    for (int j = occ_off[rarest]; j < occ_off[rarest + 1]; j++) {
+        int c = occ[j];
+        if (f_off[c + 1] - f_off[c] == w && !memcmp(f_lits + f_off[c], a, (size_t)w * sizeof *a))
+            return 1;
+    }
+    return 0;
+}
+
+/* The duplicate check of augment: of the k additions, clause c at
+ * lits[off[c] - off[0] .. off[c + 1] - off[0]), keep the first with each
+ * literal set, unless the formula (n variables, canonical clauses
+ * f_off/f_lits, occurrence index occ_off/occ, `empty` when it holds the
+ * empty clause) holds that set.  The kept additions, canonical and in
+ * order, are compacted to the front of off and lits, off still counted
+ * from off[0]; a clause with a literal outside 1..n is never held, and is
+ * kept for formula_index to reject.  Returns the number kept, or -1 when
+ * out of memory. */
+long long augment_keep(int n, const int *f_off, const int *f_lits, const int *occ_off, const int *occ,
+                       int empty, long long k, int *off, int *lits)
+{
+    clause_set seen;
+    long long kept = 0;
+    int base = off[0], start = 0, w = 0;
+    if (init_set(&seen) < 0) {
+        free_set(&seen);
+        return -1;
+    }
+    for (long long c = 0; c < k; c++) {
+        int end = off[c + 1] - base; /* read before off[kept + 1], kept <= c, is written */
+        int width = canonicalise(lits, start, end, w), added;
+        start = end;
+        if ((added = add(&seen, lits + w, width)) < 0) {
+            free_set(&seen);
+            return -1;
+        }
+        if (!added || (width == 0 && empty)
+            || (width > 0 && first_out_of_range(lits + w, width, n) < 0
+                && formula_holds(f_off, f_lits, occ_off, occ, lits + w, width)))
+            continue;
+        w += width;
+        off[++kept] = base + w;
+    }
+    free_set(&seen);
+    return kept;
 }
 
 static int blank(char ch)

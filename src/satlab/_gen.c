@@ -1,11 +1,10 @@
 /* Compiled random k-SAT generation, bit-identical to the Python reference
  * in satlab.generators (_gen_uniform_python and _gen_planted_python).
  *
- * It continues the Mersenne Twister stream of random.Random(seed)
- * (_mt.h) and repeats the reference's draws one by one: the hidden
- * assignment, then per clause the variables of CPython's
- * random.sample(range(1, n + 1), k) and the polarities, with the planted
- * rejection loop.  Clause c is written, in draw order, to
+ * It seeds the Mersenne Twister as random.Random(seed) does (_mt.h) and
+ * repeats the reference's draws one by one: the hidden assignment, then
+ * per clause the variables of CPython's random.sample(range(1, n + 1), k)
+ * and the polarities, with the planted rejection loop.  Clause c is written, in draw order, to
  * lits[c * k .. (c + 1) * k), and off[c] = c * k.
  */
 
@@ -55,20 +54,21 @@ static void sample(mt_state *s, int n, int k, int *pool, int *vars)
     }
 }
 
-/* m clauses of k distinct variables out of 1..n, from the MT state
- * `state`.  use_pool selects random.sample's branch: n is at most its set
- * size for k.  With hidden NULL, polarities are uniform (gen_uniform).
- * Otherwise hidden[1 .. n] (0 or 1) is drawn first, every clause agrees
- * with it in at least one literal, and a vector with c agreeing literals
- * is kept with probability bias**c (gen_planted).  Returns OUT_OF_MEMORY
- * when the pool cannot be allocated.
+/* m clauses of k distinct variables out of 1..n, drawn from the MT
+ * seeded with key[0 .. key_len) (mt_seed).  use_pool selects
+ * random.sample's branch: n is at most its set size for k.  With hidden
+ * NULL, polarities are uniform (gen_uniform).  Otherwise hidden[1 .. n]
+ * (0 or 1) is drawn first, every clause agrees with it in at least one
+ * literal, and a vector with c agreeing literals is kept with probability
+ * bias**c (gen_planted).  Returns OUT_OF_MEMORY when the pool cannot be
+ * allocated.
  */
 int gen_clauses(int n, int k, long long m, int use_pool, double bias, unsigned char *hidden,
-                const uint32_t *state, int *off, int *lits)
+                const uint32_t *key, int key_len, int *off, int *lits)
 {
     mt_state s;
     int *pool = NULL;
-    mt_load(&s, state);
+    mt_seed(&s, key, (size_t)key_len);
     if (use_pool && !(pool = malloc((size_t)n * sizeof *pool)))
         return OUT_OF_MEMORY;
     if (hidden)

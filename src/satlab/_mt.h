@@ -1,15 +1,16 @@
 /* The Mersenne Twister of CPython's random.Random, shared by the kernels
  * that continue its stream: MT19937 as in _randommodule.c, and
- * random.random() from two of its words.  A state is loaded from
- * random.Random(seed).getstate()[1]: the 624 state words followed by the
- * index.
+ * random.random() from two of its words.  mt_seed puts a state where
+ * random.Random(seed) puts it, for an int seed: init_by_array over the
+ * key of random_seed, the 32-bit words of abs(seed) from the least
+ * significant one up, or the one word 0 for seed 0.
  */
 
 #ifndef SATLAB_MT_H
 #define SATLAB_MT_H
 
+#include <stddef.h>
 #include <stdint.h>
-#include <string.h>
 
 #define MT_N 624
 #define MT_M 397
@@ -19,10 +20,35 @@ typedef struct {
     int mti;
 } mt_state;
 
-static inline void mt_load(mt_state *s, const uint32_t *state)
+/* init_genrand, then init_by_array over key[0 .. len), len >= 1 */
+static inline void mt_seed(mt_state *s, const uint32_t *key, size_t len)
 {
-    memcpy(s->mt, state, sizeof s->mt);
-    s->mti = (int)state[MT_N];
+    uint32_t *mt = s->mt;
+    size_t i = 1, j = 0, k;
+    mt[0] = 19650218U;
+    for (k = 1; k < MT_N; k++)
+        mt[k] = 1812433253U * (mt[k - 1] ^ (mt[k - 1] >> 30)) + (uint32_t)k;
+    for (k = MT_N > len ? MT_N : len; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U)) + key[j] + (uint32_t)j;
+        i++;
+        j++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+        if (j >= len)
+            j = 0;
+    }
+    for (k = MT_N - 1; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U)) - (uint32_t)i;
+        i++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+    }
+    mt[0] = 0x80000000U; /* a nonzero state */
+    s->mti = MT_N;
 }
 
 static inline uint32_t genrand_uint32(mt_state *s)

@@ -1,7 +1,7 @@
 /* Compiled probSAT flip loop, bit-identical to satlab.sls._probsat_python.
  *
  * Every step mirrors the Python reference: the same Mersenne Twister
- * stream (_mt.h, continued from random.Random(seed).getstate()), the same
+ * stream (_mt.h, seeded as random.Random(seed) seeds it), the same
  * initial assignment draws, occurrence lists in clause-id order, the
  * same swap-remove falsified registry, the same critical variables and
  * the same floating-point accumulation order when sampling a literal.
@@ -56,12 +56,11 @@ void probsat_free(probsat_state *s)
     free(s);
 }
 
-/* New state: draws the initial assignment and builds the counters.  `mt`
- * is the 624 state words followed by the index.  NULL when out of
- * memory. */
+/* New state: draws the initial assignment and builds the counters.  `key`
+ * is the seed's key[0 .. key_len) (mt_seed).  NULL when out of memory. */
 probsat_state *probsat_new(int n, int m, const int *off, const int *lits,
                            const int *occ_off, const int *occ,
-                           const double *table, const uint32_t *mt)
+                           const double *table, const uint32_t *key, int key_len)
 {
     probsat_state *s = calloc(1, sizeof *s);
     int v, c, i;
@@ -73,7 +72,7 @@ probsat_state *probsat_new(int n, int m, const int *off, const int *lits,
     s->occ_off = occ_off;
     s->occ = occ;
     s->table = table;
-    mt_load(&s->rng, mt);
+    mt_seed(&s->rng, key, (size_t)key_len);
     s->assign = calloc((size_t)n + 1, 1);
     s->breaks = calloc((size_t)n + 1, sizeof(int));
     s->cl = malloc((4 * (size_t)m + 1) * sizeof(int));

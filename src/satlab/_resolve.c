@@ -28,8 +28,10 @@
  * where the reference's partners[:remaining] cuts it.
  *
  * A constructor returns a pool handle, or NULL when out of memory; the
- * pool is read with pool_num_lits and pool_copy and released with
- * pool_free.
+ * pool is read with pool_size, pool_num_lits and pool_copy and released
+ * with pool_free.  pool_copy hands the clauses back grouped by width,
+ * which Python turns into tuples fastest, and the permutation that puts
+ * them in tuple order, the order in which Python keeps a pool.
  */
 
 #include <limits.h>
@@ -45,8 +47,82 @@ typedef struct {
 typedef struct {
     clause_set set;
     long long first; /* the pool is clauses first .. set.count - 1 */
+    long long *order; /* pool_copy's order */
     int max_width;
 } pool;
+
+typedef struct {
+    unsigned long long head; /* the clause's first two literals, packed by head_of */
+    long long c;
+} sort_key;
+
+/* The first two literals of a clause, sign bits flipped so that they
+ * compare as unsigned as they do signed, the first in the high half, 0
+ * where the clause has none (no literal packs to 0): heads compare as
+ * their clauses' first two literals do in tuple order. */
+static unsigned long long head_of(const clause_set *s, long long c)
+{
+    const int *lits = lits_of(s, c);
+    int width = width_of(s, c);
+    unsigned long long first = width > 0 ? ((unsigned)lits[0] ^ 0x80000000U) : 0;
+    return first << 32 | (width > 1 ? ((unsigned)lits[1] ^ 0x80000000U) : 0);
+}
+
+/* Python's tuple order on canonical clauses: whether x sorts before y */
+static int before(const clause_set *s, const sort_key *x, const sort_key *y)
+{
+    const int *a, *b;
+    int i, wa, wb;
+    if (x->head != y->head)
+        return x->head < y->head;
+    a = lits_of(s, x->c);
+    b = lits_of(s, y->c);
+    wa = width_of(s, x->c);
+    wb = width_of(s, y->c);
+    for (i = 2; i < wa && i < wb; i++)
+        if (a[i] != b[i])
+            return a[i] < b[i];
+    return wa < wb;
+}
+
+/* The distinct clauses first .. first + size - 1 of the set, by id in
+ * tuple order (signed lexicographic, a prefix first), into ids, by a
+ * bottom-up merge sort; -1 when out of memory. */
+static int tuple_sort(const clause_set *s, long long first, long long size, long long *ids)
+{
+    sort_key *a = malloc((size_t)(size + 1) * sizeof *a), *b = malloc((size_t)(size + 1) * sizeof *b), *t;
+    long long i, run;
+    if (!a || !b) {
+        free(a);
+        free(b);
+        return -1;
+    }
+    for (i = 0; i < size; i++) {
+        a[i].head = head_of(s, first + i);
+        a[i].c = first + i;
+    }
+    for (run = 1; run < size; run *= 2) { /* merge runs of a into b, then swap them */
+        long long lo;
+        for (lo = 0; lo < size; lo += 2 * run) {
+            long long mid = lo + run < size ? lo + run : size, hi = lo + 2 * run < size ? lo + 2 * run : size;
+            long long j = lo, k = mid, out = lo;
+            while (j < mid && k < hi)
+                b[out++] = before(s, &a[k], &a[j]) ? a[k++] : a[j++];
+            while (j < mid)
+                b[out++] = a[j++];
+            while (k < hi)
+                b[out++] = a[k++];
+        }
+        t = a;
+        a = b;
+        b = t;
+    }
+    for (i = 0; i < size; i++)
+        ids[i] = a[i].c;
+    free(a);
+    free(b);
+    return 0;
+}
 
 /* 0 when the canonical clause has no variable twice, 1 when a tautology */
 static int tautology(const int *lits, int width)
@@ -196,6 +272,7 @@ static pool *new_pool(int max_width)
         return NULL;
     }
     p->first = 0;
+    p->order = NULL;
     p->max_width = max_width;
     return p;
 }
@@ -204,8 +281,39 @@ void pool_free(pool *p)
 {
     if (p) {
         free_set(&p->set);
+        free(p->order);
         free(p);
     }
+}
+
+/* The finished pool with its order, or NULL, the pool freed, when out of
+ * memory: order[i] is the place, in pool_copy's grouping by width and
+ * then as found, of the pool's i-th clause in tuple order. */
+static pool *with_order(pool *p)
+{
+    const clause_set *s = &p->set;
+    long long size = s->count - p->first, c, i;
+    long long *start = calloc((size_t)p->max_width + 2, sizeof *start); /* start[w]: clauses narrower than w */
+    long long *at = malloc((size_t)(size + 1) * sizeof *at);
+    int w, ok = start && at && (p->order = malloc((size_t)(size + 1) * sizeof *p->order))
+                && tuple_sort(s, p->first, size, p->order) == 0;
+    if (ok) {
+        for (c = p->first; c < s->count; c++)
+            start[width_of(s, c) + 1]++;
+        for (w = 1; w <= p->max_width; w++)
+            start[w] += start[w - 1];
+        for (i = 0; i < size; i++)
+            at[i] = start[width_of(s, p->first + i)]++;
+        for (i = 0; i < size; i++)
+            p->order[i] = at[p->order[i] - p->first];
+    }
+    free(start);
+    free(at);
+    if (!ok) {
+        pool_free(p);
+        return NULL;
+    }
+    return p;
 }
 
 /* Non-tautological resolvents of width <= max_width of two base clauses
@@ -221,28 +329,12 @@ pool *level1_pool(int n, int m, const int *off, const int *lits, int max_width)
         goto fail;
     free(mark);
     free(buf);
-    return p;
+    return with_order(p);
 fail:
     free(mark);
     free(buf);
     pool_free(p);
     return NULL;
-}
-
-typedef struct {
-    const int *lits;
-    int width;
-} sort_key;
-
-/* Python's tuple order on canonical clauses */
-static int tuple_order(const void *x, const void *y)
-{
-    const sort_key *a = x, *b = y;
-    int i, w = a->width < b->width ? a->width : b->width;
-    for (i = 0; i < w; i++)
-        if (a->lits[i] != b->lits[i])
-            return a->lits[i] < b->lits[i] ? -1 : 1;
-    return (a->width > b->width) - (a->width < b->width);
 }
 
 /* Non-tautological resolvents of width <= max_width with a level-1 parent
@@ -252,7 +344,7 @@ pool *level2_pool(int n, int m, const int *off, const int *lits, int max_width, 
 {
     pool *p = new_pool(max_width), *result = NULL;
     clause_set walk; /* the base clauses with repeats, then the level-1 resolvents in tuple order */
-    sort_key *keys = NULL;
+    long long *sorted = NULL; /* the level-1 resolvents in tuple order */
     id_list *occ = NULL;
     int *mark = calloc((size_t)n + 1, sizeof *mark), *buf = malloc(((size_t)n + 1) * sizeof *buf);
     long long nb, level1, a, i, remaining = pair_budget;
@@ -263,18 +355,13 @@ pool *level2_pool(int n, int m, const int *off, const int *lits, int max_width, 
         goto fail;
     p->first = p->set.count;
     level1 = p->first - nb;
-    if (!(keys = malloc((size_t)(level1 + 1) * sizeof *keys)))
+    if (!(sorted = malloc((size_t)(level1 + 1) * sizeof *sorted)) || tuple_sort(&p->set, nb, level1, sorted) < 0)
         goto fail;
-    for (i = 0; i < level1; i++) {
-        keys[i].lits = lits_of(&p->set, nb + i);
-        keys[i].width = width_of(&p->set, nb + i);
-    }
-    qsort(keys, (size_t)level1, sizeof *keys, tuple_order);
     if (add_base(&walk, m, off, lits, INT_MAX, 0) < 0)
         goto fail;
     nb = walk.count;
     for (i = 0; i < level1; i++)
-        if (push(&walk, keys[i].lits, keys[i].width, 0) < 0)
+        if (push(&walk, lits_of(&p->set, sorted[i]), width_of(&p->set, sorted[i]), 0) < 0)
             goto fail;
     if (!(occ = index_clauses(&walk, n)))
         goto fail;
@@ -299,11 +386,11 @@ pool *level2_pool(int n, int m, const int *off, const int *lits, int max_width, 
         mark_clause(mark, clause, width, 0);
     }
 done:
-    result = p;
+    result = with_order(p);
     p = NULL;
 fail:
     free(mark);
-    free(keys);
+    free(sorted);
     free_index(occ, n);
     free_set(&walk);
     free(buf);
@@ -346,12 +433,17 @@ pool *ternary_pool(int n, int m, const int *off, const int *lits)
     }
     free(mark);
     free_index(occ, n);
-    return p;
+    return with_order(p);
 fail:
     free(mark);
     free_index(occ, n);
     pool_free(p);
     return NULL;
+}
+
+long long pool_size(const pool *p)
+{
+    return p->set.count - p->first;
 }
 
 long long pool_num_lits(const pool *p)
@@ -361,12 +453,14 @@ long long pool_num_lits(const pool *p)
 
 /* Copy the pool out grouped by width, widths ascending, clauses in the
  * order found: counts[w], for w = 0 .. the pool's width bound, clauses of
- * width w, and their pool_num_lits literals in lits. */
-void pool_copy(const pool *p, long long *counts, int *lits)
+ * width w, and their pool_num_lits literals in lits.  order gets the
+ * pool_size places in that grouping of the clauses in tuple order. */
+void pool_copy(const pool *p, long long *counts, int *lits, long long *order)
 {
     const clause_set *s = &p->set;
     long long c;
     int w, widest = 0;
+    memcpy(order, p->order, (size_t)pool_size(p) * sizeof *order);
     memset(counts, 0, ((size_t)p->max_width + 1) * sizeof *counts);
     for (c = p->first; c < s->count; c++) {
         counts[w = width_of(s, c)]++;

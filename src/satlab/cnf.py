@@ -22,7 +22,10 @@ each have two paths with one set of results:
   `p cnf N M` header and a `%` end line (`dimacs_scan`), writes the
   clause lines of `emit_dimacs` (`dimacs_emit`), and checks a model
   against the flat clauses (`formula_satisfied`).  Any input outside the
-  scanner's subset it hands back to the Python reader whole.
+  scanner's subset it hands back to the Python reader whole.  It also
+  holds the duplicate check of `satlab.pipeline.augment`
+  (`augment_keep`), which hands its kept clauses to `formula_index`
+  through `Formula._extended_flat`.
 - `canonical_clause` with `_index_clauses`, `_read_dimacs`,
   `_emit_clauses_python` and `_eval_formula_python` are the readable
   reference.  They run when the library is unavailable, when clauses do
@@ -166,8 +169,13 @@ class Formula:
         flat = None if kernel is None else _flatten(new, self.offsets[-1])
         if flat is None:
             return Formula(self.num_vars, self.clauses + tuple(new))
+        return self._extended_flat(kernel, *flat)
+
+    def _extended_flat(self, kernel, offsets: array, lits: array) -> Formula:
+        """`extended` with clauses flattened by `_flatten(clauses,
+        self.offsets[-1])`, re-indexed by `formula_index`."""
         out = Formula.__new__(Formula)  # not __init__: the new clauses are flat already
-        out._index_native(kernel, self.num_vars, self.offsets + flat[0][1:], self.literals + flat[1])
+        out._index_native(kernel, self.num_vars, self.offsets + offsets[1:], self.literals + lits)
         return out
 
     @property

@@ -6,15 +6,15 @@ Twister (`random.Random`) makes them bit-reproducible across platforms.
 `gen_uniform` and `gen_planted` have two paths with one set of results:
 
 - `gen_clauses` in `_gen.c`, built into the one compiled library of
-  `satlab.sls` (`sls._load_kernel`), continues the Mersenne Twister
-  state of `random.Random(spec.seed)` and repeats the reference's draws
-  one by one, including both branches of CPython's `random.sample`.  It
+  `satlab.sls` (`sls._load_kernel`), seeds the Mersenne Twister as
+  `random.Random(spec.seed)` does and repeats the reference's draws one
+  by one, including both branches of CPython's `random.sample`.  It
   writes flat int32 clause arrays, which `formula_index` canonicalises
   and indexes, so no clause list or tuple is built and
   `Formula.__init__` never runs.
 - `_gen_uniform_python` and `_gen_planted_python` are the readable
-  reference.  They run when the library is unavailable, and when `n` or
-  `m * k` does not fit int32.
+  reference.  They run when the library is unavailable, when `n` or
+  `m * k` does not fit int32, and when the seed is not an int.
 
 For equal specs the two give equal clauses, flat arrays and hidden
 assignments; the differential tests in `tests/test_generators.py` hold
@@ -29,6 +29,7 @@ from array import array
 from dataclasses import dataclass
 
 from .cnf import _INT32_MAX, Assignment, Formula, _address, _kernel
+from .sls import _seed_key
 
 # Clause-to-variable ratios near the satisfiability threshold, used when a
 # spec gives neither ratio nor m.
@@ -114,14 +115,14 @@ def _gen_native(spec: GenSpec, hidden: array | None) -> Formula | None:
     unused) before any clause."""
     kernel = _kernel()
     n, k, m = spec.n, spec.k, spec.num_clauses
-    if kernel is None or 2 * n + 3 > _INT32_MAX or m * k > _INT32_MAX:
+    key = _seed_key(spec.seed)
+    if kernel is None or key is None or 2 * n + 3 > _INT32_MAX or m * k > _INT32_MAX:
         return None
     pool = n <= 21 + (4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 0)  # random.sample's branch
     offsets = array("i", [0]) * (m + 1)
     lits = array("i", [0]) * (m * k)
-    state = array("I", random.Random(spec.seed).getstate()[1])
     if kernel.gen_clauses(n, k, m, pool, spec.bias, None if hidden is None else _address(hidden),
-                          *map(_address, (state, offsets, lits))):
+                          _address(key), len(key), *map(_address, (offsets, lits))):
         raise MemoryError("cannot allocate the generator's sampling pool")
     formula = Formula.__new__(Formula)
     formula._index_native(kernel, n, offsets, lits)

@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 
 from .cdcl import MINER_SECONDS_DEFAULT, SAT, UNSAT, MiningBudget, cdcl_solve_and_mine
-from .cnf import Assignment, Formula, eval_formula, is_int_at_least
+from .cnf import Assignment, Formula, _address, _flatten, _kernel, eval_formula, is_int_at_least
 from .sls import ScoringFunction, default_scoring, default_scoring_for, probsat_run
 
 PLAIN_SLS = "plain-sls"
@@ -181,10 +181,36 @@ def augment(formula: Formula, clauses) -> Formula:
     set of an existing clause (or of an earlier addition) is dropped.  The
     input formula is not modified.
 
-    An existing clause is looked up among the clauses of its least
-    frequent literal, so the lookup's cost follows the additions, not the
-    formula; `extended`'s re-index, in C when the library loads, does not.
+    The additions are flattened once, and `augment_keep` in `_cnf.c`
+    drops the duplicates: it canonicalises each addition, looks it up
+    among the formula's clauses of its least frequent literal, so the
+    lookup's cost follows the additions, not the formula, and finds
+    repeats among the additions in a hashed clause set.  The kept ones
+    are re-indexed with the formula by `formula_index`, whose cost does
+    follow the formula.  `_augment_python` is the reference, and runs
+    when the library is unavailable or the additions do not flatten; both
+    give equal formulas and equal errors.
     """
+    new = clauses if isinstance(clauses, (list, tuple)) else list(clauses)
+    kernel = _kernel()
+    flat = None if kernel is None else _flatten(new, formula.offsets[-1])
+    if flat is None:
+        return _augment_python(formula, new)
+    offsets, lits = flat
+    kept = kernel.augment_keep(formula.num_vars, *map(_address, (formula.offsets, formula.literals,
+                                                                 formula.occ_offsets, formula.occ)),
+                               formula.has_empty_clause(), len(new), _address(offsets), _address(lits))
+    if kept < 0:
+        raise MemoryError("cannot allocate augment's clause set")
+    if not kept:
+        return formula
+    del offsets[kept + 1:]
+    del lits[offsets[-1] - offsets[0]:]
+    return formula._extended_flat(kernel, offsets, lits)
+
+
+def _augment_python(formula: Formula, clauses) -> Formula:
+    """The reference of `augment`: the same formula, or the same error."""
     offsets, literals = formula.offsets, formula.literals
     seen: set[frozenset[int]] = set()
     added: list[frozenset[int]] = []

@@ -5,23 +5,28 @@ level-2 resolvent has at least one level-1 parent.  Pools are width
 filtered, deduplicated, tautology-free, and never contain clauses of
 the base formula (compared as literal sets, so a base clause in any
 literal order counts), so adding any subset of a pool preserves the
-solution set exactly.  Tautological input clauses, which `Formula`
-keeps as ordinary clauses, are excluded from enumeration.
+solution set exactly.  A pool is a tuple of canonical clauses in tuple
+order, strictly increasing, so it is sampled and sorted as it stands.
+Tautological input clauses, which `Formula` keeps as ordinary clauses,
+are excluded from enumeration.
 
 Each enumeration has two engines with one set of results:
 
 - `_resolve.c`, built into the one compiled library of `satlab.sls`
   (`sls._load_kernel`), enumerates from `Formula.offsets` and `literals`
   with canonical literal runs of any width and a hash set of clauses,
-  and hands each pool back through a handle; Python only builds the
-  clause tuples.  Allocation failure is a MemoryError.
+  and hands each pool back through a handle: its clauses grouped by
+  width, and the permutation that puts them in tuple order.  Python only
+  builds the clause tuples and applies the permutation.  Allocation
+  failure is a MemoryError.
 - The `(pos, neg)` mask engine below is the readable reference, and
   runs when the library is unavailable.  A clause is held as a pair of
   ints with bit `v` set for literal `v` or `-v`.  Resolving on `v` gives
   `p = pa | pb` and `n = na | nb`, both holding the pivot bit: the
   resolvent is a tautology iff `p & n` holds any other bit, and its
   width is `(p | n).bit_count() - 1`.  A survivor of both checks drops
-  the pivot bit; canonical tuples are built only for survivors.
+  the pivot bit; canonical tuples are built only for survivors, and
+  sorted once.
   `cnf.resolve` is the readable reference of one step: `bounded_resolve`
   puts one pair through the mask engine, and a differential test holds
   the two equal.
@@ -52,7 +57,10 @@ Masks = tuple[int, int]
 
 @dataclass(frozen=True)
 class ResolventPool:
-    clauses: frozenset[Clause]
+    """A pool of resolvents: distinct canonical clauses, strictly
+    increasing in tuple order (signed lexicographic, a prefix first)."""
+
+    clauses: tuple[Clause, ...]
 
     def __len__(self) -> int:
         return len(self.clauses)
@@ -152,7 +160,7 @@ def _level1(num_vars: int, originals: list[Masks], max_width: int) -> set[Masks]
 
 
 def _pool(found: set[Masks]) -> ResolventPool:
-    return ResolventPool(frozenset(map(_clause, found)))
+    return ResolventPool(tuple(sorted(map(_clause, found))))
 
 
 def _check_count(name: str, value) -> None:
@@ -161,23 +169,25 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
-def _native_clauses(kernel, pool, max_width: int) -> list[Clause]:
-    """The clauses of a `_resolve.c` pool built under `max_width`, which
-    this frees; a NULL pool means the kernel ran out of memory."""
+def _native_clauses(kernel, pool, max_width: int) -> tuple[Clause, ...]:
+    """The clauses of a `_resolve.c` pool built under `max_width`, in
+    tuple order; this frees the pool, and a NULL pool means the kernel ran
+    out of memory."""
     if not pool:
         raise MemoryError("the resolution kernel ran out of memory")
     try:
         counts = array("q", bytes(8 * (max_width + 1)))
         lits = array("i", bytes(4 * kernel.pool_num_lits(pool)))
-        kernel.pool_copy(pool, counts.buffer_info()[0], lits.buffer_info()[0])
+        order = array("q", bytes(8 * kernel.pool_size(pool)))
+        kernel.pool_copy(pool, *(a.buffer_info()[0] for a in (counts, lits, order)))
     finally:
         kernel.pool_free(pool)
-    clauses: list[Clause] = [()] * counts[0]
+    grouped: list[Clause] = [()] * counts[0]
     flat = iter(lits)
     for width, count in enumerate(counts):
         if width and count:  # `count` clauses of `width` literals, back to back
-            clauses.extend(zip(*[islice(flat, width * count)] * width))
-    return clauses
+            grouped.extend(zip(*[islice(flat, width * count)] * width))
+    return tuple(map(grouped.__getitem__, order))
 
 
 def _flat(formula: Formula):
@@ -192,7 +202,7 @@ def level1_resolvents(formula: Formula, max_width: int) -> ResolventPool:
     kernel = sls._load_kernel()
     if kernel is not None:
         width = min(max_width, formula.num_vars)  # no wider resolvent exists
-        return ResolventPool(frozenset(_native_clauses(kernel, kernel.level1_pool(*_flat(formula), width), width)))
+        return ResolventPool(_native_clauses(kernel, kernel.level1_pool(*_flat(formula), width), width))
     originals = _base_masks(formula)
     return _pool(_level1(formula.num_vars, originals, max_width) - set(originals))
 
@@ -216,7 +226,7 @@ def level2_resolvents(
     if kernel is not None:
         width = min(max_width, formula.num_vars)
         pool = kernel.level2_pool(*_flat(formula), width, min(pair_budget, _INT64_MAX))
-        return ResolventPool(frozenset(_native_clauses(kernel, pool, width)))
+        return ResolventPool(_native_clauses(kernel, pool, width))
     originals = _base_masks(formula)
     exclude = set(originals)
     level1 = sorted(_level1(formula.num_vars, originals, formula.num_vars) - exclude, key=_clause)
@@ -261,10 +271,9 @@ def ternary_saturate(formula: Formula) -> set[Clause]:
 def sample_pool(pool: ResolventPool, cap: int, seed: int) -> list[Clause]:
     """Uniform random subset of size min(cap, |pool|), seed-deterministic.
 
-    The pool is sorted canonically before sampling so the result does not
-    depend on set iteration order; the sample itself is returned sorted.
+    The pool is drawn from as it stands, already in tuple order, so no
+    sort precedes the draw; the sample itself is returned sorted.
     """
     _check_count("cap", cap)
-    ordered = sorted(pool.clauses)
-    k = min(cap, len(ordered))
-    return sorted(random.Random(seed).sample(ordered, k))
+    clauses = pool.clauses
+    return sorted(random.Random(seed).sample(clauses, min(cap, len(clauses))))

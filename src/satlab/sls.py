@@ -18,21 +18,22 @@ swap-remove registry with O(1) membership, insertion, and deletion.
 
 - The compiled kernel (`_probsat.c`, loaded with ctypes) reads the
   formula's flat clause and occurrence arrays (`Formula.offsets`,
-  `literals`, `occ_offsets` and `occ`), and continues the Mersenne
-  Twister stream of `random.Random(seed)` (`_mt.h`).  It is built on
-  first use with the system C compiler, into one library with the CDCL
-  kernel of `satlab.cdcl` (`_cdcl.c`), the DIMACS scan and emit,
-  `Formula` index build and model check of `satlab.cnf` (`_cnf.c`), the
-  instance generator of `satlab.generators` (`_gen.c`) and the resolvent
-  enumeration of `satlab.resolution` (`_resolve.c`), in
-  `$XDG_CACHE_HOME/satlab` (by default `~/.cache/satlab`), under a file
-  name keyed by the five sources, the two headers they share (the
+  `literals`, `occ_offsets` and `occ`), and seeds the Mersenne Twister
+  from the int seed as `random.Random(seed)` does (`_mt.h`, with the key
+  of `_seed_key`).  It is built on first use with the system C compiler,
+  into one library with the CDCL kernel of `satlab.cdcl` (`_cdcl.c`), the
+  DIMACS scan and emit, `Formula` index build and model check of
+  `satlab.cnf` and the duplicate check of `satlab.pipeline.augment`
+  (`_cnf.c`), the instance generator of `satlab.generators` (`_gen.c`)
+  and the resolvent enumeration of `satlab.resolution` (`_resolve.c`),
+  in `$XDG_CACHE_HOME/satlab` (by default `~/.cache/satlab`), under a
+  file name keyed by the five sources, the two headers they share (the
   Mersenne Twister, `_mt.h`, and the clause store, `_clauses.h`), the
   flags and the platform.
 - `_probsat_python`, the flip loop over `SlsState` (which reads the same
   arrays through `Formula.occurrence`), is the readable reference.  It
-  runs when no compiler or cache directory is usable, and for formulas
-  with an empty clause or no variables.
+  runs when no compiler or cache directory is usable, for formulas with
+  an empty clause or no variables, and for a seed that is not an int.
 
 For equal arguments the two give bit-identical status, flip count and
 model: the same random draws, the same registry order, the same
@@ -270,7 +271,8 @@ def probsat_run(
     and falls back to the Python reference `_probsat_python` when no
     compiler or cache directory is usable.  Both paths return the same
     status, `flips_used` and model for the same arguments.  Formulas with
-    an empty clause or no variables go to the reference.
+    an empty clause or no variables, and seeds that are not ints, go to
+    the reference.
 
     Returned models are verified against the formula by `eval_formula`,
     after the clock stops: with the library loaded, its
@@ -281,16 +283,17 @@ def probsat_run(
     a single kernel call.
     """
     kernel = _load_kernel()
-    if kernel is None or formula.has_empty_clause() or formula.num_vars == 0:
+    key = _seed_key(seed)
+    if kernel is None or key is None or formula.has_empty_clause() or formula.num_vars == 0:
         return _probsat_python(formula, max_flips, seed, scoring, wall_limit)
     start = time.perf_counter()
     scoring = scoring or default_scoring_for(formula)
     table = array("d", scoring.table(formula.max_occurrences))
-    mt = array("I", random.Random(seed).getstate()[1])
     state = kernel.probsat_new(
         formula.num_vars, formula.num_clauses,
         *(a.buffer_info()[0] for a in (formula.offsets, formula.literals, formula.occ_offsets, formula.occ,
-                                       table, mt)),
+                                       table, key)),
+        len(key),
     )
     if not state:
         raise MemoryError("cannot allocate the probSAT kernel state")
@@ -311,6 +314,17 @@ def probsat_run(
     finally:
         kernel.probsat_free(state)
     return _result(formula, model, flips_done, seed, time.perf_counter() - start)
+
+
+def _seed_key(seed) -> array | None:
+    """The key with which `random.Random(seed)` seeds its Mersenne Twister
+    (`random_seed` in CPython's `_randommodule.c`): the 32-bit words of
+    `abs(seed)`, least significant first, or the one word 0 for seed 0.
+    None for a seed that is not an int, which only the references take."""
+    if not isinstance(seed, int):
+        return None
+    n = abs(seed)
+    return array("I", [n >> shift & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)])
 
 
 def _probsat_python(
@@ -379,7 +393,7 @@ _KERNEL_LIBS = ("-lm",)  # after the sources, so that pow resolves under --as-ne
 _ptr, _i64, _i32 = ctypes.c_void_p, ctypes.c_longlong, ctypes.c_int
 # (name, restype, argtypes) of every function the library exports
 _KERNEL_FUNCTIONS = (
-    ("probsat_new", _ptr, [_i32, _i32, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr]),
+    ("probsat_new", _ptr, [_i32, _i32, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _i32]),
     ("probsat_flip", _i64, [_ptr, _i64]),
     ("probsat_num_falsified", _i32, [_ptr]),
     ("probsat_assignment", None, [_ptr, ctypes.c_char_p]),
@@ -396,12 +410,14 @@ _KERNEL_FUNCTIONS = (
     ("dimacs_scan", _i32, [ctypes.c_char_p, _i64, _ptr, _ptr, _ptr]),
     ("dimacs_emit", _i64, [_i64, _ptr, _ptr, ctypes.c_char_p]),
     ("formula_satisfied", _i32, [_i64, _ptr, _ptr, ctypes.c_char_p]),
-    ("gen_clauses", _i32, [_i32, _i32, _i64, _i32, ctypes.c_double, _ptr, _ptr, _ptr, _ptr]),
+    ("augment_keep", _i64, [_i32, _ptr, _ptr, _ptr, _ptr, _i32, _i64, _ptr, _ptr]),
+    ("gen_clauses", _i32, [_i32, _i32, _i64, _i32, ctypes.c_double, _ptr, _ptr, _i32, _ptr, _ptr]),
     ("level1_pool", _ptr, [_i32, _i32, _ptr, _ptr, _i32]),
     ("level2_pool", _ptr, [_i32, _i32, _ptr, _ptr, _i32, _i64]),
     ("ternary_pool", _ptr, [_i32, _i32, _ptr, _ptr]),
+    ("pool_size", _i64, [_ptr]),
     ("pool_num_lits", _i64, [_ptr]),
-    ("pool_copy", None, [_ptr, _ptr, _ptr]),
+    ("pool_copy", None, [_ptr, _ptr, _ptr, _ptr]),
     ("pool_free", None, [_ptr]),
 )
 
@@ -424,12 +440,13 @@ def _compiler() -> str | None:
 def _load_kernel() -> ctypes.CDLL | None:
     """The compiled kernels (the probSAT flip loop here, the CDCL search
     of `satlab.cdcl`, the DIMACS scan and emit, `Formula` index build and
-    model check of `satlab.cnf`, the instance generator of
+    model check of `satlab.cnf`, the duplicate check of
+    `satlab.pipeline.augment`, the instance generator of
     `satlab.generators`, and the resolvent enumeration of
     `satlab.resolution`), built on first use from the five C files and the
     two headers they share (`_mt.h` and `_clauses.h`) into the cache
     named in the module docstring; None when no compiler or cache
-    directory is usable, and then all five modules run their Python
+    directory is usable, and then all six modules run their Python
     reference.  The compiler writes a temporary file that is then renamed
     into place, so concurrent processes never load a partial library.
     """
@@ -458,7 +475,7 @@ def _load_kernel() -> ctypes.CDLL | None:
         lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.CalledProcessError) as exc:
         warnings.warn("compiled kernels unavailable, using the Python flip loop, CdclSolver and the Python"
-                      f" DIMACS reader and writer, Formula build, generators and resolution: {exc}",
+                      f" DIMACS reader and writer, Formula build, augment check, generators and resolution: {exc}",
                       RuntimeWarning)
         return None
     for name, restype, argtypes in _KERNEL_FUNCTIONS:

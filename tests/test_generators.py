@@ -136,7 +136,7 @@ def test_native_generation_equals_the_reference_for_widths_seeds_and_biases(kern
     specs = [GenSpec(n=k, k=k, m=20, seed=k) for k in range(2, 10)]  # n == k: every clause holds every variable
     specs += [GenSpec(n=30, k=k, m=0, seed=1) for k in (2, 5)]
     for k in range(2, 10):
-        for seed in (-3, 2**70 + 5, rng.randrange(2**32)):
+        for seed in (0, -3, 2**32, 2**70 + 5, 2**200, rng.randrange(2**32)):
             for bias in (1.0, 0.618, 0.5):
                 n = rng.choice((k + 1, 21, 22, 40, 85, 86, 150))
                 specs.append(GenSpec(n=max(n, k), k=k, m=60, seed=seed, bias=bias))

@@ -1,8 +1,10 @@
 """The kernel library under AddressSanitizer and UndefinedBehaviorSanitizer.
 
-A small C driver calls the CDCL and resolution entry points on fixed
-flat formula arrays, far enough that the clause sets grow and rehash and
-the learned DB is reduced, and frees everything.  Built with the five C
+A small C driver calls the CDCL and resolution entry points and the
+duplicate check of `augment` on fixed flat formula arrays, far enough
+that the clause sets grow and rehash and the learned DB is reduced, and
+frees everything.  It reads each pool in tuple order through its
+permutation.  Built with the five C
 files under `-fsanitize=address,undefined -fno-sanitize-recover=all`, it
 must exit 0 with nothing on stderr (LeakSanitizer reports a leak there),
 and print what the library loaded by `satlab.sls` gives for the same
@@ -10,6 +12,7 @@ calls.
 """
 
 import os
+import random
 import subprocess
 from collections import Counter
 
@@ -17,8 +20,9 @@ import pytest
 
 from satlab import sls
 from satlab.cdcl import BUDGET, MiningBudget, _initial_phases, cdcl_solve_and_mine
-from satlab.cnf import Formula
+from satlab.cnf import Formula, _flatten
 from satlab.generators import GenSpec, gen_uniform
+from satlab.pipeline import augment
 from satlab.resolution import level1_resolvents, level2_resolvents, ternary_saturate
 
 SANITIZE = ("-O1", "-g", "-fno-omit-frame-pointer", "-ffp-contract=off",
@@ -29,6 +33,8 @@ ENV = {**os.environ, "ASAN_OPTIONS": "detect_leaks=1", "UBSAN_OPTIONS": "print_s
 # clauses) and past 512 distinct ones, where the set's table doubles
 CDCL_SEED, CDCL_BUDGET = 1, MiningBudget(1e9, 4_000, width_limit=60, count_cap=2_500, early_stop=True)
 LEVEL1_WIDTH, LEVEL2_WIDTH, PAIR_BUDGET = 3, 4, 3_000
+# more than 512 distinct additions: past the first doubling of augment's set
+ADDITIONS, ADDITION_SEED = 1_500, 4
 
 DRIVER = r"""
 #include <stdio.h>
@@ -44,28 +50,49 @@ void cdcl_free(void *s);
 void *level1_pool(int n, int m, const int *off, const int *lits, int max_width);
 void *level2_pool(int n, int m, const int *off, const int *lits, int max_width, long long pair_budget);
 void *ternary_pool(int n, int m, const int *off, const int *lits);
+long long pool_size(const void *p);
 long long pool_num_lits(const void *p);
-void pool_copy(const void *p, long long *counts, int *lits);
+void pool_copy(const void *p, long long *counts, int *lits, long long *order);
 void pool_free(void *p);
+long long augment_keep(int n, const int *f_off, const int *f_lits, const int *occ_off, const int *occ,
+                       int empty, long long k, int *off, int *lits);
 
 static const int cdcl_off[] = {@CDCL_OFF@}, cdcl_lits[] = {@CDCL_LITS@};
 static const unsigned char phase[] = {@PHASE@};
 static const int res_off[] = {@RES_OFF@}, res_lits[] = {@RES_LITS@};
+static const int res_occ_off[] = {@RES_OCC_OFF@}, res_occ[] = {@RES_OCC@};
+static int add_off[] = {@ADD_OFF@}, add_lits[] = {@ADD_LITS@};
 
-/* Print the pool's clause counts by width, then free it; 1 when NULL. */
+/* Print the pool's clause counts by width, then its clauses in tuple
+ * order, `l1 l2 ... 0` each, then free it; 1 when NULL. */
 static int print_pool(void *p, int max_width)
 {
-    long long *counts = malloc((size_t)(max_width + 1) * sizeof *counts);
+    long long size, *counts = malloc((size_t)(max_width + 1) * sizeof *counts), *order, *start, i;
     int *lits, w;
     if (!p || !counts)
         return 1;
+    size = pool_size(p);
     lits = malloc((size_t)(pool_num_lits(p) + 1) * sizeof *lits);
-    if (!lits)
+    order = malloc((size_t)(size + 1) * sizeof *order);
+    start = malloc((size_t)(size + 1) * sizeof *start); /* grouped clause c is lits[start[c] .. start[c + 1]) */
+    if (!lits || !order || !start)
         return 1;
-    pool_copy(p, counts, lits);
+    pool_copy(p, counts, lits, order);
+    start[0] = 0;
+    for (w = 0, i = 0; w <= max_width; w++)
+        for (long long c = 0; c < counts[w]; c++, i++)
+            start[i + 1] = start[i] + w;
     for (w = 0; w <= max_width; w++)
         printf("%s%lld", w ? " " : "", counts[w]);
     printf("\n");
+    for (i = 0; i < size; i++) {
+        for (long long j = start[order[i]]; j < start[order[i] + 1]; j++)
+            printf("%d ", lits[j]);
+        printf("0%s", i + 1 < size ? " " : "");
+    }
+    printf("\n");
+    free(start);
+    free(order);
     free(lits);
     free(counts);
     pool_free(p);
@@ -96,6 +123,11 @@ int main(void)
         || print_pool(level2_pool(@RES_N@, @RES_M@, res_off, res_lits, @L2@, @PAIRS@), @L2@)
         || print_pool(ternary_pool(@RES_N@, @RES_M@, res_off, res_lits), 3))
         return 1;
+    r = augment_keep(@RES_N@, res_off, res_lits, res_occ_off, res_occ, 0, @ADD_K@, add_off, add_lits);
+    printf("%lld\n", r);
+    for (long long i = 0; i < add_off[r] - add_off[0]; i++)
+        printf("%s%d", i ? " " : "", add_lits[i]);
+    printf("\n");
     return 0;
 }
 """
@@ -122,6 +154,10 @@ def _width_counts(clauses, max_width) -> str:
     return " ".join(str(counts[w]) for w in range(max_width + 1))
 
 
+def _clause_lines(clauses) -> str:
+    return " ".join(" ".join(map(str, (*clause, 0))) for clause in clauses)
+
+
 def test_kernels_run_clean_under_the_sanitizers(tmp_path):
     compiler = sls._compiler()
     if compiler is None:
@@ -132,6 +168,13 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
     k3 = gen_uniform(GenSpec(n=20, k=3, ratio=4.26, seed=3))
     # a tautology and a repeated clause, which the pools skip and merge
     res = Formula(k3.num_vars, [*k3.clauses, (1, -1, 2), k3.clauses[0]])
+    # random clauses of widths 1-4 in the order given, many repeated, and some of res's
+    rng = random.Random(ADDITION_SEED)
+    additions = [rng.choice(res.clauses)[::-1] if rng.random() < 0.1 else
+                 [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 21), rng.randint(1, 4))]
+                 for _ in range(ADDITIONS)]
+    additions += additions[:300]
+    added = _flatten(additions, res.offsets[-1])
     fields = {
         "CDCL_N": k5.num_vars, "CDCL_M": k5.num_clauses,
         "CDCL_OFF": _ints(k5.offsets), "CDCL_LITS": _ints(k5.literals),
@@ -140,6 +183,8 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
         "RES_N": res.num_vars, "RES_M": res.num_clauses,
         "RES_OFF": _ints(res.offsets), "RES_LITS": _ints(res.literals),
         "L1": LEVEL1_WIDTH, "L2": LEVEL2_WIDTH, "PAIRS": PAIR_BUDGET,
+        "RES_OCC_OFF": _ints(res.occ_offsets), "RES_OCC": _ints(res.occ),
+        "ADD_K": len(additions), "ADD_OFF": _ints(added[0]), "ADD_LITS": _ints(added[1]),
     }
     source = DRIVER
     for name, value in fields.items():
@@ -160,10 +205,15 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
     unbounded = level2_resolvents(res, LEVEL2_WIDTH, 10**9)
     level2 = level2_resolvents(res, LEVEL2_WIDTH, PAIR_BUDGET)
     assert len(level2) < len(unbounded)  # the pair budget binds
+    level1 = level1_resolvents(res, LEVEL1_WIDTH)
+    augmented = augment(res, additions)
+    assert len(set(map(frozenset, additions))) > 512
     expected = [
         f"0 {mined.conflicts} {len(mined.records)} {sum(len(r.clause) for r in mined.records)}",
-        _width_counts(level1_resolvents(res, LEVEL1_WIDTH).clauses, LEVEL1_WIDTH),
-        _width_counts(level2.clauses, LEVEL2_WIDTH),
-        _width_counts(ternary_saturate(res), 3),
+        _width_counts(level1.clauses, LEVEL1_WIDTH), _clause_lines(level1.clauses),
+        _width_counts(level2.clauses, LEVEL2_WIDTH), _clause_lines(level2.clauses),
+        _width_counts(ternary_saturate(res), 3), _clause_lines(sorted(ternary_saturate(res))),
+        str(augmented.num_clauses - res.num_clauses),
+        " ".join(map(str, augmented.literals[res.offsets[-1]:])),
     ]
     assert ran.stdout.splitlines() == expected

@@ -1,4 +1,6 @@
 import json
+import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -154,6 +156,73 @@ def test_augment_out_of_range():
     f = Formula(2, [(1, 2)])
     with pytest.raises(ValueError):
         augment(f, [(1, 5)])
+
+
+def _augment_outcome(formula, additions):
+    """Every flat array and recorded fact of `augment(formula, additions)`,
+    or the message of its ValueError."""
+    try:
+        g = augment(formula, additions)
+    except ValueError as exc:
+        return str(exc)
+    return (g.num_vars, g.offsets, g.literals, g.occ_offsets, g.occ, g.max_occurrences, g.max_width,
+            g.has_empty_clause())
+
+
+def _random_additions(rng, f, count):
+    """`count` additions to `f`, each of one kind, with the kinds drawn."""
+    n, out, kinds = f.num_vars, [], Counter()
+    for _ in range(count):
+        kind = rng.choice(("existing", "existing", "empty", "tautology", "repeat", "repeat", "new", "new",
+                           "new", "out of range"))
+        if kind == "existing" and f.num_clauses:
+            clause = list(f.clauses[rng.randrange(f.num_clauses)])
+        elif kind == "empty":
+            clause = []
+        elif kind == "repeat" and out:
+            clause = list(rng.choice(out))
+        else:
+            clause = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), rng.randint(1, min(n, 4)))]
+            if kind == "tautology":
+                clause.append(-clause[0])
+            elif kind == "out of range" and rng.random() < 0.2:
+                clause.append(rng.choice((0, n + 1, -(n + 2))))
+            else:
+                kind = "new"
+        if clause and rng.random() < 0.3:
+            clause.append(rng.choice(clause))  # a repeated literal
+        rng.shuffle(clause)
+        out.append(tuple(clause))
+        kinds[kind] += 1
+    return out, kinds
+
+
+def test_augment_kernel_equals_the_reference_on_random_additions(monkeypatch):
+    if sls._load_kernel() is None:
+        pytest.skip("compiled kernels unavailable")
+    rng = random.Random(22)
+    seen = Counter()
+    cases = []
+    for trial in range(300):
+        n = rng.choice((3, 6, 20))
+        base = [tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), rng.randint(1, 3)))
+                for _ in range(rng.randint(0, 3 * n))]
+        if rng.random() < 0.3:
+            base.append(())
+        f = Formula(n, base)
+        additions, kinds = _random_additions(rng, f, rng.randint(0, 12))
+        cases.append((f, additions))
+        seen.update(kinds)
+        seen["empty in formula"] += f.has_empty_clause()
+    big = gen_uniform(GenSpec(n=40, k=3, ratio=4.0, seed=9))
+    cases.append((big, _random_additions(random.Random(23), big, 2_000)[0]))  # past one rehash of the set
+    fast = [_augment_outcome(f, additions) for f, additions in cases]
+    monkeypatch.setattr(sls, "_load_kernel", lambda: None)
+    for (f, additions), outcome in zip(cases, fast):
+        assert outcome == _augment_outcome(f, additions), (f.clauses, additions)
+    seen["error"] = sum(isinstance(outcome, str) for outcome in fast)
+    seen["kept none"] = sum(outcome == _augment_outcome(f, []) for (f, _), outcome in zip(cases, fast))
+    assert min(seen.values()) >= 10, seen
 
 
 def test_augment_preserves_solutions_with_mined_clauses():

@@ -21,12 +21,12 @@ from satlab.resolution import (
 def test_level1_basic_chain():
     f = Formula(3, [(1, 2), (-1, 3)])
     pool = level1_resolvents(f, 4)
-    assert pool.clauses == {(2, 3)}
+    assert pool.clauses == ((2, 3),)
 
 
 def test_level1_no_clash():
     f = Formula(3, [(1, 2), (1, 3)])
-    assert level1_resolvents(f, 4).clauses == frozenset()
+    assert level1_resolvents(f, 4).clauses == ()
 
 
 def test_level1_excludes_tautologies_and_base():
@@ -36,7 +36,7 @@ def test_level1_excludes_tautologies_and_base():
     assert (2,) in pool.clauses
     assert (1, 3) in pool.clauses
     assert (-1, 3) in pool.clauses
-    assert pool.clauses.isdisjoint(f.clauses)
+    assert set(pool.clauses).isdisjoint(f.clauses)
 
 
 def test_level1_width_filter():
@@ -63,13 +63,13 @@ def test_level2_chain():
     assert (2, 3) in l1.clauses
     l2 = level2_resolvents(f, 4)
     assert (2, 4) in l2.clauses
-    assert l2.clauses.isdisjoint(l1.clauses)
-    assert l2.clauses.isdisjoint(f.clauses)
+    assert set(l2.clauses).isdisjoint(l1.clauses)
+    assert set(l2.clauses).isdisjoint(f.clauses)
 
 
 def test_level2_empty_when_no_level1():
     f = Formula(3, [(1, 2), (1, 3)])
-    assert level2_resolvents(f, 4).clauses == frozenset()
+    assert level2_resolvents(f, 4).clauses == ()
 
 
 def test_level2_implied_by_base():
@@ -87,7 +87,7 @@ def test_level2_pair_budget_truncates_deterministically():
     a = level2_resolvents(f, 4, pair_budget=500)
     b = level2_resolvents(f, 4, pair_budget=500)
     assert a.clauses == b.clauses
-    assert a.clauses <= full.clauses
+    assert set(a.clauses) <= set(full.clauses)
 
 
 def test_ternary_saturate_basic():
@@ -121,10 +121,10 @@ def test_ternary_ignores_wide_clauses():
 
 
 def test_sample_pool():
-    pool = ResolventPool(frozenset({(1, 2), (2, 3), (3, 4)}))
+    pool = ResolventPool(((1, 2), (2, 3), (3, 4)))
     assert sorted(sample_pool(pool, 10, seed=0)) == [(1, 2), (2, 3), (3, 4)]
     assert sample_pool(pool, 0, seed=0) == []
-    big = ResolventPool(frozenset((i, i + 1) for i in range(1, 100)))
+    big = ResolventPool(tuple((i, i + 1) for i in range(1, 100)))
     a = sample_pool(big, 10, seed=42)
     b = sample_pool(big, 10, seed=42)
     assert a == b
@@ -153,8 +153,8 @@ def test_level2_rejects_negative_pair_budget():
 def test_pools_exclude_base_clauses_in_any_literal_order():
     # (-3, 1) x (3, 2) resolves to (1, 2), which is the base clause given as (2, 1)
     f = Formula(3, [(2, 1), (-3, 1), (3, 2)])
-    assert level1_resolvents(f, 4).clauses == frozenset()
-    assert level2_resolvents(f, 4).clauses == frozenset()
+    assert level1_resolvents(f, 4).clauses == ()
+    assert level2_resolvents(f, 4).clauses == ()
     assert ternary_saturate(f) == set()
 
 
@@ -343,6 +343,11 @@ def _on_reference(fn):
         sls._load_kernel = real
 
 
+def _increasing(pool) -> bool:
+    """Whether `pool` is a tuple, strictly increasing in tuple order."""
+    return type(pool) is tuple and all(a < b for a, b in zip(pool, pool[1:]))
+
+
 def test_kernel_pools_equal_the_reference_on_random_formulas():
     if sls._load_kernel() is None:
         pytest.skip("compiled kernels unavailable")
@@ -352,7 +357,8 @@ def test_kernel_pools_equal_the_reference_on_random_formulas():
         f = _random_formula(rng, rng.choice((4, 9, 30, 70, 100)))
         for width in (0, 1, 2, 4, 8, f.num_vars + 3):
             pool = level1_resolvents(f, width).clauses
-            assert pool == _on_reference(lambda: level1_resolvents(f, width).clauses), (trial, width)
+            reference = _on_reference(lambda: level1_resolvents(f, width).clauses)
+            assert pool == reference and _increasing(pool) and _increasing(reference), (trial, width)
             seen["empty level-1"] += () in pool
         ends = _partner_list_ends(f)
         budgets = {0, 1, resolution.PAIR_BUDGET_DEFAULT}
@@ -360,7 +366,8 @@ def test_kernel_pools_equal_the_reference_on_random_formulas():
             budgets.update((end - 1, end, end + 1))
         for budget in sorted(budgets):
             pool = level2_resolvents(f, 4, budget).clauses
-            assert pool == _on_reference(lambda: level2_resolvents(f, 4, budget).clauses), (trial, budget)
+            reference = _on_reference(lambda: level2_resolvents(f, 4, budget).clauses)
+            assert pool == reference and _increasing(pool) and _increasing(reference), (trial, budget)
             seen["level-2"] += bool(pool)
         derived = ternary_saturate(f)
         assert derived == _on_reference(lambda: ternary_saturate(f)), trial
@@ -389,8 +396,8 @@ def test_empty_resolvent_is_in_every_pool(reference, monkeypatch):
     (lambda f: level2_resolvents(f, -1), "max_width"),
     (lambda f: level2_resolvents(f, 4, pair_budget=1.5), "pair_budget"),
     (lambda f: level2_resolvents(f, 4, pair_budget=None), "pair_budget"),
-    (lambda f: sample_pool(ResolventPool(frozenset(f.clauses)), 1.5, seed=0), "cap"),
-    (lambda f: sample_pool(ResolventPool(frozenset(f.clauses)), -1, seed=0), "cap"),
+    (lambda f: sample_pool(ResolventPool(tuple(sorted(f.clauses))), 1.5, seed=0), "cap"),
+    (lambda f: sample_pool(ResolventPool(tuple(sorted(f.clauses))), -1, seed=0), "cap"),
 ])
 def test_count_arguments_are_checked_before_either_engine(call, name, monkeypatch):
     def no_engine():

@@ -30,7 +30,7 @@ SCORINGS = (
     ScoringFunction("exp", cb=3.7),
     ScoringFunction("exp", cb=1.8),
 )
-SEEDS = (0, 4242, -7, 2**64 + 3)
+SEEDS = (0, 4242, -7, 2**32, 2**64 + 3, 2**200)  # keys of one, two, three and seven words
 # (k, n, ratio, flip budget): small enough for the reference, and a mix of
 # solved and budget-bound runs
 SHAPES = ((3, 40, 4.2, 3_000), (5, 24, 20.0, 2_000), (7, 16, 80.0, 300))
@@ -345,7 +345,7 @@ def test_ctypes_table_matches_the_c_parameter_lists():
             assert name not in defined, f"{name} is defined twice"
             defined[name] = 0 if params.strip() in ("", "void") else params.count(",") + 1
     table = {name: len(argtypes) for name, _, argtypes in sls._KERNEL_FUNCTIONS}
-    assert len(table) == len(sls._KERNEL_FUNCTIONS) == 24
+    assert len(table) == len(sls._KERNEL_FUNCTIONS) == 26
     assert defined == table
 
 
