@@ -7,7 +7,9 @@
  * variables.  Every step repeats the Python reference:
  *
  * - input clauses are attached in clause-id order with units enqueued
- *   at level 0, and a clause keeps its literal order until propagation
+ *   at level 0, then the extra unit clauses a caller passes (the
+ *   backbone queries' literals), as the reference attaches the formula
+ *   extended by them; a clause keeps its literal order until propagation
  *   swaps literals exactly where the reference swaps them;
  * - a decision takes the unassigned variable of highest activity, ties
  *   to the lowest index, with the phase drawn in Python or saved on
@@ -18,8 +20,10 @@
  *   conflict, and everything is multiplied by 1e-100 once an activity
  *   passes 1e100 (build with -ffp-contract=off so no multiply-add is
  *   fused);
- * - DB reduction keeps the locked clauses in DB order, then those of
- *   the first half of the rest, sorted by stamp descending and DB
+ * - DB reduction runs once the learned DB holds more than max(2000,
+ *   input clauses + extra units) clauses, a cap that grows by half on
+ *   each reduction; it keeps the locked clauses in DB order, then those
+ *   of the first half of the rest, sorted by stamp descending and DB
  *   position ascending, that have at most 12 literals;
  * - a learned clause of width <= width_limit is recorded, canonically
  *   sorted and with its learn index, and counted among the distinct
@@ -29,7 +33,11 @@
  *   budgets, DB reduction and Luby restarts (base 64) follow each
  *   conflict in that order.
  *
- * Unlike the reference, the kernel frees the clauses reduction drops.
+ * The input clauses of width >= 2 lie back to back in one arena, sized
+ * with the watch lists in a first pass over the formula and freed once;
+ * each learned clause has its own block, which reduction frees (the
+ * reference leaves dropped clauses to the garbage collector).
+ *
  * The records are one clause set of _clauses.h, which holds each record
  * and counts the distinct ones; the header also gives the literal index
  * and the growth rule.
@@ -74,8 +82,7 @@ typedef struct {
     int *trail_lim, levels;
     int *learnt, *canon; /* the clause just learned, as learned and canonically sorted */
     watch_list *watches; /* per literal */
-    clause **inputs;
-    long long num_inputs;
+    char *arena;         /* the input clauses of width >= 2, back to back */
     clause **db; /* learned clauses, in the reference's order */
     long long db_size, db_cap, reduce_cap;
     long long conflicts, restart_idx, restart_at; /* one clause is learned per conflict */
@@ -124,16 +131,20 @@ static int watch(cdcl_state *s, int lit, clause *c)
     return 0;
 }
 
-static clause *new_clause(const int *lits, int size, long long stamp)
+static clause *init_clause(clause *c, const int *lits, int size, long long stamp)
 {
-    clause *c = malloc(sizeof *c + (size_t)size * sizeof(int));
-    if (!c)
-        return NULL;
     c->stamp = stamp;
     c->size = size;
     c->locked = c->dead = 0;
     memcpy(c->lits, lits, (size_t)size * sizeof(int));
     return c;
+}
+
+/* A learned clause, allocated on its own since reduce_db frees it. */
+static clause *new_clause(const int *lits, int size, long long stamp)
+{
+    clause *c = malloc(sizeof *c + (size_t)size * sizeof(int));
+    return c ? init_clause(c, lits, size, stamp) : NULL;
 }
 
 /* -- the variable heap: highest activity first, ties to the lowest index -- */
@@ -445,12 +456,10 @@ void cdcl_free(cdcl_state *s)
     if (s->watches)
         for (i = 0; i < 2 * (long long)s->n + 2; i++)
             free(s->watches[i].data);
-    for (i = 0; i < s->num_inputs; i++)
-        free(s->inputs[i]);
     for (i = 0; i < s->db_size; i++)
         free(s->db[i]);
     free(s->watches);
-    free(s->inputs);
+    free(s->arena);
     free(s->db);
     free(s->value);
     free(s->level);
@@ -469,13 +478,37 @@ void cdcl_free(cdcl_state *s)
     free(s);
 }
 
+/* Bytes an input clause of `size` literals takes in the arena: the clause
+ * rounded up to the alignment of the next one. */
+static size_t arena_bytes(int size)
+{
+    size_t bytes = sizeof(clause) + (size_t)size * sizeof(int), align = _Alignof(clause);
+    return (bytes + align - 1) / align * align;
+}
+
+/* Assign the unit clause (lit) at level 0 as CdclSolver._attach_input_clause
+ * does; 0 when lit is already false. */
+static int assign_unit(cdcl_state *s, int lit)
+{
+    if (value(s, lit) == -1)
+        return 0;
+    if (value(s, lit) == 0)
+        enqueue(s, lit, NULL);
+    return 1;
+}
+
 /* New solver over the CSR formula (clause c is lits[off[c] .. off[c + 1]))
- * with initial phases phase[1 .. n]; attaches the clauses and propagates
- * the units, as CdclSolver.__init__ does.  NULL when out of memory. */
-cdcl_state *cdcl_new(int n, int m, const int *off, const int *lits, const unsigned char *phase)
+ * and the unit clauses units[0 .. num_units) after it, with initial phases
+ * phase[1 .. n]; attaches the clauses and propagates the units, as
+ * CdclSolver.__init__ does on the formula extended by the units.  A first
+ * pass sizes the arena and each watch list; the second lays the clauses
+ * of width >= 2 out in the arena.  NULL when out of memory. */
+cdcl_state *cdcl_new(int n, int m, const int *off, const int *lits, const int *units, int num_units,
+                     const unsigned char *phase)
 {
     cdcl_state *s = calloc(1, sizeof *s);
-    size_t vars = (size_t)n + 1, literals = 2 * (size_t)n + 2;
+    size_t vars = (size_t)n + 1, literals = 2 * (size_t)n + 2, bytes = 0, k;
+    char *next;
     int v, c, oom = 0;
     if (!s)
         return NULL;
@@ -493,13 +526,33 @@ cdcl_state *cdcl_new(int n, int m, const int *off, const int *lits, const unsign
     s->trail_lim = malloc(vars * sizeof *s->trail_lim);
     s->learnt = malloc(vars * sizeof *s->learnt);
     s->canon = malloc(vars * sizeof *s->canon);
-    s->inputs = malloc(((size_t)m + 1) * sizeof *s->inputs);
     if (init_set(&s->records) < 0
         || !s->value || !s->watches || !s->level || !s->reason || !s->phase || !s->seen
         || !s->activity || !s->heap || !s->heap_pos || !s->trail || !s->trail_lim
-        || !s->learnt || !s->canon || !s->inputs) {
+        || !s->learnt || !s->canon) {
         cdcl_free(s);
         return NULL;
+    }
+    for (c = 0; c < m; c++) {
+        if (off[c + 1] - off[c] < 2)
+            continue;
+        bytes += arena_bytes(off[c + 1] - off[c]);
+        s->watches[lit_index(lits[off[c]])].size++;
+        s->watches[lit_index(lits[off[c] + 1])].size++;
+    }
+    if (bytes && !(s->arena = malloc(bytes))) {
+        cdcl_free(s);
+        return NULL;
+    }
+    for (k = 0; k < literals; k++) {
+        /* the capacity the growth rule would reach for the counted size */
+        watch_list *w = &s->watches[k];
+        long long need = w->size;
+        w->size = 0;
+        if (need && !(w->data = grow(NULL, &w->cap, need, sizeof *w->data))) {
+            cdcl_free(s);
+            return NULL;
+        }
     }
     memcpy(s->phase, phase, vars);
     s->var_inc = 1.0;
@@ -509,33 +562,32 @@ cdcl_state *cdcl_new(int n, int m, const int *off, const int *lits, const unsign
         s->heap_pos[v] = v - 1; /* equal activities: index order is a heap */
     }
     s->heap_size = n;
-    s->reduce_cap = m > 2000 ? m : 2000;
+    s->reduce_cap = (long long)m + num_units > 2000 ? (long long)m + num_units : 2000;
     s->restart_idx = 1;
     s->restart_at = LUBY_BASE * luby(1);
+    next = s->arena;
     for (c = 0; c < m; c++) {
         const int *cl = lits + off[c];
         int size = off[c + 1] - off[c];
         clause *input;
-        if (size == 0 || (size == 1 && value(s, cl[0]) == -1)) {
+        if (size == 0 || (size == 1 && !assign_unit(s, cl[0]))) {
             s->unsat = 1;
             return s;
         }
-        if (size == 1) {
-            if (value(s, cl[0]) == 0)
-                enqueue(s, cl[0], NULL);
+        if (size == 1)
             continue;
-        }
-        input = new_clause(cl, size, 0);
-        if (!input) {
-            cdcl_free(s);
-            return NULL;
-        }
-        s->inputs[s->num_inputs++] = input;
+        input = init_clause((clause *)next, cl, size, 0);
+        next += arena_bytes(size);
         if (watch(s, cl[0], input) < 0 || watch(s, cl[1], input) < 0) {
             cdcl_free(s);
             return NULL;
         }
     }
+    for (c = 0; c < num_units; c++)
+        if (!assign_unit(s, units[c])) {
+            s->unsat = 1;
+            return s;
+        }
     if (propagate(s, &oom))
         s->unsat = 1;
     if (oom) {

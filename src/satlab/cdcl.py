@@ -16,16 +16,22 @@ mining exports their deduplicated prefix (or a seeded random subset).
 
 Every search is a fresh solve of one formula, and `_search` is the
 one path to it: `cdcl_solve_and_mine` and the backbone queries of
-`quality.compute_backbone` both go through it.  It has two engines with
-one set of semantics:
+`quality.compute_backbone` both go through it.  A search may take unit
+clauses to add after the formula's clauses (a backbone query's
+literals); they are attached as `formula.extended([(u,) for u in
+units])` would attach them, without building that formula.  It has two
+engines with one set of semantics:
 
 - The compiled kernel (`_cdcl.c`, built and loaded with the probSAT
   kernel by `satlab.sls._load_kernel`) reads the formula's flat clause
-  arrays (`Formula.offsets` and `literals`) and the initial phases
-  drawn here from `random.Random(seed)`, and frees the clauses DB
-  reduction drops.
-- `CdclSolver` is the readable reference.  It runs when no compiler or
-  cache directory is usable.
+  arrays (`Formula.offsets` and `literals`), the units and the initial
+  phases drawn here from `random.Random(seed)`.  It lays the input
+  clauses out in one arena, and frees the learned clauses DB reduction
+  drops.
+- `CdclSolver` is the readable reference, run on the extended formula.
+  It runs when no compiler or cache directory is usable.
+
+Either way the model is checked here, against the formula and the units.
 
 For equal arguments the two return equal `MiningOutcome`s: status,
 model, exported clauses, learned count, conflicts and records.  They
@@ -496,32 +502,42 @@ def cdcl_solve_and_mine(formula: Formula, budget: MiningBudget, seed: int = 0) -
     )
 
 
-def _search(formula: Formula, budget: MiningBudget, seed: int):
-    """(status, model, qualifying records, conflicts) of one fresh search.
+def _search(formula: Formula, budget: MiningBudget, seed: int, units: tuple[int, ...] = ()):
+    """(status, model, qualifying records, conflicts) of one fresh search
+    of `formula` with the unit clauses `units` after its clauses.
 
-    The compiled kernel runs it, and `CdclSolver` does when the kernel
-    cannot be built; both give the same result.  A model is checked
-    against `formula` as the engine gives it, and a wrong one is an
+    The compiled kernel runs it, and `CdclSolver` on
+    `formula.extended([(u,) for u in units])` does when the kernel cannot
+    be built; both give the same result.  A model is checked against
+    `formula` and `units` as the engine gives it, and a wrong one is an
     AssertionError; it is returned as a list of bools.
     """
+    n = formula.num_vars
+    for u in units:
+        if not (is_int_at_least(u, -n) and u <= n and u != 0):
+            raise ValueError(f"unit {u!r} is not a literal of variables 1..{n}")
     kernel = sls._load_kernel()
     if kernel is None:
-        solver = CdclSolver(formula, seed)
+        solver = CdclSolver(formula.extended([(u,) for u in units]), seed)
         status = solver.solve(budget)
         model = solver.model() if status == SAT else None
         records, conflicts = solver.records, solver.conflicts
     else:
-        status, model, records, conflicts = _mine_with_kernel(kernel, formula, budget, seed)
-    if model is not None and not eval_formula(formula, model):
+        status, model, records, conflicts = _mine_with_kernel(kernel, formula, budget, seed, units)
+    if model is not None and not (eval_formula(formula, model)
+                                  and all(model[u] if u > 0 else not model[-u] for u in units)):
         raise AssertionError("internal error: CDCL produced an invalid model")
     return status, None if model is None else list(map(bool, model)), records, conflicts
 
 
-def _mine_with_kernel(kernel: ctypes.CDLL, formula: Formula, budget: MiningBudget, seed: int):
+def _mine_with_kernel(kernel: ctypes.CDLL, formula: Formula, budget: MiningBudget, seed: int,
+                      units: tuple[int, ...]):
     """(status, model, qualifying records, conflicts) of one kernel search
     from `CdclSolver`'s initial phases for `seed`; the model is bytes."""
+    unit_lits = array("i", units)  # referenced until cdcl_new has read it
     state = kernel.cdcl_new(formula.num_vars, formula.num_clauses, formula.offsets.buffer_info()[0],
-                            formula.literals.buffer_info()[0], _initial_phases(formula.num_vars, seed))
+                            formula.literals.buffer_info()[0], unit_lits.buffer_info()[0], len(unit_lits),
+                            _initial_phases(formula.num_vars, seed))
     if not state:
         raise MemoryError("cannot allocate the CDCL kernel state")
     try:
@@ -538,13 +554,15 @@ def _mine_with_kernel(kernel: ctypes.CDLL, formula: Formula, budget: MiningBudge
             kernel.cdcl_assignment(state, buf)
             model = buf.raw
         count = kernel.cdcl_num_records(state)
-        bounds = array("q", bytes(8 * (count + 1)))
-        indices = array("q", bytes(8 * count))
-        lits = array("i", bytes(4 * kernel.cdcl_num_record_lits(state)))
-        kernel.cdcl_records(state, *(a.buffer_info()[0] for a in (bounds, indices, lits)))
-        records = [
-            LearnedClauseRecord(tuple(lits[bounds[r]:bounds[r + 1]]), indices[r]) for r in range(count)
-        ]
+        records = []
+        if count:
+            bounds = array("q", bytes(8 * (count + 1)))
+            indices = array("q", bytes(8 * count))
+            lits = array("i", bytes(4 * kernel.cdcl_num_record_lits(state)))
+            kernel.cdcl_records(state, *(a.buffer_info()[0] for a in (bounds, indices, lits)))
+            records = [
+                LearnedClauseRecord(tuple(lits[bounds[r]:bounds[r + 1]]), indices[r]) for r in range(count)
+            ]
         return status, model, records, kernel.cdcl_conflicts(state)
     finally:
         kernel.cdcl_free(state)

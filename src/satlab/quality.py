@@ -9,7 +9,9 @@ backbone exactly when F and B and not-l is unsatisfiable, where B holds
 the backbone literals confirmed so far, added to F as unit clauses.
 Every model a query finds prunes the candidates it falsifies.  Each
 query runs on the miner's search path (`cdcl._search`), so on the
-compiled kernel when it can be built, and each model is checked.
+compiled kernel when it can be built, and each model is checked.  A
+query passes the confirmed literals and not-l to the search as units
+after F's clauses, so no `Formula` is built per query.
 
 Two synthetic clause models measure how clause quality steers local
 search.  Both build 3-clauses around a backbone literal:
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import cdcl
@@ -42,7 +45,7 @@ class FormulaUnsatisfiableError(ValueError):
 class BackboneBudgetError(RuntimeError):
     """Budget ran out mid-computation; partial backbones are not usable."""
 
-    def __init__(self, message: str, confirmed: set[int]):
+    def __init__(self, message: str, confirmed: Iterable[int]):
         super().__init__(message)
         self.confirmed = frozenset(confirmed)
 
@@ -61,20 +64,18 @@ def compute_backbone(formula: Formula, seed: int = 0, conflict_limit: int | None
         raise BackboneBudgetError("budget exhausted before a first model was found", set())
     first = [v if model[v] else -v for v in range(1, formula.num_vars + 1)]
     candidates = set(first)
-    backbone: set[int] = set()
-    base = formula  # the formula and the confirmed backbone literals as units
+    confirmed: list[int] = []  # the backbone literals found so far, in the order found
     for lit in first:
         if lit not in candidates:
             continue
-        status, other, _, _ = cdcl._search(base.extended([(-lit,)]), budget, seed)
+        status, other, _, _ = cdcl._search(formula, budget, seed, units=(*confirmed, -lit))
         if status == UNSAT:
-            backbone.add(lit)
-            base = base.extended([(lit,)])
+            confirmed.append(lit)
         elif status == SAT:
             candidates &= {u if other[u] else -u for u in range(1, formula.num_vars + 1)}
         else:
-            raise BackboneBudgetError(f"budget exhausted while testing literal {lit}", backbone)
-    return frozenset(backbone)
+            raise BackboneBudgetError(f"budget exhausted while testing literal {lit}", confirmed)
+    return frozenset(confirmed)
 
 
 @dataclass(frozen=True)

@@ -288,7 +288,7 @@ def probsat_run(
         return _probsat_python(formula, max_flips, seed, scoring, wall_limit)
     start = time.perf_counter()
     scoring = scoring or default_scoring_for(formula)
-    table = array("d", scoring.table(formula.max_occurrences))
+    table = _score_table(scoring, formula.max_occurrences)
     state = kernel.probsat_new(
         formula.num_vars, formula.num_clauses,
         *(a.buffer_info()[0] for a in (formula.offsets, formula.literals, formula.occ_offsets, formula.occ,
@@ -314,6 +314,14 @@ def probsat_run(
     finally:
         kernel.probsat_free(state)
     return _result(formula, model, flips_done, seed, time.perf_counter() - start)
+
+
+@functools.lru_cache(maxsize=64)
+def _score_table(scoring: ScoringFunction, max_break: int) -> array:
+    """`scoring.table(max_break)` as the double array the kernel reads.
+    Kept per (scoring, max_break): every run on one formula, or on formulas
+    of one shape, reads the same table, and the kernel never writes it."""
+    return array("d", scoring.table(max_break))
 
 
 def _seed_key(seed) -> array | None:
@@ -398,7 +406,7 @@ _KERNEL_FUNCTIONS = (
     ("probsat_num_falsified", _i32, [_ptr]),
     ("probsat_assignment", None, [_ptr, ctypes.c_char_p]),
     ("probsat_free", None, [_ptr]),
-    ("cdcl_new", _ptr, [_i32, _i32, _ptr, _ptr, ctypes.c_char_p]),
+    ("cdcl_new", _ptr, [_i32, _i32, _ptr, _ptr, _ptr, _i32, ctypes.c_char_p]),
     ("cdcl_solve", _i32, [_ptr, _i64, ctypes.c_double, _i64, _i64]),
     ("cdcl_conflicts", _i64, [_ptr]),
     ("cdcl_num_records", _i64, [_ptr]),

@@ -3,7 +3,8 @@
 `cdcl_solve_and_mine` runs the kernel whenever it loads, and `CdclSolver`
 when the loader returns None.  For equal arguments both must return an
 equal `MiningOutcome`: status, model, exported clauses, learned count,
-conflicts and records.
+conflicts and records.  A search with unit clauses passed to `_search`
+must equal, on each engine, the search of the formula extended by them.
 """
 
 import random
@@ -11,7 +12,7 @@ import random
 import pytest
 
 from satlab import sls
-from satlab.cdcl import BUDGET, SAT, UNSAT, CdclSolver, MiningBudget, cdcl_solve_and_mine
+from satlab.cdcl import BUDGET, SAT, UNSAT, CdclSolver, MiningBudget, _search, cdcl_solve_and_mine
 from satlab.cnf import Formula
 from satlab.generators import GenSpec, gen_planted, gen_uniform
 
@@ -27,11 +28,11 @@ def kernel():
     return lib
 
 
-def reference(formula, budget, seed):
+def reference(formula, budget, seed, search=cdcl_solve_and_mine, **kwargs):
     real = sls._load_kernel
     sls._load_kernel = lambda: None
     try:
-        return cdcl_solve_and_mine(formula, budget, seed)
+        return search(formula, budget, seed, **kwargs)
     finally:
         sls._load_kernel = real
 
@@ -190,3 +191,78 @@ def test_mining_without_kernel_gives_the_same_results(monkeypatch):
     expected = [cdcl_solve_and_mine(*case) for case in cases]
     monkeypatch.setattr(sls, "_load_kernel", lambda: None)
     assert [cdcl_solve_and_mine(*case) for case in cases] == expected
+
+
+def assert_units_equal_extended(formula, budget, seed, units):
+    """`_search(formula, ..., units=units)` equals the search of the formula
+    extended by the units on the kernel and on the reference, and the two
+    engines agree: status, model, records and conflicts."""
+    extended = formula.extended([(u,) for u in units])
+    fast = _search(formula, budget, seed, units=units)
+    assert fast == _search(extended, budget, seed), f"{formula!r} {budget} seed={seed} units={units}"
+    ref = reference(formula, budget, seed, _search, units=units)
+    assert ref == reference(extended, budget, seed, _search), f"{formula!r} {budget} seed={seed} units={units}"
+    assert fast == ref
+    return fast
+
+
+def test_units_count_in_the_reduce_cap(kernel):
+    """m = 1,999 input clauses and 2 units: the first DB reduction comes
+    past 2,001 learned clauses, not 2,000, and the search runs past it."""
+    full = gen_uniform(GenSpec(n=470, k=3, ratio=4.26, seed=7))
+    formula = Formula(full.num_vars, full.clauses[:1_999])
+    units, budget, seed = (5, -9), MiningBudget(NO_WALL, 2_300, width_limit=4), 3
+    status, _, records, conflicts = assert_units_equal_extended(formula, budget, seed, units)
+    assert (status, conflicts) == (BUDGET, 2_300) and records
+    solver = CdclSolver(formula.extended([(u,) for u in units]), seed)
+    solver.solve(budget)
+    assert solver._reduce_cap == 2_001 + 2_001 // 2  # reduced once, from a cap that counts the units
+
+
+def test_units_equal_the_extended_formula_on_edge_cases(kernel):
+    implied = Formula(4, [(1,), (-1, 2), (-2, 3, 4), (-3, -4), (3, -4, 1)])
+    hard = gen_uniform(GenSpec(n=60, k=3, ratio=4.26, seed=2))
+    cases = [
+        (implied, (-1,)),         # contradicts a formula unit
+        (implied, (4, -1)),       # the same, after a unit that holds
+        (implied, (3, -3)),       # contradicts an earlier unit
+        (implied, (3, 3)),        # repeated
+        (implied, (4, 2, 4, 2)),  # repeated, one of them implied
+        (implied, (2,)),          # implied by the formula's units
+        (implied, (1,)),          # equal to a formula unit
+        (Formula(3, [(1, 2), ()]), (3,)),  # after an empty clause
+        (Formula(3, []), (-2, 1)),
+        (hard, (1, -2, 3)),
+        (hard, (7, 7, -8)),
+        (hard, (-20,)),
+    ]
+    statuses = set()
+    for formula, units in cases:
+        for seed in (0, 5):
+            for limit in (0, 1, 200, None):
+                statuses.add(assert_units_equal_extended(formula, MiningBudget(NO_WALL, limit), seed, units)[0])
+    assert statuses == {SAT, UNSAT, BUDGET}
+
+
+def test_units_equal_the_extended_formula_on_small_random_formulas(kernel):
+    """Unsorted clauses with repeats, tautologies and units, and units
+    that repeat, contradict or are implied by the formula; the units end
+    most runs at level 0, so the edge cases above cover the budget."""
+    rng = random.Random(2026)
+    statuses = set()
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        widths = [rng.choice((1, 2, 3, 3, 3, 3, 4)) for _ in range(rng.randint(0, 5 * n))]
+        formula = Formula(n, [[rng.choice((1, -1)) * rng.randint(1, n) for _ in range(w)] for w in widths])
+        units = tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 3)))
+        budget = MiningBudget(NO_WALL, rng.choice((None, 0, 1, 3, 40)), width_limit=rng.randint(1, 5))
+        statuses.add(assert_units_equal_extended(formula, budget, rng.randint(-2**40, 2**40), units)[0])
+    assert {SAT, UNSAT} <= statuses
+
+
+@pytest.mark.parametrize("unit", [0, 4, -4, 2**40, 1.0, "1"])
+def test_units_outside_the_formula_are_rejected_on_both_engines(unit):
+    formula = Formula(3, [(1, 2, 3)])
+    for engine in (_search, lambda *args, **kwargs: reference(*args, _search, **kwargs)):
+        with pytest.raises(ValueError, match="is not a literal of variables 1..3"):
+            engine(formula, MiningBudget(NO_WALL, 10), 0, units=(1, unit))

@@ -3,12 +3,14 @@
 A small C driver calls the CDCL and resolution entry points and the
 duplicate check of `augment` on fixed flat formula arrays, far enough
 that the clause sets grow and rehash and the learned DB is reduced, and
-frees everything.  It reads each pool in tuple order through its
-permutation.  Built with the five C
-files under `-fsanitize=address,undefined -fno-sanitize-recover=all`, it
-must exit 0 with nothing on stderr (LeakSanitizer reports a leak there),
-and print what the library loaded by `satlab.sls` gives for the same
-calls.
+frees everything.  The CDCL searches run with and without extra unit
+clauses, one of them over more than 2,000 input clauses (the clause
+arena and the pre-sized watch lists) past its first DB reduction.  It
+reads each pool in tuple order through its permutation.  Built with the
+five C files under `-fsanitize=address,undefined
+-fno-sanitize-recover=all`, it must exit 0 with nothing on stderr
+(LeakSanitizer reports a leak there), and print what the library loaded
+by `satlab.sls` gives for the same calls.
 """
 
 import os
@@ -19,7 +21,7 @@ from collections import Counter
 import pytest
 
 from satlab import sls
-from satlab.cdcl import BUDGET, MiningBudget, _initial_phases, cdcl_solve_and_mine
+from satlab.cdcl import BUDGET, SAT, UNSAT, MiningBudget, _initial_phases, _search, cdcl_solve_and_mine
 from satlab.cnf import Formula, _flatten
 from satlab.generators import GenSpec, gen_uniform
 from satlab.pipeline import augment
@@ -32,6 +34,10 @@ ENV = {**os.environ, "ASAN_OPTIONS": "detect_leaks=1", "UBSAN_OPTIONS": "print_s
 # cap 2,500 distinct clauses: past the first DB reduction (2,000 learned
 # clauses) and past 512 distinct ones, where the set's table doubles
 CDCL_SEED, CDCL_BUDGET = 1, MiningBudget(1e9, 4_000, width_limit=60, count_cap=2_500, early_stop=True)
+# the same formula with three units, and 2,045 input clauses with two units
+# whose every learned clause is recorded, so the records show the reduction
+UNITS, UNITS_BUDGET = (1, -2, 3), MiningBudget(1e9, 300, width_limit=60)
+BIG_UNITS, BIG_SEED, BIG_BUDGET = (4, -7), 2, MiningBudget(1e9, 2_400, width_limit=10**6)
 LEVEL1_WIDTH, LEVEL2_WIDTH, PAIR_BUDGET = 3, 4, 3_000
 # more than 512 distinct additions: past the first doubling of augment's set
 ADDITIONS, ADDITION_SEED = 1_500, 4
@@ -40,7 +46,8 @@ DRIVER = r"""
 #include <stdio.h>
 #include <stdlib.h>
 
-void *cdcl_new(int n, int m, const int *off, const int *lits, const unsigned char *phase);
+void *cdcl_new(int n, int m, const int *off, const int *lits, const int *units, int num_units,
+               const unsigned char *phase);
 int cdcl_solve(void *s, long long conflict_limit, double wall_seconds, long long width_limit, long long count_cap);
 long long cdcl_conflicts(const void *s);
 long long cdcl_num_records(const void *s);
@@ -59,9 +66,38 @@ long long augment_keep(int n, const int *f_off, const int *f_lits, const int *oc
 
 static const int cdcl_off[] = {@CDCL_OFF@}, cdcl_lits[] = {@CDCL_LITS@};
 static const unsigned char phase[] = {@PHASE@};
+static const int units[] = {@UNITS@};
+static const int big_off[] = {@BIG_OFF@}, big_lits[] = {@BIG_LITS@}, big_units[] = {@BIG_UNITS@};
+static const unsigned char big_phase[] = {@BIG_PHASE@};
 static const int res_off[] = {@RES_OFF@}, res_lits[] = {@RES_LITS@};
 static const int res_occ_off[] = {@RES_OCC_OFF@}, res_occ[] = {@RES_OCC@};
 static int add_off[] = {@ADD_OFF@}, add_lits[] = {@ADD_LITS@};
+
+/* Search, print the status, conflicts, records and record literals, and
+ * free the state; 1 when out of memory. */
+static int mine(int n, int m, const int *off, const int *lits, const int *units, int num_units,
+                const unsigned char *phase, long long limit, long long width, long long cap)
+{
+    void *s = cdcl_new(n, m, off, lits, units, num_units, phase);
+    long long r, *roff, *index;
+    int *rlits, code;
+    if (!s)
+        return 1;
+    code = cdcl_solve(s, limit, 1e9, width, cap);
+    r = cdcl_num_records(s);
+    roff = malloc((size_t)(r + 1) * sizeof *roff);
+    index = malloc((size_t)(r + 1) * sizeof *index);
+    rlits = malloc((size_t)(cdcl_num_record_lits(s) + 1) * sizeof *rlits);
+    if (code < 0 || !roff || !index || !rlits)
+        return 1;
+    cdcl_records(s, roff, index, rlits);
+    printf("%d %lld %lld %lld\n", code, cdcl_conflicts(s), r, roff[r]);
+    free(roff);
+    free(index);
+    free(rlits);
+    cdcl_free(s);
+    return 0;
+}
 
 /* Print the pool's clause counts by width, then its clauses in tuple
  * order, `l1 l2 ... 0` each, then free it; 1 when NULL. */
@@ -101,24 +137,11 @@ static int print_pool(void *p, int max_width)
 
 int main(void)
 {
-    void *s = cdcl_new(@CDCL_N@, @CDCL_M@, cdcl_off, cdcl_lits, phase);
-    long long r, *off, *index;
-    int *lits, code;
-    if (!s)
+    long long r;
+    if (mine(@CDCL_N@, @CDCL_M@, cdcl_off, cdcl_lits, NULL, 0, phase, @LIMIT@, @WIDTH@, @CAP@)
+        || mine(@CDCL_N@, @CDCL_M@, cdcl_off, cdcl_lits, units, @UNITS_K@, phase, @UNITS_LIMIT@, @UNITS_WIDTH@, -1)
+        || mine(@BIG_N@, @BIG_M@, big_off, big_lits, big_units, @BIG_K@, big_phase, @BIG_LIMIT@, @BIG_WIDTH@, -1))
         return 1;
-    code = cdcl_solve(s, @LIMIT@, 1e9, @WIDTH@, @CAP@);
-    r = cdcl_num_records(s);
-    off = malloc((size_t)(r + 1) * sizeof *off);
-    index = malloc((size_t)(r + 1) * sizeof *index);
-    lits = malloc((size_t)(cdcl_num_record_lits(s) + 1) * sizeof *lits);
-    if (!off || !index || !lits)
-        return 1;
-    cdcl_records(s, off, index, lits);
-    printf("%d %lld %lld %lld\n", code, cdcl_conflicts(s), r, off[r]);
-    free(off);
-    free(index);
-    free(lits);
-    cdcl_free(s);
     if (print_pool(level1_pool(@RES_N@, @RES_M@, res_off, res_lits, @L1@), @L1@)
         || print_pool(level2_pool(@RES_N@, @RES_M@, res_off, res_lits, @L2@, @PAIRS@), @L2@)
         || print_pool(ternary_pool(@RES_N@, @RES_M@, res_off, res_lits), 3))
@@ -158,6 +181,11 @@ def _clause_lines(clauses) -> str:
     return " ".join(" ".join(map(str, (*clause, 0))) for clause in clauses)
 
 
+def _search_line(status, records, conflicts) -> str:
+    """The driver's line for a search: status code, conflicts, records, record literals."""
+    return f"{(BUDGET, SAT, UNSAT).index(status)} {conflicts} {len(records)} {sum(len(r.clause) for r in records)}"
+
+
 def test_kernels_run_clean_under_the_sanitizers(tmp_path):
     compiler = sls._compiler()
     if compiler is None:
@@ -166,6 +194,7 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
         pytest.skip("no AddressSanitizer/UndefinedBehaviorSanitizer runtime for this compiler")
     k5 = gen_uniform(GenSpec(n=60, k=5, ratio=21.1, seed=1))
     k3 = gen_uniform(GenSpec(n=20, k=3, ratio=4.26, seed=3))
+    big = gen_uniform(GenSpec(n=480, k=3, ratio=4.26, seed=5))
     # a tautology and a repeated clause, which the pools skip and merge
     res = Formula(k3.num_vars, [*k3.clauses, (1, -1, 2), k3.clauses[0]])
     # random clauses of widths 1-4 in the order given, many repeated, and some of res's
@@ -180,6 +209,12 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
         "CDCL_OFF": _ints(k5.offsets), "CDCL_LITS": _ints(k5.literals),
         "PHASE": _ints(_initial_phases(k5.num_vars, CDCL_SEED)),
         "LIMIT": CDCL_BUDGET.conflict_limit, "WIDTH": CDCL_BUDGET.width_limit, "CAP": CDCL_BUDGET.count_cap,
+        "UNITS": _ints(UNITS), "UNITS_K": len(UNITS),
+        "UNITS_LIMIT": UNITS_BUDGET.conflict_limit, "UNITS_WIDTH": UNITS_BUDGET.width_limit,
+        "BIG_N": big.num_vars, "BIG_M": big.num_clauses,
+        "BIG_OFF": _ints(big.offsets), "BIG_LITS": _ints(big.literals),
+        "BIG_UNITS": _ints(BIG_UNITS), "BIG_K": len(BIG_UNITS), "BIG_PHASE": _ints(_initial_phases(big.num_vars, BIG_SEED)),
+        "BIG_LIMIT": BIG_BUDGET.conflict_limit, "BIG_WIDTH": BIG_BUDGET.width_limit,
         "RES_N": res.num_vars, "RES_M": res.num_clauses,
         "RES_OFF": _ints(res.offsets), "RES_LITS": _ints(res.literals),
         "L1": LEVEL1_WIDTH, "L2": LEVEL2_WIDTH, "PAIRS": PAIR_BUDGET,
@@ -202,6 +237,13 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
     mined = cdcl_solve_and_mine(k5, CDCL_BUDGET, CDCL_SEED)
     assert mined.status == BUDGET and 2_000 < mined.conflicts < CDCL_BUDGET.conflict_limit
     assert len(mined.learned) == CDCL_BUDGET.count_cap
+    with_units = _search(k5, UNITS_BUDGET, CDCL_SEED, units=UNITS)
+    assert with_units[0] == BUDGET and with_units[3] == UNITS_BUDGET.conflict_limit
+    status, _, records, conflicts = _search(big, BIG_BUDGET, BIG_SEED, units=BIG_UNITS)
+    assert big.num_clauses > 2_000 and (status, conflicts) == (BUDGET, BIG_BUDGET.conflict_limit)
+    # a learned clause of width >= 2 goes into the DB: more than the reduce cap
+    # of input clauses plus units, with one to spare, means a DB reduction
+    assert sum(len(r.clause) >= 2 for r in records) > big.num_clauses + len(BIG_UNITS) + 1
     unbounded = level2_resolvents(res, LEVEL2_WIDTH, 10**9)
     level2 = level2_resolvents(res, LEVEL2_WIDTH, PAIR_BUDGET)
     assert len(level2) < len(unbounded)  # the pair budget binds
@@ -209,7 +251,9 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
     augmented = augment(res, additions)
     assert len(set(map(frozenset, additions))) > 512
     expected = [
-        f"0 {mined.conflicts} {len(mined.records)} {sum(len(r.clause) for r in mined.records)}",
+        _search_line(mined.status, mined.records, mined.conflicts),
+        _search_line(with_units[0], with_units[2], with_units[3]),
+        _search_line(status, records, conflicts),
         _width_counts(level1.clauses, LEVEL1_WIDTH), _clause_lines(level1.clauses),
         _width_counts(level2.clauses, LEVEL2_WIDTH), _clause_lines(level2.clauses),
         _width_counts(ternary_saturate(res), 3), _clause_lines(sorted(ternary_saturate(res))),

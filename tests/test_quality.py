@@ -54,15 +54,27 @@ def test_backbone_checks_every_model(monkeypatch):
             compute_backbone(f)
 
 
-def test_backbone_budget_error_carries_partial():
+def _budget_error(formula, limit):
+    with pytest.raises(BackboneBudgetError) as info:
+        compute_backbone(formula, conflict_limit=limit)
+    assert isinstance(info.value.confirmed, frozenset)
+    return str(info.value), info.value.confirmed
+
+
+def test_backbone_budget_error_carries_partial(monkeypatch):
+    # f runs out before a first model; partial confirms backbone literals
+    # before it runs out at limit 3, and fails on other literals at 0-2
     f = gen_uniform(GenSpec(n=40, k=3, ratio=4.2, seed=123))
-    sols = oracles.solution_masks(20, gen_uniform(GenSpec(n=20, k=3, ratio=3.0, seed=1)).clauses)
-    try:
-        compute_backbone(f, conflict_limit=1)
-    except BackboneBudgetError as e:
-        assert isinstance(e.confirmed, frozenset)
-    except FormulaUnsatisfiableError:
-        pass
+    partial, _ = gen_planted(GenSpec(n=15, k=3, ratio=4.26, seed=3))
+    errors = {}
+    for engine in both_engines(monkeypatch):
+        _budget_error(f, 1)
+        errors[engine] = [_budget_error(g, limit) for g in (f, partial) for limit in range(4)]
+    assert errors["kernel"] == errors["reference"]
+    backbone = oracles.brute_backbone(partial.num_vars, partial.clauses)
+    confirmed = [c for _, c in errors["kernel"][4:]]
+    assert all(c <= backbone for c in confirmed) and confirmed[3]
+    assert len({message for message, _ in errors["kernel"][4:]}) == 3
 
 
 def test_backbone_matches_enumeration_on_planted(monkeypatch):
