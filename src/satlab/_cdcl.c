@@ -12,8 +12,9 @@
  *   extended by them; a clause keeps its literal order until propagation
  *   swaps literals exactly where the reference swaps them;
  * - a decision takes the unassigned variable of highest activity, ties
- *   to the lowest index, with the phase drawn in Python or saved on
- *   backjump;
+ *   to the lowest index, with the phase saved on backjump or, before the
+ *   first backjump, drawn from the seed's key as the reference draws it
+ *   from random.Random(seed): phase[v] = random() < 0.5 for v = 1..n;
  * - 1-UIP analysis bumps variables in the order it meets them, stamps
  *   every clause it visits, and puts a highest-level literal second;
  * - an activity bump adds var_inc, var_inc is divided by 0.95 per
@@ -40,7 +41,8 @@
  *
  * The records are one clause set of _clauses.h, which holds each record
  * and counts the distinct ones; the header also gives the literal index
- * and the growth rule.
+ * and the growth rule.  The phases come from the Mersenne Twister of
+ * _mt.h, seeded as the probSAT kernel seeds it (mt_seed).
  */
 
 #include <stdlib.h>
@@ -48,6 +50,7 @@
 #include <time.h>
 
 #include "_clauses.h"
+#include "_mt.h"
 
 enum { BUDGET = 0, SAT = 1, UNSAT = 2, OUT_OF_MEMORY = -1 };
 
@@ -499,14 +502,16 @@ static int assign_unit(cdcl_state *s, int lit)
 
 /* New solver over the CSR formula (clause c is lits[off[c] .. off[c + 1]))
  * and the unit clauses units[0 .. num_units) after it, with initial phases
- * phase[1 .. n]; attaches the clauses and propagates the units, as
- * CdclSolver.__init__ does on the formula extended by the units.  A first
- * pass sizes the arena and each watch list; the second lays the clauses
- * of width >= 2 out in the arena.  NULL when out of memory. */
+ * drawn from the seed's key[0 .. key_len) (mt_seed); attaches the clauses
+ * and propagates the units, as CdclSolver.__init__ does on the formula
+ * extended by the units.  A first pass sizes the arena and each watch
+ * list; the second lays the clauses of width >= 2 out in the arena.  NULL
+ * when out of memory. */
 cdcl_state *cdcl_new(int n, int m, const int *off, const int *lits, const int *units, int num_units,
-                     const unsigned char *phase)
+                     const uint32_t *key, int key_len)
 {
     cdcl_state *s = calloc(1, sizeof *s);
+    mt_state rng;
     size_t vars = (size_t)n + 1, literals = 2 * (size_t)n + 2, bytes = 0, k;
     char *next;
     int v, c, oom = 0;
@@ -554,7 +559,10 @@ cdcl_state *cdcl_new(int n, int m, const int *off, const int *lits, const int *u
             return NULL;
         }
     }
-    memcpy(s->phase, phase, vars);
+    mt_seed(&rng, key, (size_t)key_len);
+    s->phase[0] = 0;
+    for (v = 1; v <= n; v++)
+        s->phase[v] = random_double(&rng) < 0.5;
     s->var_inc = 1.0;
     s->heap_pos[0] = -1;
     for (v = 1; v <= n; v++) {

@@ -22,14 +22,14 @@ literals); they are attached as `formula.extended([(u,) for u in
 units])` would attach them, without building that formula.  It has two
 engines with one set of semantics:
 
-- The compiled kernel (`_cdcl.c`, built and loaded with the probSAT
-  kernel by `satlab.sls._load_kernel`) reads the formula's flat clause
-  arrays (`Formula.offsets` and `literals`), the units and the initial
-  phases drawn here from `random.Random(seed)`.  It lays the input
-  clauses out in one arena, and frees the learned clauses DB reduction
-  drops.
+- The compiled kernel (`_cdcl.c`, built and loaded by `satlab._native`)
+  reads the formula's flat clause arrays (`Formula.offsets` and
+  `literals`) and the units, and draws the initial phases from the seed's
+  key as `random.Random(seed)` draws them.  It lays the input clauses out
+  in one arena, and frees the learned clauses DB reduction drops.
 - `CdclSolver` is the readable reference, run on the extended formula.
-  It runs when no compiler or cache directory is usable.
+  It runs when the library is unavailable and for a seed that is not an
+  int.
 
 Either way the model is checked here, against the formula and the units.
 
@@ -44,7 +44,6 @@ budget ends can differ.  The differential tests in
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import random
 import time
@@ -52,7 +51,7 @@ from array import array
 from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush
 
-from . import sls
+from . import _native
 from .cnf import Assignment, Clause, Formula, canonical_clause, eval_formula, is_int_at_least
 
 SAT = "sat"
@@ -68,7 +67,6 @@ _ACTIVITY_DECAY = 0.95
 _LUBY_BASE = 64
 _WALL_CHECK_EVERY = 64
 _HEAP_SLACK = 4  # the decision heap is rebuilt once it holds this many entries per variable
-_NO_LIMIT = 1 << 62  # a budget the kernel can never reach
 
 
 @dataclass(frozen=True)
@@ -137,9 +135,10 @@ def luby(i: int) -> int:
 
 @functools.lru_cache(maxsize=1)
 def _initial_phases(n: int, seed: int) -> bytes:
-    """Initial saved phases of variables 1..n for `seed` (byte 0 unused):
-    the first n draws of `random.Random(seed)`, true below 0.5.  The last
-    result is kept, as every query of a backbone repeats one (n, seed)."""
+    """`CdclSolver`'s initial saved phases of variables 1..n (byte 0 unused):
+    the first n draws of `random.Random(seed)`, true below 0.5, as the
+    kernel draws them.  The last result is kept, as every query of a
+    backbone repeats one (n, seed)."""
     rng = random.Random(seed)
     return bytes([0, *(rng.random() < 0.5 for _ in range(n))])
 
@@ -507,62 +506,56 @@ def _search(formula: Formula, budget: MiningBudget, seed: int, units: tuple[int,
     of `formula` with the unit clauses `units` after its clauses.
 
     The compiled kernel runs it, and `CdclSolver` on
-    `formula.extended([(u,) for u in units])` does when the kernel cannot
-    be built; both give the same result.  A model is checked against
-    `formula` and `units` as the engine gives it, and a wrong one is an
-    AssertionError; it is returned as a list of bools.
+    `formula.extended([(u,) for u in units])` does when the library is
+    unavailable or `seed` is not an int; both give the same result.  A
+    model is checked against `formula` and `units` as the engine gives it,
+    and a wrong one is an AssertionError; it is returned as a list of
+    bools.
     """
     n = formula.num_vars
     for u in units:
         if not (is_int_at_least(u, -n) and u <= n and u != 0):
             raise ValueError(f"unit {u!r} is not a literal of variables 1..{n}")
-    kernel = sls._load_kernel()
-    if kernel is None:
+    kernel = _native.load()
+    key = _native.seed_key(seed)
+    if kernel is None or key is None:
         solver = CdclSolver(formula.extended([(u,) for u in units]), seed)
         status = solver.solve(budget)
         model = solver.model() if status == SAT else None
         records, conflicts = solver.records, solver.conflicts
     else:
-        status, model, records, conflicts = _mine_with_kernel(kernel, formula, budget, seed, units)
+        status, model, records, conflicts = _mine_with_kernel(kernel, formula, budget, key, units)
     if model is not None and not (eval_formula(formula, model)
                                   and all(model[u] if u > 0 else not model[-u] for u in units)):
         raise AssertionError("internal error: CDCL produced an invalid model")
     return status, None if model is None else list(map(bool, model)), records, conflicts
 
 
-def _mine_with_kernel(kernel: ctypes.CDLL, formula: Formula, budget: MiningBudget, seed: int,
-                      units: tuple[int, ...]):
-    """(status, model, qualifying records, conflicts) of one kernel search
-    from `CdclSolver`'s initial phases for `seed`; the model is bytes."""
+def _mine_with_kernel(kernel, formula: Formula, budget: MiningBudget, key: array, units: tuple[int, ...]):
+    """(status, model, qualifying records, conflicts) of one kernel search,
+    seeded with the seed's `key`; the model is bytes."""
     unit_lits = array("i", units)  # referenced until cdcl_new has read it
-    state = kernel.cdcl_new(formula.num_vars, formula.num_clauses, formula.offsets.buffer_info()[0],
-                            formula.literals.buffer_info()[0], unit_lits.buffer_info()[0], len(unit_lits),
-                            _initial_phases(formula.num_vars, seed))
+    state = kernel.cdcl_new(*_native.flat(formula), _native.address(unit_lits), len(unit_lits),
+                            _native.address(key), len(key))
     if not state:
         raise MemoryError("cannot allocate the CDCL kernel state")
     try:
-        limit = -1 if budget.conflict_limit is None else min(budget.conflict_limit, _NO_LIMIT)
+        limit = -1 if budget.conflict_limit is None else min(budget.conflict_limit, _native.NO_LIMIT)
         cap = budget.count_cap if budget.early_stop and budget.count_cap is not None else -1
         code = kernel.cdcl_solve(state, limit, budget.wall_seconds,
-                                 min(budget.width_limit, _NO_LIMIT), min(cap, _NO_LIMIT))
+                                 min(budget.width_limit, _native.NO_LIMIT), min(cap, _native.NO_LIMIT))
         if code < 0:
             raise MemoryError("the CDCL kernel ran out of memory")
         status = (BUDGET, SAT, UNSAT)[code]
-        model = None
-        if status == SAT:
-            buf = ctypes.create_string_buffer(formula.num_vars + 1)
-            kernel.cdcl_assignment(state, buf)
-            model = buf.raw
+        model = _native.read_model(kernel.cdcl_assignment, state, formula.num_vars) if status == SAT else None
         count = kernel.cdcl_num_records(state)
         records = []
         if count:
-            bounds = array("q", bytes(8 * (count + 1)))
-            indices = array("q", bytes(8 * count))
-            lits = array("i", bytes(4 * kernel.cdcl_num_record_lits(state)))
-            kernel.cdcl_records(state, *(a.buffer_info()[0] for a in (bounds, indices, lits)))
-            records = [
-                LearnedClauseRecord(tuple(lits[bounds[r]:bounds[r + 1]]), indices[r]) for r in range(count)
-            ]
+            bounds = _native.zeros("q", count + 1)
+            indices = _native.zeros("q", count)
+            lits = _native.zeros("i", kernel.cdcl_num_record_lits(state))
+            kernel.cdcl_records(state, *map(_native.address, (bounds, indices, lits)))
+            records = [LearnedClauseRecord(tuple(lits[bounds[r]:bounds[r + 1]]), indices[r]) for r in range(count)]
         return status, model, records, kernel.cdcl_conflicts(state)
     finally:
         kernel.cdcl_free(state)

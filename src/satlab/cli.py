@@ -73,9 +73,13 @@ def _resolve_cap(spec: str | None, m: int) -> int | None:
 
 
 def _scoring_from_args(args) -> ScoringFunction | None:
-    if args.scoring is None:
-        return None
-    return ScoringFunction(kind=args.scoring, cb=args.cb, epsilon=args.epsilon)
+    """`--scoring` with `--cb` (default 2.06) and `--epsilon` (default 0.9);
+    either of those without `--scoring` is a ValueError that names it."""
+    for flag, value in (("--cb", args.cb), ("--epsilon", args.epsilon)):
+        if args.scoring is None and value is not None:
+            raise ValueError(f"{flag} {value}: given without --scoring, which it parameterises")
+    return None if args.scoring is None else ScoringFunction(args.scoring, 2.06 if args.cb is None else args.cb,
+                                                             0.9 if args.epsilon is None else args.epsilon)
 
 
 def _cmd_gen(args) -> int:
@@ -96,9 +100,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve_sls(args) -> int:
+    scoring = _scoring_from_args(args)
     formula = parse_dimacs(_read(args.file))
-    res = probsat_run(formula, args.max_flips, args.seed, _scoring_from_args(args),
-                      wall_limit=args.wall_seconds)
+    res = probsat_run(formula, args.max_flips, args.seed, scoring, wall_limit=args.wall_seconds)
     print(f"c stats flips={res.flips_used} seconds={res.wall_seconds:.6f} seed={res.seed}")
     if res.solved:
         print("s SATISFIABLE")
@@ -295,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--wall-seconds", type=float, default=None)
     p.add_argument("--scoring", choices=["poly", "exp"], default=None)
-    p.add_argument("--cb", type=float, default=2.06)
-    p.add_argument("--epsilon", type=float, default=0.9)
+    p.add_argument("--cb", type=float, default=None, help="with --scoring (default 2.06)")
+    p.add_argument("--epsilon", type=float, default=None, help="with --scoring poly (default 0.9)")
     p.set_defaults(func=_cmd_solve_sls)
 
     p = sub.add_parser("mine", help="extract learned clauses with CDCL")

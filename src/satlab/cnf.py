@@ -14,18 +14,17 @@ n+1 with index 0 unused, so `assignment[v]` is the value of variable v.
 Building a `Formula`, reading DIMACS, writing it and checking a model
 each have two paths with one set of results:
 
-- `_cnf.c`, built into the one compiled library of `satlab.sls`
-  (`sls._load_kernel`), canonicalises and checks flat int32 clauses and
-  fills the occurrence index (`formula_index`; `Formula.extended`
-  re-indexes the whole formula with it), scans DIMACS text in a
-  strict subset: ASCII lines of `[+-]?digits` tokens, `c` comments, one
-  `p cnf N M` header and a `%` end line (`dimacs_scan`), writes the
-  clause lines of `emit_dimacs` (`dimacs_emit`), and checks a model
-  against the flat clauses (`formula_satisfied`).  Any input outside the
-  scanner's subset it hands back to the Python reader whole.  It also
-  holds the duplicate check of `satlab.pipeline.augment`
-  (`augment_keep`), which hands its kept clauses to `formula_index`
-  through `Formula._extended_flat`.
+- `_cnf.c`, built and loaded by `satlab._native`, canonicalises and
+  checks flat int32 clauses and fills the occurrence index
+  (`formula_index`; `Formula.extended` re-indexes the whole formula with
+  it), scans DIMACS text in a strict subset: ASCII lines of
+  `[+-]?digits` tokens, `c` comments, one `p cnf N M` header and a `%`
+  end line (`dimacs_scan`), writes the clause lines of `emit_dimacs`
+  (`dimacs_emit`), and checks a model against the flat clauses
+  (`formula_satisfied`).  Any input outside the scanner's subset it hands
+  back to the Python reader whole.  It also holds the duplicate check of
+  `satlab.pipeline.augment` (`augment_keep`), which hands its kept
+  clauses to `formula_index` through `Formula._extended_flat`.
 - `canonical_clause` with `_index_clauses`, `_read_dimacs`,
   `_emit_clauses_python` and `_eval_formula_python` are the readable
   reference.  They run when the library is unavailable, when clauses do
@@ -39,12 +38,13 @@ equal attributes, errors, warnings, text and model checks.
 
 from __future__ import annotations
 
-import ctypes
 import operator
 import warnings
 from array import array
 from itertools import accumulate, chain
 from typing import Iterable, Sequence
+
+from . import _native
 
 Clause = tuple[int, ...]
 Assignment = list[bool]
@@ -119,7 +119,7 @@ class Formula:
             raise ValueError(f"negative variable count: {num_vars}")
         if 2 * num_vars + 3 > _INT32_MAX:
             raise ValueError(f"variable count {num_vars} exceeds the int32 occurrence index")
-        kernel = _kernel() if isinstance(num_vars, int) else None
+        kernel = _native.load() if isinstance(num_vars, int) else None
         if kernel is not None:
             clauses = clauses if isinstance(clauses, (list, tuple)) else list(clauses)
             flat = _flatten(clauses, 0)
@@ -143,10 +143,10 @@ class Formula:
         `lits` in place and keeps them; `lits` may run past `offsets[-1]`.
         """
         m = len(offsets) - 1
-        occ_offsets = array("i", [0]) * (2 * num_vars + 3)
-        occ = array("i", [0]) * offsets[-1]
-        info = array("q", [0]) * 5
-        if kernel.formula_index(num_vars, m, *map(_address, (offsets, lits, occ_offsets, occ, info))):
+        occ_offsets = _native.zeros("i", 2 * num_vars + 3)
+        occ = _native.zeros("i", offsets[-1])
+        info = _native.zeros("q", 5)
+        if kernel.formula_index(num_vars, m, *map(_native.address, (offsets, lits, occ_offsets, occ, info))):
             raise ValueError(f"literal {info[1]} out of range 1..{num_vars} in clause {info[0]}")
         del lits[offsets[-1]:], occ[offsets[-1]:]  # the dropped repeats
         self.num_vars = num_vars
@@ -165,7 +165,7 @@ class Formula:
         new = clauses if isinstance(clauses, (list, tuple)) else list(clauses)
         if not new:
             return self
-        kernel = _kernel()
+        kernel = _native.load()
         flat = None if kernel is None else _flatten(new, self.offsets[-1])
         if flat is None:
             return Formula(self.num_vars, self.clauses + tuple(new))
@@ -246,7 +246,7 @@ def parse_dimacs(text: str | bytes) -> Formula:
     the common subset of this format, building the formula without
     `Formula.__init__`; `_read_dimacs` reads the rest and is the reference.
     """
-    kernel = _kernel()
+    kernel = _native.load()
     scanned = None if kernel is None else _scan_dimacs(kernel, text)
     if scanned is None:
         num_vars, declared_m, clauses = _read_dimacs(text)
@@ -324,24 +324,13 @@ def _scan_dimacs(kernel, text) -> tuple[int, int, array, array] | None:
         return None
     # every token takes at least 2 bytes (the last one may end the text)
     room = (len(text) + 1) // 2
-    info = array("q", [0]) * 4
-    offsets = array("i", [0]) * (room + 1)
-    lits = array("i", [0]) * room
-    if kernel.dimacs_scan(text, len(text), *map(_address, (info, offsets, lits))):
+    info = _native.zeros("q", 4)
+    offsets = _native.zeros("i", room + 1)
+    lits = _native.zeros("i", room)
+    if kernel.dimacs_scan(text, len(text), *map(_native.address, (info, offsets, lits))):
         return None
     del offsets[info[2] + 1:], lits[info[3]:]
     return info[0], info[1], offsets, lits
-
-
-def _kernel():
-    """The compiled library of `satlab.sls`, which holds `_cnf.c`, or None."""
-    from . import sls  # imported here: sls imports this module
-
-    return sls._load_kernel()
-
-
-def _address(buf: array) -> int:
-    return buf.buffer_info()[0]
 
 
 def _ascii(text: str | bytes) -> str:
@@ -375,12 +364,12 @@ def emit_dimacs(formula: Formula, comments: Sequence[str] = ()) -> str:
     """
     head = "".join(f"c {line}\n" for c in comments for line in str(c).splitlines() or [""])
     head += f"p cnf {formula.num_vars} {formula.num_clauses}\n"
-    kernel = _kernel()
+    kernel = _native.load()
     if kernel is None:
         return head + _emit_clauses_python(formula)
     # at most 12 bytes per int32 literal with its blank, and " 0\n" per clause
-    out = ctypes.create_string_buffer(12 * len(formula.literals) + 3 * formula.num_clauses)
-    written = kernel.dimacs_emit(formula.num_clauses, _address(formula.offsets), _address(formula.literals), out)
+    out = _native.zeros("B", 12 * len(formula.literals) + 3 * formula.num_clauses)
+    written = kernel.dimacs_emit(*_native.flat(formula)[1:], _native.address(out))
     return head + str(memoryview(out)[:written], "ascii")  # decoded in place, not copied to bytes first
 
 
@@ -406,15 +395,14 @@ def eval_formula(formula: Formula, alpha: Assignment | bytes) -> bool:
     bytes and are checked as they are.  `_eval_formula_python` is the
     reference and runs otherwise, with its errors.
     """
-    kernel = _kernel()
+    kernel = _native.load()
     if kernel is not None and isinstance(alpha, (bytes, list)) and len(alpha) > formula.num_vars:
         try:
             values = bytes(alpha)  # a bytes object is returned as it is, not copied
         except (TypeError, ValueError):
             pass  # not byte values: the reference reads their truth
         else:
-            return bool(kernel.formula_satisfied(formula.num_clauses, _address(formula.offsets),
-                                                 _address(formula.literals), values))
+            return bool(kernel.formula_satisfied(*_native.flat(formula)[1:], values))
     return _eval_formula_python(formula, alpha)
 
 

@@ -5,13 +5,12 @@ Twister (`random.Random`) makes them bit-reproducible across platforms.
 
 `gen_uniform` and `gen_planted` have two paths with one set of results:
 
-- `gen_clauses` in `_gen.c`, built into the one compiled library of
-  `satlab.sls` (`sls._load_kernel`), seeds the Mersenne Twister as
-  `random.Random(spec.seed)` does and repeats the reference's draws one
-  by one, including both branches of CPython's `random.sample`.  It
-  writes flat int32 clause arrays, which `formula_index` canonicalises
-  and indexes, so no clause list or tuple is built and
-  `Formula.__init__` never runs.
+- `gen_clauses` in `_gen.c`, built and loaded by `satlab._native`,
+  seeds the Mersenne Twister as `random.Random(spec.seed)` does and
+  repeats the reference's draws one by one, including both branches of
+  CPython's `random.sample`.  It writes flat int32 clause arrays, which
+  `formula_index` canonicalises and indexes, so no clause list or tuple
+  is built and `Formula.__init__` never runs.
 - `_gen_uniform_python` and `_gen_planted_python` are the readable
   reference.  They run when the library is unavailable, when `n` or
   `m * k` does not fit int32, and when the seed is not an int.
@@ -28,8 +27,8 @@ import random
 from array import array
 from dataclasses import dataclass
 
-from .cnf import _INT32_MAX, Assignment, Formula, _address, _kernel
-from .sls import _seed_key
+from . import _native
+from .cnf import _INT32_MAX, Assignment, Formula
 
 # Clause-to-variable ratios near the satisfiability threshold, used when a
 # spec gives neither ratio nor m.
@@ -101,7 +100,7 @@ def gen_planted(spec: GenSpec) -> tuple[Formula, Assignment]:
     where c counts agreeing literals, which concentrates mass on barely
     satisfying clauses and hides the solution from local search.
     """
-    hidden = array("B", [0]) * (spec.n + 1)  # drawn by the kernel
+    hidden = _native.zeros("B", spec.n + 1)  # drawn by the kernel
     formula = _gen_native(spec, hidden)
     if formula is None:
         return _gen_planted_python(spec)
@@ -113,16 +112,16 @@ def _gen_native(spec: GenSpec, hidden: array | None) -> Formula | None:
     must run.  `hidden` is None for uniform polarities; otherwise the
     kernel draws the hidden assignment into it (0/1 bytes, index 0
     unused) before any clause."""
-    kernel = _kernel()
+    kernel = _native.load()
     n, k, m = spec.n, spec.k, spec.num_clauses
-    key = _seed_key(spec.seed)
+    key = _native.seed_key(spec.seed)
     if kernel is None or key is None or 2 * n + 3 > _INT32_MAX or m * k > _INT32_MAX:
         return None
     pool = n <= 21 + (4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 0)  # random.sample's branch
-    offsets = array("i", [0]) * (m + 1)
-    lits = array("i", [0]) * (m * k)
-    if kernel.gen_clauses(n, k, m, pool, spec.bias, None if hidden is None else _address(hidden),
-                          _address(key), len(key), *map(_address, (offsets, lits))):
+    offsets = _native.zeros("i", m + 1)
+    lits = _native.zeros("i", m * k)
+    if kernel.gen_clauses(n, k, m, pool, spec.bias, None if hidden is None else _native.address(hidden),
+                          _native.address(key), len(key), *map(_native.address, (offsets, lits))):
         raise MemoryError("cannot allocate the generator's sampling pool")
     formula = Formula.__new__(Formula)
     formula._index_native(kernel, n, offsets, lits)

@@ -36,8 +36,9 @@ import random
 import time
 from dataclasses import dataclass, field, fields, replace
 
+from . import _native
 from .cdcl import MINER_SECONDS_DEFAULT, SAT, UNSAT, MiningBudget, cdcl_solve_and_mine
-from .cnf import Assignment, Formula, _address, _flatten, _kernel, eval_formula, is_int_at_least
+from .cnf import Assignment, Formula, _flatten, eval_formula, is_int_at_least
 from .sls import ScoringFunction, default_scoring, default_scoring_for, probsat_run
 
 PLAIN_SLS = "plain-sls"
@@ -46,8 +47,6 @@ _SLS_ONLY = (PLAIN_SLS, FALLBACK)  # tracks that run one SLS phase and read only
 
 VARS_CUTOFF = 9000
 WALL_BUDGET_DEFAULT = 5000.0
-
-_HUGE_FLIPS = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -182,24 +181,24 @@ def augment(formula: Formula, clauses) -> Formula:
     input formula is not modified.
 
     The additions are flattened once, and `augment_keep` in `_cnf.c`
-    drops the duplicates: it canonicalises each addition, looks it up
-    among the formula's clauses of its least frequent literal, so the
-    lookup's cost follows the additions, not the formula, and finds
-    repeats among the additions in a hashed clause set.  The kept ones
-    are re-indexed with the formula by `formula_index`, whose cost does
-    follow the formula.  `_augment_python` is the reference, and runs
-    when the library is unavailable or the additions do not flatten; both
-    give equal formulas and equal errors.
+    (loaded by `satlab._native`) drops the duplicates: it canonicalises
+    each addition, looks it up among the formula's clauses of its least
+    frequent literal, so the lookup's cost follows the additions, not the
+    formula, and finds repeats among the additions in a hashed clause set.
+    The kept ones are re-indexed with the formula by `formula_index`,
+    whose cost does follow the formula.  `_augment_python` is the
+    reference, and runs when the library is unavailable or the additions
+    do not flatten; both give equal formulas and equal errors.
     """
     new = clauses if isinstance(clauses, (list, tuple)) else list(clauses)
-    kernel = _kernel()
+    kernel = _native.load()
     flat = None if kernel is None else _flatten(new, formula.offsets[-1])
     if flat is None:
         return _augment_python(formula, new)
     offsets, lits = flat
-    kept = kernel.augment_keep(formula.num_vars, *map(_address, (formula.offsets, formula.literals,
-                                                                 formula.occ_offsets, formula.occ)),
-                               formula.has_empty_clause(), len(new), _address(offsets), _address(lits))
+    kept = kernel.augment_keep(formula.num_vars, *map(_native.address, (formula.offsets, formula.literals,
+                                                                        formula.occ_offsets, formula.occ)),
+                               formula.has_empty_clause(), len(new), *map(_native.address, (offsets, lits)))
     if kept < 0:
         raise MemoryError("cannot allocate augment's clause set")
     if not kept:
@@ -263,7 +262,7 @@ def run_hybrid(
     start = time.perf_counter()
     strat = strategy or select_strategy(formula)
     result = SolveResult(status="unknown", model=None, phase_solved=None, track=strat.track, seed=seed)
-    last_flips = _HUGE_FLIPS if final_flips is None else final_flips
+    last_flips = _native.NO_LIMIT if final_flips is None else final_flips
 
     def wall_left() -> float | None:
         """Seconds left of the wall budget; None when there is none."""

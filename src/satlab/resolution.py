@@ -12,13 +12,12 @@ are excluded from enumeration.
 
 Each enumeration has two engines with one set of results:
 
-- `_resolve.c`, built into the one compiled library of `satlab.sls`
-  (`sls._load_kernel`), enumerates from `Formula.offsets` and `literals`
-  with canonical literal runs of any width and a hash set of clauses,
-  and hands each pool back through a handle: its clauses grouped by
-  width, and the permutation that puts them in tuple order.  Python only
-  builds the clause tuples and applies the permutation.  Allocation
-  failure is a MemoryError.
+- `_resolve.c`, built and loaded by `satlab._native`, enumerates from
+  `Formula.offsets` and `literals` with canonical literal runs of any
+  width and a hash set of clauses, and hands each pool back through a
+  handle: its clauses grouped by width, and the permutation that puts
+  them in tuple order.  Python only builds the clause tuples and applies
+  the permutation.  Allocation failure is a MemoryError.
 - The `(pos, neg)` mask engine below is the readable reference, and
   runs when the library is unavailable.  A clause is held as a pair of
   ints with bit `v` set for literal `v` or `-v`.  Resolving on `v` gives
@@ -41,16 +40,14 @@ either engine runs.
 from __future__ import annotations
 
 import random
-from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
-from . import sls
+from . import _native
 from .cnf import Clause, Formula, is_int_at_least
 
 PAIR_BUDGET_DEFAULT = 10_000_000
-_INT64_MAX = 2**63 - 1  # a larger pair budget is never spent
 
 Masks = tuple[int, int]
 
@@ -176,10 +173,10 @@ def _native_clauses(kernel, pool, max_width: int) -> tuple[Clause, ...]:
     if not pool:
         raise MemoryError("the resolution kernel ran out of memory")
     try:
-        counts = array("q", bytes(8 * (max_width + 1)))
-        lits = array("i", bytes(4 * kernel.pool_num_lits(pool)))
-        order = array("q", bytes(8 * kernel.pool_size(pool)))
-        kernel.pool_copy(pool, *(a.buffer_info()[0] for a in (counts, lits, order)))
+        counts = _native.zeros("q", max_width + 1)
+        lits = _native.zeros("i", kernel.pool_num_lits(pool))
+        order = _native.zeros("q", kernel.pool_size(pool))
+        kernel.pool_copy(pool, *map(_native.address, (counts, lits, order)))
     finally:
         kernel.pool_free(pool)
     grouped: list[Clause] = [()] * counts[0]
@@ -190,19 +187,13 @@ def _native_clauses(kernel, pool, max_width: int) -> tuple[Clause, ...]:
     return tuple(map(grouped.__getitem__, order))
 
 
-def _flat(formula: Formula):
-    """The kernel's formula arguments: n, m and the flat clause arrays."""
-    return (formula.num_vars, formula.num_clauses,
-            formula.offsets.buffer_info()[0], formula.literals.buffer_info()[0])
-
-
 def level1_resolvents(formula: Formula, max_width: int) -> ResolventPool:
     """Resolvents of pairs of original clauses, width-capped."""
     _check_count("max_width", max_width)
-    kernel = sls._load_kernel()
+    kernel = _native.load()
     if kernel is not None:
         width = min(max_width, formula.num_vars)  # no wider resolvent exists
-        return ResolventPool(_native_clauses(kernel, kernel.level1_pool(*_flat(formula), width), width))
+        return ResolventPool(_native_clauses(kernel, kernel.level1_pool(*_native.flat(formula), width), width))
     originals = _base_masks(formula)
     return _pool(_level1(formula.num_vars, originals, max_width) - set(originals))
 
@@ -222,10 +213,10 @@ def level2_resolvents(
     """
     _check_count("max_width", max_width)
     _check_count("pair_budget", pair_budget)
-    kernel = sls._load_kernel()
+    kernel = _native.load()
     if kernel is not None:
         width = min(max_width, formula.num_vars)
-        pool = kernel.level2_pool(*_flat(formula), width, min(pair_budget, _INT64_MAX))
+        pool = kernel.level2_pool(*_native.flat(formula), width, min(pair_budget, _native.NO_LIMIT))
         return ResolventPool(_native_clauses(kernel, pool, width))
     originals = _base_masks(formula)
     exclude = set(originals)
@@ -247,9 +238,9 @@ def level2_resolvents(
 def ternary_saturate(formula: Formula) -> set[Clause]:
     """Close clauses of width <= 3 under resolution, keeping resolvents of
     width <= 3, until fixpoint; returns the derived clauses only."""
-    kernel = sls._load_kernel()
+    kernel = _native.load()
     if kernel is not None:
-        return set(_native_clauses(kernel, kernel.ternary_pool(*_flat(formula)), 3))
+        return set(_native_clauses(kernel, kernel.ternary_pool(*_native.flat(formula)), 3))
     known = {c for c in _base_masks(formula) if (c[0] | c[1]).bit_count() <= 3}
     queue = deque(known)
     occ = _Occurrences(formula.num_vars, queue)

@@ -16,24 +16,14 @@ swap-remove registry with O(1) membership, insertion, and deletion.
 
 `probsat_run` has two paths with one set of semantics:
 
-- The compiled kernel (`_probsat.c`, loaded with ctypes) reads the
-  formula's flat clause and occurrence arrays (`Formula.offsets`,
-  `literals`, `occ_offsets` and `occ`), and seeds the Mersenne Twister
-  from the int seed as `random.Random(seed)` does (`_mt.h`, with the key
-  of `_seed_key`).  It is built on first use with the system C compiler,
-  into one library with the CDCL kernel of `satlab.cdcl` (`_cdcl.c`), the
-  DIMACS scan and emit, `Formula` index build and model check of
-  `satlab.cnf` and the duplicate check of `satlab.pipeline.augment`
-  (`_cnf.c`), the instance generator of `satlab.generators` (`_gen.c`)
-  and the resolvent enumeration of `satlab.resolution` (`_resolve.c`),
-  in `$XDG_CACHE_HOME/satlab` (by default `~/.cache/satlab`), under a
-  file name keyed by the five sources, the two headers they share (the
-  Mersenne Twister, `_mt.h`, and the clause store, `_clauses.h`), the
-  flags and the platform.
+- The compiled kernel (`_probsat.c`, built and loaded by `satlab._native`)
+  reads the formula's flat clause and occurrence arrays
+  (`Formula.offsets`, `literals`, `occ_offsets` and `occ`), and seeds the
+  Mersenne Twister from the int seed as `random.Random(seed)` does.
 - `_probsat_python`, the flip loop over `SlsState` (which reads the same
   arrays through `Formula.occurrence`), is the readable reference.  It
-  runs when no compiler or cache directory is usable, for formulas with
-  an empty clause or no variables, and for a seed that is not an int.
+  runs when the library is unavailable, for formulas with an empty
+  clause or no variables, and for a seed that is not an int.
 
 For equal arguments the two give bit-identical status, flip count and
 model: the same random draws, the same registry order, the same
@@ -48,22 +38,14 @@ budget-bound runs, to equal assignments after the last flip.
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import hashlib
-import os
 import random
-import shutil
-import subprocess
-import sysconfig
-import tempfile
 import time
-import warnings
 from array import array
 from dataclasses import dataclass
-from pathlib import Path
 
-from .cnf import Assignment, Formula, eval_formula
+from . import _native
+from .cnf import Assignment, Formula, eval_formula, is_int_at_least
 
 FLIPS_EXHAUSTED = "flips-exhausted"
 SOLVED = "solved"
@@ -266,13 +248,10 @@ def probsat_run(
 ) -> RunResult:
     """Run break-only local search until a model is found or budgets expire.
 
-    The only public entry point.  It runs the compiled kernel, building it
-    into `$XDG_CACHE_HOME/satlab` (default `~/.cache/satlab`) on first use,
-    and falls back to the Python reference `_probsat_python` when no
-    compiler or cache directory is usable.  Both paths return the same
-    status, `flips_used` and model for the same arguments.  Formulas with
-    an empty clause or no variables, and seeds that are not ints, go to
-    the reference.
+    The only public entry point: the kernel, or the reference where the
+    module docstring says, with the same status, `flips_used` and model.
+    `max_flips` must be an integer >= 0; the kernel is passed at most
+    `_native.NO_LIMIT`, which no run spends.
 
     Returned models are verified against the formula by `eval_formula`,
     after the clock stops: with the library loaded, its
@@ -282,19 +261,18 @@ def probsat_run(
     flip-deterministic, flip-budgeted ones are, and a flip-budgeted run is
     a single kernel call.
     """
-    kernel = _load_kernel()
-    key = _seed_key(seed)
+    if not is_int_at_least(max_flips, 0):
+        raise ValueError(f"max_flips must be an integer >= 0, got {max_flips!r}")
+    kernel = _native.load()
+    key = _native.seed_key(seed)
     if kernel is None or key is None or formula.has_empty_clause() or formula.num_vars == 0:
         return _probsat_python(formula, max_flips, seed, scoring, wall_limit)
+    max_flips = min(max_flips, _native.NO_LIMIT)
     start = time.perf_counter()
     scoring = scoring or default_scoring_for(formula)
     table = _score_table(scoring, formula.max_occurrences)
-    state = kernel.probsat_new(
-        formula.num_vars, formula.num_clauses,
-        *(a.buffer_info()[0] for a in (formula.offsets, formula.literals, formula.occ_offsets, formula.occ,
-                                       table, key)),
-        len(key),
-    )
+    state = kernel.probsat_new(*_native.flat(formula),
+                               *map(_native.address, (formula.occ_offsets, formula.occ, table, key)), len(key))
     if not state:
         raise MemoryError("cannot allocate the probSAT kernel state")
     model = None
@@ -308,9 +286,7 @@ def probsat_run(
                     break
                 flips_done = kernel.probsat_flip(state, min(max_flips, flips_done + _POLL_FLIPS))
         if not kernel.probsat_num_falsified(state):
-            buf = ctypes.create_string_buffer(formula.num_vars + 1)
-            kernel.probsat_assignment(state, buf)
-            model = buf.raw
+            model = _native.read_model(kernel.probsat_assignment, state, formula.num_vars)
     finally:
         kernel.probsat_free(state)
     return _result(formula, model, flips_done, seed, time.perf_counter() - start)
@@ -322,17 +298,6 @@ def _score_table(scoring: ScoringFunction, max_break: int) -> array:
     Kept per (scoring, max_break): every run on one formula, or on formulas
     of one shape, reads the same table, and the kernel never writes it."""
     return array("d", scoring.table(max_break))
-
-
-def _seed_key(seed) -> array | None:
-    """The key with which `random.Random(seed)` seeds its Mersenne Twister
-    (`random_seed` in CPython's `_randommodule.c`): the 32-bit words of
-    `abs(seed)`, least significant first, or the one word 0 for seed 0.
-    None for a seed that is not an int, which only the references take."""
-    if not isinstance(seed, int):
-        return None
-    n = abs(seed)
-    return array("I", [n >> shift & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)])
 
 
 def _probsat_python(
@@ -387,106 +352,3 @@ def _result(formula: Formula, model: Assignment | bytes | None, flips_done: int,
     if not eval_formula(formula, model):
         raise AssertionError("internal error: registry empty but model invalid")
     return RunResult(SOLVED, flips_done, list(map(bool, model)), seed, elapsed)
-
-
-# every compiled kernel of the package: one library, one build, one cache key
-# (the key reads the shared headers too; the compiler is given the .c files)
-_KERNEL_SOURCES = tuple(Path(__file__).with_name(name)
-                        for name in ("_probsat.c", "_cdcl.c", "_cnf.c", "_gen.c", "_resolve.c", "_mt.h",
-                                     "_clauses.h"))
-_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-_KERNEL_LIBS = ("-lm",)  # after the sources, so that pow resolves under --as-needed
-
-
-_ptr, _i64, _i32 = ctypes.c_void_p, ctypes.c_longlong, ctypes.c_int
-# (name, restype, argtypes) of every function the library exports
-_KERNEL_FUNCTIONS = (
-    ("probsat_new", _ptr, [_i32, _i32, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _i32]),
-    ("probsat_flip", _i64, [_ptr, _i64]),
-    ("probsat_num_falsified", _i32, [_ptr]),
-    ("probsat_assignment", None, [_ptr, ctypes.c_char_p]),
-    ("probsat_free", None, [_ptr]),
-    ("cdcl_new", _ptr, [_i32, _i32, _ptr, _ptr, _ptr, _i32, ctypes.c_char_p]),
-    ("cdcl_solve", _i32, [_ptr, _i64, ctypes.c_double, _i64, _i64]),
-    ("cdcl_conflicts", _i64, [_ptr]),
-    ("cdcl_num_records", _i64, [_ptr]),
-    ("cdcl_num_record_lits", _i64, [_ptr]),
-    ("cdcl_records", None, [_ptr, _ptr, _ptr, _ptr]),
-    ("cdcl_assignment", None, [_ptr, ctypes.c_char_p]),
-    ("cdcl_free", None, [_ptr]),
-    ("formula_index", _i32, [_i32, _i64, _ptr, _ptr, _ptr, _ptr, _ptr]),
-    ("dimacs_scan", _i32, [ctypes.c_char_p, _i64, _ptr, _ptr, _ptr]),
-    ("dimacs_emit", _i64, [_i64, _ptr, _ptr, ctypes.c_char_p]),
-    ("formula_satisfied", _i32, [_i64, _ptr, _ptr, ctypes.c_char_p]),
-    ("augment_keep", _i64, [_i32, _ptr, _ptr, _ptr, _ptr, _i32, _i64, _ptr, _ptr]),
-    ("gen_clauses", _i32, [_i32, _i32, _i64, _i32, ctypes.c_double, _ptr, _ptr, _i32, _ptr, _ptr]),
-    ("level1_pool", _ptr, [_i32, _i32, _ptr, _ptr, _i32]),
-    ("level2_pool", _ptr, [_i32, _i32, _ptr, _ptr, _i32, _i64]),
-    ("ternary_pool", _ptr, [_i32, _i32, _ptr, _ptr]),
-    ("pool_size", _i64, [_ptr]),
-    ("pool_num_lits", _i64, [_ptr]),
-    ("pool_copy", None, [_ptr, _ptr, _ptr, _ptr]),
-    ("pool_free", None, [_ptr]),
-)
-
-
-def _c_files(sources) -> list[str]:
-    """The paths of the C files among `sources`, which the compiler builds."""
-    return [str(source) for source in sources if source.suffix == ".c"]
-
-
-def _compiler() -> str | None:
-    """Path of the system C compiler, or None when there is none."""
-    for name in ("cc", "gcc", "clang"):
-        path = shutil.which(name)
-        if path:
-            return path
-    return None
-
-
-@functools.cache
-def _load_kernel() -> ctypes.CDLL | None:
-    """The compiled kernels (the probSAT flip loop here, the CDCL search
-    of `satlab.cdcl`, the DIMACS scan and emit, `Formula` index build and
-    model check of `satlab.cnf`, the duplicate check of
-    `satlab.pipeline.augment`, the instance generator of
-    `satlab.generators`, and the resolvent enumeration of
-    `satlab.resolution`), built on first use from the five C files and the
-    two headers they share (`_mt.h` and `_clauses.h`) into the cache
-    named in the module docstring; None when no compiler or cache
-    directory is usable, and then all six modules run their Python
-    reference.  The compiler writes a temporary file that is then renamed
-    into place, so concurrent processes never load a partial library.
-    """
-    compiler = _compiler()
-    if compiler is None:
-        return None
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "satlab"
-    try:
-        key = hashlib.sha256()
-        for source in _KERNEL_SOURCES:
-            key.update(source.read_bytes())
-        key.update(" ".join(_KERNEL_FLAGS + _KERNEL_LIBS).encode())
-        key.update(sysconfig.get_platform().encode())
-        path = cache / f"kernels-{key.hexdigest()[:16]}.so"
-        if not path.exists():
-            cache.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=cache, prefix=".kernels-", suffix=".so")
-            os.close(fd)
-            try:
-                subprocess.run([compiler, *_KERNEL_FLAGS, "-o", tmp, *_c_files(_KERNEL_SOURCES), *_KERNEL_LIBS],
-                               check=True, capture_output=True)
-                os.replace(tmp, path)
-            except BaseException:
-                os.unlink(tmp)
-                raise
-        lib = ctypes.CDLL(str(path))
-    except (OSError, subprocess.CalledProcessError) as exc:
-        warnings.warn("compiled kernels unavailable, using the Python flip loop, CdclSolver and the Python"
-                      f" DIMACS reader and writer, Formula build, augment check, generators and resolution: {exc}",
-                      RuntimeWarning)
-        return None
-    for name, restype, argtypes in _KERNEL_FUNCTIONS:
-        fn = getattr(lib, name)
-        fn.restype, fn.argtypes = restype, argtypes
-    return lib

@@ -11,30 +11,25 @@ import random
 
 import pytest
 
-from satlab import sls
+from satlab import _native
 from satlab.cdcl import BUDGET, SAT, UNSAT, CdclSolver, MiningBudget, _search, cdcl_solve_and_mine
 from satlab.cnf import Formula
 from satlab.generators import GenSpec, gen_planted, gen_uniform
 
 NO_WALL = 1e9
-
-
-@pytest.fixture(scope="module")
-def kernel():
-    if sls._compiler() is None:
-        pytest.skip("no C compiler on PATH, so cdcl_solve_and_mine can only run CdclSolver")
-    lib = sls._load_kernel()
-    assert lib is not None, "a C compiler exists but the kernels did not build or load"
-    return lib
+# (solver seed, conflict limits): the kernel draws its initial phases from the
+# seed's key, here of one, two and seven words
+SEED_LIMITS = ((7, (0, 1, 150, 2_500)), (-12, (0, 1, 150, 2_500)),
+               (0, (1, 150)), (-7, (1, 150)), (2**32, (1, 150)), (2**200, (1, 150)))
 
 
 def reference(formula, budget, seed, search=cdcl_solve_and_mine, **kwargs):
-    real = sls._load_kernel
-    sls._load_kernel = lambda: None
+    real = _native.load
+    _native.load = lambda: None
     try:
         return search(formula, budget, seed, **kwargs)
     finally:
-        sls._load_kernel = real
+        _native.load = real
 
 
 def assert_same(formula, budget, seed):
@@ -58,8 +53,8 @@ def test_kernel_matches_reference_on_generated_formulas(kernel, k, n, ratio):
         for formula in (planted, uniform):
             # solver seeds away from the instance seeds: gen_planted draws the
             # same first n booleans as the solver's initial phases
-            for seed in (7, -12):
-                for limit in (0, 1, 150, 2_500):
+            for seed, limits in SEED_LIMITS:
+                for limit in limits:
                     out = assert_same(formula, MiningBudget(NO_WALL, limit, width_limit=k + 1), seed)
                     statuses.add(out.status)
                     if out.status == BUDGET:
@@ -189,7 +184,7 @@ def test_mining_without_kernel_gives_the_same_results(monkeypatch):
                   MiningBudget(NO_WALL, 1_000, width_limit=8, count_cap=10, early_stop=True), 3))
     cases.append((Formula(2, [(1, 2), (-1,), (-2,)]), MiningBudget(), 0))
     expected = [cdcl_solve_and_mine(*case) for case in cases]
-    monkeypatch.setattr(sls, "_load_kernel", lambda: None)
+    monkeypatch.setattr(_native, "load", lambda: None)
     assert [cdcl_solve_and_mine(*case) for case in cases] == expected
 
 

@@ -63,6 +63,26 @@ def test_solve_sls_unsat_is_unknown(tmp_path, capsys):
     assert "s UNKNOWN" in out
 
 
+@pytest.mark.parametrize("flag", ["--cb", "--epsilon"])
+def test_solve_sls_rejects_a_scoring_parameter_without_scoring(tmp_path, flag):
+    cnf = tmp_path / "x.cnf"
+    cnf.write_text("p cnf 2 2\n1 0\n-1 2 0\n")
+    with pytest.raises(ValueError, match=f"{flag} 3.0: given without --scoring"):
+        main(["solve-sls", str(cnf), "--max-flips", "100", flag, "3"])
+
+
+def test_solve_sls_scoring_parameters_default_with_scoring(tmp_path, capsys, monkeypatch):
+    cnf = tmp_path / "x.cnf"
+    cnf.write_text("p cnf 2 2\n1 0\n-1 2 0\n")
+    seen = []
+    real = cli.probsat_run
+    monkeypatch.setattr(cli, "probsat_run", lambda f, flips, seed, scoring, **kw: seen.append(scoring)
+                        or real(f, flips, seed, scoring, **kw))
+    for extra in ([], ["--cb", "3"], ["--epsilon", "0.5"]):
+        assert run_cli(capsys, "solve-sls", str(cnf), "--max-flips", "100", "--scoring", "poly", *extra)[0] == EXIT_SAT
+    assert [(s.kind, s.cb, s.epsilon) for s in seen] == [("poly", 2.06, 0.9), ("poly", 3.0, 0.9), ("poly", 2.06, 0.5)]
+
+
 def test_mine_writes_clause_file(tmp_path, capsys):
     cnf = tmp_path / "m.cnf"
     code, _, _ = run_cli(capsys, "gen", "-n", "40", "--ratio", "5.0", "--seed", "11",

@@ -6,7 +6,7 @@ from itertools import accumulate
 import pytest
 
 import oracles
-from satlab import cnf, sls
+from satlab import _native, cnf
 from satlab.cnf import (
     DimacsError,
     DimacsWarning,
@@ -164,9 +164,9 @@ def test_every_construction_path_holds_canonical_clauses_and_their_flat_arrays(k
     assert cnf._scan_dimacs(kernel, text) is not None, "the scanner reads this text"
     expected = tuple(map(canonical_clause, raw))
     assert expected[0] == (-1, 3) and expected[3] == (-1, 1, 2, 4)
-    for loader in (sls._load_kernel, lambda: None):  # native, then the reference
+    for loader in (_native.load, lambda: None):  # native, then the reference
         with monkeypatch.context() as patched:
-            patched.setattr(sls, "_load_kernel", loader)
+            patched.setattr(_native, "load", loader)
             parsed = parse_dimacs(text)
             built = Formula(4, raw)
             extended = Formula(4, raw[:2]).extended(raw[2:])
@@ -190,7 +190,7 @@ def empty_clause_flags(n, clauses, additions):
 @pytest.mark.parametrize("loader", ["native", "reference"])
 def test_has_empty_clause_is_the_same_on_every_build_path(kernel, monkeypatch, loader):
     if loader == "reference":
-        monkeypatch.setattr(sls, "_load_kernel", lambda: None)
+        monkeypatch.setattr(_native, "load", lambda: None)
     additions = ([(1,)], [()], [(2, -2), ()], [(-1, 2)])
     for n, clauses in ((3, [(1, 2), ()]), (2, [()]), (3, [(1, -1), (2,)]), (2, []), (2, [(1, 2, 1)]),
                        (3, [(3,), (), (1, -2), ()])):
@@ -219,7 +219,7 @@ def test_has_empty_clause_agrees_with_the_clauses_on_random_formulas(kernel, mon
                  for _ in range(rng.randint(0, 3))]
         native = Formula(n, clauses)
         with monkeypatch.context() as patched:
-            patched.setattr(sls, "_load_kernel", lambda: None)
+            patched.setattr(_native, "load", lambda: None)
             reference = Formula(n, clauses)
         for f in (native, reference, native.extended(added), reference.extended(added)):
             assert f.has_empty_clause() == (() in f.clauses), (n, clauses, added)
@@ -334,14 +334,13 @@ def test_extended_equals_a_rebuild(name, reversed_additions):
 
 @pytest.mark.parametrize("reversed_additions", [False, True])
 @pytest.mark.parametrize("name", sorted(EXTENSIONS))
-def test_extended_equals_a_rebuild_on_the_python_build(name, reversed_additions, monkeypatch):
-    monkeypatch.setattr(sls, "_load_kernel", lambda: None)
+def test_extended_equals_a_rebuild_on_the_python_build(name, reversed_additions, reference_only):
     test_extended_equals_a_rebuild(name, reversed_additions)
 
 
 def test_extended_equals_a_rebuild_on_random_formulas(monkeypatch):
-    for loader in (sls._load_kernel, lambda: None):  # native, then the reference
-        monkeypatch.setattr(sls, "_load_kernel", loader)
+    for loader in (_native.load, lambda: None):  # native, then the reference
+        monkeypatch.setattr(_native, "load", loader)
         rng = random.Random(5)
         for trial in range(200):
             n = rng.randint(1, 9)
@@ -362,8 +361,8 @@ def test_extended_equals_a_rebuild_on_random_formulas(monkeypatch):
 
 
 def test_extended_rejects_bad_clauses_and_leaves_the_parent_unchanged(monkeypatch):
-    for loader in (sls._load_kernel, lambda: None):  # native, then the reference
-        monkeypatch.setattr(sls, "_load_kernel", loader)
+    for loader in (_native.load, lambda: None):  # native, then the reference
+        monkeypatch.setattr(_native, "load", loader)
         parent = Formula(3, [(1, -2), (2, 3)])
         before = formula_attrs(parent)
         for bad, match in (((1, 4), "literal 4 out of range 1..3 in clause 3"), ((0,), "literal 0 out of range"),
@@ -417,16 +416,7 @@ def test_eval_formula():
 
 # Native against reference: `Formula` and `parse_dimacs` run `_cnf.c` when
 # the compiled library loads, and their Python reference when
-# `sls._load_kernel` returns None.
-
-
-@pytest.fixture(scope="module")
-def kernel():
-    if sls._compiler() is None:
-        pytest.skip("no C compiler on PATH, so only the Python reference runs")
-    lib = sls._load_kernel()
-    assert lib is not None, "a C compiler exists but the compiled library did not build or load"
-    return lib
+# `_native.load` returns None.
 
 
 def outcome(make):
@@ -446,7 +436,7 @@ def outcome(make):
 def native_and_reference(monkeypatch, make):
     native = outcome(make)
     with monkeypatch.context() as patched:
-        patched.setattr(sls, "_load_kernel", lambda: None)
+        patched.setattr(_native, "load", lambda: None)
         reference = outcome(make)
     return native, reference
 
@@ -542,14 +532,14 @@ def test_the_clause_view_equals_the_reference_on_every_build_path(kernel, monkey
         "no-variables": (0, lambda: Formula(0, []), []),
     }
     with monkeypatch.context() as patched:
-        patched.setattr(sls, "_load_kernel", lambda: None)
+        patched.setattr(_native, "load", lambda: None)
         for k in (2, 3, 5):
             spec = GenSpec(n=40, k=k, ratio=4.2, seed=k)
             cases[f"uniform-k{k}"] = (40, lambda spec=spec: gen_uniform(spec), gen_uniform(spec).clauses)
             cases[f"planted-k{k}"] = (40, lambda spec=spec: gen_planted(spec)[0], gen_planted(spec)[0].clauses)
     for name, (n, build, clauses) in cases.items():
         with monkeypatch.context() as patched:
-            patched.setattr(sls, "_load_kernel", lambda: None)
+            patched.setattr(_native, "load", lambda: None)
             expected = Formula(n, clauses).clauses
             reference_views = clause_views(build())  # the reference build holds its tuples from the start
         assert reference_views == [(expected, len(expected))] * 3, name
@@ -588,8 +578,7 @@ def test_formula_satisfied_equals_the_reference_check(kernel, monkeypatch):
             assert fast == reference(f, alpha), (n, clauses, alpha)
             # the compiled engines' models are bytes, checked as they are
             assert eval_formula(f, bytes(alpha)) == reference(f, bytes(alpha)) == fast
-            assert fast == bool(kernel.formula_satisfied(f.num_clauses, f.offsets.buffer_info()[0],
-                                                         f.literals.buffer_info()[0], bytes(alpha)))
+            assert fast == bool(kernel.formula_satisfied(*_native.flat(f)[1:], bytes(alpha)))
             seen.add((fast, () in f.clauses, any(map(is_tautology, f.clauses)), n == 0))
     assert reference_runs == []
     assert {(True, False, False, False), (False, False, False, False), (True, False, True, False),
@@ -637,9 +626,9 @@ def test_eval_formula_runs_the_reference_on_short_or_non_byte_assignments(kernel
 def test_huge_variable_count_raises_before_allocating(monkeypatch):
     # 2 * n + 3 must fit int32; nothing of that size is ever allocated here
     for n in (2**30 - 1, 99_999_999_999):
-        for kernel_loader in (sls._load_kernel, lambda: None):
+        for kernel_loader in (_native.load, lambda: None):
             with monkeypatch.context() as patched:
-                patched.setattr(sls, "_load_kernel", kernel_loader)
+                patched.setattr(_native, "load", kernel_loader)
                 with pytest.raises(ValueError, match=f"variable count {n} exceeds the int32 occurrence index"):
                     Formula(n, [(1,)])
                 with pytest.raises(DimacsError, match=f"line 2: {n} variables exceed the int32 occurrence index"):
@@ -745,7 +734,7 @@ def test_emit_dimacs_native_equals_the_reference(kernel, monkeypatch):
     formulas.append(Formula(5, []).extended([(5, -4), (1,)]))
     native = [emit_dimacs(f, ["x"]) for f in formulas]
     with monkeypatch.context() as patched:
-        patched.setattr(sls, "_load_kernel", lambda: None)
+        patched.setattr(_native, "load", lambda: None)
         reference = [emit_dimacs(f, ["x"]) for f in formulas]
     assert native == reference
     assert native[2] == "c x\np cnf 3 1\n 0\n"

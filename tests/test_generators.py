@@ -4,7 +4,7 @@ import random
 import pytest
 
 import oracles
-from satlab import generators, sls
+from satlab import _native, generators
 from satlab.cnf import Formula, eval_clause
 from satlab.generators import GenSpec, default_ratio, gen_planted, gen_uniform
 
@@ -87,16 +87,7 @@ def test_genspec_rejects_a_negative_or_non_finite_clause_count(kwargs):
 
 # Native against reference: `gen_uniform` and `gen_planted` run `gen_clauses`
 # (`_gen.c`) when the compiled library loads, and `_gen_uniform_python` and
-# `_gen_planted_python` when `sls._load_kernel` returns None.
-
-
-@pytest.fixture(scope="module")
-def kernel():
-    if sls._compiler() is None:
-        pytest.skip("no C compiler on PATH, so only the Python reference runs")
-    lib = sls._load_kernel()
-    assert lib is not None, "a C compiler exists but the compiled library did not build or load"
-    return lib
+# `_gen_planted_python` when `_native.load` returns None.
 
 
 def formula_attrs(f):
@@ -113,7 +104,7 @@ def generated(spec):
 def assert_native_equals_reference(monkeypatch, specs):
     native = [generated(spec) for spec in specs]
     with monkeypatch.context() as patched:
-        patched.setattr(sls, "_load_kernel", lambda: None)
+        patched.setattr(_native, "load", lambda: None)
         reference = [generated(spec) for spec in specs]
     for spec, a, b in zip(specs, native, reference):
         assert a == b, spec
@@ -150,7 +141,7 @@ def test_native_generation_builds_no_clause_lists(kernel, monkeypatch):
     spec = GenSpec(n=40, k=3, ratio=4.2, seed=2)
     gen_planted(spec), gen_uniform(spec)
     assert built == []
-    monkeypatch.setattr(sls, "_load_kernel", lambda: None)
+    monkeypatch.setattr(_native, "load", lambda: None)
     gen_planted(spec), gen_uniform(spec)
     assert len(built) == 2  # the reference builds through Formula.__init__
 

@@ -10,7 +10,7 @@ reads each pool in tuple order through its permutation.  Built with the
 five C files under `-fsanitize=address,undefined
 -fno-sanitize-recover=all`, it must exit 0 with nothing on stderr
 (LeakSanitizer reports a leak there), and print what the library loaded
-by `satlab.sls` gives for the same calls.
+by `satlab._native` gives for the same calls.
 """
 
 import os
@@ -20,8 +20,8 @@ from collections import Counter
 
 import pytest
 
-from satlab import sls
-from satlab.cdcl import BUDGET, SAT, UNSAT, MiningBudget, _initial_phases, _search, cdcl_solve_and_mine
+from satlab import _native
+from satlab.cdcl import BUDGET, SAT, UNSAT, MiningBudget, _search, cdcl_solve_and_mine
 from satlab.cnf import Formula, _flatten
 from satlab.generators import GenSpec, gen_uniform
 from satlab.pipeline import augment
@@ -43,11 +43,12 @@ LEVEL1_WIDTH, LEVEL2_WIDTH, PAIR_BUDGET = 3, 4, 3_000
 ADDITIONS, ADDITION_SEED = 1_500, 4
 
 DRIVER = r"""
+#include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
 
 void *cdcl_new(int n, int m, const int *off, const int *lits, const int *units, int num_units,
-               const unsigned char *phase);
+               const uint32_t *key, int key_len);
 int cdcl_solve(void *s, long long conflict_limit, double wall_seconds, long long width_limit, long long count_cap);
 long long cdcl_conflicts(const void *s);
 long long cdcl_num_records(const void *s);
@@ -65,10 +66,10 @@ long long augment_keep(int n, const int *f_off, const int *f_lits, const int *oc
                        int empty, long long k, int *off, int *lits);
 
 static const int cdcl_off[] = {@CDCL_OFF@}, cdcl_lits[] = {@CDCL_LITS@};
-static const unsigned char phase[] = {@PHASE@};
+static const uint32_t key[] = {@KEY@};
 static const int units[] = {@UNITS@};
 static const int big_off[] = {@BIG_OFF@}, big_lits[] = {@BIG_LITS@}, big_units[] = {@BIG_UNITS@};
-static const unsigned char big_phase[] = {@BIG_PHASE@};
+static const uint32_t big_key[] = {@BIG_KEY@};
 static const int res_off[] = {@RES_OFF@}, res_lits[] = {@RES_LITS@};
 static const int res_occ_off[] = {@RES_OCC_OFF@}, res_occ[] = {@RES_OCC@};
 static int add_off[] = {@ADD_OFF@}, add_lits[] = {@ADD_LITS@};
@@ -76,9 +77,9 @@ static int add_off[] = {@ADD_OFF@}, add_lits[] = {@ADD_LITS@};
 /* Search, print the status, conflicts, records and record literals, and
  * free the state; 1 when out of memory. */
 static int mine(int n, int m, const int *off, const int *lits, const int *units, int num_units,
-                const unsigned char *phase, long long limit, long long width, long long cap)
+                const uint32_t *key, int key_len, long long limit, long long width, long long cap)
 {
-    void *s = cdcl_new(n, m, off, lits, units, num_units, phase);
+    void *s = cdcl_new(n, m, off, lits, units, num_units, key, key_len);
     long long r, *roff, *index;
     int *rlits, code;
     if (!s)
@@ -138,9 +139,11 @@ static int print_pool(void *p, int max_width)
 int main(void)
 {
     long long r;
-    if (mine(@CDCL_N@, @CDCL_M@, cdcl_off, cdcl_lits, NULL, 0, phase, @LIMIT@, @WIDTH@, @CAP@)
-        || mine(@CDCL_N@, @CDCL_M@, cdcl_off, cdcl_lits, units, @UNITS_K@, phase, @UNITS_LIMIT@, @UNITS_WIDTH@, -1)
-        || mine(@BIG_N@, @BIG_M@, big_off, big_lits, big_units, @BIG_K@, big_phase, @BIG_LIMIT@, @BIG_WIDTH@, -1))
+    if (mine(@CDCL_N@, @CDCL_M@, cdcl_off, cdcl_lits, NULL, 0, key, @KEY_LEN@, @LIMIT@, @WIDTH@, @CAP@)
+        || mine(@CDCL_N@, @CDCL_M@, cdcl_off, cdcl_lits, units, @UNITS_K@, key, @KEY_LEN@, @UNITS_LIMIT@,
+                @UNITS_WIDTH@, -1)
+        || mine(@BIG_N@, @BIG_M@, big_off, big_lits, big_units, @BIG_K@, big_key, @BIG_KEY_LEN@, @BIG_LIMIT@,
+                @BIG_WIDTH@, -1))
         return 1;
     if (print_pool(level1_pool(@RES_N@, @RES_M@, res_off, res_lits, @L1@), @L1@)
         || print_pool(level2_pool(@RES_N@, @RES_M@, res_off, res_lits, @L2@, @PAIRS@), @L2@)
@@ -187,7 +190,7 @@ def _search_line(status, records, conflicts) -> str:
 
 
 def test_kernels_run_clean_under_the_sanitizers(tmp_path):
-    compiler = sls._compiler()
+    compiler = _native._compiler()
     if compiler is None:
         pytest.skip("no C compiler on PATH")
     if not _builds_and_runs(compiler, tmp_path):
@@ -207,13 +210,14 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
     fields = {
         "CDCL_N": k5.num_vars, "CDCL_M": k5.num_clauses,
         "CDCL_OFF": _ints(k5.offsets), "CDCL_LITS": _ints(k5.literals),
-        "PHASE": _ints(_initial_phases(k5.num_vars, CDCL_SEED)),
+        "KEY": _ints(_native.seed_key(CDCL_SEED)), "KEY_LEN": len(_native.seed_key(CDCL_SEED)),
         "LIMIT": CDCL_BUDGET.conflict_limit, "WIDTH": CDCL_BUDGET.width_limit, "CAP": CDCL_BUDGET.count_cap,
         "UNITS": _ints(UNITS), "UNITS_K": len(UNITS),
         "UNITS_LIMIT": UNITS_BUDGET.conflict_limit, "UNITS_WIDTH": UNITS_BUDGET.width_limit,
         "BIG_N": big.num_vars, "BIG_M": big.num_clauses,
         "BIG_OFF": _ints(big.offsets), "BIG_LITS": _ints(big.literals),
-        "BIG_UNITS": _ints(BIG_UNITS), "BIG_K": len(BIG_UNITS), "BIG_PHASE": _ints(_initial_phases(big.num_vars, BIG_SEED)),
+        "BIG_UNITS": _ints(BIG_UNITS), "BIG_K": len(BIG_UNITS),
+        "BIG_KEY": _ints(_native.seed_key(BIG_SEED)), "BIG_KEY_LEN": len(_native.seed_key(BIG_SEED)),
         "BIG_LIMIT": BIG_BUDGET.conflict_limit, "BIG_WIDTH": BIG_BUDGET.width_limit,
         "RES_N": res.num_vars, "RES_M": res.num_clauses,
         "RES_OFF": _ints(res.offsets), "RES_LITS": _ints(res.literals),
@@ -228,7 +232,7 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
     driver.write_text(source)
     binary = tmp_path / "driver"
     built = subprocess.run([compiler, *SANITIZE, "-o", str(binary), str(driver),
-                            *sls._c_files(sls._KERNEL_SOURCES), *sls._KERNEL_LIBS],
+                            *_native._c_files(_native._KERNEL_SOURCES), *_native._KERNEL_LIBS],
                            capture_output=True, text=True)
     assert built.returncode == 0, built.stderr
     ran = subprocess.run([str(binary)], capture_output=True, text=True, env=ENV, timeout=300)

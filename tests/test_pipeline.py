@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 import oracles
-from satlab import cdcl, pipeline, sls
+from satlab import _native, cdcl, pipeline, sls
 from satlab.cnf import Formula
 from satlab.generators import GenSpec, gen_planted, gen_uniform
 from satlab.pipeline import (
@@ -197,9 +197,7 @@ def _random_additions(rng, f, count):
     return out, kinds
 
 
-def test_augment_kernel_equals_the_reference_on_random_additions(monkeypatch):
-    if sls._load_kernel() is None:
-        pytest.skip("compiled kernels unavailable")
+def test_augment_kernel_equals_the_reference_on_random_additions(kernel, monkeypatch):
     rng = random.Random(22)
     seen = Counter()
     cases = []
@@ -217,7 +215,7 @@ def test_augment_kernel_equals_the_reference_on_random_additions(monkeypatch):
     big = gen_uniform(GenSpec(n=40, k=3, ratio=4.0, seed=9))
     cases.append((big, _random_additions(random.Random(23), big, 2_000)[0]))  # past one rehash of the set
     fast = [_augment_outcome(f, additions) for f, additions in cases]
-    monkeypatch.setattr(sls, "_load_kernel", lambda: None)
+    monkeypatch.setattr(_native, "load", lambda: None)
     for (f, additions), outcome in zip(cases, fast):
         assert outcome == _augment_outcome(f, additions), (f.clauses, additions)
     seen["error"] = sum(isinstance(outcome, str) for outcome in fast)

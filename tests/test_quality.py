@@ -1,7 +1,7 @@
 import pytest
 
 import oracles
-from satlab import cdcl, sls
+from satlab import _native, cdcl
 from satlab.cnf import Formula, count_satisfied_literals, eval_clause
 from satlab.generators import GenSpec, gen_planted, gen_uniform
 from satlab.quality import (
@@ -18,7 +18,7 @@ def both_engines(monkeypatch):
     """Run a loop body with the compiled kernel as the search engine (when
     it builds), then with `CdclSolver`."""
     yield "kernel"
-    monkeypatch.setattr(sls, "_load_kernel", lambda: None)
+    monkeypatch.setattr(_native, "load", lambda: None)
     yield "reference"
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 import oracles
-from satlab import resolution, sls
+from satlab import _native, resolution
 from satlab.cnf import Formula, resolve
 from satlab.generators import GenSpec, gen_planted, gen_uniform
 from satlab.resolution import (
@@ -282,7 +282,7 @@ def on_both_engines(cases):
 @pytest.mark.parametrize(("case", "reference"), on_both_engines(sorted(LEVEL2_PINS)))
 def test_pools_match_pinned_digests(case, reference, monkeypatch):
     if reference:
-        monkeypatch.setattr(sls, "_load_kernel", lambda: None)
+        monkeypatch.setattr(_native, "load", lambda: None)
     f = PIN_CASES[case]()
     assert _digest(level1_resolvents(f, 4).clauses) == LEVEL1_PINS[case]
     for budget, pin in LEVEL2_PINS[case].items():
@@ -293,7 +293,7 @@ def test_pools_match_pinned_digests(case, reference, monkeypatch):
 @pytest.mark.parametrize(("case", "reference"), on_both_engines(sorted(TERNARY_PINS)))
 def test_ternary_matches_pinned_digests(case, reference, monkeypatch):
     if reference:
-        monkeypatch.setattr(sls, "_load_kernel", lambda: None)
+        monkeypatch.setattr(_native, "load", lambda: None)
     assert _digest(ternary_saturate(PIN_CASES[case]())) == TERNARY_PINS[case]
 
 
@@ -335,12 +335,12 @@ def _partner_list_ends(formula: Formula) -> list[int]:
 
 
 def _on_reference(fn):
-    real = sls._load_kernel
-    sls._load_kernel = lambda: None
+    real = _native.load
+    _native.load = lambda: None
     try:
         return fn()
     finally:
-        sls._load_kernel = real
+        _native.load = real
 
 
 def _increasing(pool) -> bool:
@@ -348,9 +348,7 @@ def _increasing(pool) -> bool:
     return type(pool) is tuple and all(a < b for a, b in zip(pool, pool[1:]))
 
 
-def test_kernel_pools_equal_the_reference_on_random_formulas():
-    if sls._load_kernel() is None:
-        pytest.skip("compiled kernels unavailable")
+def test_kernel_pools_equal_the_reference_on_random_formulas(kernel):
     rng = random.Random(2005)
     seen = Counter()
     for trial in range(40):
@@ -380,7 +378,7 @@ def test_kernel_pools_equal_the_reference_on_random_formulas():
 @pytest.mark.parametrize("reference", [False, True], ids=["default", "reference"])
 def test_empty_resolvent_is_in_every_pool(reference, monkeypatch):
     if reference:
-        monkeypatch.setattr(sls, "_load_kernel", lambda: None)
+        monkeypatch.setattr(_native, "load", lambda: None)
     assert () in level1_resolvents(Formula(70, [(70,), (-70,)]), 0).clauses
     # (1, 70) with (-70,) gives (1,), which resolves with (-1,) to ()
     assert () in ternary_saturate(Formula(70, [(1, 70), (-70,), (-1,)]))
@@ -404,7 +402,7 @@ def test_count_arguments_are_checked_before_either_engine(call, name, monkeypatc
         raise AssertionError("an engine ran")
 
     f = Formula(3, [(1, 2), (-1, 3), (-3, 2)])
-    monkeypatch.setattr(sls, "_load_kernel", no_engine)
+    monkeypatch.setattr(_native, "load", no_engine)
     with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
         call(f)
 
@@ -423,6 +421,6 @@ class _OutOfMemory:
 ])
 def test_a_kernel_allocation_failure_is_a_memory_error(call, monkeypatch):
     f = Formula(3, [(1, 2), (-1, 3), (-3, 2)])
-    monkeypatch.setattr(sls, "_load_kernel", _OutOfMemory)
+    monkeypatch.setattr(_native, "load", _OutOfMemory)
     with pytest.raises(MemoryError, match="resolution kernel"):
         call(f)

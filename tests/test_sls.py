@@ -185,7 +185,7 @@ def test_probsat_empty_clause_short_circuit():
 
 def test_formula_without_variables_or_clauses_is_sat_everywhere(monkeypatch):
     # only an empty clause makes a formula unsatisfiable; no variables is no obstacle
-    from satlab import sls
+    from satlab import _native
     from satlab.cdcl import SAT, MiningBudget, cdcl_solve_and_mine
     from satlab.pipeline import run_hybrid
 
@@ -193,7 +193,7 @@ def test_formula_without_variables_or_clauses_is_sat_everywhere(monkeypatch):
     assert cdcl_solve_and_mine(empty, MiningBudget(conflict_limit=10), seed=0).status == SAT
     assert run_hybrid(empty, seed=0, final_flips=10).status == "sat"
     with_kernel = probsat_run(empty, 10, seed=0)
-    monkeypatch.setattr(sls, "_load_kernel", lambda: None)
+    monkeypatch.setattr(_native, "load", lambda: None)
     without_kernel = probsat_run(empty, 10, seed=0)
     for res in (with_kernel, without_kernel):
         assert (res.status, res.flips_used, res.model) == (SOLVED, 0, [False])

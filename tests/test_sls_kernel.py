@@ -6,7 +6,6 @@ count and model, and leave equal assignments in their states after a
 budget-bound run.
 """
 
-import ctypes
 import pickle
 import random
 import re
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from satlab import sls
+from satlab import _native, sls
 from satlab.bench import SolverConfig, run_suite
 from satlab.cnf import Formula, emit_dimacs, parse_dimacs
 from satlab.generators import GenSpec, gen_planted, gen_uniform
@@ -36,21 +35,12 @@ SEEDS = (0, 4242, -7, 2**32, 2**64 + 3, 2**200)  # keys of one, two, three and s
 SHAPES = ((3, 40, 4.2, 3_000), (5, 24, 20.0, 2_000), (7, 16, 80.0, 300))
 
 
-@pytest.fixture(scope="module")
-def kernel():
-    if sls._compiler() is None:
-        pytest.skip("no C compiler on PATH, so probsat_run can only run the Python reference")
-    lib = sls._load_kernel()
-    assert lib is not None, "a C compiler exists but the probSAT kernel did not build or load"
-    return lib
-
-
 @pytest.fixture
 def fresh_loader():
     """Forget the loaded kernel before and after the test."""
-    sls._load_kernel.cache_clear()
+    _native.load.cache_clear()
     yield
-    sls._load_kernel.cache_clear()
+    _native.load.cache_clear()
 
 
 def outcome(fn, formula, max_flips, seed, scoring=None, wall_limit=None):
@@ -135,9 +125,8 @@ class KernelSpy:
         return self._lib.probsat_new(n, *args)
 
     def probsat_free(self, state):
-        buf = ctypes.create_string_buffer(self._n + 1)
-        self._lib.probsat_assignment(state, buf)
-        self.left.append((list(map(bool, buf.raw)), self._lib.probsat_num_falsified(state)))
+        assign = _native.read_model(self._lib.probsat_assignment, state, self._n)
+        self.left.append((list(map(bool, assign)), self._lib.probsat_num_falsified(state)))
         self._lib.probsat_free(state)
 
 
@@ -154,7 +143,7 @@ def states_after(monkeypatch, kernel, formula, flips, seed, scoring=None):
             made.append(self)
 
     with monkeypatch.context() as patched:
-        patched.setattr(sls, "_load_kernel", lambda: spy)
+        patched.setattr(_native, "load", lambda: spy)
         patched.setattr(sls, "SlsState", RecordingState)
         fast = probsat_run(formula, flips, seed, scoring)
         ref = _probsat_python(formula, flips, seed, scoring)
@@ -266,8 +255,29 @@ def test_probsat_run_without_kernel_gives_the_same_results(monkeypatch):
     cases = [(gen_planted(GenSpec(n=50, k=3, ratio=4.2, seed=s))[0], 5_000, s * 13 - 20) for s in range(6)]
     cases.append((Formula(3, [(-2, 1), (2, -1, 1)]), 20, 5))
     expected = [outcome(probsat_run, *case) for case in cases]
-    monkeypatch.setattr(sls, "_load_kernel", lambda: None)
+    monkeypatch.setattr(_native, "load", lambda: None)
     assert [outcome(probsat_run, *case) for case in cases] == expected
+
+
+def test_flip_budgets_past_64_bits_run_and_others_are_rejected(monkeypatch):
+    # a formula that both engines solve long before 2**62 flips, so that 2**64 + 5
+    # (which ctypes would wrap to 5) can be compared with a budget that never binds
+    formula, _ = gen_planted(GenSpec(n=50, k=3, ratio=4.2, seed=1))
+    for loader in (_native.load, lambda: None):  # the kernel (when it builds), then the reference
+        monkeypatch.setattr(_native, "load", loader)
+        huge = outcome(probsat_run, formula, 2**64 + 5, 3)
+        assert huge == outcome(probsat_run, formula, 2**62, 3)
+        assert huge[0] == sls.SOLVED and huge[1] > 5
+        for bad in (1.5, -1, "10", None):
+            with pytest.raises(ValueError, match=f"max_flips must be an integer >= 0, got {bad!r}"):
+                probsat_run(formula, bad, 3)
+        # the pipeline passes its budgets on: a final budget on the plain track,
+        # and an initial burst on a three-phase one
+        plain = run_hybrid(formula, wall_budget=None, seed=2, strategy=plain_strategy(formula), final_flips=2**64)
+        assert plain.phase_flips == {"initial-sls": probsat_run(formula, 2**62, 2).flips_used} != {"initial-sls": 0}
+        burst = select_strategy(formula, initial_flips=2**64, miner_conflict_limit=10)
+        hybrid = run_hybrid(formula, wall_budget=None, seed=2, strategy=burst, final_flips=10)
+        assert hybrid.phase_solved == "initial-sls" and hybrid.phase_flips["initial-sls"] > 0
 
 
 def test_run_suite_workers_match_serial_with_cached_csr(kernel):
@@ -293,44 +303,44 @@ def test_formula_with_cached_csr_pickles():
 
 
 def test_loader_falls_back_without_a_compiler(monkeypatch, fresh_loader):
-    monkeypatch.setattr(sls, "_compiler", lambda: None)
-    assert sls._load_kernel() is None
+    monkeypatch.setattr(_native, "_compiler", lambda: None)
+    assert _native.load() is None
 
 
 def test_loader_falls_back_when_the_cache_dir_is_unusable(tmp_path, monkeypatch, fresh_loader):
-    if sls._compiler() is None:
+    if _native._compiler() is None:
         pytest.skip("no C compiler on PATH, so the loader never reaches the cache directory")
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-    with pytest.warns(RuntimeWarning, match="Python flip loop"):
-        assert sls._load_kernel() is None
+    with pytest.warns(RuntimeWarning, match="every module runs its Python reference"):
+        assert _native.load() is None
 
 
 def test_loader_builds_into_a_fresh_cache(tmp_path, monkeypatch, fresh_loader):
-    if sls._compiler() is None:
+    if _native._compiler() is None:
         pytest.skip("no C compiler on PATH")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert sls._load_kernel() is not None
+        assert _native.load() is not None
     built = [p.name for p in (tmp_path / "satlab").iterdir()]
     assert len(built) == 1 and built[0].startswith("kernels-") and built[0].endswith(".so")
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
-    compiler = sls._compiler()
+    compiler = _native._compiler()
     if compiler is None:
         pytest.skip("no C compiler on PATH")
-    assert [p.name for p in sls._KERNEL_SOURCES] == ["_probsat.c", "_cdcl.c", "_cnf.c", "_gen.c", "_resolve.c", "_mt.h",
-                                                  "_clauses.h"]
-    c_files = sls._c_files(sls._KERNEL_SOURCES)
+    assert [p.name for p in _native._KERNEL_SOURCES] == ["_probsat.c", "_cdcl.c", "_cnf.c", "_gen.c", "_resolve.c",
+                                                         "_mt.h", "_clauses.h"]
+    c_files = _native._c_files(_native._KERNEL_SOURCES)
     assert len(c_files) == 5
     # each C file alone (each includes one header or both), then all five into one library as the loader builds them
     for sources in (*([c] for c in c_files), c_files):
         built = subprocess.run(
-            [compiler, *sls._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
-             "-o", str(tmp_path / "kernels.so"), *sources, *sls._KERNEL_LIBS],
+            [compiler, *_native._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
+             "-o", str(tmp_path / "kernels.so"), *sources, *_native._KERNEL_LIBS],
             capture_output=True, text=True,
         )
         assert built.returncode == 0, built.stderr
@@ -340,12 +350,12 @@ def test_ctypes_table_matches_the_c_parameter_lists():
     # every exported (non-static) definition in the sources and the header, read from the text, so no compiler is needed
     definition = re.compile(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\(([^)]*)\)\s*\{", re.MULTILINE)
     defined = {}
-    for source in sls._KERNEL_SOURCES:
+    for source in _native._KERNEL_SOURCES:
         for name, params in definition.findall(source.read_text()):
             assert name not in defined, f"{name} is defined twice"
             defined[name] = 0 if params.strip() in ("", "void") else params.count(",") + 1
-    table = {name: len(argtypes) for name, _, argtypes in sls._KERNEL_FUNCTIONS}
-    assert len(table) == len(sls._KERNEL_FUNCTIONS) == 26
+    table = {name: len(argtypes) for name, _, argtypes in _native._KERNEL_FUNCTIONS}
+    assert len(table) == len(_native._KERNEL_FUNCTIONS) == 26
     assert defined == table
 
 
@@ -353,4 +363,4 @@ def test_package_data_ships_every_kernel_source():
     tomllib = pytest.importorskip("tomllib")
     pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
     shipped = pyproject["tool"]["setuptools"]["package-data"]["satlab"]
-    assert sorted(shipped) == sorted(p.name for p in sls._KERNEL_SOURCES)
+    assert sorted(shipped) == sorted(p.name for p in _native._KERNEL_SOURCES)
