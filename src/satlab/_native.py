@@ -10,6 +10,17 @@ level-1, level-2 and ternary pools, `_resolve.c`).  The C files share the
 Mersenne Twister of `random.Random` (`_mt.h`), which the randomised
 kernels seed from `seed_key(seed)`, and the clause store (`_clauses.h`).
 
+The one switch between kernel and reference is `load()`: a module runs
+its reference when it returns None.  Inputs are checked where they are
+made (`seed_key` rejects a seed that is not an int, `GenSpec` and
+`Formula` sizes that int32 cannot hold), so both engines take the same
+ones.  With the library loaded, a reference still runs only for input
+no kernel reads: in `cnf`, DIMACS text outside the scanner's subset,
+clauses that do not flatten to int32 and model values that are not
+bytes; in `sls.probsat_run`, an empty clause, which no assignment
+satisfies: the reference answers with no flip, and the kernel's flip
+step would read outside the clause.
+
 `load` builds the library on first use with the system C compiler, into
 `$XDG_CACHE_HOME/satlab` (by default `~/.cache/satlab`) under a file name
 keyed by the sources, the flags and the platform, and returns None when
@@ -99,13 +110,14 @@ def read_model(read, state, num_vars: int) -> bytes:
     return buf.tobytes()
 
 
-def seed_key(seed) -> array | None:
+def seed_key(seed) -> array:
     """The key with which `random.Random(seed)` seeds its Mersenne Twister
     (`random_seed` in CPython's `_randommodule.c`): the 32-bit words of
     `abs(seed)`, least significant first, or the one word 0 for seed 0.
-    None for a seed that is not an int, which only the references take."""
+    A seed that is not an int is a ValueError that names it, on either
+    engine."""
     if not isinstance(seed, int):
-        return None
+        raise ValueError(f"the seed must be an int, got {seed!r}")
     n = abs(seed)
     return array("I", [n >> shift & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)])
 

@@ -27,9 +27,8 @@ engines with one set of semantics:
   `literals`) and the units, and draws the initial phases from the seed's
   key as `random.Random(seed)` draws them.  It lays the input clauses out
   in one arena, and frees the learned clauses DB reduction drops.
-- `CdclSolver` is the readable reference, run on the extended formula.
-  It runs when the library is unavailable and for a seed that is not an
-  int.
+- `CdclSolver` is the readable reference, run on the extended formula
+  when the library is unavailable.
 
 Either way the model is checked here, against the formula and the units.
 
@@ -507,18 +506,18 @@ def _search(formula: Formula, budget: MiningBudget, seed: int, units: tuple[int,
 
     The compiled kernel runs it, and `CdclSolver` on
     `formula.extended([(u,) for u in units])` does when the library is
-    unavailable or `seed` is not an int; both give the same result.  A
-    model is checked against `formula` and `units` as the engine gives it,
-    and a wrong one is an AssertionError; it is returned as a list of
-    bools.
+    unavailable; both give the same result.  A seed that is not an int is
+    a ValueError on both.  A model is checked against `formula` and
+    `units` as the engine gives it, and a wrong one is an AssertionError;
+    it is returned as a list of bools.
     """
     n = formula.num_vars
     for u in units:
         if not (is_int_at_least(u, -n) and u <= n and u != 0):
             raise ValueError(f"unit {u!r} is not a literal of variables 1..{n}")
-    kernel = _native.load()
     key = _native.seed_key(seed)
-    if kernel is None or key is None:
+    kernel = _native.load()
+    if kernel is None:
         solver = CdclSolver(formula.extended([(u,) for u in units]), seed)
         status = solver.solve(budget)
         model = solver.model() if status == SAT else None

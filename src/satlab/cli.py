@@ -73,11 +73,12 @@ def _resolve_cap(spec: str | None, m: int) -> int | None:
 
 
 def _scoring_from_args(args) -> ScoringFunction | None:
-    """`--scoring` with `--cb` (default 2.06) and `--epsilon` (default 0.9);
-    either of those without `--scoring` is a ValueError that names it."""
-    for flag, value in (("--cb", args.cb), ("--epsilon", args.epsilon)):
-        if args.scoring is None and value is not None:
-            raise ValueError(f"{flag} {value}: given without --scoring, which it parameterises")
+    """`--scoring` with `--cb` (default 2.06) and `--epsilon` (default 0.9,
+    read by poly alone); either given where no scoring reads it is a
+    ValueError that names it."""
+    for flag, value, readers in (("--cb", args.cb, ("poly", "exp")), ("--epsilon", args.epsilon, ("poly",))):
+        if value is not None and args.scoring not in readers:
+            raise ValueError(f"{flag} {value}: given without --scoring {' or '.join(readers)}, which it parameterises")
     return None if args.scoring is None else ScoringFunction(args.scoring, 2.06 if args.cb is None else args.cb,
                                                              0.9 if args.epsilon is None else args.epsilon)
 

@@ -16,21 +16,18 @@ each have two paths with one set of results:
 
 - `_cnf.c`, built and loaded by `satlab._native`, canonicalises and
   checks flat int32 clauses and fills the occurrence index
-  (`formula_index`; `Formula.extended` re-indexes the whole formula with
-  it), scans DIMACS text in a strict subset: ASCII lines of
-  `[+-]?digits` tokens, `c` comments, one `p cnf N M` header and a `%`
-  end line (`dimacs_scan`), writes the clause lines of `emit_dimacs`
+  (`formula_index`), scans DIMACS text in a strict subset: ASCII lines
+  of `[+-]?digits` tokens, `c` comments, one `p cnf N M` header and a
+  `%` end line (`dimacs_scan`), writes the clause lines of `emit_dimacs`
   (`dimacs_emit`), and checks a model against the flat clauses
-  (`formula_satisfied`).  Any input outside the scanner's subset it hands
-  back to the Python reader whole.  It also holds the duplicate check of
-  `satlab.pipeline.augment` (`augment_keep`), which hands its kept
-  clauses to `formula_index` through `Formula._extended_flat`.
+  (`formula_satisfied`).  It also holds the duplicate check of
+  `satlab.pipeline.augment` (`augment_keep`).  Every formula built from
+  flat arrays, by the scanner, the generators or `augment`, is built by
+  `Formula._from_flat`.
 - `canonical_clause` with `_index_clauses`, `_read_dimacs`,
   `_emit_clauses_python` and `_eval_formula_python` are the readable
-  reference.  They run when the library is unavailable, when clauses do
-  not fit int32 arrays, for every input outside the scanner's subset,
-  and for assignments that are not bytes or a list of at least n+1 byte
-  values, so every error message and warning is theirs.
+  reference.  They run where `satlab._native` says, so every error
+  message and warning is theirs.
 
 The differential tests in `tests/test_cnf.py` hold the two paths to
 equal attributes, errors, warnings, text and model checks.
@@ -103,23 +100,20 @@ class Formula:
     int32 arrays in place and indexes them.  The reference
     (`canonical_clause`, then `_index_clauses`) runs when the library is
     unavailable or the clauses do not flatten, and then raises for what
-    int32 cannot hold.
-
-    `extended(clauses)` appends clauses and re-indexes the whole formula
-    on the same two paths, checking every clause, so its result has every
-    attribute equal to that of `Formula(n, old + new)`.  Every build path
-    records whether some clause is empty, which `has_empty_clause` reports.
+    int32 cannot hold.  Every build path records whether some clause is
+    empty, which `has_empty_clause` reports.
     """
 
     __slots__ = ("num_vars", "_clauses", "offsets", "literals", "occ_offsets", "occ", "max_occurrences",
                  "max_width", "_empty_clause")
 
     def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]]):
+        num_vars = operator.index(num_vars)
         if num_vars < 0:
             raise ValueError(f"negative variable count: {num_vars}")
         if 2 * num_vars + 3 > _INT32_MAX:
             raise ValueError(f"variable count {num_vars} exceeds the int32 occurrence index")
-        kernel = _native.load() if isinstance(num_vars, int) else None
+        kernel = _native.load()
         if kernel is not None:
             clauses = clauses if isinstance(clauses, (list, tuple)) else list(clauses)
             flat = _flatten(clauses, 0)
@@ -136,6 +130,14 @@ class Formula:
         self.max_occurrences = max(map(len, occ))
         self.max_width = max(map(len, canonical), default=0)
         self._empty_clause = not all(canonical)  # the empty tuple is the only false clause
+
+    @classmethod
+    def _from_flat(cls, kernel, num_vars: int, offsets: array, lits: array) -> Formula:
+        """The formula of flat int32 clauses, built by `formula_index`
+        without `__init__`: the one constructor from flat arrays."""
+        formula = cls.__new__(cls)
+        formula._index_native(kernel, num_vars, offsets, lits)
+        return formula
 
     def _index_native(self, kernel, num_vars: int, offsets: array, lits: array) -> None:
         """Set every attribute from flat int32 clauses with `formula_index`,
@@ -157,26 +159,10 @@ class Formula:
         self._empty_clause = bool(info[4])
 
     def extended(self, clauses: Iterable[Iterable[int]]) -> Formula:
-        """This formula with `clauses` appended in canonical form, every
-        clause checked and the whole re-indexed; this formula is never
-        modified.  `formula_index` indexes copies of its flat arrays with the
-        new clauses after them; without the library, or when the new clauses
-        do not flatten, the reference `Formula(n, old + new)` runs."""
-        new = clauses if isinstance(clauses, (list, tuple)) else list(clauses)
-        if not new:
-            return self
-        kernel = _native.load()
-        flat = None if kernel is None else _flatten(new, self.offsets[-1])
-        if flat is None:
-            return Formula(self.num_vars, self.clauses + tuple(new))
-        return self._extended_flat(kernel, *flat)
-
-    def _extended_flat(self, kernel, offsets: array, lits: array) -> Formula:
-        """`extended` with clauses flattened by `_flatten(clauses,
-        self.offsets[-1])`, re-indexed by `formula_index`."""
-        out = Formula.__new__(Formula)  # not __init__: the new clauses are flat already
-        out._index_native(kernel, self.num_vars, self.offsets + offsets[1:], self.literals + lits)
-        return out
+        """`Formula(n, self.clauses + tuple(clauses))`, or this formula
+        itself when `clauses` is empty; this formula is never modified."""
+        new = tuple(clauses)
+        return Formula(self.num_vars, self.clauses + new) if new else self
 
     @property
     def clauses(self) -> tuple[Clause, ...]:
@@ -262,9 +248,7 @@ def parse_dimacs(text: str | bytes) -> Formula:
         )
     if scanned is None:
         return Formula(num_vars, clauses)
-    formula = Formula.__new__(Formula)
-    formula._index_native(kernel, num_vars, offsets, lits)
-    return formula
+    return Formula._from_flat(kernel, num_vars, offsets, lits)
 
 
 def _read_dimacs(text: str | bytes) -> tuple[int, int, list[list[int]]]:

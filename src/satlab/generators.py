@@ -12,8 +12,7 @@ Twister (`random.Random`) makes them bit-reproducible across platforms.
   `formula_index` canonicalises and indexes, so no clause list or tuple
   is built and `Formula.__init__` never runs.
 - `_gen_uniform_python` and `_gen_planted_python` are the readable
-  reference.  They run when the library is unavailable, when `n` or
-  `m * k` does not fit int32, and when the seed is not an int.
+  reference.  They run when the library is unavailable.
 
 For equal specs the two give equal clauses, flat arrays and hidden
 assignments; the differential tests in `tests/test_generators.py` hold
@@ -39,12 +38,15 @@ THRESHOLD_RATIOS = {3: 4.267, 5: 21.117, 7: 87.79}
 class GenSpec:
     """Parameters for one generated instance.
 
-    Exactly one of `ratio` / `m` must be given.  `bias` shapes the planted
-    polarity distribution of `gen_planted`, whose hidden assignment is
-    drawn from `seed`: a polarity vector with c solution-agreeing literals
-    is accepted with probability bias**c, so bias=1 keeps every satisfying
-    vector (the plain rejection model) while bias<1 hides the solution
-    deceptively (fewer agreeing literals, much harder for local search).
+    Exactly one of `ratio` / `m` must be given, `seed` must be an int,
+    and `2 * n + 3` and `m * k` must fit the int32 arrays of a `Formula`;
+    anything else is a ValueError when the spec is made.  `bias` shapes
+    the planted polarity distribution of `gen_planted`, whose hidden
+    assignment is drawn from `seed`: a polarity vector with c
+    solution-agreeing literals is accepted with probability bias**c, so
+    bias=1 keeps every satisfying vector (the plain rejection model) while
+    bias<1 hides the solution deceptively (fewer agreeing literals, much
+    harder for local search).
     """
 
     n: int
@@ -67,6 +69,9 @@ class GenSpec:
             raise ValueError(f"ratio * n must be finite, got ratio {self.ratio}")
         if self.num_clauses < 0:
             raise ValueError(f"clause count must not be negative, got {self.num_clauses}")
+        if 2 * self.n + 3 > _INT32_MAX or self.num_clauses * self.k > _INT32_MAX:
+            raise ValueError(f"n={self.n} or m*k={self.num_clauses * self.k} exceeds a Formula's int32 arrays")
+        _native.seed_key(self.seed)
 
     @property
     def num_clauses(self) -> int:
@@ -85,8 +90,8 @@ def gen_uniform(spec: GenSpec) -> Formula:
     """Uniform random k-SAT: per clause, k distinct variables drawn without
     replacement and independent uniform polarities.  Duplicate clauses are
     permitted, as in the uniform model."""
-    formula = _gen_native(spec, None)
-    return _gen_uniform_python(spec) if formula is None else formula
+    kernel = _native.load()
+    return _gen_uniform_python(spec) if kernel is None else _gen_native(kernel, spec, None)
 
 
 def gen_planted(spec: GenSpec) -> tuple[Formula, Assignment]:
@@ -100,32 +105,26 @@ def gen_planted(spec: GenSpec) -> tuple[Formula, Assignment]:
     where c counts agreeing literals, which concentrates mass on barely
     satisfying clauses and hides the solution from local search.
     """
-    hidden = _native.zeros("B", spec.n + 1)  # drawn by the kernel
-    formula = _gen_native(spec, hidden)
-    if formula is None:
-        return _gen_planted_python(spec)
-    return formula, list(map(bool, hidden))
-
-
-def _gen_native(spec: GenSpec, hidden: array | None) -> Formula | None:
-    """The formula `gen_clauses` generates, or None when the reference
-    must run.  `hidden` is None for uniform polarities; otherwise the
-    kernel draws the hidden assignment into it (0/1 bytes, index 0
-    unused) before any clause."""
     kernel = _native.load()
+    if kernel is None:
+        return _gen_planted_python(spec)
+    hidden = _native.zeros("B", spec.n + 1)
+    return _gen_native(kernel, spec, hidden), list(map(bool, hidden))  # the kernel draws `hidden` first
+
+
+def _gen_native(kernel, spec: GenSpec, hidden: array | None) -> Formula:
+    """The formula `gen_clauses` generates.  `hidden` is None for uniform
+    polarities; otherwise the kernel draws the hidden assignment into it
+    (0/1 bytes, index 0 unused) before any clause."""
     n, k, m = spec.n, spec.k, spec.num_clauses
     key = _native.seed_key(spec.seed)
-    if kernel is None or key is None or 2 * n + 3 > _INT32_MAX or m * k > _INT32_MAX:
-        return None
     pool = n <= 21 + (4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 0)  # random.sample's branch
     offsets = _native.zeros("i", m + 1)
     lits = _native.zeros("i", m * k)
     if kernel.gen_clauses(n, k, m, pool, spec.bias, None if hidden is None else _native.address(hidden),
                           _native.address(key), len(key), *map(_native.address, (offsets, lits))):
         raise MemoryError("cannot allocate the generator's sampling pool")
-    formula = Formula.__new__(Formula)
-    formula._index_native(kernel, n, offsets, lits)
-    return formula
+    return Formula._from_flat(kernel, n, offsets, lits)
 
 
 def _gen_uniform_python(spec: GenSpec) -> Formula:

@@ -205,7 +205,7 @@ def augment(formula: Formula, clauses) -> Formula:
         return formula
     del offsets[kept + 1:]
     del lits[offsets[-1] - offsets[0]:]
-    return formula._extended_flat(kernel, offsets, lits)
+    return Formula._from_flat(kernel, formula.num_vars, formula.offsets + offsets[1:], formula.literals + lits)
 
 
 def _augment_python(formula: Formula, clauses) -> Formula:
@@ -259,6 +259,7 @@ def run_hybrid(
     function of the arguments.
     """
     check_budgets(wall_budget, final_flips)
+    _native.seed_key(seed)  # a seed that is not an int is a ValueError on every track, before any phase
     start = time.perf_counter()
     strat = strategy or select_strategy(formula)
     result = SolveResult(status="unknown", model=None, phase_solved=None, track=strat.track, seed=seed)

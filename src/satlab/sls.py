@@ -22,8 +22,8 @@ swap-remove registry with O(1) membership, insertion, and deletion.
   Mersenne Twister from the int seed as `random.Random(seed)` does.
 - `_probsat_python`, the flip loop over `SlsState` (which reads the same
   arrays through `Formula.occurrence`), is the readable reference.  It
-  runs when the library is unavailable, for formulas with an empty
-  clause or no variables, and for a seed that is not an int.
+  runs where `satlab._native` says: without the library, and for a
+  formula with an empty clause.
 
 For equal arguments the two give bit-identical status, flip count and
 model: the same random draws, the same registry order, the same
@@ -39,6 +39,7 @@ budget-bound runs, to equal assignments after the last flip.
 from __future__ import annotations
 
 import functools
+import math
 import random
 import time
 from array import array
@@ -248,10 +249,11 @@ def probsat_run(
 ) -> RunResult:
     """Run break-only local search until a model is found or budgets expire.
 
-    The only public entry point: the kernel, or the reference where the
-    module docstring says, with the same status, `flips_used` and model.
-    `max_flips` must be an integer >= 0; the kernel is passed at most
-    `_native.NO_LIMIT`, which no run spends.
+    The only public entry point: the kernel, or the reference where
+    `satlab._native` says, with the same status, `flips_used` and model.
+    `max_flips` must be an integer >= 0 and `wall_limit` None or not NaN
+    (0 or less stops at the first poll); the kernel is passed at most
+    `_native.NO_LIMIT` flips, which no run spends.
 
     Returned models are verified against the formula by `eval_formula`,
     after the clock stops: with the library loaded, its
@@ -263,9 +265,11 @@ def probsat_run(
     """
     if not is_int_at_least(max_flips, 0):
         raise ValueError(f"max_flips must be an integer >= 0, got {max_flips!r}")
-    kernel = _native.load()
+    if wall_limit is not None and math.isnan(wall_limit):
+        raise ValueError(f"wall_limit must be a number of seconds, got {wall_limit!r}")
     key = _native.seed_key(seed)
-    if kernel is None or key is None or formula.has_empty_clause() or formula.num_vars == 0:
+    kernel = _native.load()
+    if kernel is None or formula.has_empty_clause():  # the empty clause: see `satlab._native`
         return _probsat_python(formula, max_flips, seed, scoring, wall_limit)
     max_flips = min(max_flips, _native.NO_LIMIT)
     start = time.perf_counter()

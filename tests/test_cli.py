@@ -71,6 +71,21 @@ def test_solve_sls_rejects_a_scoring_parameter_without_scoring(tmp_path, flag):
         main(["solve-sls", str(cnf), "--max-flips", "100", flag, "3"])
 
 
+def test_solve_sls_rejects_epsilon_with_exp_scoring(tmp_path):
+    # exp scoring reads only --cb, so --epsilon used to be ignored silently
+    cnf = tmp_path / "x.cnf"
+    cnf.write_text("p cnf 2 2\n1 0\n-1 2 0\n")
+    with pytest.raises(ValueError, match="--epsilon 0.5: given without --scoring poly"):
+        main(["solve-sls", str(cnf), "--max-flips", "100", "--scoring", "exp", "--cb", "3", "--epsilon", "0.5"])
+
+
+def test_solve_sls_rejects_a_nan_wall_limit(tmp_path):
+    cnf = tmp_path / "x.cnf"
+    cnf.write_text("p cnf 2 2\n1 0\n-1 2 0\n")
+    with pytest.raises(ValueError, match="wall_limit must be a number of seconds, got nan"):
+        main(["solve-sls", str(cnf), "--max-flips", "100", "--wall-seconds", "nan"])
+
+
 def test_solve_sls_scoring_parameters_default_with_scoring(tmp_path, capsys, monkeypatch):
     cnf = tmp_path / "x.cnf"
     cnf.write_text("p cnf 2 2\n1 0\n-1 2 0\n")

@@ -146,11 +146,10 @@ def test_native_generation_builds_no_clause_lists(kernel, monkeypatch):
     assert len(built) == 2  # the reference builds through Formula.__init__
 
 
-def test_generation_falls_back_to_the_reference_beyond_int32(kernel, monkeypatch):
-    # m * k past int32: the kernel is never called, and the reference runs
-    # (stopped here before it generates 2**31 clause lists)
-    monkeypatch.setattr(generators, "_gen_planted_python", lambda spec: "reference")
-    monkeypatch.setattr(generators, "_gen_uniform_python", lambda spec: "reference")
-    monkeypatch.setattr(kernel, "gen_clauses", None)
-    huge = GenSpec(n=10, k=3, m=2**31 // 3 + 1, seed=0)
-    assert gen_planted(huge) == gen_uniform(huge) == "reference"
+def test_genspec_rejects_sizes_past_int32():
+    # the arrays of a Formula are int32: 2n + 3 occurrence offsets and m * k literals
+    for kwargs in ({"n": 10, "m": 2**31 // 3 + 1}, {"n": 2**30, "m": 0}):
+        with pytest.raises(ValueError, match="exceeds a Formula's int32 arrays"):
+            GenSpec(k=3, seed=0, **kwargs)
+    GenSpec(n=10, k=3, m=(2**31 - 1) // 3, seed=0)  # the largest m * k is only made, not generated
+    GenSpec(n=2**30 - 2, k=3, m=0, seed=0)

@@ -6,16 +6,20 @@ that the clause sets grow and rehash and the learned DB is reduced, and
 frees everything.  The CDCL searches run with and without extra unit
 clauses, one of them over more than 2,000 input clauses (the clause
 arena and the pre-sized watch lists) past its first DB reduction.  It
-reads each pool in tuple order through its permutation.  Built with the
-five C files under `-fsanitize=address,undefined
--fno-sanitize-recover=all`, it must exit 0 with nothing on stderr
-(LeakSanitizer reports a leak there), and print what the library loaded
-by `satlab._native` gives for the same calls.
+reads each pool in tuple order through its permutation.  It runs
+probSAT for a flip budget on a k=3 formula and on the formula with no
+variables, whose literal and occurrence arrays are NULL, and generates
+clauses with seed keys of 1 and 7 words on both branches of
+`random.sample`.  Built with the five C files under
+`-fsanitize=address,undefined -fno-sanitize-recover=all`, it must exit 0
+with nothing on stderr (LeakSanitizer reports a leak there), and print
+what the library loaded by `satlab._native` gives for the same calls.
 """
 
 import os
 import random
 import subprocess
+from array import array
 from collections import Counter
 
 import pytest
@@ -26,6 +30,7 @@ from satlab.cnf import Formula, _flatten
 from satlab.generators import GenSpec, gen_uniform
 from satlab.pipeline import augment
 from satlab.resolution import level1_resolvents, level2_resolvents, ternary_saturate
+from satlab.sls import FLIPS_EXHAUSTED, SOLVED, default_scoring_for, probsat_run
 
 SANITIZE = ("-O1", "-g", "-fno-omit-frame-pointer", "-ffp-contract=off",
             "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
@@ -41,6 +46,13 @@ BIG_UNITS, BIG_SEED, BIG_BUDGET = (4, -7), 2, MiningBudget(1e9, 2_400, width_lim
 LEVEL1_WIDTH, LEVEL2_WIDTH, PAIR_BUDGET = 3, 4, 3_000
 # more than 512 distinct additions: past the first doubling of augment's set
 ADDITIONS, ADDITION_SEED = 1_500, 4
+# a flip budget that ends the run on the n=480 formula before a model
+SLS_FLIPS, SLS_SEED = 5_000, 3
+# (n, m, bias, planted, seed) at k=3: n <= 21 takes random.sample's pool
+# branch, n > 21 its set branch; the seeds' keys have 1 and 7 words
+GEN_SHORT_SEED, GEN_LONG_SEED = 5, 2**200 + 7
+GEN_CASES = ((21, 30, 0.618, 1, GEN_SHORT_SEED), (21, 30, 1.0, 0, GEN_LONG_SEED),
+             (22, 30, 0.618, 1, GEN_LONG_SEED), (60, 30, 1.0, 0, GEN_SHORT_SEED))
 
 DRIVER = r"""
 #include <stdint.h>
@@ -64,6 +76,14 @@ void pool_copy(const void *p, long long *counts, int *lits, long long *order);
 void pool_free(void *p);
 long long augment_keep(int n, const int *f_off, const int *f_lits, const int *occ_off, const int *occ,
                        int empty, long long k, int *off, int *lits);
+void *probsat_new(int n, int m, const int *off, const int *lits, const int *occ_off, const int *occ,
+                  const double *table, const uint32_t *key, int key_len);
+long long probsat_flip(void *s, long long stop);
+int probsat_num_falsified(const void *s);
+void probsat_assignment(const void *s, unsigned char *out);
+void probsat_free(void *s);
+int gen_clauses(int n, int k, long long m, int use_pool, double bias, unsigned char *hidden,
+                const uint32_t *key, int key_len, int *off, int *lits);
 
 static const int cdcl_off[] = {@CDCL_OFF@}, cdcl_lits[] = {@CDCL_LITS@};
 static const uint32_t key[] = {@KEY@};
@@ -73,6 +93,12 @@ static const uint32_t big_key[] = {@BIG_KEY@};
 static const int res_off[] = {@RES_OFF@}, res_lits[] = {@RES_LITS@};
 static const int res_occ_off[] = {@RES_OCC_OFF@}, res_occ[] = {@RES_OCC@};
 static int add_off[] = {@ADD_OFF@}, add_lits[] = {@ADD_LITS@};
+static const int big_occ_off[] = {@BIG_OCC_OFF@}, big_occ[] = {@BIG_OCC@};
+static const double big_table[] = {@BIG_TABLE@};
+static const uint32_t sls_key[] = {@SLS_KEY@};
+static const int none_off[] = {0}, none_occ_off[] = {0, 0, 0}; /* n = 0, m = 0 */
+static const double none_table[] = {@NONE_TABLE@};
+static const uint32_t short_key[] = {@SHORT_KEY@}, long_key[] = {@LONG_KEY@};
 
 /* Search, print the status, conflicts, records and record literals, and
  * free the state; 1 when out of memory. */
@@ -136,6 +162,48 @@ static int print_pool(void *p, int max_width)
     return 0;
 }
 
+/* Run probSAT for at most `flips` flips; print the flips done, the
+ * falsified count and the assignment's bytes, and free the state; 1 when
+ * out of memory. */
+static int walk(int n, int m, const int *off, const int *lits, const int *occ_off, const int *occ,
+                const double *table, const uint32_t *key, int key_len, long long flips)
+{
+    void *s = probsat_new(n, m, off, lits, occ_off, occ, table, key, key_len);
+    unsigned char *assign = malloc((size_t)n + 1);
+    if (!s || !assign)
+        return 1;
+    flips = probsat_flip(s, flips);
+    printf("%lld %d ", flips, probsat_num_falsified(s));
+    probsat_assignment(s, assign);
+    for (int v = 0; v <= n; v++)
+        putchar('0' + assign[v]);
+    putchar('\n');
+    free(assign);
+    probsat_free(s);
+    return 0;
+}
+
+/* Generate m clauses of width 3; print the hidden assignment's bytes
+ * (empty when not planted), then the literals; 1 when out of memory. */
+static int gen(int n, long long m, int use_pool, double bias, int planted, const uint32_t *key, int key_len)
+{
+    unsigned char *hidden = calloc((size_t)n + 1, 1);
+    int *off = malloc((size_t)(m + 1) * sizeof *off), *lits = malloc((size_t)(3 * m + 1) * sizeof *lits);
+    if (!hidden || !off || !lits || gen_clauses(n, 3, m, use_pool, bias, planted ? hidden : NULL, key, key_len,
+                                                off, lits))
+        return 1;
+    for (int v = 0; planted && v <= n; v++)
+        putchar('0' + hidden[v]);
+    putchar('\n');
+    for (long long i = 0; i < off[m]; i++)
+        printf("%s%d", i ? " " : "", lits[i]);
+    putchar('\n');
+    free(lits);
+    free(off);
+    free(hidden);
+    return 0;
+}
+
 int main(void)
 {
     long long r;
@@ -154,6 +222,12 @@ int main(void)
     for (long long i = 0; i < add_off[r] - add_off[0]; i++)
         printf("%s%d", i ? " " : "", add_lits[i]);
     printf("\n");
+    if (walk(@BIG_N@, @BIG_M@, big_off, big_lits, big_occ_off, big_occ, big_table, sls_key, @SLS_KEY_LEN@,
+             @SLS_FLIPS@)
+        || walk(0, 0, none_off, NULL, none_occ_off, NULL, none_table, sls_key, @SLS_KEY_LEN@, @SLS_FLIPS@))
+        return 1;
+    if (@GEN_CALLS@)
+        return 1;
     return 0;
 }
 """
@@ -189,6 +263,42 @@ def _search_line(status, records, conflicts) -> str:
     return f"{(BUDGET, SAT, UNSAT).index(status)} {conflicts} {len(records)} {sum(len(r.clause) for r in records)}"
 
 
+def _table(formula) -> array:
+    """The score table `probsat_run` passes the kernel for `formula`."""
+    return array("d", default_scoring_for(formula).table(formula.max_occurrences))
+
+
+def _walk_line(lib, formula, flips, seed) -> str:
+    """The driver's line for a probSAT run, from the loaded library: flips
+    done, falsified clauses and the assignment's bytes."""
+    key, table = _native.seed_key(seed), _table(formula)
+    state = lib.probsat_new(*_native.flat(formula),
+                            *map(_native.address, (formula.occ_offsets, formula.occ, table, key)), len(key))
+    try:
+        done, falsified = lib.probsat_flip(state, flips), lib.probsat_num_falsified(state)
+        assign = _native.read_model(lib.probsat_assignment, state, formula.num_vars)
+    finally:
+        lib.probsat_free(state)
+    return f"{done} {falsified} " + "".join(map(str, assign))
+
+
+def _gen_lines(lib, n, m, bias, planted, seed) -> list[str]:
+    """The driver's two lines for `gen_clauses` at k=3, from the loaded
+    library: the hidden assignment's bytes (empty unless planted) and the
+    literals in draw order."""
+    key = _native.seed_key(seed)
+    hidden, offsets, lits = _native.zeros("B", n + 1), _native.zeros("i", m + 1), _native.zeros("i", 3 * m)
+    assert not lib.gen_clauses(n, 3, m, n <= 21, bias, _native.address(hidden) if planted else None,
+                               _native.address(key), len(key), _native.address(offsets), _native.address(lits))
+    return ["".join(map(str, hidden)) if planted else "", " ".join(map(str, lits))]
+
+
+def _gen_call(n, m, bias, planted, seed) -> str:
+    """The driver's call of `gen` for one of GEN_CASES."""
+    key = "short_key" if seed == GEN_SHORT_SEED else "long_key"
+    return f"gen({n}, {m}, {int(n <= 21)}, {bias!r}, {planted}, {key}, {len(_native.seed_key(seed))})"
+
+
 def test_kernels_run_clean_under_the_sanitizers(tmp_path):
     compiler = _native._compiler()
     if compiler is None:
@@ -207,6 +317,7 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
                  for _ in range(ADDITIONS)]
     additions += additions[:300]
     added = _flatten(additions, res.offsets[-1])
+    none = Formula(0, [])
     fields = {
         "CDCL_N": k5.num_vars, "CDCL_M": k5.num_clauses,
         "CDCL_OFF": _ints(k5.offsets), "CDCL_LITS": _ints(k5.literals),
@@ -224,6 +335,12 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
         "L1": LEVEL1_WIDTH, "L2": LEVEL2_WIDTH, "PAIRS": PAIR_BUDGET,
         "RES_OCC_OFF": _ints(res.occ_offsets), "RES_OCC": _ints(res.occ),
         "ADD_K": len(additions), "ADD_OFF": _ints(added[0]), "ADD_LITS": _ints(added[1]),
+        "BIG_OCC_OFF": _ints(big.occ_offsets), "BIG_OCC": _ints(big.occ),
+        "BIG_TABLE": ", ".join(map(float.hex, _table(big))), "NONE_TABLE": ", ".join(map(float.hex, _table(none))),
+        "SLS_KEY": _ints(_native.seed_key(SLS_SEED)), "SLS_KEY_LEN": len(_native.seed_key(SLS_SEED)),
+        "SLS_FLIPS": SLS_FLIPS,
+        "SHORT_KEY": _ints(_native.seed_key(GEN_SHORT_SEED)), "LONG_KEY": _ints(_native.seed_key(GEN_LONG_SEED)),
+        "GEN_CALLS": "\n        || ".join(_gen_call(*case) for case in GEN_CASES),
     }
     source = DRIVER
     for name, value in fields.items():
@@ -264,4 +381,14 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
         str(augmented.num_clauses - res.num_clauses),
         " ".join(map(str, augmented.literals[res.offsets[-1]:])),
     ]
+    # the same probSAT runs through probsat_run: budget-bound, and solved with no flip
+    walked = probsat_run(big, SLS_FLIPS, SLS_SEED)
+    assert (walked.status, walked.flips_used) == (FLIPS_EXHAUSTED, SLS_FLIPS)
+    walked = probsat_run(none, SLS_FLIPS, SLS_SEED)
+    assert (walked.status, walked.flips_used, walked.model) == (SOLVED, 0, [False])
+    lib = _native.load()
+    expected += [_walk_line(lib, big, SLS_FLIPS, SLS_SEED), _walk_line(lib, none, SLS_FLIPS, SLS_SEED)]
+    assert sorted(len(_native.seed_key(seed)) for seed in (GEN_SHORT_SEED, GEN_LONG_SEED)) == [1, 7]
+    for case in GEN_CASES:
+        expected += _gen_lines(lib, *case)
     assert ran.stdout.splitlines() == expected

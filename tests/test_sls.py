@@ -199,6 +199,22 @@ def test_formula_without_variables_or_clauses_is_sat_everywhere(monkeypatch):
         assert (res.status, res.flips_used, res.model) == (SOLVED, 0, [False])
 
 
+@pytest.mark.parametrize("engine", ["native", "reference"])
+def test_probsat_rejects_a_nan_wall_limit(engine, request, monkeypatch):
+    # every `elapsed > nan` is false, so a NaN limit used to run the whole flip budget
+    if engine == "native":
+        request.getfixturevalue("kernel")
+    else:
+        request.getfixturevalue("reference_only")
+    f = gen_uniform(GenSpec(n=200, k=3, ratio=5.0, seed=1))
+    with pytest.raises(ValueError, match="wall_limit must be a number of seconds, got nan"):
+        probsat_run(f, 300_000, 1, wall_limit=float("nan"))
+    # a limit that has run out, as run_hybrid may pass, stops at the first poll
+    for limit in (0.0, -1.0):
+        res = probsat_run(f, 300_000, 1, wall_limit=limit)
+        assert (res.status, res.flips_used) == (FLIPS_EXHAUSTED, 0)
+
+
 def test_probsat_determinism():
     f = gen_uniform(GenSpec(n=40, k=3, ratio=4.2, seed=8))
     a = probsat_run(f, 5000, seed=77)
