@@ -1,5 +1,7 @@
 /* Compiled CDCL search, bit-identical to satlab.cdcl.CdclSolver.solve
- * on a fresh solver, as satlab.cdcl._search runs it.
+ * on a fresh solver, as satlab.cdcl._search runs it, and the backbone
+ * as satlab.quality.compute_backbone's reference finds it by one such
+ * search per candidate, all in one call (cdcl_backbone).
  *
  * The layout is MiniSat's (Een & Sorensson, SAT 2003): values and watch
  * lists indexed by literal at lit_index(l), as Formula's occurrence
@@ -42,9 +44,12 @@
  * The records are one clause set of _clauses.h, which holds each record
  * and counts the distinct ones; the header also gives the literal index
  * and the growth rule.  The phases come from the Mersenne Twister of
- * _mt.h, seeded as the probSAT kernel seeds it (mt_seed).
+ * _mt.h, seeded as the probSAT kernel seeds it (mt_seed).  new_state takes
+ * them drawn: cdcl_new draws them for its one search, and cdcl_backbone
+ * draws them once for all of its searches.
  */
 
+#include <math.h>
 #include <stdlib.h>
 #include <string.h>
 #include <time.h>
@@ -501,17 +506,15 @@ static int assign_unit(cdcl_state *s, int lit)
 }
 
 /* New solver over the CSR formula (clause c is lits[off[c] .. off[c + 1]))
- * and the unit clauses units[0 .. num_units) after it, with initial phases
- * drawn from the seed's key[0 .. key_len) (mt_seed); attaches the clauses
- * and propagates the units, as CdclSolver.__init__ does on the formula
- * extended by the units.  A first pass sizes the arena and each watch
- * list; the second lays the clauses of width >= 2 out in the arena.  NULL
- * when out of memory. */
-cdcl_state *cdcl_new(int n, int m, const int *off, const int *lits, const int *units, int num_units,
-                     const uint32_t *key, int key_len)
+ * and the unit clauses units[0 .. num_units) after it, with the initial
+ * phases phases[1 .. n]; attaches the clauses and propagates the units, as
+ * CdclSolver.__init__ does on the formula extended by the units.  A first
+ * pass sizes the arena and each watch list; the second lays the clauses of
+ * width >= 2 out in the arena.  NULL when out of memory. */
+static cdcl_state *new_state(int n, int m, const int *off, const int *lits, const int *units, int num_units,
+                             const unsigned char *phases)
 {
     cdcl_state *s = calloc(1, sizeof *s);
-    mt_state rng;
     size_t vars = (size_t)n + 1, literals = 2 * (size_t)n + 2, bytes = 0, k;
     char *next;
     int v, c, oom = 0;
@@ -559,10 +562,7 @@ cdcl_state *cdcl_new(int n, int m, const int *off, const int *lits, const int *u
             return NULL;
         }
     }
-    mt_seed(&rng, key, (size_t)key_len);
-    s->phase[0] = 0;
-    for (v = 1; v <= n; v++)
-        s->phase[v] = random_double(&rng) < 0.5;
+    memcpy(s->phase, phases, vars);
     s->var_inc = 1.0;
     s->heap_pos[0] = -1;
     for (v = 1; v <= n; v++) {
@@ -602,6 +602,33 @@ cdcl_state *cdcl_new(int n, int m, const int *off, const int *lits, const int *u
         cdcl_free(s);
         return NULL;
     }
+    return s;
+}
+
+/* The initial phases of variables 1 .. n (byte 0 unused), drawn from the
+ * seed's key[0 .. key_len) (mt_seed) as the reference draws them from
+ * random.Random(seed): phase[v] = random() < 0.5; NULL when out of memory. */
+static unsigned char *draw_phases(int n, const uint32_t *key, int key_len)
+{
+    unsigned char *phases = malloc((size_t)n + 1);
+    mt_state rng;
+    int v;
+    if (!phases)
+        return NULL;
+    mt_seed(&rng, key, (size_t)key_len);
+    phases[0] = 0;
+    for (v = 1; v <= n; v++)
+        phases[v] = random_double(&rng) < 0.5;
+    return phases;
+}
+
+/* new_state with the phases drawn from the seed's key: the miner's solver. */
+cdcl_state *cdcl_new(int n, int m, const int *off, const int *lits, const int *units, int num_units,
+                     const uint32_t *key, int key_len)
+{
+    unsigned char *phases = draw_phases(n, key, key_len);
+    cdcl_state *s = phases ? new_state(n, m, off, lits, units, num_units, phases) : NULL;
+    free(phases);
     return s;
 }
 
@@ -715,4 +742,152 @@ void cdcl_assignment(const cdcl_state *s, unsigned char *out)
     out[0] = 0;
     for (v = 1; v <= s->n; v++)
         out[v] = value(s, v) == 1;
+}
+
+/* -- the backbone ------------------------------------------------------------------ */
+
+/* What cdcl_backbone found.  status is SAT when every candidate was
+ * decided, UNSAT when the formula is unsatisfiable, and BUDGET when a
+ * search ran out: the query of literal `stopped`, or the first search when
+ * stopped is 0.  confirmed holds the backbone literals in the order found,
+ * with room for one more: a query's units are the confirmed literals and
+ * not-lit after them.  Model i, of n + 1 bytes as cdcl_assignment gives
+ * it, is models[i * (n + 1) ..], found by the query of literal tested[i]
+ * (0 for the first search). */
+typedef struct {
+    int n, status, stopped;
+    int *confirmed, num_confirmed;
+    int *tested;
+    unsigned char *models;
+    long long num_models, tested_cap, models_cap;
+} backbone;
+
+void backbone_free(backbone *b)
+{
+    if (b) {
+        free(b->confirmed);
+        free(b->tested);
+        free(b->models);
+        free(b);
+    }
+}
+
+/* Append the model of s, found by the query of literal `tested`, to b;
+ * -1 when out of memory. */
+static int keep_model(backbone *b, const cdcl_state *s, int tested)
+{
+    long long width = (long long)b->n + 1;
+    int *t = grow(b->tested, &b->tested_cap, b->num_models + 1, sizeof *t);
+    unsigned char *models;
+    if (!t)
+        return -1;
+    b->tested = t;
+    if (!(models = grow(b->models, &b->models_cap, (b->num_models + 1) * width, 1)))
+        return -1;
+    b->models = models;
+    b->tested[b->num_models] = tested;
+    cdcl_assignment(s, models + b->num_models++ * width);
+    return 0;
+}
+
+/* One fresh search of the formula with the units confirmed[0 ..
+ * num_units), as satlab.cdcl._search runs a backbone's: no clock, no
+ * count cap, and no record kept (width limit 0).  A model is kept with
+ * the literal `tested`.  Returns BUDGET, SAT, UNSAT or OUT_OF_MEMORY. */
+static int query(backbone *b, int m, const int *off, const int *lits, const unsigned char *phases, int num_units,
+                 int tested, long long conflict_limit)
+{
+    cdcl_state *s = new_state(b->n, m, off, lits, b->confirmed, num_units, phases);
+    int code;
+    if (!s)
+        return OUT_OF_MEMORY;
+    code = cdcl_solve(s, conflict_limit, HUGE_VAL, 0, -1);
+    if (code == SAT && keep_model(b, s, tested) < 0)
+        code = OUT_OF_MEMORY;
+    cdcl_free(s);
+    return code;
+}
+
+/* The backbone of the CSR formula by one fresh search per candidate, as
+ * satlab.quality.compute_backbone's reference finds it (Janota, Lynce &
+ * Marques-Silva, AI Commun. 2015): a first search gives the candidates,
+ * the literals of its model; each candidate lit, in variable order, is
+ * queried with the confirmed literals and not-lit as units.  lit is
+ * confirmed when its query is unsatisfiable, and a model prunes every
+ * candidate it falsifies.  Every search starts from the phases drawn once
+ * from the seed's key[0 .. key_len) and spends at most conflict_limit
+ * conflicts (none when negative).  The handle is read with backbone_info
+ * and backbone_copy and released with backbone_free; NULL when out of
+ * memory. */
+backbone *cdcl_backbone(int n, int m, const int *off, const int *lits, const uint32_t *key, int key_len,
+                        long long conflict_limit)
+{
+    backbone *b = calloc(1, sizeof *b);
+    unsigned char *phases = draw_phases(n, key, key_len), *first = malloc((size_t)n + 1);
+    unsigned char *candidate = calloc((size_t)n + 1, 1);
+    size_t width = (size_t)n + 1;
+    int v, u;
+    if (!b || !phases || !first || !candidate || !(b->confirmed = malloc(width * sizeof *b->confirmed)))
+        goto fail;
+    b->n = n;
+    b->status = query(b, m, off, lits, phases, 0, 0, conflict_limit);
+    if (b->status == OUT_OF_MEMORY)
+        goto fail;
+    if (b->status == SAT) {
+        memcpy(first, b->models, width);
+        memset(candidate, 1, width);
+    }
+    for (v = 1; b->status == SAT && v <= n; v++) {
+        int lit = first[v] ? v : -v;
+        if (!candidate[v])
+            continue;
+        b->confirmed[b->num_confirmed] = -lit;
+        switch (query(b, m, off, lits, phases, b->num_confirmed + 1, lit, conflict_limit)) {
+        case UNSAT:
+            b->confirmed[b->num_confirmed++] = lit;
+            break;
+        case SAT: {
+            const unsigned char *model = b->models + (size_t)(b->num_models - 1) * width;
+            for (u = v + 1; u <= n; u++)
+                candidate[u] &= model[u] == first[u];
+            break;
+        }
+        case BUDGET:
+            b->status = BUDGET;
+            b->stopped = lit;
+            break;
+        default:
+            goto fail;
+        }
+    }
+    free(phases);
+    free(first);
+    free(candidate);
+    return b;
+fail:
+    free(phases);
+    free(first);
+    free(candidate);
+    backbone_free(b);
+    return NULL;
+}
+
+/* info gets status, stopped, the confirmed count and the model count. */
+void backbone_info(const backbone *b, long long *info)
+{
+    info[0] = b->status;
+    info[1] = b->stopped;
+    info[2] = b->num_confirmed;
+    info[3] = b->num_models;
+}
+
+/* Copy the confirmed literals, the tested literals and the models out. */
+void backbone_copy(const backbone *b, int *confirmed, int *tested, unsigned char *models)
+{
+    if (b->num_confirmed)
+        memcpy(confirmed, b->confirmed, (size_t)b->num_confirmed * sizeof *confirmed);
+    if (b->num_models) {
+        memcpy(tested, b->tested, (size_t)b->num_models * sizeof *tested);
+        memcpy(models, b->models, (size_t)b->num_models * ((size_t)b->n + 1));
+    }
 }

@@ -1,9 +1,9 @@
 """The compiled kernels: one C library, built, loaded and called here.
 
-Six modules run a kernel of it when it loads, and their readable Python
+Seven modules run a kernel of it when it loads, and their readable Python
 reference when it does not: `sls` (the probSAT flip loop, `_probsat.c`),
-`cdcl` (the CDCL search of the miner and of the backbone queries,
-`_cdcl.c`), `cnf` (the `Formula` index build, the DIMACS scan and emit,
+`cdcl` (the CDCL search of the miner, `_cdcl.c`), `quality` (the
+backbone's queries, in one call of `_cdcl.c`), `cnf` (the `Formula` index build, the DIMACS scan and emit,
 and the model check, `_cnf.c`), `pipeline` (the duplicate check of
 `augment`, `_cnf.c`), `generators` (`_gen.c`) and `resolution` (the
 level-1, level-2 and ternary pools, `_resolve.c`).  The C files share the
@@ -71,6 +71,10 @@ _KERNEL_FUNCTIONS = (
     ("cdcl_records", None, [_ptr, _ptr, _ptr, _ptr]),
     ("cdcl_assignment", None, [_ptr, _ptr]),
     ("cdcl_free", None, [_ptr]),
+    ("cdcl_backbone", _ptr, [_i32, _i32, _ptr, _ptr, _ptr, _i32, _i64]),
+    ("backbone_info", None, [_ptr, _ptr]),
+    ("backbone_copy", None, [_ptr, _ptr, _ptr, _ptr]),
+    ("backbone_free", None, [_ptr]),
     ("formula_index", _i32, [_i32, _i64, _ptr, _ptr, _ptr, _ptr, _ptr]),
     ("dimacs_scan", _i32, [ctypes.c_char_p, _i64, _ptr, _ptr, _ptr]),
     ("dimacs_emit", _i64, [_i64, _ptr, _ptr, _ptr]),

@@ -401,7 +401,8 @@ fail:
 /* The closure of the non-tautological base clauses of width <= 3 under
  * resolution with resolvents of width <= 3, less those base clauses.
  * Clauses are taken in the order they were added, which puts every new
- * one in the queue; each pair meets when the later of the two is taken. */
+ * one in the queue; each pair meets when the later of the two is taken,
+ * as the partner lists are in id order and are walked only below it. */
 pool *ternary_pool(int n, int m, const int *off, const int *lits)
 {
     pool *p = new_pool(3);
@@ -416,10 +417,9 @@ pool *ternary_pool(int n, int m, const int *off, const int *lits)
         mark_clause(mark, lits_of(&p->set, q), width, 1);
         for (k = 0; k < width; k++) {
             int lit = lits_of(&p->set, q)[k];
-            const id_list *partners = &occ[lit_index(-lit)]; /* no resolvent on |lit| joins it */
-            long long j;
-            for (j = 0; j < partners->size; j++) {
-                long long b = partners->ids[j];
+            const id_list *partners = &occ[lit_index(-lit)];
+            long long j, b;
+            for (j = 0; j < partners->size && (b = partners->ids[j]) < q; j++) {
                 int w = resolve(mark, lits_of(&p->set, q), width, lits_of(&p->set, b), width_of(&p->set, b),
                                 abs(lit), 3, buf), added;
                 if (w < 0)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import get_type_hints
@@ -221,18 +222,18 @@ def summarize(records, timeout: float, currency: str = "flips") -> BenchmarkSumm
     paired statistics on those means."""
     solvers = sorted({r.solver_id for r in records})
     instances = sorted({r.instance_id for r in records})
+    values: dict[str, dict[str, list[float]]] = defaultdict(lambda: defaultdict(list))
+    solved, crashed = Counter(), Counter()
+    for r in records:  # one pass, so every sum below adds in record order
+        values[r.solver_id][r.instance_id].append(par2(r, timeout, currency))
+        solved[r.solver_id] += bool(r.solved)
+        crashed[r.solver_id] += bool(r.note)
     per_solver: dict[str, SolverSummary] = {}
     for sid in solvers:
-        per_instance = {}
-        for iid in instances:
-            values = [par2(r, timeout, currency) for r in records
-                      if r.solver_id == sid and r.instance_id == iid]
-            if values:
-                per_instance[iid] = sum(values) / len(values)
-        solved = sum(1 for r in records if r.solver_id == sid and r.solved)
-        crashed = sum(1 for r in records if r.solver_id == sid and r.note)
+        by_instance = values[sid]
+        per_instance = {iid: sum(by_instance[iid]) / len(by_instance[iid]) for iid in sorted(by_instance)}
         score = sum(per_instance.values())
-        per_solver[sid] = SolverSummary(sid, solved, score, per_instance, crashed)
+        per_solver[sid] = SolverSummary(sid, solved[sid], score, per_instance, crashed[sid])
     pairwise = []
     for i, sa in enumerate(solvers):
         for sb in solvers[i + 1 :]:

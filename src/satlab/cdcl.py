@@ -14,13 +14,14 @@ deterministic tests), and which learned clauses qualify (width <=
 `width_limit`).  A search records only the qualifying clauses, and
 mining exports their deduplicated prefix (or a seeded random subset).
 
-Every search is a fresh solve of one formula, and `_search` is the
-one path to it: `cdcl_solve_and_mine` and the backbone queries of
-`quality.compute_backbone` both go through it.  A search may take unit
-clauses to add after the formula's clauses (a backbone query's
-literals); they are attached as `formula.extended([(u,) for u in
-units])` would attach them, without building that formula.  It has two
-engines with one set of semantics:
+Every search is a fresh solve of one formula, and `_search` runs one:
+`cdcl_solve_and_mine` goes through it, and so do the backbone queries
+of `quality.compute_backbone` when the library is unavailable (the
+kernel runs a whole backbone in one call, `cdcl_backbone`).  A search
+may take unit clauses to add after the formula's clauses (a backbone
+query's literals); they are attached as `formula.extended([(u,) for u
+in units])` would attach them, without building that formula.  It has
+two engines with one set of semantics:
 
 - The compiled kernel (`_cdcl.c`, built and loaded by `satlab._native`)
   reads the formula's flat clause arrays (`Formula.offsets` and
@@ -30,7 +31,8 @@ engines with one set of semantics:
 - `CdclSolver` is the readable reference, run on the extended formula
   when the library is unavailable.
 
-Either way the model is checked here, against the formula and the units.
+Either way the model is checked here (`_check_model`), against the
+formula and the units.
 
 For equal arguments the two return equal `MiningOutcome`s: status,
 model, exported clauses, learned count, conflicts and records.  They
@@ -524,10 +526,16 @@ def _search(formula: Formula, budget: MiningBudget, seed: int, units: tuple[int,
         records, conflicts = solver.records, solver.conflicts
     else:
         status, model, records, conflicts = _mine_with_kernel(kernel, formula, budget, key, units)
-    if model is not None and not (eval_formula(formula, model)
-                                  and all(model[u] if u > 0 else not model[-u] for u in units)):
-        raise AssertionError("internal error: CDCL produced an invalid model")
+    if model is not None:
+        _check_model(formula, model, units)
     return status, None if model is None else list(map(bool, model)), records, conflicts
+
+
+def _check_model(formula: Formula, model, units) -> None:
+    """An AssertionError unless `model` (bools, or bytes as a kernel gives
+    it) satisfies `formula` and the unit clauses `units`."""
+    if not (eval_formula(formula, model) and all(model[u] if u > 0 else not model[-u] for u in units)):
+        raise AssertionError("internal error: CDCL produced an invalid model")
 
 
 def _mine_with_kernel(kernel, formula: Formula, budget: MiningBudget, key: array, units: tuple[int, ...]):

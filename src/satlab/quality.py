@@ -7,11 +7,15 @@ computing backbones of propositional formulae", AI Commun. 2015).  Only
 the literals of a first model are candidates.  A candidate l is in the
 backbone exactly when F and B and not-l is unsatisfiable, where B holds
 the backbone literals confirmed so far, added to F as unit clauses.
-Every model a query finds prunes the candidates it falsifies.  Each
-query runs on the miner's search path (`cdcl._search`), so on the
-compiled kernel when it can be built, and each model is checked.  A
-query passes the confirmed literals and not-l to the search as units
-after F's clauses, so no `Formula` is built per query.
+Every model a query finds prunes the candidates it falsifies.  A query
+passes the confirmed literals and not-l to a fresh search as units after
+F's clauses, so no `Formula` is built per query.  The compiled kernel
+(`cdcl_backbone` in `_cdcl.c`) runs the first search and every query in
+one call, from initial phases drawn once from the seed, and hands back
+the confirmed literals and every model found.  When the library is
+unavailable, `_backbone_by_queries`, the readable reference, runs each
+search on the miner's path (`cdcl._search`).  Either way every model is
+checked through `cdcl.eval_formula`, against F and its query's units.
 
 Two synthetic clause models measure how clause quality steers local
 search.  Both build 3-clauses around a backbone literal:
@@ -28,12 +32,14 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from . import cdcl
-from .cdcl import SAT, UNSAT, MiningBudget
+from . import _native, cdcl
+from .cdcl import BUDGET, SAT, UNSAT, MiningBudget
 from .cnf import Assignment, Clause, Formula, canonical_clause
+from .resolution import _check_count
 
 Backbone = frozenset[int]
 
@@ -54,14 +60,40 @@ def compute_backbone(formula: Formula, seed: int = 0, conflict_limit: int | None
     """Exact backbone via one fresh solve per candidate literal.
 
     `conflict_limit` bounds each individual solve, which no clock bounds;
-    exhausting it raises `BackboneBudgetError`.
+    exhausting it raises `BackboneBudgetError`.  The compiled kernel runs
+    every solve in one call; `_backbone_by_queries` is the reference.
     """
     budget = MiningBudget(wall_seconds=math.inf, conflict_limit=conflict_limit, width_limit=1)
+    kernel = _native.load()
+    if kernel is None:
+        return _backbone_by_queries(formula, budget, seed)
+    status, stopped, confirmed, models = _backbone_with_kernel(kernel, formula, conflict_limit, seed)
+    # candidates are queried in variable order, so a query's units are the
+    # literals confirmed below its variable, then its literal negated
+    found = [abs(lit) for lit in confirmed]
+    for lit, model in models:
+        cdcl._check_model(formula, model, (*confirmed[:bisect_left(found, abs(lit))], -lit) if lit else ())
+    if status == UNSAT:
+        raise FormulaUnsatisfiableError("formula has no satisfying assignment")
+    if status != SAT:
+        raise _budget_error(stopped, confirmed)
+    return frozenset(confirmed)
+
+
+def _budget_error(lit: int, confirmed: Iterable[int]) -> BackboneBudgetError:
+    """The error of a search that ran out: the query of `lit`, or the first search when `lit` is 0."""
+    where = f"while testing literal {lit}" if lit else "before a first model was found"
+    return BackboneBudgetError(f"budget exhausted {where}", confirmed)
+
+
+def _backbone_by_queries(formula: Formula, budget: MiningBudget, seed: int) -> Backbone:
+    """`compute_backbone` as one `cdcl._search` per query: the readable
+    reference of `cdcl_backbone` in `_cdcl.c`."""
     status, model, _, _ = cdcl._search(formula, budget, seed)
     if status == UNSAT:
         raise FormulaUnsatisfiableError("formula has no satisfying assignment")
     if status != SAT:
-        raise BackboneBudgetError("budget exhausted before a first model was found", set())
+        raise _budget_error(0, ())
     first = [v if model[v] else -v for v in range(1, formula.num_vars + 1)]
     candidates = set(first)
     confirmed: list[int] = []  # the backbone literals found so far, in the order found
@@ -74,8 +106,34 @@ def compute_backbone(formula: Formula, seed: int = 0, conflict_limit: int | None
         elif status == SAT:
             candidates &= {u if other[u] else -u for u in range(1, formula.num_vars + 1)}
         else:
-            raise BackboneBudgetError(f"budget exhausted while testing literal {lit}", confirmed)
+            raise _budget_error(lit, confirmed)
     return frozenset(confirmed)
+
+
+def _backbone_with_kernel(kernel, formula: Formula, conflict_limit: int | None, seed: int):
+    """(status, stopped, confirmed, models) of `cdcl_backbone`: how it
+    ended, the literal whose query ran out (0: the first search did), the
+    confirmed literals in the order found, and (tested literal, model
+    bytes) for every model a search found, the first search's tested
+    literal being 0."""
+    key = _native.seed_key(seed)
+    limit = -1 if conflict_limit is None else min(conflict_limit, _native.NO_LIMIT)
+    handle = kernel.cdcl_backbone(*_native.flat(formula), _native.address(key), len(key), limit)
+    if not handle:
+        raise MemoryError("the CDCL kernel ran out of memory computing a backbone")
+    try:
+        info = _native.zeros("q", 4)
+        kernel.backbone_info(handle, _native.address(info))
+        status, stopped, num_confirmed, num_models = info
+        width = formula.num_vars + 1
+        confirmed, tested = _native.zeros("i", num_confirmed), _native.zeros("i", num_models)
+        models = _native.zeros("B", num_models * width)
+        kernel.backbone_copy(handle, *map(_native.address, (confirmed, tested, models)))
+    finally:
+        kernel.backbone_free(handle)
+    blob = models.tobytes()
+    return ((BUDGET, SAT, UNSAT)[status], stopped, confirmed.tolist(),
+            [(lit, blob[i * width:(i + 1) * width]) for i, lit in enumerate(tested)])
 
 
 @dataclass(frozen=True)
@@ -130,6 +188,7 @@ def gen_deceptive(backbone: Backbone, t: int, seed: int) -> list[Clause]:
     """t clauses, each one backbone literal plus two complements of backbone
     literals over three distinct variables.  Sampled independently, so
     duplicates across the t clauses are possible."""
+    _check_count("t", t)
     bb = sorted(backbone, key=abs)
     if len(bb) < 3:
         raise ValueError(f"deceptive model needs a backbone over >= 3 variables, got {len(bb)}")
@@ -145,6 +204,7 @@ def gen_general(solution: Assignment, backbone: Backbone, t: int, seed: int) -> 
     """t clauses, each one backbone literal plus two uniformly random
     literals over distinct remaining variables.  Only `len(solution)`,
     the variable count plus one, is read."""
+    _check_count("t", t)
     bb = sorted(backbone, key=abs)
     if not bb:
         raise ValueError("general model needs a non-empty backbone")

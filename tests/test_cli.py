@@ -204,6 +204,16 @@ def test_inject_general_with_solution_file(tmp_path, capsys):
     assert enriched.num_clauses >= base.num_clauses
 
 
+def test_inject_rejects_a_negative_count(tmp_path, capsys):
+    # a negative --count used to write the formula back with "c injected 0"
+    cnf, out = tmp_path / "i.cnf", tmp_path / "inj.cnf"
+    run_cli(capsys, "gen", "-n", "20", "--ratio", "6", "--seed", "3", "--planted", "-o", str(cnf))
+    for model in ("deceptive", "general"):
+        with pytest.raises(ValueError, match="t must be an integer >= 0, got -5"):
+            main(["inject", str(cnf), "--model", model, "--count", "-5", "-o", str(out)])
+        assert not out.exists()
+
+
 def test_inject_conflict_limit_bounds_the_backbone(tmp_path, capsys):
     # without a limit the backbone of this uniform formula runs past 20 s
     cnf = tmp_path / "u.cnf"

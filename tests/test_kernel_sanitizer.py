@@ -6,7 +6,9 @@ that the clause sets grow and rehash and the learned DB is reduced, and
 frees everything.  The CDCL searches run with and without extra unit
 clauses, one of them over more than 2,000 input clauses (the clause
 arena and the pre-sized watch lists) past its first DB reduction.  It
-reads each pool in tuple order through its permutation.  It runs
+computes a backbone in one call to each of its three endings (every
+candidate decided, an unsatisfiable formula, a query out of conflicts)
+and reads each pool in tuple order through its permutation.  It runs
 probSAT for a flip budget on a k=3 formula and on the formula with no
 variables, whose literal and occurrence arrays are NULL, and generates
 clauses with seed keys of 1 and 7 words on both branches of
@@ -27,8 +29,9 @@ import pytest
 from satlab import _native
 from satlab.cdcl import BUDGET, SAT, UNSAT, MiningBudget, _search, cdcl_solve_and_mine
 from satlab.cnf import Formula, _flatten
-from satlab.generators import GenSpec, gen_uniform
+from satlab.generators import GenSpec, gen_planted, gen_uniform
 from satlab.pipeline import augment
+from satlab.quality import BackboneBudgetError, FormulaUnsatisfiableError, _backbone_with_kernel, compute_backbone
 from satlab.resolution import level1_resolvents, level2_resolvents, ternary_saturate
 from satlab.sls import FLIPS_EXHAUSTED, SOLVED, default_scoring_for, probsat_run
 
@@ -43,6 +46,12 @@ CDCL_SEED, CDCL_BUDGET = 1, MiningBudget(1e9, 4_000, width_limit=60, count_cap=2
 # whose every learned clause is recorded, so the records show the reduction
 UNITS, UNITS_BUDGET = (1, -2, 3), MiningBudget(1e9, 300, width_limit=60)
 BIG_UNITS, BIG_SEED, BIG_BUDGET = (4, -7), 2, MiningBudget(1e9, 2_400, width_limit=10**6)
+# a backbone run to its end on a planted formula, and on the same formula
+# out of conflicts in a query after one literal is confirmed; then an
+# unsatisfiable formula, whose first search learns clauses
+BACKBONE_SEED, BACKBONE_LIMIT = 1, 2
+BACKBONE_SPEC = GenSpec(n=20, k=3, ratio=4.26, seed=1, bias=0.618)
+NO_BACKBONE_SPEC = GenSpec(n=20, k=3, ratio=7.0, seed=3)
 LEVEL1_WIDTH, LEVEL2_WIDTH, PAIR_BUDGET = 3, 4, 3_000
 # more than 512 distinct additions: past the first doubling of augment's set
 ADDITIONS, ADDITION_SEED = 1_500, 4
@@ -67,6 +76,11 @@ long long cdcl_num_records(const void *s);
 long long cdcl_num_record_lits(const void *s);
 void cdcl_records(const void *s, long long *off, long long *index, int *lits);
 void cdcl_free(void *s);
+void *cdcl_backbone(int n, int m, const int *off, const int *lits, const uint32_t *key, int key_len,
+                    long long conflict_limit);
+void backbone_info(const void *b, long long *info);
+void backbone_copy(const void *b, int *confirmed, int *tested, unsigned char *models);
+void backbone_free(void *b);
 void *level1_pool(int n, int m, const int *off, const int *lits, int max_width);
 void *level2_pool(int n, int m, const int *off, const int *lits, int max_width, long long pair_budget);
 void *ternary_pool(int n, int m, const int *off, const int *lits);
@@ -90,6 +104,9 @@ static const uint32_t key[] = {@KEY@};
 static const int units[] = {@UNITS@};
 static const int big_off[] = {@BIG_OFF@}, big_lits[] = {@BIG_LITS@}, big_units[] = {@BIG_UNITS@};
 static const uint32_t big_key[] = {@BIG_KEY@};
+static const int bb_off[] = {@BB_OFF@}, bb_lits[] = {@BB_LITS@};
+static const int unsat_off[] = {@UNSAT_OFF@}, unsat_lits[] = {@UNSAT_LITS@};
+static const uint32_t bb_key[] = {@BB_KEY@};
 static const int res_off[] = {@RES_OFF@}, res_lits[] = {@RES_LITS@};
 static const int res_occ_off[] = {@RES_OCC_OFF@}, res_occ[] = {@RES_OCC@};
 static int add_off[] = {@ADD_OFF@}, add_lits[] = {@ADD_LITS@};
@@ -123,6 +140,41 @@ static int mine(int n, int m, const int *off, const int *lits, const int *units,
     free(index);
     free(rlits);
     cdcl_free(s);
+    return 0;
+}
+
+/* Compute a backbone; print its status, stopped literal, confirmed and
+ * model counts, then the confirmed literals, the tested literals and the
+ * models' bytes, and free it; 1 when out of memory. */
+static int backbone(int n, int m, const int *off, const int *lits, long long limit)
+{
+    void *b = cdcl_backbone(n, m, off, lits, bb_key, @BB_KEY_LEN@, limit);
+    long long info[4], i;
+    int *confirmed, *tested;
+    unsigned char *models;
+    if (!b)
+        return 1;
+    backbone_info(b, info);
+    confirmed = malloc((size_t)(info[2] + 1) * sizeof *confirmed);
+    tested = malloc((size_t)(info[3] + 1) * sizeof *tested);
+    models = malloc((size_t)(info[3] * (n + 1) + 1));
+    if (!confirmed || !tested || !models)
+        return 1;
+    backbone_copy(b, confirmed, tested, models);
+    printf("%lld %lld %lld %lld\n", info[0], info[1], info[2], info[3]);
+    for (i = 0; i < info[2]; i++)
+        printf("%s%d", i ? " " : "", confirmed[i]);
+    printf("\n");
+    for (i = 0; i < info[3]; i++)
+        printf("%s%d", i ? " " : "", tested[i]);
+    printf("\n");
+    for (i = 0; i < info[3] * (n + 1); i++)
+        putchar('0' + models[i]);
+    putchar('\n');
+    free(models);
+    free(tested);
+    free(confirmed);
+    backbone_free(b);
     return 0;
 }
 
@@ -213,6 +265,10 @@ int main(void)
         || mine(@BIG_N@, @BIG_M@, big_off, big_lits, big_units, @BIG_K@, big_key, @BIG_KEY_LEN@, @BIG_LIMIT@,
                 @BIG_WIDTH@, -1))
         return 1;
+    if (backbone(@BB_N@, @BB_M@, bb_off, bb_lits, -1)
+        || backbone(@BB_N@, @BB_M@, bb_off, bb_lits, @BB_LIMIT@)
+        || backbone(@UNSAT_N@, @UNSAT_M@, unsat_off, unsat_lits, -1))
+        return 1;
     if (print_pool(level1_pool(@RES_N@, @RES_M@, res_off, res_lits, @L1@), @L1@)
         || print_pool(level2_pool(@RES_N@, @RES_M@, res_off, res_lits, @L2@, @PAIRS@), @L2@)
         || print_pool(ternary_pool(@RES_N@, @RES_M@, res_off, res_lits), 3))
@@ -261,6 +317,16 @@ def _clause_lines(clauses) -> str:
 def _search_line(status, records, conflicts) -> str:
     """The driver's line for a search: status code, conflicts, records, record literals."""
     return f"{(BUDGET, SAT, UNSAT).index(status)} {conflicts} {len(records)} {sum(len(r.clause) for r in records)}"
+
+
+def _backbone_lines(lib, formula, limit) -> list[str]:
+    """The driver's four lines for `cdcl_backbone`, from the loaded library:
+    status, stopped literal and counts, the confirmed literals, the tested
+    literals and the models' bytes."""
+    status, stopped, confirmed, models = _backbone_with_kernel(lib, formula, limit, BACKBONE_SEED)
+    return [f"{(BUDGET, SAT, UNSAT).index(status)} {stopped} {len(confirmed)} {len(models)}",
+            " ".join(map(str, confirmed)), " ".join(str(lit) for lit, _ in models),
+            "".join(str(byte) for _, model in models for byte in model)]
 
 
 def _table(formula) -> array:
@@ -318,6 +384,8 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
     additions += additions[:300]
     added = _flatten(additions, res.offsets[-1])
     none = Formula(0, [])
+    planted, _ = gen_planted(BACKBONE_SPEC)
+    no_backbone = gen_uniform(NO_BACKBONE_SPEC)
     fields = {
         "CDCL_N": k5.num_vars, "CDCL_M": k5.num_clauses,
         "CDCL_OFF": _ints(k5.offsets), "CDCL_LITS": _ints(k5.literals),
@@ -330,6 +398,11 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
         "BIG_UNITS": _ints(BIG_UNITS), "BIG_K": len(BIG_UNITS),
         "BIG_KEY": _ints(_native.seed_key(BIG_SEED)), "BIG_KEY_LEN": len(_native.seed_key(BIG_SEED)),
         "BIG_LIMIT": BIG_BUDGET.conflict_limit, "BIG_WIDTH": BIG_BUDGET.width_limit,
+        "BB_N": planted.num_vars, "BB_M": planted.num_clauses,
+        "BB_OFF": _ints(planted.offsets), "BB_LITS": _ints(planted.literals), "BB_LIMIT": BACKBONE_LIMIT,
+        "BB_KEY": _ints(_native.seed_key(BACKBONE_SEED)), "BB_KEY_LEN": len(_native.seed_key(BACKBONE_SEED)),
+        "UNSAT_N": no_backbone.num_vars, "UNSAT_M": no_backbone.num_clauses,
+        "UNSAT_OFF": _ints(no_backbone.offsets), "UNSAT_LITS": _ints(no_backbone.literals),
         "RES_N": res.num_vars, "RES_M": res.num_clauses,
         "RES_OFF": _ints(res.offsets), "RES_LITS": _ints(res.literals),
         "L1": LEVEL1_WIDTH, "L2": LEVEL2_WIDTH, "PAIRS": PAIR_BUDGET,
@@ -365,16 +438,26 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
     # a learned clause of width >= 2 goes into the DB: more than the reduce cap
     # of input clauses plus units, with one to spare, means a DB reduction
     assert sum(len(r.clause) >= 2 for r in records) > big.num_clauses + len(BIG_UNITS) + 1
+    # the three backbone endings, as compute_backbone reports them
+    whole = compute_backbone(planted, BACKBONE_SEED)
+    with pytest.raises(BackboneBudgetError) as ran_out:
+        compute_backbone(planted, BACKBONE_SEED, BACKBONE_LIMIT)
+    assert ran_out.value.confirmed and ran_out.value.confirmed <= whole
+    with pytest.raises(FormulaUnsatisfiableError):
+        compute_backbone(no_backbone, BACKBONE_SEED)
     unbounded = level2_resolvents(res, LEVEL2_WIDTH, 10**9)
     level2 = level2_resolvents(res, LEVEL2_WIDTH, PAIR_BUDGET)
     assert len(level2) < len(unbounded)  # the pair budget binds
     level1 = level1_resolvents(res, LEVEL1_WIDTH)
     augmented = augment(res, additions)
     assert len(set(map(frozenset, additions))) > 512
+    lib = _native.load()
     expected = [
         _search_line(mined.status, mined.records, mined.conflicts),
         _search_line(with_units[0], with_units[2], with_units[3]),
         _search_line(status, records, conflicts),
+        *_backbone_lines(lib, planted, None), *_backbone_lines(lib, planted, BACKBONE_LIMIT),
+        *_backbone_lines(lib, no_backbone, None),
         _width_counts(level1.clauses, LEVEL1_WIDTH), _clause_lines(level1.clauses),
         _width_counts(level2.clauses, LEVEL2_WIDTH), _clause_lines(level2.clauses),
         _width_counts(ternary_saturate(res), 3), _clause_lines(sorted(ternary_saturate(res))),
@@ -386,7 +469,6 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
     assert (walked.status, walked.flips_used) == (FLIPS_EXHAUSTED, SLS_FLIPS)
     walked = probsat_run(none, SLS_FLIPS, SLS_SEED)
     assert (walked.status, walked.flips_used, walked.model) == (SOLVED, 0, [False])
-    lib = _native.load()
     expected += [_walk_line(lib, big, SLS_FLIPS, SLS_SEED), _walk_line(lib, none, SLS_FLIPS, SLS_SEED)]
     assert sorted(len(_native.seed_key(seed)) for seed in (GEN_SHORT_SEED, GEN_LONG_SEED)) == [1, 7]
     for case in GEN_CASES:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import oracles
@@ -52,6 +54,78 @@ def test_backbone_checks_every_model(monkeypatch):
     for _ in both_engines(monkeypatch):
         with pytest.raises(AssertionError, match="invalid model"):
             compute_backbone(f)
+
+
+def test_backbone_checks_a_later_model(monkeypatch):
+    # only the third model is wrong: the kernel returns it after every
+    # query has run, and its check must still catch it
+    f, _ = gen_planted(GenSpec(n=15, k=3, ratio=4.0, seed=0))
+    real = cdcl.eval_formula
+    for _ in both_engines(monkeypatch):
+        calls = []
+
+        def third_fails(formula, model):
+            calls.append(model)
+            return len(calls) != 3 and real(formula, model)
+
+        monkeypatch.setattr(cdcl, "eval_formula", third_fails)
+        with pytest.raises(AssertionError, match="invalid model"):
+            compute_backbone(f)
+        assert len(calls) >= 3
+
+
+def _random_formula(rng: random.Random) -> Formula:
+    """A small formula over n <= 14 variables, mostly of 3-clauses near the
+    threshold, with units, repeated and tautological clauses: many are
+    unsatisfiable, and a conflict limit of 0-3 ends some mid-way."""
+    n = rng.randint(0, 14)
+    if n == 0:
+        return Formula(0, rng.choice([[], [()]]))
+    clauses = []
+    for _ in range(rng.randint(2 * n, 5 * n)):
+        roll = rng.random()
+        if roll < 0.1 and clauses:
+            clauses.append(rng.choice(clauses))
+        elif roll < 0.2:
+            v = rng.randint(1, n)
+            clauses.append((v, -v, *([rng.randint(1, n)] if rng.random() < 0.5 else [])))
+        else:
+            vs = rng.sample(range(1, n + 1), min(n, rng.choice([1, 2, 3, 3, 3, 3, 3, 3, 4])))
+            clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
+    return Formula(n, clauses)
+
+
+def _backbone_outcome(formula, seed, limit):
+    """The backbone, or the error's type, message and `confirmed`."""
+    try:
+        return compute_backbone(formula, seed=seed, conflict_limit=limit)
+    except (FormulaUnsatisfiableError, BackboneBudgetError) as exc:
+        return type(exc), str(exc), getattr(exc, "confirmed", None)
+
+
+def test_kernel_backbone_matches_the_reference(monkeypatch):
+    rng = random.Random(2026)
+    cases = [(Formula(0, []), 0), (Formula(0, [()]), 0), (Formula(1, []), 1), (Formula(1, [(-1,)]), 2),
+             (Formula(1, [(1,), (-1,)]), 3), (Formula(1, [(1, -1)]), 2**40)]
+    cases += [(_random_formula(rng), rng.choice([0, 7, 2**40 + 3])) for _ in range(200)]
+    limits = (None, 0, 1, 2, 3)
+    outcomes, checked = {}, {}
+    real = cdcl.eval_formula
+    for engine in both_engines(monkeypatch):
+        models = checked[engine] = []  # every model checked, in the order found: the same searches ran
+        monkeypatch.setattr(cdcl, "eval_formula", lambda formula, model: models.append(bytes(model))
+                            or real(formula, model))
+        outcomes[engine] = [_backbone_outcome(f, seed, limit) for f, seed in cases for limit in limits]
+    assert outcomes["kernel"] == outcomes["reference"]
+    assert checked["kernel"] == checked["reference"]
+    kinds = {(o[0], bool(o[2])) if isinstance(o, tuple) else (frozenset, bool(o)) for o in outcomes["kernel"]}
+    assert kinds == {(frozenset, False), (frozenset, True), (FormulaUnsatisfiableError, False),
+                     (BackboneBudgetError, False), (BackboneBudgetError, True)}  # a limit ends some mid-way
+    for (f, _), unbounded in zip(cases, outcomes["kernel"][::len(limits)]):
+        if oracles.is_satisfiable(f.num_vars, f.clauses):
+            assert unbounded == oracles.brute_backbone(f.num_vars, f.clauses)
+        else:
+            assert unbounded[0] is FormulaUnsatisfiableError
 
 
 def _budget_error(formula, limit):
@@ -139,6 +213,14 @@ def test_deceptive_validation():
     with pytest.raises(ValueError):
         gen_deceptive(frozenset({1, 2}), 5, seed=0)
     assert gen_deceptive(frozenset({1, 2, 3}), 0, seed=0) == []
+
+
+@pytest.mark.parametrize("t", [-5, -1, 2.5, "3", None])
+def test_clause_models_reject_a_count_that_is_not_a_count(t):
+    with pytest.raises(ValueError, match="t must be an integer >= 0"):
+        gen_deceptive(frozenset({1, -2, 3}), t, seed=0)
+    with pytest.raises(ValueError, match="t must be an integer >= 0"):
+        gen_general([False, True, True, True], frozenset({1}), t, seed=0)
 
 
 def test_general_structure_and_correctness():
