@@ -9,10 +9,10 @@
  * variables.  Every step repeats the Python reference:
  *
  * - input clauses are attached in clause-id order with units enqueued
- *   at level 0, then the extra unit clauses a caller passes (the
- *   backbone queries' literals), as the reference attaches the formula
- *   extended by them; a clause keeps its literal order until propagation
- *   swaps literals exactly where the reference swaps them;
+ *   at level 0, then, in a backbone query, the query's literals as unit
+ *   clauses, as the reference attaches the formula extended by them; a
+ *   clause keeps its literal order until propagation swaps literals
+ *   exactly where the reference swaps them;
  * - a decision takes the unassigned variable of highest activity, ties
  *   to the lowest index, with the phase saved on backjump or, before the
  *   first backjump, drawn from the seed's key as the reference draws it
@@ -46,7 +46,7 @@
  * and the growth rule.  The phases come from the Mersenne Twister of
  * _mt.h, seeded as the probSAT kernel seeds it (mt_seed).  new_state takes
  * them drawn: cdcl_new draws them for its one search, and cdcl_backbone
- * draws them once for all of its searches.
+ * draws them once for all of its searches, the only ones with units.
  */
 
 #include <math.h>
@@ -622,12 +622,11 @@ static unsigned char *draw_phases(int n, const uint32_t *key, int key_len)
     return phases;
 }
 
-/* new_state with the phases drawn from the seed's key: the miner's solver. */
-cdcl_state *cdcl_new(int n, int m, const int *off, const int *lits, const int *units, int num_units,
-                     const uint32_t *key, int key_len)
+/* new_state with no units and the phases drawn from the seed's key: the miner's solver. */
+cdcl_state *cdcl_new(int n, int m, const int *off, const int *lits, const uint32_t *key, int key_len)
 {
     unsigned char *phases = draw_phases(n, key, key_len);
-    cdcl_state *s = phases ? new_state(n, m, off, lits, units, num_units, phases) : NULL;
+    cdcl_state *s = phases ? new_state(n, m, off, lits, NULL, 0, phases) : NULL;
     free(phases);
     return s;
 }
@@ -791,7 +790,7 @@ static int keep_model(backbone *b, const cdcl_state *s, int tested)
 }
 
 /* One fresh search of the formula with the units confirmed[0 ..
- * num_units), as satlab.cdcl._search runs a backbone's: no clock, no
+ * num_units), as satlab.cdcl._search runs it extended by them: no clock, no
  * count cap, and no record kept (width limit 0).  A model is kept with
  * the literal `tested`.  Returns BUDGET, SAT, UNSAT or OUT_OF_MEMORY. */
 static int query(backbone *b, int m, const int *off, const int *lits, const unsigned char *phases, int num_units,

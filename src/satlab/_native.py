@@ -2,13 +2,13 @@
 
 Seven modules run a kernel of it when it loads, and their readable Python
 reference when it does not: `sls` (the probSAT flip loop, `_probsat.c`),
-`cdcl` (the CDCL search of the miner, `_cdcl.c`), `quality` (the
-backbone's queries, in one call of `_cdcl.c`), `cnf` (the `Formula` index build, the DIMACS scan and emit,
-and the model check, `_cnf.c`), `pipeline` (the duplicate check of
-`augment`, `_cnf.c`), `generators` (`_gen.c`) and `resolution` (the
-level-1, level-2 and ternary pools, `_resolve.c`).  The C files share the
-Mersenne Twister of `random.Random` (`_mt.h`), which the randomised
-kernels seed from `seed_key(seed)`, and the clause store (`_clauses.h`).
+`cdcl` (the miner's CDCL search, `_cdcl.c`), `quality` (the backbone's
+queries, the only searches with unit clauses, in one call of `_cdcl.c`),
+`cnf` and `pipeline` (the `Formula` index build, the DIMACS scan and emit,
+the model check and `augment`'s duplicate check, `_cnf.c`), `generators`
+(`_gen.c`) and `resolution` (the level-1, level-2 and ternary pools,
+`_resolve.c`).  The C files share the Mersenne Twister of `random.Random`
+(`_mt.h`), seeded from `seed_key(seed)`, and the clause store (`_clauses.h`).
 
 The one switch between kernel and reference is `load()`: a module runs
 its reference when it returns None.  Inputs are checked where they are
@@ -63,7 +63,7 @@ _KERNEL_FUNCTIONS = (
     ("probsat_num_falsified", _i32, [_ptr]),
     ("probsat_assignment", None, [_ptr, _ptr]),
     ("probsat_free", None, [_ptr]),
-    ("cdcl_new", _ptr, [_i32, _i32, _ptr, _ptr, _ptr, _i32, _ptr, _i32]),
+    ("cdcl_new", _ptr, [_i32, _i32, _ptr, _ptr, _ptr, _i32]),
     ("cdcl_solve", _i32, [_ptr, _i64, ctypes.c_double, _i64, _i64]),
     ("cdcl_conflicts", _i64, [_ptr]),
     ("cdcl_num_records", _i64, [_ptr]),

@@ -47,12 +47,17 @@ class TrialRecord:
         return (self.instance_id, self.solver_id, self.seed, self.solved, self.flips)
 
 
-def par2(record: TrialRecord, timeout: float, currency: str = "flips") -> float:
-    """Measured cost if solved, twice the timeout otherwise."""
+def _check_cost(currency: str, timeout: float | None = None) -> None:
+    """A ValueError unless `currency` is "flips" or "seconds" and `timeout`, where given, is positive."""
     if currency not in ("flips", "seconds"):
         raise ValueError(f"unknown PAR2 currency {currency!r}")
-    if not timeout > 0:  # NaN fails too
+    if timeout is not None and not timeout > 0:  # NaN fails too
         raise ValueError("timeout must be positive")
+
+
+def par2(record: TrialRecord, timeout: float, currency: str = "flips") -> float:
+    """Measured cost if solved, twice the timeout otherwise."""
+    _check_cost(currency, timeout)
     if not record.solved:
         return 2.0 * timeout
     return float(record.flips) if currency == "flips" else record.seconds
@@ -168,10 +173,14 @@ def run_suite(
     """All (instance, solver, seed) trials, optionally in a process pool.
 
     Records come back sorted by (instance, solver, seed) regardless of
-    worker count or scheduling.  A suite with no budget is a ValueError.
+    worker count or scheduling.  A suite with no budget, or with no or a
+    repeated instance id, solver id or seed, is a ValueError.
     """
-    if not instances or not solvers:
-        raise ValueError("need at least one instance and one solver configuration")
+    for kind, keys in (("instance id", [iid for iid, _ in instances]),
+                       ("solver id", [config.solver_id for config in solvers]), ("seed", list(seeds))):
+        repeated = [key for key, count in Counter(keys).items() if count > 1]
+        if not keys or repeated:
+            raise ValueError(f"{kind} {repeated[0]!r} is repeated" if keys else f"need at least one {kind}")
     check_budgets(budget_seconds, budget_flips)
     tasks = [
         (iid, formula, config, seed, budget_flips, budget_seconds)
@@ -216,10 +225,19 @@ class BenchmarkSummary:
     pairwise: list[PairwiseStats]
 
 
+def _or_none(test, a, b):
+    """`test(a, b)`, or None when the samples cannot support the statistic."""
+    try:
+        return test(a, b)
+    except DegenerateInputError:
+        return None
+
+
 def summarize(records, timeout: float, currency: str = "flips") -> BenchmarkSummary:
     """Aggregate trials: per-instance mean PAR2, per-solver score (the sum
     of instance means) with solved and crashed counts, and pairwise
     paired statistics on those means."""
+    _check_cost(currency, timeout)
     solvers = sorted({r.solver_id for r in records})
     instances = sorted({r.instance_id for r in records})
     values: dict[str, dict[str, list[float]]] = defaultdict(lambda: defaultdict(list))
@@ -242,20 +260,9 @@ def summarize(records, timeout: float, currency: str = "flips") -> BenchmarkSumm
                       and iid in per_solver[sb].per_instance_par2]
             va = [per_solver[sa].per_instance_par2[iid] for iid in common]
             vb = [per_solver[sb].per_instance_par2[iid] for iid in common]
-            t = t_p = w = w_p = d = None
-            try:
-                t, t_p = paired_t_test(va, vb)
-            except DegenerateInputError:
-                pass
-            try:
-                w, w_p = wilcoxon_signed_rank(va, vb)
-            except DegenerateInputError:
-                pass
-            try:
-                d = cohens_d(va, vb)
-            except DegenerateInputError:
-                pass
-            pairwise.append(PairwiseStats(sa, sb, t, t_p, w, w_p, d))
+            t, t_p = _or_none(paired_t_test, va, vb) or (None, None)
+            w, w_p = _or_none(wilcoxon_signed_rank, va, vb) or (None, None)
+            pairwise.append(PairwiseStats(sa, sb, t, t_p, w, w_p, _or_none(cohens_d, va, vb)))
     return BenchmarkSummary(timeout, currency, per_solver, pairwise)
 
 
@@ -300,10 +307,9 @@ def summary_to_csv(summary: BenchmarkSummary) -> str:
 
 def cactus_to_csv(records, solver_id: str, currency: str = "seconds") -> str:
     """Sorted solve costs for one solver: the cactus-plot data series."""
-    costs = sorted(
-        (r.flips if currency == "flips" else r.seconds) for r in records
-        if r.solver_id == solver_id and r.solved
-    )
+    _check_cost(currency)
+    costs = sorted((r.flips if currency == "flips" else r.seconds)
+                   for r in records if r.solver_id == solver_id and r.solved)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["solved", currency])

@@ -16,23 +16,18 @@ mining exports their deduplicated prefix (or a seeded random subset).
 
 Every search is a fresh solve of one formula, and `_search` runs one:
 `cdcl_solve_and_mine` goes through it, and so do the backbone queries
-of `quality.compute_backbone` when the library is unavailable (the
-kernel runs a whole backbone in one call, `cdcl_backbone`).  A search
-may take unit clauses to add after the formula's clauses (a backbone
-query's literals); they are attached as `formula.extended([(u,) for u
-in units])` would attach them, without building that formula.  It has
-two engines with one set of semantics:
+of `quality.compute_backbone` without the library, each of the formula
+extended by unit clauses (only the kernel's one-call backbone,
+`cdcl_backbone`, passes a search units).  Two engines, one semantics:
 
 - The compiled kernel (`_cdcl.c`, built and loaded by `satlab._native`)
   reads the formula's flat clause arrays (`Formula.offsets` and
-  `literals`) and the units, and draws the initial phases from the seed's
-  key as `random.Random(seed)` draws them.  It lays the input clauses out
-  in one arena, and frees the learned clauses DB reduction drops.
-- `CdclSolver` is the readable reference, run on the extended formula
-  when the library is unavailable.
+  `literals`) and draws the initial phases from the seed's key as
+  `random.Random(seed)` draws them.  It lays the input clauses out in
+  one arena, and frees the learned clauses DB reduction drops.
+- `CdclSolver` is the readable reference, run without the library.
 
-Either way the model is checked here (`_check_model`), against the
-formula and the units.
+Either way the model is checked here (`_check_model`).
 
 For equal arguments the two return equal `MiningOutcome`s: status,
 model, exported clauses, learned count, conflicts and records.  They
@@ -502,32 +497,26 @@ def cdcl_solve_and_mine(formula: Formula, budget: MiningBudget, seed: int = 0) -
     )
 
 
-def _search(formula: Formula, budget: MiningBudget, seed: int, units: tuple[int, ...] = ()):
-    """(status, model, qualifying records, conflicts) of one fresh search
-    of `formula` with the unit clauses `units` after its clauses.
+def _search(formula: Formula, budget: MiningBudget, seed: int):
+    """(status, model, qualifying records, conflicts) of one fresh search of `formula`.
 
-    The compiled kernel runs it, and `CdclSolver` on
-    `formula.extended([(u,) for u in units])` does when the library is
+    The compiled kernel runs it, and `CdclSolver` does when the library is
     unavailable; both give the same result.  A seed that is not an int is
-    a ValueError on both.  A model is checked against `formula` and
-    `units` as the engine gives it, and a wrong one is an AssertionError;
-    it is returned as a list of bools.
+    a ValueError on both.  A model is checked against `formula` as the
+    engine gives it, and a wrong one is an AssertionError; it is returned
+    as a list of bools.
     """
-    n = formula.num_vars
-    for u in units:
-        if not (is_int_at_least(u, -n) and u <= n and u != 0):
-            raise ValueError(f"unit {u!r} is not a literal of variables 1..{n}")
     key = _native.seed_key(seed)
     kernel = _native.load()
     if kernel is None:
-        solver = CdclSolver(formula.extended([(u,) for u in units]), seed)
+        solver = CdclSolver(formula, seed)
         status = solver.solve(budget)
         model = solver.model() if status == SAT else None
         records, conflicts = solver.records, solver.conflicts
     else:
-        status, model, records, conflicts = _mine_with_kernel(kernel, formula, budget, key, units)
+        status, model, records, conflicts = _mine_with_kernel(kernel, formula, budget, key)
     if model is not None:
-        _check_model(formula, model, units)
+        _check_model(formula, model, ())
     return status, None if model is None else list(map(bool, model)), records, conflicts
 
 
@@ -538,12 +527,10 @@ def _check_model(formula: Formula, model, units) -> None:
         raise AssertionError("internal error: CDCL produced an invalid model")
 
 
-def _mine_with_kernel(kernel, formula: Formula, budget: MiningBudget, key: array, units: tuple[int, ...]):
+def _mine_with_kernel(kernel, formula: Formula, budget: MiningBudget, key: array):
     """(status, model, qualifying records, conflicts) of one kernel search,
     seeded with the seed's `key`; the model is bytes."""
-    unit_lits = array("i", units)  # referenced until cdcl_new has read it
-    state = kernel.cdcl_new(*_native.flat(formula), _native.address(unit_lits), len(unit_lits),
-                            _native.address(key), len(key))
+    state = kernel.cdcl_new(*_native.flat(formula), _native.address(key), len(key))
     if not state:
         raise MemoryError("cannot allocate the CDCL kernel state")
     try:

@@ -32,7 +32,7 @@ from .pipeline import OVERRIDABLE, WALL_BUDGET_DEFAULT, augment, percent_cap, ru
 from .quality import compute_backbone, gen_deceptive, gen_general, quality_report
 from .resolution import level1_resolvents, level2_resolvents, sample_pool, ternary_saturate
 from .sls import ScoringFunction, probsat_run
-from .stats import cohens_d, paired_t_test, welch_t_test, wilcoxon_signed_rank
+from .stats import DegenerateInputError, cohens_d, paired_t_test, welch_t_test, wilcoxon_signed_rank
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -257,23 +257,27 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    columns = ([], [])
     with open(args.csv_file, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    try:
-        a = [float(r[args.column_a]) for r in rows]
-        b = [float(r[args.column_b]) for r in rows]
-    except KeyError as exc:
-        print(f"no such column: {exc}", file=sys.stderr)
-        return 1
-    if args.unpaired:
-        t, p = welch_t_test(a, b)
-        print(f"welch_t={t:.9g} p={p:.9g}")
-    else:
-        t, p = paired_t_test(a, b)
-        print(f"t={t:.9g} p={p:.9g}")
-        w, wp = wilcoxon_signed_rank(a, b)
-        print(f"wilcoxon_w={w:.9g} p={wp:.9g}")
-    print(f"cohens_d={cohens_d(a, b):.9g}")
+        reader = csv.DictReader(fh)
+        for row in reader:
+            for name, values in zip((args.column_a, args.column_b), columns):
+                try:
+                    values.append(float(row[name]))
+                except KeyError:
+                    print(f"no such column: {name!r}", file=sys.stderr)
+                    return 1
+                except (TypeError, ValueError):  # TypeError: a short row has no cell
+                    print(f"line {reader.line_num}, column {name!r}: {row[name]!r} is not a number", file=sys.stderr)
+                    return 1
+    tests = {"welch_t": welch_t_test} if args.unpaired else {"t": paired_t_test, "wilcoxon_w": wilcoxon_signed_rank}
+    tests["cohens_d"] = lambda a, b: (cohens_d(a, b),)  # each test gives (statistic, p) or (statistic,)
+    for name, test in tests.items():
+        try:
+            print(f"{name}=" + " p=".join(f"{value:.9g}" for value in test(*columns)))
+        except DegenerateInputError as exc:
+            print(f"{name}=n/a")
+            print(f"{name}: {exc}", file=sys.stderr)
     return 0
 
 
@@ -353,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--budget", type=float, default=WALL_BUDGET_DEFAULT)
     p.add_argument("--seed", type=int, default=0)
-    # the `Strategy` settings, each stored under its field name (`pipeline.OVERRIDABLE`)
+    # five `Strategy` settings (`pipeline.OVERRIDABLE`) by field name; `early_stop` and `scoring` have no flag
     p.add_argument("--miner-seconds", type=float, default=None, dest="miner_seconds")
     p.add_argument("--miner-conflicts", type=int, default=None, dest="miner_conflict_limit")
     p.add_argument("--width-limit", type=int, default=None, dest="width_limit")

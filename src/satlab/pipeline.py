@@ -24,9 +24,10 @@ arguments.
 The track's settings, the miner's conflict limit among them, are a
 `Strategy`, and it is the only configuration `run_hybrid` reads besides
 its seed and budgets.  Its fields but `track` are the one list of
-overridable settings (`OVERRIDABLE`), which `SolverConfig` and the
-`satlab solve` flags also use.  To change a setting, name the field:
-`run_hybrid(f, strategy=select_strategy(f, initial_flips=1000))`.
+overridable settings (`OVERRIDABLE`), which `SolverConfig` uses; the
+`satlab solve` flags set five (`initial_flips`, `miner_seconds`,
+`miner_conflict_limit`, `width_limit`, `count_cap_percent`).  Name the
+field: `run_hybrid(f, strategy=select_strategy(f, initial_flips=1000))`.
 """
 
 from __future__ import annotations

@@ -7,15 +7,15 @@ computing backbones of propositional formulae", AI Commun. 2015).  Only
 the literals of a first model are candidates.  A candidate l is in the
 backbone exactly when F and B and not-l is unsatisfiable, where B holds
 the backbone literals confirmed so far, added to F as unit clauses.
-Every model a query finds prunes the candidates it falsifies.  A query
-passes the confirmed literals and not-l to a fresh search as units after
-F's clauses, so no `Formula` is built per query.  The compiled kernel
-(`cdcl_backbone` in `_cdcl.c`) runs the first search and every query in
-one call, from initial phases drawn once from the seed, and hands back
+Every model a query finds prunes the candidates it falsifies.  The
+compiled kernel (`cdcl_backbone` in `_cdcl.c`) runs the first search and
+every query in one call, from initial phases drawn once from the seed,
+passing each query's literals to a fresh search as units, and hands back
 the confirmed literals and every model found.  When the library is
 unavailable, `_backbone_by_queries`, the readable reference, runs each
-search on the miner's path (`cdcl._search`).  Either way every model is
-checked through `cdcl.eval_formula`, against F and its query's units.
+query as a `cdcl._search` of F extended by those unit clauses.  Either
+way every model is checked through `cdcl.eval_formula`, against F and
+its query's units.
 
 Two synthetic clause models measure how clause quality steers local
 search.  Both build 3-clauses around a backbone literal:
@@ -100,7 +100,7 @@ def _backbone_by_queries(formula: Formula, budget: MiningBudget, seed: int) -> B
     for lit in first:
         if lit not in candidates:
             continue
-        status, other, _, _ = cdcl._search(formula, budget, seed, units=(*confirmed, -lit))
+        status, other, _, _ = cdcl._search(formula.extended([(u,) for u in (*confirmed, -lit)]), budget, seed)
         if status == UNSAT:
             confirmed.append(lit)
         elif status == SAT:
@@ -155,11 +155,12 @@ def quality_report(clauses, solution: Assignment) -> QualityReport:
     for cid, clause in enumerate(clauses):
         correct = 0
         for lit in clause:
-            v = abs(lit)
-            if v >= top:
-                raise ValueError(f"solution does not cover variable {v}")
-            if solution[v] if lit > 0 else not solution[v]:
-                correct += 1
+            if lit > 0 and lit < top:
+                correct += 1 if solution[lit] else 0
+            elif lit < 0 and -lit < top:
+                correct += 0 if solution[-lit] else 1
+            else:
+                raise ValueError(f"literal {lit} out of range 1..{top - 1} in clause {cid}")
         width = len(clause)
         rows.append((cid, correct, width, correct / width if width else 0.0))
     if not rows:

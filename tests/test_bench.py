@@ -46,6 +46,15 @@ def test_par2_validation():
         par2(rec(solved=False), timeout=float("nan"), currency="seconds")  # `bench --timeout nan`
     with pytest.raises(ValueError):
         par2(rec(), timeout=10, currency="parsecs")
+    # summarize checks before it reads a record, and cactus_to_csv checks its currency:
+    # "flip" used to write the seconds of each trial truncated to an int
+    for records in ([], [rec()]):
+        with pytest.raises(ValueError, match="unknown PAR2 currency 'bogus'"):
+            summarize(records, 10, "bogus")
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            summarize(records, float("nan"))
+    with pytest.raises(ValueError, match="unknown PAR2 currency 'flip'"):
+        cactus_to_csv([rec(sid="s", flips=123, seconds=1.75)], "s", currency="flip")
 
 
 def test_default_flip_timeouts():
@@ -319,11 +328,26 @@ def test_run_suite_parallel_matches_serial():
     assert [r.key() for r in serial] == [r.key() for r in parallel]
 
 
-def test_run_suite_validation():
+def test_run_suite_validation(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench, "run_hybrid", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ValueError):
         run_suite([], [SolverConfig("s")], seeds=[0])
     with pytest.raises(ValueError):
         run_suite([("a", Formula(1, [(1,)]))], [], seeds=[0])
+    with pytest.raises(ValueError, match="one seed"):
+        run_suite([("a", Formula(1, [(1,)]))], [SolverConfig("s")], seeds=[], budget_flips=10)
+    # (instance, solver, seed) keys each trial: a repeated one used to merge two trials' records
+    f, g = Formula(1, [(1,)]), Formula(1, [(-1,)])
+    exp = ScoringFunction("exp", 3.0)
+    for instances, solvers, seeds, repeated in (
+        ([("x.cnf", f), ("x.cnf", g)], [SolverConfig("s")], [0], "instance id 'x.cnf'"),
+        ([("x.cnf", f)], [SolverConfig("s"), SolverConfig("s", scoring=exp)], [0, 1], "solver id 's'"),
+        ([("x.cnf", f)], [SolverConfig("s")], [0, 1, 0], "seed 0"),
+    ):
+        with pytest.raises(ValueError, match=f"{repeated} is repeated"):
+            run_suite(instances, solvers, seeds, budget_flips=10)
+    assert calls == []
 
 
 def test_summarize_scores():

@@ -3,18 +3,20 @@
 `cdcl_solve_and_mine` runs the kernel whenever it loads, and `CdclSolver`
 when the loader returns None.  For equal arguments both must return an
 equal `MiningOutcome`: status, model, exported clauses, learned count,
-conflicts and records.  A search with unit clauses passed to `_search`
-must equal, on each engine, the search of the formula extended by them.
+conflicts and records.  A backbone query, whose literals `cdcl_backbone`
+passes to a search as unit clauses, must equal the reference's search
+of the formula extended by them.
 """
 
 import random
 
 import pytest
 
-from satlab import _native
-from satlab.cdcl import BUDGET, SAT, UNSAT, CdclSolver, MiningBudget, _search, cdcl_solve_and_mine
+from satlab import _native, cdcl
+from satlab.cdcl import BUDGET, SAT, UNSAT, CdclSolver, MiningBudget, cdcl_solve_and_mine
 from satlab.cnf import Formula
 from satlab.generators import GenSpec, gen_planted, gen_uniform
+from satlab.quality import BackboneBudgetError, FormulaUnsatisfiableError, compute_backbone
 
 NO_WALL = 1e9
 # (solver seed, conflict limits): the kernel draws its initial phases from the
@@ -23,18 +25,19 @@ SEED_LIMITS = ((7, (0, 1, 150, 2_500)), (-12, (0, 1, 150, 2_500)),
                (0, (1, 150)), (-7, (1, 150)), (2**32, (1, 150)), (2**200, (1, 150)))
 
 
-def reference(formula, budget, seed, search=cdcl_solve_and_mine, **kwargs):
+def reference(search, *args):
+    """`search(*args)` with every module on its Python reference."""
     real = _native.load
     _native.load = lambda: None
     try:
-        return search(formula, budget, seed, **kwargs)
+        return search(*args)
     finally:
         _native.load = real
 
 
 def assert_same(formula, budget, seed):
     fast = cdcl_solve_and_mine(formula, budget, seed)
-    ref = reference(formula, budget, seed)
+    ref = reference(cdcl_solve_and_mine, formula, budget, seed)
     assert fast == ref, f"{formula!r} {budget} seed={seed}"
     assert all(len(r.clause) <= budget.width_limit for r in fast.records)
     return fast
@@ -188,76 +191,64 @@ def test_mining_without_kernel_gives_the_same_results(monkeypatch):
     assert [cdcl_solve_and_mine(*case) for case in cases] == expected
 
 
-def assert_units_equal_extended(formula, budget, seed, units):
-    """`_search(formula, ..., units=units)` equals the search of the formula
-    extended by the units on the kernel and on the reference, and the two
-    engines agree: status, model, records and conflicts."""
-    extended = formula.extended([(u,) for u in units])
-    fast = _search(formula, budget, seed, units=units)
-    assert fast == _search(extended, budget, seed), f"{formula!r} {budget} seed={seed} units={units}"
-    ref = reference(formula, budget, seed, _search, units=units)
-    assert ref == reference(extended, budget, seed, _search), f"{formula!r} {budget} seed={seed} units={units}"
-    assert fast == ref
-    return fast
+def backbone_searches(formula, seed, limit):
+    """`compute_backbone`'s backbone, or its error's type, message and
+    `confirmed`, and every model it checked, in the order checked."""
+    models = []
+    real = cdcl.eval_formula
+    cdcl.eval_formula = lambda f, model: models.append(bytes(model)) or real(f, model)
+    try:
+        return compute_backbone(formula, seed, limit), models
+    except (FormulaUnsatisfiableError, BackboneBudgetError) as exc:
+        return (type(exc), str(exc), getattr(exc, "confirmed", None)), models
+    finally:
+        cdcl.eval_formula = real
+
+
+def assert_backbones_equal(formula, seed, limit=None):
+    """The kernel's backbone, whose queries pass their literals to
+    `new_state` as units, equals the reference's, which searches the
+    formula extended by them: the same outcome and the same models in the
+    same order, so the same searches ran."""
+    fast = backbone_searches(formula, seed, limit)
+    assert fast == reference(backbone_searches, formula, seed, limit), f"{formula!r} seed={seed} limit={limit}"
+    return fast[0]
 
 
 def test_units_count_in_the_reduce_cap(kernel):
-    """m = 1,999 input clauses and 2 units: the first DB reduction comes
-    past 2,001 learned clauses, not 2,000, and the search runs past it."""
-    full = gen_uniform(GenSpec(n=470, k=3, ratio=4.26, seed=7))
-    formula = Formula(full.num_vars, full.clauses[:1_999])
-    units, budget, seed = (5, -9), MiningBudget(NO_WALL, 2_300, width_limit=4), 3
-    status, _, records, conflicts = assert_units_equal_extended(formula, budget, seed, units)
-    assert (status, conflicts) == (BUDGET, 2_300) and records
-    solver = CdclSolver(formula.extended([(u,) for u in units]), seed)
-    solver.solve(budget)
-    assert solver._reduce_cap == 2_001 + 2_001 // 2  # reduced once, from a cap that counts the units
+    """A query's units count in its DB-reduction cap, max(2000, m + units).
+
+    30 forced unit clauses, a guard x, a uniform k=3 core with x added to
+    every clause, and tautologies up to m = 2,000 clauses.  The first model
+    sets x, so x's query is the core with all 30 forced literals confirmed:
+    31 units, a cap of 2,031, and a search past it to a model.  With a cap
+    of 2,000 the kernel finds another model."""
+    core = gen_uniform(GenSpec(n=160, k=3, ratio=4.2, seed=6))
+    forced, x, seed = 30, 31, 2
+    clauses = [(v,) for v in range(1, forced + 1)]
+    clauses += [(x, *(lit + x if lit > 0 else lit - x for lit in clause)) for clause in core.clauses]
+    clauses += [(1, -1)] * (2_000 - len(clauses))
+    formula = Formula(x + core.num_vars, clauses)
+    backbone = assert_backbones_equal(formula, seed)
+    assert backbone == set(range(1, forced + 1))
+    query = formula.extended([(u,) for u in (*range(1, forced + 1), -x)])
+    out = cdcl_solve_and_mine(query, MiningBudget(NO_WALL, width_limit=query.num_vars), seed)
+    # every learned clause of width >= 2 enters the DB: more than the cap,
+    # with one to spare, means a reduction
+    assert out.status == SAT and sum(len(r.clause) >= 2 for r in out.records) > 2_000 + forced + 1 + 1
 
 
 def test_units_equal_the_extended_formula_on_edge_cases(kernel):
+    """Backbone queries whose units contradict a formula unit, are implied
+    by the formula's units, or end on a conflict limit mid-way."""
     implied = Formula(4, [(1,), (-1, 2), (-2, 3, 4), (-3, -4), (3, -4, 1)])
+    planted, _ = gen_planted(GenSpec(n=40, k=3, ratio=4.26, seed=3))
     hard = gen_uniform(GenSpec(n=60, k=3, ratio=4.26, seed=2))
-    cases = [
-        (implied, (-1,)),         # contradicts a formula unit
-        (implied, (4, -1)),       # the same, after a unit that holds
-        (implied, (3, -3)),       # contradicts an earlier unit
-        (implied, (3, 3)),        # repeated
-        (implied, (4, 2, 4, 2)),  # repeated, one of them implied
-        (implied, (2,)),          # implied by the formula's units
-        (implied, (1,)),          # equal to a formula unit
-        (Formula(3, [(1, 2), ()]), (3,)),  # after an empty clause
-        (Formula(3, []), (-2, 1)),
-        (hard, (1, -2, 3)),
-        (hard, (7, 7, -8)),
-        (hard, (-20,)),
-    ]
-    statuses = set()
-    for formula, units in cases:
+    formulas = [implied, planted, hard, Formula(3, [(1, 2), ()]), Formula(3, []), Formula(3, [(2,), (-2, 3)])]
+    kinds = set()
+    for formula in formulas:
         for seed in (0, 5):
             for limit in (0, 1, 200, None):
-                statuses.add(assert_units_equal_extended(formula, MiningBudget(NO_WALL, limit), seed, units)[0])
-    assert statuses == {SAT, UNSAT, BUDGET}
-
-
-def test_units_equal_the_extended_formula_on_small_random_formulas(kernel):
-    """Unsorted clauses with repeats, tautologies and units, and units
-    that repeat, contradict or are implied by the formula; the units end
-    most runs at level 0, so the edge cases above cover the budget."""
-    rng = random.Random(2026)
-    statuses = set()
-    for _ in range(200):
-        n = rng.randint(1, 12)
-        widths = [rng.choice((1, 2, 3, 3, 3, 3, 4)) for _ in range(rng.randint(0, 5 * n))]
-        formula = Formula(n, [[rng.choice((1, -1)) * rng.randint(1, n) for _ in range(w)] for w in widths])
-        units = tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 3)))
-        budget = MiningBudget(NO_WALL, rng.choice((None, 0, 1, 3, 40)), width_limit=rng.randint(1, 5))
-        statuses.add(assert_units_equal_extended(formula, budget, rng.randint(-2**40, 2**40), units)[0])
-    assert {SAT, UNSAT} <= statuses
-
-
-@pytest.mark.parametrize("unit", [0, 4, -4, 2**40, 1.0, "1"])
-def test_units_outside_the_formula_are_rejected_on_both_engines(unit):
-    formula = Formula(3, [(1, 2, 3)])
-    for engine in (_search, lambda *args, **kwargs: reference(*args, _search, **kwargs)):
-        with pytest.raises(ValueError, match="is not a literal of variables 1..3"):
-            engine(formula, MiningBudget(NO_WALL, 10), 0, units=(1, unit))
+                out = assert_backbones_equal(formula, seed, limit)
+                kinds.add(out[0] if isinstance(out, tuple) else frozenset)
+    assert kinds == {frozenset, FormulaUnsatisfiableError, BackboneBudgetError}

@@ -445,6 +445,22 @@ def test_bench_outputs(tmp_path, capsys):
     assert "probsat: solved" in out
 
 
+def test_bench_rejects_trials_that_share_a_key(tmp_path, capsys):
+    # two files named x.cnf used to run as one instance, and --runs 0 to write empty CSVs
+    for name in ("d1", "d2"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "x.cnf").write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
+    config = tmp_path / "solvers.json"
+    config.write_text(json.dumps({"id": "s"}))
+    out_dir = tmp_path / "out"
+    args = ["bench", "--solver-config", str(config), "--budget-flips", "100", "--out-dir", str(out_dir)]
+    with pytest.raises(ValueError, match="instance id 'x.cnf' is repeated"):
+        main([*args, "--instances", str(tmp_path / "d1" / "*.cnf"), str(tmp_path / "d2" / "*.cnf")])
+    with pytest.raises(ValueError, match="one seed"):
+        main([*args, "--instances", str(tmp_path / "d1" / "*.cnf"), "--runs", "0"])
+    assert not out_dir.exists()
+
+
 def test_bench_without_a_budget_is_an_error(tmp_path, capsys):
     # it used to run every trial unbounded and then crash in `summarize` on a None timeout
     cnf = tmp_path / "x.cnf"
@@ -485,3 +501,30 @@ def test_stats_bad_column(tmp_path, capsys):
     code, _, err = run_cli(capsys, "stats", str(csv_file), "a", "zz")
     assert code == 1
     assert "no such column" in err
+
+
+def test_stats_prints_every_statistic_that_exists(tmp_path, capsys):
+    # a constant nonzero difference has no t statistic; the t-test's error used to end the command
+    csv_file = tmp_path / "d.csv"
+    csv_file.write_text("a,b\n1,2\n2,3\n3,4\n")
+    code, out, err = run_cli(capsys, "stats", str(csv_file), "a", "b")
+    assert code == 0
+    assert out.splitlines() == ["t=n/a", "wilcoxon_w=0 p=0.25", "cohens_d=-1"]
+    assert err == "t: differences are constant and nonzero (zero variance)\n"
+    csv_file.write_text("a,b\n1,2\n")
+    code, out, err = run_cli(capsys, "stats", str(csv_file), "a", "b", "--unpaired")
+    assert (code, out.splitlines()) == (0, ["welch_t=n/a", "cohens_d=n/a"])
+    assert err.splitlines() == ["welch_t: Welch t-test needs at least 2 observations per sample",
+                                "cohens_d: Cohen's d needs at least 2 observations per sample"]
+
+
+def test_stats_names_a_cell_that_is_not_a_number(tmp_path, capsys):
+    csv_file = tmp_path / "d.csv"
+    csv_file.write_text("a,b\n1,2\nx,3\n")
+    code, out, err = run_cli(capsys, "stats", str(csv_file), "a", "b")
+    assert (code, out) == (1, "")
+    assert err == "line 3, column 'a': 'x' is not a number\n"
+    csv_file.write_text("a,b\n1,2\n3\n")  # a short row has no cell for b
+    code, out, err = run_cli(capsys, "stats", str(csv_file), "a", "b")
+    assert (code, out) == (1, "")
+    assert err == "line 3, column 'b': None is not a number\n"

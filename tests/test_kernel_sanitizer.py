@@ -3,12 +3,13 @@
 A small C driver calls the CDCL and resolution entry points and the
 duplicate check of `augment` on fixed flat formula arrays, far enough
 that the clause sets grow and rehash and the learned DB is reduced, and
-frees everything.  The CDCL searches run with and without extra unit
-clauses, one of them over more than 2,000 input clauses (the clause
-arena and the pre-sized watch lists) past its first DB reduction.  It
-computes a backbone in one call to each of its three endings (every
-candidate decided, an unsatisfiable formula, a query out of conflicts)
-and reads each pool in tuple order through its permutation.  It runs
+frees everything.  One of its two CDCL searches runs over more than
+2,000 input clauses (the clause arena and the pre-sized watch lists)
+past its first DB reduction.  It computes a backbone in one call to each
+of its three endings (every candidate decided, an unsatisfiable formula,
+a query out of conflicts), whose queries pass their literals to a
+search as unit clauses, and reads each pool in tuple order through its
+permutation.  It runs
 probSAT for a flip budget on a k=3 formula and on the formula with no
 variables, whose literal and occurrence arrays are NULL, and generates
 clauses with seed keys of 1 and 7 words on both branches of
@@ -16,6 +17,9 @@ clauses with seed keys of 1 and 7 words on both branches of
 `-fsanitize=address,undefined -fno-sanitize-recover=all`, it must exit 0
 with nothing on stderr (LeakSanitizer reports a leak there), and print
 what the library loaded by `satlab._native` gives for the same calls.
+The driver declares each entry point by hand; with GCC it is built with
+link-time optimisation, which compares every declaration with its
+definition, and a mismatch fails the build.
 """
 
 import os
@@ -27,7 +31,7 @@ from collections import Counter
 import pytest
 
 from satlab import _native
-from satlab.cdcl import BUDGET, SAT, UNSAT, MiningBudget, _search, cdcl_solve_and_mine
+from satlab.cdcl import BUDGET, SAT, UNSAT, MiningBudget, cdcl_solve_and_mine
 from satlab.cnf import Formula, _flatten
 from satlab.generators import GenSpec, gen_planted, gen_uniform
 from satlab.pipeline import augment
@@ -37,15 +41,16 @@ from satlab.sls import FLIPS_EXHAUSTED, SOLVED, default_scoring_for, probsat_run
 
 SANITIZE = ("-O1", "-g", "-fno-omit-frame-pointer", "-ffp-contract=off",
             "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+# GCC's link-time optimiser reports a declaration whose type differs from the definition's
+GCC_LTO = ("-flto", "-Werror=lto-type-mismatch")
 ENV = {**os.environ, "ASAN_OPTIONS": "detect_leaks=1", "UBSAN_OPTIONS": "print_stacktrace=1"}
 
 # cap 2,500 distinct clauses: past the first DB reduction (2,000 learned
 # clauses) and past 512 distinct ones, where the set's table doubles
 CDCL_SEED, CDCL_BUDGET = 1, MiningBudget(1e9, 4_000, width_limit=60, count_cap=2_500, early_stop=True)
-# the same formula with three units, and 2,045 input clauses with two units
-# whose every learned clause is recorded, so the records show the reduction
-UNITS, UNITS_BUDGET = (1, -2, 3), MiningBudget(1e9, 300, width_limit=60)
-BIG_UNITS, BIG_SEED, BIG_BUDGET = (4, -7), 2, MiningBudget(1e9, 2_400, width_limit=10**6)
+# 2,045 input clauses, whose every learned clause is recorded, so the
+# records show the reduction
+BIG_SEED, BIG_BUDGET = 2, MiningBudget(1e9, 2_400, width_limit=10**6)
 # a backbone run to its end on a planted formula, and on the same formula
 # out of conflicts in a query after one literal is confirmed; then an
 # unsatisfiable formula, whose first search learns clauses
@@ -68,8 +73,7 @@ DRIVER = r"""
 #include <stdio.h>
 #include <stdlib.h>
 
-void *cdcl_new(int n, int m, const int *off, const int *lits, const int *units, int num_units,
-               const uint32_t *key, int key_len);
+void *cdcl_new(int n, int m, const int *off, const int *lits, const uint32_t *key, int key_len);
 int cdcl_solve(void *s, long long conflict_limit, double wall_seconds, long long width_limit, long long count_cap);
 long long cdcl_conflicts(const void *s);
 long long cdcl_num_records(const void *s);
@@ -101,8 +105,7 @@ int gen_clauses(int n, int k, long long m, int use_pool, double bias, unsigned c
 
 static const int cdcl_off[] = {@CDCL_OFF@}, cdcl_lits[] = {@CDCL_LITS@};
 static const uint32_t key[] = {@KEY@};
-static const int units[] = {@UNITS@};
-static const int big_off[] = {@BIG_OFF@}, big_lits[] = {@BIG_LITS@}, big_units[] = {@BIG_UNITS@};
+static const int big_off[] = {@BIG_OFF@}, big_lits[] = {@BIG_LITS@};
 static const uint32_t big_key[] = {@BIG_KEY@};
 static const int bb_off[] = {@BB_OFF@}, bb_lits[] = {@BB_LITS@};
 static const int unsat_off[] = {@UNSAT_OFF@}, unsat_lits[] = {@UNSAT_LITS@};
@@ -119,10 +122,10 @@ static const uint32_t short_key[] = {@SHORT_KEY@}, long_key[] = {@LONG_KEY@};
 
 /* Search, print the status, conflicts, records and record literals, and
  * free the state; 1 when out of memory. */
-static int mine(int n, int m, const int *off, const int *lits, const int *units, int num_units,
-                const uint32_t *key, int key_len, long long limit, long long width, long long cap)
+static int mine(int n, int m, const int *off, const int *lits, const uint32_t *key, int key_len, long long limit,
+                long long width, long long cap)
 {
-    void *s = cdcl_new(n, m, off, lits, units, num_units, key, key_len);
+    void *s = cdcl_new(n, m, off, lits, key, key_len);
     long long r, *roff, *index;
     int *rlits, code;
     if (!s)
@@ -259,11 +262,8 @@ static int gen(int n, long long m, int use_pool, double bias, int planted, const
 int main(void)
 {
     long long r;
-    if (mine(@CDCL_N@, @CDCL_M@, cdcl_off, cdcl_lits, NULL, 0, key, @KEY_LEN@, @LIMIT@, @WIDTH@, @CAP@)
-        || mine(@CDCL_N@, @CDCL_M@, cdcl_off, cdcl_lits, units, @UNITS_K@, key, @KEY_LEN@, @UNITS_LIMIT@,
-                @UNITS_WIDTH@, -1)
-        || mine(@BIG_N@, @BIG_M@, big_off, big_lits, big_units, @BIG_K@, big_key, @BIG_KEY_LEN@, @BIG_LIMIT@,
-                @BIG_WIDTH@, -1))
+    if (mine(@CDCL_N@, @CDCL_M@, cdcl_off, cdcl_lits, key, @KEY_LEN@, @LIMIT@, @WIDTH@, @CAP@)
+        || mine(@BIG_N@, @BIG_M@, big_off, big_lits, big_key, @BIG_KEY_LEN@, @BIG_LIMIT@, @BIG_WIDTH@, -1))
         return 1;
     if (backbone(@BB_N@, @BB_M@, bb_off, bb_lits, -1)
         || backbone(@BB_N@, @BB_M@, bb_off, bb_lits, @BB_LIMIT@)
@@ -299,6 +299,12 @@ def _builds_and_runs(compiler, tmp_path) -> bool:
         return False
     ran = subprocess.run([str(tmp_path / "probe")], capture_output=True, env=ENV)
     return ran.returncode == 0 and not ran.stderr
+
+
+def _is_gcc(compiler) -> bool:
+    """True when `compiler` is GCC, whose `--version` names its publisher."""
+    version = subprocess.run([compiler, "--version"], capture_output=True, text=True)
+    return "Free Software Foundation" in version.stdout
 
 
 def _ints(values) -> str:
@@ -391,11 +397,8 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
         "CDCL_OFF": _ints(k5.offsets), "CDCL_LITS": _ints(k5.literals),
         "KEY": _ints(_native.seed_key(CDCL_SEED)), "KEY_LEN": len(_native.seed_key(CDCL_SEED)),
         "LIMIT": CDCL_BUDGET.conflict_limit, "WIDTH": CDCL_BUDGET.width_limit, "CAP": CDCL_BUDGET.count_cap,
-        "UNITS": _ints(UNITS), "UNITS_K": len(UNITS),
-        "UNITS_LIMIT": UNITS_BUDGET.conflict_limit, "UNITS_WIDTH": UNITS_BUDGET.width_limit,
         "BIG_N": big.num_vars, "BIG_M": big.num_clauses,
         "BIG_OFF": _ints(big.offsets), "BIG_LITS": _ints(big.literals),
-        "BIG_UNITS": _ints(BIG_UNITS), "BIG_K": len(BIG_UNITS),
         "BIG_KEY": _ints(_native.seed_key(BIG_SEED)), "BIG_KEY_LEN": len(_native.seed_key(BIG_SEED)),
         "BIG_LIMIT": BIG_BUDGET.conflict_limit, "BIG_WIDTH": BIG_BUDGET.width_limit,
         "BB_N": planted.num_vars, "BB_M": planted.num_clauses,
@@ -421,7 +424,8 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
     driver = tmp_path / "driver.c"
     driver.write_text(source)
     binary = tmp_path / "driver"
-    built = subprocess.run([compiler, *SANITIZE, "-o", str(binary), str(driver),
+    lto = GCC_LTO if _is_gcc(compiler) else ()
+    built = subprocess.run([compiler, *SANITIZE, *lto, "-o", str(binary), str(driver),
                             *_native._c_files(_native._KERNEL_SOURCES), *_native._KERNEL_LIBS],
                            capture_output=True, text=True)
     assert built.returncode == 0, built.stderr
@@ -431,13 +435,11 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
     mined = cdcl_solve_and_mine(k5, CDCL_BUDGET, CDCL_SEED)
     assert mined.status == BUDGET and 2_000 < mined.conflicts < CDCL_BUDGET.conflict_limit
     assert len(mined.learned) == CDCL_BUDGET.count_cap
-    with_units = _search(k5, UNITS_BUDGET, CDCL_SEED, units=UNITS)
-    assert with_units[0] == BUDGET and with_units[3] == UNITS_BUDGET.conflict_limit
-    status, _, records, conflicts = _search(big, BIG_BUDGET, BIG_SEED, units=BIG_UNITS)
-    assert big.num_clauses > 2_000 and (status, conflicts) == (BUDGET, BIG_BUDGET.conflict_limit)
+    mined_big = cdcl_solve_and_mine(big, BIG_BUDGET, BIG_SEED)
+    assert big.num_clauses > 2_000 and (mined_big.status, mined_big.conflicts) == (BUDGET, BIG_BUDGET.conflict_limit)
     # a learned clause of width >= 2 goes into the DB: more than the reduce cap
-    # of input clauses plus units, with one to spare, means a DB reduction
-    assert sum(len(r.clause) >= 2 for r in records) > big.num_clauses + len(BIG_UNITS) + 1
+    # of input clauses, with one to spare, means a DB reduction
+    assert sum(len(r.clause) >= 2 for r in mined_big.records) > big.num_clauses + 1
     # the three backbone endings, as compute_backbone reports them
     whole = compute_backbone(planted, BACKBONE_SEED)
     with pytest.raises(BackboneBudgetError) as ran_out:
@@ -454,8 +456,7 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
     lib = _native.load()
     expected = [
         _search_line(mined.status, mined.records, mined.conflicts),
-        _search_line(with_units[0], with_units[2], with_units[3]),
-        _search_line(status, records, conflicts),
+        _search_line(mined_big.status, mined_big.records, mined_big.conflicts),
         *_backbone_lines(lib, planted, None), *_backbone_lines(lib, planted, BACKBONE_LIMIT),
         *_backbone_lines(lib, no_backbone, None),
         _width_counts(level1.clauses, LEVEL1_WIDTH), _clause_lines(level1.clauses),

@@ -299,3 +299,6 @@ def test_quality_report_aggregates_match_rows():
 def test_quality_report_incomplete_solution():
     with pytest.raises(ValueError):
         quality_report([(1, 5)], [False, True, True])
+    # literal 0 used to read the solution's unused index 0 and count as correct
+    with pytest.raises(ValueError, match=r"literal 0 out of range 1..1 in clause 1"):
+        quality_report([(1,), (0,)], [False, True])
