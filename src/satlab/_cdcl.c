@@ -47,8 +47,12 @@
  * _mt.h, seeded as the probSAT kernel seeds it (mt_seed).  new_state takes
  * them drawn: cdcl_new draws them for its one search, and cdcl_backbone
  * draws them once for all of its searches, the only ones with units.
+ *
+ * A finished search or backbone is read by one _info and one _copy call,
+ * then freed.  Every budget is a count; without one, pass one never reached.
  */
 
+#include <limits.h>
 #include <math.h>
 #include <stdlib.h>
 #include <string.h>
@@ -651,16 +655,15 @@ static int learn(cdcl_state *s, int size)
     return 0;
 }
 
-/* Search until sat, unsat or a budget, as CdclSolver.solve does:
- * `conflict_limit` and `count_cap` are off when negative, and
- * `count_cap` stops the search once that many distinct learned clauses of
- * width <= width_limit exist.  Returns BUDGET, SAT or UNSAT, or OUT_OF_MEMORY
- * (after which the state can only be freed). */
+/* Search until sat, unsat or a budget, as CdclSolver.solve does: at most
+ * `conflict_limit` conflicts, stopping once `count_cap` distinct learned
+ * clauses of width <= width_limit exist.  Returns BUDGET, SAT or UNSAT, or
+ * OUT_OF_MEMORY (after which the state can only be freed). */
 int cdcl_solve(cdcl_state *s, long long conflict_limit, double wall_seconds,
                long long width_limit, long long count_cap)
 {
     double start = now();
-    long long budget = conflict_limit < 0 ? -1 : s->conflicts + conflict_limit;
+    long long first = s->conflicts;
     int oom = 0;
     if (s->unsat)
         return UNSAT;
@@ -684,8 +687,7 @@ int cdcl_solve(cdcl_state *s, long long conflict_limit, double wall_seconds,
             if (learn(s, size) < 0)
                 return OUT_OF_MEMORY;
             s->var_inc /= ACTIVITY_DECAY;
-            if ((count_cap >= 0 && s->records.distinct >= count_cap)
-                || (budget >= 0 && s->conflicts >= budget)
+            if (s->records.distinct >= count_cap || s->conflicts - first >= conflict_limit
                 || (s->conflicts % WALL_CHECK_EVERY == 0 && now() - start > wall_seconds)) {
                 backjump(s, 0);
                 return BUDGET;
@@ -707,24 +709,26 @@ int cdcl_solve(cdcl_state *s, long long conflict_limit, double wall_seconds,
     }
 }
 
-long long cdcl_conflicts(const cdcl_state *s)
+/* info gets the conflicts, the record count and the record literal count. */
+void cdcl_info(const cdcl_state *s, long long *info)
 {
-    return s->conflicts;
+    info[0] = s->conflicts;
+    info[1] = s->records.count;
+    info[2] = s->records.off[s->records.count];
 }
 
-long long cdcl_num_records(const cdcl_state *s)
+/* Copy the assignment (n + 1 bytes, index 0 unused, 1 = true) into `out`. */
+static void cdcl_assignment(const cdcl_state *s, unsigned char *out)
 {
-    return s->records.count;
+    int v;
+    out[0] = 0;
+    for (v = 1; v <= s->n; v++)
+        out[v] = value(s, v) == 1;
 }
 
-long long cdcl_num_record_lits(const cdcl_state *s)
-{
-    return s->records.off[s->records.count];
-}
-
-/* Copy the records out: offsets (num_records + 1), learn indices
- * (num_records) and literals (cdcl_num_record_lits). */
-void cdcl_records(const cdcl_state *s, long long *off, long long *index, int *lits)
+/* Copy out what cdcl_info counts: the records' offsets (count + 1), learn
+ * indices and literals; and the assignment into `model` unless it is NULL. */
+void cdcl_copy(const cdcl_state *s, long long *off, long long *index, int *lits, unsigned char *model)
 {
     const clause_set *r = &s->records;
     memcpy(off, r->off, (size_t)(r->count + 1) * sizeof *off);
@@ -732,15 +736,8 @@ void cdcl_records(const cdcl_state *s, long long *off, long long *index, int *li
         memcpy(index, s->rec_index, (size_t)r->count * sizeof *index);
         memcpy(lits, r->lits, (size_t)r->off[r->count] * sizeof *lits);
     }
-}
-
-/* Copy the assignment (n + 1 bytes, index 0 unused, 1 = true) into `out`. */
-void cdcl_assignment(const cdcl_state *s, unsigned char *out)
-{
-    int v;
-    out[0] = 0;
-    for (v = 1; v <= s->n; v++)
-        out[v] = value(s, v) == 1;
+    if (model)
+        cdcl_assignment(s, model);
 }
 
 /* -- the backbone ------------------------------------------------------------------ */
@@ -800,7 +797,7 @@ static int query(backbone *b, int m, const int *off, const int *lits, const unsi
     int code;
     if (!s)
         return OUT_OF_MEMORY;
-    code = cdcl_solve(s, conflict_limit, HUGE_VAL, 0, -1);
+    code = cdcl_solve(s, conflict_limit, HUGE_VAL, 0, LLONG_MAX);
     if (code == SAT && keep_model(b, s, tested) < 0)
         code = OUT_OF_MEMORY;
     cdcl_free(s);
@@ -815,9 +812,8 @@ static int query(backbone *b, int m, const int *off, const int *lits, const unsi
  * confirmed when its query is unsatisfiable, and a model prunes every
  * candidate it falsifies.  Every search starts from the phases drawn once
  * from the seed's key[0 .. key_len) and spends at most conflict_limit
- * conflicts (none when negative).  The handle is read with backbone_info
- * and backbone_copy and released with backbone_free; NULL when out of
- * memory. */
+ * conflicts.  The handle is read with backbone_info and backbone_copy and
+ * released with backbone_free; NULL when out of memory. */
 backbone *cdcl_backbone(int n, int m, const int *off, const int *lits, const uint32_t *key, int key_len,
                         long long conflict_limit)
 {

@@ -27,8 +27,11 @@ keyed by the sources, the flags and the platform, and returns None when
 no compiler or cache directory is usable.  Every module calls it as
 `_native.load()`, so replacing this one attribute sends them all to
 their references.  Arrays cross as the `address` of `array.array`
-buffers, output buffers are `zeros`, and a budget no kernel could spend
-is passed as `NO_LIMIT`.
+buffers, and output buffers are `zeros`.  A finished result (a CDCL
+search, a backbone, a resolvent pool) is read by one `_info` call, which
+gives its counts, and one `_copy` call, then freed; only probSAT's live
+state, polled between flip batches, has getters.  Every budget crosses
+as a count, and `limit` alone turns None (none) into `NO_LIMIT`.
 """
 
 from __future__ import annotations
@@ -65,11 +68,8 @@ _KERNEL_FUNCTIONS = (
     ("probsat_free", None, [_ptr]),
     ("cdcl_new", _ptr, [_i32, _i32, _ptr, _ptr, _ptr, _i32]),
     ("cdcl_solve", _i32, [_ptr, _i64, ctypes.c_double, _i64, _i64]),
-    ("cdcl_conflicts", _i64, [_ptr]),
-    ("cdcl_num_records", _i64, [_ptr]),
-    ("cdcl_num_record_lits", _i64, [_ptr]),
-    ("cdcl_records", None, [_ptr, _ptr, _ptr, _ptr]),
-    ("cdcl_assignment", None, [_ptr, _ptr]),
+    ("cdcl_info", None, [_ptr, _ptr]),
+    ("cdcl_copy", None, [_ptr, _ptr, _ptr, _ptr, _ptr]),
     ("cdcl_free", None, [_ptr]),
     ("cdcl_backbone", _ptr, [_i32, _i32, _ptr, _ptr, _ptr, _i32, _i64]),
     ("backbone_info", None, [_ptr, _ptr]),
@@ -84,8 +84,7 @@ _KERNEL_FUNCTIONS = (
     ("level1_pool", _ptr, [_i32, _i32, _ptr, _ptr, _i32]),
     ("level2_pool", _ptr, [_i32, _i32, _ptr, _ptr, _i32, _i64]),
     ("ternary_pool", _ptr, [_i32, _i32, _ptr, _ptr]),
-    ("pool_size", _i64, [_ptr]),
-    ("pool_num_lits", _i64, [_ptr]),
+    ("pool_info", None, [_ptr, _ptr]),
     ("pool_copy", None, [_ptr, _ptr, _ptr, _ptr]),
     ("pool_free", None, [_ptr]),
 )
@@ -106,9 +105,15 @@ def flat(formula) -> tuple[int, int, int, int]:
     return formula.num_vars, formula.num_clauses, address(formula.offsets), address(formula.literals)
 
 
+def limit(count: int | None) -> int:
+    """`count` as a kernel takes a budget: `NO_LIMIT` for None (no budget)
+    and for any larger count, `count` otherwise."""
+    return NO_LIMIT if count is None else min(count, NO_LIMIT)
+
+
 def read_model(read, state, num_vars: int) -> bytes:
-    """The assignment `read` (`probsat_assignment` or `cdcl_assignment`)
-    copies out of a kernel state: n+1 bytes of 0 or 1, byte 0 unused."""
+    """The assignment `read` (`probsat_assignment`) copies out of a live
+    kernel state: n+1 bytes of 0 or 1, byte 0 unused."""
     buf = zeros("B", num_vars + 1)
     read(state, address(buf))
     return buf.tobytes()

@@ -28,10 +28,10 @@
  * where the reference's partners[:remaining] cuts it.
  *
  * A constructor returns a pool handle, or NULL when out of memory; the
- * pool is read with pool_size, pool_num_lits and pool_copy and released
- * with pool_free.  pool_copy hands the clauses back grouped by width,
- * which Python turns into tuples fastest, and the permutation that puts
- * them in tuple order, the order in which Python keeps a pool.
+ * pool is read by one pool_info and one pool_copy call and released with
+ * pool_free.  pool_copy hands the clauses back grouped by width, which
+ * Python turns into tuples fastest, and the permutation that puts them in
+ * tuple order, the order in which Python keeps a pool.
  */
 
 #include <limits.h>
@@ -441,26 +441,23 @@ fail:
     return NULL;
 }
 
-long long pool_size(const pool *p)
+/* info gets the pool's clause count and literal count. */
+void pool_info(const pool *p, long long *info)
 {
-    return p->set.count - p->first;
-}
-
-long long pool_num_lits(const pool *p)
-{
-    return p->set.off[p->set.count] - p->set.off[p->first];
+    info[0] = p->set.count - p->first;
+    info[1] = p->set.off[p->set.count] - p->set.off[p->first];
 }
 
 /* Copy the pool out grouped by width, widths ascending, clauses in the
  * order found: counts[w], for w = 0 .. the pool's width bound, clauses of
- * width w, and their pool_num_lits literals in lits.  order gets the
- * pool_size places in that grouping of the clauses in tuple order. */
+ * width w, and their literals in lits.  order gets the places in that
+ * grouping of the clauses in tuple order.  pool_info counts both. */
 void pool_copy(const pool *p, long long *counts, int *lits, long long *order)
 {
     const clause_set *s = &p->set;
     long long c;
     int w, widest = 0;
-    memcpy(order, p->order, (size_t)pool_size(p) * sizeof *order);
+    memcpy(order, p->order, (size_t)(s->count - p->first) * sizeof *order);
     memset(counts, 0, ((size_t)p->max_width + 1) * sizeof *counts);
     for (c = p->first; c < s->count; c++) {
         counts[w = width_of(s, c)]++;

@@ -53,6 +53,7 @@ from .cnf import Assignment, Clause, Formula, canonical_clause, eval_formula, is
 SAT = "sat"
 UNSAT = "unsat"
 BUDGET = "budget-exhausted"
+STATUS_CODES = (BUDGET, SAT, UNSAT)  # a kernel's status code indexes this
 
 MINER_SECONDS_DEFAULT = 300.0
 
@@ -534,22 +535,20 @@ def _mine_with_kernel(kernel, formula: Formula, budget: MiningBudget, key: array
     if not state:
         raise MemoryError("cannot allocate the CDCL kernel state")
     try:
-        limit = -1 if budget.conflict_limit is None else min(budget.conflict_limit, _native.NO_LIMIT)
-        cap = budget.count_cap if budget.early_stop and budget.count_cap is not None else -1
-        code = kernel.cdcl_solve(state, limit, budget.wall_seconds,
-                                 min(budget.width_limit, _native.NO_LIMIT), min(cap, _native.NO_LIMIT))
+        cap = budget.count_cap if budget.early_stop else None
+        code = kernel.cdcl_solve(state, _native.limit(budget.conflict_limit), budget.wall_seconds,
+                                 _native.limit(budget.width_limit), _native.limit(cap))
         if code < 0:
             raise MemoryError("the CDCL kernel ran out of memory")
-        status = (BUDGET, SAT, UNSAT)[code]
-        model = _native.read_model(kernel.cdcl_assignment, state, formula.num_vars) if status == SAT else None
-        count = kernel.cdcl_num_records(state)
-        records = []
-        if count:
-            bounds = _native.zeros("q", count + 1)
-            indices = _native.zeros("q", count)
-            lits = _native.zeros("i", kernel.cdcl_num_record_lits(state))
-            kernel.cdcl_records(state, *map(_native.address, (bounds, indices, lits)))
-            records = [LearnedClauseRecord(tuple(lits[bounds[r]:bounds[r + 1]]), indices[r]) for r in range(count)]
-        return status, model, records, kernel.cdcl_conflicts(state)
+        status = STATUS_CODES[code]
+        info = _native.zeros("q", 3)
+        kernel.cdcl_info(state, _native.address(info))
+        conflicts, count, num_lits = info
+        bounds, indices, lits = _native.zeros("q", count + 1), _native.zeros("q", count), _native.zeros("i", num_lits)
+        model = _native.zeros("B", formula.num_vars + 1) if status == SAT else None
+        kernel.cdcl_copy(state, *map(_native.address, (bounds, indices, lits)),
+                         None if model is None else _native.address(model))
     finally:
         kernel.cdcl_free(state)
+    records = [LearnedClauseRecord(tuple(lits[bounds[r]:bounds[r + 1]]), indices[r]) for r in range(count)]
+    return status, None if model is None else model.tobytes(), records, conflicts

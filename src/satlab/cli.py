@@ -14,6 +14,7 @@ import argparse
 import csv
 import glob
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -84,11 +85,14 @@ def _scoring_from_args(args) -> ScoringFunction | None:
 
 
 def _cmd_gen(args) -> int:
+    for flag, value in (("--bias", args.bias), ("--solution-out", args.solution_out)):
+        if value is not None and not args.planted:
+            raise ValueError(f"{flag} {value}: given without --planted, which it applies to")
     ratio = args.ratio
     if ratio is None and args.m is None:
         ratio = default_ratio(args.k)
     spec = GenSpec(n=args.n, k=args.k, ratio=ratio, m=args.m, seed=args.seed,
-                   bias=args.bias if args.planted else 1.0)
+                   bias=1.0 if args.bias is None else args.bias)
     if args.planted:
         formula, hidden = gen_planted(spec)
         _write(args.output, emit_dimacs(formula, comments=[f"planted k-SAT n={args.n} k={args.k} seed={args.seed}"]))
@@ -215,12 +219,25 @@ def _cmd_solve(args) -> int:
     return EXIT_UNKNOWN
 
 
+def _instance_ids(paths: list[str]) -> list[str]:
+    """The id of each instance file: its path relative to the common
+    directory of the files' parents, so files in one directory keep their
+    bare names and files of one name in two directories differ."""
+    root = os.path.commonpath([os.path.dirname(p) for p in paths])
+    return [Path(os.path.relpath(p, root)).as_posix() for p in paths]
+
+
 def _cmd_bench(args) -> int:
-    paths = sorted({p for pattern in args.instances for p in glob.glob(pattern)})
+    currency = "flips" if args.budget_flips is not None else "seconds"
+    timeout = args.timeout
+    if timeout is None:
+        timeout = args.budget_flips if currency == "flips" else args.budget_seconds
+    bench_mod._check_cost(currency, timeout)  # before any trial runs
+    paths = sorted({os.path.abspath(p) for pattern in args.instances for p in glob.glob(pattern)})
     if not paths:
         print("no instances matched", file=sys.stderr)
         return 1
-    instances = [(Path(p).name, parse_dimacs(_read(p))) for p in paths]
+    instances = [(name, parse_dimacs(_read(p))) for name, p in zip(_instance_ids(paths), paths)]
     try:
         config_data = json.loads(_read(args.solver_config))
     except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
@@ -237,10 +254,6 @@ def _cmd_bench(args) -> int:
         budget_seconds=args.budget_seconds,
         workers=args.workers,
     )
-    currency = "flips" if args.budget_flips is not None else "seconds"
-    timeout = args.timeout
-    if timeout is None:
-        timeout = args.budget_flips if currency == "flips" else args.budget_seconds
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "trials.csv").write_text(bench_mod.trials_to_csv(records))
@@ -292,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--planted", action="store_true", help="plant a hidden solution")
-    p.add_argument("--bias", type=float, default=1.0,
-                   help="planted polarity thinning: accept vectors w.p. bias**correct")
-    p.add_argument("--solution-out", default=None)
+    p.add_argument("--bias", type=float, default=None,
+                   help="planted polarity thinning: accept vectors w.p. bias**correct (default 1)")
+    p.add_argument("--solution-out", default=None, help="write the planted solution here")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=_cmd_gen)
 

@@ -467,25 +467,27 @@ def parse_solution(text: str | bytes, num_vars: int | None = None) -> Assignment
     """Parse `v <lit> ... 0` lines into a complete assignment.
 
     With `num_vars` omitted, the variable count is inferred from the
-    largest index present.  Bytes must be ASCII.
+    largest index present.  Bytes must be ASCII.  A variable given with
+    both signs is a ValueError that names it and the line of the second.
     """
-    lits = []
+    lits = []  # (literal, line number)
     for lineno, line in enumerate(_ascii(text).splitlines(), start=1):
         line = line.strip()
         if not line.startswith("v"):
             continue
-        lits.extend(lit for lit in _int_tokens(line[1:], lineno) if lit != 0)
+        lits.extend((lit, lineno) for lit in _int_tokens(line[1:], lineno) if lit != 0)
     if num_vars is None:
-        num_vars = max((abs(l) for l in lits), default=0)
+        num_vars = max((abs(lit) for lit, _ in lits), default=0)
     alpha: Assignment = [False] * (num_vars + 1)
-    seen = set()
-    for lit in lits:
+    seen: dict[int, bool] = {}
+    for lit, lineno in lits:
         v = abs(lit)
         if v > num_vars:
             raise ValueError(f"solution literal {lit} exceeds {num_vars} variables")
+        if seen.setdefault(v, lit > 0) != (lit > 0):
+            raise ValueError(f"line {lineno}: variable {v} is given both true and false")
         alpha[v] = lit > 0
-        seen.add(v)
-    missing = set(range(1, num_vars + 1)) - seen
+    missing = set(range(1, num_vars + 1)) - seen.keys()
     if missing:
         raise ValueError(f"solution incomplete: variables {sorted(missing)[:5]}... unassigned")
     return alpha

@@ -264,7 +264,7 @@ def run_hybrid(
     start = time.perf_counter()
     strat = strategy or select_strategy(formula)
     result = SolveResult(status="unknown", model=None, phase_solved=None, track=strat.track, seed=seed)
-    last_flips = _native.NO_LIMIT if final_flips is None else final_flips
+    last_flips = _native.limit(final_flips)
 
     def wall_left() -> float | None:
         """Seconds left of the wall budget; None when there is none."""

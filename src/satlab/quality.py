@@ -37,7 +37,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import _native, cdcl
-from .cdcl import BUDGET, SAT, UNSAT, MiningBudget
+from .cdcl import SAT, STATUS_CODES, UNSAT, MiningBudget
 from .cnf import Assignment, Clause, Formula, canonical_clause
 from .resolution import _check_count
 
@@ -117,8 +117,8 @@ def _backbone_with_kernel(kernel, formula: Formula, conflict_limit: int | None, 
     bytes) for every model a search found, the first search's tested
     literal being 0."""
     key = _native.seed_key(seed)
-    limit = -1 if conflict_limit is None else min(conflict_limit, _native.NO_LIMIT)
-    handle = kernel.cdcl_backbone(*_native.flat(formula), _native.address(key), len(key), limit)
+    handle = kernel.cdcl_backbone(*_native.flat(formula), _native.address(key), len(key),
+                                  _native.limit(conflict_limit))
     if not handle:
         raise MemoryError("the CDCL kernel ran out of memory computing a backbone")
     try:
@@ -132,7 +132,7 @@ def _backbone_with_kernel(kernel, formula: Formula, conflict_limit: int | None, 
     finally:
         kernel.backbone_free(handle)
     blob = models.tobytes()
-    return ((BUDGET, SAT, UNSAT)[status], stopped, confirmed.tolist(),
+    return (STATUS_CODES[status], stopped, confirmed.tolist(),
             [(lit, blob[i * width:(i + 1) * width]) for i, lit in enumerate(tested)])
 
 

@@ -173,9 +173,10 @@ def _native_clauses(kernel, pool, max_width: int) -> tuple[Clause, ...]:
     if not pool:
         raise MemoryError("the resolution kernel ran out of memory")
     try:
-        counts = _native.zeros("q", max_width + 1)
-        lits = _native.zeros("i", kernel.pool_num_lits(pool))
-        order = _native.zeros("q", kernel.pool_size(pool))
+        info = _native.zeros("q", 2)
+        kernel.pool_info(pool, _native.address(info))
+        size, num_lits = info
+        counts, lits, order = _native.zeros("q", max_width + 1), _native.zeros("i", num_lits), _native.zeros("q", size)
         kernel.pool_copy(pool, *map(_native.address, (counts, lits, order)))
     finally:
         kernel.pool_free(pool)
@@ -216,7 +217,7 @@ def level2_resolvents(
     kernel = _native.load()
     if kernel is not None:
         width = min(max_width, formula.num_vars)
-        pool = kernel.level2_pool(*_native.flat(formula), width, min(pair_budget, _native.NO_LIMIT))
+        pool = kernel.level2_pool(*_native.flat(formula), width, _native.limit(pair_budget))
         return ResolventPool(_native_clauses(kernel, pool, width))
     originals = _base_masks(formula)
     exclude = set(originals)

@@ -271,7 +271,7 @@ def probsat_run(
     kernel = _native.load()
     if kernel is None or formula.has_empty_clause():  # the empty clause: see `satlab._native`
         return _probsat_python(formula, max_flips, seed, scoring, wall_limit)
-    max_flips = min(max_flips, _native.NO_LIMIT)
+    max_flips = _native.limit(max_flips)
     start = time.perf_counter()
     scoring = scoring or default_scoring_for(formula)
     table = _score_table(scoring, formula.max_occurrences)

@@ -6,7 +6,7 @@ from dataclasses import fields
 import pytest
 
 from satlab import cli
-from satlab.bench import SolverConfig
+from satlab.bench import SolverConfig, trials_from_csv
 from satlab.cli import EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT, main
 from satlab.cnf import DimacsError, Formula, emit_dimacs, parse_clause_lines, parse_dimacs, parse_solution
 from satlab.pipeline import OVERRIDABLE, run_hybrid, select_strategy
@@ -40,6 +40,15 @@ def test_gen_planted_with_solution(tmp_path, capsys):
     from satlab.cnf import eval_formula
 
     assert eval_formula(f, alpha)
+
+
+@pytest.mark.parametrize("flag, value", [("--bias", "0.5"), ("--solution-out", "s.txt")])
+def test_gen_rejects_a_planted_flag_without_planted(tmp_path, monkeypatch, flag, value):
+    # it used to write a uniform formula and no solution file
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match=f"^{flag} {value}: given without --planted"):
+        main(["gen", "-n", "10", flag, value, "-o", "f.cnf"])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solve_sls_sat_exit_code(tmp_path, capsys):
@@ -446,18 +455,38 @@ def test_bench_outputs(tmp_path, capsys):
 
 
 def test_bench_rejects_trials_that_share_a_key(tmp_path, capsys):
-    # two files named x.cnf used to run as one instance, and --runs 0 to write empty CSVs
+    # two files named x.cnf are two instances, keyed by their paths below the common directory
     for name in ("d1", "d2"):
         (tmp_path / name).mkdir()
         (tmp_path / name / "x.cnf").write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
     config = tmp_path / "solvers.json"
     config.write_text(json.dumps({"id": "s"}))
+    both = tmp_path / "both"
+    args = ["bench", "--solver-config", str(config), "--budget-flips", "100"]
+    code, _, _ = run_cli(capsys, *args, "--out-dir", str(both),
+                         "--instances", str(tmp_path / "d1" / "*.cnf"), str(tmp_path / "d2" / "*.cnf"))
+    assert code == 0
+    trials = trials_from_csv((both / "trials.csv").read_text())
+    assert sorted(r.instance_id for r in trials) == ["d1/x.cnf", "d2/x.cnf"]
+    # --runs 0 used to write empty CSVs
     out_dir = tmp_path / "out"
-    args = ["bench", "--solver-config", str(config), "--budget-flips", "100", "--out-dir", str(out_dir)]
-    with pytest.raises(ValueError, match="instance id 'x.cnf' is repeated"):
-        main([*args, "--instances", str(tmp_path / "d1" / "*.cnf"), str(tmp_path / "d2" / "*.cnf")])
     with pytest.raises(ValueError, match="one seed"):
-        main([*args, "--instances", str(tmp_path / "d1" / "*.cnf"), "--runs", "0"])
+        main([*args, "--out-dir", str(out_dir), "--instances", str(tmp_path / "d1" / "*.cnf"), "--runs", "0"])
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
+def test_bench_rejects_a_timeout_that_is_not_positive_before_any_trial(tmp_path, timeout, monkeypatch):
+    # it used to run every trial and write trials.csv before `summarize` raised
+    cnf = tmp_path / "x.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
+    config = tmp_path / "solvers.json"
+    config.write_text(json.dumps({"id": "probsat"}))
+    out_dir = tmp_path / "out"
+    monkeypatch.setattr(cli.bench_mod, "run_suite", lambda *a, **k: pytest.fail("a trial ran"))
+    with pytest.raises(ValueError, match="timeout must be positive"):
+        main(["bench", "--instances", str(cnf), "--solver-config", str(config), "--budget-flips", "100",
+              "--timeout", timeout, "--out-dir", str(out_dir)])
     assert not out_dir.exists()
 
 

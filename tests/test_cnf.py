@@ -92,6 +92,15 @@ def test_parse_solution_names_the_line_of_a_bad_token():
         parse_solution("v 1 -2\nv 3 y 0\n", 3)
 
 
+def test_parse_solution_rejects_a_variable_given_with_both_signs():
+    # it used to return x1 = False, the last sign given
+    with pytest.raises(ValueError, match="^line 1: variable 1 is given both true and false$"):
+        parse_solution("v 1 -1 2 0")
+    with pytest.raises(ValueError, match="^line 3: variable 2 is given both true and false$"):
+        parse_solution("c two lines\nv 1 2\nv -2 0\n", 2)
+    assert parse_solution("v 1 1 -2 0") == [False, True, False]  # a repeat of one sign is no contradiction
+
+
 def test_emit_basic():
     f = Formula(3, [(1, -2), (2, 3)])
     assert emit_dimacs(f) == "p cnf 3 2\n1 -2 0\n2 3 0\n"

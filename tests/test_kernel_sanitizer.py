@@ -31,7 +31,7 @@ from collections import Counter
 import pytest
 
 from satlab import _native
-from satlab.cdcl import BUDGET, SAT, UNSAT, MiningBudget, cdcl_solve_and_mine
+from satlab.cdcl import BUDGET, STATUS_CODES, MiningBudget, cdcl_solve_and_mine
 from satlab.cnf import Formula, _flatten
 from satlab.generators import GenSpec, gen_planted, gen_uniform
 from satlab.pipeline import augment
@@ -75,10 +75,8 @@ DRIVER = r"""
 
 void *cdcl_new(int n, int m, const int *off, const int *lits, const uint32_t *key, int key_len);
 int cdcl_solve(void *s, long long conflict_limit, double wall_seconds, long long width_limit, long long count_cap);
-long long cdcl_conflicts(const void *s);
-long long cdcl_num_records(const void *s);
-long long cdcl_num_record_lits(const void *s);
-void cdcl_records(const void *s, long long *off, long long *index, int *lits);
+void cdcl_info(const void *s, long long *info);
+void cdcl_copy(const void *s, long long *off, long long *index, int *lits, unsigned char *model);
 void cdcl_free(void *s);
 void *cdcl_backbone(int n, int m, const int *off, const int *lits, const uint32_t *key, int key_len,
                     long long conflict_limit);
@@ -88,8 +86,7 @@ void backbone_free(void *b);
 void *level1_pool(int n, int m, const int *off, const int *lits, int max_width);
 void *level2_pool(int n, int m, const int *off, const int *lits, int max_width, long long pair_budget);
 void *ternary_pool(int n, int m, const int *off, const int *lits);
-long long pool_size(const void *p);
-long long pool_num_lits(const void *p);
+void pool_info(const void *p, long long *info);
 void pool_copy(const void *p, long long *counts, int *lits, long long *order);
 void pool_free(void *p);
 long long augment_keep(int n, const int *f_off, const int *f_lits, const int *occ_off, const int *occ,
@@ -120,28 +117,32 @@ static const int none_off[] = {0}, none_occ_off[] = {0, 0, 0}; /* n = 0, m = 0 *
 static const double none_table[] = {@NONE_TABLE@};
 static const uint32_t short_key[] = {@SHORT_KEY@}, long_key[] = {@LONG_KEY@};
 
-/* Search, print the status, conflicts, records and record literals, and
- * free the state; 1 when out of memory. */
+/* Search, copy the records and the assignment out, print the status,
+ * conflicts, records and record literals, and free the state; 1 when out
+ * of memory. */
 static int mine(int n, int m, const int *off, const int *lits, const uint32_t *key, int key_len, long long limit,
                 long long width, long long cap)
 {
     void *s = cdcl_new(n, m, off, lits, key, key_len);
-    long long r, *roff, *index;
+    long long info[3], *roff, *index;
     int *rlits, code;
+    unsigned char *model;
     if (!s)
         return 1;
     code = cdcl_solve(s, limit, 1e9, width, cap);
-    r = cdcl_num_records(s);
-    roff = malloc((size_t)(r + 1) * sizeof *roff);
-    index = malloc((size_t)(r + 1) * sizeof *index);
-    rlits = malloc((size_t)(cdcl_num_record_lits(s) + 1) * sizeof *rlits);
-    if (code < 0 || !roff || !index || !rlits)
+    cdcl_info(s, info);
+    roff = malloc((size_t)(info[1] + 1) * sizeof *roff);
+    index = malloc((size_t)(info[1] + 1) * sizeof *index);
+    rlits = malloc((size_t)(info[2] + 1) * sizeof *rlits);
+    model = malloc((size_t)n + 1);
+    if (code < 0 || !roff || !index || !rlits || !model)
         return 1;
-    cdcl_records(s, roff, index, rlits);
-    printf("%d %lld %lld %lld\n", code, cdcl_conflicts(s), r, roff[r]);
+    cdcl_copy(s, roff, index, rlits, model);
+    printf("%d %lld %lld %lld\n", code, info[0], info[1], roff[info[1]]);
     free(roff);
     free(index);
     free(rlits);
+    free(model);
     cdcl_free(s);
     return 0;
 }
@@ -185,12 +186,13 @@ static int backbone(int n, int m, const int *off, const int *lits, long long lim
  * order, `l1 l2 ... 0` each, then free it; 1 when NULL. */
 static int print_pool(void *p, int max_width)
 {
-    long long size, *counts = malloc((size_t)(max_width + 1) * sizeof *counts), *order, *start, i;
+    long long info[2], size, *counts = malloc((size_t)(max_width + 1) * sizeof *counts), *order, *start, i;
     int *lits, w;
     if (!p || !counts)
         return 1;
-    size = pool_size(p);
-    lits = malloc((size_t)(pool_num_lits(p) + 1) * sizeof *lits);
+    pool_info(p, info);
+    size = info[0];
+    lits = malloc((size_t)(info[1] + 1) * sizeof *lits);
     order = malloc((size_t)(size + 1) * sizeof *order);
     start = malloc((size_t)(size + 1) * sizeof *start); /* grouped clause c is lits[start[c] .. start[c + 1]) */
     if (!lits || !order || !start)
@@ -263,11 +265,11 @@ int main(void)
 {
     long long r;
     if (mine(@CDCL_N@, @CDCL_M@, cdcl_off, cdcl_lits, key, @KEY_LEN@, @LIMIT@, @WIDTH@, @CAP@)
-        || mine(@BIG_N@, @BIG_M@, big_off, big_lits, big_key, @BIG_KEY_LEN@, @BIG_LIMIT@, @BIG_WIDTH@, -1))
+        || mine(@BIG_N@, @BIG_M@, big_off, big_lits, big_key, @BIG_KEY_LEN@, @BIG_LIMIT@, @BIG_WIDTH@, @NO_LIMIT@))
         return 1;
-    if (backbone(@BB_N@, @BB_M@, bb_off, bb_lits, -1)
+    if (backbone(@BB_N@, @BB_M@, bb_off, bb_lits, @NO_LIMIT@)
         || backbone(@BB_N@, @BB_M@, bb_off, bb_lits, @BB_LIMIT@)
-        || backbone(@UNSAT_N@, @UNSAT_M@, unsat_off, unsat_lits, -1))
+        || backbone(@UNSAT_N@, @UNSAT_M@, unsat_off, unsat_lits, @NO_LIMIT@))
         return 1;
     if (print_pool(level1_pool(@RES_N@, @RES_M@, res_off, res_lits, @L1@), @L1@)
         || print_pool(level2_pool(@RES_N@, @RES_M@, res_off, res_lits, @L2@, @PAIRS@), @L2@)
@@ -322,7 +324,7 @@ def _clause_lines(clauses) -> str:
 
 def _search_line(status, records, conflicts) -> str:
     """The driver's line for a search: status code, conflicts, records, record literals."""
-    return f"{(BUDGET, SAT, UNSAT).index(status)} {conflicts} {len(records)} {sum(len(r.clause) for r in records)}"
+    return f"{STATUS_CODES.index(status)} {conflicts} {len(records)} {sum(len(r.clause) for r in records)}"
 
 
 def _backbone_lines(lib, formula, limit) -> list[str]:
@@ -330,7 +332,7 @@ def _backbone_lines(lib, formula, limit) -> list[str]:
     status, stopped literal and counts, the confirmed literals, the tested
     literals and the models' bytes."""
     status, stopped, confirmed, models = _backbone_with_kernel(lib, formula, limit, BACKBONE_SEED)
-    return [f"{(BUDGET, SAT, UNSAT).index(status)} {stopped} {len(confirmed)} {len(models)}",
+    return [f"{STATUS_CODES.index(status)} {stopped} {len(confirmed)} {len(models)}",
             " ".join(map(str, confirmed)), " ".join(str(lit) for lit, _ in models),
             "".join(str(byte) for _, model in models for byte in model)]
 
@@ -400,7 +402,7 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
         "BIG_N": big.num_vars, "BIG_M": big.num_clauses,
         "BIG_OFF": _ints(big.offsets), "BIG_LITS": _ints(big.literals),
         "BIG_KEY": _ints(_native.seed_key(BIG_SEED)), "BIG_KEY_LEN": len(_native.seed_key(BIG_SEED)),
-        "BIG_LIMIT": BIG_BUDGET.conflict_limit, "BIG_WIDTH": BIG_BUDGET.width_limit,
+        "BIG_LIMIT": BIG_BUDGET.conflict_limit, "BIG_WIDTH": BIG_BUDGET.width_limit, "NO_LIMIT": "1LL << 62",
         "BB_N": planted.num_vars, "BB_M": planted.num_clauses,
         "BB_OFF": _ints(planted.offsets), "BB_LITS": _ints(planted.literals), "BB_LIMIT": BACKBONE_LIMIT,
         "BB_KEY": _ints(_native.seed_key(BACKBONE_SEED)), "BB_KEY_LEN": len(_native.seed_key(BACKBONE_SEED)),

@@ -78,3 +78,10 @@ def test_a_seed_that_is_not_an_int_is_a_value_error_on_both_engines(engine, seed
         with pytest.raises(ValueError, match=f"seed must be an int, got {named}$"):
             call()
             pytest.fail(f"{name} took the seed {seed!r}")
+
+
+@pytest.mark.parametrize("count, passed", [(None, _native.NO_LIMIT), (0, 0), (5, 5),
+                                           (_native.NO_LIMIT, _native.NO_LIMIT), (2**70, _native.NO_LIMIT)],
+                         ids=["None", "0", "5", "NO_LIMIT", "2**70"])
+def test_limit_is_the_count_a_kernel_takes(count, passed):
+    assert _native.limit(count) == passed
