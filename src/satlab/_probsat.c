@@ -14,6 +14,19 @@
  * tautology's x and -x toggle it together.  So the kernel reads the XOR
  * exactly where the reference reads its scan's result.
  *
+ * `breaks` has 2^ceil(log2(n + 1)) slots, the smallest power of two above
+ * n: an XOR of variables 1 .. n stays below it, so a clause's XOR indexes
+ * inside `breaks` whatever the clause's count.  That lets the counter
+ * updates run without a branch on a count, which is random data and so
+ * mispredicts: the init loop writes each clause into the falsified
+ * registry's next slot but moves past it only when the clause is
+ * falsified, and adds `count == 1` to its XOR's break count; `flip` adds
+ * `c == 1` and `c == 2` where the reference updates a break count only
+ * for those counts.  A skipped update adds 0 to some slot, so every break
+ * count stays exact and the slots above n stay 0.  Sending skipped
+ * updates to a sink slot instead (breaks[c == 1 ? x : 0]) chains the
+ * stores through breaks[0] and measured slower than the branches.
+ *
  * Literals are DIMACS-signed ints; clause c holds lits[off[c] .. off[c+1]).
  * The occurrence lists are Formula's index, passed in and only read: the
  * clause ids of literal l are occ[occ_off[i] .. occ_off[i+1]) with
@@ -34,7 +47,7 @@ typedef struct {
     long long flips;
     int num_falsified;
     unsigned char *assign; /* n + 1 */
-    int *breaks;           /* n + 1 */
+    int *breaks;           /* the smallest power of two above n (header) */
     int *cl;               /* 2m: per clause, its true-literal count and their variables' XOR */
     int *falsified, *where; /* m each; where[c] is read only while c is falsified */
     const int *occ_off, *occ;
@@ -63,9 +76,12 @@ probsat_state *probsat_new(int n, int m, const int *off, const int *lits,
                            const double *table, const uint32_t *key, int key_len)
 {
     probsat_state *s = calloc(1, sizeof *s);
-    int v, c, i;
+    size_t slots = 1;
+    int v, c, i, nf = 0;
     if (!s)
         return NULL;
+    while (slots <= (size_t)n)
+        slots <<= 1;
     s->n = n;
     s->off = off;
     s->lits = lits;
@@ -74,7 +90,7 @@ probsat_state *probsat_new(int n, int m, const int *off, const int *lits,
     s->table = table;
     mt_seed(&s->rng, key, (size_t)key_len);
     s->assign = calloc((size_t)n + 1, 1);
-    s->breaks = calloc((size_t)n + 1, sizeof(int));
+    s->breaks = calloc(slots, sizeof(int));
     s->cl = malloc((4 * (size_t)m + 1) * sizeof(int));
     if (!s->assign || !s->breaks || !s->cl) {
         probsat_free(s);
@@ -95,12 +111,12 @@ probsat_state *probsat_new(int n, int m, const int *off, const int *lits,
         }
         s->cl[2 * c] = count;
         s->cl[2 * c + 1] = x;
-        if (count == 0) {
-            s->where[c] = s->num_falsified;
-            s->falsified[s->num_falsified++] = c;
-        } else if (count == 1)
-            s->breaks[x]++;
+        s->where[c] = nf; /* read only if c stays registered */
+        s->falsified[nf] = c;
+        nf += count == 0;
+        s->breaks[x] += count == 1;
     }
+    s->num_falsified = nf;
     return s;
 }
 
@@ -122,8 +138,8 @@ static void flip(probsat_state *s, int v)
             falsified[idx] = last;
             where[last] = idx;
             breaks[v]++;
-        } else if (c == 1)
-            breaks[p[1]]--;
+        }
+        breaks[p[1]] -= c == 1;
         p[0] = c + 1;
         p[1] ^= v;
     }
@@ -136,16 +152,16 @@ static void flip(probsat_state *s, int v)
             breaks[v]--;
             where[cid] = s->num_falsified;
             falsified[s->num_falsified++] = cid;
-        } else if (c == 2)
-            breaks[p[1]]++;
+        }
+        breaks[p[1]] += c == 2;
     }
 }
 
 /* Flip until `stop` flips in total are done or no clause is falsified;
- * returns the total flip count.  A break count never exceeds the
- * occurrence count of the variable's true literal, because no clause
- * holds a literal twice (Formula drops repeats), so it indexes inside
- * `table`. */
+ * returns the total flip count.  A break count, exact as the header
+ * says, never exceeds the occurrence count of the variable's true
+ * literal, because no clause holds a literal twice (Formula drops
+ * repeats), so it indexes inside `table`. */
 long long probsat_flip(probsat_state *s, long long stop)
 {
     const int *lits = s->lits;

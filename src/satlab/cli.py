@@ -231,7 +231,11 @@ def _cmd_bench(args) -> int:
     currency = "flips" if args.budget_flips is not None else "seconds"
     timeout = args.timeout
     if timeout is None:
-        timeout = args.budget_flips if currency == "flips" else args.budget_seconds
+        flag, timeout = (("--budget-flips", args.budget_flips) if currency == "flips"
+                         else ("--budget-seconds", args.budget_seconds))
+        if timeout is not None and not timeout > 0:  # NaN fails too
+            raise ValueError(f"{flag} {timeout}: the PAR2 timeout defaults to this budget and must be positive;"
+                             " give a positive budget or --timeout")
     bench_mod._check_cost(currency, timeout)  # before any trial runs
     paths = sorted({os.path.abspath(p) for pattern in args.instances for p in glob.glob(pattern)})
     if not paths:

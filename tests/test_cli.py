@@ -490,6 +490,25 @@ def test_bench_rejects_a_timeout_that_is_not_positive_before_any_trial(tmp_path,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("flag,budget,shown", [("--budget-flips", "0", "0"), ("--budget-seconds", "0", "0.0"),
+                                               ("--budget-seconds", "-1", "-1.0"), ("--budget-seconds", "nan", "nan")])
+def test_bench_names_the_budget_that_sets_a_timeout_that_is_not_positive(tmp_path, flag, budget, shown, monkeypatch):
+    # without --timeout the timeout is the budget; the error used to say
+    # "timeout must be positive", naming a flag that was not given
+    cnf = tmp_path / "x.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
+    config = tmp_path / "solvers.json"
+    config.write_text(json.dumps({"id": "probsat"}))
+    out_dir = tmp_path / "out"
+    monkeypatch.setattr(cli.bench_mod, "run_suite", lambda *a, **k: pytest.fail("a trial ran"))
+    args = ["bench", "--instances", str(cnf), "--solver-config", str(config), flag, budget, "--out-dir", str(out_dir)]
+    with pytest.raises(ValueError, match=f"^{flag} {shown}: the PAR2 timeout defaults to this budget"):
+        main(args)
+    with pytest.raises(ValueError, match="^timeout must be positive$"):  # a --timeout given is named as before
+        main([*args, "--timeout", "0"])
+    assert not out_dir.exists()
+
+
 def test_bench_without_a_budget_is_an_error(tmp_path, capsys):
     # it used to run every trial unbounded and then crash in `summarize` on a None timeout
     cnf = tmp_path / "x.cnf"

@@ -9,8 +9,9 @@ past its first DB reduction.  It computes a backbone in one call to each
 of its three endings (every candidate decided, an unsatisfiable formula,
 a query out of conflicts), whose queries pass their literals to a
 search as unit clauses, and reads each pool in tuple order through its
-permutation.  It runs
-probSAT for a flip budget on a k=3 formula and on the formula with no
+permutation.  It runs probSAT for a flip budget on a k=3 formula, on a
+k=7 formula at n = 64, where the XOR of a clause's true variables indexes
+the last of the 128 break counters, and on the formula with no
 variables, whose literal and occurrence arrays are NULL, and generates
 clauses with seed keys of 1 and 7 words on both branches of
 `random.sample`.  Built with the five C files under
@@ -62,6 +63,9 @@ LEVEL1_WIDTH, LEVEL2_WIDTH, PAIR_BUDGET = 3, 4, 3_000
 ADDITIONS, ADDITION_SEED = 1_500, 4
 # a flip budget that ends the run on the n=480 formula before a model
 SLS_FLIPS, SLS_SEED = 5_000, 3
+# a budget-bound k=7 run at n = 64, where the XOR of a clause's true
+# variables reaches 127, the last of probSAT's 128 break counters
+TOP_SLOT_SPEC, TOP_SLOT_FLIPS = GenSpec(n=64, k=7, ratio=85.0, seed=2), 600
 # (n, m, bias, planted, seed) at k=3: n <= 21 takes random.sample's pool
 # branch, n > 21 its set branch; the seeds' keys have 1 and 7 words
 GEN_SHORT_SEED, GEN_LONG_SEED = 5, 2**200 + 7
@@ -113,6 +117,9 @@ static int add_off[] = {@ADD_OFF@}, add_lits[] = {@ADD_LITS@};
 static const int big_occ_off[] = {@BIG_OCC_OFF@}, big_occ[] = {@BIG_OCC@};
 static const double big_table[] = {@BIG_TABLE@};
 static const uint32_t sls_key[] = {@SLS_KEY@};
+static const int top_off[] = {@TOP_OFF@}, top_lits[] = {@TOP_LITS@};
+static const int top_occ_off[] = {@TOP_OCC_OFF@}, top_occ[] = {@TOP_OCC@};
+static const double top_table[] = {@TOP_TABLE@};
 static const int none_off[] = {0}, none_occ_off[] = {0, 0, 0}; /* n = 0, m = 0 */
 static const double none_table[] = {@NONE_TABLE@};
 static const uint32_t short_key[] = {@SHORT_KEY@}, long_key[] = {@LONG_KEY@};
@@ -282,6 +289,8 @@ int main(void)
     printf("\n");
     if (walk(@BIG_N@, @BIG_M@, big_off, big_lits, big_occ_off, big_occ, big_table, sls_key, @SLS_KEY_LEN@,
              @SLS_FLIPS@)
+        || walk(@TOP_N@, @TOP_M@, top_off, top_lits, top_occ_off, top_occ, top_table, sls_key, @SLS_KEY_LEN@,
+                @TOP_FLIPS@)
         || walk(0, 0, none_off, NULL, none_occ_off, NULL, none_table, sls_key, @SLS_KEY_LEN@, @SLS_FLIPS@))
         return 1;
     if (@GEN_CALLS@)
@@ -392,6 +401,7 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
     additions += additions[:300]
     added = _flatten(additions, res.offsets[-1])
     none = Formula(0, [])
+    top, _ = gen_planted(TOP_SLOT_SPEC)
     planted, _ = gen_planted(BACKBONE_SPEC)
     no_backbone = gen_uniform(NO_BACKBONE_SPEC)
     fields = {
@@ -417,6 +427,9 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
         "BIG_TABLE": ", ".join(map(float.hex, _table(big))), "NONE_TABLE": ", ".join(map(float.hex, _table(none))),
         "SLS_KEY": _ints(_native.seed_key(SLS_SEED)), "SLS_KEY_LEN": len(_native.seed_key(SLS_SEED)),
         "SLS_FLIPS": SLS_FLIPS,
+        "TOP_N": top.num_vars, "TOP_M": top.num_clauses, "TOP_OFF": _ints(top.offsets),
+        "TOP_LITS": _ints(top.literals), "TOP_OCC_OFF": _ints(top.occ_offsets), "TOP_OCC": _ints(top.occ),
+        "TOP_TABLE": ", ".join(map(float.hex, _table(top))), "TOP_FLIPS": TOP_SLOT_FLIPS,
         "SHORT_KEY": _ints(_native.seed_key(GEN_SHORT_SEED)), "LONG_KEY": _ints(_native.seed_key(GEN_LONG_SEED)),
         "GEN_CALLS": "\n        || ".join(_gen_call(*case) for case in GEN_CASES),
     }
@@ -467,12 +480,15 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
         str(augmented.num_clauses - res.num_clauses),
         " ".join(map(str, augmented.literals[res.offsets[-1]:])),
     ]
-    # the same probSAT runs through probsat_run: budget-bound, and solved with no flip
+    # the same probSAT runs through probsat_run: two budget-bound, and one solved with no flip
     walked = probsat_run(big, SLS_FLIPS, SLS_SEED)
     assert (walked.status, walked.flips_used) == (FLIPS_EXHAUSTED, SLS_FLIPS)
+    walked = probsat_run(top, TOP_SLOT_FLIPS, SLS_SEED)
+    assert (walked.status, walked.flips_used) == (FLIPS_EXHAUSTED, TOP_SLOT_FLIPS)
     walked = probsat_run(none, SLS_FLIPS, SLS_SEED)
     assert (walked.status, walked.flips_used, walked.model) == (SOLVED, 0, [False])
-    expected += [_walk_line(lib, big, SLS_FLIPS, SLS_SEED), _walk_line(lib, none, SLS_FLIPS, SLS_SEED)]
+    expected += [_walk_line(lib, big, SLS_FLIPS, SLS_SEED), _walk_line(lib, top, TOP_SLOT_FLIPS, SLS_SEED),
+                 _walk_line(lib, none, SLS_FLIPS, SLS_SEED)]
     assert sorted(len(_native.seed_key(seed)) for seed in (GEN_SHORT_SEED, GEN_LONG_SEED)) == [1, 7]
     for case in GEN_CASES:
         expected += _gen_lines(lib, *case)

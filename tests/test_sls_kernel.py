@@ -11,6 +11,8 @@ import random
 import re
 import subprocess
 import warnings
+from functools import reduce
+from operator import xor
 from pathlib import Path
 
 import pytest
@@ -178,15 +180,33 @@ def wide_clauses(seed):
     return Formula(14, full + wide)
 
 
-# (name, formula, flips): the sls-par2 shapes, and the clause kinds where a
-# clause's count of true literals often drops from 2 to 1
+def k7(n):
+    """A planted k=7 formula over n variables at ratio 85, as the sls-par2 k7 shape."""
+    return gen_planted(GenSpec(n=n, k=7, ratio=85.0, seed=2))[0]
+
+
+# (name, formula, flips): the sls-par2 shapes, the clause kinds where a
+# clause's count of true literals often drops from 2 to 1, and sizes n where
+# the XOR of a clause's true variables reaches the top slot of the kernel's
+# `breaks`, whose size is the smallest power of two above n
 BUDGET_BOUND = {
     "k3-n5000": (lambda: gen_planted(GenSpec(n=5000, k=3, ratio=4.2, seed=2))[0], 1_000),
     "k5-n500": (lambda: gen_planted(GenSpec(n=500, k=5, ratio=20.0, seed=2))[0], 1_200),
-    "k7-n150": (lambda: gen_planted(GenSpec(n=150, k=7, ratio=85.0, seed=2))[0], 600),
+    "k7-n150": (lambda: k7(150), 600),
     "tautologies": (lambda: tautology_dense(30, 300, 7), 3_000),
     "widths-9-12": (lambda: wide_clauses(9), 1_500),
+    "k7-n63": (lambda: k7(63), 600),
+    "k7-n64": (lambda: k7(64), 600),
+    "k7-n65": (lambda: k7(65), 600),
+    "n1": (lambda: Formula(1, [(1,), (-1,), (1, -1)]), 300),
 }
+TOP_SLOT = ("k7-n63", "k7-n64", "k7-n65", "n1")
+
+
+def top_xor(formula, assign):
+    """The largest XOR of a clause's true variables under `assign`."""
+    return max(reduce(xor, (abs(lit) for lit in clause if assign[abs(lit)] == (lit > 0)), 0)
+               for clause in formula.clauses)
 
 
 @pytest.mark.parametrize("name", sorted(BUDGET_BOUND))
@@ -197,6 +217,8 @@ def test_kernel_state_after_a_budget_bound_run_equals_the_reference(kernel, monk
         fast, ref = states_after(monkeypatch, kernel, formula, flips, seed)
         assert fast[:2] == (sls.FLIPS_EXHAUSTED, flips)
         assert fast == ref, f"{name} seed={seed}"
+        if name in TOP_SLOT:  # the final XORs reach the last of the kernel's break counters
+            assert top_xor(formula, fast[2]) == (1 << formula.num_vars.bit_length()) - 1
     if name == "tautologies":
         assert sum(any(-lit in c for lit in c) for c in formula.clauses) > 100
         fast, ref = states_after(monkeypatch, kernel, formula, flips, 5, ScoringFunction("exp", cb=1.8))
