@@ -44,8 +44,9 @@
  * The records are one clause set of _clauses.h, which holds each record
  * and counts the distinct ones; the header also gives the literal index
  * and the growth rule.  The phases come from the Mersenne Twister of
- * _mt.h, seeded as the probSAT kernel seeds it (mt_seed).  new_state takes
- * them drawn: cdcl_new draws them for its one search, and cdcl_backbone
+ * _mt.h, seeded as the probSAT kernel seeds it (mt_seed), and the
+ * wall-clock budget reads that header's now().  new_state takes the
+ * phases drawn: cdcl_new draws them for its one search, and cdcl_backbone
  * draws them once for all of its searches, the only ones with units.
  *
  * A finished search or backbone is read by one _info and one _copy call,
@@ -56,7 +57,6 @@
 #include <math.h>
 #include <stdlib.h>
 #include <string.h>
-#include <time.h>
 
 #include "_clauses.h"
 #include "_mt.h"
@@ -107,13 +107,6 @@ typedef struct {
 static int value(const cdcl_state *s, int lit)
 {
     return s->value[lit_index(lit)];
-}
-
-static double now(void)
-{
-    struct timespec ts;
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return (double)ts.tv_sec + (double)ts.tv_nsec * 1e-9;
 }
 
 /* satlab.cdcl.luby */

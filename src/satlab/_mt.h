@@ -3,7 +3,8 @@
  * random.random() from two of its words.  mt_seed puts a state where
  * random.Random(seed) puts it, for an int seed: init_by_array over the
  * key of random_seed, the 32-bit words of abs(seed) from the least
- * significant one up, or the one word 0 for seed 0.
+ * significant one up, or the one word 0 for seed 0.  Besides, now() reads
+ * the monotonic clock that the probSAT and CDCL searches poll.
  */
 
 #ifndef SATLAB_MT_H
@@ -11,6 +12,7 @@
 
 #include <stddef.h>
 #include <stdint.h>
+#include <time.h>
 
 #define MT_N 624
 #define MT_M 397
@@ -83,6 +85,14 @@ static inline double random_double(mt_state *s)
 {
     uint32_t a = genrand_uint32(s) >> 5, b = genrand_uint32(s) >> 6;
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* seconds on the monotonic clock, for wall-clock budgets */
+static inline double now(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + (double)ts.tv_nsec * 1e-9;
 }
 
 #endif

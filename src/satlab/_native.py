@@ -15,11 +15,9 @@ its reference when it returns None.  Inputs are checked where they are
 made (`seed_key` rejects a seed that is not an int, `GenSpec` and
 `Formula` sizes that int32 cannot hold), so both engines take the same
 ones.  With the library loaded, a reference still runs only for input
-no kernel reads: in `cnf`, DIMACS text outside the scanner's subset,
-clauses that do not flatten to int32 and model values that are not
-bytes; in `sls.probsat_run`, an empty clause, which no assignment
-satisfies: the reference answers with no flip, and the kernel's flip
-step would read outside the clause.
+no kernel reads, all of it in `cnf`: DIMACS text outside the scanner's
+subset, clauses that do not flatten to int32 and model values that are
+not bytes.
 
 `load` builds the library on first use with the system C compiler, into
 `$XDG_CACHE_HOME/satlab` (by default `~/.cache/satlab`) under a file name
@@ -27,11 +25,13 @@ keyed by the sources, the flags and the platform, and returns None when
 no compiler or cache directory is usable.  Every module calls it as
 `_native.load()`, so replacing this one attribute sends them all to
 their references.  Arrays cross as the `address` of `array.array`
-buffers, and output buffers are `zeros`.  A finished result (a CDCL
-search, a backbone, a resolvent pool) is read by one `_info` call, which
-gives its counts, and one `_copy` call, then freed; only probSAT's live
-state, polled between flip batches, has getters.  Every budget crosses
-as a count, and `limit` alone turns None (none) into `NO_LIMIT`.
+buffers, and output buffers are `zeros`.  A kernel run is one call.  Its
+results come back in the caller's buffers where the caller knows their
+size (probSAT's assignment, which also carries its start); a result
+whose size the run decides (a CDCL search, a backbone, a resolvent pool)
+is read by one `_info` call, which gives its counts, and one `_copy`
+call, then freed.  Every flip or conflict budget crosses as a count, and
+`limit` alone turns None (none) into `NO_LIMIT`.
 """
 
 from __future__ import annotations
@@ -61,11 +61,7 @@ _KERNEL_LIBS = ("-lm",)  # after the sources, so that pow resolves under --as-ne
 _ptr, _i64, _i32 = ctypes.c_void_p, ctypes.c_longlong, ctypes.c_int
 # (name, restype, argtypes) of every function the library exports
 _KERNEL_FUNCTIONS = (
-    ("probsat_new", _ptr, [_i32, _i32, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _i32]),
-    ("probsat_flip", _i64, [_ptr, _i64]),
-    ("probsat_num_falsified", _i32, [_ptr]),
-    ("probsat_assignment", None, [_ptr, _ptr]),
-    ("probsat_free", None, [_ptr]),
+    ("probsat_solve", _i64, [_i32, _i32, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _i32, _i64, ctypes.c_double, _ptr, _ptr]),
     ("cdcl_new", _ptr, [_i32, _i32, _ptr, _ptr, _ptr, _i32]),
     ("cdcl_solve", _i32, [_ptr, _i64, ctypes.c_double, _i64, _i64]),
     ("cdcl_info", None, [_ptr, _ptr]),
@@ -109,14 +105,6 @@ def limit(count: int | None) -> int:
     """`count` as a kernel takes a budget: `NO_LIMIT` for None (no budget)
     and for any larger count, `count` otherwise."""
     return NO_LIMIT if count is None else min(count, NO_LIMIT)
-
-
-def read_model(read, state, num_vars: int) -> bytes:
-    """The assignment `read` (`probsat_assignment`) copies out of a live
-    kernel state: n+1 bytes of 0 or 1, byte 0 unused."""
-    buf = zeros("B", num_vars + 1)
-    read(state, address(buf))
-    return buf.tobytes()
 
 
 def seed_key(seed) -> array:

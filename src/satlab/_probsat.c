@@ -1,4 +1,6 @@
-/* Compiled probSAT flip loop, bit-identical to satlab.sls._probsat_python.
+/* Compiled probSAT, bit-identical to satlab.sls._probsat_python, in one
+ * call: probsat_solve draws the start, builds the counters, flips and
+ * polls the clock, with its state on its stack.
  *
  * Every step mirrors the Python reference: the same Mersenne Twister
  * stream (_mt.h, seeded as random.Random(seed) seeds it), the same
@@ -30,23 +32,23 @@
  * Literals are DIMACS-signed ints; clause c holds lits[off[c] .. off[c+1]).
  * The occurrence lists are Formula's index, passed in and only read: the
  * clause ids of literal l are occ[occ_off[i] .. occ_off[i+1]) with
- * i = lit_index(l) (_clauses.h), in clause-id order.
+ * i = lit_index(l) (_clauses.h), in clause-id order.  The caller owns the
+ * n + 1 bytes of the assignment, which hold the last one on return.
  */
 
 #include <stdlib.h>
-#include <string.h>
 
 #include "_clauses.h"
 #include "_mt.h"
 
+#define POLL_FLIPS 4096 /* flips between wall-clock polls, as the reference polls */
+
 typedef struct {
     mt_state rng;
-    int n;
     const int *off, *lits;
     const double *table; /* f(0 .. longest occurrence list) */
-    long long flips;
     int num_falsified;
-    unsigned char *assign; /* n + 1 */
+    unsigned char *assign; /* n + 1, the caller's */
     int *breaks;           /* the smallest power of two above n (header) */
     int *cl;               /* 2m: per clause, its true-literal count and their variables' XOR */
     int *falsified, *where; /* m each; where[c] is read only while c is falsified */
@@ -57,67 +59,6 @@ typedef struct {
 static int lit_true(const probsat_state *s, int lit)
 {
     return s->assign[abs(lit)] ^ (lit < 0);
-}
-
-void probsat_free(probsat_state *s)
-{
-    if (!s)
-        return;
-    free(s->assign);
-    free(s->breaks);
-    free(s->cl);
-    free(s);
-}
-
-/* New state: draws the initial assignment and builds the counters.  `key`
- * is the seed's key[0 .. key_len) (mt_seed).  NULL when out of memory. */
-probsat_state *probsat_new(int n, int m, const int *off, const int *lits,
-                           const int *occ_off, const int *occ,
-                           const double *table, const uint32_t *key, int key_len)
-{
-    probsat_state *s = calloc(1, sizeof *s);
-    size_t slots = 1;
-    int v, c, i, nf = 0;
-    if (!s)
-        return NULL;
-    while (slots <= (size_t)n)
-        slots <<= 1;
-    s->n = n;
-    s->off = off;
-    s->lits = lits;
-    s->occ_off = occ_off;
-    s->occ = occ;
-    s->table = table;
-    mt_seed(&s->rng, key, (size_t)key_len);
-    s->assign = calloc((size_t)n + 1, 1);
-    s->breaks = calloc(slots, sizeof(int));
-    s->cl = malloc((4 * (size_t)m + 1) * sizeof(int));
-    if (!s->assign || !s->breaks || !s->cl) {
-        probsat_free(s);
-        return NULL;
-    }
-    s->falsified = s->cl + 2 * (size_t)m;
-    s->where = s->falsified + m;
-
-    for (v = 1; v <= n; v++)
-        s->assign[v] = random_double(&s->rng) < 0.5;
-
-    for (c = 0; c < m; c++) {
-        int count = 0, x = 0;
-        for (i = off[c]; i < off[c + 1]; i++) { /* no branch: a literal is true at random */
-            int t = lit_true(s, lits[i]);
-            count += t;
-            x ^= abs(lits[i]) & -t;
-        }
-        s->cl[2 * c] = count;
-        s->cl[2 * c + 1] = x;
-        s->where[c] = nf; /* read only if c stays registered */
-        s->falsified[nf] = c;
-        nf += count == 0;
-        s->breaks[x] += count == 1;
-    }
-    s->num_falsified = nf;
-    return s;
 }
 
 /* Toggle v.  A clause that gains a true literal and had one loses its
@@ -157,16 +98,16 @@ static void flip(probsat_state *s, int v)
     }
 }
 
-/* Flip until `stop` flips in total are done or no clause is falsified;
- * returns the total flip count.  A break count, exact as the header
+/* Flip from `flips` flips done until `stop` are done or no clause is
+ * falsified; returns the flips done.  A break count, exact as the header
  * says, never exceeds the occurrence count of the variable's true
  * literal, because no clause holds a literal twice (Formula drops
  * repeats), so it indexes inside `table`. */
-long long probsat_flip(probsat_state *s, long long stop)
+static long long walk(probsat_state *s, long long flips, long long stop)
 {
     const int *lits = s->lits;
     const double *table = s->table;
-    while (s->flips < stop && s->num_falsified > 0) {
+    while (flips < stop && s->num_falsified > 0) {
         int cid = s->falsified[(long long)(random_double(&s->rng) * s->num_falsified)];
         int lo = s->off[cid], hi = s->off[cid + 1], chosen = lits[hi - 1], i;
         double total = 0.0, acc = 0.0, r;
@@ -181,18 +122,68 @@ long long probsat_flip(probsat_state *s, long long stop)
             }
         }
         flip(s, abs(chosen));
-        s->flips++;
+        flips++;
     }
-    return s->flips;
+    return flips;
 }
 
-int probsat_num_falsified(const probsat_state *s)
+/* Draw the start into assign[1 .. n] from the seed's key[0 .. key_len)
+ * (mt_seed), build the counters, and flip until `max_flips` flips are
+ * done, no clause is falsified, or, polled every POLL_FLIPS flips from
+ * flip 0, more than `wall_seconds` have passed since the call began
+ * (pass infinity for no limit).  A formula with an empty clause, which
+ * no assignment satisfies and whose pick would read outside the clause,
+ * gets no flip, as the reference answers it.  Sets *falsified to the
+ * falsified clauses left and returns the flips done, or -1 when out of
+ * memory. */
+long long probsat_solve(int n, int m, const int *off, const int *lits, const int *occ_off, const int *occ,
+                        const double *table, const uint32_t *key, int key_len, long long max_flips,
+                        double wall_seconds, unsigned char *assign, int *falsified)
 {
-    return s->num_falsified;
-}
+    double start = now();
+    probsat_state s = {.off = off, .lits = lits, .table = table, .assign = assign, .occ_off = occ_off,
+                       .occ = occ};
+    size_t slots = 1;
+    long long flips = 0;
+    int v, c, i, nf = 0, empty = 0;
+    while (slots <= (size_t)n)
+        slots <<= 1;
+    s.breaks = calloc(slots, sizeof(int));
+    s.cl = malloc((4 * (size_t)m + 1) * sizeof(int));
+    if (!s.breaks || !s.cl) {
+        free(s.breaks);
+        free(s.cl);
+        return -1;
+    }
+    s.falsified = s.cl + 2 * (size_t)m;
+    s.where = s.falsified + m;
 
-/* Copy the assignment (n + 1 bytes, index 0 unused) into `out`. */
-void probsat_assignment(const probsat_state *s, unsigned char *out)
-{
-    memcpy(out, s->assign, (size_t)s->n + 1);
+    mt_seed(&s.rng, key, (size_t)key_len);
+    assign[0] = 0;
+    for (v = 1; v <= n; v++)
+        assign[v] = random_double(&s.rng) < 0.5;
+
+    for (c = 0; c < m; c++) {
+        int count = 0, x = 0;
+        for (i = off[c]; i < off[c + 1]; i++) { /* no branch: a literal is true at random */
+            int t = lit_true(&s, lits[i]);
+            count += t;
+            x ^= abs(lits[i]) & -t;
+        }
+        s.cl[2 * c] = count;
+        s.cl[2 * c + 1] = x;
+        s.where[c] = nf; /* read only if c stays registered */
+        s.falsified[nf] = c;
+        nf += count == 0;
+        s.breaks[x] += count == 1;
+        empty |= off[c] == off[c + 1];
+    }
+    s.num_falsified = nf;
+
+    while (!empty && flips < max_flips && s.num_falsified > 0 && !(now() - start > wall_seconds))
+        flips = walk(&s, flips, max_flips - flips > POLL_FLIPS ? flips + POLL_FLIPS : max_flips);
+    *falsified = s.num_falsified;
+    free(s.breaks);
+    free(s.cl);
+    return flips;
 }

@@ -237,6 +237,8 @@ def _cmd_bench(args) -> int:
             raise ValueError(f"{flag} {timeout}: the PAR2 timeout defaults to this budget and must be positive;"
                              " give a positive budget or --timeout")
     bench_mod._check_cost(currency, timeout)  # before any trial runs
+    if args.budget_seconds is not None and not args.budget_seconds > 0:
+        raise ValueError(f"--budget-seconds {args.budget_seconds}: the wall-clock budget must be positive")
     paths = sorted({os.path.abspath(p) for pattern in args.instances for p in glob.glob(pattern)})
     if not paths:
         print("no instances matched", file=sys.stderr)

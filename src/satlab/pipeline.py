@@ -233,8 +233,11 @@ def _augment_python(formula: Formula, clauses) -> Formula:
 def check_budgets(wall_budget: float | None, final_flips: int | None) -> None:
     """ValueError unless a positive wall budget, a flip budget or both bound
     a run, and a flip budget given is an integer >= 0."""
-    if (wall_budget is None and final_flips is None) or (wall_budget is not None and not wall_budget > 0):
+    if wall_budget is None and final_flips is None:
         raise ValueError("a run needs a positive wall-clock budget, a flip budget or both")
+    if wall_budget is not None and not wall_budget > 0:  # NaN fails too
+        raise ValueError(f"wall-clock budget {wall_budget!r}: a run needs a positive wall-clock budget,"
+                         " or none and a flip budget")
     if not (final_flips is None or is_int_at_least(final_flips, 0)):
         raise ValueError(f"the flip budget must be an integer >= 0, got {final_flips!r}")
 

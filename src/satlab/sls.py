@@ -17,13 +17,13 @@ swap-remove registry with O(1) membership, insertion, and deletion.
 `probsat_run` has two paths with one set of semantics:
 
 - The compiled kernel (`_probsat.c`, built and loaded by `satlab._native`)
-  reads the formula's flat clause and occurrence arrays
-  (`Formula.offsets`, `literals`, `occ_offsets` and `occ`), and seeds the
-  Mersenne Twister from the int seed as `random.Random(seed)` does.
+  runs in one call: it reads the formula's flat clause and occurrence
+  arrays (`Formula.offsets`, `literals`, `occ_offsets` and `occ`), seeds
+  the Mersenne Twister from the int seed as `random.Random(seed)` does,
+  draws the start into a buffer of the caller's, and polls its own clock.
 - `_probsat_python`, the flip loop over `SlsState` (which reads the same
   arrays through `Formula.occurrence`), is the readable reference.  It
-  runs where `satlab._native` says: without the library, and for a
-  formula with an empty clause.
+  runs only without the library.
 
 For equal arguments the two give bit-identical status, flip count and
 model: the same random draws, the same registry order, the same
@@ -249,19 +249,19 @@ def probsat_run(
 ) -> RunResult:
     """Run break-only local search until a model is found or budgets expire.
 
-    The only public entry point: the kernel, or the reference where
-    `satlab._native` says, with the same status, `flips_used` and model.
+    The only public entry point: the kernel in one call, or the reference
+    without the library, with the same status, `flips_used` and model.
     `max_flips` must be an integer >= 0 and `wall_limit` None or not NaN
     (0 or less stops at the first poll); the kernel is passed at most
-    `_native.NO_LIMIT` flips, which no run spends.
+    `_native.NO_LIMIT` flips, which no run spends, and infinity for no
+    wall limit.
 
     Returned models are verified against the formula by `eval_formula`,
     after the clock stops: with the library loaded, its
     `formula_satisfied` reads the flat clause arrays, so a kernel run
     builds no clause tuple.  With `wall_limit` set, the clock is polled
-    every 4096 flips; wall-limited runs are therefore not
-    flip-deterministic, flip-budgeted ones are, and a flip-budgeted run is
-    a single kernel call.
+    every 4096 flips from flip 0; wall-limited runs are therefore not
+    flip-deterministic, flip-budgeted ones are.
     """
     if not is_int_at_least(max_flips, 0):
         raise ValueError(f"max_flips must be an integer >= 0, got {max_flips!r}")
@@ -269,30 +269,18 @@ def probsat_run(
         raise ValueError(f"wall_limit must be a number of seconds, got {wall_limit!r}")
     key = _native.seed_key(seed)
     kernel = _native.load()
-    if kernel is None or formula.has_empty_clause():  # the empty clause: see `satlab._native`
+    if kernel is None:
         return _probsat_python(formula, max_flips, seed, scoring, wall_limit)
-    max_flips = _native.limit(max_flips)
     start = time.perf_counter()
-    scoring = scoring or default_scoring_for(formula)
-    table = _score_table(scoring, formula.max_occurrences)
-    state = kernel.probsat_new(*_native.flat(formula),
-                               *map(_native.address, (formula.occ_offsets, formula.occ, table, key)), len(key))
-    if not state:
+    table = _score_table(scoring or default_scoring_for(formula), formula.max_occurrences)
+    assign, falsified = _native.zeros("B", formula.num_vars + 1), _native.zeros("i", 1)
+    flips_done = kernel.probsat_solve(*_native.flat(formula),
+                                      *map(_native.address, (formula.occ_offsets, formula.occ, table, key)), len(key),
+                                      _native.limit(max_flips), math.inf if wall_limit is None else wall_limit,
+                                      _native.address(assign), _native.address(falsified))
+    if flips_done < 0:
         raise MemoryError("cannot allocate the probSAT kernel state")
-    model = None
-    try:
-        if wall_limit is None:
-            flips_done = kernel.probsat_flip(state, max_flips)
-        else:
-            flips_done = 0
-            while flips_done < max_flips and kernel.probsat_num_falsified(state):
-                if time.perf_counter() - start > wall_limit:
-                    break
-                flips_done = kernel.probsat_flip(state, min(max_flips, flips_done + _POLL_FLIPS))
-        if not kernel.probsat_num_falsified(state):
-            model = _native.read_model(kernel.probsat_assignment, state, formula.num_vars)
-    finally:
-        kernel.probsat_free(state)
+    model = None if falsified[0] else assign.tobytes()
     return _result(formula, model, flips_done, seed, time.perf_counter() - start)
 
 

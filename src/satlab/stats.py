@@ -23,6 +23,12 @@ def _check_paired(a: Sequence[float], b: Sequence[float]) -> None:
         raise DegenerateInputError(f"paired samples differ in length: {len(a)} vs {len(b)}")
 
 
+def _mean_variance(xs: Sequence[float]) -> tuple[float, float]:
+    """The mean and the sample (n - 1) variance of `xs`, n >= 2."""
+    mean = sum(xs) / len(xs)
+    return mean, sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
+
+
 def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     """Two-sided paired Student t-test; returns (t, p).
 
@@ -33,9 +39,7 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
     n = len(a)
     if n < 2:
         raise DegenerateInputError("paired t-test needs at least 2 pairs")
-    diffs = [x - y for x, y in zip(a, b)]
-    mean = sum(diffs) / n
-    var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
+    mean, var = _mean_variance([x - y for x, y in zip(a, b)])
     if var == 0.0:
         if mean == 0.0:
             return 0.0, 1.0
@@ -50,10 +54,7 @@ def welch_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     na, nb = len(a), len(b)
     if na < 2 or nb < 2:
         raise DegenerateInputError("Welch t-test needs at least 2 observations per sample")
-    ma = sum(a) / na
-    mb = sum(b) / nb
-    va = sum((x - ma) ** 2 for x in a) / (na - 1)
-    vb = sum((x - mb) ** 2 for x in b) / (nb - 1)
+    (ma, va), (mb, vb) = _mean_variance(a), _mean_variance(b)
     se2 = va / na + vb / nb
     if se2 == 0.0:
         if ma == mb:
@@ -141,10 +142,7 @@ def cohens_d(a: Sequence[float], b: Sequence[float]) -> float:
     na, nb = len(a), len(b)
     if na < 2 or nb < 2:
         raise DegenerateInputError("Cohen's d needs at least 2 observations per sample")
-    ma = sum(a) / na
-    mb = sum(b) / nb
-    va = sum((x - ma) ** 2 for x in a) / (na - 1)
-    vb = sum((x - mb) ** 2 for x in b) / (nb - 1)
+    (ma, va), (mb, vb) = _mean_variance(a), _mean_variance(b)
     pooled = ((na - 1) * va + (nb - 1) * vb) / (na + nb - 2)
     if pooled == 0.0:
         if ma == mb:

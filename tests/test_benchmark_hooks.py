@@ -9,6 +9,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import satlab
 
 SATBENCH = Path(__file__).resolve().parents[1] / "satbench"
@@ -99,6 +101,16 @@ def test_sls_par2_trial_keys_are_pinned():
     instances, _, _ = workload.setup(0, lambda: 0.0)
     out = workload.run(instances, 0, lambda: 0.0)
     assert load("checks").digest(out.payload) == "d61b1f47687903b4"
+
+
+@pytest.mark.parametrize("name,digest", [("hybrid-mine", "d9f80a8477cbd543"), ("enrich-quality", "fbf4185129f2c033")])
+def test_round_payloads_are_pinned(name, digest):
+    # hybrid-mine runs probSAT in the three-phase pipeline, enrich-quality runs it
+    # on enriched formulas; a change that moves any outcome of one round moves its digest
+    workload = load("workloads").WORKLOADS[name]
+    instances, _, _ = workload.setup(0, lambda: 0.0)
+    out = workload.run(instances, 0, lambda: 0.0)
+    assert load("checks").digest(out.payload) == digest
 
 
 def test_backbone_queries_are_not_captured_as_miner_calls():

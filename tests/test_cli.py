@@ -509,6 +509,32 @@ def test_bench_names_the_budget_that_sets_a_timeout_that_is_not_positive(tmp_pat
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("budget,shown", [("0", "0.0"), ("-1", "-1.0"), ("nan", "nan")])
+def test_bench_names_a_wall_budget_that_is_not_positive(tmp_path, budget, shown, monkeypatch):
+    # next to a flip budget, which sets the timeout, it used to stop in the
+    # suite with "a run needs a positive wall-clock budget, a flip budget or
+    # both", which names neither flag
+    cnf = tmp_path / "x.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
+    config = tmp_path / "solvers.json"
+    config.write_text(json.dumps({"id": "probsat"}))
+    out_dir = tmp_path / "out"
+    monkeypatch.setattr(cli.bench_mod, "run_suite", lambda *a, **k: pytest.fail("a trial ran"))
+    args = ["bench", "--instances", str(cnf), "--solver-config", str(config), "--budget-seconds", budget,
+            "--out-dir", str(out_dir)]
+    for given in (["--budget-flips", "5"], ["--timeout", "10"]):
+        with pytest.raises(ValueError, match=f"^--budget-seconds {shown}: the wall-clock budget must be positive$"):
+            main([*args, *given])
+    assert not out_dir.exists()
+
+
+def test_solve_names_a_wall_budget_that_is_not_positive(tmp_path):
+    cnf = tmp_path / "x.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
+    with pytest.raises(ValueError, match="^wall-clock budget 0.0: a run needs a positive wall-clock budget"):
+        main(["solve", str(cnf), "--budget", "0", "--final-flips", "10"])
+
+
 def test_bench_without_a_budget_is_an_error(tmp_path, capsys):
     # it used to run every trial unbounded and then crash in `summarize` on a None timeout
     cnf = tmp_path / "x.cnf"

@@ -11,18 +11,20 @@ a query out of conflicts), whose queries pass their literals to a
 search as unit clauses, and reads each pool in tuple order through its
 permutation.  It runs probSAT for a flip budget on a k=3 formula, on a
 k=7 formula at n = 64, where the XOR of a clause's true variables indexes
-the last of the 128 break counters, and on the formula with no
-variables, whose literal and occurrence arrays are NULL, and generates
-clauses with seed keys of 1 and 7 words on both branches of
-`random.sample`.  Built with the five C files under
-`-fsanitize=address,undefined -fno-sanitize-recover=all`, it must exit 0
-with nothing on stderr (LeakSanitizer reports a leak there), and print
-what the library loaded by `satlab._native` gives for the same calls.
-The driver declares each entry point by hand; with GCC it is built with
-link-time optimisation, which compares every declaration with its
-definition, and a mismatch fails the build.
+the last of the 128 break counters, on the formula with no variables,
+whose literal and occurrence arrays are NULL, and on a formula with an
+empty clause, which gets no flip, and generates clauses with seed keys of
+1 and 7 words on both branches of `random.sample`.  Built with the five C
+files under `-fsanitize=address,undefined -fno-sanitize-recover=all` and
+`-Wall -Wextra -Werror`, so that an unused helper or a sign mismatch
+fails too, it must exit 0 with nothing on stderr (LeakSanitizer reports a
+leak there), and print what the library loaded by `satlab._native` gives
+for the same calls.  The driver declares each entry point by hand; with
+GCC it is built with link-time optimisation, which compares every
+declaration with its definition, and a mismatch fails the build.
 """
 
+import math
 import os
 import random
 import subprocess
@@ -41,7 +43,7 @@ from satlab.resolution import level1_resolvents, level2_resolvents, ternary_satu
 from satlab.sls import FLIPS_EXHAUSTED, SOLVED, default_scoring_for, probsat_run
 
 SANITIZE = ("-O1", "-g", "-fno-omit-frame-pointer", "-ffp-contract=off",
-            "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+            "-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-Wall", "-Wextra", "-Werror")
 # GCC's link-time optimiser reports a declaration whose type differs from the definition's
 GCC_LTO = ("-flto", "-Werror=lto-type-mismatch")
 ENV = {**os.environ, "ASAN_OPTIONS": "detect_leaks=1", "UBSAN_OPTIONS": "print_stacktrace=1"}
@@ -73,6 +75,7 @@ GEN_CASES = ((21, 30, 0.618, 1, GEN_SHORT_SEED), (21, 30, 1.0, 0, GEN_LONG_SEED)
              (22, 30, 0.618, 1, GEN_LONG_SEED), (60, 30, 1.0, 0, GEN_SHORT_SEED))
 
 DRIVER = r"""
+#include <math.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
@@ -95,12 +98,9 @@ void pool_copy(const void *p, long long *counts, int *lits, long long *order);
 void pool_free(void *p);
 long long augment_keep(int n, const int *f_off, const int *f_lits, const int *occ_off, const int *occ,
                        int empty, long long k, int *off, int *lits);
-void *probsat_new(int n, int m, const int *off, const int *lits, const int *occ_off, const int *occ,
-                  const double *table, const uint32_t *key, int key_len);
-long long probsat_flip(void *s, long long stop);
-int probsat_num_falsified(const void *s);
-void probsat_assignment(const void *s, unsigned char *out);
-void probsat_free(void *s);
+long long probsat_solve(int n, int m, const int *off, const int *lits, const int *occ_off, const int *occ,
+                        const double *table, const uint32_t *key, int key_len, long long max_flips,
+                        double wall_seconds, unsigned char *assign, int *falsified);
 int gen_clauses(int n, int k, long long m, int use_pool, double bias, unsigned char *hidden,
                 const uint32_t *key, int key_len, int *off, int *lits);
 
@@ -122,6 +122,9 @@ static const int top_occ_off[] = {@TOP_OCC_OFF@}, top_occ[] = {@TOP_OCC@};
 static const double top_table[] = {@TOP_TABLE@};
 static const int none_off[] = {0}, none_occ_off[] = {0, 0, 0}; /* n = 0, m = 0 */
 static const double none_table[] = {@NONE_TABLE@};
+static const int empty_off[] = {@EMPTY_OFF@}, empty_lits[] = {@EMPTY_LITS@};
+static const int empty_occ_off[] = {@EMPTY_OCC_OFF@}, empty_occ[] = {@EMPTY_OCC@};
+static const double empty_table[] = {@EMPTY_TABLE@};
 static const uint32_t short_key[] = {@SHORT_KEY@}, long_key[] = {@LONG_KEY@};
 
 /* Search, copy the records and the assignment out, print the status,
@@ -226,24 +229,24 @@ static int print_pool(void *p, int max_width)
     return 0;
 }
 
-/* Run probSAT for at most `flips` flips; print the flips done, the
- * falsified count and the assignment's bytes, and free the state; 1 when
- * out of memory. */
+/* Run probSAT for at most `flips` flips and no wall limit; print the
+ * flips done, the falsified count and the assignment's bytes; 1 when out
+ * of memory. */
 static int walk(int n, int m, const int *off, const int *lits, const int *occ_off, const int *occ,
                 const double *table, const uint32_t *key, int key_len, long long flips)
 {
-    void *s = probsat_new(n, m, off, lits, occ_off, occ, table, key, key_len);
     unsigned char *assign = malloc((size_t)n + 1);
-    if (!s || !assign)
+    int falsified;
+    if (!assign)
         return 1;
-    flips = probsat_flip(s, flips);
-    printf("%lld %d ", flips, probsat_num_falsified(s));
-    probsat_assignment(s, assign);
+    flips = probsat_solve(n, m, off, lits, occ_off, occ, table, key, key_len, flips, INFINITY, assign, &falsified);
+    if (flips < 0)
+        return 1;
+    printf("%lld %d ", flips, falsified);
     for (int v = 0; v <= n; v++)
         putchar('0' + assign[v]);
     putchar('\n');
     free(assign);
-    probsat_free(s);
     return 0;
 }
 
@@ -291,7 +294,9 @@ int main(void)
              @SLS_FLIPS@)
         || walk(@TOP_N@, @TOP_M@, top_off, top_lits, top_occ_off, top_occ, top_table, sls_key, @SLS_KEY_LEN@,
                 @TOP_FLIPS@)
-        || walk(0, 0, none_off, NULL, none_occ_off, NULL, none_table, sls_key, @SLS_KEY_LEN@, @SLS_FLIPS@))
+        || walk(0, 0, none_off, NULL, none_occ_off, NULL, none_table, sls_key, @SLS_KEY_LEN@, @SLS_FLIPS@)
+        || walk(@EMPTY_N@, @EMPTY_M@, empty_off, empty_lits, empty_occ_off, empty_occ, empty_table, sls_key,
+                @SLS_KEY_LEN@, @SLS_FLIPS@))
         return 1;
     if (@GEN_CALLS@)
         return 1;
@@ -355,14 +360,11 @@ def _walk_line(lib, formula, flips, seed) -> str:
     """The driver's line for a probSAT run, from the loaded library: flips
     done, falsified clauses and the assignment's bytes."""
     key, table = _native.seed_key(seed), _table(formula)
-    state = lib.probsat_new(*_native.flat(formula),
-                            *map(_native.address, (formula.occ_offsets, formula.occ, table, key)), len(key))
-    try:
-        done, falsified = lib.probsat_flip(state, flips), lib.probsat_num_falsified(state)
-        assign = _native.read_model(lib.probsat_assignment, state, formula.num_vars)
-    finally:
-        lib.probsat_free(state)
-    return f"{done} {falsified} " + "".join(map(str, assign))
+    assign, falsified = _native.zeros("B", formula.num_vars + 1), _native.zeros("i", 1)
+    done = lib.probsat_solve(*_native.flat(formula),
+                             *map(_native.address, (formula.occ_offsets, formula.occ, table, key)), len(key),
+                             flips, math.inf, _native.address(assign), _native.address(falsified))
+    return f"{done} {falsified[0]} " + "".join(map(str, assign))
 
 
 def _gen_lines(lib, n, m, bias, planted, seed) -> list[str]:
@@ -401,6 +403,7 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
     additions += additions[:300]
     added = _flatten(additions, res.offsets[-1])
     none = Formula(0, [])
+    empty = Formula(2, [(), (1,)])
     top, _ = gen_planted(TOP_SLOT_SPEC)
     planted, _ = gen_planted(BACKBONE_SPEC)
     no_backbone = gen_uniform(NO_BACKBONE_SPEC)
@@ -430,6 +433,9 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
         "TOP_N": top.num_vars, "TOP_M": top.num_clauses, "TOP_OFF": _ints(top.offsets),
         "TOP_LITS": _ints(top.literals), "TOP_OCC_OFF": _ints(top.occ_offsets), "TOP_OCC": _ints(top.occ),
         "TOP_TABLE": ", ".join(map(float.hex, _table(top))), "TOP_FLIPS": TOP_SLOT_FLIPS,
+        "EMPTY_N": empty.num_vars, "EMPTY_M": empty.num_clauses, "EMPTY_OFF": _ints(empty.offsets),
+        "EMPTY_LITS": _ints(empty.literals), "EMPTY_OCC_OFF": _ints(empty.occ_offsets),
+        "EMPTY_OCC": _ints(empty.occ), "EMPTY_TABLE": ", ".join(map(float.hex, _table(empty))),
         "SHORT_KEY": _ints(_native.seed_key(GEN_SHORT_SEED)), "LONG_KEY": _ints(_native.seed_key(GEN_LONG_SEED)),
         "GEN_CALLS": "\n        || ".join(_gen_call(*case) for case in GEN_CASES),
     }
@@ -480,15 +486,17 @@ def test_kernels_run_clean_under_the_sanitizers(tmp_path):
         str(augmented.num_clauses - res.num_clauses),
         " ".join(map(str, augmented.literals[res.offsets[-1]:])),
     ]
-    # the same probSAT runs through probsat_run: two budget-bound, and one solved with no flip
+    # the same probSAT runs through probsat_run: two budget-bound, one solved with no flip, one unsolvable
     walked = probsat_run(big, SLS_FLIPS, SLS_SEED)
     assert (walked.status, walked.flips_used) == (FLIPS_EXHAUSTED, SLS_FLIPS)
     walked = probsat_run(top, TOP_SLOT_FLIPS, SLS_SEED)
     assert (walked.status, walked.flips_used) == (FLIPS_EXHAUSTED, TOP_SLOT_FLIPS)
     walked = probsat_run(none, SLS_FLIPS, SLS_SEED)
     assert (walked.status, walked.flips_used, walked.model) == (SOLVED, 0, [False])
+    walked = probsat_run(empty, SLS_FLIPS, SLS_SEED)
+    assert (walked.status, walked.flips_used) == (FLIPS_EXHAUSTED, 0)
     expected += [_walk_line(lib, big, SLS_FLIPS, SLS_SEED), _walk_line(lib, top, TOP_SLOT_FLIPS, SLS_SEED),
-                 _walk_line(lib, none, SLS_FLIPS, SLS_SEED)]
+                 _walk_line(lib, none, SLS_FLIPS, SLS_SEED), _walk_line(lib, empty, SLS_FLIPS, SLS_SEED)]
     assert sorted(len(_native.seed_key(seed)) for seed in (GEN_SHORT_SEED, GEN_LONG_SEED)) == [1, 7]
     for case in GEN_CASES:
         expected += _gen_lines(lib, *case)

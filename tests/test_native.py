@@ -42,7 +42,7 @@ def outcomes(formulas, planted, spec):
 
 
 def test_the_library_runs_every_input_without_a_reference(kernel, monkeypatch):
-    formulas = (Formula(0, []), Formula(5, []), Formula(3, [(1, -2), (2, 3)]))
+    formulas = (Formula(0, []), Formula(5, []), Formula(3, [(1, -2), (2, 3)]), Formula(2, [(), (1,)]))
     planted, _ = gen_planted(GenSpec(n=12, k=3, ratio=4.0, seed=4))
     spec = GenSpec(n=22, k=3, m=60, seed=0)  # n > 21: random.sample's set branch
     with monkeypatch.context() as patched:

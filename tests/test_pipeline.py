@@ -15,6 +15,7 @@ from satlab.pipeline import (
     SolveResult,
     Strategy,
     augment,
+    check_budgets,
     run_hybrid,
     select_strategy,
 )
@@ -318,6 +319,15 @@ def test_plain_track_runs_single_phase():
     assert res.status == "sat"
     assert res.phase_solved == "initial-sls"
     assert "miner" not in res.phase_seconds
+
+
+def test_a_wall_budget_that_is_not_positive_is_named_with_its_value():
+    # it used to say "a run needs a positive wall-clock budget, a flip budget or
+    # both", which reads as if no flip budget were given, next to one
+    for wall_budget, shown in ((0, "0"), (0.0, "0.0"), (-1.5, "-1.5"), (json.loads("NaN"), "nan")):
+        for flips in (None, 10):
+            with pytest.raises(ValueError, match=f"^wall-clock budget {shown}: a run needs a positive wall-clock"):
+                check_budgets(wall_budget, flips)
 
 
 def test_budget_validation():

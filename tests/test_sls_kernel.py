@@ -2,10 +2,11 @@
 
 `probsat_run` runs the kernel whenever it loads; `_probsat_python` is the
 reference loop.  For equal arguments both must return equal status, flip
-count and model, and leave equal assignments in their states after a
-budget-bound run.
+count and model, and leave equal assignments after a budget-bound run:
+the kernel in the caller's buffer, the reference in its `SlsState`.
 """
 
+import ctypes
 import pickle
 import random
 import re
@@ -112,8 +113,8 @@ def test_kernel_matches_reference_on_tiny_formulas_and_budgets(kernel):
 
 
 class KernelSpy:
-    """The loaded library, recording what each `probsat_run` leaves in its
-    kernel state just before freeing it: the assignment and the number of
+    """The loaded library, recording what each `probsat_run`'s kernel call
+    leaves in the caller's buffers: the assignment and the number of
     falsified clauses."""
 
     def __init__(self, lib):
@@ -122,20 +123,18 @@ class KernelSpy:
     def __getattr__(self, name):
         return getattr(self._lib, name)
 
-    def probsat_new(self, n, *args):
-        self._n = n
-        return self._lib.probsat_new(n, *args)
-
-    def probsat_free(self, state):
-        assign = _native.read_model(self._lib.probsat_assignment, state, self._n)
-        self.left.append((list(map(bool, assign)), self._lib.probsat_num_falsified(state)))
-        self._lib.probsat_free(state)
+    def probsat_solve(self, n, *args):
+        flips = self._lib.probsat_solve(n, *args)
+        assign, falsified = args[-2:]
+        self.left.append((list(map(bool, ctypes.string_at(assign, n + 1))),
+                          ctypes.c_int.from_address(falsified).value))
+        return flips
 
 
 def states_after(monkeypatch, kernel, formula, flips, seed, scoring=None):
     """(status, flips used, assignment, falsified count) after `flips` flips,
     of the kernel and of the reference.  A budget-bound run returns no
-    model, so the assignments are read from the kernel's state and from
+    model, so the assignments are read from the kernel's buffer and from
     the reference's `SlsState`."""
     spy, made = KernelSpy(kernel), []
 
@@ -377,7 +376,7 @@ def test_ctypes_table_matches_the_c_parameter_lists():
             assert name not in defined, f"{name} is defined twice"
             defined[name] = 0 if params.strip() in ("", "void") else params.count(",") + 1
     table = {name: len(argtypes) for name, _, argtypes in _native._KERNEL_FUNCTIONS}
-    assert len(table) == len(_native._KERNEL_FUNCTIONS) == 26
+    assert len(table) == len(_native._KERNEL_FUNCTIONS) == 22
     assert defined == table
 
 
