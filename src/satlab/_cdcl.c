@@ -10,7 +10,7 @@
  *
  * - input clauses are attached in clause-id order with units enqueued
  *   at level 0, then, in a backbone query, the query's literals as unit
- *   clauses, as the reference attaches the formula extended by them; a
+ *   clauses, as the reference attaches them appended to the formula; a
  *   clause keeps its literal order until propagation swaps literals
  *   exactly where the reference swaps them;
  * - a decision takes the unassigned variable of highest activity, ties
@@ -505,7 +505,7 @@ static int assign_unit(cdcl_state *s, int lit)
 /* New solver over the CSR formula (clause c is lits[off[c] .. off[c + 1]))
  * and the unit clauses units[0 .. num_units) after it, with the initial
  * phases phases[1 .. n]; attaches the clauses and propagates the units, as
- * CdclSolver.__init__ does on the formula extended by the units.  A first
+ * CdclSolver.__init__ does on the formula with the units appended.  A first
  * pass sizes the arena and each watch list; the second lays the clauses of
  * width >= 2 out in the arena.  NULL when out of memory. */
 static cdcl_state *new_state(int n, int m, const int *off, const int *lits, const int *units, int num_units,
@@ -780,7 +780,7 @@ static int keep_model(backbone *b, const cdcl_state *s, int tested)
 }
 
 /* One fresh search of the formula with the units confirmed[0 ..
- * num_units), as satlab.cdcl._search runs it extended by them: no clock, no
+ * num_units) appended, as satlab.cdcl._search runs it: no clock, no
  * count cap, and no record kept (width limit 0).  A model is kept with
  * the literal `tested`.  Returns BUDGET, SAT, UNSAT or OUT_OF_MEMORY. */
 static int query(backbone *b, int m, const int *off, const int *lits, const unsigned char *phases, int num_units,

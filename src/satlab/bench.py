@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from typing import get_type_hints
 
 from .cnf import Formula
-from .pipeline import (OVERRIDABLE, check_budgets, plain_strategy, reject_ignored_by_sls, run_hybrid,
-                       select_strategy)
+from .pipeline import OVERRIDABLE, check_run, plain_strategy, reject_ignored_by_sls, run_hybrid, select_strategy
 from .sls import ScoringFunction, probsat_run  # probsat_run: unused, but satbench/spans.py rebinds it by name
 from .stats import DegenerateInputError, cohens_d, paired_t_test, wilcoxon_signed_rank
 
@@ -137,16 +136,16 @@ def run_trial(
     **config.overrides)`.  An `AssertionError` is a failed internal check
     (an invalid model or a broken invariant), not a crash of one solver:
     it propagates, so it is never scored as a PAR2 timeout.  So does the
-    `ValueError` of a missing budget or of a hybrid config that its
-    instance's track rejects (an ignored or out-of-range setting), which
-    are configuration errors: they stop the trial before any work.
+    `ValueError` of a missing budget, a seed that is not an int or a hybrid
+    config that its track rejects (an ignored or out-of-range setting),
+    which are configuration errors: they stop the trial before any work.
     """
-    check_budgets(budget_seconds, budget_flips)
+    check_run(budget_seconds, budget_flips, [seed])
     strategy = (plain_strategy(formula, config.overrides.get("scoring")) if config.algorithm == "sls"
                 else select_strategy(formula, **config.overrides))
     try:
         result = run_hybrid(formula, wall_budget=budget_seconds, seed=seed, strategy=strategy,
-                            final_flips=budget_flips)
+                            budget_flips=budget_flips)
     except AssertionError:
         raise
     except Exception as exc:  # crash containment: the suite must go on
@@ -173,15 +172,15 @@ def run_suite(
     """All (instance, solver, seed) trials, optionally in a process pool.
 
     Records come back sorted by (instance, solver, seed) regardless of
-    worker count or scheduling.  A suite with no budget, or with no or a
-    repeated instance id, solver id or seed, is a ValueError.
+    worker count or scheduling.  No budget, a seed that is not an int, and
+    no or a repeated instance id, solver id or seed are ValueErrors.
     """
     for kind, keys in (("instance id", [iid for iid, _ in instances]),
                        ("solver id", [config.solver_id for config in solvers]), ("seed", list(seeds))):
         repeated = [key for key, count in Counter(keys).items() if count > 1]
         if not keys or repeated:
             raise ValueError(f"{kind} {repeated[0]!r} is repeated" if keys else f"need at least one {kind}")
-    check_budgets(budget_seconds, budget_flips)
+    check_run(budget_seconds, budget_flips, seeds)
     tasks = [
         (iid, formula, config, seed, budget_flips, budget_seconds)
         for iid, formula in instances

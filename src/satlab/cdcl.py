@@ -17,7 +17,7 @@ mining exports their deduplicated prefix (or a seeded random subset).
 Every search is a fresh solve of one formula, and `_search` runs one:
 `cdcl_solve_and_mine` goes through it, and so do the backbone queries
 of `quality.compute_backbone` without the library, each of the formula
-extended by unit clauses (only the kernel's one-call backbone,
+with unit clauses appended (only the kernel's one-call backbone,
 `cdcl_backbone`, passes a search units).  Two engines, one semantics:
 
 - The compiled kernel (`_cdcl.c`, built and loaded by `satlab._native`)

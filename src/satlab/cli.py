@@ -146,8 +146,7 @@ def _cmd_enrich(args) -> int:
         pool = level2_resolvents(formula, args.max_width)
         added = sample_pool(pool, cap if cap is not None else len(pool), args.seed)
     elif args.mode == "ternary":
-        derived = sorted(ternary_saturate(formula))
-        added = derived if cap is None else derived[:cap]
+        added = ternary_saturate(formula)[:cap]  # the first `cap` in tuple order, or all
     else:  # cdcl
         budget = MiningBudget(wall_seconds=args.seconds, conflict_limit=args.conflicts,
                               width_limit=args.max_width, count_cap=cap,
@@ -179,8 +178,9 @@ def _cmd_inject(args) -> int:
         else:
             solution = [False] * (formula.num_vars + 1)  # gen_general reads only its length
         clauses = gen_general(solution, backbone, args.count, args.seed)
-    out = formula.extended(clauses)
-    _write(args.output, emit_dimacs(out, comments=[f"injected {len(clauses)} model={args.model}"]))
+    augmented = augment(formula, clauses)
+    count = augmented.num_clauses - formula.num_clauses
+    _write(args.output, emit_dimacs(augmented, comments=[f"injected {count} model={args.model}"]))
     return 0
 
 
@@ -205,7 +205,7 @@ def _cmd_solve(args) -> int:
         wall_budget=args.budget,
         seed=args.seed,
         strategy=select_strategy(formula, **overrides),
-        final_flips=args.final_flips,
+        budget_flips=args.budget_flips,
     )
     print(f"c result {result.canonical_json()}")
     if result.status == "sat":
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width-limit", type=int, default=None, dest="width_limit")
     p.add_argument("--cap-percent", type=float, default=None, dest="count_cap_percent")
     p.add_argument("--initial-flips", type=int, default=None, dest="initial_flips")
-    p.add_argument("--final-flips", type=int, default=None)
+    p.add_argument("--budget-flips", type=int, default=None, help="flips of all SLS phases together")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("bench", help="run a trial suite and emit CSV artifacts")

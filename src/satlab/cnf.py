@@ -23,7 +23,8 @@ each have two paths with one set of results:
   (`formula_satisfied`).  It also holds the duplicate check of
   `satlab.pipeline.augment` (`augment_keep`).  Every formula built from
   flat arrays, by the scanner, the generators or `augment`, is built by
-  `Formula._from_flat`.
+  `Formula._from_flat`.  A `Formula` is never modified: `augment` is the
+  one way to add clauses to one, and returns a new formula.
 - `canonical_clause` with `_index_clauses`, `_read_dimacs`,
   `_emit_clauses_python` and `_eval_formula_python` are the readable
   reference.  They run where `satlab._native` says, so every error
@@ -157,12 +158,6 @@ class Formula:
         self.occ_offsets, self.occ, self.max_occurrences = occ_offsets, occ, info[2]
         self.max_width = info[3]
         self._empty_clause = bool(info[4])
-
-    def extended(self, clauses: Iterable[Iterable[int]]) -> Formula:
-        """`Formula(n, self.clauses + tuple(clauses))`, or this formula
-        itself when `clauses` is empty; this formula is never modified."""
-        new = tuple(clauses)
-        return Formula(self.num_vars, self.clauses + new) if new else self
 
     @property
     def clauses(self) -> tuple[Clause, ...]:

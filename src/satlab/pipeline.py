@@ -15,11 +15,12 @@ with exponential scoring.  Percentage caps are computed from the
 original clause count, floor-rounded.  The plain and fallback tracks
 run one SLS phase, seeded with the run's seed, and read only the
 strategy's scoring; the other tracks seed their phases from one master
-RNG.  The clock is checked if and only if a wall budget is given, and
-the last SLS phase is flip-bounded if and only if `final_flips` is.  A
-run with `wall_budget=None`, `final_flips` set and a strategy whose
-`miner_conflict_limit` is set is timing-free: a pure function of its
-arguments.
+RNG.  The clock is checked if and only if a wall budget is given.  A
+flip budget bounds the SLS phases together: the burst runs
+`min(initial_flips, budget_flips)` flips and the final phase the rest;
+the miner's conflicts are reported beside them, never charged to it.
+A run with `wall_budget=None`, `budget_flips` set and a strategy whose
+`miner_conflict_limit` is set is timing-free.
 
 The track's settings, the miner's conflict limit among them, are a
 `Strategy`, and it is the only configuration `run_hybrid` reads besides
@@ -177,9 +178,9 @@ def percent_cap(percent: float, num_clauses: int) -> int:
 
 
 def augment(formula: Formula, clauses) -> Formula:
-    """`formula.extended` with the given clauses; a clause with the literal
-    set of an existing clause (or of an earlier addition) is dropped.  The
-    input formula is not modified.
+    """The one way to add clauses: a new formula of `formula`'s clauses,
+    then each given one whose literal set no existing clause and no
+    earlier addition has (`formula` itself when none is kept).
 
     The additions are flattened once, and `augment_keep` in `_cnf.c`
     (loaded by `satlab._native`) drops the duplicates: it canonicalises
@@ -227,19 +228,21 @@ def _augment_python(formula: Formula, clauses) -> Formula:
         elif formula.has_empty_clause():
             continue
         added.append(lits)
-    return formula.extended(added)
+    return Formula(formula.num_vars, formula.clauses + tuple(added)) if added else formula
 
 
-def check_budgets(wall_budget: float | None, final_flips: int | None) -> None:
+def check_run(wall_budget: float | None, budget_flips: int | None, seeds) -> None:
     """ValueError unless a positive wall budget, a flip budget or both bound
-    a run, and a flip budget given is an integer >= 0."""
-    if wall_budget is None and final_flips is None:
+    a run, a flip budget given is an integer >= 0 and every seed is an int."""
+    if wall_budget is None and budget_flips is None:
         raise ValueError("a run needs a positive wall-clock budget, a flip budget or both")
     if wall_budget is not None and not wall_budget > 0:  # NaN fails too
         raise ValueError(f"wall-clock budget {wall_budget!r}: a run needs a positive wall-clock budget,"
                          " or none and a flip budget")
-    if not (final_flips is None or is_int_at_least(final_flips, 0)):
-        raise ValueError(f"the flip budget must be an integer >= 0, got {final_flips!r}")
+    if not (budget_flips is None or is_int_at_least(budget_flips, 0)):
+        raise ValueError(f"the flip budget must be an integer >= 0, got {budget_flips!r}")
+    for seed in seeds:
+        _native.seed_key(seed)  # names a seed that is not an int
 
 
 def run_hybrid(
@@ -247,7 +250,7 @@ def run_hybrid(
     wall_budget: float | None = WALL_BUDGET_DEFAULT,
     seed: int = 0,
     strategy: Strategy | None = None,
-    final_flips: int | None = None,
+    budget_flips: int | None = None,
 ) -> SolveResult:
     """Execute the pipeline under a wall-clock budget, a flip budget or both.
 
@@ -256,18 +259,17 @@ def run_hybrid(
     per-track settings.  A one-phase strategy seeds its SLS phase with
     `seed` itself; the other tracks derive their phase seeds from one
     master RNG seeded with `seed`.  The clock is checked if and only if
-    `wall_budget` is not None, and the last SLS phase runs at most
-    `final_flips` flips if and only if that is not None.  With
-    `wall_budget=None`, `final_flips` set and a strategy whose
+    `wall_budget` is not None, and the SLS phases together run at most
+    `budget_flips` flips, the burst first, if that is not None.  With
+    `wall_budget=None`, `budget_flips` set and a strategy whose
     `miner_conflict_limit` is set, the result is timing-free, a pure
     function of the arguments.
     """
-    check_budgets(wall_budget, final_flips)
-    _native.seed_key(seed)  # a seed that is not an int is a ValueError on every track, before any phase
+    check_run(wall_budget, budget_flips, [seed])  # on every track, before any phase
     start = time.perf_counter()
     strat = strategy or select_strategy(formula)
     result = SolveResult(status="unknown", model=None, phase_solved=None, track=strat.track, seed=seed)
-    last_flips = _native.limit(final_flips)
+    flip_budget = _native.limit(budget_flips)
 
     def wall_left() -> float | None:
         """Seconds left of the wall budget; None when there is none."""
@@ -282,15 +284,15 @@ def run_hybrid(
         return res.solved
 
     if strat.track in _SLS_ONLY:  # one SLS phase, seeded with `seed` itself
-        sls_phase("initial-sls", formula, last_flips, seed)
+        sls_phase("initial-sls", formula, flip_budget, seed)
         return result
 
-    # phase 1: flip-capped local search burst
+    # phase 1: local search burst, capped by the strategy and the flip budget
     master = random.Random(seed)
     seed_initial = master.getrandbits(63)
     seed_miner = master.getrandbits(63)
     seed_final = master.getrandbits(63)
-    if sls_phase("initial-sls", formula, strat.initial_flips, seed_initial):
+    if sls_phase("initial-sls", formula, min(strat.initial_flips, flip_budget), seed_initial):
         return result
 
     # phase 2: clause mining
@@ -323,7 +325,7 @@ def run_hybrid(
     result.clauses_added = augmented.num_clauses - formula.num_clauses
     left = wall_left()
     if left is None or left > 0:
-        sls_phase("final-sls", augmented, last_flips, seed_final)
+        sls_phase("final-sls", augmented, flip_budget - result.phase_flips["initial-sls"], seed_final)
     return result
 
 

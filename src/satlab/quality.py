@@ -13,7 +13,8 @@ every query in one call, from initial phases drawn once from the seed,
 passing each query's literals to a fresh search as units, and hands back
 the confirmed literals and every model found.  When the library is
 unavailable, `_backbone_by_queries`, the readable reference, runs each
-query as a `cdcl._search` of F extended by those unit clauses.  Either
+query as a `cdcl._search` of F with those unit clauses appended, every
+one kept as the kernel's DB-reduction cap counts them.  Either
 way every model is checked through `cdcl.eval_formula`, against F and
 its query's units.
 
@@ -100,7 +101,8 @@ def _backbone_by_queries(formula: Formula, budget: MiningBudget, seed: int) -> B
     for lit in first:
         if lit not in candidates:
             continue
-        status, other, _, _ = cdcl._search(formula.extended([(u,) for u in (*confirmed, -lit)]), budget, seed)
+        units = tuple((u,) for u in (*confirmed, -lit))
+        status, other, _, _ = cdcl._search(Formula(formula.num_vars, formula.clauses + units), budget, seed)
         if status == UNSAT:
             confirmed.append(lit)
         elif status == SAT:

@@ -236,12 +236,12 @@ def level2_resolvents(
     return _pool(found - exclude)
 
 
-def ternary_saturate(formula: Formula) -> set[Clause]:
+def ternary_saturate(formula: Formula) -> tuple[Clause, ...]:
     """Close clauses of width <= 3 under resolution, keeping resolvents of
-    width <= 3, until fixpoint; returns the derived clauses only."""
+    width <= 3, until fixpoint; the derived clauses, as a pool holds them."""
     kernel = _native.load()
     if kernel is not None:
-        return set(_native_clauses(kernel, kernel.ternary_pool(*_native.flat(formula)), 3))
+        return _native_clauses(kernel, kernel.ternary_pool(*_native.flat(formula)), 3)
     known = {c for c in _base_masks(formula) if (c[0] | c[1]).bit_count() <= 3}
     queue = deque(known)
     occ = _Occurrences(formula.num_vars, queue)
@@ -257,7 +257,7 @@ def ternary_saturate(formula: Formula) -> set[Clause]:
                     derived.add(r)
                     occ.add(r)
                     queue.append(r)
-    return set(map(_clause, derived))
+    return _pool(derived).clauses
 
 
 def sample_pool(pool: ResolventPool, cap: int, seed: int) -> list[Clause]:

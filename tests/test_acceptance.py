@@ -129,7 +129,7 @@ def test_criterion_05_every_enrichment_path_preserves_solutions():
         additions = {
             "level1": sample_pool(level1_resolvents(f, 4), 15, seed=seed),
             "level2": sample_pool(level2_resolvents(f, 4), 15, seed=seed),
-            "ternary": sorted(ternary_saturate(f)),
+            "ternary": ternary_saturate(f),
             "cdcl": cdcl_solve_and_mine(
                 f, MiningBudget(wall_seconds=30, width_limit=4), seed=seed
             ).learned,
@@ -260,7 +260,7 @@ def test_criterion_10_statistics_match_frozen_references():
 def test_criterion_11_end_to_end_determinism():
     f, _ = gen_planted(GenSpec(n=60, k=3, ratio=4.25, seed=87))
     strategy = select_strategy(f, initial_flips=2_000, miner_conflict_limit=150)
-    kwargs = dict(wall_budget=3600, seed=5, strategy=strategy, final_flips=400_000)
+    kwargs = dict(wall_budget=3600, seed=5, strategy=strategy, budget_flips=400_000)
     first = run_hybrid(f, **kwargs).canonical_json()
     second = run_hybrid(f, **kwargs).canonical_json()
     assert first == second

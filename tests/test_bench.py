@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -294,6 +295,44 @@ def test_a_wall_budget_binds_alongside_a_flip_budget(config):
     assert record.flips < 3_000_000
 
 
+def test_a_trial_spends_at_most_its_flip_budget_on_every_track():
+    # a hybrid trial used to run its burst on top of the budget: this one ran 60,000 flips
+    unsat = gen_uniform(GenSpec(n=200, k=3, ratio=6.0, seed=5))
+    burst = SolverConfig("b", algorithm="hybrid", initial_flips=50_000, miner_conflict_limit=200)
+    record = run_trial("u", unsat, burst, seed=1, budget_flips=10_000)
+    assert (record.solved, record.flips, record.miner_conflicts) == (False, 10_000, 200)
+    instances = [(f"k{k}-n{n}", gen_planted(GenSpec(n=n, k=k, ratio=ratio, seed=k))[0])
+                 for k, n, ratio in ((3, 150, 4.26), (4, 60, 9.9), (5, 60, 21.1), (7, 30, 87.8), (3, 9001, 4.0))]
+    short = SolverConfig("short", algorithm="hybrid", initial_flips=10, miner_conflict_limit=5)
+    budget, records, tracks = 1_000, [], set()
+    for iid, formula in instances:
+        track = pipeline.select_strategy(formula).track
+        tracks.add(track)
+        configs = [SolverConfig("sls"), SolverConfig("default", algorithm="hybrid")]
+        configs += [short] if track not in ("fallback", "plain-sls") else []
+        records += [run_trial(iid, formula, config, seed, budget_flips=budget)
+                    for config in configs for seed in range(3)]
+    assert tracks == {"k3", "k5", "k7", "fallback", "plain-sls"}
+    assert all(r.flips <= budget for r in records)
+    solved = [r for r in records if r.solved]
+    assert all(par2(r, budget) <= budget for r in solved)
+    assert {r.phase_solved for r in solved} == {"initial-sls", "miner", "final-sls"}
+
+
+def test_a_seed_that_is_not_an_int_is_an_error_before_any_trial(monkeypatch):
+    # it used to become a crash note, which `summarize` scored as a PAR2 timeout
+    calls = []
+    monkeypatch.setattr(bench, "run_hybrid", lambda *args, **kwargs: calls.append(args))
+    f = Formula(1, [(1,)])
+    for seed in (1.5, "1", None):
+        match = re.escape(f"the seed must be an int, got {seed!r}")
+        with pytest.raises(ValueError, match=match):
+            run_suite([("i", f)], [SolverConfig("s")], [0, seed], budget_flips=100)
+        with pytest.raises(ValueError, match=match):
+            run_trial("i", f, SolverConfig("s"), seed, budget_flips=100)
+    assert calls == []
+
+
 def test_a_suite_without_a_budget_is_an_error_before_any_trial(monkeypatch):
     calls = []
     monkeypatch.setattr(bench, "run_hybrid", lambda *args, **kwargs: calls.append(args))
@@ -417,7 +456,7 @@ def test_trials_csv_carries_the_miner_conflicts_of_hybrid_trials():
         result = pipeline.run_hybrid(formula, wall_budget=pipeline.WALL_BUDGET_DEFAULT, seed=r.seed,
                                      strategy=pipeline.select_strategy(formula, initial_flips=1,
                                                                        miner_conflict_limit=50),
-                                     final_flips=5_000)
+                                     budget_flips=5_000)
         assert r.miner_conflicts == result.phase_conflicts["miner"] > 0
     # both trials that the miner solves and trials it hands to the final phase
     assert {r.phase_solved for r in records if r.solver_id == "h"} == {"miner", "final-sls"}

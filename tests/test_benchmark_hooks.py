@@ -6,6 +6,7 @@ workloads (`satbench/workloads.py`) build their solver configs with
 keywords, and this checks that those settings reach the pipeline."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,8 +45,8 @@ def test_tracer_binds_every_target_and_restores_them():
 
 def test_run_hybrid_appends_mined_clauses_through_the_module_global_augment(monkeypatch):
     # the tracer times `pipeline.augment_s` and counts `pipeline.clauses_added` by
-    # rebinding `satlab.pipeline.augment`; a direct call to `Formula.extended`
-    # or a local alias would leave both at 0
+    # rebinding `satlab.pipeline.augment`; a formula built another way or a
+    # local alias would leave both at 0
     from satlab import pipeline
     from satlab.generators import GenSpec, gen_planted
 
@@ -60,7 +61,7 @@ def test_run_hybrid_appends_mined_clauses_through_the_module_global_augment(monk
     monkeypatch.setattr(pipeline, "augment", counting)
     f, _ = gen_planted(GenSpec(n=100, k=3, ratio=4.2, seed=8))
     strategy = pipeline.select_strategy(f, initial_flips=1, miner_conflict_limit=50)
-    result = pipeline.run_hybrid(f, seed=1, strategy=strategy, final_flips=5_000)
+    result = pipeline.run_hybrid(f, seed=1, strategy=strategy, budget_flips=5_000)
     assert "final-sls" in result.phase_flips  # phase 3 ran
     assert calls == [result.clauses_added] and result.clauses_added > 0
 
@@ -103,7 +104,7 @@ def test_sls_par2_trial_keys_are_pinned():
     assert load("checks").digest(out.payload) == "d61b1f47687903b4"
 
 
-@pytest.mark.parametrize("name,digest", [("hybrid-mine", "d9f80a8477cbd543"), ("enrich-quality", "fbf4185129f2c033")])
+@pytest.mark.parametrize("name,digest", [("hybrid-mine", "9f2c52120f9607bb"), ("enrich-quality", "fbf4185129f2c033")])
 def test_round_payloads_are_pinned(name, digest):
     # hybrid-mine runs probSAT in the three-phase pipeline, enrich-quality runs it
     # on enriched formulas; a change that moves any outcome of one round moves its digest
@@ -135,3 +136,12 @@ def test_backbone_queries_are_not_captured_as_miner_calls():
     checker.calls(calls, lambda formula: hidden if formula is f else None)
     assert checker.failures == []
     assert backbone == expected and expected  # a planted n=20 formula has a backbone
+
+
+def test_the_benchmark_self_test_passes():
+    # `satbench/selftest.py` builds satlab's records positionally, installs every tracer
+    # hook and runs traced and untraced smoke rounds of each workload; a change under
+    # src/ that breaks it would otherwise show first in a full benchmark run
+    done = subprocess.run([sys.executable, str(SATBENCH / "selftest.py")], capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -5,7 +5,7 @@ when the loader returns None.  For equal arguments both must return an
 equal `MiningOutcome`: status, model, exported clauses, learned count,
 conflicts and records.  A backbone query, whose literals `cdcl_backbone`
 passes to a search as unit clauses, must equal the reference's search
-of the formula extended by them.
+of the formula with them appended.
 """
 
 import random
@@ -208,7 +208,7 @@ def backbone_searches(formula, seed, limit):
 def assert_backbones_equal(formula, seed, limit=None):
     """The kernel's backbone, whose queries pass their literals to
     `new_state` as units, equals the reference's, which searches the
-    formula extended by them: the same outcome and the same models in the
+    formula with them appended: the same outcome and the same models in the
     same order, so the same searches ran."""
     fast = backbone_searches(formula, seed, limit)
     assert fast == reference(backbone_searches, formula, seed, limit), f"{formula!r} seed={seed} limit={limit}"
@@ -231,7 +231,8 @@ def test_units_count_in_the_reduce_cap(kernel):
     formula = Formula(x + core.num_vars, clauses)
     backbone = assert_backbones_equal(formula, seed)
     assert backbone == set(range(1, forced + 1))
-    query = formula.extended([(u,) for u in (*range(1, forced + 1), -x)])
+    # the forced units repeat the formula's, and are appended all the same
+    query = Formula(formula.num_vars, formula.clauses + tuple((u,) for u in (*range(1, forced + 1), -x)))
     out = cdcl_solve_and_mine(query, MiningBudget(NO_WALL, width_limit=query.num_vars), seed)
     # every learned clause of width >= 2 enters the DB: more than the cap,
     # with one to spare, means a reduction

@@ -8,8 +8,8 @@ import pytest
 from satlab import cli
 from satlab.bench import SolverConfig, trials_from_csv
 from satlab.cli import EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT, main
-from satlab.cnf import DimacsError, Formula, emit_dimacs, parse_clause_lines, parse_dimacs, parse_solution
-from satlab.pipeline import OVERRIDABLE, run_hybrid, select_strategy
+from satlab.cnf import DimacsError, emit_dimacs, parse_clause_lines, parse_dimacs, parse_solution
+from satlab.pipeline import OVERRIDABLE, augment, run_hybrid, select_strategy
 from satlab.quality import BackboneBudgetError, compute_backbone, gen_deceptive, gen_general
 
 
@@ -265,11 +265,11 @@ def test_solve_flags_equal_library_call(tmp_path, capsys):
     cnf = tmp_path / "s.cnf"
     run_cli(capsys, "gen", "-n", "150", "--planted", "--ratio", "4.26", "--seed", "4", "-o", str(cnf))
     code, out, _ = run_cli(capsys, "solve", str(cnf), "--seed", "3", "--initial-flips", "100",
-                           "--miner-conflicts", "50", "--final-flips", "2000")
+                           "--miner-conflicts", "50", "--budget-flips", "2000")
     result_line = [l for l in out.splitlines() if l.startswith("c result ")][0]
     f = parse_dimacs(cnf.read_text())
     expected = run_hybrid(f, seed=3, strategy=select_strategy(f, initial_flips=100, miner_conflict_limit=50),
-                          final_flips=2000)
+                          budget_flips=2000)
     assert result_line[len("c result "):] == expected.canonical_json()
     # every flag binds: the burst, the miner and the final phase all ran
     assert expected.phase_flips["initial-sls"] == 100
@@ -294,12 +294,12 @@ def test_solve_strategy_flags_equal_library_call(tmp_path, capsys, monkeypatch, 
 
     monkeypatch.setattr(cli, "select_strategy", spy)
     code, out, _ = run_cli(capsys, "solve", str(cnf), "--seed", "3", "--initial-flips", "100",
-                           "--miner-conflicts", "50", "--final-flips", "2000", flag, value)
+                           "--miner-conflicts", "50", "--budget-flips", "2000", flag, value)
     f = parse_dimacs(cnf.read_text())
     base = {"initial_flips": 100, "miner_conflict_limit": 50}
     strategy = select_strategy(f, **{**base, name: setting})
     assert resolved == [strategy] and strategy != select_strategy(f, **base)
-    expected = run_hybrid(f, seed=3, strategy=strategy, final_flips=2000)
+    expected = run_hybrid(f, seed=3, strategy=strategy, budget_flips=2000)
     result_line = [l for l in out.splitlines() if l.startswith("c result ")][0]
     assert result_line[len("c result "):] == expected.canonical_json()
 
@@ -310,7 +310,7 @@ def test_every_setting_travels_in_the_one_list():
     assert not set(OVERRIDABLE) & set(inspect.signature(run_hybrid).parameters)
     assert not set(OVERRIDABLE) & {f.name for f in fields(SolverConfig)}
     dests = set(vars(cli.build_parser().parse_args(["solve", "x.cnf"])))
-    assert dests - set(OVERRIDABLE) == {"file", "budget", "seed", "final_flips", "func", "command"}
+    assert dests - set(OVERRIDABLE) == {"file", "budget", "seed", "budget_flips", "func", "command"}
 
 
 # every command that reads a DIMACS file, with its required arguments besides the file;
@@ -341,7 +341,7 @@ def test_non_utf8_dimacs_is_a_dimacs_error_naming_the_line(tmp_path, command):
 def test_utf8_comment_still_solves(tmp_path, capsys):
     cnf = tmp_path / "utf8.cnf"
     cnf.write_bytes("c r\u00e9solution\np cnf 2 2\n1 0\n-1 2 0\n".encode())
-    for argv in (["solve-sls", str(cnf), "--max-flips", "100"], ["solve", str(cnf), "--final-flips", "100"]):
+    for argv in (["solve-sls", str(cnf), "--max-flips", "100"], ["solve", str(cnf), "--budget-flips", "100"]):
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_SAT and "s SATISFIABLE" in out
 
@@ -412,9 +412,11 @@ def test_inject_output_equals_a_rebuilt_formula(tmp_path, capsys, model):
         clauses = gen_deceptive(backbone, 12, 4)
     else:
         clauses = gen_general(parse_solution(sol.read_text(), 20), backbone, 12, 4)
-    assert clauses
-    rebuilt = Formula(formula.num_vars, list(formula.clauses) + clauses)
-    assert out.read_bytes() == emit_dimacs(rebuilt, [f"injected {len(clauses)} model={model}"]).encode()
+    augmented = augment(formula, clauses)
+    count = augmented.num_clauses - formula.num_clauses
+    # `inject` used to append every drawn clause; the deceptive model draws repeats and existing clauses
+    assert (len(clauses), count) == (12, {"deceptive": 8, "general": 12}[model])
+    assert out.read_bytes() == emit_dimacs(augmented, [f"injected {count} model={model}"]).encode()
 
 
 def test_solve_pipeline_unsat(tmp_path, capsys):
@@ -532,7 +534,7 @@ def test_solve_names_a_wall_budget_that_is_not_positive(tmp_path):
     cnf = tmp_path / "x.cnf"
     cnf.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
     with pytest.raises(ValueError, match="^wall-clock budget 0.0: a run needs a positive wall-clock budget"):
-        main(["solve", str(cnf), "--budget", "0", "--final-flips", "10"])
+        main(["solve", str(cnf), "--budget", "0", "--budget-flips", "10"])
 
 
 def test_bench_without_a_budget_is_an_error(tmp_path, capsys):
@@ -550,7 +552,7 @@ def test_bench_without_a_budget_is_an_error(tmp_path, capsys):
 def test_solve_on_the_fallback_track_prints_the_model_of_solve_sls(tmp_path, capsys):
     cnf = tmp_path / "k4.cnf"
     run_cli(capsys, "gen", "-n", "60", "-k", "4", "--planted", "--ratio", "9.0", "--seed", "3", "-o", str(cnf))
-    code, out, _ = run_cli(capsys, "solve", str(cnf), "--final-flips", "100000", "--seed", "5")
+    code, out, _ = run_cli(capsys, "solve", str(cnf), "--budget-flips", "100000", "--seed", "5")
     assert code == EXIT_SAT
     assert json.loads(out.splitlines()[0][len("c result "):])["track"] == "fallback"
     code_sls, out_sls, _ = run_cli(capsys, "solve-sls", str(cnf), "--max-flips", "100000", "--seed", "5")

@@ -24,6 +24,7 @@ from satlab.cnf import (
 )
 from satlab.cdcl import MiningBudget, cdcl_solve_and_mine
 from satlab.generators import GenSpec, gen_planted, gen_uniform
+from satlab.pipeline import augment
 from satlab.sls import probsat_run
 
 
@@ -178,8 +179,8 @@ def test_every_construction_path_holds_canonical_clauses_and_their_flat_arrays(k
             patched.setattr(_native, "load", loader)
             parsed = parse_dimacs(text)
             built = Formula(4, raw)
-            extended = Formula(4, raw[:2]).extended(raw[2:])
-            for f in (built, parsed, extended, pickle.loads(pickle.dumps(built))):
+            augmented = augment(Formula(4, raw[:2]), raw[2:])
+            for f in (built, parsed, augmented, pickle.loads(pickle.dumps(built))):
                 assert f.clauses == expected
                 assert_canonical_with_flat_arrays(f)
     assert Formula(3, [(2, -3, 2)]).clauses == ((2, -3),)
@@ -187,12 +188,12 @@ def test_every_construction_path_holds_canonical_clauses_and_their_flat_arrays(k
 
 def empty_clause_flags(n, clauses, additions):
     """`has_empty_clause()` of each way to build a formula of `clauses`
-    (and of it extended by each of `additions`) on the current path."""
+    (and of it augmented by each of `additions`) on the current path."""
     text = f"p cnf {n} {len(clauses)}\n" + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
     built = Formula(n, clauses)
     flags = [built.has_empty_clause(), parse_dimacs(text).has_empty_clause(),
              pickle.loads(pickle.dumps(built)).has_empty_clause()]
-    flags += [built.extended(added).has_empty_clause() for added in additions]
+    flags += [augment(built, added).has_empty_clause() for added in additions]
     return flags
 
 
@@ -209,7 +210,7 @@ def test_has_empty_clause_is_the_same_on_every_build_path(kernel, monkeypatch, l
     for text in ("p cnf 2 2\n1 2 0\n0\n", "p cnf 2 2\n0\n-1 0\n", "p cnf 2 1\n1 -2 0\n"):
         assert parse_dimacs(text).has_empty_clause() == ("\n0\n" in text)
         assert parse_dimacs(text.encode()).has_empty_clause() == ("\n0\n" in text)
-    assert Formula(2, []).extended([()]).extended([(1,)]).has_empty_clause()
+    assert augment(augment(Formula(2, []), [()]), [(1,)]).has_empty_clause()
     assert (Formula(0, []).has_empty_clause(), Formula(0, [()]).has_empty_clause()) == (False, True)
     for seed in range(3):
         spec = GenSpec(n=30, k=3, ratio=4.2, seed=seed)
@@ -230,7 +231,7 @@ def test_has_empty_clause_agrees_with_the_clauses_on_random_formulas(kernel, mon
         with monkeypatch.context() as patched:
             patched.setattr(_native, "load", lambda: None)
             reference = Formula(n, clauses)
-        for f in (native, reference, native.extended(added), reference.extended(added)):
+        for f in (native, reference, augment(native, added), augment(reference, added)):
             assert f.has_empty_clause() == (() in f.clauses), (n, clauses, added)
             seen.add(f.has_empty_clause())
     assert seen == {True, False}
@@ -313,6 +314,17 @@ def formula_attrs(f):
             f.max_width)
 
 
+def kept(old, new):
+    """The clauses of `new` that `augment` appends to `old`: those whose
+    literal set no clause of `old` and no earlier one of `new` has."""
+    seen, out = set(map(frozenset, old)), []
+    for clause in new:
+        if frozenset(clause) not in seen:
+            seen.add(frozenset(clause))
+            out.append(clause)
+    return out
+
+
 EXTENSIONS = {
     # name: (num_vars, parent clauses, added clauses), in any literal order
     "no-additions": (4, [(1, -2), (2, 3, 4)], []),
@@ -323,6 +335,7 @@ EXTENSIONS = {
     "empty-parent": (3, [], [(2, 1), (-3,)]),
     "empty-clauses": (3, [(1, 2), ()], [(), (-1,)]),
     "repeats": (3, [(1, 2, 1)], [(2, 3, 2), (-1, -1), (3, -3, 3)]),
+    "literal-sets-of-earlier-clauses": (3, [(1, 2), (2, -3), (2, -3)], [(2, 1), (3, 1), (1, 3, 1), (-3, 2), ()]),
 }
 
 
@@ -330,11 +343,11 @@ EXTENSIONS = {
 @pytest.mark.parametrize("name", sorted(EXTENSIONS))
 def test_extended_equals_a_rebuild(name, reversed_additions):
     n, old, new = EXTENSIONS[name]
-    if reversed_additions:  # extended puts added clauses in canonical order, as __init__ does
+    if reversed_additions:  # augment puts added clauses in canonical order, as __init__ does
         new = [c[::-1] for c in new]
     parent = Formula(n, old)
-    extended = parent.extended(new)
-    assert formula_attrs(extended) == formula_attrs(Formula(n, old + new))
+    extended = augment(parent, new)
+    assert formula_attrs(extended) == formula_attrs(Formula(n, old + kept(old, new)))
     assert formula_attrs(parent) == formula_attrs(Formula(n, old))
     assert_canonical_with_flat_arrays(extended)
     # the extended formula survives the pickling that run_suite workers rely on
@@ -365,7 +378,7 @@ def test_extended_equals_a_rebuild_on_random_formulas(monkeypatch):
             new = [clause() for _ in range(rng.randint(0, 8))]
             parent = Formula(n, old)
             before = formula_attrs(parent)
-            assert formula_attrs(parent.extended(new)) == formula_attrs(Formula(n, old + new))
+            assert formula_attrs(augment(parent, new)) == formula_attrs(Formula(n, old + kept(old, new)))
             assert formula_attrs(parent) == before
 
 
@@ -377,22 +390,23 @@ def test_extended_rejects_bad_clauses_and_leaves_the_parent_unchanged(monkeypatc
         for bad, match in (((1, 4), "literal 4 out of range 1..3 in clause 3"), ((0,), "literal 0 out of range"),
                            ((-4, 2), "literal -4 out of range")):
             with pytest.raises(ValueError, match=match):
-                parent.extended([(1, 2), bad])
+                augment(parent, [(1, 2), bad])
             assert formula_attrs(parent) == before
         # neither flattens into int32 arrays, so the reference build raises
         for bad, match in (((2**40, 1), "literal 1099511627776 out of range 1..3 in clause 2$"),
                            ((1, 4.0), "literal 4.0 out of range 1..3 in clause 2$")):
             with pytest.raises(ValueError, match=match):
-                parent.extended([bad, (1, 2)])
+                augment(parent, [bad, (1, 2)])
             assert formula_attrs(parent) == before
-        assert parent.extended([(2, 3, 2)]).clauses[2:] == ((2, 3),)  # a repeat is dropped, not an error
+        assert augment(parent, [(3, 1, 3)]).clauses[2:] == ((1, 3),)  # a repeat is dropped, not an error
 
 
 def test_engines_agree_on_extended_and_rebuilt_formulas():
     base = gen_uniform(GenSpec(n=40, k=3, ratio=4.3, seed=11))
     extra = [tuple(reversed(c)) for c in gen_uniform(GenSpec(n=40, k=4, ratio=0.5, seed=12)).clauses]
-    extended = base.extended(extra)
+    extended = augment(base, extra)
     rebuilt = Formula(40, base.clauses + tuple(extra))
+    assert extended.num_clauses == rebuilt.num_clauses  # no width-4 clause repeats another
     for seed in range(4):
         a, b = probsat_run(extended, 3_000, seed), probsat_run(rebuilt, 3_000, seed)
         assert (a.status, a.flips_used, a.model) == (b.status, b.flips_used, b.model)
@@ -535,9 +549,9 @@ def test_the_clause_view_equals_the_reference_on_every_build_path(kernel, monkey
         "init": (4, lambda: Formula(4, raw), raw),
         "parse-str": (4, lambda: parse_dimacs(text), raw),
         "parse-bytes": (4, lambda: parse_dimacs(text.encode()), raw),
-        "extended": (4, lambda: Formula(4, raw[:3]).extended(raw[3:]), raw),
-        "extended-by-an-empty-clause": (4, lambda: Formula(4, raw[:2]).extended([()]), raw[:2] + [()]),
-        "extended-by-nothing": (4, lambda: Formula(4, raw).extended([]), raw),
+        "augmented": (4, lambda: augment(Formula(4, raw[:3]), raw[3:]), raw[:5] + raw[6:]),
+        "augmented-by-an-empty-clause": (4, lambda: augment(Formula(4, raw[:2]), [()]), raw[:2] + [()]),
+        "augmented-by-nothing": (4, lambda: augment(Formula(4, raw), []), raw),
         "no-variables": (0, lambda: Formula(0, []), []),
     }
     with monkeypatch.context() as patched:
@@ -740,7 +754,7 @@ def test_emit_dimacs_native_equals_the_reference(kernel, monkeypatch):
         Formula(10**6, [(1, -(10**6)), (-1, 99_999, -999_999)]),  # literals as wide as n
     ]
     formulas += [gen_uniform(GenSpec(n=40, k=k, m=30, seed=k)) for k in range(2, 10)]
-    formulas.append(Formula(5, []).extended([(5, -4), (1,)]))
+    formulas.append(augment(Formula(5, []), [(5, -4), (1,)]))
     native = [emit_dimacs(f, ["x"]) for f in formulas]
     with monkeypatch.context() as patched:
         patched.setattr(_native, "load", lambda: None)

@@ -70,9 +70,9 @@ def test_a_seed_that_is_not_an_int_is_a_value_error_on_both_engines(engine, seed
         "cdcl_solve_and_mine": lambda: cdcl_solve_and_mine(k3, MiningBudget(conflict_limit=10), seed),
         "compute_backbone": lambda: compute_backbone(k3, seed),
         "GenSpec": lambda: GenSpec(n=10, k=3, ratio=4.0, seed=seed),
-        "run_hybrid plain": lambda: run_hybrid(k3, None, seed, plain_strategy(k3), final_flips=10),
+        "run_hybrid plain": lambda: run_hybrid(k3, None, seed, plain_strategy(k3), budget_flips=10),
         "run_hybrid k3": lambda: run_hybrid(k3, None, seed, select_strategy(k3, initial_flips=10,
-                                                                           miner_conflict_limit=10), final_flips=10),
+                                                                           miner_conflict_limit=10), budget_flips=10),
     }
     for name, call in calls.items():
         with pytest.raises(ValueError, match=f"seed must be an int, got {named}$"):

@@ -15,7 +15,7 @@ from satlab.pipeline import (
     SolveResult,
     Strategy,
     augment,
-    check_budgets,
+    check_run,
     run_hybrid,
     select_strategy,
 )
@@ -258,7 +258,7 @@ def test_final_phase_solves_after_mining():
     f, _ = gen_planted(GenSpec(n=60, k=3, ratio=4.2, seed=31))
     res = run_hybrid(
         f, wall_budget=60, seed=3, strategy=select_strategy(f, initial_flips=1, miner_conflict_limit=50),
-        final_flips=2_000_000,
+        budget_flips=2_000_000,
     )
     assert res.status == "sat"
     assert res.phase_solved in ("miner", "final-sls")
@@ -270,7 +270,7 @@ def test_cap_percent_arithmetic():
     f = gen_uniform(GenSpec(n=200, k=5, m=1000, seed=9))
     res = run_hybrid(
         f, wall_budget=30, seed=4, strategy=select_strategy(f, initial_flips=10, miner_conflict_limit=3000),
-        final_flips=10,
+        budget_flips=10,
     )
     assert res.clauses_added <= 50  # 5% of 1000
 
@@ -278,7 +278,7 @@ def test_cap_percent_arithmetic():
 def test_deterministic_result_bytes():
     f, _ = gen_planted(GenSpec(n=50, k=3, ratio=4.2, seed=77))
     strategy = select_strategy(f, initial_flips=500, miner_conflict_limit=100)
-    kwargs = dict(wall_budget=600, seed=11, strategy=strategy, final_flips=50_000)
+    kwargs = dict(wall_budget=600, seed=11, strategy=strategy, budget_flips=50_000)
     a = run_hybrid(f, **kwargs)
     b = run_hybrid(f, **kwargs)
     assert a.canonical_json() == b.canonical_json()
@@ -306,7 +306,7 @@ def test_one_phase_tracks_make_the_probsat_run_call_of_their_seed(track, seed):
         expected = probsat_run(f, flips, seed, strategy.scoring)
         assert expected.solved == (flips > 20)
         for wall_budget in (None, 60.0):  # a wall budget that does not bind changes nothing
-            res = run_hybrid(f, wall_budget=wall_budget, seed=seed, final_flips=flips)
+            res = run_hybrid(f, wall_budget=wall_budget, seed=seed, budget_flips=flips)
             assert (res.status, res.phase_solved, res.phase_flips, res.model, res.seed) == (
                 "sat" if expected.solved else "unknown", "initial-sls" if expected.solved else None,
                 {"initial-sls": expected.flips_used}, expected.model, seed)
@@ -314,7 +314,7 @@ def test_one_phase_tracks_make_the_probsat_run_call_of_their_seed(track, seed):
 
 def test_plain_track_runs_single_phase():
     f = Formula(9500, [(1, 2, 3)])
-    res = run_hybrid(f, wall_budget=5, seed=0, final_flips=1000)
+    res = run_hybrid(f, wall_budget=5, seed=0, budget_flips=1000)
     assert res.track == PLAIN_SLS
     assert res.status == "sat"
     assert res.phase_solved == "initial-sls"
@@ -327,7 +327,7 @@ def test_a_wall_budget_that_is_not_positive_is_named_with_its_value():
     for wall_budget, shown in ((0, "0"), (0.0, "0.0"), (-1.5, "-1.5"), (json.loads("NaN"), "nan")):
         for flips in (None, 10):
             with pytest.raises(ValueError, match=f"^wall-clock budget {shown}: a run needs a positive wall-clock"):
-                check_budgets(wall_budget, flips)
+                check_run(wall_budget, flips, [0])
 
 
 def test_budget_validation():
@@ -338,12 +338,12 @@ def test_budget_validation():
     # NaN fails every comparison: a NaN wall budget would never run out
     for flips in (None, 100):
         with pytest.raises(ValueError, match="positive wall-clock budget"):
-            run_hybrid(Formula(1, [(1,)]), wall_budget=json.loads("NaN"), final_flips=flips)
+            run_hybrid(Formula(1, [(1,)]), wall_budget=json.loads("NaN"), budget_flips=flips)
     # a float flip budget used to crash in the kernel call, and a negative one to run 0 flips
     for flips in (1.5, -5, json.loads("1e3")):
         for wall_budget in (None, 60.0):
             with pytest.raises(ValueError, match="flip budget must be an integer >= 0"):
-                run_hybrid(Formula(1, [(1,)]), wall_budget=wall_budget, final_flips=flips)
+                run_hybrid(Formula(1, [(1,)]), wall_budget=wall_budget, budget_flips=flips)
 
 
 def model_checks(monkeypatch, verdict=None):
@@ -366,7 +366,7 @@ def test_a_phase_solved_on_the_formula_itself_checks_its_model_once(monkeypatch,
     strategy = select_strategy(f, initial_flips=200_000 if track == "k3" else None)
     assert strategy.track == track
     calls = model_checks(monkeypatch)
-    res = run_hybrid(f, wall_budget=None, seed=1, strategy=strategy, final_flips=200_000)
+    res = run_hybrid(f, wall_budget=None, seed=1, strategy=strategy, budget_flips=200_000)
     assert res.phase_solved == "initial-sls"
     assert calls == [("satlab.sls", f)]  # probsat_run's own check, against the formula
 
@@ -375,14 +375,14 @@ def test_final_and_miner_phases_still_check_the_original_formula(monkeypatch):
     f, _ = gen_planted(GenSpec(n=60, k=3, ratio=4.2, seed=31))
     strategy = select_strategy(f, initial_flips=1, miner_conflict_limit=5)
     calls = model_checks(monkeypatch)
-    res = run_hybrid(f, wall_budget=None, seed=3, strategy=strategy, final_flips=200_000)
+    res = run_hybrid(f, wall_budget=None, seed=3, strategy=strategy, budget_flips=200_000)
     assert (res.phase_solved, res.clauses_added) == ("final-sls", 4)
     (first, augmented), (second, checked) = calls[-2:]  # probsat_run checks the augmented formula, then run_hybrid f
     assert (first, second) == ("satlab.sls", "satlab.pipeline")
     assert augmented.num_clauses == f.num_clauses + 4 and checked is f
     calls.clear()
     res = run_hybrid(f, wall_budget=None, seed=3, strategy=replace(strategy, miner_conflict_limit=50),
-                     final_flips=200_000)
+                     budget_flips=200_000)
     assert res.phase_solved == "miner"
     assert calls == [("satlab.cdcl", f)]  # the miner's own check, against the formula
 
@@ -392,15 +392,15 @@ def test_an_invalid_model_is_an_assertion_error_on_every_phase(monkeypatch):
     with monkeypatch.context() as patched:
         model_checks(patched, {"satlab.sls": False})  # the one check a one-phase run makes
         with pytest.raises(AssertionError, match="registry empty but model invalid"):
-            run_hybrid(one_phase, wall_budget=None, seed=1, final_flips=200_000)
+            run_hybrid(one_phase, wall_budget=None, seed=1, budget_flips=200_000)
     f, _ = gen_planted(GenSpec(n=60, k=3, ratio=4.2, seed=31))
     with monkeypatch.context() as patched:
         model_checks(patched, {"satlab.pipeline": False})  # the final phase's check against f
         with pytest.raises(AssertionError, match="does not satisfy the original formula"):
             run_hybrid(f, wall_budget=None, seed=3,
-                       strategy=select_strategy(f, initial_flips=1, miner_conflict_limit=5), final_flips=200_000)
+                       strategy=select_strategy(f, initial_flips=1, miner_conflict_limit=5), budget_flips=200_000)
     with monkeypatch.context() as patched:
         model_checks(patched, {"satlab.cdcl": False})  # the miner phase's one check
         with pytest.raises(AssertionError, match="invalid model"):
             run_hybrid(f, wall_budget=None, seed=3,
-                       strategy=select_strategy(f, initial_flips=1, miner_conflict_limit=50), final_flips=200_000)
+                       strategy=select_strategy(f, initial_flips=1, miner_conflict_limit=50), budget_flips=200_000)

@@ -191,7 +191,7 @@ def test_formula_without_variables_or_clauses_is_sat_everywhere(monkeypatch):
 
     empty = Formula(0, [])
     assert cdcl_solve_and_mine(empty, MiningBudget(conflict_limit=10), seed=0).status == SAT
-    assert run_hybrid(empty, seed=0, final_flips=10).status == "sat"
+    assert run_hybrid(empty, seed=0, budget_flips=10).status == "sat"
     with_kernel = probsat_run(empty, 10, seed=0)
     monkeypatch.setattr(_native, "load", lambda: None)
     without_kernel = probsat_run(empty, 10, seed=0)

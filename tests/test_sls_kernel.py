@@ -20,6 +20,7 @@ import pytest
 
 from satlab import _native, sls
 from satlab.bench import SolverConfig, run_suite
+from satlab.cli import main
 from satlab.cnf import Formula, emit_dimacs, parse_dimacs
 from satlab.generators import GenSpec, gen_planted, gen_uniform
 from satlab.pipeline import plain_strategy, run_hybrid, select_strategy
@@ -224,8 +225,9 @@ def test_kernel_state_after_a_budget_bound_run_equals_the_reference(kernel, monk
         assert fast == ref
 
 
-def test_the_kernel_track_builds_no_clause_tuple(kernel, monkeypatch):
-    # gen -> emit -> parse -> run_hybrid reads only the flat arrays: any read of a clause-tuple view fails the run
+def test_the_kernel_track_builds_no_clause_tuple(kernel, monkeypatch, tmp_path, capsys):
+    # gen -> emit -> parse -> run_hybrid, and every CLI command that reads a formula, read only the
+    # flat arrays: any read of a clause-tuple view fails the run
     def no_tuples(formula):
         raise AssertionError("a clause-tuple view was built")
 
@@ -237,20 +239,39 @@ def test_the_kernel_track_builds_no_clause_tuple(kernel, monkeypatch):
     def three_phase(initial_flips, conflicts):
         return select_strategy(formula, initial_flips=initial_flips, miner_conflict_limit=conflicts)
 
-    # (strategy, final flips) -> (phase solved, clauses added)
+    # (strategy, flip budget) -> (phase solved, clauses added)
     cases = {
         (plain_strategy(formula), 50_000): ("initial-sls", 0),
         (plain_strategy(formula), 10): (None, 0),
-        (three_phase(50_000, 40), 10): ("initial-sls", 0),
+        (three_phase(50_000, 40), 50_000): ("initial-sls", 0),
         (three_phase(10, 100_000), 10): ("miner", 0),
         (three_phase(10, 40), 100_000): ("final-sls", 3),
-        (three_phase(10, 40), 10): (None, 3),
+        (three_phase(10, 40), 20): (None, 3),
     }
     for (strategy, flips), expected in cases.items():
-        result = run_hybrid(formula, wall_budget=None, seed=3, strategy=strategy, final_flips=flips)
+        result = run_hybrid(formula, wall_budget=None, seed=3, strategy=strategy, budget_flips=flips)
         assert (result.phase_solved, result.clauses_added) == expected
         assert result.status == ("unknown" if expected[0] is None else "sat")
+        assert sum(result.phase_flips.values()) <= flips
     assert generated._clauses is None and formula._clauses is None
+
+    cnf, sol, config = tmp_path / "p.cnf", tmp_path / "p.sol", tmp_path / "hybrid.json"
+    config.write_text('{"id": "h", "algorithm": "hybrid", "initial_flips": 10, "miner_conflict_limit": 40}')
+    commands = [
+        ["gen", "-n", "20", "--planted", "--seed", "1", "-o", str(cnf), "--solution-out", str(sol)],
+        ["solve-sls", str(cnf), "--max-flips", "1000"],
+        ["mine", str(cnf), "--conflicts", "40"],
+        *[["enrich", str(cnf), "--mode", mode, "--conflicts", "40"] for mode in ("level1", "level2", "ternary", "cdcl")],
+        ["backbone", str(cnf)],
+        ["inject", str(cnf), "--model", "deceptive", "--count", "12", "--seed", "4"],
+        ["inject", str(cnf), "--model", "general", "--count", "12", "--seed", "4", "--solution", str(sol)],
+        ["solve", str(cnf), "--initial-flips", "10", "--miner-conflicts", "40", "--budget-flips", "1000"],
+        ["bench", "--instances", str(cnf), "--solver-config", str(config), "--budget-flips", "1000",
+         "--out-dir", str(tmp_path / "bench")],
+    ]
+    for argv in commands:
+        assert main(argv) in (0, 10), argv
+    assert "c injected 8 model=deceptive" in capsys.readouterr().out
 
 
 def test_large_wall_limit_equals_flip_budget(kernel):
@@ -292,13 +313,13 @@ def test_flip_budgets_past_64_bits_run_and_others_are_rejected(monkeypatch):
         for bad in (1.5, -1, "10", None):
             with pytest.raises(ValueError, match=f"max_flips must be an integer >= 0, got {bad!r}"):
                 probsat_run(formula, bad, 3)
-        # the pipeline passes its budgets on: a final budget on the plain track,
-        # and an initial burst on a three-phase one
-        plain = run_hybrid(formula, wall_budget=None, seed=2, strategy=plain_strategy(formula), final_flips=2**64)
+        # the pipeline passes its budgets on: the flip budget on the plain track,
+        # and an initial burst that the flip budget caps on a three-phase one
+        plain = run_hybrid(formula, wall_budget=None, seed=2, strategy=plain_strategy(formula), budget_flips=2**64)
         assert plain.phase_flips == {"initial-sls": probsat_run(formula, 2**62, 2).flips_used} != {"initial-sls": 0}
         burst = select_strategy(formula, initial_flips=2**64, miner_conflict_limit=10)
-        hybrid = run_hybrid(formula, wall_budget=None, seed=2, strategy=burst, final_flips=10)
-        assert hybrid.phase_solved == "initial-sls" and hybrid.phase_flips["initial-sls"] > 0
+        hybrid = run_hybrid(formula, wall_budget=None, seed=2, strategy=burst, budget_flips=2**64 + 5)
+        assert hybrid.phase_solved == "initial-sls" and hybrid.phase_flips["initial-sls"] > 5
 
 
 def test_run_suite_workers_match_serial_with_cached_csr(kernel):
